@@ -115,18 +115,10 @@ def _monte_carlo_sweep(scn: Scenario, trials: int):
     if trials < 1:
         raise ScenarioError("--trials must be a positive integer")
     ris, _ = configure_linear(scn)
-    grid = scn.observation.grid
-    if grid is None:
-        thetas_deg = np.array([p[0] for p in scn.observation.points])
-    else:
-        thetas_deg = grid.thetas_deg()
+    thetas_deg, _ = scn.observation.angles_deg()
     r_s = scn.observation.radius
-    if scn.waves:
-        power = monte_carlo_power_grid(ris, scn.waves, r_s,
-                                       np.radians(thetas_deg), trials,
-                                       scn.scheme.seed)
-    else:
-        power = np.zeros(thetas_deg.size)
+    power = monte_carlo_power_grid(ris, scn.waves, r_s, np.radians(thetas_deg),
+                                   trials, scn.scheme.seed)
     amp_sq = sum(w.amplitude ** 2 for w in scn.waves)
     rcs = (4.0 * np.pi * r_s ** 2 * power / amp_sq if amp_sq > 0
            else np.zeros(thetas_deg.size))
@@ -140,11 +132,7 @@ def _run_mimo(args) -> int:
     if not scn.waves:
         raise ScenarioError("'mimo' needs at least one incident wave")
     ris, _ = configure_linear(scn)
-    grid = scn.observation.grid
-    if grid is not None:
-        thetas = np.radians(grid.thetas_deg())
-    else:
-        thetas = np.radians([p[0] for p in scn.observation.points])
+    thetas = np.radians(scn.observation.angles_deg()[0])
     obs = [ObservationPoint(scn.observation.radius, Direction(t)) for t in thetas]
     sys_ = assemble_mimo(ris, [w.direction.theta for w in scn.waves], obs)
     doc = {"manifest": manifest_for(scn), "system": sys_.to_json_dict()}

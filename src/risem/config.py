@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ObservationPoint, sampling_sa_linear
-from .linear import LinearRis, MimoSystem, TWO_PI, linear_field_multi
+from .linear import (LinearRis, MimoSystem, TWO_PI, _cell_terms, _geometry_phase,
+                     _steering)
 
 
 class ReshapeConditioningError(RuntimeError):
@@ -43,22 +44,24 @@ def trial_rng(seed, trial_index: int) -> np.random.Generator:
     return np.random.default_rng((seed, trial_index))
 
 
-def random_phase_expected_power(ris: LinearRis, theta_i: float, theta_s: float,
-                                r_s: float, amplitude: float = 1.0) -> float:
-    """Expected |E^s|^2 over the random phase law at range r_s."""
+def random_phase_expected_power(ris: LinearRis, theta_i: float, theta_s,
+                                r_s: float, amplitude: float = 1.0):
+    """Expected |E^s|^2 over the random phase law at range r_s.
+
+    theta_s may be an array; a scalar theta_s gives a float.
+    """
     lam = ris.ctx.wavelength
-    sa = sampling_sa_linear(ris.widths, theta_s, theta_i, lam)
-    return float(abs(ris.ctx.coupling) ** 2 / r_s ** 2
-                 * (amplitude * np.cos(theta_i)) ** 2
-                 * np.sum((ris.areas / lam) ** 2 * np.asarray(sa) ** 2))
+    sa = sampling_sa_linear(ris.widths, np.asarray(theta_s, dtype=float)[..., None],
+                            theta_i, lam)
+    power = (abs(ris.ctx.coupling) ** 2 / r_s ** 2
+             * (amplitude * np.cos(theta_i)) ** 2
+             * np.sum((ris.areas / lam) ** 2 * sa ** 2, axis=-1))
+    return float(power) if power.ndim == 0 else power
 
 
-def random_phase_expected_rcs(ris: LinearRis, theta_i: float, theta_s: float) -> float:
+def random_phase_expected_rcs(ris: LinearRis, theta_i: float, theta_s):
     """Expected bistatic RCS; independent of theta_s for point-source cells."""
-    lam = ris.ctx.wavelength
-    sa = sampling_sa_linear(ris.widths, theta_s, theta_i, lam)
-    return float(4.0 * np.pi * abs(ris.ctx.coupling) ** 2 * np.cos(theta_i) ** 2
-                 * np.sum((ris.areas / lam) ** 2 * np.asarray(sa) ** 2))
+    return 4.0 * np.pi * random_phase_expected_power(ris, theta_i, theta_s, 1.0)
 
 
 def random_phase_miso_expected_power(ris: LinearRis, waves, r_s: float) -> float:
@@ -68,12 +71,8 @@ def random_phase_miso_expected_power(ris: LinearRis, waves, r_s: float) -> float
     steering matrix, then applies the single-wave second-moment form.
     """
     lam = ris.ctx.wavelength
-    n = np.arange(ris.n)
-    e_hat = np.zeros(ris.n, dtype=complex)
-    for w in waves:
-        theta = w.direction.theta
-        e_hat += (np.exp(1j * TWO_PI * n * ris.spacing * np.sin(theta) / lam)
-                  * np.cos(theta) * w.amplitude)
+    e_hat = sum(_geometry_phase(ris, np.sin(w.direction.theta))
+                * np.cos(w.direction.theta) * w.amplitude for w in waves)
     return float(abs(ris.ctx.coupling) ** 2 / r_s ** 2
                  * np.sum((ris.areas / lam) ** 2 * np.abs(e_hat) ** 2))
 
@@ -81,11 +80,8 @@ def random_phase_miso_expected_power(ris: LinearRis, waves, r_s: float) -> float
 def monte_carlo_power(ris: LinearRis, waves, obs: ObservationPoint,
                       trials: int, seed) -> float:
     """Sample mean of |E^s|^2 over independent random phase draws."""
-    total = 0.0
-    for t in range(trials):
-        phases = trial_rng(seed, t).integers(0, 2, size=ris.n) * np.pi
-        total += abs(linear_field_multi(ris.with_phases(phases), waves, obs)) ** 2
-    return total / trials
+    return float(monte_carlo_power_grid(ris, waves, obs.r, [obs.direction.theta],
+                                        trials, seed)[0])
 
 
 def monte_carlo_power_grid(ris: LinearRis, waves, r_s: float,
@@ -96,23 +92,20 @@ def monte_carlo_power_grid(ris: LinearRis, waves, r_s: float,
     With return_stderr=True also returns the standard error of the mean.
     """
     lam = ris.ctx.wavelength
-    thetas = np.asarray(thetas, dtype=float)
-    n = np.arange(ris.n)
+    sin_s = np.sin(np.asarray(thetas, dtype=float).ravel())
     # per-cell complex gain before the configured phase, per scatter angle
-    gains = np.zeros((ris.n, thetas.size), dtype=complex)
+    unphased = ris.with_phases(np.zeros(ris.n))
+    gains = np.zeros((sin_s.size, ris.n), dtype=complex)
     for w in waves:
         theta_i = w.direction.theta
-        sa = sampling_sa_linear(ris.widths[:, None], thetas[None, :], theta_i, lam)
-        geom = np.exp(1j * TWO_PI * n[:, None] * ris.spacing
-                      * (np.sin(theta_i) + np.sin(thetas)[None, :]) / lam)
         gains += (w.amplitude * np.cos(theta_i)
-                  * (ris.areas[:, None] / lam) * sa * geom)
+                  * _cell_terms(unphased, np.sin(theta_i) + sin_s))
     gains *= ris.ctx.coupling * np.exp(-2j * np.pi * r_s / lam) / r_s
-    acc = np.zeros(thetas.size)
-    acc_sq = np.zeros(thetas.size)
+    acc = np.zeros(sin_s.size)
+    acc_sq = np.zeros(sin_s.size)
     for t in range(trials):
         signs = 1.0 - 2.0 * trial_rng(seed, t).integers(0, 2, size=ris.n)
-        sample = np.abs(signs @ gains) ** 2
+        sample = np.abs(gains @ signs) ** 2
         acc += sample
         acc_sq += sample ** 2
     mean = acc / trials
@@ -150,20 +143,12 @@ def grating_lobes(delta: float, spacing: float, wavelength: float,
     index is then at least 2, which cannot stay inside the visible region
     alongside a principal lobe.
     """
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
+    pairs = anomalous_pairs(delta, spacing, wavelength, theta_i)
     if spacing / wavelength <= 0.5:
         return []
     base = delta - np.sin(theta_i)
-    k_max = int(np.ceil(4.0 * spacing / wavelength))
-    lobes = []
-    for k in range(-k_max, k_max + 1):
-        if k == 0:
-            continue
-        s = base + k * wavelength / spacing
-        if abs(s) <= 1.0:
-            lobes.append(float(np.arcsin(s)))
-    return sorted(lobes)
+    principal = float(np.arcsin(base)) if abs(base) <= 1.0 else None
+    return [t for t in pairs if t != principal]
 
 
 def anomalous_pairs(delta: float, spacing: float, wavelength: float,
@@ -202,8 +187,8 @@ def compensated_steering(ris: LinearRis, delta: float, theta_i: float,
         else:
             series = np.exp(1j * (n - 1) * half) * np.sin(n * half) / np.sin(half)
         return complex(ris.ctx.coupling * (ris.areas[0] / lam) * series)
-    terms = (ris.areas / lam) * np.exp(1j * phi * np.arange(n))
-    return complex(ris.ctx.coupling * np.sum(terms))
+    point_cells = LinearRis(ris.spacing, ris.areas, 0.0, 0.0, ris.ctx)
+    return complex(_steering(point_cells, np.sin(theta_i) + np.sin(theta_s) - delta))
 
 
 def compensated_rcs(ris: LinearRis, delta: float, theta_i: float,

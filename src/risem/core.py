@@ -15,6 +15,11 @@ import numpy as np
 SINC_TAYLOR_CUTOFF = 1e-6
 
 
+def positive_finite(x) -> bool:
+    """True for a finite number above zero; False for NaN and infinities."""
+    return bool(np.isfinite(x) and x > 0)
+
+
 def sinc_normalized(x):
     """sin(x)/x with the removable singularity handled explicitly.
 
@@ -69,8 +74,8 @@ class ObservationPoint:
     direction: Direction
 
     def __post_init__(self):
-        if not self.r > 0:
-            raise ValueError(f"observation radius must be positive, got {self.r}")
+        if not positive_finite(self.r):
+            raise ValueError(f"observation radius must be positive and finite, got {self.r}")
 
 
 def direction_vector(d: Direction) -> np.ndarray:

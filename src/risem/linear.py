@@ -11,10 +11,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ObservationPoint, WaveContext, sampling_sa_linear
+from .core import ObservationPoint, WaveContext, positive_finite, sinc_normalized
 from .patch import PlaneWave
 
 TWO_PI = 2.0 * np.pi
+# Cell-terms per chunk of the steering sum: bounds its temporary arrays to
+# a few hundred kB whatever the cell and angle counts.
+CHUNK_TERMS = 2 ** 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,13 +35,15 @@ class LinearRis:
     ctx: WaveContext = field(default_factory=WaveContext)
 
     def __post_init__(self):
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
+        if not positive_finite(self.spacing):
+            raise ValueError("spacing must be positive and finite")
         areas = np.atleast_1d(np.asarray(self.areas, dtype=float))
         widths = np.broadcast_to(np.asarray(self.widths, dtype=float), areas.shape).copy()
         phases = np.broadcast_to(np.asarray(self.phases, dtype=float), areas.shape).copy()
         if areas.size < 1:
             raise ValueError("array needs at least one cell")
+        if not all(np.all(np.isfinite(v)) for v in (areas, widths, phases)):
+            raise ValueError("areas, widths and phases must be finite")
         if np.any(areas < 0) or np.any(widths < 0):
             raise ValueError("areas and widths must be non-negative")
         object.__setattr__(self, "areas", areas)
@@ -71,27 +76,67 @@ class LinearRis:
         return LinearRis(self.spacing, np.abs(w), self.widths, np.angle(w), self.ctx)
 
 
+def _geometry_phase(ris: LinearRis, sines) -> np.ndarray:
+    """exp(j 2 pi n d s / wavelength) with the cells n on a new last axis."""
+    k = TWO_PI * np.arange(ris.n) * ris.spacing
+    return np.exp(1j * (k * np.asarray(sines, dtype=float)[..., None] / ris.ctx.wavelength))
+
+
+def _cell_terms(ris: LinearRis, sines) -> np.ndarray:
+    """Terms (A_n/wavelength) e^{j Omega_n} Sa_n e^{j 2 pi n d s/wavelength}.
+
+    s = sin(theta_i) + sin(theta_s); the cells n lie on a new last axis.
+    """
+    lam = ris.ctx.wavelength
+    sa = sinc_normalized(np.pi * ris.widths / lam * np.asarray(sines, dtype=float)[..., None])
+    return (ris.areas / lam) * np.exp(1j * ris.phases) * sa * _geometry_phase(ris, sines)
+
+
+def _steering(ris: LinearRis, sines) -> np.ndarray:
+    """Steering function over an array of s = sin(theta_i) + sin(theta_s).
+
+    T depends on the two angles only through s. The sum runs over chunks of
+    CHUNK_TERMS cell-terms, so memory stays bounded for any array size.
+    """
+    s = np.asarray(sines, dtype=float)
+    flat = s.ravel()
+    out = np.empty(flat.size, dtype=complex)
+    step = max(1, CHUNK_TERMS // ris.n)
+    for lo in range(0, flat.size, step):
+        out[lo:lo + step] = np.sum(_cell_terms(ris, flat[lo:lo + step]), axis=-1)
+    return ris.ctx.coupling * out.reshape(s.shape)
+
+
+def _field(ris: LinearRis, waves: Sequence[PlaneWave], r: float, theta_s) -> np.ndarray:
+    """Scalar scattered field at range r summed over waves, per scatter angle."""
+    lam = ris.ctx.wavelength
+    sin_s = np.sin(np.asarray(theta_s, dtype=float))
+    total = np.zeros(sin_s.shape, dtype=complex)
+    for w in waves:
+        theta_i = w.direction.theta
+        total += (np.exp(-2j * np.pi * r / lam) / r * w.amplitude * np.cos(theta_i)
+                  * _steering(ris, np.sin(theta_i) + sin_s))
+    return total
+
+
+def _rcs(ris: LinearRis, theta_i, theta_s) -> np.ndarray:
+    """Bistatic RCS 4 pi cos^2(theta_i) |T|^2 over broadcast angle arrays."""
+    t = _steering(ris, np.sin(theta_i) + np.sin(theta_s))
+    return 4.0 * np.pi * np.cos(theta_i) ** 2 * np.abs(t) ** 2
+
+
 def steering_function(ris: LinearRis, theta_i: float, theta_s: float) -> complex:
     """Distance-normalized complex transfer from theta_i to theta_s.
 
     Excludes the cos(theta_i) polarization factor, which belongs to the
     particular incident wave rather than to the array.
     """
-    lam = ris.ctx.wavelength
-    n = np.arange(ris.n)
-    sa = sampling_sa_linear(ris.widths, theta_s, theta_i, lam)
-    geom = np.exp(1j * TWO_PI * n * ris.spacing * (np.sin(theta_i) + np.sin(theta_s)) / lam)
-    return complex(ris.ctx.coupling
-                   * np.sum((ris.areas / lam) * np.exp(1j * ris.phases) * sa * geom))
+    return complex(_steering(ris, np.sin(theta_i) + np.sin(theta_s)))
 
 
 def linear_field(ris: LinearRis, wave: PlaneWave, obs: ObservationPoint) -> complex:
     """Scalar scattered field at (r, theta_s) for one in-plane incident wave."""
-    lam = ris.ctx.wavelength
-    theta_i = wave.direction.theta
-    t = steering_function(ris, theta_i, obs.direction.theta)
-    return complex(np.exp(-2j * np.pi * obs.r / lam) / obs.r
-                   * wave.amplitude * np.cos(theta_i) * t)
+    return complex(_field(ris, [wave], obs.r, obs.direction.theta))
 
 
 def linear_field_multi(ris: LinearRis, waves: Sequence[PlaneWave],
@@ -99,13 +144,12 @@ def linear_field_multi(ris: LinearRis, waves: Sequence[PlaneWave],
     """Superposition of per-wave scalar fields."""
     if not waves:
         raise ValueError("wave list must be non-empty")
-    return complex(sum(linear_field(ris, w, obs) for w in waves))
+    return complex(_field(ris, waves, obs.r, obs.direction.theta))
 
 
 def linear_rcs(ris: LinearRis, theta_i: float, theta_s: float) -> float:
     """Bistatic RCS 4 pi cos^2(theta_i) |T|^2."""
-    t = steering_function(ris, theta_i, theta_s)
-    return float(4.0 * np.pi * np.cos(theta_i) ** 2 * abs(t) ** 2)
+    return float(_rcs(ris, theta_i, theta_s))
 
 
 def dft_scatter_grid(n: int) -> np.ndarray:

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Direction, ObservationPoint, WaveContext, sampling_sa
+from .core import Direction, ObservationPoint, WaveContext, positive_finite, sampling_sa
 
 
 @dataclass(frozen=True)
@@ -27,12 +27,12 @@ class Patch:
     area: float | None = None
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("patch edges must be positive")
+        if not (positive_finite(self.a) and positive_finite(self.b)):
+            raise ValueError("patch edges must be positive and finite")
         if self.area is None:
             object.__setattr__(self, "area", self.a * self.b)
-        elif self.area <= 0:
-            raise ValueError("patch area must be positive")
+        elif not positive_finite(self.area):
+            raise ValueError("patch area must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ emits the factored system and the solved weights as JSON.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 
@@ -16,11 +15,11 @@ from .core import Direction, ObservationPoint, WaveContext
 from .config import (anomalous_pairs, beam_reshape, compensation_delta,
                      grating_lobes, phase_compensation, random_phase_draw,
                      random_phase_expected_rcs)
-from .linear import (LinearRis, assemble_mimo, dft_scatter_grid,
-                     linear_field, linear_field_multi, linear_rcs,
-                     steering_function)
+from .linear import (LinearRis, _field, _rcs, _steering, assemble_mimo,
+                     dft_scatter_grid)
 from .patch import Patch, PlaneWave, patch_bistatic_rcs, patch_scattered_field_multi
-from .scenario import Scenario, parse_scenario, run_sweep
+from .scenario import (Scenario, parse_scenario, run_sweep, write_csv,
+                       write_json)
 
 FIGURE_IDS = ("fig2", "fig4", "fig5", "fig6", "fig7a", "fig7b", "fig8", "fig9")
 
@@ -34,15 +33,7 @@ TWO_WAVE_DEG = ((30.0, 1.0), (70.0, 0.5))
 
 def _write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format(v, ".12g") for v in row) + "\n")
-
-
-def _write_json(path, doc):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        write_csv(fh, header, rows)
 
 
 def _local_maxima(values: np.ndarray) -> np.ndarray:
@@ -179,19 +170,13 @@ def _reproduce_fig5(outdir):
     theta_i = math.radians(STEER_FROM_DEG)
     thetas = np.linspace(-90.0, 90.0, 361)
     sample = ris.with_phases(random_phase_draw(ris.n, 0))
-    rows = []
-    for t in thetas:
-        ts = math.radians(t)
-        expected = random_phase_expected_rcs(ris, theta_i, ts)
-        sampled = linear_rcs(sample, theta_i, ts)
-        with np.errstate(divide="ignore"):
-            rows.append((t, expected,
-                         10.0 * np.log10(expected) if expected > 0 else -np.inf,
-                         sampled))
+    expected = random_phase_expected_rcs(ris, theta_i, np.radians(thetas))
+    sampled = _rcs(sample, theta_i, np.radians(thetas))
+    with np.errstate(divide="ignore"):
+        expected_db = 10.0 * np.log10(expected)
     path = os.path.join(outdir, "fig5.csv")
     _write_csv(path, ["theta_s_deg", "expected_rcs", "expected_rcs_db",
-                      "sampled_rcs_seed0"], rows)
-    expected = np.array([r[1] for r in rows])
+                      "sampled_rcs_seed0"], zip(thetas, expected, expected_db, sampled))
     checks = {"expected_rcs_spread": float(expected.max() - expected.min()),
               "expected_rcs_value": float(expected[0])}
     params = {"n": N_CELLS, "spacing": 0.5, "cell": CELL,
@@ -266,9 +251,7 @@ def fig7b_reshape():
     compensated = base.with_phases(phase_compensation(theta_i, theta_s, base))
     grid = dft_scatter_grid(N_CELLS)
     obs = [ObservationPoint(OBS_RADIUS, Direction(t)) for t in grid]
-    desired = np.array([linear_field(compensated,
-                                     PlaneWave(Direction(theta_i), 1.0), o)
-                        for o in obs])
+    desired = _field(compensated, [PlaneWave(Direction(theta_i), 1.0)], OBS_RADIUS, grid)
     waves = [PlaneWave(Direction(math.radians(t)), a) for t, a in TWO_WAVE_DEG]
     sys = assemble_mimo(base, [w.direction.theta for w in waves], obs)
     solution = beam_reshape(sys, [w.amplitude for w in waves], desired)
@@ -279,26 +262,22 @@ def fig7b_reshape():
 def _reproduce_fig7b(outdir):
     sys, solution, configured, waves = fig7b_reshape()
     thetas = np.linspace(-90.0, 90.0, 3601)
-    rows = []
-    for t in thetas:
-        obs = ObservationPoint(OBS_RADIUS, Direction(math.radians(t)))
-        mag = abs(linear_field_multi(configured, waves, obs))
-        with np.errstate(divide="ignore"):
-            rows.append((t, mag, 20.0 * np.log10(mag) if mag > 0 else -np.inf))
+    mags = np.abs(_field(configured, waves, OBS_RADIUS, np.radians(thetas)))
+    with np.errstate(divide="ignore"):
+        mags_db = 20.0 * np.log10(mags)
     csv_path = os.path.join(outdir, "fig7b.csv")
     _write_csv(csv_path, ["theta_s_deg", "field_magnitude", "field_magnitude_db"],
-               rows)
+               zip(thetas, mags, mags_db))
     sys_path = os.path.join(outdir, "fig7b_system.json")
-    _write_json(sys_path, sys.to_json_dict())
+    write_json(sys_path, sys.to_json_dict())
     sol_path = os.path.join(outdir, "fig7b_weights.json")
-    _write_json(sol_path, {
+    write_json(sol_path, {
         "weights": [[float(w.real), float(w.imag)] for w in solution.weights],
         "residual": solution.residual,
         "rank": solution.rank,
         "discarded_fraction": solution.discarded_fraction,
         "truncation_tol": solution.truncation_tol,
     })
-    mags = np.array([r[1] for r in rows])
     main = mags[np.argmin(np.abs(thetas - STEER_TO_DEG))]
     anomalous = mags[np.argmin(np.abs(thetas - 52.59))]
     checks = {
@@ -310,22 +289,19 @@ def _reproduce_fig7b(outdir):
     return [csv_path, sys_path, sol_path], params, checks
 
 
-def _steering_surface(outdir, name, delta):
-    ctx = WaveContext()
-    base = LinearRis.uniform(N_CELLS, 0.5, CELL * CELL, ctx=ctx)
-    phases = (-2.0 * np.pi * np.arange(N_CELLS) * base.spacing * delta
-              / ctx.wavelength) % (2.0 * np.pi)
-    ris = base.with_phases(phases)
+def _steering_surface(outdir, name, theta_i_deg, theta_s_deg):
+    """|T| and RCS over every (theta_i, theta_s) for compensation at a design pair."""
+    theta_i, theta_s = math.radians(theta_i_deg), math.radians(theta_s_deg)
+    base = LinearRis.uniform(N_CELLS, 0.5, CELL * CELL, ctx=WaveContext())
+    ris = base.with_phases(phase_compensation(theta_i, theta_s, base))
+    delta = compensation_delta(theta_i, theta_s)
     grid = np.linspace(-90.0, 90.0, 181)
-    rows = []
-    for ti in grid:
-        for ts in grid:
-            t = steering_function(ris, math.radians(ti), math.radians(ts))
-            rcs = 4.0 * math.pi * math.cos(math.radians(ti)) ** 2 * abs(t) ** 2
-            rows.append((ti, ts, abs(t), rcs))
+    ti, ts = np.meshgrid(grid, grid, indexing="ij")
+    t = np.abs(_steering(ris, np.sin(np.radians(ti)) + np.sin(np.radians(ts))))
+    rcs = 4.0 * np.pi * np.cos(np.radians(ti)) ** 2 * t ** 2
     path = os.path.join(outdir, f"{name}_steering.csv")
     _write_csv(path, ["theta_i_deg", "theta_s_deg", "steering_magnitude", "rcs"],
-               rows)
+               zip(ti.ravel(), ts.ravel(), t.ravel(), rcs.ravel()))
     params = {"n": N_CELLS, "spacing": 0.5, "cell": CELL, "delta": delta}
     return [path], params, {"delta": delta}
 
@@ -343,10 +319,8 @@ def reproduce(figure_id: str, outdir: str) -> dict:
         "fig6": _reproduce_fig6,
         "fig7a": _reproduce_fig7a,
         "fig7b": _reproduce_fig7b,
-        "fig8": lambda d: _steering_surface(d, "fig8", 0.0),
-        "fig9": lambda d: _steering_surface(
-            d, "fig9", compensation_delta(math.radians(STEER_FROM_DEG),
-                                          math.radians(STEER_TO_DEG))),
+        "fig8": lambda d: _steering_surface(d, "fig8", 0.0, 0.0),
+        "fig9": lambda d: _steering_surface(d, "fig9", STEER_FROM_DEG, STEER_TO_DEG),
     }
     files, params, checks = builders[figure_id](outdir)
     from . import __version__
@@ -358,5 +332,5 @@ def reproduce(figure_id: str, outdir: str) -> dict:
         "files": [os.path.basename(f) for f in files],
     }
     manifest_path = os.path.join(outdir, f"{figure_id}_manifest.json")
-    _write_json(manifest_path, manifest)
+    write_json(manifest_path, manifest)
     return manifest

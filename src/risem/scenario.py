@@ -11,6 +11,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +20,9 @@ import yaml
 from . import __version__
 from .core import Direction, ObservationPoint, WaveContext
 from .config import (ReshapeSolution, beam_reshape, phase_compensation,
-                     random_phase_draw, random_phase_miso_expected_power)
-from .linear import LinearRis, assemble_mimo, dft_scatter_grid, linear_field_multi
+                     random_phase_draw, random_phase_expected_power,
+                     random_phase_miso_expected_power)
+from .linear import LinearRis, _field, assemble_mimo, dft_scatter_grid
 from .patch import Patch, PlaneWave, patch_scattered_field_multi
 from .surface import RisGeometry, UnitCell, ris_scattered_field_multi
 
@@ -43,14 +45,20 @@ def _check_keys(node: dict, allowed, name: str):
         raise ScenarioError(f"unknown key(s) in '{name}': {', '.join(sorted(unknown))}")
 
 
+def _is_finite_number(value) -> bool:
+    # the bound also rejects NaN, and integers too large for a float
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def _get_number(node, key, name, default=None, required=False):
     if key not in node:
         if required:
             raise ScenarioError(f"missing required key '{key}' in '{name}'")
         return default
     value = node[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"'{name}.{key}' must be a number, got {value!r}")
+    if not _is_finite_number(value):
+        raise ScenarioError(f"'{name}.{key}' must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -70,6 +78,13 @@ class ObservationSpec:
     radius: float
     grid: GridSpec | None = None
     points: tuple | None = None  # tuple of (theta_deg, phi_deg)
+
+    def angles_deg(self) -> tuple[np.ndarray, np.ndarray]:
+        """Scatter (theta, phi) in degrees of the grid or the point list."""
+        if self.grid is None:
+            return tuple(np.array(self.points, dtype=float).T)
+        thetas = self.grid.thetas_deg()
+        return thetas, np.full(thetas.size, self.grid.phi_deg)
 
 
 @dataclass(frozen=True)
@@ -139,13 +154,17 @@ class Scenario:
     source_hash: str
 
 
+def _is_pair(value) -> bool:
+    return (isinstance(value, list) and len(value) == 2
+            and all(_is_finite_number(v) for v in value))
+
+
 def _parse_complex(value, name):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_finite_number(value):
         return complex(value)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+    if _is_pair(value):
         return complex(value[0], value[1])
-    raise ScenarioError(f"'{name}' must be a number or [re, im] pair")
+    raise ScenarioError(f"'{name}' must be a finite number or [re, im] pair")
 
 
 def _parse_wave_section(node, defaults):
@@ -391,9 +410,7 @@ class SweepResult:
     def to_csv_text(self) -> str:
         cols = self.columns()
         buf = io.StringIO()
-        buf.write(",".join(cols) + "\n")
-        for row in zip(*cols.values()):
-            buf.write(",".join(format(v, ".12g") for v in row) + "\n")
+        write_csv(buf, cols, zip(*cols.values()))
         return buf.getvalue()
 
     def to_json_dict(self) -> dict:
@@ -401,14 +418,27 @@ class SweepResult:
                 for name, values in self.columns().items()}
 
     def write(self, path: str, fmt: str = "csv") -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            if fmt == "csv":
+        if fmt == "json":
+            write_json(path, self.to_json_dict())
+        elif fmt == "csv":
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(self.to_csv_text())
-            elif fmt == "json":
-                json.dump(self.to_json_dict(), fh, indent=2)
-                fh.write("\n")
-            else:
-                raise ValueError(f"unknown output format {fmt!r}")
+        else:
+            raise ValueError(f"unknown output format {fmt!r}")
+
+
+def write_csv(fh, header, rows) -> None:
+    """Header row, then rows of numbers at 12 significant digits."""
+    fh.write(",".join(header) + "\n")
+    for row in rows:
+        fh.write(",".join(format(v, ".12g") for v in row) + "\n")
+
+
+def write_json(path: str, doc) -> None:
+    """Indented JSON document with a trailing newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def cut_direction(theta_deg: float, phi_deg: float) -> Direction:
@@ -424,10 +454,11 @@ def cut_direction(theta_deg: float, phi_deg: float) -> Direction:
 def _load_desired_pattern(path: str, n: int) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    values = doc.get("desired")
-    if not isinstance(values, list) or len(values) != n:
+    values = doc.get("desired") if isinstance(doc, dict) else None
+    if not (isinstance(values, list) and len(values) == n
+            and all(_is_pair(v) for v in values)):
         raise ScenarioError(
-            f"desired pattern file must hold {n} [re, im] pairs under 'desired'")
+            f"desired pattern file must hold {n} finite [re, im] pairs under 'desired'")
     return np.array([complex(re, im) for re, im in values])
 
 
@@ -465,78 +496,57 @@ def run_sweep(scn: Scenario):
     scenario text, including any random seed.
     """
     obs_spec = scn.observation
-    if obs_spec.grid is not None:
-        thetas_deg = obs_spec.grid.thetas_deg()
-        phi_deg = obs_spec.grid.phi_deg
-        pairs = [(t, phi_deg) for t in thetas_deg]
-    else:
-        pairs = list(obs_spec.points)
-        thetas_deg = np.array([p[0] for p in pairs])
-
+    thetas_deg, phis_deg = obs_spec.angles_deg()
     amp_sq = sum(w.amplitude ** 2 for w in scn.waves)
     solution = None
 
     if isinstance(scn.geometry, LinearGeometry):
-        for t, _ in pairs:
-            if not -90.0 <= t <= 90.0:
-                raise ScenarioError("linear-array scatter angles must lie in [-90, 90]")
+        if not np.all(np.abs(thetas_deg) <= 90.0):
+            raise ScenarioError("linear-array scatter angles must lie in [-90, 90]")
+        thetas = np.radians(thetas_deg)
         ris, solution = configure_linear(scn)
         scheme = scn.scheme
         if isinstance(scheme, RandomScheme) and scheme.expectation:
-            if scn.waves:
-                small = np.all(ris.widths < 0.2 * scn.ctx.wavelength)
-                if len(scn.waves) == 1 and not small:
-                    from .config import random_phase_expected_power
-                    power = np.array([random_phase_expected_power(
-                        ris, scn.waves[0].direction.theta, math.radians(t),
-                        obs_spec.radius, scn.waves[0].amplitude) for t, _ in pairs])
-                else:
-                    power = np.array([random_phase_miso_expected_power(
-                        ris, scn.waves, obs_spec.radius) for _ in pairs])
+            small = np.all(ris.widths < 0.2 * scn.ctx.wavelength)
+            if len(scn.waves) == 1 and not small:
+                wave = scn.waves[0]
+                power = random_phase_expected_power(ris, wave.direction.theta, thetas,
+                                                    obs_spec.radius, wave.amplitude)
             else:
-                power = np.zeros(len(pairs))
+                power = np.full(thetas.size, random_phase_miso_expected_power(
+                    ris, scn.waves, obs_spec.radius))
             magnitude = np.sqrt(power)
         else:
-            obs = [ObservationPoint(obs_spec.radius, Direction(math.radians(t)))
-                   for t, _ in pairs]
-            if scn.waves:
-                magnitude = np.array([abs(linear_field_multi(ris, scn.waves, o))
-                                      for o in obs])
-            else:
-                magnitude = np.zeros(len(pairs))
+            magnitude = np.abs(_field(ris, scn.waves, obs_spec.radius, thetas))
         phi_col = None
     elif isinstance(scn.geometry, PatchGeometry):
         patch = scn.geometry.build()
-        magnitude = np.empty(len(pairs))
-        for i, (t, p) in enumerate(pairs):
+        magnitude = np.empty(thetas_deg.size)
+        for i, (t, p) in enumerate(zip(thetas_deg, phis_deg)):
             if scn.waves:
                 obs = ObservationPoint(obs_spec.radius, cut_direction(t, p))
                 magnitude[i] = patch_scattered_field_multi(
                     patch, scn.waves, obs, scn.ctx).magnitude
             else:
                 magnitude[i] = 0.0
-        phi_col = np.array([p for _, p in pairs])
+        phi_col = phis_deg
     else:
         geom = scn.geometry.build(scn.ctx)
-        magnitude = np.empty(len(pairs))
-        for i, (t, p) in enumerate(pairs):
+        magnitude = np.empty(thetas_deg.size)
+        for i, (t, p) in enumerate(zip(thetas_deg, phis_deg)):
             if scn.waves:
                 obs = ObservationPoint(obs_spec.radius, cut_direction(t, p))
                 magnitude[i] = ris_scattered_field_multi(geom, scn.waves, obs).magnitude
             else:
                 magnitude[i] = 0.0
-        phi_col = np.array([p for _, p in pairs])
+        phi_col = phis_deg
 
-    if isinstance(scn.scheme, RandomScheme) and scn.scheme.expectation and scn.waves:
-        # expectation mode: magnitude already holds sqrt(E|E^s|^2)
-        rcs = 4.0 * np.pi * obs_spec.radius ** 2 * magnitude ** 2 / amp_sq
-    elif amp_sq > 0:
+    if amp_sq > 0:
         rcs = 4.0 * np.pi * obs_spec.radius ** 2 * magnitude ** 2 / amp_sq
     else:
-        rcs = np.zeros(len(pairs))
+        rcs = np.zeros(thetas_deg.size)
 
-    return SweepResult(np.asarray(thetas_deg, dtype=float), magnitude, rcs,
-                       phi_col), solution
+    return SweepResult(thetas_deg, magnitude, rcs, phi_col), solution
 
 
 def manifest_for(scn: Scenario, extra: dict | None = None) -> dict:

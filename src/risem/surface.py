@@ -12,7 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Direction, ObservationPoint, WaveContext, direction_vector, sinc_normalized
+from .core import (Direction, ObservationPoint, WaveContext, direction_vector,
+                   positive_finite, sinc_normalized)
 from .patch import PlaneWave, SphericalField, _polarization_factors
 
 TWO_PI = 2.0 * np.pi
@@ -30,15 +31,15 @@ class UnitCell:
 
     def __post_init__(self):
         pos = np.asarray(self.position, dtype=float)
-        if pos.shape != (3,):
-            raise ValueError("cell position must be a 3-vector")
+        if pos.shape != (3,) or not np.all(np.isfinite(pos)):
+            raise ValueError("cell position must be a finite 3-vector")
         object.__setattr__(self, "position", pos)
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("cell edges must be positive")
+        if not (positive_finite(self.a) and positive_finite(self.b)):
+            raise ValueError("cell edges must be positive and finite")
         if self.area is None:
             object.__setattr__(self, "area", self.a * self.b)
-        elif self.area <= 0:
-            raise ValueError("cell area must be positive")
+        elif not positive_finite(self.area):
+            raise ValueError("cell area must be positive and finite")
         object.__setattr__(self, "phase_shift", float(self.phase_shift) % TWO_PI)
 
 

@@ -67,9 +67,10 @@ class TestDirections:
         v = direction_vector(Direction(theta, phi))
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
 
-    def test_observation_radius_must_be_positive(self):
+    @pytest.mark.parametrize("r", [0.0, np.nan, np.inf])
+    def test_observation_radius_must_be_positive_and_finite(self, r):
         with pytest.raises(ValueError):
-            ObservationPoint(0.0, Direction(0.0))
+            ObservationPoint(r, Direction(0.0))
 
 
 class TestSamplingSa:

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from risem import (Direction, LinearRis, MimoSystem, ObservationPoint,
                    PlaneWave, WaveContext, apply_mimo, assemble_mimo,
                    dft_scatter_grid, linear_field, linear_field_multi,
-                   linear_rcs, phase_compensation, steering_function)
+                   linear_rcs, phase_compensation, sampling_sa_linear,
+                   steering_function)
+from risem.linear import CHUNK_TERMS, _steering
 
 CTX = WaveContext()
 half_angle = st.floats(-math.radians(85.0), math.radians(85.0))
@@ -34,6 +36,58 @@ def _direct_double_sum(sys: MimoSystem, amplitudes):
         out[t] = (sys.coupling / lam
                   * np.exp(-2j * np.pi * sys.radii[t] / lam) / sys.radii[t] * acc)
     return out
+
+
+def _direct_steering(ris: LinearRis, theta_i: float, theta_s: float) -> complex:
+    """The steering sum for one angle pair, written out term by term."""
+    lam = ris.ctx.wavelength
+    n = np.arange(ris.n)
+    sa = sampling_sa_linear(ris.widths, theta_s, theta_i, lam)
+    geom = np.exp(1j * 2.0 * np.pi * n * ris.spacing
+                  * (np.sin(theta_i) + np.sin(theta_s)) / lam)
+    return complex(ris.ctx.coupling
+                   * np.sum((ris.areas / lam) * np.exp(1j * ris.phases) * sa * geom))
+
+
+def _kernel_deviation(ris, theta_i, theta_s):
+    """max|kernel - direct sum| / max|direct sum| over broadcast angle arrays."""
+    ti, ts = np.broadcast_arrays(theta_i, theta_s)
+    got = _steering(ris, np.sin(theta_i) + np.sin(theta_s))
+    want = np.array([_direct_steering(ris, a, b)
+                     for a, b in zip(ti.ravel(), ts.ravel())]).reshape(ti.shape)
+    assert got.shape == ti.shape
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestSteeringKernel:
+    @given(st.sampled_from([1, 2, 5, 100, 2 ** 14 - 1, 2 ** 14 + 3]),
+           st.sampled_from([((), ()), ((), (5,)), ((7,), ()), ((6,), (6,)),
+                            ((3, 1), (1, 4)), ((2, 3), ())]),
+           st.sampled_from(["zero", "random"]), st.floats(0.05, 2.0),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_equals_direct_sum(self, n, shapes, widths, spacing, seed):
+        shape_i, shape_s = shapes
+        rng = np.random.default_rng(seed)
+        ris = LinearRis(spacing, rng.uniform(0.0, 0.05, n),
+                        0.0 if widths == "zero" else rng.uniform(0.0, 1.5, n),
+                        rng.uniform(0.0, 2.0 * np.pi, n), CTX)
+        theta_i = rng.uniform(-np.pi / 2, np.pi / 2, shape_i)
+        theta_s = rng.uniform(-np.pi / 2, np.pi / 2, shape_s)
+        assert _kernel_deviation(ris, theta_i, theta_s) <= 1e-12
+
+    @pytest.mark.parametrize("n,count", [
+        (1, CHUNK_TERMS + 1),          # one cell: many angles per chunk, one spill-over
+        (100, 3 * (CHUNK_TERMS // 100) + 7),
+        (2 ** 14 - 1, 3),              # one angle per chunk
+        (2 ** 14 + 3, 2),              # a chunk larger than CHUNK_TERMS
+    ])
+    def test_chunk_edges(self, n, count):
+        rng = np.random.default_rng(n)
+        ris = LinearRis(0.45, rng.uniform(0.0, 0.05, n), rng.uniform(0.0, 0.3, n),
+                        rng.uniform(0.0, 2.0 * np.pi, n), CTX)
+        theta_s = np.linspace(-1.5, 1.5, count)
+        assert _kernel_deviation(ris, 0.4, theta_s) <= 1e-12
 
 
 class TestLinearRis:
@@ -60,6 +114,12 @@ class TestLinearRis:
             LinearRis(0.5, np.array([-0.1]), np.zeros(1), np.zeros(1), CTX)
         with pytest.raises(ValueError):
             LinearRis.uniform(3, 0.5, 0.01).with_weights(np.ones(4))
+        with pytest.raises(ValueError):
+            LinearRis.uniform(4, np.nan, 0.01)
+        with pytest.raises(ValueError):
+            LinearRis.uniform(4, 0.5, np.inf)
+        with pytest.raises(ValueError):
+            LinearRis(0.5, np.array([0.1]), np.array([np.nan]), np.zeros(1), CTX)
 
 
 class TestSteeringFunction:

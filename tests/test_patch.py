@@ -124,6 +124,9 @@ class TestEdgeCases:
             Patch(0.0, 1.0)
         with pytest.raises(ValueError):
             Patch(1.0, 1.0, area=-2.0)
+        for bad in ((np.inf, 1.0, None), (1.0, np.nan, None), (1.0, 1.0, np.nan)):
+            with pytest.raises(ValueError):
+                Patch(*bad)
         with pytest.raises(ValueError):
             PlaneWave(Direction(0.0), -1.0)
 

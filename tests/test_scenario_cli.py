@@ -102,6 +102,14 @@ class TestParsing:
          "format"),
         ("", "empty"),
         ("geometry: [oops", "parse error"),
+        ("geometry: {kind: linear, n: 4, spacing: .nan, a: 0.1, b: 0.1}", "spacing"),
+        ("geometry: {kind: linear, n: 4, spacing: 0.5, a: .inf, b: 0.1}", "geometry.a"),
+        ("geometry: {kind: linear, n: 4, spacing: 1" + "0" * 400 + ", a: 0.1, b: 0.1}",
+         "spacing"),
+        ("geometry: {kind: patch, a: 1.0, b: 1.0}\n"
+         "observation: {radius: .inf}", "radius"),
+        ("geometry: {kind: patch, a: 1.0, b: 1.0}\nwave: {gamma: [.nan, 0.0]}",
+         "gamma"),
     ])
     def test_rejects_malformed_text(self, text, fragment):
         with pytest.raises(ScenarioError, match=fragment):
@@ -142,6 +150,12 @@ class TestSweeps:
         assert result.rcs[0] == pytest.approx(
             4.0 * math.pi * math.cos(math.radians(30.0)) ** 2
             * 32 * 0.01 ** 2, rel=1e-9)
+
+    def test_expectation_mode_with_zero_amplitude_is_finite(self):
+        text = LINEAR_RANDOM.replace("amplitude: 1.0", "amplitude: 0.0").replace(
+            "seed: 7", "seed: 7\n  expectation: true")
+        result, _ = run_sweep(parse_scenario(text))
+        assert np.all(result.rcs == 0.0) and np.all(result.magnitude == 0.0)
 
     def test_db_columns_consistent_with_linear_columns(self):
         result, _ = run_sweep(parse_scenario(LINEAR_COMPENSATE))
@@ -272,6 +286,21 @@ class TestCli:
                 "  truncation_tol: 2.0\n")
         scenario = self._write(tmp_path, "s.yaml", text)
         assert main(["configure", scenario]) == 3
+
+    @pytest.mark.parametrize("doc", [
+        {"desired": [None] * 8},
+        {"desired": [[1.0, 0.0]] * 7 + [[1.0, "x"]]},
+        [1, 2],
+    ])
+    def test_malformed_desired_file_is_validation_failure(self, tmp_path, doc):
+        pattern = self._write(tmp_path, "desired.json", json.dumps(doc))
+        text = ("geometry: {kind: linear, n: 8, spacing: 0.5, a: 0.1, b: 0.1}\n"
+                "incident: [{theta_deg: 30.0}]\n"
+                "configure:\n"
+                "  scheme: reshape\n"
+                f"  desired_pattern_file: {pattern}\n")
+        scenario = self._write(tmp_path, "s.yaml", text)
+        assert main(["sweep", scenario]) == 2
 
     def test_reshape_scenario_round_trips_through_sweep(self, tmp_path):
         # target: the field of a uniformly configured 8-cell array

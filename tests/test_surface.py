@@ -33,6 +33,10 @@ class TestUnitCell:
             UnitCell(np.zeros(2), 1.0, 1.0)
         with pytest.raises(ValueError):
             UnitCell(np.zeros(3), -1.0, 1.0)
+        for bad in ((np.zeros(3), np.nan, 1.0), ([np.nan, 0.0, 0.0], 1.0, 1.0),
+                    (np.zeros(3), 1.0, 1.0, np.inf)):
+            with pytest.raises(ValueError):
+                UnitCell(*bad)
         with pytest.raises(ValueError):
             RisGeometry((), CTX)
 
