@@ -15,8 +15,8 @@ from .core import ObservationPoint, WaveContext, positive_finite, sinc_normalize
 from .patch import PlaneWave
 
 TWO_PI = 2.0 * np.pi
-# Cell-terms per chunk of the steering sum: bounds its temporary arrays to
-# a few hundred kB whatever the cell and angle counts.
+# Cell-terms per chunk of the steering sum. Each temporary array of the sum
+# then holds max(CHUNK_TERMS, cells) elements, whatever the angle count.
 CHUNK_TERMS = 2 ** 14
 
 
@@ -96,7 +96,8 @@ def _steering(ris: LinearRis, sines) -> np.ndarray:
     """Steering function over an array of s = sin(theta_i) + sin(theta_s).
 
     T depends on the two angles only through s. The sum runs over chunks of
-    CHUNK_TERMS cell-terms, so memory stays bounded for any array size.
+    CHUNK_TERMS cell-terms (one angle per chunk beyond CHUNK_TERMS cells), so
+    memory stays bounded for any array of s.
     """
     s = np.asarray(sines, dtype=float)
     flat = s.ravel()
