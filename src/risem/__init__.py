@@ -2,15 +2,15 @@
 
 __version__ = "0.1.0"
 
-from .core import (Direction, ObservationPoint, WaveContext, direction_vector,
-                   sampling_sa, sampling_sa_linear, sinc_normalized)
-from .patch import (Patch, PlaneWave, SphericalField, patch_bistatic_rcs,
-                    patch_field_strength, patch_scattered_field,
+from .core import (Direction, ObservationPoint, PlaneWave, SphericalField,
+                   WaveContext, direction_vector, sampling_sa,
+                   sampling_sa_linear, sinc_normalized)
+from .patch import (Patch, patch_bistatic_rcs, patch_scattered_field,
                     patch_scattered_field_multi, po_far_field,
                     po_radiation_integrals)
 from .surface import (RisGeometry, UnitCell, path_length_phase,
-                      ris_bistatic_rcs, ris_field_strength,
-                      ris_scattered_field, ris_scattered_field_multi)
+                      ris_bistatic_rcs, ris_scattered_field,
+                      ris_scattered_field_multi)
 from .linear import (LinearRis, MimoSystem, apply_mimo, assemble_mimo,
                      dft_scatter_grid, linear_field, linear_field_multi,
                      linear_rcs, steering_function)

@@ -13,6 +13,9 @@ import numpy as np
 # Below this magnitude sin(x)/x is evaluated with its Taylor expansion,
 # keeping the relative error under 1e-13 on both branches.
 SINC_TAYLOR_CUTOFF = 1e-6
+# Cell-terms per chunk of every array sum. Each temporary array of a sum
+# then holds max(CHUNK_TERMS, cells) elements, whatever the point count.
+CHUNK_TERMS = 2 ** 14
 
 
 def positive_finite(x) -> bool:
@@ -46,8 +49,11 @@ class WaveContext:
     reflection_coefficient: complex = -1.0 + 0.0j
 
     def __post_init__(self):
-        if not self.wavelength > 0:
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
+        if not positive_finite(self.wavelength):
+            raise ValueError(f"wavelength must be positive and finite, got {self.wavelength}")
+        if not np.isfinite(self.reflection_coefficient):
+            raise ValueError(
+                f"reflection coefficient must be finite, got {self.reflection_coefficient}")
 
     @property
     def coupling(self) -> complex:
@@ -78,10 +84,57 @@ class ObservationPoint:
             raise ValueError(f"observation radius must be positive and finite, got {self.r}")
 
 
+@dataclass(frozen=True)
+class PlaneWave:
+    """Uniform plane wave: origin direction plus real amplitude."""
+
+    direction: Direction
+    amplitude: float = 1.0
+
+    def __post_init__(self):
+        if not (np.isfinite(self.amplitude) and self.amplitude >= 0):
+            raise ValueError(
+                f"wave amplitude must be finite and non-negative, got {self.amplitude}")
+
+
+@dataclass(frozen=True)
+class SphericalField:
+    """Complex (r, theta, phi) field components at an observation point."""
+
+    e_r: complex
+    e_theta: complex
+    e_phi: complex
+
+    @property
+    def magnitude(self) -> float:
+        return float(np.sqrt(abs(self.e_r) ** 2 + abs(self.e_theta) ** 2
+                             + abs(self.e_phi) ** 2))
+
+
+def _unit_vectors(theta, phi) -> np.ndarray:
+    """[sin t cos p, sin t sin p, cos t] over broadcast angles, on a new last axis."""
+    st = np.sin(theta)
+    return np.stack(np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi), np.cos(theta)),
+                    axis=-1)
+
+
 def direction_vector(d: Direction) -> np.ndarray:
     """Unit propagation-direction vector [sin t cos p, sin t sin p, cos t]."""
-    st = np.sin(d.theta)
-    return np.array([st * np.cos(d.phi), st * np.sin(d.phi), np.cos(d.theta)])
+    return _unit_vectors(d.theta, d.phi)
+
+
+def _polarization_factors(phi_i, theta_s, phi_s):
+    """(f_theta, f_phi) of the scattered field over broadcast angles."""
+    f_theta = np.cos(theta_s) * (np.cos(phi_i) * np.sin(phi_s)
+                                 - np.sin(phi_i) * np.cos(phi_s))
+    f_phi = np.sin(phi_i) * np.sin(phi_s) + np.cos(phi_i) * np.cos(phi_s)
+    return f_theta, f_phi
+
+
+def _sinc_pair(a, b, ux, uy, wavelength):
+    """sinc(pi a ux / wavelength) sinc(pi b uy / wavelength), broadcast."""
+    return (sinc_normalized(np.pi * a / wavelength * ux)
+            * sinc_normalized(np.pi * b / wavelength * uy))
 
 
 def sampling_sa(a: float, b: float, scatter: Direction, incident: Direction,
@@ -91,12 +144,23 @@ def sampling_sa(a: float, b: float, scatter: Direction, incident: Direction,
     Symmetric under swapping the scatter and incident directions; bounded by 1
     in magnitude.
     """
-    lam = ctx.wavelength
-    xs = (np.pi * a / lam) * (np.sin(scatter.theta) * np.cos(scatter.phi)
-                              + np.sin(incident.theta) * np.cos(incident.phi))
-    ys = (np.pi * b / lam) * (np.sin(scatter.theta) * np.sin(scatter.phi)
-                              + np.sin(incident.theta) * np.sin(incident.phi))
-    return sinc_normalized(xs) * sinc_normalized(ys)
+    u = direction_vector(scatter) + direction_vector(incident)
+    return _sinc_pair(a, b, u[0], u[1], ctx.wavelength)
+
+
+def _chunked_sum(cell_terms, points: np.ndarray, cells: int) -> np.ndarray:
+    """Sum of cell_terms(chunk) over its last (cell) axis, for every point.
+
+    points holds one evaluation point per entry of its first axis; cell_terms
+    maps a slice of them to the terms with the cells on a new last axis. Each
+    chunk holds max(1, CHUNK_TERMS // cells) points, so memory stays bounded
+    for any number of points.
+    """
+    out = np.empty(len(points), dtype=complex)
+    step = max(1, CHUNK_TERMS // cells)
+    for lo in range(0, len(points), step):
+        out[lo:lo + step] = np.sum(cell_terms(points[lo:lo + step]), axis=-1)
+    return out
 
 
 def sampling_sa_linear(b, theta_s, theta_i, wavelength):

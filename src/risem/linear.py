@@ -11,13 +11,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ObservationPoint, WaveContext, positive_finite, sinc_normalized
-from .patch import PlaneWave
+from .core import (ObservationPoint, PlaneWave, WaveContext, _chunked_sum,
+                   positive_finite, sinc_normalized)
 
 TWO_PI = 2.0 * np.pi
-# Cell-terms per chunk of the steering sum. Each temporary array of the sum
-# then holds max(CHUNK_TERMS, cells) elements, whatever the angle count.
-CHUNK_TERMS = 2 ** 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,15 +93,10 @@ def _steering(ris: LinearRis, sines) -> np.ndarray:
     """Steering function over an array of s = sin(theta_i) + sin(theta_s).
 
     T depends on the two angles only through s. The sum runs over chunks of
-    CHUNK_TERMS cell-terms (one angle per chunk beyond CHUNK_TERMS cells), so
-    memory stays bounded for any array of s.
+    core.CHUNK_TERMS cell-terms, so memory stays bounded for any array of s.
     """
     s = np.asarray(sines, dtype=float)
-    flat = s.ravel()
-    out = np.empty(flat.size, dtype=complex)
-    step = max(1, CHUNK_TERMS // ris.n)
-    for lo in range(0, flat.size, step):
-        out[lo:lo + step] = np.sum(_cell_terms(ris, flat[lo:lo + step]), axis=-1)
+    out = _chunked_sum(lambda chunk: _cell_terms(ris, chunk), s.ravel(), ris.n)
     return ris.ctx.coupling * out.reshape(s.shape)
 
 

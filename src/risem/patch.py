@@ -1,8 +1,9 @@
 """Bistatic scattering from a single rectangular conducting patch.
 
-Closed-form far-field components, field strength and bistatic RCS, plus a
-Gauss-Legendre quadrature pipeline over the induced surface current that
-serves as an independent numerical check of the closed forms.
+Closed-form far-field components and bistatic RCS, evaluated as the one-cell
+case of the planar-array sum in `surface`, plus a Gauss-Legendre quadrature
+pipeline over the induced surface current that serves as an independent
+numerical check of the closed forms.
 """
 from __future__ import annotations
 
@@ -11,7 +12,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Direction, ObservationPoint, WaveContext, positive_finite, sampling_sa
+from .core import (Direction, ObservationPoint, PlaneWave, SphericalField,
+                   WaveContext, positive_finite)
+from .surface import (RisGeometry, UnitCell, ris_bistatic_rcs, ris_scattered_field,
+                      ris_scattered_field_multi)
 
 
 @dataclass(frozen=True)
@@ -35,43 +39,9 @@ class Patch:
             raise ValueError("patch area must be positive and finite")
 
 
-@dataclass(frozen=True)
-class PlaneWave:
-    """Uniform plane wave: origin direction plus real amplitude."""
-
-    direction: Direction
-    amplitude: float = 1.0
-
-    def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValueError("wave amplitude must be non-negative")
-
-
-@dataclass(frozen=True)
-class SphericalField:
-    """Complex (r, theta, phi) field components at an observation point."""
-
-    e_r: complex
-    e_theta: complex
-    e_phi: complex
-
-    @property
-    def magnitude(self) -> float:
-        return float(np.sqrt(abs(self.e_r) ** 2 + abs(self.e_theta) ** 2
-                             + abs(self.e_phi) ** 2))
-
-    def __add__(self, other: "SphericalField") -> "SphericalField":
-        return SphericalField(self.e_r + other.e_r,
-                              self.e_theta + other.e_theta,
-                              self.e_phi + other.e_phi)
-
-
-def _polarization_factors(incident: Direction, scatter: Direction):
-    f_theta = np.cos(scatter.theta) * (np.cos(incident.phi) * np.sin(scatter.phi)
-                                       - np.sin(incident.phi) * np.cos(scatter.phi))
-    f_phi = (np.sin(incident.phi) * np.sin(scatter.phi)
-             + np.cos(incident.phi) * np.cos(scatter.phi))
-    return f_theta, f_phi
+def _one_cell(patch: Patch, ctx: WaveContext) -> RisGeometry:
+    """The patch as the one-cell array at the origin."""
+    return RisGeometry((UnitCell(np.zeros(3), patch.a, patch.b, patch.area),), ctx)
 
 
 def patch_scattered_field(patch: Patch, wave: PlaneWave, obs: ObservationPoint,
@@ -80,41 +50,19 @@ def patch_scattered_field(patch: Patch, wave: PlaneWave, obs: ObservationPoint,
 
     The radial component vanishes in the far field.
     """
-    lam = ctx.wavelength
-    inc, sct = wave.direction, obs.direction
-    pref = (ctx.coupling * (patch.area / lam)
-            * np.exp(-2j * np.pi * obs.r / lam) / obs.r
-            * wave.amplitude * np.cos(inc.theta))
-    sa = sampling_sa(patch.a, patch.b, sct, inc, ctx)
-    f_theta, f_phi = _polarization_factors(inc, sct)
-    return SphericalField(0.0j, pref * f_theta * sa, pref * f_phi * sa)
+    return ris_scattered_field(_one_cell(patch, ctx), wave, obs)
 
 
 def patch_scattered_field_multi(patch: Patch, waves: Sequence[PlaneWave],
                                 obs: ObservationPoint, ctx: WaveContext) -> SphericalField:
     """Superposition of the scattered fields of several incident waves."""
-    if not waves:
-        raise ValueError("wave list must be non-empty")
-    total = SphericalField(0.0j, 0.0j, 0.0j)
-    for wave in waves:
-        total = total + patch_scattered_field(patch, wave, obs, ctx)
-    return total
-
-
-def patch_field_strength(patch: Patch, wave: PlaneWave, obs: ObservationPoint,
-                         ctx: WaveContext) -> float:
-    return patch_scattered_field(patch, wave, obs, ctx).magnitude
+    return ris_scattered_field_multi(_one_cell(patch, ctx), waves, obs)
 
 
 def patch_bistatic_rcs(patch: Patch, incident: Direction, scatter: Direction,
                        ctx: WaveContext) -> float:
     """Bistatic RCS (area units); independent of range and incident amplitude."""
-    lam = ctx.wavelength
-    sa = sampling_sa(patch.a, patch.b, scatter, incident, ctx)
-    f_theta, f_phi = _polarization_factors(incident, scatter)
-    return float(4.0 * np.pi * abs(ctx.coupling) ** 2 * (patch.area / lam) ** 2
-                 * np.cos(incident.theta) ** 2
-                 * (f_theta ** 2 + f_phi ** 2) * sa ** 2)
+    return ris_bistatic_rcs(_one_cell(patch, ctx), incident, scatter)
 
 
 def po_radiation_integrals(patch: Patch, wave: PlaneWave, scatter: Direction,

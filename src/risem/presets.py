@@ -11,15 +11,16 @@ import os
 
 import numpy as np
 
-from .core import Direction, ObservationPoint, WaveContext
+from .core import Direction, ObservationPoint, PlaneWave, WaveContext
 from .config import (anomalous_pairs, beam_reshape, compensation_delta,
                      grating_lobes, phase_compensation, random_phase_draw,
                      random_phase_expected_rcs)
 from .linear import (LinearRis, _field, _rcs, _steering, assemble_mimo,
                      dft_scatter_grid)
-from .patch import Patch, PlaneWave, patch_bistatic_rcs, patch_scattered_field_multi
+from .patch import Patch, _one_cell, patch_bistatic_rcs
 from .scenario import (Scenario, parse_scenario, run_sweep, write_csv,
                        write_json)
+from . import surface
 
 FIGURE_IDS = ("fig2", "fig4", "fig5", "fig6", "fig7a", "fig7b", "fig8", "fig9")
 
@@ -107,20 +108,18 @@ def scenario_fig7a() -> Scenario:
 def _reproduce_fig2(outdir):
     ctx = WaveContext()
     patch = Patch(5.0, 5.0)
+    cell = _one_cell(patch, ctx)
     incident = Direction(0.0, 0.0)
     thetas = np.linspace(-90.0, 90.0, 721)
     files = []
     for name, phi in (("xoz", 0.0), ("yoz", 90.0)):
-        rows = []
-        for t in thetas:
-            theta = math.radians(abs(t))
-            p = math.radians(phi if t >= 0 else phi - 180.0)
-            rcs = patch_bistatic_rcs(patch, incident, Direction(theta, p), ctx)
-            with np.errstate(divide="ignore"):
-                rows.append((t, phi if t >= 0 else phi - 180.0, rcs,
-                             10.0 * np.log10(rcs) if rcs > 0 else -np.inf))
+        phis = np.where(thetas >= 0, phi, phi - 180.0)
+        rcs = surface._rcs(cell, incident, np.radians(np.abs(thetas)), np.radians(phis))
+        with np.errstate(divide="ignore"):
+            rcs_db = 10.0 * np.log10(rcs)
         path = os.path.join(outdir, f"fig2_{name}.csv")
-        _write_csv(path, ["theta_s_deg", "phi_s_deg", "rcs", "rcs_db"], rows)
+        _write_csv(path, ["theta_s_deg", "phi_s_deg", "rcs", "rcs_db"],
+                   zip(thetas, phis, rcs, rcs_db))
         files.append(path)
     peak = patch_bistatic_rcs(patch, incident, Direction(0.0, 0.0), ctx)
     checks = {
@@ -138,18 +137,13 @@ def _reproduce_fig4(outdir):
              PlaneWave(Direction(math.radians(45.0), math.radians(135.0)), 0.5)]
     thetas = np.linspace(0.0, 90.0, 91)
     phis = np.linspace(-180.0, 180.0, 181)
-    mags = np.empty((thetas.size, phis.size))
-    for i, t in enumerate(thetas):
-        for k, p in enumerate(phis):
-            obs = ObservationPoint(OBS_RADIUS,
-                                   Direction(math.radians(t), math.radians(p)))
-            mags[i, k] = patch_scattered_field_multi(patch, waves, obs, ctx).magnitude
+    grid_t, grid_p = np.meshgrid(thetas, phis, indexing="ij")
+    mags = surface._field_magnitude(_one_cell(patch, ctx), waves, OBS_RADIUS,
+                                    np.radians(grid_t), np.radians(grid_p))
     peak = mags.max()
-    rows = [(t, p, mags[i, k], mags[i, k] / peak)
-            for i, t in enumerate(thetas) for k, p in enumerate(phis)]
     path = os.path.join(outdir, "fig4_field.csv")
-    _write_csv(path, ["theta_s_deg", "phi_s_deg", "field_magnitude",
-                      "field_normalized"], rows)
+    _write_csv(path, ["theta_s_deg", "phi_s_deg", "field_magnitude", "field_normalized"],
+               zip(grid_t.ravel(), grid_p.ravel(), mags.ravel(), (mags / peak).ravel()))
     i, k = np.unravel_index(np.argmax(mags), mags.shape)
     checks = {
         "global_peak": {"theta_s_deg": float(thetas[i]), "phi_s_deg": float(phis[k])},

@@ -18,13 +18,13 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .core import Direction, ObservationPoint, WaveContext
+from .core import Direction, ObservationPoint, PlaneWave, WaveContext
 from .config import (ReshapeSolution, beam_reshape, phase_compensation,
                      random_phase_draw, random_phase_expected_power,
                      random_phase_miso_expected_power)
 from .linear import LinearRis, _field, assemble_mimo, dft_scatter_grid
-from .patch import Patch, PlaneWave, patch_scattered_field_multi
-from .surface import RisGeometry, UnitCell, ris_scattered_field_multi
+from .patch import Patch, _one_cell
+from .surface import RisGeometry, UnitCell, _field_magnitude
 
 DEFAULT_RADIUS_WAVELENGTHS = 100.0
 
@@ -93,8 +93,9 @@ class PatchGeometry:
     b: float
     area: float | None = None
 
-    def build(self) -> Patch:
-        return Patch(self.a, self.b, self.area)
+    def build(self, ctx: WaveContext) -> RisGeometry:
+        """The patch as the one-cell array at the origin."""
+        return _one_cell(Patch(self.a, self.b, self.area), ctx)
 
 
 @dataclass(frozen=True)
@@ -441,14 +442,15 @@ def write_json(path: str, doc) -> None:
         fh.write("\n")
 
 
-def cut_direction(theta_deg: float, phi_deg: float) -> Direction:
-    """Signed-theta principal-plane cut: negative theta flips phi by 180 deg."""
-    theta = math.radians(theta_deg)
-    phi = math.radians(phi_deg)
-    if theta < 0:
-        theta = -theta
-        phi = phi + math.pi if phi <= 0 else phi - math.pi
-    return Direction(theta, phi)
+def cut_angles(theta_deg, phi_deg):
+    """Signed-theta principal-plane cut: negative theta flips phi by 180 deg.
+
+    Takes arrays in degrees; returns (theta, phi) in radians with theta >= 0.
+    """
+    theta = np.radians(theta_deg)
+    phi = np.radians(phi_deg)
+    flipped = np.where(phi <= 0, phi + np.pi, phi - np.pi)
+    return np.abs(theta), np.where(theta < 0, flipped, phi)
 
 
 def _load_desired_pattern(path: str, n: int) -> np.ndarray:
@@ -519,26 +521,9 @@ def run_sweep(scn: Scenario):
         else:
             magnitude = np.abs(_field(ris, scn.waves, obs_spec.radius, thetas))
         phi_col = None
-    elif isinstance(scn.geometry, PatchGeometry):
-        patch = scn.geometry.build()
-        magnitude = np.empty(thetas_deg.size)
-        for i, (t, p) in enumerate(zip(thetas_deg, phis_deg)):
-            if scn.waves:
-                obs = ObservationPoint(obs_spec.radius, cut_direction(t, p))
-                magnitude[i] = patch_scattered_field_multi(
-                    patch, scn.waves, obs, scn.ctx).magnitude
-            else:
-                magnitude[i] = 0.0
-        phi_col = phis_deg
     else:
-        geom = scn.geometry.build(scn.ctx)
-        magnitude = np.empty(thetas_deg.size)
-        for i, (t, p) in enumerate(zip(thetas_deg, phis_deg)):
-            if scn.waves:
-                obs = ObservationPoint(obs_spec.radius, cut_direction(t, p))
-                magnitude[i] = ris_scattered_field_multi(geom, scn.waves, obs).magnitude
-            else:
-                magnitude[i] = 0.0
+        magnitude = _field_magnitude(scn.geometry.build(scn.ctx), scn.waves, obs_spec.radius,
+                                     *cut_angles(thetas_deg, phis_deg))
         phi_col = phis_deg
 
     if amp_sq > 0:

@@ -55,10 +55,15 @@ class TestWaveContext:
         assert WaveContext(reflection_coefficient=gamma).coupling == pytest.approx(
             -0.5j * (1.0 - gamma))
 
-    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.inf, np.nan])
     def test_wavelength_must_be_positive(self, lam):
         with pytest.raises(ValueError):
             WaveContext(wavelength=lam)
+
+    @pytest.mark.parametrize("gamma", [np.nan, complex(0.0, np.inf), complex(np.nan, 0.0)])
+    def test_reflection_coefficient_must_be_finite(self, gamma):
+        with pytest.raises(ValueError):
+            WaveContext(reflection_coefficient=gamma)
 
 
 class TestDirections:

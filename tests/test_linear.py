@@ -12,7 +12,8 @@ from risem import (Direction, LinearRis, MimoSystem, ObservationPoint,
                    dft_scatter_grid, linear_field, linear_field_multi,
                    linear_rcs, phase_compensation, sampling_sa_linear,
                    steering_function)
-from risem.linear import CHUNK_TERMS, _steering
+from risem.core import CHUNK_TERMS
+from risem.linear import _steering
 
 CTX = WaveContext()
 half_angle = st.floats(-math.radians(85.0), math.radians(85.0))

@@ -6,6 +6,8 @@ import os
 import numpy as np
 import pytest
 
+from risem import (Direction, ObservationPoint, Patch, RisGeometry, UnitCell,
+                   patch_scattered_field_multi, ris_scattered_field_multi)
 from risem.cli import main
 from risem.presets import FIGURE_IDS, reproduce
 from risem.scenario import (CompensateScheme, GridSpec, LinearGeometry,
@@ -119,8 +121,73 @@ class TestParsing:
         scn = parse_scenario(LINEAR_RANDOM)
         assert scn.scheme == RandomScheme(seed=7, expectation=False)
 
+PLANAR_CELLS = """\
+geometry:
+  kind: planar
+  cells:
+    - {position: [0.0, 0.0, 0.0], a: 0.3, b: 0.25}
+    - {position: [0.5, 0.1, 0.02], a: 0.4, b: 0.3, phase: 1.0}
+    - {position: [1.1, -0.4, 0.0], a: 0.35, b: 0.45, area: 0.2, phase: 4.0}
+"""
+PATCH_CELL = "geometry: {kind: patch, a: 2.0, b: 1.5, area: 2.5}\n"
+TWO_WAVES = """\
+incident:
+  - {theta_deg: 20.0, phi_deg: 30.0}
+  - {theta_deg: 50.0, phi_deg: -120.0, amplitude: 0.5}
+"""
+# signed-theta cuts on both sides of the phi <= 0 branch of the flip
+SIGNED_CUTS = (
+    "observation:\n  radius: 90.0\n"
+    "  grid: {start_deg: -90.0, stop_deg: 90.0, count: 37, phi_deg: -30.0}\n",
+    "observation:\n  radius: 90.0\n"
+    "  grid: {start_deg: -90.0, stop_deg: 90.0, count: 37, phi_deg: 0.0}\n",
+    "observation:\n  radius: 90.0\n"
+    "  grid: {start_deg: -90.0, stop_deg: 90.0, count: 37, phi_deg: 45.0}\n",
+    "observation:\n  radius: 90.0\n  points: [{theta_deg: -70.0, phi_deg: -180.0},"
+    " {theta_deg: -10.0, phi_deg: 120.0}, {theta_deg: 0.0, phi_deg: -60.0},"
+    " {theta_deg: 35.0, phi_deg: 180.0}]\n",
+)
+
+
+def _scalar_cut(theta_deg, phi_deg):
+    """The signed-theta flip for one point: negative theta turns phi by 180 deg."""
+    theta, phi = math.radians(theta_deg), math.radians(phi_deg)
+    if theta < 0:
+        theta, phi = -theta, (phi + math.pi if phi <= 0 else phi - math.pi)
+    return Direction(theta, phi)
+
+
+def _per_point_magnitudes(scn, field_multi):
+    thetas, phis = scn.observation.angles_deg()
+    return np.array([field_multi(scn.waves, ObservationPoint(scn.observation.radius,
+                                                             _scalar_cut(t, p))).magnitude
+                     for t, p in zip(thetas, phis)])
+
 
 class TestSweeps:
+    @pytest.mark.parametrize("cut", SIGNED_CUTS)
+    def test_patch_sweep_equals_per_point_views(self, cut):
+        scn = parse_scenario(PATCH_CELL + TWO_WAVES + cut)
+        result, _ = run_sweep(scn)
+        patch = Patch(2.0, 1.5, 2.5)
+        ref = _per_point_magnitudes(
+            scn, lambda waves, obs: patch_scattered_field_multi(patch, waves, obs, scn.ctx))
+        assert np.max(np.abs(result.magnitude - ref)) <= 1e-12 * np.max(ref)
+        assert np.array_equal(result.phi_deg, scn.observation.angles_deg()[1])
+
+    @pytest.mark.parametrize("cut", SIGNED_CUTS)
+    def test_planar_sweep_equals_per_point_views(self, cut):
+        scn = parse_scenario(PLANAR_CELLS + TWO_WAVES + cut)
+        result, _ = run_sweep(scn)
+        geom = RisGeometry([UnitCell(np.array([0.0, 0.0, 0.0]), 0.3, 0.25),
+                            UnitCell(np.array([0.5, 0.1, 0.02]), 0.4, 0.3, None, 1.0),
+                            UnitCell(np.array([1.1, -0.4, 0.0]), 0.35, 0.45, 0.2, 4.0)],
+                           scn.ctx)
+        ref = _per_point_magnitudes(
+            scn, lambda waves, obs: ris_scattered_field_multi(geom, waves, obs))
+        assert np.max(np.abs(result.magnitude - ref)) <= 1e-12 * np.max(ref)
+        assert np.array_equal(result.phi_deg, scn.observation.angles_deg()[1])
+
     def test_patch_sweep_peak_at_broadside(self):
         scn = parse_scenario(PATCH_SCENARIO)
         result, solution = run_sweep(scn)
@@ -207,6 +274,15 @@ class TestCli:
         lines = open(out, encoding="utf-8").read().splitlines()
         assert lines[0].startswith("theta_s_deg,")
         assert len(lines) == 722
+
+    @pytest.mark.parametrize("geometry", [PATCH_CELL, PLANAR_CELLS])
+    def test_sweep_without_incident_waves_gives_zeros(self, tmp_path, geometry):
+        scenario = self._write(tmp_path, "s.yaml", geometry + SIGNED_CUTS[0])
+        out = str(tmp_path / "sweep.json")
+        assert main(["sweep", scenario, "--format", "json", "--out", out]) == 0
+        sweep = json.load(open(out, encoding="utf-8"))["sweep"]
+        assert len(sweep["field_magnitude"]) == 37
+        assert all(v == 0.0 for v in sweep["field_magnitude"] + sweep["rcs"])
 
     def test_sweep_json_includes_manifest(self, tmp_path):
         scenario = self._write(tmp_path, "s.yaml", PATCH_SCENARIO)
