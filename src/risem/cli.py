@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 parse/validation failure, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -16,8 +17,9 @@ from .core import Direction, ObservationPoint
 from .linear import assemble_mimo
 from .presets import FIGURE_IDS, reproduce
 from .scenario import (LinearGeometry, PatchGeometry, PlanarGeometry,
-                       RandomScheme, ReshapeScheme, Scenario, ScenarioError,
-                       configure_linear, load_scenario, manifest_for, run_sweep)
+                       RandomScheme, Scenario, ScenarioError,
+                       configure_linear, load_scenario, manifest_for, run_sweep,
+                       write_csv)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -85,13 +87,7 @@ def _run_sweep_command(args, expect_kind=None) -> int:
              "linear": LinearGeometry}
     if expect_kind is not None and not isinstance(scn.geometry, kinds[expect_kind]):
         raise ScenarioError(f"this command requires a '{expect_kind}' geometry")
-    if args.trials is not None:
-        if not isinstance(scn.scheme, RandomScheme):
-            raise ScenarioError("--trials applies only to random-phase scenarios")
-        result = _monte_carlo_sweep(scn, args.trials)
-        solution = None
-    else:
-        result, solution = run_sweep(scn)
+    result, solution = run_sweep(scn, args.trials)
     fmt = args.format or scn.output.format
     out = args.out or scn.output.path
     if fmt == "csv":
@@ -107,22 +103,6 @@ def _run_sweep_command(args, expect_kind=None) -> int:
             }
         _emit(json.dumps(doc, indent=2) + "\n", out)
     return EXIT_OK
-
-
-def _monte_carlo_sweep(scn: Scenario, trials: int):
-    from .config import monte_carlo_power_grid
-    from .scenario import SweepResult
-    if trials < 1:
-        raise ScenarioError("--trials must be a positive integer")
-    ris, _ = configure_linear(scn)
-    thetas_deg, _ = scn.observation.angles_deg()
-    r_s = scn.observation.radius
-    power = monte_carlo_power_grid(ris, scn.waves, r_s, np.radians(thetas_deg),
-                                   trials, scn.scheme.seed)
-    amp_sq = sum(w.amplitude ** 2 for w in scn.waves)
-    rcs = (4.0 * np.pi * r_s ** 2 * power / amp_sq if amp_sq > 0
-           else np.zeros(thetas_deg.size))
-    return SweepResult(thetas_deg, np.sqrt(power), rcs)
 
 
 def _run_mimo(args) -> int:
@@ -146,11 +126,9 @@ def _run_configure(args) -> int:
         raise ScenarioError("scenario has no 'configure' section")
     ris, solution = configure_linear(scn)
     if args.format == "csv":
-        lines = ["cell,area,phase"]
-        for i in range(ris.n):
-            lines.append(f"{i},{format(ris.areas[i], '.12g')},"
-                         f"{format(ris.phases[i], '.12g')}")
-        _emit("\n".join(lines) + "\n", args.out)
+        buf = io.StringIO()
+        write_csv(buf, ("cell", "area", "phase"), zip(range(ris.n), ris.areas, ris.phases))
+        _emit(buf.getvalue(), args.out)
     else:
         doc = {"manifest": manifest_for(scn),
                "areas": [float(a) for a in ris.areas],

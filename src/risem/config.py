@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ObservationPoint, sampling_sa_linear
-from .linear import (LinearRis, MimoSystem, TWO_PI, _cell_terms, _geometry_phase,
+from .linear import (LinearRis, MimoSystem, TWO_PI, _cell_terms, _incident_excitation,
                      _steering)
 
 
@@ -71,8 +71,8 @@ def random_phase_miso_expected_power(ris: LinearRis, waves, r_s: float) -> float
     steering matrix, then applies the single-wave second-moment form.
     """
     lam = ris.ctx.wavelength
-    e_hat = sum(_geometry_phase(ris, np.sin(w.direction.theta))
-                * np.cos(w.direction.theta) * w.amplitude for w in waves)
+    e_hat = _incident_excitation(ris.n, ris.spacing, lam, [w.direction.theta for w in waves],
+                                 [w.amplitude for w in waves])
     return float(abs(ris.ctx.coupling) ** 2 / r_s ** 2
                  * np.sum((ris.areas / lam) ** 2 * np.abs(e_hat) ** 2))
 
@@ -175,18 +175,9 @@ def compensated_steering(ris: LinearRis, delta: float, theta_i: float,
                          theta_s: float) -> complex:
     """Steering function under compensation phases for a given Delta.
 
-    Uses the geometric-series closed form when all areas are equal.
+    The compensation phases shift s = sin(theta_i) + sin(theta_s) by -Delta,
+    so this is the point-cell steering sum at the shifted s.
     """
-    lam = ris.ctx.wavelength
-    phi = TWO_PI * ris.spacing * (np.sin(theta_i) + np.sin(theta_s) - delta) / lam
-    n = ris.n
-    if np.all(ris.areas == ris.areas[0]):
-        half = 0.5 * phi
-        if abs(np.sin(half)) < 1e-15:
-            series = n * np.exp(1j * (n - 1) * half)
-        else:
-            series = np.exp(1j * (n - 1) * half) * np.sin(n * half) / np.sin(half)
-        return complex(ris.ctx.coupling * (ris.areas[0] / lam) * series)
     point_cells = LinearRis(ris.spacing, ris.areas, 0.0, 0.0, ris.ctx)
     return complex(_steering(point_cells, np.sin(theta_i) + np.sin(theta_s) - delta))
 

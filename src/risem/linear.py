@@ -73,10 +73,22 @@ class LinearRis:
         return LinearRis(self.spacing, np.abs(w), self.widths, np.angle(w), self.ctx)
 
 
-def _geometry_phase(ris: LinearRis, sines) -> np.ndarray:
-    """exp(j 2 pi n d s / wavelength) with the cells n on a new last axis."""
-    k = TWO_PI * np.arange(ris.n) * ris.spacing
-    return np.exp(1j * (k * np.asarray(sines, dtype=float)[..., None] / ris.ctx.wavelength))
+def _geometry_phase(n: int, spacing: float, wavelength: float, sines) -> np.ndarray:
+    """exp(j 2 pi m d s / wavelength) for cells m = 0..n-1 on a new last axis."""
+    s = np.asarray(sines, dtype=float)[..., None]
+    # filled in place: the result is the only array of its size
+    phase = np.zeros(s.shape[:-1] + (n,), dtype=complex)
+    np.multiply(TWO_PI * np.arange(n) * spacing, s, out=phase.imag)
+    phase.imag /= wavelength
+    return np.exp(phase, out=phase)
+
+
+def _incident_excitation(n: int, spacing: float, wavelength: float,
+                         thetas, amplitudes) -> np.ndarray:
+    """Per-cell excitation sum_w A_w cos(theta_w) e^{j 2 pi m d sin(theta_w)/wavelength}."""
+    thetas = np.asarray(thetas, dtype=float)
+    return ((np.cos(thetas) * np.asarray(amplitudes, dtype=complex))
+            @ _geometry_phase(n, spacing, wavelength, np.sin(thetas)))
 
 
 def _cell_terms(ris: LinearRis, sines) -> np.ndarray:
@@ -86,7 +98,8 @@ def _cell_terms(ris: LinearRis, sines) -> np.ndarray:
     """
     lam = ris.ctx.wavelength
     sa = sinc_normalized(np.pi * ris.widths / lam * np.asarray(sines, dtype=float)[..., None])
-    return (ris.areas / lam) * np.exp(1j * ris.phases) * sa * _geometry_phase(ris, sines)
+    return ((ris.areas / lam) * np.exp(1j * ris.phases) * sa
+            * _geometry_phase(ris.n, ris.spacing, lam, sines))
 
 
 def _steering(ris: LinearRis, sines) -> np.ndarray:
@@ -205,24 +218,24 @@ class MimoSystem:
     def cos_incident(self) -> np.ndarray:
         return np.cos(self.incident_thetas)
 
-    def _vander(self, thetas: np.ndarray) -> np.ndarray:
-        knots = np.exp(1j * TWO_PI * self.spacing * np.sin(thetas) / self.wavelength)
-        return knots[:, None] ** np.arange(self.n_cells)
+    def _phases(self, thetas: np.ndarray, n: int) -> np.ndarray:
+        return _geometry_phase(n, self.spacing, self.wavelength, np.sin(thetas))
 
     @property
     def v_scatter(self) -> np.ndarray:
-        return self._vander(self.scatter_thetas)
+        return self._phases(self.scatter_thetas, self.n_cells)
 
     @property
     def v_incident(self) -> np.ndarray:
-        return self._vander(self.incident_thetas)
+        return self._phases(self.incident_thetas, self.n_cells)
 
     def incident_projection(self, amplitudes) -> np.ndarray:
         """V_i^T cos_i E^i: the per-cell aggregated incident excitation."""
         amp = np.asarray(amplitudes, dtype=complex)
         if amp.shape != (self.n_inputs,):
             raise ValueError(f"expected {self.n_inputs} input amplitudes, got {amp.shape}")
-        return self.v_incident.T @ (self.cos_incident * amp)
+        return _incident_excitation(self.n_cells, self.spacing, self.wavelength,
+                                    self.incident_thetas, amp)
 
     def condition_numbers(self) -> dict:
         """2-norm condition number of every factor."""
@@ -249,10 +262,9 @@ class MimoSystem:
             "radii": [float(r) for r in self.radii],
             "scatter_theta": [float(t) for t in self.scatter_thetas],
             "incident_theta": [float(t) for t in self.incident_thetas],
-            "scatter_knots": cpairs(np.exp(1j * TWO_PI * self.spacing
-                                           * np.sin(self.scatter_thetas) / self.wavelength)),
-            "incident_knots": cpairs(np.exp(1j * TWO_PI * self.spacing
-                                            * np.sin(self.incident_thetas) / self.wavelength)),
+            # the knots are the phases of cell 1
+            "scatter_knots": cpairs(self._phases(self.scatter_thetas, 2)[:, 1]),
+            "incident_knots": cpairs(self._phases(self.incident_thetas, 2)[:, 1]),
             "range_diag": cpairs(self.range_diag),
             "cos_incident": [float(c) for c in self.cos_incident],
             "weights": cpairs(self.weights),

@@ -19,8 +19,8 @@ import yaml
 
 from . import __version__
 from .core import Direction, ObservationPoint, PlaneWave, WaveContext
-from .config import (ReshapeSolution, beam_reshape, phase_compensation,
-                     random_phase_draw, random_phase_expected_power,
+from .config import (ReshapeSolution, beam_reshape, monte_carlo_power_grid,
+                     phase_compensation, random_phase_draw, random_phase_expected_power,
                      random_phase_miso_expected_power)
 from .linear import LinearRis, _field, assemble_mimo, dft_scatter_grid
 from .patch import Patch, _one_cell
@@ -351,6 +351,8 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError(f"scenario parse error{where}: {exc.problem}") from exc
     except yaml.YAMLError as exc:
         raise ScenarioError(f"scenario parse error: {exc}") from exc
+    except RecursionError as exc:
+        raise ScenarioError("scenario parse error: nesting too deep") from exc
     if doc is None:
         raise ScenarioError("scenario is empty")
     doc = _require_mapping(doc, "scenario")
@@ -455,7 +457,10 @@ def cut_angles(theta_deg, phi_deg):
 
 def _load_desired_pattern(path: str, n: int) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError as exc:
+            raise ScenarioError("desired pattern file is nested too deeply") from exc
     values = doc.get("desired") if isinstance(doc, dict) else None
     if not (isinstance(values, list) and len(values) == n
             and all(_is_pair(v) for v in values)):
@@ -491,12 +496,19 @@ def configure_linear(scn: Scenario) -> tuple[LinearRis, ReshapeSolution | None]:
     raise ScenarioError(f"unsupported scheme {scheme!r}")
 
 
-def run_sweep(scn: Scenario):
+def run_sweep(scn: Scenario, trials: int | None = None):
     """Evaluate the configured model on the observation grid.
 
+    With a trial count, a random-phase scenario gives the Monte Carlo mean
+    power over that many phase draws instead of one draw or the expectation.
     Returns (SweepResult, ReshapeSolution | None). Deterministic given the
     scenario text, including any random seed.
     """
+    if trials is not None:
+        if not isinstance(scn.scheme, RandomScheme):
+            raise ScenarioError("trials apply only to random-phase scenarios")
+        if trials < 1:
+            raise ScenarioError("trials must be a positive integer")
     obs_spec = scn.observation
     thetas_deg, phis_deg = obs_spec.angles_deg()
     amp_sq = sum(w.amplitude ** 2 for w in scn.waves)
@@ -508,7 +520,10 @@ def run_sweep(scn: Scenario):
         thetas = np.radians(thetas_deg)
         ris, solution = configure_linear(scn)
         scheme = scn.scheme
-        if isinstance(scheme, RandomScheme) and scheme.expectation:
+        if trials is not None:
+            magnitude = np.sqrt(monte_carlo_power_grid(ris, scn.waves, obs_spec.radius,
+                                                       thetas, trials, scheme.seed))
+        elif isinstance(scheme, RandomScheme) and scheme.expectation:
             small = np.all(ris.widths < 0.2 * scn.ctx.wavelength)
             if len(scn.waves) == 1 and not small:
                 wave = scn.waves[0]

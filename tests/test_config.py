@@ -24,6 +24,23 @@ def _reference_array(n=100):
     return LinearRis.uniform(n, 0.5, 0.01, ctx=CTX)
 
 
+def _geometric_series_steering(ris, delta, theta_i, theta_s):
+    """Closed form of the compensated steering sum for equal areas.
+
+    sum_m e^{j m phi} = e^{j (n-1) phi/2} sin(n phi/2) / sin(phi/2), with
+    phi = 2 pi d (sin theta_i + sin theta_s - Delta) / wavelength; the
+    limit n e^{j (n-1) phi/2} where sin(phi/2) vanishes.
+    """
+    lam = ris.ctx.wavelength
+    phi = 2.0 * np.pi * ris.spacing * (np.sin(theta_i) + np.sin(theta_s) - delta) / lam
+    n, half = ris.n, 0.5 * phi
+    if abs(np.sin(half)) < 1e-15:
+        series = n * np.exp(1j * (n - 1) * half)
+    else:
+        series = np.exp(1j * (n - 1) * half) * np.sin(n * half) / np.sin(half)
+    return complex(ris.ctx.coupling * (ris.areas[0] / lam) * series)
+
+
 class TestRandomPhaseDraw:
     def test_support_and_determinism(self):
         draw = random_phase_draw(256, 3)
@@ -135,6 +152,20 @@ class TestPhaseCompensation:
             assert compensated_rcs(ris, delta, self.THETA_I, ts) == pytest.approx(
                 4.0 * math.pi * math.cos(self.THETA_I) ** 2 * abs(direct) ** 2,
                 rel=1e-9)
+
+    @pytest.mark.parametrize("n, spacing, width", [(17, 0.5, 0.0), (100, 0.7, 0.3),
+                                                   (1, 0.5, 0.0), (256, 1.3, 0.1)])
+    def test_steering_matches_geometric_series(self, n, spacing, width):
+        ris = LinearRis.uniform(n, spacing, 0.02, width=width, ctx=WaveContext(1.0, 0.8j))
+        delta = compensation_delta(self.THETA_I, self.THETA_S)
+        peak = abs(ris.ctx.coupling) * n * 0.02 / ris.ctx.wavelength
+        # theta_s = THETA_S is the design point phi = 0 of the closed form
+        for ts in (self.THETA_S, -1.0, -0.2, 0.0, 0.6, 1.5):
+            got = compensated_steering(ris, delta, self.THETA_I, ts)
+            want = _geometric_series_steering(ris, delta, self.THETA_I, ts)
+            assert abs(got - want) <= 1e-12 * peak
+        at_design = compensated_steering(ris, delta, self.THETA_I, self.THETA_S)
+        assert at_design == pytest.approx(ris.ctx.coupling * n * 0.02, rel=1e-15)
 
 
 class TestGratingLobes:

@@ -187,6 +187,16 @@ class TestDftGrid:
         gram = v @ v.conj().T
         assert np.max(np.abs(gram - n * np.eye(n))) <= 1e-12
 
+    @pytest.mark.parametrize("n", [1024, 2048])
+    def test_half_wavelength_scatter_matrix_is_scaled_dft(self, n):
+        # V_s[k, m] = exp(j pi m (2k - n) / n); the exponent is reduced
+        # modulo 2n in integers so the reference carries no phase round-off
+        sys = MimoSystem(1.0, 0.5, -1j, np.full(n, 100.0), dft_scatter_grid(n),
+                         np.array([0.0]), np.ones(n))
+        k, m = np.arange(n)[:, None], np.arange(n)[None, :]
+        want = np.exp(1j * np.pi * ((m * (2 * k - n)) % (2 * n)) / n)
+        assert np.max(np.abs(sys.v_scatter - want)) <= 2e-12
+
 
 class TestMimoSystem:
     def _random_system(self, rng):

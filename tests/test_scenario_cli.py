@@ -9,6 +9,7 @@ import pytest
 from risem import (Direction, ObservationPoint, Patch, RisGeometry, UnitCell,
                    patch_scattered_field_multi, ris_scattered_field_multi)
 from risem.cli import main
+from risem.config import monte_carlo_power_grid
 from risem.presets import FIGURE_IDS, reproduce
 from risem.scenario import (CompensateScheme, GridSpec, LinearGeometry,
                             PatchGeometry, RandomScheme, ScenarioError,
@@ -224,6 +225,17 @@ class TestSweeps:
         result, _ = run_sweep(parse_scenario(text))
         assert np.all(result.rcs == 0.0) and np.all(result.magnitude == 0.0)
 
+    def test_monte_carlo_sweep_matches_grid_mean(self):
+        scn = parse_scenario(LINEAR_RANDOM)
+        result, solution = run_sweep(scn, trials=40)
+        power = monte_carlo_power_grid(scn.geometry.build(scn.ctx), scn.waves, 100.0,
+                                       np.radians(result.theta_deg), 40, 7)
+        assert solution is None
+        assert np.array_equal(result.magnitude, np.sqrt(power))
+        assert np.allclose(result.rcs, 4.0 * np.pi * 100.0 ** 2 * power, rtol=1e-14)
+        with pytest.raises(ScenarioError):
+            run_sweep(scn, trials=0)
+
     def test_db_columns_consistent_with_linear_columns(self):
         result, _ = run_sweep(parse_scenario(LINEAR_COMPENSATE))
         mask = result.magnitude > 0
@@ -318,6 +330,14 @@ class TestCli:
         comp = self._write(tmp_path, "c.yaml", LINEAR_COMPENSATE)
         assert main(["sweep", comp, "--trials", "10"]) == 2
 
+    def test_monte_carlo_sweep_checks_scatter_angles(self, tmp_path, capsys):
+        text = LINEAR_RANDOM.replace(
+            "  grid: {start_deg: -60.0, stop_deg: 60.0, count: 25}",
+            "  points: [{theta_deg: 120.0}, {theta_deg: -200.0}]")
+        scenario = self._write(tmp_path, "s.yaml", text)
+        assert main(["sweep", scenario, "--trials", "5"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_mimo_command_emits_factored_system(self, tmp_path):
         scenario = self._write(tmp_path, "s.yaml", LINEAR_RANDOM)
         out = str(tmp_path / "sys.json")
@@ -341,6 +361,8 @@ class TestCli:
         lines = open(out_csv, encoding="utf-8").read().splitlines()
         assert lines[0] == "cell,area,phase"
         assert len(lines) == 101
+        assert lines[1:] == [f"{i},{a:.12g},{p:.12g}" for i, (a, p)
+                             in enumerate(zip(doc["areas"], doc["phases"]))]
 
     def test_missing_file_is_validation_failure(self, tmp_path):
         assert main(["sweep", str(tmp_path / "nope.yaml")]) == 2
@@ -349,6 +371,30 @@ class TestCli:
         scenario = self._write(tmp_path, "bad.yaml",
                                PATCH_SCENARIO + "mystery_key: 1\n")
         assert main(["sweep", scenario]) == 2
+
+    @pytest.mark.parametrize("text", [
+        "geometry: " + "[" * 5000 + "]" * 5000 + "\n",
+        "geometry:\n" + "".join(" " * i + "-\n" for i in range(3000)),
+    ], ids=["flow", "block"])
+    def test_deeply_nested_scenario_is_validation_failure(self, tmp_path, capsys, text):
+        scenario = self._write(tmp_path, "deep.yaml", text)
+        assert main(["sweep", scenario]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_deeply_nested_desired_file_is_validation_failure(self, tmp_path, capsys):
+        depth = 10 ** 5
+        pattern = self._write(tmp_path, "desired.json",
+                              '{"desired": ' + "[" * depth + "]" * depth + "}")
+        text = ("geometry: {kind: linear, n: 8, spacing: 0.5, a: 0.1, b: 0.1}\n"
+                "incident: [{theta_deg: 30.0}]\n"
+                "configure:\n"
+                "  scheme: reshape\n"
+                f"  desired_pattern_file: {pattern}\n")
+        scenario = self._write(tmp_path, "s.yaml", text)
+        assert main(["sweep", scenario]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_reshape_conditioning_failure_exits_3(self, tmp_path):
         desired = {"desired": [[1.0, 0.0]] * 8}
