@@ -13,13 +13,11 @@ import numpy as np
 
 from . import __version__
 from .config import ReshapeConditioningError
-from .core import Direction, ObservationPoint
-from .linear import assemble_mimo
 from .presets import FIGURE_IDS, reproduce
 from .scenario import (LinearGeometry, PatchGeometry, PlanarGeometry,
                        RandomScheme, Scenario, ScenarioError,
-                       configure_linear, load_scenario, manifest_for, run_sweep,
-                       write_csv)
+                       configure_linear, load_scenario, manifest_for, mimo_system,
+                       run_sweep, write_csv)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -112,9 +110,8 @@ def _run_mimo(args) -> int:
     if not scn.waves:
         raise ScenarioError("'mimo' needs at least one incident wave")
     ris, _ = configure_linear(scn)
-    thetas = np.radians(scn.observation.angles_deg()[0])
-    obs = [ObservationPoint(scn.observation.radius, Direction(t)) for t in thetas]
-    sys_ = assemble_mimo(ris, [w.direction.theta for w in scn.waves], obs)
+    sys_ = mimo_system(ris, scn.waves, scn.observation.radius,
+                       np.radians(scn.observation.angles_deg()[0]))
     doc = {"manifest": manifest_for(scn), "system": sys_.to_json_dict()}
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return EXIT_OK
@@ -161,7 +158,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ReshapeConditioningError, np.linalg.LinAlgError,
-            FloatingPointError, ZeroDivisionError) as exc:
+            FloatingPointError, ZeroDivisionError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ObservationPoint, sampling_sa_linear
-from .linear import (LinearRis, MimoSystem, TWO_PI, _cell_terms, _incident_excitation,
+from .core import (CHUNK_TERMS, Direction, ObservationPoint, PlaneWave, _chunked,
+                   sinc_normalized)
+from .linear import (LinearRis, MimoSystem, TWO_PI, _cell_terms, _geometry_phase,
                      _steering)
 
 
@@ -46,17 +47,9 @@ def trial_rng(seed, trial_index: int) -> np.random.Generator:
 
 def random_phase_expected_power(ris: LinearRis, theta_i: float, theta_s,
                                 r_s: float, amplitude: float = 1.0):
-    """Expected |E^s|^2 over the random phase law at range r_s.
-
-    theta_s may be an array; a scalar theta_s gives a float.
-    """
-    lam = ris.ctx.wavelength
-    sa = sampling_sa_linear(ris.widths, np.asarray(theta_s, dtype=float)[..., None],
-                            theta_i, lam)
-    power = (abs(ris.ctx.coupling) ** 2 / r_s ** 2
-             * (amplitude * np.cos(theta_i)) ** 2
-             * np.sum((ris.areas / lam) ** 2 * sa ** 2, axis=-1))
-    return float(power) if power.ndim == 0 else power
+    """Expected |E^s|^2 at range r_s: the one-wave view of random_phase_miso_expected_power."""
+    return random_phase_miso_expected_power(ris, [PlaneWave(Direction(theta_i), amplitude)],
+                                            r_s, theta_s)
 
 
 def random_phase_expected_rcs(ris: LinearRis, theta_i: float, theta_s):
@@ -64,17 +57,31 @@ def random_phase_expected_rcs(ris: LinearRis, theta_i: float, theta_s):
     return 4.0 * np.pi * random_phase_expected_power(ris, theta_i, theta_s, 1.0)
 
 
-def random_phase_miso_expected_power(ris: LinearRis, waves, r_s: float) -> float:
-    """Expected |E^s|^2 under several incident waves (small-cell regime).
+def random_phase_miso_expected_power(ris: LinearRis, waves, r_s: float, theta_s):
+    """Expected |E^s|^2 over the random phase law, per scatter angle theta_s.
 
-    Aggregates the waves into the per-cell excitation through the incident
-    steering matrix, then applies the single-wave second-moment form.
+    Independent zero-mean phases cancel the cross terms between cells, which
+    leaves |C|^2/r^2 sum_n (A_n/lam)^2 |h_n|^2 for any waves and cell widths,
+    h_n = sum_w A_w cos(theta_w) Sa_n(theta_w, theta_s) e^{j 2 pi n d sin(theta_w)/lam}.
+    The unit-modulus scatter phase is left out, so for point cells the result
+    is the same at every theta_s, bit for bit. A scalar theta_s gives a float.
     """
     lam = ris.ctx.wavelength
-    e_hat = _incident_excitation(ris.n, ris.spacing, lam, [w.direction.theta for w in waves],
-                                 [w.amplitude for w in waves])
-    return float(abs(ris.ctx.coupling) ** 2 / r_s ** 2
-                 * np.sum((ris.areas / lam) ** 2 * np.abs(e_hat) ** 2))
+    sin_s = np.sin(np.asarray(theta_s, dtype=float))
+    sin_w = np.sin(np.array([w.direction.theta for w in waves], dtype=float))
+    drive = np.array([w.amplitude * np.cos(w.direction.theta) for w in waves], dtype=float)
+    excitation = drive[:, None] * _geometry_phase(ris.n, ris.spacing, lam, sin_w)
+    cell_weights = (ris.areas / lam) ** 2
+
+    def power(sin_chunk):
+        h = np.zeros((sin_chunk.size, ris.n), dtype=complex)
+        for s_w, e_w in zip(sin_w, excitation):
+            h += e_w * sinc_normalized(np.pi * ris.widths / lam * (s_w + sin_chunk[:, None]))
+        return np.sum(cell_weights * (h.real ** 2 + h.imag ** 2), axis=-1)
+
+    out = (abs(ris.ctx.coupling) ** 2 / r_s ** 2
+           * _chunked(power, sin_s.ravel(), ris.n).reshape(sin_s.shape))
+    return float(out) if out.ndim == 0 else out
 
 
 def monte_carlo_power(ris: LinearRis, waves, obs: ObservationPoint,
@@ -84,36 +91,43 @@ def monte_carlo_power(ris: LinearRis, waves, obs: ObservationPoint,
                                         trials, seed)[0])
 
 
-def monte_carlo_power_grid(ris: LinearRis, waves, r_s: float,
-                           thetas, trials: int, seed,
+def monte_carlo_power_grid(ris: LinearRis, waves, r_s: float, thetas, trials: int, seed,
                            return_stderr: bool = False):
     """Vectorized Monte Carlo mean of |E^s|^2 on a scatter-angle grid.
 
-    With return_stderr=True also returns the standard error of the mean.
+    Trial t draws its signs from trial_rng(seed, t). The trials run in blocks
+    and the angles in chunks of the core chunk loop, so memory stays bounded
+    for any trial and angle count. With return_stderr=True also returns the
+    standard error of the mean.
     """
-    lam = ris.ctx.wavelength
-    sin_s = np.sin(np.asarray(thetas, dtype=float).ravel())
-    # per-cell complex gain before the configured phase, per scatter angle
+    if trials < 1:
+        raise ValueError("need at least one trial")
     unphased = ris.with_phases(np.zeros(ris.n))
-    gains = np.zeros((sin_s.size, ris.n), dtype=complex)
-    for w in waves:
-        theta_i = w.direction.theta
-        gains += (w.amplitude * np.cos(theta_i)
-                  * _cell_terms(unphased, np.sin(theta_i) + sin_s))
-    gains *= ris.ctx.coupling * np.exp(-2j * np.pi * r_s / lam) / r_s
-    acc = np.zeros(sin_s.size)
-    acc_sq = np.zeros(sin_s.size)
-    for t in range(trials):
-        signs = 1.0 - 2.0 * trial_rng(seed, t).integers(0, 2, size=ris.n)
-        sample = np.abs(gains @ signs) ** 2
-        acc += sample
-        acc_sq += sample ** 2
-    mean = acc / trials
+    scale = ris.ctx.coupling * np.exp(-2j * np.pi * r_s / ris.ctx.wavelength) / r_s
+    sin_s = np.sin(np.asarray(thetas, dtype=float).ravel())
+
+    def moments(sin_chunk, signs):
+        # per-cell complex gain before the configured phase, per scatter angle
+        gains = np.zeros((sin_chunk.size, ris.n), dtype=complex)
+        for w in waves:
+            gains += (w.amplitude * np.cos(w.direction.theta)
+                      * _cell_terms(unphased, np.sin(w.direction.theta) + sin_chunk))
+        gains *= scale
+        samples = np.abs(gains @ signs) ** 2
+        return np.stack([np.sum(samples, axis=-1), np.sum(samples ** 2, axis=-1)], axis=-1)
+
+    # every block rebuilds the gains; 64 trials or more keep that a small share of the work
+    block = max(64, CHUNK_TERMS // ris.n)
+    acc = np.zeros((sin_s.size, 2))
+    for lo in range(0, trials, block):
+        # cells x trials, complex so that no chunk converts it again
+        signs = np.array([1.0 - 2.0 * trial_rng(seed, t).integers(0, 2, size=ris.n)
+                          for t in range(lo, min(lo + block, trials))], dtype=complex).T
+        acc += _chunked(lambda chunk: moments(chunk, signs), sin_s, max(ris.n, signs.shape[1]))
+    mean = acc[:, 0] / trials
     if not return_stderr:
         return mean
-    var = np.maximum(acc_sq / trials - mean ** 2, 0.0)
-    stderr = np.sqrt(var / max(trials - 1, 1))
-    return mean, stderr
+    return mean, np.sqrt(np.maximum(acc[:, 1] / trials - mean ** 2, 0.0) / max(trials - 1, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ import numpy as np
 # Below this magnitude sin(x)/x is evaluated with its Taylor expansion,
 # keeping the relative error under 1e-13 on both branches.
 SINC_TAYLOR_CUTOFF = 1e-6
-# Cell-terms per chunk of every array sum. Each temporary array of a sum
-# then holds max(CHUNK_TERMS, cells) elements, whatever the point count.
+# Entries per chunk of every chunked reduction (core._chunked). Each temporary
+# array then holds about max(CHUNK_TERMS, width) elements, whatever the point
+# count; width is the cell count of an array sum.
 CHUNK_TERMS = 2 ** 14
 
 
@@ -148,19 +149,17 @@ def sampling_sa(a: float, b: float, scatter: Direction, incident: Direction,
     return _sinc_pair(a, b, u[0], u[1], ctx.wavelength)
 
 
-def _chunked_sum(cell_terms, points: np.ndarray, cells: int) -> np.ndarray:
-    """Sum of cell_terms(chunk) over its last (cell) axis, for every point.
+def _chunked(reduce_chunk, points: np.ndarray, width: int) -> np.ndarray:
+    """reduce_chunk over slices of points (first axis), one result row per point.
 
-    points holds one evaluation point per entry of its first axis; cell_terms
-    maps a slice of them to the terms with the cells on a new last axis. Each
-    chunk holds max(1, CHUNK_TERMS // cells) points, so memory stays bounded
-    for any number of points.
+    Each slice holds max(1, CHUNK_TERMS // width) points, so a reduction whose
+    temporaries hold width entries per point stays bounded for any number of
+    points.
     """
-    out = np.empty(len(points), dtype=complex)
-    step = max(1, CHUNK_TERMS // cells)
-    for lo in range(0, len(points), step):
-        out[lo:lo + step] = np.sum(cell_terms(points[lo:lo + step]), axis=-1)
-    return out
+    step = max(1, CHUNK_TERMS // width)
+    # no points still make one empty slice, so the result keeps its row shape
+    return np.concatenate([reduce_chunk(points[lo:lo + step])
+                           for lo in range(0, max(len(points), 1), step)])
 
 
 def sampling_sa_linear(b, theta_s, theta_i, wavelength):

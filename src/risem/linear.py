@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (ObservationPoint, PlaneWave, WaveContext, _chunked_sum,
+from .core import (ObservationPoint, PlaneWave, WaveContext, _chunked,
                    positive_finite, sinc_normalized)
 
 TWO_PI = 2.0 * np.pi
@@ -83,14 +83,6 @@ def _geometry_phase(n: int, spacing: float, wavelength: float, sines) -> np.ndar
     return np.exp(phase, out=phase)
 
 
-def _incident_excitation(n: int, spacing: float, wavelength: float,
-                         thetas, amplitudes) -> np.ndarray:
-    """Per-cell excitation sum_w A_w cos(theta_w) e^{j 2 pi m d sin(theta_w)/wavelength}."""
-    thetas = np.asarray(thetas, dtype=float)
-    return ((np.cos(thetas) * np.asarray(amplitudes, dtype=complex))
-            @ _geometry_phase(n, spacing, wavelength, np.sin(thetas)))
-
-
 def _cell_terms(ris: LinearRis, sines) -> np.ndarray:
     """Terms (A_n/wavelength) e^{j Omega_n} Sa_n e^{j 2 pi n d s/wavelength}.
 
@@ -109,7 +101,7 @@ def _steering(ris: LinearRis, sines) -> np.ndarray:
     core.CHUNK_TERMS cell-terms, so memory stays bounded for any array of s.
     """
     s = np.asarray(sines, dtype=float)
-    out = _chunked_sum(lambda chunk: _cell_terms(ris, chunk), s.ravel(), ris.n)
+    out = _chunked(lambda chunk: np.sum(_cell_terms(ris, chunk), axis=-1), s.ravel(), ris.n)
     return ris.ctx.coupling * out.reshape(s.shape)
 
 
@@ -234,8 +226,7 @@ class MimoSystem:
         amp = np.asarray(amplitudes, dtype=complex)
         if amp.shape != (self.n_inputs,):
             raise ValueError(f"expected {self.n_inputs} input amplitudes, got {amp.shape}")
-        return _incident_excitation(self.n_cells, self.spacing, self.wavelength,
-                                    self.incident_thetas, amp)
+        return (self.cos_incident * amp) @ self.v_incident
 
     def condition_numbers(self) -> dict:
         """2-norm condition number of every factor."""

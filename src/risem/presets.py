@@ -11,15 +11,14 @@ import os
 
 import numpy as np
 
-from .core import Direction, ObservationPoint, PlaneWave, WaveContext
-from .config import (anomalous_pairs, beam_reshape, compensation_delta,
+from .core import Direction, PlaneWave, WaveContext
+from .config import (anomalous_pairs, compensation_delta,
                      grating_lobes, phase_compensation, random_phase_draw,
                      random_phase_expected_rcs)
-from .linear import (LinearRis, _field, _rcs, _steering, assemble_mimo,
-                     dft_scatter_grid)
+from .linear import LinearRis, _field, _rcs, _steering, dft_scatter_grid
 from .patch import Patch, _one_cell, patch_bistatic_rcs
-from .scenario import (Scenario, parse_scenario, run_sweep, write_csv,
-                       write_json)
+from .scenario import (Scenario, parse_scenario, reshape_on_grid, run_sweep,
+                       write_csv, write_json)
 from . import surface
 
 FIGURE_IDS = ("fig2", "fig4", "fig5", "fig6", "fig7a", "fig7b", "fig8", "fig9")
@@ -243,14 +242,10 @@ def fig7b_reshape():
     theta_s = math.radians(STEER_TO_DEG)
     base = LinearRis.uniform(N_CELLS, 0.5, CELL * CELL, ctx=ctx)
     compensated = base.with_phases(phase_compensation(theta_i, theta_s, base))
-    grid = dft_scatter_grid(N_CELLS)
-    obs = [ObservationPoint(OBS_RADIUS, Direction(t)) for t in grid]
-    desired = _field(compensated, [PlaneWave(Direction(theta_i), 1.0)], OBS_RADIUS, grid)
+    desired = _field(compensated, [PlaneWave(Direction(theta_i), 1.0)], OBS_RADIUS,
+                     dft_scatter_grid(N_CELLS))
     waves = [PlaneWave(Direction(math.radians(t)), a) for t, a in TWO_WAVE_DEG]
-    sys = assemble_mimo(base, [w.direction.theta for w in waves], obs)
-    solution = beam_reshape(sys, [w.amplitude for w in waves], desired)
-    configured = base.with_weights(solution.weights)
-    return sys, solution, configured, waves
+    return (*reshape_on_grid(base, waves, OBS_RADIUS, desired), waves)
 
 
 def _reproduce_fig7b(outdir):

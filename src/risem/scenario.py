@@ -20,9 +20,8 @@ import yaml
 from . import __version__
 from .core import Direction, ObservationPoint, PlaneWave, WaveContext
 from .config import (ReshapeSolution, beam_reshape, monte_carlo_power_grid,
-                     phase_compensation, random_phase_draw, random_phase_expected_power,
-                     random_phase_miso_expected_power)
-from .linear import LinearRis, _field, assemble_mimo, dft_scatter_grid
+                     phase_compensation, random_phase_draw, random_phase_miso_expected_power)
+from .linear import LinearRis, MimoSystem, _field, assemble_mimo, dft_scatter_grid
 from .patch import Patch, _one_cell
 from .surface import RisGeometry, UnitCell, _field_magnitude
 
@@ -469,6 +468,26 @@ def _load_desired_pattern(path: str, n: int) -> np.ndarray:
     return np.array([complex(re, im) for re, im in values])
 
 
+def mimo_system(ris: LinearRis, waves, radius: float, thetas) -> MimoSystem:
+    """The factored system of ris for the waves, seen at scatter angles thetas at one radius."""
+    obs = [ObservationPoint(radius, Direction(t)) for t in thetas]
+    return assemble_mimo(ris, [w.direction.theta for w in waves], obs)
+
+
+def reshape_on_grid(ris: LinearRis, waves, radius: float, desired,
+                    truncation_tol: float = 1e-8):
+    """Least-squares reshape towards desired on the regular scatter grid.
+
+    The matrix model fixes the sinc factor to 1, so the array is solved and
+    configured with point cells. Returns (system, solution, configured array).
+    """
+    ideal = LinearRis(ris.spacing, ris.areas, np.zeros(ris.n), ris.phases, ris.ctx)
+    sys = mimo_system(ideal, waves, radius, dft_scatter_grid(ris.n))
+    solution = beam_reshape(sys, [w.amplitude for w in waves], desired,
+                            truncation_tol=truncation_tol)
+    return sys, solution, ideal.with_weights(solution.weights)
+
+
 def configure_linear(scn: Scenario) -> tuple[LinearRis, ReshapeSolution | None]:
     """Apply the scenario's configuration scheme to its linear geometry."""
     if not isinstance(scn.geometry, LinearGeometry):
@@ -485,24 +504,22 @@ def configure_linear(scn: Scenario) -> tuple[LinearRis, ReshapeSolution | None]:
         return ris.with_phases(phases), None
     if isinstance(scheme, ReshapeScheme):
         desired = _load_desired_pattern(scheme.desired_pattern_file, ris.n)
-        # the matrix model fixes the sinc factor to 1; evaluate consistently
-        ideal = LinearRis(ris.spacing, ris.areas, np.zeros(ris.n), ris.phases, ris.ctx)
-        grid = dft_scatter_grid(ris.n)
-        obs = [ObservationPoint(scn.observation.radius, Direction(t)) for t in grid]
-        sys = assemble_mimo(ideal, [w.direction.theta for w in scn.waves], obs)
-        solution = beam_reshape(sys, [w.amplitude for w in scn.waves], desired,
-                                truncation_tol=scheme.truncation_tol)
-        return ideal.with_weights(solution.weights), solution
+        _, solution, configured = reshape_on_grid(ris, scn.waves, scn.observation.radius,
+                                                  desired, scheme.truncation_tol)
+        return configured, solution
     raise ScenarioError(f"unsupported scheme {scheme!r}")
 
 
+# a non-finite result raises FloatingPointError at the end instead of warning on the way
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run_sweep(scn: Scenario, trials: int | None = None):
     """Evaluate the configured model on the observation grid.
 
     With a trial count, a random-phase scenario gives the Monte Carlo mean
     power over that many phase draws instead of one draw or the expectation.
     Returns (SweepResult, ReshapeSolution | None). Deterministic given the
-    scenario text, including any random seed.
+    scenario text, including any random seed. Raises FloatingPointError if
+    any field magnitude or RCS value is not finite.
     """
     if trials is not None:
         if not isinstance(scn.scheme, RandomScheme):
@@ -524,15 +541,8 @@ def run_sweep(scn: Scenario, trials: int | None = None):
             magnitude = np.sqrt(monte_carlo_power_grid(ris, scn.waves, obs_spec.radius,
                                                        thetas, trials, scheme.seed))
         elif isinstance(scheme, RandomScheme) and scheme.expectation:
-            small = np.all(ris.widths < 0.2 * scn.ctx.wavelength)
-            if len(scn.waves) == 1 and not small:
-                wave = scn.waves[0]
-                power = random_phase_expected_power(ris, wave.direction.theta, thetas,
-                                                    obs_spec.radius, wave.amplitude)
-            else:
-                power = np.full(thetas.size, random_phase_miso_expected_power(
-                    ris, scn.waves, obs_spec.radius))
-            magnitude = np.sqrt(power)
+            magnitude = np.sqrt(random_phase_miso_expected_power(ris, scn.waves,
+                                                                 obs_spec.radius, thetas))
         else:
             magnitude = np.abs(_field(ris, scn.waves, obs_spec.radius, thetas))
         phi_col = None
@@ -545,6 +555,8 @@ def run_sweep(scn: Scenario, trials: int | None = None):
         rcs = 4.0 * np.pi * obs_spec.radius ** 2 * magnitude ** 2 / amp_sq
     else:
         rcs = np.zeros(thetas_deg.size)
+    if not (np.all(np.isfinite(magnitude)) and np.all(np.isfinite(rcs))):
+        raise FloatingPointError("the sweep gave non-finite field magnitudes or RCS values")
 
     return SweepResult(thetas_deg, magnitude, rcs, phi_col), solution
 

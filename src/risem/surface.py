@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (Direction, ObservationPoint, PlaneWave, SphericalField,
-                   WaveContext, _chunked_sum, _polarization_factors, _sinc_pair,
+                   WaveContext, _chunked, _polarization_factors, _sinc_pair,
                    _unit_vectors, direction_vector, positive_finite)
 
 TWO_PI = 2.0 * np.pi
@@ -101,7 +101,8 @@ def _sum_cells(geom: RisGeometry, u) -> np.ndarray:
     bounded for any number of directions.
     """
     u = np.asarray(u, dtype=float)
-    out = _chunked_sum(lambda chunk: _cell_terms(geom, chunk), u.reshape(-1, 3), len(geom.cells))
+    out = _chunked(lambda chunk: np.sum(_cell_terms(geom, chunk), axis=-1), u.reshape(-1, 3),
+                   len(geom.cells))
     return out.reshape(u.shape[:-1])
 
 

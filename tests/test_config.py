@@ -14,8 +14,10 @@ from risem import (Direction, LinearRis, ObservationPoint, PlaneWave,
                    monte_carlo_power_grid, phase_compensation,
                    random_phase_draw, random_phase_expected_power,
                    random_phase_expected_rcs, random_phase_miso_expected_power,
-                   steering_function)
+                   sampling_sa_linear, steering_function)
 from risem.config import trial_rng
+from risem.core import CHUNK_TERMS
+from risem.linear import _cell_terms, _geometry_phase
 
 CTX = WaveContext()
 
@@ -39,6 +41,65 @@ def _geometric_series_steering(ris, delta, theta_i, theta_s):
     else:
         series = np.exp(1j * (n - 1) * half) * np.sin(n * half) / np.sin(half)
     return complex(ris.ctx.coupling * (ris.areas[0] / lam) * series)
+
+
+def _one_wave_expected_power(ris, theta_i, theta_s, r_s, amplitude=1.0):
+    """One-wave closed form |C|^2/r^2 (A cos theta_i)^2 sum_n (A_n/lam)^2 Sa_n^2."""
+    lam = ris.ctx.wavelength
+    sa = sampling_sa_linear(ris.widths, np.asarray(theta_s, dtype=float)[..., None],
+                            theta_i, lam)
+    return (abs(ris.ctx.coupling) ** 2 / r_s ** 2 * (amplitude * np.cos(theta_i)) ** 2
+            * np.sum((ris.areas / lam) ** 2 * sa ** 2, axis=-1))
+
+
+def _point_cell_expected_power(ris, waves, r_s):
+    """Zero-width closed form |C|^2/r^2 sum_n (A_n/lam)^2 |E_hat_n|^2, whatever theta_s.
+
+    E_hat_n = sum_w A_w cos(theta_w) e^{j 2 pi n d sin(theta_w)/lam} is the
+    per-cell excitation aggregated over the waves.
+    """
+    lam = ris.ctx.wavelength
+    thetas = np.array([w.direction.theta for w in waves])
+    e_hat = ((np.cos(thetas) * np.array([w.amplitude for w in waves], dtype=complex))
+             @ _geometry_phase(ris.n, ris.spacing, lam, np.sin(thetas)))
+    return float(abs(ris.ctx.coupling) ** 2 / r_s ** 2
+                 * np.sum((ris.areas / lam) ** 2 * np.abs(e_hat) ** 2))
+
+
+def _full_matrix_monte_carlo(ris, waves, r_s, thetas, trials, seed):
+    """Monte Carlo (mean, stderr) from the whole angles x cells gain matrix, trial by trial."""
+    lam = ris.ctx.wavelength
+    sin_s = np.sin(np.asarray(thetas, dtype=float).ravel())
+    unphased = ris.with_phases(np.zeros(ris.n))
+    gains = np.zeros((sin_s.size, ris.n), dtype=complex)
+    for w in waves:
+        theta_i = w.direction.theta
+        gains += (w.amplitude * np.cos(theta_i)
+                  * _cell_terms(unphased, np.sin(theta_i) + sin_s))
+    gains *= ris.ctx.coupling * np.exp(-2j * np.pi * r_s / lam) / r_s
+    acc = np.zeros(sin_s.size)
+    acc_sq = np.zeros(sin_s.size)
+    for t in range(trials):
+        signs = 1.0 - 2.0 * trial_rng(seed, t).integers(0, 2, size=ris.n)
+        sample = np.abs(gains @ signs) ** 2
+        acc += sample
+        acc_sq += sample ** 2
+    mean = acc / trials
+    var = np.maximum(acc_sq / trials - mean ** 2, 0.0)
+    return mean, np.sqrt(var / max(trials - 1, 1))
+
+
+_angles = st.floats(-math.radians(89.0), math.radians(89.0))
+_waves = st.lists(st.tuples(_angles, st.floats(0.0, 2.0)), min_size=1, max_size=4)
+
+
+def _random_array(data, width):
+    n = data.draw(st.sampled_from([1, 2, 7, 100, CHUNK_TERMS + 3]), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    ctx = WaveContext(data.draw(st.floats(0.5, 2.0), label="wavelength"),
+                      complex(*rng.normal(size=2)))
+    return LinearRis(data.draw(st.floats(0.2, 1.5), label="spacing"),
+                     rng.uniform(0.0, 0.5, n), width * rng.uniform(0.0, 1.0, n), 0.0, ctx)
 
 
 class TestRandomPhaseDraw:
@@ -83,8 +144,39 @@ class TestClosedFormMoments:
         theta_i = math.radians(25.0)
         single = random_phase_expected_power(ris, theta_i, 0.1, 100.0, 0.7)
         miso = random_phase_miso_expected_power(
-            ris, [PlaneWave(Direction(theta_i), 0.7)], 100.0)
+            ris, [PlaneWave(Direction(theta_i), 0.7)], 100.0, 0.1)
+        assert isinstance(miso, float)
         assert miso == pytest.approx(single, rel=1e-12)
+
+    @given(st.data(), st.floats(0.0, 0.6), _angles, st.floats(0.0, 2.0))
+    @settings(max_examples=40, deadline=None)
+    def test_one_wave_expectation_equals_sinc_form(self, data, width, theta_i, amp):
+        ris = _random_array(data, width)
+        thetas = np.linspace(-1.55, 1.55, data.draw(st.integers(1, 40), label="angles"))
+        got = random_phase_miso_expected_power(ris, [PlaneWave(Direction(theta_i), amp)],
+                                               3.0, thetas)
+        want = _one_wave_expected_power(ris, theta_i, thetas, 3.0, amp)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @given(st.data(), _waves)
+    @settings(max_examples=40, deadline=None)
+    def test_point_cell_expectation_equals_excitation_form(self, data, waves):
+        ris = _random_array(data, 0.0)
+        waves = [PlaneWave(Direction(t), a) for t, a in waves]
+        thetas = np.linspace(-1.55, 1.55, data.draw(st.integers(1, 40), label="angles"))
+        got = random_phase_miso_expected_power(ris, waves, 3.0, thetas)
+        want = _point_cell_expected_power(ris, waves, 3.0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * want
+        assert np.all(got == got[0])  # bit-exact for zero width
+
+    def test_wide_cell_expectation_keeps_the_sinc_of_every_wave(self):
+        # the point-cell form leaves out the sinc factors, which cell widths of
+        # 0.4 wavelengths make far from 1
+        ris = LinearRis.uniform(32, 0.7, 0.04, width=0.4, ctx=CTX)
+        waves = [PlaneWave(Direction(math.radians(30.0)), 1.0),
+                 PlaneWave(Direction(math.radians(-20.0)), 0.6)]
+        power = random_phase_miso_expected_power(ris, waves, 100.0, math.radians(60.0))
+        assert power < 0.5 * _point_cell_expected_power(ris, waves, 100.0)
 
     def test_monte_carlo_matches_closed_form(self):
         ris = _reference_array(16)
@@ -95,6 +187,30 @@ class TestClosedFormMoments:
                                               4000, 11, return_stderr=True)
         expected = random_phase_expected_power(ris, theta_i, 0.0, 100.0)
         assert np.all(np.abs(mean - expected) <= 3.0 * stderr)
+
+    @pytest.mark.parametrize("n, angles, trials, widths", [
+        (8, 7, 30, (0.1,)), (100, 3 * (CHUNK_TERMS // 100) + 5, 40, (0.1, 0.0)),
+        (1024, 2 * (CHUNK_TERMS // 1024) + 1, 9, (0.3, 0.2, 0.45)),
+        (16, 181, 2000, (0.4, 0.1)), (CHUNK_TERMS + 3, 3, 2, (0.2,))])
+    def test_chunked_monte_carlo_matches_full_matrix(self, n, angles, trials, widths):
+        # angle counts that are not a multiple of the chunk step
+        rng = np.random.default_rng(n)
+        waves = [PlaneWave(Direction(rng.uniform(-1.3, 1.3)), a) for a in (1.0, 0.4, 1.5)]
+        thetas = np.linspace(-1.5, 1.5, angles)
+        for wave_count, width in enumerate(widths, start=1):
+            ris = LinearRis.uniform(n, 0.6, 0.02, width=width,
+                                    ctx=WaveContext(1.3, -0.3 + 0.2j))
+            mean, stderr = monte_carlo_power_grid(ris, waves[:wave_count], 77.0, thetas,
+                                                  trials, 5, return_stderr=True)
+            ref_mean, ref_stderr = _full_matrix_monte_carlo(ris, waves[:wave_count], 77.0,
+                                                            thetas, trials, 5)
+            assert np.max(np.abs(mean - ref_mean)) <= 1e-12 * np.max(ref_mean)
+            assert np.max(np.abs(stderr - ref_stderr)) <= 1e-12 * np.max(ref_mean)
+
+    def test_monte_carlo_needs_a_trial(self):
+        with pytest.raises(ValueError):
+            monte_carlo_power_grid(_reference_array(4), [PlaneWave(Direction(0.1))], 10.0,
+                                   [0.0], 0, 1)
 
     def test_pointwise_and_grid_monte_carlo_agree(self):
         ris = _reference_array(8)

@@ -211,13 +211,28 @@ class TestSweeps:
                                                                   "seed: 8")))
         assert a.to_csv_text() != other.to_csv_text()
 
-    def test_expectation_mode_rcs_is_flat(self):
+    def test_expectation_mode_rcs_follows_the_cell_sinc(self):
         text = LINEAR_RANDOM.replace("seed: 7", "seed: 7\n  expectation: true")
         result, _ = run_sweep(parse_scenario(text))
-        assert np.ptp(result.rcs) <= 1e-12 * result.rcs[0]
-        assert result.rcs[0] == pytest.approx(
-            4.0 * math.pi * math.cos(math.radians(30.0)) ** 2
-            * 32 * 0.01 ** 2, rel=1e-9)
+        sinc = np.sinc(0.1 * (0.5 + np.sin(np.radians(result.theta_deg))))
+        want = 4.0 * math.pi * math.cos(math.radians(30.0)) ** 2 * 32 * 0.01 ** 2 * sinc ** 2
+        assert np.max(np.abs(result.rcs - want)) <= 1e-12 * np.max(want)
+
+    def test_two_wave_wide_cell_expectation_matches_monte_carlo(self):
+        second_wave = "\n  - {theta_deg: -20.0, amplitude: 0.6}"
+        text = (LINEAR_RANDOM.replace("spacing: 0.5", "spacing: 0.7")
+                .replace("a: 0.1\n  b: 0.1", "a: 0.4\n  b: 0.4")
+                .replace("amplitude: 1.0}", "amplitude: 1.0}" + second_wave))
+        scn = parse_scenario(text)
+        trials = 4000
+        sampled, _ = run_sweep(scn, trials)
+        mean, stderr = monte_carlo_power_grid(scn.geometry.build(scn.ctx), scn.waves, 100.0,
+                                              np.radians(sampled.theta_deg), trials, 7,
+                                              return_stderr=True)
+        assert np.allclose(sampled.magnitude ** 2, mean, rtol=1e-12, atol=0.0)
+        expected, _ = run_sweep(parse_scenario(text.replace("seed: 7",
+                                                            "seed: 7\n  expectation: true")))
+        assert np.all(np.abs(expected.magnitude ** 2 - mean) <= 3.0 * stderr)
 
     def test_expectation_mode_with_zero_amplitude_is_finite(self):
         text = LINEAR_RANDOM.replace("amplitude: 1.0", "amplitude: 0.0").replace(
@@ -395,6 +410,29 @@ class TestCli:
         assert main(["sweep", scenario]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    # the first two give non-finite results; the last two ask for 10^14 elements
+    # (728 TiB), beyond the address space, so the allocation fails at once
+    @pytest.mark.parametrize("text", [
+        "wave: {wavelength: 1.0e-300}\n"
+        "geometry: {kind: linear, n: 8, spacing: 0.5e-300, a: 0.1e-300, b: 0.1e-300,"
+        " area: 1.0e-302}\n"
+        "incident: [{theta_deg: 30.0}]\n",
+        "geometry: {kind: linear, n: 8, spacing: 0.5, a: 0.1, b: 0.1}\n"
+        "incident: [{theta_deg: 30.0}]\n"
+        "observation: {radius: 1.0e-320}\n",
+        "geometry: {kind: linear, n: 100000000000000, spacing: 0.5, a: 0.1, b: 0.1}\n"
+        "incident: [{theta_deg: 30.0}]\n",
+        "geometry: {kind: linear, n: 8, spacing: 0.5, a: 0.1, b: 0.1}\n"
+        "incident: [{theta_deg: 30.0}]\n"
+        "observation: {grid: {start_deg: -60.0, stop_deg: 60.0, count: 100000000000000}}\n",
+    ], ids=["tiny-wavelength", "tiny-radius", "huge-cells", "huge-angles"])
+    def test_numerical_failure_exits_3_with_one_line(self, tmp_path, capsys, text):
+        scenario = self._write(tmp_path, "s.yaml", text)
+        assert main(["sweep", scenario]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
     def test_reshape_conditioning_failure_exits_3(self, tmp_path):
         desired = {"desired": [[1.0, 0.0]] * 8}
