@@ -14,10 +14,8 @@ import numpy as np
 from . import __version__
 from .config import ReshapeConditioningError
 from .presets import FIGURE_IDS, reproduce
-from .scenario import (LinearGeometry, PatchGeometry, PlanarGeometry,
-                       RandomScheme, Scenario, ScenarioError,
-                       configure_linear, load_scenario, manifest_for, mimo_system,
-                       run_sweep, write_csv)
+from .scenario import (RandomScheme, Scenario, ScenarioError, configure_linear,
+                       load_scenario, manifest_for, mimo_system, run_sweep, write_csv)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -79,11 +77,21 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
+def _json_text(doc) -> str:
+    """Indented JSON with a trailing newline; a non-finite number raises FloatingPointError.
+
+    Sweeps do not use it: their dB columns hold -Infinity for a zero field, and
+    run_sweep checks their linear columns instead.
+    """
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise FloatingPointError("the output holds non-finite numbers") from exc
+
+
 def _run_sweep_command(args, expect_kind=None) -> int:
     scn = _override_seed(load_scenario(args.scenario), args.seed)
-    kinds = {"patch": PatchGeometry, "planar": PlanarGeometry,
-             "linear": LinearGeometry}
-    if expect_kind is not None and not isinstance(scn.geometry, kinds[expect_kind]):
+    if expect_kind is not None and scn.kind != expect_kind:
         raise ScenarioError(f"this command requires a '{expect_kind}' geometry")
     result, solution = run_sweep(scn, args.trials)
     fmt = args.format or scn.output.format
@@ -103,20 +111,23 @@ def _run_sweep_command(args, expect_kind=None) -> int:
     return EXIT_OK
 
 
+# like run_sweep: non-finite output raises FloatingPointError instead of warning on the way
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _run_mimo(args) -> int:
     scn = load_scenario(args.scenario)
-    if not isinstance(scn.geometry, LinearGeometry):
+    if scn.kind != "linear":
         raise ScenarioError("'mimo' requires a linear geometry")
     if not scn.waves:
         raise ScenarioError("'mimo' needs at least one incident wave")
     ris, _ = configure_linear(scn)
     sys_ = mimo_system(ris, scn.waves, scn.observation.radius,
-                       np.radians(scn.observation.angles_deg()[0]))
+                       np.radians(scn.observation.theta_deg))
     doc = {"manifest": manifest_for(scn), "system": sys_.to_json_dict()}
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(_json_text(doc), args.out)
     return EXIT_OK
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _run_configure(args) -> int:
     scn = _override_seed(load_scenario(args.scenario), args.seed)
     if scn.scheme is None:
@@ -134,7 +145,7 @@ def _run_configure(args) -> int:
             doc["reshape"] = {"residual": solution.residual,
                               "rank": solution.rank,
                               "discarded_fraction": solution.discarded_fraction}
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        _emit(_json_text(doc), args.out)
     return EXIT_OK
 
 

@@ -12,7 +12,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -61,61 +61,13 @@ def _get_number(node, key, name, default=None, required=False):
     return float(value)
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    start_deg: float
-    stop_deg: float
-    count: int
-    phi_deg: float = 0.0
-
-    def thetas_deg(self) -> np.ndarray:
-        return np.linspace(self.start_deg, self.stop_deg, self.count)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationSpec:
+    """Radius and the scatter (theta, phi) angles in degrees, one pair per point."""
+
     radius: float
-    grid: GridSpec | None = None
-    points: tuple | None = None  # tuple of (theta_deg, phi_deg)
-
-    def angles_deg(self) -> tuple[np.ndarray, np.ndarray]:
-        """Scatter (theta, phi) in degrees of the grid or the point list."""
-        if self.grid is None:
-            return tuple(np.array(self.points, dtype=float).T)
-        thetas = self.grid.thetas_deg()
-        return thetas, np.full(thetas.size, self.grid.phi_deg)
-
-
-@dataclass(frozen=True)
-class PatchGeometry:
-    a: float
-    b: float
-    area: float | None = None
-
-    def build(self, ctx: WaveContext) -> RisGeometry:
-        """The patch as the one-cell array at the origin."""
-        return _one_cell(Patch(self.a, self.b, self.area), ctx)
-
-
-@dataclass(frozen=True)
-class LinearGeometry:
-    n: int
-    spacing: float
-    a: float
-    b: float
-    area: float | None = None
-
-    def build(self, ctx: WaveContext) -> LinearRis:
-        area = self.area if self.area is not None else self.a * self.b
-        return LinearRis.uniform(self.n, self.spacing, area, width=self.b, ctx=ctx)
-
-
-@dataclass(frozen=True)
-class PlanarGeometry:
-    cells: tuple
-
-    def build(self, ctx: WaveContext) -> RisGeometry:
-        return RisGeometry(self.cells, ctx)
+    theta_deg: np.ndarray
+    phi_deg: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -144,8 +96,8 @@ class OutputSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    ctx: WaveContext
-    geometry: PatchGeometry | LinearGeometry | PlanarGeometry
+    kind: str  # geometry.kind as written: patch, linear or planar
+    geometry: LinearRis | RisGeometry
     waves: tuple
     observation: ObservationSpec
     scheme: RandomScheme | CompensateScheme | ReshapeScheme | None
@@ -184,24 +136,34 @@ def _parse_wave_section(node, defaults):
     return WaveContext(wavelength, gamma)
 
 
+def _build(name, make, *args, **kwargs):
+    """Call a model constructor; the ValueError it raises becomes a ScenarioError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"invalid '{name}': {exc}") from exc
+
+
 def _parse_geometry(node, ctx):
+    """The geometry kind and its model: a LinearRis, or a RisGeometry for patch and planar."""
     node = _require_mapping(node, "geometry")
     kind = node.get("kind")
     if kind == "patch":
         _check_keys(node, {"kind", "a", "b", "area"}, "geometry")
-        return PatchGeometry(_get_number(node, "a", "geometry", required=True),
-                             _get_number(node, "b", "geometry", required=True),
-                             _get_number(node, "area", "geometry"))
+        patch = _build("geometry", Patch, _get_number(node, "a", "geometry", required=True),
+                       _get_number(node, "b", "geometry", required=True),
+                       _get_number(node, "area", "geometry"))
+        return kind, _one_cell(patch, ctx)
     if kind == "linear":
         _check_keys(node, {"kind", "n", "spacing", "a", "b", "area"}, "geometry")
         n = node.get("n")
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ScenarioError("'geometry.n' must be a positive integer")
-        return LinearGeometry(n,
-                              _get_number(node, "spacing", "geometry", required=True),
-                              _get_number(node, "a", "geometry", required=True),
-                              _get_number(node, "b", "geometry", required=True),
-                              _get_number(node, "area", "geometry"))
+        spacing = _get_number(node, "spacing", "geometry", required=True)
+        a = _get_number(node, "a", "geometry", required=True)
+        b = _get_number(node, "b", "geometry", required=True)
+        area = _get_number(node, "area", "geometry", default=a * b)
+        return kind, _build("geometry", LinearRis.uniform, n, spacing, area, width=b, ctx=ctx)
     if kind == "planar":
         _check_keys(node, {"kind", "cells"}, "geometry")
         raw = node.get("cells")
@@ -209,17 +171,19 @@ def _parse_geometry(node, ctx):
             raise ScenarioError("'geometry.cells' must be a non-empty list")
         cells = []
         for i, c in enumerate(raw):
-            c = _require_mapping(c, f"geometry.cells[{i}]")
-            _check_keys(c, {"position", "a", "b", "area", "phase"}, f"geometry.cells[{i}]")
+            name = f"geometry.cells[{i}]"
+            c = _require_mapping(c, name)
+            _check_keys(c, {"position", "a", "b", "area", "phase"}, name)
             pos = c.get("position")
-            if not (isinstance(pos, list) and len(pos) == 3):
-                raise ScenarioError(f"'geometry.cells[{i}].position' must be a 3-list")
-            cells.append(UnitCell(np.asarray(pos, dtype=float),
-                                  _get_number(c, "a", f"geometry.cells[{i}]", required=True),
-                                  _get_number(c, "b", f"geometry.cells[{i}]", required=True),
-                                  _get_number(c, "area", f"geometry.cells[{i}]"),
-                                  _get_number(c, "phase", f"geometry.cells[{i}]", default=0.0)))
-        return PlanarGeometry(tuple(cells))
+            if not (isinstance(pos, list) and len(pos) == 3
+                    and all(_is_finite_number(v) for v in pos)):
+                raise ScenarioError(f"'{name}.position' must be a list of three finite numbers")
+            cells.append(_build(name, UnitCell, np.array(pos, dtype=float),
+                                _get_number(c, "a", name, required=True),
+                                _get_number(c, "b", name, required=True),
+                                _get_number(c, "area", name),
+                                _get_number(c, "phase", name, default=0.0)))
+        return kind, RisGeometry(tuple(cells), ctx)
     raise ScenarioError("'geometry.kind' must be one of patch, linear, planar")
 
 
@@ -253,11 +217,7 @@ def _parse_incident(node, linear: bool):
 
 def _parse_observation(node, ctx, defaults):
     default_radius = DEFAULT_RADIUS_WAVELENGTHS * ctx.wavelength
-    if node is None:
-        defaults.append(f"observation.radius={default_radius}")
-        defaults.append("observation.grid=(-90, 90, 361)")
-        return ObservationSpec(default_radius, GridSpec(-90.0, 90.0, 361))
-    node = _require_mapping(node, "observation")
+    node = {} if node is None else _require_mapping(node, "observation")
     _check_keys(node, {"radius", "grid", "points"}, "observation")
     if "radius" not in node:
         defaults.append(f"observation.radius={default_radius}")
@@ -276,11 +236,11 @@ def _parse_observation(node, ctx, defaults):
             _check_keys(p, {"theta_deg", "phi_deg"}, f"observation.points[{i}]")
             pts.append((_get_number(p, "theta_deg", f"observation.points[{i}]", required=True),
                         _get_number(p, "phi_deg", f"observation.points[{i}]", default=0.0)))
-        return ObservationSpec(radius, points=tuple(pts))
+        return ObservationSpec(radius, *np.array(pts, dtype=float).T)
     grid_node = node.get("grid")
     if grid_node is None:
         defaults.append("observation.grid=(-90, 90, 361)")
-        return ObservationSpec(radius, GridSpec(-90.0, 90.0, 361))
+        grid_node = {"start_deg": -90.0, "stop_deg": 90.0, "count": 361}
     grid_node = _require_mapping(grid_node, "observation.grid")
     _check_keys(grid_node, {"start_deg", "stop_deg", "count", "phi_deg"}, "observation.grid")
     start = _get_number(grid_node, "start_deg", "observation.grid", required=True)
@@ -291,7 +251,7 @@ def _parse_observation(node, ctx, defaults):
     if stop < start:
         raise ScenarioError("'observation.grid' must be monotone: start_deg <= stop_deg")
     phi = _get_number(grid_node, "phi_deg", "observation.grid", default=0.0)
-    return ObservationSpec(radius, GridSpec(start, stop, count, phi))
+    return ObservationSpec(radius, np.linspace(start, stop, count), np.full(count, phi))
 
 
 def _parse_scheme(node, geometry):
@@ -299,7 +259,7 @@ def _parse_scheme(node, geometry):
         return None
     node = _require_mapping(node, "configure")
     kind = node.get("scheme")
-    if kind in ("random", "compensate", "reshape") and not isinstance(geometry, LinearGeometry):
+    if kind in ("random", "compensate", "reshape") and not isinstance(geometry, LinearRis):
         raise ScenarioError(f"scheme '{kind}' requires a linear geometry")
     if kind == "random":
         _check_keys(node, {"scheme", "seed", "expectation"}, "configure")
@@ -362,13 +322,13 @@ def parse_scenario(text: str) -> Scenario:
 
     defaults: list[str] = []
     ctx = _parse_wave_section(doc.get("wave"), defaults)
-    geometry = _parse_geometry(doc["geometry"], ctx)
-    waves = _parse_incident(doc.get("incident"), isinstance(geometry, LinearGeometry))
+    kind, geometry = _parse_geometry(doc["geometry"], ctx)
+    waves = _parse_incident(doc.get("incident"), isinstance(geometry, LinearRis))
     observation = _parse_observation(doc.get("observation"), ctx, defaults)
     scheme = _parse_scheme(doc.get("configure"), geometry)
     output = _parse_output(doc.get("output"), defaults)
     digest = hashlib.sha256(text.encode()).hexdigest()
-    return Scenario(ctx, geometry, waves, observation, scheme, output,
+    return Scenario(kind, geometry, waves, observation, scheme, output,
                     tuple(defaults), digest)
 
 
@@ -480,19 +440,22 @@ def reshape_on_grid(ris: LinearRis, waves, radius: float, desired,
 
     The matrix model fixes the sinc factor to 1, so the array is solved and
     configured with point cells. Returns (system, solution, configured array).
+    Raises FloatingPointError if the solved weights are not finite.
     """
     ideal = LinearRis(ris.spacing, ris.areas, np.zeros(ris.n), ris.phases, ris.ctx)
     sys = mimo_system(ideal, waves, radius, dft_scatter_grid(ris.n))
     solution = beam_reshape(sys, [w.amplitude for w in waves], desired,
                             truncation_tol=truncation_tol)
+    if not np.all(np.isfinite(solution.weights)):
+        raise FloatingPointError("the reshape gave non-finite weights")
     return sys, solution, ideal.with_weights(solution.weights)
 
 
 def configure_linear(scn: Scenario) -> tuple[LinearRis, ReshapeSolution | None]:
     """Apply the scenario's configuration scheme to its linear geometry."""
-    if not isinstance(scn.geometry, LinearGeometry):
+    ris = scn.geometry
+    if not isinstance(ris, LinearRis):
         raise ScenarioError("configuration requires a linear geometry")
-    ris = scn.geometry.build(scn.ctx)
     scheme = scn.scheme
     if scheme is None or (isinstance(scheme, RandomScheme) and scheme.expectation):
         return ris, None
@@ -527,11 +490,11 @@ def run_sweep(scn: Scenario, trials: int | None = None):
         if trials < 1:
             raise ScenarioError("trials must be a positive integer")
     obs_spec = scn.observation
-    thetas_deg, phis_deg = obs_spec.angles_deg()
+    thetas_deg, phis_deg = obs_spec.theta_deg, obs_spec.phi_deg
     amp_sq = sum(w.amplitude ** 2 for w in scn.waves)
     solution = None
 
-    if isinstance(scn.geometry, LinearGeometry):
+    if isinstance(scn.geometry, LinearRis):
         if not np.all(np.abs(thetas_deg) <= 90.0):
             raise ScenarioError("linear-array scatter angles must lie in [-90, 90]")
         thetas = np.radians(thetas_deg)
@@ -547,7 +510,7 @@ def run_sweep(scn: Scenario, trials: int | None = None):
             magnitude = np.abs(_field(ris, scn.waves, obs_spec.radius, thetas))
         phi_col = None
     else:
-        magnitude = _field_magnitude(scn.geometry.build(scn.ctx), scn.waves, obs_spec.radius,
+        magnitude = _field_magnitude(scn.geometry, scn.waves, obs_spec.radius,
                                      *cut_angles(thetas_deg, phis_deg))
         phi_col = phis_deg
 

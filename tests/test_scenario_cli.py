@@ -6,13 +6,12 @@ import os
 import numpy as np
 import pytest
 
-from risem import (Direction, ObservationPoint, Patch, RisGeometry, UnitCell,
+from risem import (Direction, LinearRis, ObservationPoint, Patch, RisGeometry, UnitCell,
                    patch_scattered_field_multi, ris_scattered_field_multi)
 from risem.cli import main
 from risem.config import monte_carlo_power_grid
 from risem.presets import FIGURE_IDS, reproduce
-from risem.scenario import (CompensateScheme, GridSpec, LinearGeometry,
-                            PatchGeometry, RandomScheme, ScenarioError,
+from risem.scenario import (CompensateScheme, RandomScheme, ScenarioError,
                             manifest_for, parse_scenario, run_sweep)
 
 PATCH_SCENARIO = """\
@@ -66,18 +65,19 @@ configure:
 class TestParsing:
     def test_minimal_scenario_fills_defaults(self):
         scn = parse_scenario("geometry: {kind: patch, a: 1.0, b: 1.0}")
-        assert isinstance(scn.geometry, PatchGeometry)
-        assert scn.ctx.wavelength == 1.0
-        assert scn.ctx.reflection_coefficient == -1.0
+        assert scn.kind == "patch" and isinstance(scn.geometry, RisGeometry)
+        assert scn.geometry.ctx.wavelength == 1.0
+        assert scn.geometry.ctx.reflection_coefficient == -1.0
         assert scn.observation.radius == 100.0
         assert any(d.startswith("wave.wavelength") for d in scn.defaults_filled)
         assert any(d.startswith("observation.radius") for d in scn.defaults_filled)
 
     def test_full_scenario(self):
         scn = parse_scenario(LINEAR_COMPENSATE)
-        assert isinstance(scn.geometry, LinearGeometry)
+        assert scn.kind == "linear" and isinstance(scn.geometry, LinearRis)
         assert isinstance(scn.scheme, CompensateScheme)
-        assert scn.observation.grid == GridSpec(-90.0, 90.0, 721)
+        assert np.array_equal(scn.observation.theta_deg, np.linspace(-90.0, 90.0, 721))
+        assert np.array_equal(scn.observation.phi_deg, np.zeros(721))
         assert len(scn.waves) == 1
         assert scn.waves[0].direction.theta == pytest.approx(math.radians(30.0))
 
@@ -113,6 +113,15 @@ class TestParsing:
          "observation: {radius: .inf}", "radius"),
         ("geometry: {kind: patch, a: 1.0, b: 1.0}\nwave: {gamma: [.nan, 0.0]}",
          "gamma"),
+        ("geometry: {kind: planar, cells: [{position: [true, 0, 0], a: 1.0, b: 1.0}]}",
+         r"'geometry\.cells\[0\]\.position'"),
+        ("geometry: {kind: planar, cells: [{position: [x, 0, 0], a: 1.0, b: 1.0}]}",
+         r"'geometry\.cells\[0\]\.position'"),
+        # accepted by the parser, refused by the model constructors
+        ("geometry: {kind: patch, a: -1, b: 1.0}", "invalid 'geometry'"),
+        ("geometry: {kind: linear, n: 4, spacing: -0.5, a: 0.1, b: 0.1}", "invalid 'geometry'"),
+        ("geometry: {kind: planar, cells: [{position: [0, 0, 0], a: 1.0, b: 0}]}",
+         r"invalid 'geometry\.cells\[0\]'"),
     ])
     def test_rejects_malformed_text(self, text, fragment):
         with pytest.raises(ScenarioError, match=fragment):
@@ -159,7 +168,7 @@ def _scalar_cut(theta_deg, phi_deg):
 
 
 def _per_point_magnitudes(scn, field_multi):
-    thetas, phis = scn.observation.angles_deg()
+    thetas, phis = scn.observation.theta_deg, scn.observation.phi_deg
     return np.array([field_multi(scn.waves, ObservationPoint(scn.observation.radius,
                                                              _scalar_cut(t, p))).magnitude
                      for t, p in zip(thetas, phis)])
@@ -172,9 +181,10 @@ class TestSweeps:
         result, _ = run_sweep(scn)
         patch = Patch(2.0, 1.5, 2.5)
         ref = _per_point_magnitudes(
-            scn, lambda waves, obs: patch_scattered_field_multi(patch, waves, obs, scn.ctx))
+            scn, lambda waves, obs: patch_scattered_field_multi(patch, waves, obs,
+                                                             scn.geometry.ctx))
         assert np.max(np.abs(result.magnitude - ref)) <= 1e-12 * np.max(ref)
-        assert np.array_equal(result.phi_deg, scn.observation.angles_deg()[1])
+        assert np.array_equal(result.phi_deg, scn.observation.phi_deg)
 
     @pytest.mark.parametrize("cut", SIGNED_CUTS)
     def test_planar_sweep_equals_per_point_views(self, cut):
@@ -183,11 +193,11 @@ class TestSweeps:
         geom = RisGeometry([UnitCell(np.array([0.0, 0.0, 0.0]), 0.3, 0.25),
                             UnitCell(np.array([0.5, 0.1, 0.02]), 0.4, 0.3, None, 1.0),
                             UnitCell(np.array([1.1, -0.4, 0.0]), 0.35, 0.45, 0.2, 4.0)],
-                           scn.ctx)
+                           scn.geometry.ctx)
         ref = _per_point_magnitudes(
             scn, lambda waves, obs: ris_scattered_field_multi(geom, waves, obs))
         assert np.max(np.abs(result.magnitude - ref)) <= 1e-12 * np.max(ref)
-        assert np.array_equal(result.phi_deg, scn.observation.angles_deg()[1])
+        assert np.array_equal(result.phi_deg, scn.observation.phi_deg)
 
     def test_patch_sweep_peak_at_broadside(self):
         scn = parse_scenario(PATCH_SCENARIO)
@@ -226,7 +236,7 @@ class TestSweeps:
         scn = parse_scenario(text)
         trials = 4000
         sampled, _ = run_sweep(scn, trials)
-        mean, stderr = monte_carlo_power_grid(scn.geometry.build(scn.ctx), scn.waves, 100.0,
+        mean, stderr = monte_carlo_power_grid(scn.geometry, scn.waves, 100.0,
                                               np.radians(sampled.theta_deg), trials, 7,
                                               return_stderr=True)
         assert np.allclose(sampled.magnitude ** 2, mean, rtol=1e-12, atol=0.0)
@@ -243,7 +253,7 @@ class TestSweeps:
     def test_monte_carlo_sweep_matches_grid_mean(self):
         scn = parse_scenario(LINEAR_RANDOM)
         result, solution = run_sweep(scn, trials=40)
-        power = monte_carlo_power_grid(scn.geometry.build(scn.ctx), scn.waves, 100.0,
+        power = monte_carlo_power_grid(scn.geometry, scn.waves, 100.0,
                                        np.radians(result.theta_deg), 40, 7)
         assert solution is None
         assert np.array_equal(result.magnitude, np.sqrt(power))
@@ -288,6 +298,15 @@ class TestSweeps:
         assert doc["library_version"] == __version__
 
 
+TINY_RADIUS = """\
+geometry: {kind: linear, n: 8, spacing: 0.5, a: 0.1, b: 0.1}
+incident: [{theta_deg: 30.0}]
+observation: {radius: 1.0e-320}
+"""
+# reads desired.json from the working directory
+RESHAPE_SECTION = "configure: {scheme: reshape, desired_pattern_file: desired.json}\n"
+
+
 class TestCli:
     def _write(self, tmp_path, name, text):
         path = tmp_path / name
@@ -323,6 +342,12 @@ class TestCli:
         scenario = self._write(tmp_path, "s.yaml", PATCH_SCENARIO)
         assert main(["linear-field", scenario]) == 2
         assert main(["array-field", scenario]) == 2
+        # the same model as a patch: the kind written in the file decides
+        one_cell = self._write(tmp_path, "c.yaml", PATCH_SCENARIO.replace(
+            "  kind: patch\n  a: 5.0\n  b: 5.0\n",
+            "  kind: planar\n  cells: [{position: [0.0, 0.0, 0.0], a: 5.0, b: 5.0}]\n"))
+        assert main(["patch-rcs", one_cell]) == 2
+        assert main(["array-field", one_cell, "--out", str(tmp_path / "c.csv")]) == 0
 
     def test_seed_override_changes_output(self, tmp_path):
         scenario = self._write(tmp_path, "s.yaml", LINEAR_RANDOM)
@@ -411,25 +436,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    # the first two give non-finite results; the last two ask for 10^14 elements
-    # (728 TiB), beyond the address space, so the allocation fails at once
-    @pytest.mark.parametrize("text", [
-        "wave: {wavelength: 1.0e-300}\n"
-        "geometry: {kind: linear, n: 8, spacing: 0.5e-300, a: 0.1e-300, b: 0.1e-300,"
-        " area: 1.0e-302}\n"
-        "incident: [{theta_deg: 30.0}]\n",
-        "geometry: {kind: linear, n: 8, spacing: 0.5, a: 0.1, b: 0.1}\n"
-        "incident: [{theta_deg: 30.0}]\n"
-        "observation: {radius: 1.0e-320}\n",
-        "geometry: {kind: linear, n: 100000000000000, spacing: 0.5, a: 0.1, b: 0.1}\n"
-        "incident: [{theta_deg: 30.0}]\n",
-        "geometry: {kind: linear, n: 8, spacing: 0.5, a: 0.1, b: 0.1}\n"
-        "incident: [{theta_deg: 30.0}]\n"
-        "observation: {grid: {start_deg: -60.0, stop_deg: 60.0, count: 100000000000000}}\n",
-    ], ids=["tiny-wavelength", "tiny-radius", "huge-cells", "huge-angles"])
-    def test_numerical_failure_exits_3_with_one_line(self, tmp_path, capsys, text):
+    # the tiny-* cases give non-finite results; huge-cells and huge-angles ask for
+    # 10^14 elements (728 TiB), beyond the address space, so the allocation fails at once
+    @pytest.mark.parametrize("command,text", [
+        ("sweep",
+         "wave: {wavelength: 1.0e-300}\n"
+         "geometry: {kind: linear, n: 8, spacing: 0.5e-300, a: 0.1e-300, b: 0.1e-300,"
+         " area: 1.0e-302}\n"
+         "incident: [{theta_deg: 30.0}]\n"),
+        ("sweep", TINY_RADIUS),
+        ("sweep",
+         "geometry: {kind: linear, n: 100000000000000, spacing: 0.5, a: 0.1, b: 0.1}\n"
+         "incident: [{theta_deg: 30.0}]\n"),
+        ("sweep",
+         "geometry: {kind: linear, n: 8, spacing: 0.5, a: 0.1, b: 0.1}\n"
+         "incident: [{theta_deg: 30.0}]\n"
+         "observation: {grid: {start_deg: -60.0, stop_deg: 60.0, count: 100000000000000}}\n"),
+        ("mimo", TINY_RADIUS),
+        ("configure", TINY_RADIUS + RESHAPE_SECTION),
+        ("sweep", TINY_RADIUS + RESHAPE_SECTION),
+    ], ids=["tiny-wavelength", "tiny-radius", "huge-cells", "huge-angles", "mimo-tiny-radius",
+            "configure-tiny-radius-reshape", "sweep-tiny-radius-reshape"])
+    def test_numerical_failure_exits_3_with_one_line(self, tmp_path, monkeypatch, capsys,
+                                                     command, text):
+        monkeypatch.chdir(tmp_path)
+        self._write(tmp_path, "desired.json", json.dumps({"desired": [[1.0, 0.0]] * 8}))
         scenario = self._write(tmp_path, "s.yaml", text)
-        assert main(["sweep", scenario]) == 3
+        assert main([command, scenario]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
