@@ -78,11 +78,7 @@ def _emit(text: str, out_path: str | None):
 
 
 def _json_text(doc) -> str:
-    """Indented JSON with a trailing newline; a non-finite number raises FloatingPointError.
-
-    Sweeps do not use it: their dB columns hold -Infinity for a zero field, and
-    run_sweep checks their linear columns instead.
-    """
+    """Indented JSON with a trailing newline; a non-finite number raises FloatingPointError."""
     try:
         return json.dumps(doc, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
@@ -107,7 +103,7 @@ def _run_sweep_command(args, expect_kind=None) -> int:
                 "rank": solution.rank,
                 "discarded_fraction": solution.discarded_fraction,
             }
-        _emit(json.dumps(doc, indent=2) + "\n", out)
+        _emit(_json_text(doc), out)
     return EXIT_OK
 
 

@@ -13,8 +13,8 @@ import numpy as np
 
 from .core import (CHUNK_TERMS, Direction, ObservationPoint, PlaneWave, _chunked,
                    sinc_normalized)
-from .linear import (LinearRis, MimoSystem, TWO_PI, _cell_terms, _geometry_phase,
-                     _steering)
+from .linear import (LinearRis, MimoSystem, TWO_PI, _alternating_signs, _cell_terms,
+                     _geometry_phase, _steering)
 
 
 class ReshapeConditioningError(RuntimeError):
@@ -225,6 +225,39 @@ class ReshapeSolution:
         return np.angle(self.weights)
 
 
+def _fraction(part, whole) -> float:
+    """||part|| / ||whole||, and 0.0 for a zero whole."""
+    norm = np.linalg.norm(whole)
+    return float(np.linalg.norm(part) / norm) if norm > 0.0 else 0.0
+
+
+def _svd_solve(v_s, desired, truncation_tol):
+    """Least squares V_s c ~= desired by truncated SVD: (c, rank, discarded fraction).
+
+    Singular directions below truncation_tol * sigma_max are dropped. The
+    discarded fraction is ||desired - U_keep U_keep^H desired|| / ||desired||,
+    which reads round-off, not sqrt(eps), when nothing is dropped.
+    """
+    u, sing, vh = np.linalg.svd(v_s, full_matrices=False)
+    keep = sing >= truncation_tol * sing[0]
+    u_keep = u[:, keep]
+    proj = u_keep.conj().T @ desired
+    coeff = vh[keep].conj().T @ (proj / sing[keep])
+    return coeff, int(np.count_nonzero(keep)), _fraction(desired - u_keep @ proj, desired)
+
+
+def _dft_solve(desired, truncation_tol):
+    """The same solve when V_s is the scaled DFT: c = (-1)^m fft(desired) / n.
+
+    Every singular value equals sqrt(n), so truncation_tol <= 1 keeps all n
+    directions and discards nothing, and a larger tolerance keeps none.
+    """
+    n = desired.size
+    if truncation_tol > 1.0:
+        return np.zeros(n, dtype=complex), 0, _fraction(desired, desired)
+    return _alternating_signs(n) * np.fft.fft(desired) / n, n, 0.0
+
+
 def beam_reshape(sys: MimoSystem, incident_amplitudes, desired,
                  truncation_tol: float = 1e-8,
                  max_discard_fraction: float = 0.5) -> ReshapeSolution:
@@ -232,52 +265,38 @@ def beam_reshape(sys: MimoSystem, incident_amplitudes, desired,
 
     Solves min_W || (beta/N) V_s (W o E_hat) - desired || through a truncated
     SVD of the scatter steering matrix; singular directions below
-    truncation_tol * sigma_max are dropped. Cells whose aggregated incident
-    excitation is numerically zero get zero weight.
+    truncation_tol * sigma_max are dropped. On the half-wavelength DFT grid
+    (MimoSystem.on_dft_grid) the same solve is one FFT. Cells whose
+    aggregated incident excitation is numerically zero get zero weight.
 
-    All observation points must share one reference radius. Raises
+    All observation points must share one reference radius exactly. Raises
     ReshapeConditioningError when the dropped directions carry more than
     max_discard_fraction of ||desired||.
     """
     desired = np.asarray(desired, dtype=complex)
     if desired.shape != (sys.n_outputs,):
         raise ValueError(f"expected {sys.n_outputs} desired values, got {desired.shape}")
-    if not np.allclose(sys.radii, sys.radii[0]):
+    if np.any(sys.radii != sys.radii[0]):
         raise ValueError("beam reshaping needs a single reference radius")
 
     e_hat = sys.incident_projection(incident_amplitudes)
-    n = sys.n_cells
-    r_ref = sys.radii[0]
-    beta = (n * sys.prefactor
-            * np.exp(-2j * np.pi * r_ref / sys.wavelength) / r_ref)
-
-    v_s = sys.v_scatter
-    u, sing, vh = np.linalg.svd(v_s, full_matrices=False)
-    keep = sing >= truncation_tol * sing[0]
-    rank = int(np.count_nonzero(keep))
-
-    proj = u.conj().T @ desired
-    desired_norm = float(np.linalg.norm(desired))
-    kept_norm = float(np.linalg.norm(proj[keep]))
-    if desired_norm > 0.0:
-        discarded = float(np.sqrt(max(desired_norm ** 2 - kept_norm ** 2, 0.0))
-                          / desired_norm)
+    if sys.on_dft_grid:
+        coeff, rank, discarded = _dft_solve(desired, truncation_tol)
     else:
-        discarded = 0.0
+        coeff, rank, discarded = _svd_solve(sys.v_scatter, desired, truncation_tol)
     if discarded > max_discard_fraction:
         raise ReshapeConditioningError(
             f"truncation discards {discarded:.3f} of the desired pattern "
             f"(limit {max_discard_fraction})")
 
-    # minimizing coefficients c with V_s c ~= desired, c = (beta/N) W o E_hat
-    coeff = vh.conj().T[:, keep] @ (proj[keep] / sing[keep])
-
+    # coeff minimises ||V_s c - desired||, with c = (beta/N) W o E_hat
+    beta_n = sys.prefactor * sys.range_diag[0]
     guard = 1e-12 * np.max(np.abs(e_hat), initial=0.0)
-    weights = np.zeros(n, dtype=complex)
+    weights = np.zeros(sys.n_cells, dtype=complex)
     live = np.abs(e_hat) > guard
-    weights[live] = (n / beta) * coeff[live] / e_hat[live]
+    weights[live] = coeff[live] / (beta_n * e_hat[live])
 
-    achieved = (beta / n) * (v_s @ (weights * e_hat))
+    achieved = beta_n * sys.scatter(weights * e_hat)
     residual = float(np.linalg.norm(achieved - desired))
     return ReshapeSolution(weights=weights, residual=residual, rank=rank,
                            discarded_fraction=discarded,

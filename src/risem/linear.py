@@ -158,6 +158,11 @@ def dft_scatter_grid(n: int) -> np.ndarray:
     return np.arcsin(-1.0 + 2.0 * np.arange(n) / n)
 
 
+def _alternating_signs(n: int) -> np.ndarray:
+    """(-1)^m for m = 0..n-1: the cell factor of the half-wavelength DFT grid."""
+    return 1.0 - 2.0 * (np.arange(n) % 2)
+
+
 @dataclass(frozen=True, eq=False)
 class MimoSystem:
     """Factored linear input/output model of a uniform linear array.
@@ -214,8 +219,27 @@ class MimoSystem:
         return _geometry_phase(n, self.spacing, self.wavelength, np.sin(thetas))
 
     @property
+    def on_dft_grid(self) -> bool:
+        """True when V_s is exactly the scaled DFT (-1)^m e^{j 2 pi m k / n}.
+
+        That needs spacing = wavelength/2, scatter angles equal to
+        dft_scatter_grid(n_cells) and one shared radius; all singular values
+        of V_s are then sqrt(n).
+        """
+        return (self.spacing / self.wavelength == 0.5
+                and np.array_equal(self.scatter_thetas, dft_scatter_grid(self.n_cells))
+                and bool(np.all(self.radii == self.radii[0])))
+
+    @property
     def v_scatter(self) -> np.ndarray:
         return self._phases(self.scatter_thetas, self.n_cells)
+
+    def scatter(self, x) -> np.ndarray:
+        """V_s @ x; on the DFT grid n ifft((-1)^m x), without forming V_s."""
+        x = np.asarray(x, dtype=complex)
+        if self.on_dft_grid:
+            return x.size * np.fft.ifft(_alternating_signs(x.size) * x)
+        return self.v_scatter @ x
 
     @property
     def v_incident(self) -> np.ndarray:
@@ -311,5 +335,5 @@ def apply_mimo(sys: MimoSystem, incident_amplitudes) -> np.ndarray:
     """Evaluate the factored chain on an input vector; never densified."""
     x = sys.incident_projection(incident_amplitudes)
     x = sys.weights * x
-    x = sys.v_scatter @ x
+    x = sys.scatter(x)
     return sys.prefactor * sys.range_diag * x

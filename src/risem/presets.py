@@ -185,7 +185,7 @@ def _reproduce_fig6(outdir):
         result, _ = run_sweep(scn)
         tag = f"d{str(spacing).replace('.', '')}"
         path = os.path.join(outdir, f"fig6_{tag}.csv")
-        result.write(path, "csv")
+        result.write(path)
         files.append(path)
         main, secondary, ratio_db = _main_and_secondary(result.theta_deg,
                                                         result.magnitude)
@@ -208,7 +208,7 @@ def _reproduce_fig7a(outdir):
     scn = scenario_fig7a()
     result, _ = run_sweep(scn)
     path = os.path.join(outdir, "fig7a.csv")
-    result.write(path, "csv")
+    result.write(path)
     delta = compensation_delta(math.radians(STEER_FROM_DEG),
                                math.radians(STEER_TO_DEG))
     predicted = [math.degrees(t)

@@ -376,17 +376,14 @@ class SweepResult:
         return buf.getvalue()
 
     def to_json_dict(self) -> dict:
-        return {name: [float(v) for v in values]
+        """Columns as lists; a non-finite entry (the dB of a zero field) becomes None."""
+        return {name: [v if math.isfinite(v) else None for v in np.asarray(values).tolist()]
                 for name, values in self.columns().items()}
 
-    def write(self, path: str, fmt: str = "csv") -> None:
-        if fmt == "json":
-            write_json(path, self.to_json_dict())
-        elif fmt == "csv":
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(self.to_csv_text())
-        else:
-            raise ValueError(f"unknown output format {fmt!r}")
+    def write(self, path: str) -> None:
+        """Write the CSV text to path."""
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(self.to_csv_text())
 
 
 def write_csv(fh, header, rows) -> None:

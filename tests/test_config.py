@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from risem import (Direction, LinearRis, ObservationPoint, PlaneWave,
@@ -15,7 +15,7 @@ from risem import (Direction, LinearRis, ObservationPoint, PlaneWave,
                    random_phase_draw, random_phase_expected_power,
                    random_phase_expected_rcs, random_phase_miso_expected_power,
                    sampling_sa_linear, steering_function)
-from risem.config import trial_rng
+from risem.config import _svd_solve, trial_rng
 from risem.core import CHUNK_TERMS
 from risem.linear import _cell_terms, _geometry_phase
 
@@ -429,3 +429,63 @@ class TestBeamReshape:
         sys2 = assemble_mimo(ris, [0.1], mixed_radii)
         with pytest.raises(ValueError):
             beam_reshape(sys2, [1.0], np.zeros(n))
+        # radii within allclose's tolerance are still two radii
+        near_radii = [ObservationPoint(100.0 + 1e-4 * (k == 1), Direction(t))
+                      for k, t in enumerate(dft_scatter_grid(n))]
+        sys3 = assemble_mimo(ris, [0.1], near_radii)
+        with pytest.raises(ValueError):
+            beam_reshape(sys3, [1.0], np.zeros(n))
+
+    # one or two waves; the second is weaker, so no cell excitation nears the dead-cell guard
+    @given(st.sampled_from([1, 2, 7, 128, 1024]), st.floats(0.01, 100.0),
+           st.lists(st.floats(-0.78, 0.78), min_size=1, max_size=2),
+           st.floats(1.0, 2.0), st.floats(0.1, 0.5), st.integers(0, 2 ** 32 - 1))
+    @example(1024, 1.0, [0.35, -0.6], 1.0, 0.5, 0)
+    @settings(max_examples=6, deadline=None)
+    def test_dft_grid_solve_matches_svd_solve(self, n, wavelength, thetas, a1, a2, seed):
+        ris = LinearRis.uniform(n, wavelength / 2.0, 0.01, ctx=WaveContext(wavelength))
+        obs = [ObservationPoint(100.0, Direction(t)) for t in dft_scatter_grid(n)]
+        sys = assemble_mimo(ris, thetas, obs)
+        assert sys.on_dft_grid
+        amps = [a1, a2][:len(thetas)]
+        rng = np.random.default_rng(seed)
+        desired = rng.normal(size=n) + 1j * rng.normal(size=n)
+        got = beam_reshape(sys, amps, desired)
+
+        # the dense path on the same system, with no excitation near the guard
+        coeff, rank, discarded = _svd_solve(sys.v_scatter, desired, got.truncation_tol)
+        e_hat = sys.incident_projection(amps)
+        beta_n = sys.prefactor * sys.range_diag[0]
+        weights = coeff / (beta_n * e_hat)
+        residual = np.linalg.norm(beta_n * (sys.v_scatter @ (weights * e_hat)) - desired)
+
+        norm = np.linalg.norm(desired)
+        assert np.max(np.abs(got.weights - weights)) <= 1e-12 * np.max(np.abs(weights))
+        assert got.rank == rank == n
+        assert got.residual <= 1e-12 * norm and residual <= 1e-12 * norm
+        assert abs(got.discarded_fraction - discarded) <= 1e-12
+
+    @pytest.mark.parametrize("n,spacing,jitter", [(2, 0.5, 0.01), (7, 0.45, 0.0),
+                                                  (32, 0.45, 0.0), (32, 0.5, 0.002)])
+    def test_full_rank_square_system_discards_nothing(self, n, spacing, jitter):
+        rng = np.random.default_rng(n)
+        thetas = dft_scatter_grid(n) + jitter * rng.uniform(size=n)
+        ris = LinearRis.uniform(n, spacing, 0.01, ctx=CTX)
+        sys = assemble_mimo(ris, [0.3], [ObservationPoint(100.0, Direction(t)) for t in thetas])
+        assert not sys.on_dft_grid
+        desired = rng.normal(size=n) + 1j * rng.normal(size=n)
+        solution = beam_reshape(sys, [1.0], desired)
+        assert solution.rank == n
+        assert solution.discarded_fraction <= 1e-14
+
+    def test_dft_grid_truncation_rule_is_exact(self):
+        n = 16
+        sys = self._system(n, np.ones(n))
+        desired = apply_mimo(sys, [1.0])
+        assert beam_reshape(sys, [1.0], desired, truncation_tol=1.0).rank == n
+        with pytest.raises(ReshapeConditioningError):
+            beam_reshape(sys, [1.0], desired, truncation_tol=1.0000001)
+        zero = beam_reshape(sys, [1.0], np.zeros(n), truncation_tol=2.0,
+                            max_discard_fraction=1.0)
+        assert zero.rank == 0 and zero.discarded_fraction == 0.0
+        assert np.all(zero.weights == 0.0)

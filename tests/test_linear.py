@@ -1,6 +1,7 @@
 """Linear arrays: steering function, scalar field, factored linear system."""
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -196,6 +197,24 @@ class TestDftGrid:
         k, m = np.arange(n)[:, None], np.arange(n)[None, :]
         want = np.exp(1j * np.pi * ((m * (2 * k - n)) % (2 * n)) / n)
         assert np.max(np.abs(sys.v_scatter - want)) <= 2e-12
+
+    def test_scatter_operator_matches_dense_product_only_on_the_exact_grid(self):
+        n = 64
+        grid = dft_scatter_grid(n)
+        sys = MimoSystem(1.0, 0.5, -1j, np.full(n, 100.0), grid, np.array([0.0]), np.ones(n))
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        assert sys.on_dft_grid
+        assert np.max(np.abs(sys.scatter(x) - sys.v_scatter @ x)) <= 1e-12 * np.sum(np.abs(x))
+        nudged = grid.copy()
+        nudged[3] = np.nextafter(grid[3], 1.0)
+        near_radii = np.full(n, 100.0)
+        near_radii[-1] = np.nextafter(100.0, 200.0)
+        for off in (replace(sys, spacing=np.nextafter(0.5, 1.0)), replace(sys, wavelength=0.9),
+                    replace(sys, scatter_thetas=nudged), replace(sys, radii=near_radii),
+                    replace(sys, radii=np.full(n - 1, 100.0), scatter_thetas=grid[:-1])):
+            assert not off.on_dft_grid
+            assert np.array_equal(off.scatter(x[:off.n_cells]), off.v_scatter @ x[:off.n_cells])
 
 
 class TestMimoSystem:

@@ -329,6 +329,11 @@ class TestCli:
         sweep = json.load(open(out, encoding="utf-8"))["sweep"]
         assert len(sweep["field_magnitude"]) == 37
         assert all(v == 0.0 for v in sweep["field_magnitude"] + sweep["rcs"])
+        assert all(v is None for v in sweep["field_magnitude_db"] + sweep["rcs_db"])
+
+        def refuse(name):
+            raise ValueError(f"{name} is not valid JSON")
+        json.load(open(out, encoding="utf-8"), parse_constant=refuse)
 
     def test_sweep_json_includes_manifest(self, tmp_path):
         scenario = self._write(tmp_path, "s.yaml", PATCH_SCENARIO)
@@ -479,6 +484,54 @@ class TestCli:
                 "  truncation_tol: 2.0\n")
         scenario = self._write(tmp_path, "s.yaml", text)
         assert main(["configure", scenario]) == 3
+
+    def _reshape_scenario(self, tmp_path, spacing=0.5, truncation_tol="1.0e-8"):
+        pattern = self._write(tmp_path, "desired.json", json.dumps({"desired": [[1.0, 0.0]] * 8}))
+        return self._write(tmp_path, "r.yaml", (
+            f"geometry: {{kind: linear, n: 8, spacing: {spacing}, a: 0.1, b: 0.1}}\n"
+            "incident: [{theta_deg: 30.0}]\n"
+            "observation: {radius: 100.0}\n"
+            "configure:\n"
+            "  scheme: reshape\n"
+            f"  desired_pattern_file: {pattern}\n"
+            f"  truncation_tol: {truncation_tol}\n"))
+
+    @pytest.mark.parametrize("truncation_tol,code", [("1.0", 0), ("1.0000001", 3)])
+    def test_dft_grid_truncation_edge(self, tmp_path, capsys, truncation_tol, code):
+        # all singular values are equal: tol <= 1 keeps every direction, tol > 1 none
+        scenario = self._reshape_scenario(tmp_path, truncation_tol=truncation_tol)
+        out = str(tmp_path / "w.json")
+        assert main(["configure", scenario, "--out", out]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert json.load(open(out, encoding="utf-8"))["reshape"]["rank"] == 8
+        else:
+            assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+    def test_half_wavelength_reshape_never_forms_v_s_or_calls_the_svd(self, tmp_path, monkeypatch):
+        import risem.config
+        from risem import MimoSystem
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense V_s or SVD on the half-wavelength DFT grid")
+        scenario = self._reshape_scenario(tmp_path)
+        monkeypatch.setattr(risem.config.np.linalg, "svd", refuse)
+        monkeypatch.setattr(MimoSystem, "v_scatter", property(refuse))
+        assert main(["reproduce", "fig7b", "--out", str(tmp_path)]) == 0
+        for command in ("sweep", "mimo", "configure"):
+            assert main([command, scenario, "--out", str(tmp_path / command)]) == 0
+
+    def test_off_grid_reshape_calls_the_svd(self, tmp_path, monkeypatch):
+        import risem.config
+        svd, calls = np.linalg.svd, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+        scenario = self._reshape_scenario(tmp_path, spacing=0.6)
+        monkeypatch.setattr(risem.config.np.linalg, "svd", counted)
+        assert main(["configure", scenario, "--out", str(tmp_path / "w.json")]) == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("doc", [
         {"desired": [None] * 8},
