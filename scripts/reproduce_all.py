@@ -8,11 +8,11 @@ parameters and numerical checks. Usage:
     python scripts/reproduce_all.py --out results/ --only fig6 fig7b
 """
 import argparse
-import json
 import sys
 import time
 
 from risem.presets import FIGURE_IDS, reproduce
+from risem.scenario import write_json
 
 
 def main(argv=None) -> int:
@@ -29,7 +29,7 @@ def main(argv=None) -> int:
         manifest = reproduce(fig, args.out)
         elapsed = time.perf_counter() - start
         print(f"{fig}: {', '.join(manifest['files'])} ({elapsed:.1f}s)")
-        print(json.dumps(manifest["checks"], indent=2))
+        write_json(None, manifest["checks"])
     return 0
 
 

@@ -5,7 +5,6 @@ Exit codes: 0 success, 2 parse/validation failure, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 
@@ -14,8 +13,8 @@ import numpy as np
 from . import __version__
 from .config import ReshapeConditioningError
 from .presets import FIGURE_IDS, reproduce
-from .scenario import (RandomScheme, Scenario, ScenarioError, configure_linear,
-                       load_scenario, manifest_for, mimo_system, run_sweep, write_csv)
+from .scenario import (RandomScheme, Scenario, ScenarioError, configure_linear, load_scenario,
+                       manifest_for, mimo_system, run_sweep, write_csv, write_json)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -69,22 +68,6 @@ def _override_seed(scn: Scenario, seed: int | None) -> Scenario:
     return replace(scn, scheme=replace(scn.scheme, seed=seed))
 
 
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _json_text(doc) -> str:
-    """Indented JSON with a trailing newline; a non-finite number raises FloatingPointError."""
-    try:
-        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise FloatingPointError("the output holds non-finite numbers") from exc
-
-
 def _run_sweep_command(args, expect_kind=None) -> int:
     scn = _override_seed(load_scenario(args.scenario), args.seed)
     if expect_kind is not None and scn.kind != expect_kind:
@@ -93,7 +76,7 @@ def _run_sweep_command(args, expect_kind=None) -> int:
     fmt = args.format or scn.output.format
     out = args.out or scn.output.path
     if fmt == "csv":
-        _emit(result.to_csv_text(), out)
+        write_csv(out, result.columns())
     else:
         doc = {"manifest": manifest_for(scn), "sweep": result.to_json_dict()}
         if solution is not None:
@@ -103,7 +86,7 @@ def _run_sweep_command(args, expect_kind=None) -> int:
                 "rank": solution.rank,
                 "discarded_fraction": solution.discarded_fraction,
             }
-        _emit(_json_text(doc), out)
+        write_json(out, doc)
     return EXIT_OK
 
 
@@ -119,7 +102,7 @@ def _run_mimo(args) -> int:
     sys_ = mimo_system(ris, scn.waves, scn.observation.radius,
                        np.radians(scn.observation.theta_deg))
     doc = {"manifest": manifest_for(scn), "system": sys_.to_json_dict()}
-    _emit(_json_text(doc), args.out)
+    write_json(args.out, doc)
     return EXIT_OK
 
 
@@ -130,9 +113,7 @@ def _run_configure(args) -> int:
         raise ScenarioError("scenario has no 'configure' section")
     ris, solution = configure_linear(scn)
     if args.format == "csv":
-        buf = io.StringIO()
-        write_csv(buf, ("cell", "area", "phase"), zip(range(ris.n), ris.areas, ris.phases))
-        _emit(buf.getvalue(), args.out)
+        write_csv(args.out, {"cell": range(ris.n), "area": ris.areas, "phase": ris.phases})
     else:
         doc = {"manifest": manifest_for(scn),
                "areas": [float(a) for a in ris.areas],
@@ -141,7 +122,7 @@ def _run_configure(args) -> int:
             doc["reshape"] = {"residual": solution.residual,
                               "rank": solution.rank,
                               "discarded_fraction": solution.discarded_fraction}
-        _emit(_json_text(doc), args.out)
+        write_json(args.out, doc)
     return EXIT_OK
 
 
@@ -157,11 +138,11 @@ def main(argv=None) -> int:
         if args.command == "configure":
             return _run_configure(args)
         if args.command == "reproduce":
-            manifest = reproduce(args.figure, args.out)
-            sys.stdout.write(json.dumps(manifest, indent=2) + "\n")
+            write_json(None, reproduce(args.figure, args.out))
             return EXIT_OK
         raise AssertionError(f"unhandled command {args.command}")
-    except (ScenarioError, FileNotFoundError, json.JSONDecodeError) as exc:
+    # OSError: any file-system failure, such as a missing file or a directory path
+    except (ScenarioError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ReshapeConditioningError, np.linalg.LinAlgError,

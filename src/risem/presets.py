@@ -17,7 +17,7 @@ from .config import (anomalous_pairs, compensation_delta,
                      random_phase_expected_rcs)
 from .linear import LinearRis, _field, _rcs, _steering, dft_scatter_grid
 from .patch import Patch, _one_cell, patch_bistatic_rcs
-from .scenario import (Scenario, parse_scenario, reshape_on_grid, run_sweep,
+from .scenario import (Scenario, decibels, parse_scenario, reshape_on_grid, run_sweep,
                        write_csv, write_json)
 from . import surface
 
@@ -29,11 +29,6 @@ N_CELLS = 100
 STEER_FROM_DEG = 30.0
 STEER_TO_DEG = -50.0
 TWO_WAVE_DEG = ((30.0, 1.0), (70.0, 0.5))
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        write_csv(fh, header, rows)
 
 
 def _local_maxima(values: np.ndarray) -> np.ndarray:
@@ -114,11 +109,9 @@ def _reproduce_fig2(outdir):
     for name, phi in (("xoz", 0.0), ("yoz", 90.0)):
         phis = np.where(thetas >= 0, phi, phi - 180.0)
         rcs = surface._rcs(cell, incident, np.radians(np.abs(thetas)), np.radians(phis))
-        with np.errstate(divide="ignore"):
-            rcs_db = 10.0 * np.log10(rcs)
         path = os.path.join(outdir, f"fig2_{name}.csv")
-        _write_csv(path, ["theta_s_deg", "phi_s_deg", "rcs", "rcs_db"],
-                   zip(thetas, phis, rcs, rcs_db))
+        write_csv(path, {"theta_s_deg": thetas, "phi_s_deg": phis, "rcs": rcs,
+                         "rcs_db": decibels(rcs, 10.0)})
         files.append(path)
     peak = patch_bistatic_rcs(patch, incident, Direction(0.0, 0.0), ctx)
     checks = {
@@ -141,8 +134,8 @@ def _reproduce_fig4(outdir):
                                     np.radians(grid_t), np.radians(grid_p))
     peak = mags.max()
     path = os.path.join(outdir, "fig4_field.csv")
-    _write_csv(path, ["theta_s_deg", "phi_s_deg", "field_magnitude", "field_normalized"],
-               zip(grid_t.ravel(), grid_p.ravel(), mags.ravel(), (mags / peak).ravel()))
+    write_csv(path, {"theta_s_deg": grid_t.ravel(), "phi_s_deg": grid_p.ravel(),
+                     "field_magnitude": mags.ravel(), "field_normalized": (mags / peak).ravel()})
     i, k = np.unravel_index(np.argmax(mags), mags.shape)
     checks = {
         "global_peak": {"theta_s_deg": float(thetas[i]), "phi_s_deg": float(phis[k])},
@@ -165,11 +158,9 @@ def _reproduce_fig5(outdir):
     sample = ris.with_phases(random_phase_draw(ris.n, 0))
     expected = random_phase_expected_rcs(ris, theta_i, np.radians(thetas))
     sampled = _rcs(sample, theta_i, np.radians(thetas))
-    with np.errstate(divide="ignore"):
-        expected_db = 10.0 * np.log10(expected)
     path = os.path.join(outdir, "fig5.csv")
-    _write_csv(path, ["theta_s_deg", "expected_rcs", "expected_rcs_db",
-                      "sampled_rcs_seed0"], zip(thetas, expected, expected_db, sampled))
+    write_csv(path, {"theta_s_deg": thetas, "expected_rcs": expected,
+                     "expected_rcs_db": decibels(expected, 10.0), "sampled_rcs_seed0": sampled})
     checks = {"expected_rcs_spread": float(expected.max() - expected.min()),
               "expected_rcs_value": float(expected[0])}
     params = {"n": N_CELLS, "spacing": 0.5, "cell": CELL,
@@ -185,7 +176,7 @@ def _reproduce_fig6(outdir):
         result, _ = run_sweep(scn)
         tag = f"d{str(spacing).replace('.', '')}"
         path = os.path.join(outdir, f"fig6_{tag}.csv")
-        result.write(path)
+        write_csv(path, result.columns())
         files.append(path)
         main, secondary, ratio_db = _main_and_secondary(result.theta_deg,
                                                         result.magnitude)
@@ -208,7 +199,7 @@ def _reproduce_fig7a(outdir):
     scn = scenario_fig7a()
     result, _ = run_sweep(scn)
     path = os.path.join(outdir, "fig7a.csv")
-    result.write(path)
+    write_csv(path, result.columns())
     delta = compensation_delta(math.radians(STEER_FROM_DEG),
                                math.radians(STEER_TO_DEG))
     predicted = [math.degrees(t)
@@ -252,11 +243,9 @@ def _reproduce_fig7b(outdir):
     sys, solution, configured, waves = fig7b_reshape()
     thetas = np.linspace(-90.0, 90.0, 3601)
     mags = np.abs(_field(configured, waves, OBS_RADIUS, np.radians(thetas)))
-    with np.errstate(divide="ignore"):
-        mags_db = 20.0 * np.log10(mags)
     csv_path = os.path.join(outdir, "fig7b.csv")
-    _write_csv(csv_path, ["theta_s_deg", "field_magnitude", "field_magnitude_db"],
-               zip(thetas, mags, mags_db))
+    write_csv(csv_path, {"theta_s_deg": thetas, "field_magnitude": mags,
+                         "field_magnitude_db": decibels(mags, 20.0)})
     sys_path = os.path.join(outdir, "fig7b_system.json")
     write_json(sys_path, sys.to_json_dict())
     sol_path = os.path.join(outdir, "fig7b_weights.json")
@@ -289,8 +278,8 @@ def _steering_surface(outdir, name, theta_i_deg, theta_s_deg):
     t = np.abs(_steering(ris, np.sin(np.radians(ti)) + np.sin(np.radians(ts))))
     rcs = 4.0 * np.pi * np.cos(np.radians(ti)) ** 2 * t ** 2
     path = os.path.join(outdir, f"{name}_steering.csv")
-    _write_csv(path, ["theta_i_deg", "theta_s_deg", "steering_magnitude", "rcs"],
-               zip(ti.ravel(), ts.ravel(), t.ravel(), rcs.ravel()))
+    write_csv(path, {"theta_i_deg": ti.ravel(), "theta_s_deg": ts.ravel(),
+                     "steering_magnitude": t.ravel(), "rcs": rcs.ravel()})
     params = {"n": N_CELLS, "spacing": 0.5, "cell": CELL, "delta": delta}
     return [path], params, {"delta": delta}
 

@@ -7,8 +7,8 @@ are in the same unit as the wavelength (the presets use wavelength = 1).
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
-import io
 import json
 import math
 import sys
@@ -32,33 +32,78 @@ class ScenarioError(ValueError):
     """Malformed or invalid scenario text."""
 
 
-def _require_mapping(node, name):
-    if not isinstance(node, dict):
-        raise ScenarioError(f"section '{name}' must be a mapping")
-    return node
-
-
-def _check_keys(node: dict, allowed, name: str):
-    unknown = set(node) - set(allowed)
-    if unknown:
-        raise ScenarioError(f"unknown key(s) in '{name}': {', '.join(sorted(unknown))}")
-
-
 def _is_finite_number(value) -> bool:
     # the bound also rejects NaN, and integers too large for a float
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)
 
 
-def _get_number(node, key, name, default=None, required=False):
-    if key not in node:
-        if required:
-            raise ScenarioError(f"missing required key '{key}' in '{name}'")
-        return default
-    value = node[key]
-    if not _is_finite_number(value):
-        raise ScenarioError(f"'{name}.{key}' must be a finite number, got {value!r}")
-    return float(value)
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_numbers(value, count: int) -> bool:
+    """A list of `count` finite numbers."""
+    return (isinstance(value, list) and len(value) == count
+            and all(_is_finite_number(v) for v in value))
+
+
+_REQUIRED = object()
+
+
+class _Section:
+    """One mapping of the scenario text, read through typed getters.
+
+    Construction refuses a non-mapping and any key outside `keys`. A getter
+    returns the default when its key is absent (a key without a default is
+    required) and refuses a bad value with "'<section>.<key>' must be ...".
+    A name of None is the top level, whose keys are named without a prefix.
+    """
+
+    def __init__(self, node, name: str | None, keys):
+        where = name or "scenario"
+        if not isinstance(node, dict):
+            raise ScenarioError(f"section '{where}' must be a mapping")
+        # YAML keys need not be strings: str() names 1 and ~ as well
+        unknown = sorted(str(k) for k in node if k not in keys)
+        if unknown:
+            raise ScenarioError(f"unknown key(s) in '{where}': {', '.join(unknown)}")
+        self.node, self.name, self._prefix = node, name, f"{name}." if name else ""
+
+    def __contains__(self, key) -> bool:
+        return key in self.node
+
+    def value(self, key: str, ok, what: str, default=_REQUIRED):
+        """node[key] if ok(node[key]) holds; the default if the key is absent."""
+        value = self.node.get(key, _REQUIRED)
+        if value is _REQUIRED:
+            if default is _REQUIRED:
+                raise ScenarioError(f"'{self._prefix}{key}' must be {what}, but is missing")
+            return default
+        if not ok(value):
+            raise ScenarioError(f"'{self._prefix}{key}' must be {what}, got {value!r}")
+        return value
+
+    def number(self, key: str, default=_REQUIRED):
+        """A finite number as a float; the default as given if the key is absent."""
+        value = self.value(key, _is_finite_number, "a finite number", default)
+        return None if value is None else float(value)
+
+    def positive_int(self, key: str) -> int:
+        return self.value(key, lambda v: _is_int(v) and v >= 1, "a positive integer")
+
+    def items(self, key: str, keys) -> list:
+        """The non-empty list under key as sections named '<key>[i]', each with its keys."""
+        raw = self.value(key, lambda v: isinstance(v, list) and len(v) > 0, "a non-empty list")
+        return [_Section(item, f"{self._prefix}{key}[{i}]", keys) for i, item in enumerate(raw)]
+
+
+def _tagged(node, name: str, tag: str, table: dict):
+    """(kind, section) of a section whose allowed keys are table[kind], kind = node[tag]."""
+    # every key is allowed until the kind, and so the key set, is known
+    kind = _Section(node, name, node).value(tag, lambda v: isinstance(v, str) and v in table,
+                                            "one of " + ", ".join(table))
+    return kind, _Section(node, name, {tag, *table[kind]})
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,34 +151,26 @@ class Scenario:
     source_hash: str
 
 
-def _is_pair(value) -> bool:
-    return (isinstance(value, list) and len(value) == 2
-            and all(_is_finite_number(v) for v in value))
-
-
-def _parse_complex(value, name):
-    if _is_finite_number(value):
-        return complex(value)
-    if _is_pair(value):
-        return complex(value[0], value[1])
-    raise ScenarioError(f"'{name}' must be a finite number or [re, im] pair")
+_GEOMETRY_KEYS = {"patch": {"a", "b", "area"},
+                  "linear": {"n", "spacing", "a", "b", "area"},
+                  "planar": {"cells"}}
+_SCHEME_KEYS = {"random": {"seed", "expectation"},
+                "compensate": {"theta_i_deg", "theta_s_deg"},
+                "reshape": {"desired_pattern_file", "truncation_tol"}}
 
 
 def _parse_wave_section(node, defaults):
-    if node is None:
-        defaults.extend(["wave.wavelength=1.0", "wave.gamma=-1.0"])
-        return WaveContext()
-    node = _require_mapping(node, "wave")
-    _check_keys(node, {"wavelength", "gamma"}, "wave")
-    if "wavelength" not in node:
+    wave = _Section({} if node is None else node, "wave", {"wavelength", "gamma"})
+    if "wavelength" not in wave:
         defaults.append("wave.wavelength=1.0")
-    if "gamma" not in node:
+    if "gamma" not in wave:
         defaults.append("wave.gamma=-1.0")
-    wavelength = _get_number(node, "wavelength", "wave", default=1.0)
-    gamma = _parse_complex(node.get("gamma", -1.0), "wave.gamma")
+    wavelength = wave.number("wavelength", 1.0)
+    gamma = wave.value("gamma", lambda v: _is_finite_number(v) or _is_numbers(v, 2),
+                       "a finite number or [re, im] pair", -1.0)
     if wavelength <= 0:
         raise ScenarioError("'wave.wavelength' must be positive")
-    return WaveContext(wavelength, gamma)
+    return WaveContext(wavelength, complex(*gamma) if isinstance(gamma, list) else complex(gamma))
 
 
 def _build(name, make, *args, **kwargs):
@@ -146,158 +183,94 @@ def _build(name, make, *args, **kwargs):
 
 def _parse_geometry(node, ctx):
     """The geometry kind and its model: a LinearRis, or a RisGeometry for patch and planar."""
-    node = _require_mapping(node, "geometry")
-    kind = node.get("kind")
-    if kind == "patch":
-        _check_keys(node, {"kind", "a", "b", "area"}, "geometry")
-        patch = _build("geometry", Patch, _get_number(node, "a", "geometry", required=True),
-                       _get_number(node, "b", "geometry", required=True),
-                       _get_number(node, "area", "geometry"))
-        return kind, _one_cell(patch, ctx)
-    if kind == "linear":
-        _check_keys(node, {"kind", "n", "spacing", "a", "b", "area"}, "geometry")
-        n = node.get("n")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ScenarioError("'geometry.n' must be a positive integer")
-        spacing = _get_number(node, "spacing", "geometry", required=True)
-        a = _get_number(node, "a", "geometry", required=True)
-        b = _get_number(node, "b", "geometry", required=True)
-        area = _get_number(node, "area", "geometry", default=a * b)
-        return kind, _build("geometry", LinearRis.uniform, n, spacing, area, width=b, ctx=ctx)
+    kind, geo = _tagged(node, "geometry", "kind", _GEOMETRY_KEYS)
     if kind == "planar":
-        _check_keys(node, {"kind", "cells"}, "geometry")
-        raw = node.get("cells")
-        if not isinstance(raw, list) or not raw:
-            raise ScenarioError("'geometry.cells' must be a non-empty list")
         cells = []
-        for i, c in enumerate(raw):
-            name = f"geometry.cells[{i}]"
-            c = _require_mapping(c, name)
-            _check_keys(c, {"position", "a", "b", "area", "phase"}, name)
-            pos = c.get("position")
-            if not (isinstance(pos, list) and len(pos) == 3
-                    and all(_is_finite_number(v) for v in pos)):
-                raise ScenarioError(f"'{name}.position' must be a list of three finite numbers")
-            cells.append(_build(name, UnitCell, np.array(pos, dtype=float),
-                                _get_number(c, "a", name, required=True),
-                                _get_number(c, "b", name, required=True),
-                                _get_number(c, "area", name),
-                                _get_number(c, "phase", name, default=0.0)))
+        for c in geo.items("cells", {"position", "a", "b", "area", "phase"}):
+            position = c.value("position", lambda v: _is_numbers(v, 3),
+                               "a list of three finite numbers")
+            cells.append(_build(c.name, UnitCell, np.array(position, dtype=float),
+                                c.number("a"), c.number("b"), c.number("area", None),
+                                c.number("phase", 0.0)))
         return kind, RisGeometry(tuple(cells), ctx)
-    raise ScenarioError("'geometry.kind' must be one of patch, linear, planar")
+    a, b, area = geo.number("a"), geo.number("b"), geo.number("area", None)
+    if kind == "patch":
+        return kind, _one_cell(_build("geometry", Patch, a, b, area), ctx)
+    return kind, _build("geometry", LinearRis.uniform, geo.positive_int("n"),
+                        geo.number("spacing"), a * b if area is None else area, width=b, ctx=ctx)
 
 
-def _parse_incident(node, linear: bool):
-    if node is None:
-        return ()
-    if not isinstance(node, list):
-        raise ScenarioError("'incident' must be a list")
-    waves = []
-    for i, w in enumerate(node):
-        w = _require_mapping(w, f"incident[{i}]")
-        _check_keys(w, {"theta_deg", "phi_deg", "amplitude"}, f"incident[{i}]")
-        theta = _get_number(w, "theta_deg", f"incident[{i}]", required=True)
-        phi = _get_number(w, "phi_deg", f"incident[{i}]", default=0.0)
-        amp = _get_number(w, "amplitude", f"incident[{i}]", default=1.0)
-        if linear:
-            if not -90.0 <= theta <= 90.0:
-                raise ScenarioError(
-                    f"'incident[{i}].theta_deg' must lie in [-90, 90] for a linear array")
-        else:
-            if not 0.0 <= theta <= 90.0:
-                raise ScenarioError(
-                    f"'incident[{i}].theta_deg' must lie in [0, 90]")
-            if not -180.0 <= phi <= 180.0:
-                raise ScenarioError(f"'incident[{i}].phi_deg' must lie in [-180, 180]")
-        if amp < 0:
-            raise ScenarioError(f"'incident[{i}].amplitude' must be non-negative")
-        waves.append(PlaneWave(Direction(math.radians(theta), math.radians(phi)), amp))
-    return tuple(waves)
+def _parse_incident_wave(w: _Section, linear: bool) -> PlaneWave:
+    theta = w.number("theta_deg")
+    phi = w.number("phi_deg", 0.0)
+    amp = w.number("amplitude", 1.0)
+    if linear:
+        if not -90.0 <= theta <= 90.0:
+            raise ScenarioError(
+                f"'{w.name}.theta_deg' must lie in [-90, 90] for a linear array")
+    else:
+        if not 0.0 <= theta <= 90.0:
+            raise ScenarioError(f"'{w.name}.theta_deg' must lie in [0, 90]")
+        if not -180.0 <= phi <= 180.0:
+            raise ScenarioError(f"'{w.name}.phi_deg' must lie in [-180, 180]")
+    if amp < 0:
+        raise ScenarioError(f"'{w.name}.amplitude' must be non-negative")
+    return PlaneWave(Direction(math.radians(theta), math.radians(phi)), amp)
 
 
 def _parse_observation(node, ctx, defaults):
     default_radius = DEFAULT_RADIUS_WAVELENGTHS * ctx.wavelength
-    node = {} if node is None else _require_mapping(node, "observation")
-    _check_keys(node, {"radius", "grid", "points"}, "observation")
-    if "radius" not in node:
+    obs = _Section({} if node is None else node, "observation", {"radius", "grid", "points"})
+    if "radius" not in obs:
         defaults.append(f"observation.radius={default_radius}")
-    radius = _get_number(node, "radius", "observation", default=default_radius)
+    radius = obs.number("radius", default_radius)
     if radius <= 0:
         raise ScenarioError("'observation.radius' must be positive")
-    if "grid" in node and "points" in node:
+    if "grid" in obs and "points" in obs:
         raise ScenarioError("'observation' takes either 'grid' or 'points', not both")
-    if "points" in node:
-        raw = node["points"]
-        if not isinstance(raw, list) or not raw:
-            raise ScenarioError("'observation.points' must be a non-empty list")
-        pts = []
-        for i, p in enumerate(raw):
-            p = _require_mapping(p, f"observation.points[{i}]")
-            _check_keys(p, {"theta_deg", "phi_deg"}, f"observation.points[{i}]")
-            pts.append((_get_number(p, "theta_deg", f"observation.points[{i}]", required=True),
-                        _get_number(p, "phi_deg", f"observation.points[{i}]", default=0.0)))
+    if "points" in obs:
+        pts = [(p.number("theta_deg"), p.number("phi_deg", 0.0))
+               for p in obs.items("points", {"theta_deg", "phi_deg"})]
         return ObservationSpec(radius, *np.array(pts, dtype=float).T)
-    grid_node = node.get("grid")
+    grid_node = obs.node.get("grid")
     if grid_node is None:
         defaults.append("observation.grid=(-90, 90, 361)")
         grid_node = {"start_deg": -90.0, "stop_deg": 90.0, "count": 361}
-    grid_node = _require_mapping(grid_node, "observation.grid")
-    _check_keys(grid_node, {"start_deg", "stop_deg", "count", "phi_deg"}, "observation.grid")
-    start = _get_number(grid_node, "start_deg", "observation.grid", required=True)
-    stop = _get_number(grid_node, "stop_deg", "observation.grid", required=True)
-    count = grid_node.get("count")
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        raise ScenarioError("'observation.grid.count' must be a positive integer")
+    grid = _Section(grid_node, "observation.grid", {"start_deg", "stop_deg", "count", "phi_deg"})
+    start, stop = grid.number("start_deg"), grid.number("stop_deg")
+    count = grid.positive_int("count")
     if stop < start:
         raise ScenarioError("'observation.grid' must be monotone: start_deg <= stop_deg")
-    phi = _get_number(grid_node, "phi_deg", "observation.grid", default=0.0)
+    phi = grid.number("phi_deg", 0.0)
     return ObservationSpec(radius, np.linspace(start, stop, count), np.full(count, phi))
 
 
 def _parse_scheme(node, geometry):
     if node is None:
         return None
-    node = _require_mapping(node, "configure")
-    kind = node.get("scheme")
-    if kind in ("random", "compensate", "reshape") and not isinstance(geometry, LinearRis):
+    kind, cfg = _tagged(node, "configure", "scheme", _SCHEME_KEYS)
+    if not isinstance(geometry, LinearRis):
         raise ScenarioError(f"scheme '{kind}' requires a linear geometry")
     if kind == "random":
-        _check_keys(node, {"scheme", "seed", "expectation"}, "configure")
-        seed = node.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ScenarioError("'configure.seed' must be an integer")
-        expectation = node.get("expectation", False)
-        if not isinstance(expectation, bool):
-            raise ScenarioError("'configure.expectation' must be a boolean")
-        return RandomScheme(seed, expectation)
+        return RandomScheme(cfg.value("seed", lambda v: _is_int(v) and v >= 0,
+                                      "a non-negative integer", 0),
+                            cfg.value("expectation", lambda v: isinstance(v, bool),
+                                      "a boolean", False))
     if kind == "compensate":
-        _check_keys(node, {"scheme", "theta_i_deg", "theta_s_deg"}, "configure")
-        return CompensateScheme(
-            _get_number(node, "theta_i_deg", "configure", required=True),
-            _get_number(node, "theta_s_deg", "configure", required=True))
-    if kind == "reshape":
-        _check_keys(node, {"scheme", "desired_pattern_file", "truncation_tol"}, "configure")
-        path = node.get("desired_pattern_file")
-        if not isinstance(path, str) or not path:
-            raise ScenarioError("'configure.desired_pattern_file' must be a path")
-        return ReshapeScheme(path, _get_number(node, "truncation_tol", "configure",
-                                               default=1e-8))
-    raise ScenarioError("'configure.scheme' must be one of random, compensate, reshape")
+        return CompensateScheme(cfg.number("theta_i_deg"), cfg.number("theta_s_deg"))
+    return ReshapeScheme(cfg.value("desired_pattern_file",
+                                   lambda v: isinstance(v, str) and v != "", "a path"),
+                         cfg.number("truncation_tol", 1e-8))
 
 
 def _parse_output(node, defaults):
     if node is None:
         defaults.append("output.format=csv")
         return OutputSpec()
-    node = _require_mapping(node, "output")
-    _check_keys(node, {"format", "path"}, "output")
-    fmt = node.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ScenarioError("'output.format' must be csv or json")
-    path = node.get("path")
-    if path is not None and not isinstance(path, str):
-        raise ScenarioError("'output.path' must be a string")
-    return OutputSpec(fmt, path)
+    out = _Section(node, "output", {"format", "path"})
+    return OutputSpec(out.value("format", lambda v: v in ("csv", "json"), "csv or json", "csv"),
+                      out.value("path", lambda v: v is None or isinstance(v, str),
+                                "a string", None))
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -314,16 +287,18 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("scenario parse error: nesting too deep") from exc
     if doc is None:
         raise ScenarioError("scenario is empty")
-    doc = _require_mapping(doc, "scenario")
-    _check_keys(doc, {"wave", "geometry", "incident", "observation", "configure",
-                      "output"}, "scenario")
-    if "geometry" not in doc:
+    top = _Section(doc, None, {"wave", "geometry", "incident", "observation", "configure",
+                               "output"})
+    if "geometry" not in top:
         raise ScenarioError("missing required section 'geometry'")
 
     defaults: list[str] = []
     ctx = _parse_wave_section(doc.get("wave"), defaults)
     kind, geometry = _parse_geometry(doc["geometry"], ctx)
-    waves = _parse_incident(doc.get("incident"), isinstance(geometry, LinearRis))
+    # an empty or null incident list is allowed: every field is then zero
+    waves = () if doc.get("incident") in (None, []) else tuple(
+        _parse_incident_wave(w, isinstance(geometry, LinearRis))
+        for w in top.items("incident", {"theta_deg", "phi_deg", "amplitude"}))
     observation = _parse_observation(doc.get("observation"), ctx, defaults)
     scheme = _parse_scheme(doc.get("configure"), geometry)
     output = _parse_output(doc.get("output"), defaults)
@@ -352,13 +327,11 @@ class SweepResult:
 
     @property
     def magnitude_db(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return 20.0 * np.log10(self.magnitude)
+        return decibels(self.magnitude, 20.0)
 
     @property
     def rcs_db(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return 10.0 * np.log10(self.rcs)
+        return decibels(self.rcs, 10.0)
 
     def columns(self) -> dict:
         cols = {"theta_s_deg": self.theta_deg}
@@ -369,35 +342,47 @@ class SweepResult:
                      "rcs": self.rcs, "rcs_db": self.rcs_db})
         return cols
 
-    def to_csv_text(self) -> str:
-        cols = self.columns()
-        buf = io.StringIO()
-        write_csv(buf, cols, zip(*cols.values()))
-        return buf.getvalue()
-
     def to_json_dict(self) -> dict:
         """Columns as lists; a non-finite entry (the dB of a zero field) becomes None."""
         return {name: [v if math.isfinite(v) else None for v in np.asarray(values).tolist()]
                 for name, values in self.columns().items()}
 
-    def write(self, path: str) -> None:
-        """Write the CSV text to path."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv_text())
+
+def decibels(values, per_decade: float) -> np.ndarray:
+    """per_decade * log10(values); a zero gives -inf without a warning."""
+    with np.errstate(divide="ignore"):
+        return per_decade * np.log10(values)
 
 
-def write_csv(fh, header, rows) -> None:
-    """Header row, then rows of numbers at 12 significant digits."""
-    fh.write(",".join(header) + "\n")
-    for row in rows:
-        fh.write(",".join(format(v, ".12g") for v in row) + "\n")
+def _output(path: str | None):
+    """The text file at path with LF line ends, or stdout (left open) for no path."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def write_json(path: str, doc) -> None:
-    """Indented JSON document with a trailing newline."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+def write_csv(path: str | None, columns: dict) -> None:
+    """Header row of the column names, then one row per index at 12 significant digits.
+
+    Rows are streamed, never built as one string. No path writes to stdout.
+    """
+    with _output(path) as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in zip(*columns.values()):
+            fh.write(",".join(format(v, ".12g") for v in row) + "\n")
+
+
+def write_json(path: str | None, doc) -> None:
+    """Indented strict JSON with a trailing newline. No path writes to stdout.
+
+    A non-finite number raises FloatingPointError before the file is opened.
+    """
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise FloatingPointError("the output holds non-finite numbers") from exc
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def cut_angles(theta_deg, phi_deg):
@@ -419,7 +404,7 @@ def _load_desired_pattern(path: str, n: int) -> np.ndarray:
             raise ScenarioError("desired pattern file is nested too deeply") from exc
     values = doc.get("desired") if isinstance(doc, dict) else None
     if not (isinstance(values, list) and len(values) == n
-            and all(_is_pair(v) for v in values)):
+            and all(_is_numbers(v, 2) for v in values)):
         raise ScenarioError(
             f"desired pattern file must hold {n} finite [re, im] pairs under 'desired'")
     return np.array([complex(re, im) for re, im in values])

@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from risem.cli import main
 from risem.config import monte_carlo_power_grid
 from risem.presets import FIGURE_IDS, reproduce
 from risem.scenario import (CompensateScheme, RandomScheme, ScenarioError,
-                            manifest_for, parse_scenario, run_sweep)
+                            manifest_for, parse_scenario, run_sweep, write_csv)
 
 PATCH_SCENARIO = """\
 geometry:
@@ -62,6 +63,13 @@ configure:
 """
 
 
+def _csv_text(result, path):
+    """The CSV file write_csv gives for a sweep result, read back without newline translation."""
+    write_csv(str(path), result.columns())
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
 class TestParsing:
     def test_minimal_scenario_fills_defaults(self):
         scn = parse_scenario("geometry: {kind: patch, a: 1.0, b: 1.0}")
@@ -71,6 +79,18 @@ class TestParsing:
         assert scn.observation.radius == 100.0
         assert any(d.startswith("wave.wavelength") for d in scn.defaults_filled)
         assert any(d.startswith("observation.radius") for d in scn.defaults_filled)
+
+    @pytest.mark.parametrize("text,filled", [
+        ("geometry: {kind: patch, a: 1.0, b: 1.0}",
+         ("wave.wavelength=1.0", "wave.gamma=-1.0", "observation.radius=100.0",
+          "observation.grid=(-90, 90, 361)", "output.format=csv")),
+        ("geometry: {kind: patch, a: 1.0, b: 1.0}\nwave: {gamma: [0.5, 0.1]}\n"
+         "output: {path: x.csv}\nobservation: {radius: 5}",
+         ("wave.wavelength=1.0", "observation.grid=(-90, 90, 361)")),
+    ])
+    def test_defaults_filled_exactly(self, text, filled):
+        # the manifests record these strings, so their text and order are part of the output
+        assert parse_scenario(text).defaults_filled == filled
 
     def test_full_scenario(self):
         scn = parse_scenario(LINEAR_COMPENSATE)
@@ -101,6 +121,8 @@ class TestParsing:
          "configure: {scheme: random}", "linear"),
         ("geometry: {kind: linear, n: 4, spacing: 0.5, a: 0.1, b: 0.1}\n"
          "configure: {scheme: random, seed: no}", "seed"),
+        ("geometry: {kind: linear, n: 4, spacing: 0.5, a: 0.1, b: 0.1}\n"
+         "configure: {scheme: random, seed: -1}", "'configure.seed' must be a non-negative"),
         ("geometry: {kind: patch, a: 1.0, b: 1.0}\noutput: {format: xml}",
          "format"),
         ("", "empty"),
@@ -126,6 +148,30 @@ class TestParsing:
     def test_rejects_malformed_text(self, text, fragment):
         with pytest.raises(ScenarioError, match=fragment):
             parse_scenario(text)
+
+    # YAML keys need not be strings; each is named in the one-line error
+    @pytest.mark.parametrize("keys,named", [("1: 2", "1"), ("~: 2", "None"),
+                                            ("7: 1, z: 2", "7, z")],
+                             ids=["int", "null", "mixed"])
+    @pytest.mark.parametrize("template,section", [
+        ("{geometry: {kind: patch, a: 1.0, b: 1.0}, %s}", "scenario"),
+        ("geometry: {kind: patch, a: 1.0, b: 1.0, %s}", "geometry"),
+        ("geometry: {kind: planar, cells: [{position: [0, 0, 0], a: 1.0, b: 1.0, %s}]}",
+         "geometry.cells[0]"),
+        ("geometry: {kind: patch, a: 1.0, b: 1.0}\nincident: [{theta_deg: 10.0, %s}]",
+         "incident[0]"),
+        ("geometry: {kind: patch, a: 1.0, b: 1.0}\n"
+         "observation: {grid: {start_deg: 0, stop_deg: 1, count: 2, %s}}", "observation.grid"),
+    ], ids=["top", "geometry", "cell", "incident", "grid"])
+    def test_rejects_non_string_keys(self, tmp_path, capsys, template, section, keys, named):
+        text = template % keys
+        with pytest.raises(ScenarioError, match=re.escape(f"in '{section}': {named}")):
+            parse_scenario(text)
+        scenario = tmp_path / "s.yaml"
+        scenario.write_text(text, encoding="utf-8")
+        assert main(["sweep", str(scenario)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_scheme_round_trip_types(self):
         scn = parse_scenario(LINEAR_RANDOM)
@@ -213,13 +259,13 @@ class TestSweeps:
         peak = result.theta_deg[np.argmax(result.magnitude)]
         assert peak == pytest.approx(-50.0, abs=0.25)
 
-    def test_random_sweep_is_seed_deterministic(self):
+    def test_random_sweep_is_seed_deterministic(self, tmp_path):
         a, _ = run_sweep(parse_scenario(LINEAR_RANDOM))
         b, _ = run_sweep(parse_scenario(LINEAR_RANDOM))
-        assert a.to_csv_text() == b.to_csv_text()
+        assert _csv_text(a, tmp_path / "a.csv") == _csv_text(b, tmp_path / "b.csv")
         other, _ = run_sweep(parse_scenario(LINEAR_RANDOM.replace("seed: 7",
                                                                   "seed: 8")))
-        assert a.to_csv_text() != other.to_csv_text()
+        assert _csv_text(a, tmp_path / "a.csv") != _csv_text(other, tmp_path / "o.csv")
 
     def test_expectation_mode_rcs_follows_the_cell_sinc(self):
         text = LINEAR_RANDOM.replace("seed: 7", "seed: 7\n  expectation: true")
@@ -270,9 +316,9 @@ class TestSweeps:
         assert np.allclose(result.rcs_db[mask],
                            10.0 * np.log10(result.rcs[mask]), atol=1e-9)
 
-    def test_csv_format_and_line_endings(self):
+    def test_csv_format_and_line_endings(self, tmp_path):
         result, _ = run_sweep(parse_scenario(PATCH_SCENARIO))
-        text = result.to_csv_text()
+        text = _csv_text(result, tmp_path / "sweep.csv")
         lines = text.split("\n")
         header = lines[0].split(",")
         assert header[0] == "theta_s_deg"
@@ -411,6 +457,26 @@ class TestCli:
 
     def test_missing_file_is_validation_failure(self, tmp_path):
         assert main(["sweep", str(tmp_path / "nope.yaml")]) == 2
+
+    @pytest.mark.parametrize("case", ["sweep-dir", "mimo-dir", "desired-dir", "out-dir",
+                                      "reproduce-out-file"])
+    def test_file_system_error_is_validation_failure(self, tmp_path, monkeypatch, capsys,
+                                                     case):
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("desired.json")
+        os.mkdir("folder")
+        scenario = self._write(tmp_path, "s.yaml", LINEAR_RANDOM)
+        reshape = self._write(tmp_path, "r.yaml", "geometry: {kind: linear, n: 8, spacing: 0.5,"
+                              " a: 0.1, b: 0.1}\nincident: [{theta_deg: 30.0}]\n" + RESHAPE_SECTION)
+        argv = {"sweep-dir": ["sweep", "folder"],
+                "mimo-dir": ["mimo", "folder"],
+                "desired-dir": ["configure", reshape],
+                "out-dir": ["sweep", scenario, "--out", "folder"],
+                "reproduce-out-file": ["reproduce", "fig2", "--out", scenario]}[case]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_malformed_scenario_is_validation_failure(self, tmp_path):
         scenario = self._write(tmp_path, "bad.yaml",
@@ -604,6 +670,20 @@ class TestReproduce:
         assert main(["reproduce", "fig2", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "fig2_xoz.csv").exists()
         assert (tmp_path / "fig2_manifest.json").exists()
+
+    def test_non_finite_check_exits_3_before_the_manifest(self, tmp_path, monkeypatch, capsys):
+        import risem.presets
+        build = risem.presets._reproduce_fig5
+
+        def broken(outdir):
+            files, params, checks = build(outdir)
+            return files, params, {**checks, "expected_rcs_value": math.inf}
+        monkeypatch.setattr(risem.presets, "_reproduce_fig5", broken)
+        assert main(["reproduce", "fig5", "--out", str(tmp_path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert not (tmp_path / "fig5_manifest.json").exists()
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(ValueError):
