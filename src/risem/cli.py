@@ -5,7 +5,6 @@ Exit codes: 0 success, 2 parse/validation failure, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -62,6 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _override_seed(scn: Scenario, seed: int | None) -> Scenario:
+    if seed is not None and seed < 0:
+        raise ScenarioError(f"'--seed' must be a non-negative integer, got {seed}")
     if seed is None or not isinstance(scn.scheme, RandomScheme):
         return scn
     from dataclasses import replace
@@ -129,10 +130,6 @@ def _run_configure(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command in ("sweep", "patch-rcs", "array-field", "linear-field"):
-            expect = {"sweep": None, "patch-rcs": "patch",
-                      "array-field": "planar", "linear-field": "linear"}[args.command]
-            return _run_sweep_command(args, expect)
         if args.command == "mimo":
             return _run_mimo(args)
         if args.command == "configure":
@@ -140,16 +137,18 @@ def main(argv=None) -> int:
         if args.command == "reproduce":
             write_json(None, reproduce(args.figure, args.out))
             return EXIT_OK
-        raise AssertionError(f"unhandled command {args.command}")
-    # OSError: any file-system failure, such as a missing file or a directory path
-    except (ScenarioError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        # argparse admits no other command than sweep and its geometry-specific aliases
+        expect = {"sweep": None, "patch-rcs": "patch",
+                  "array-field": "planar", "linear-field": "linear"}[args.command]
+        return _run_sweep_command(args, expect)
     except (ReshapeConditioningError, np.linalg.LinAlgError,
             FloatingPointError, ZeroDivisionError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    # after the numerical handler, since LinAlgError is a ValueError too. ValueError covers
+    # ScenarioError and malformed JSON; OSError is any file-system failure, such as a
+    # missing file or a directory path
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -167,9 +167,8 @@ def _alternating_signs(n: int) -> np.ndarray:
 class MimoSystem:
     """Factored linear input/output model of a uniform linear array.
 
-    Stores the factors, never the dense product, so per-factor conditioning
-    stays inspectable. Built with the unit-sinc (small cell) model; the
-    sa_unity flag records that hard modeling switch.
+    Stores the factors, never the dense product. Built with the unit-sinc
+    (small cell) model: the directivity factor Sa is fixed to 1.
     """
 
     wavelength: float
@@ -179,7 +178,6 @@ class MimoSystem:
     scatter_thetas: np.ndarray
     incident_thetas: np.ndarray
     weights: np.ndarray
-    sa_unity: bool = True
 
     def __post_init__(self):
         for name in ("radii", "scatter_thetas", "incident_thetas"):
@@ -241,28 +239,12 @@ class MimoSystem:
             return x.size * np.fft.ifft(_alternating_signs(x.size) * x)
         return self.v_scatter @ x
 
-    @property
-    def v_incident(self) -> np.ndarray:
-        return self._phases(self.incident_thetas, self.n_cells)
-
     def incident_projection(self, amplitudes) -> np.ndarray:
         """V_i^T cos_i E^i: the per-cell aggregated incident excitation."""
         amp = np.asarray(amplitudes, dtype=complex)
         if amp.shape != (self.n_inputs,):
             raise ValueError(f"expected {self.n_inputs} input amplitudes, got {amp.shape}")
-        return (self.cos_incident * amp) @ self.v_incident
-
-    def condition_numbers(self) -> dict:
-        """2-norm condition number of every factor."""
-        return {
-            "range_diag": float(np.max(np.abs(self.range_diag)) / np.min(np.abs(self.range_diag))),
-            "v_scatter": float(np.linalg.cond(self.v_scatter)),
-            "weights": float(np.max(np.abs(self.weights)) / np.min(np.abs(self.weights)))
-            if np.all(self.weights != 0) else np.inf,
-            "v_incident": float(np.linalg.cond(self.v_incident)),
-            "cos_incident": float(np.max(self.cos_incident) / np.min(self.cos_incident))
-            if np.all(self.cos_incident > 0) else np.inf,
-        }
+        return (self.cos_incident * amp) @ self._phases(self.incident_thetas, self.n_cells)
 
     def to_json_dict(self) -> dict:
         def cpairs(z):
@@ -283,7 +265,8 @@ class MimoSystem:
             "range_diag": cpairs(self.range_diag),
             "cos_incident": [float(c) for c in self.cos_incident],
             "weights": cpairs(self.weights),
-            "sa_unity": self.sa_unity,
+            # the model fixes the directivity factor Sa to 1
+            "sa_unity": True,
         }
 
     @classmethod
@@ -299,7 +282,6 @@ class MimoSystem:
             scatter_thetas=np.asarray(doc["scatter_theta"], dtype=float),
             incident_thetas=np.asarray(doc["incident_theta"], dtype=float),
             weights=weights,
-            sa_unity=bool(doc.get("sa_unity", True)),
         )
         dims = doc.get("dimensions")
         if dims is not None and (dims["outputs"] != sys.n_outputs

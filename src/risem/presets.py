@@ -2,7 +2,8 @@
 
 Every preset writes CSV sweep data plus a JSON manifest recording the
 parameters and the numerical checks performed; the reshaping preset also
-emits the factored system and the solved weights as JSON.
+emits the factored system and the solved weights as JSON. A preset writes
+nothing unless every JSON document, the manifest included, is finite.
 """
 from __future__ import annotations
 
@@ -17,8 +18,8 @@ from .config import (anomalous_pairs, compensation_delta,
                      random_phase_expected_rcs)
 from .linear import LinearRis, _field, _rcs, _steering, dft_scatter_grid
 from .patch import Patch, _one_cell, patch_bistatic_rcs
-from .scenario import (Scenario, decibels, parse_scenario, reshape_on_grid, run_sweep,
-                       write_csv, write_json)
+from .scenario import (Scenario, _output, decibels, json_text, parse_scenario,
+                       reshape_on_grid, run_sweep, write_csv)
 from . import surface
 
 FIGURE_IDS = ("fig2", "fig4", "fig5", "fig6", "fig7a", "fig7b", "fig8", "fig9")
@@ -57,8 +58,7 @@ def _main_and_secondary(theta_deg, values, exclude_deg=5.0):
     return main_angle, float(theta_deg[sec_i]), ratio_db
 
 
-def _linear_scenario_text(spacing, scheme_lines, incident_lines,
-                          grid=(-90.0, 90.0, 3601)):
+def _linear_scenario_text(spacing, scheme_lines, incident_lines):
     waves = "\n".join(f"  - {{theta_deg: {t}, amplitude: {a}}}"
                       for t, a in incident_lines)
     return (
@@ -72,7 +72,7 @@ def _linear_scenario_text(spacing, scheme_lines, incident_lines,
         f"{waves}\n"
         "observation:\n"
         f"  radius: {OBS_RADIUS}\n"
-        f"  grid: {{start_deg: {grid[0]}, stop_deg: {grid[1]}, count: {grid[2]}}}\n"
+        "  grid: {start_deg: -90.0, stop_deg: 90.0, count: 3601}\n"
         + scheme_lines)
 
 
@@ -99,20 +99,18 @@ def scenario_fig7a() -> Scenario:
     return parse_scenario(text)
 
 
-def _reproduce_fig2(outdir):
+def _reproduce_fig2():
     ctx = WaveContext()
     patch = Patch(5.0, 5.0)
     cell = _one_cell(patch, ctx)
     incident = Direction(0.0, 0.0)
     thetas = np.linspace(-90.0, 90.0, 721)
-    files = []
+    files = {}
     for name, phi in (("xoz", 0.0), ("yoz", 90.0)):
         phis = np.where(thetas >= 0, phi, phi - 180.0)
         rcs = surface._rcs(cell, incident, np.radians(np.abs(thetas)), np.radians(phis))
-        path = os.path.join(outdir, f"fig2_{name}.csv")
-        write_csv(path, {"theta_s_deg": thetas, "phi_s_deg": phis, "rcs": rcs,
-                         "rcs_db": decibels(rcs, 10.0)})
-        files.append(path)
+        files[f"fig2_{name}.csv"] = {"theta_s_deg": thetas, "phi_s_deg": phis, "rcs": rcs,
+                                     "rcs_db": decibels(rcs, 10.0)}
     peak = patch_bistatic_rcs(patch, incident, Direction(0.0, 0.0), ctx)
     checks = {
         "broadside_rcs": peak,
@@ -122,7 +120,7 @@ def _reproduce_fig2(outdir):
     return files, {"patch": {"a": 5.0, "b": 5.0}, "incident_theta_deg": 0.0}, checks
 
 
-def _reproduce_fig4(outdir):
+def _reproduce_fig4():
     ctx = WaveContext()
     patch = Patch(5.0, 5.0)
     waves = [PlaneWave(Direction(math.radians(15.0), math.radians(-45.0)), 1.0),
@@ -133,9 +131,9 @@ def _reproduce_fig4(outdir):
     mags = surface._field_magnitude(_one_cell(patch, ctx), waves, OBS_RADIUS,
                                     np.radians(grid_t), np.radians(grid_p))
     peak = mags.max()
-    path = os.path.join(outdir, "fig4_field.csv")
-    write_csv(path, {"theta_s_deg": grid_t.ravel(), "phi_s_deg": grid_p.ravel(),
-                     "field_magnitude": mags.ravel(), "field_normalized": (mags / peak).ravel()})
+    files = {"fig4_field.csv": {"theta_s_deg": grid_t.ravel(), "phi_s_deg": grid_p.ravel(),
+                                "field_magnitude": mags.ravel(),
+                                "field_normalized": (mags / peak).ravel()}}
     i, k = np.unravel_index(np.argmax(mags), mags.shape)
     checks = {
         "global_peak": {"theta_s_deg": float(thetas[i]), "phi_s_deg": float(phis[k])},
@@ -147,10 +145,10 @@ def _reproduce_fig4(outdir):
     params = {"patch": {"a": 5.0, "b": 5.0},
               "waves": [{"theta_i_deg": 15.0, "phi_i_deg": -45.0, "amplitude": 1.0},
                         {"theta_i_deg": 45.0, "phi_i_deg": 135.0, "amplitude": 0.5}]}
-    return [path], params, checks
+    return files, params, checks
 
 
-def _reproduce_fig5(outdir):
+def _reproduce_fig5():
     ctx = WaveContext()
     ris = LinearRis.uniform(N_CELLS, 0.5, CELL * CELL, width=CELL, ctx=ctx)
     theta_i = math.radians(STEER_FROM_DEG)
@@ -158,26 +156,23 @@ def _reproduce_fig5(outdir):
     sample = ris.with_phases(random_phase_draw(ris.n, 0))
     expected = random_phase_expected_rcs(ris, theta_i, np.radians(thetas))
     sampled = _rcs(sample, theta_i, np.radians(thetas))
-    path = os.path.join(outdir, "fig5.csv")
-    write_csv(path, {"theta_s_deg": thetas, "expected_rcs": expected,
-                     "expected_rcs_db": decibels(expected, 10.0), "sampled_rcs_seed0": sampled})
+    files = {"fig5.csv": {"theta_s_deg": thetas, "expected_rcs": expected,
+                          "expected_rcs_db": decibels(expected, 10.0),
+                          "sampled_rcs_seed0": sampled}}
     checks = {"expected_rcs_spread": float(expected.max() - expected.min()),
               "expected_rcs_value": float(expected[0])}
     params = {"n": N_CELLS, "spacing": 0.5, "cell": CELL,
               "incident_theta_deg": STEER_FROM_DEG, "seed": 0}
-    return [path], params, checks
+    return files, params, checks
 
 
-def _reproduce_fig6(outdir):
-    files = []
+def _reproduce_fig6():
+    files = {}
     checks = {}
     for spacing in (0.5, 0.7):
         scn = scenario_fig6(spacing)
         result, _ = run_sweep(scn)
-        tag = f"d{str(spacing).replace('.', '')}"
-        path = os.path.join(outdir, f"fig6_{tag}.csv")
-        write_csv(path, result.columns())
-        files.append(path)
+        files[f"fig6_d{str(spacing).replace('.', '')}.csv"] = result.columns()
         main, secondary, ratio_db = _main_and_secondary(result.theta_deg,
                                                         result.magnitude)
         delta = compensation_delta(math.radians(STEER_FROM_DEG),
@@ -195,11 +190,9 @@ def _reproduce_fig6(outdir):
     return files, params, checks
 
 
-def _reproduce_fig7a(outdir):
+def _reproduce_fig7a():
     scn = scenario_fig7a()
     result, _ = run_sweep(scn)
-    path = os.path.join(outdir, "fig7a.csv")
-    write_csv(path, result.columns())
     delta = compensation_delta(math.radians(STEER_FROM_DEG),
                                math.radians(STEER_TO_DEG))
     predicted = [math.degrees(t)
@@ -218,7 +211,7 @@ def _reproduce_fig7a(outdir):
               "predicted_anomalous_for_70deg": predicted}
     params = {"n": N_CELLS, "spacing": 0.5, "waves": list(TWO_WAVE_DEG),
               "delta": delta}
-    return [path], params, checks
+    return {"fig7a.csv": result.columns()}, params, checks
 
 
 def fig7b_reshape():
@@ -239,23 +232,22 @@ def fig7b_reshape():
     return (*reshape_on_grid(base, waves, OBS_RADIUS, desired), waves)
 
 
-def _reproduce_fig7b(outdir):
+def _reproduce_fig7b():
     sys, solution, configured, waves = fig7b_reshape()
     thetas = np.linspace(-90.0, 90.0, 3601)
     mags = np.abs(_field(configured, waves, OBS_RADIUS, np.radians(thetas)))
-    csv_path = os.path.join(outdir, "fig7b.csv")
-    write_csv(csv_path, {"theta_s_deg": thetas, "field_magnitude": mags,
-                         "field_magnitude_db": decibels(mags, 20.0)})
-    sys_path = os.path.join(outdir, "fig7b_system.json")
-    write_json(sys_path, sys.to_json_dict())
-    sol_path = os.path.join(outdir, "fig7b_weights.json")
-    write_json(sol_path, {
-        "weights": [[float(w.real), float(w.imag)] for w in solution.weights],
-        "residual": solution.residual,
-        "rank": solution.rank,
-        "discarded_fraction": solution.discarded_fraction,
-        "truncation_tol": solution.truncation_tol,
-    })
+    files = {
+        "fig7b.csv": {"theta_s_deg": thetas, "field_magnitude": mags,
+                      "field_magnitude_db": decibels(mags, 20.0)},
+        "fig7b_system.json": sys.to_json_dict(),
+        "fig7b_weights.json": {
+            "weights": [[float(w.real), float(w.imag)] for w in solution.weights],
+            "residual": solution.residual,
+            "rank": solution.rank,
+            "discarded_fraction": solution.discarded_fraction,
+            "truncation_tol": solution.truncation_tol,
+        },
+    }
     main = mags[np.argmin(np.abs(thetas - STEER_TO_DEG))]
     anomalous = mags[np.argmin(np.abs(thetas - 52.59))]
     checks = {
@@ -264,10 +256,10 @@ def _reproduce_fig7b(outdir):
     }
     params = {"n": N_CELLS, "spacing": 0.5, "waves": list(TWO_WAVE_DEG),
               "desired": "compensation baseline of the 30 deg wave"}
-    return [csv_path, sys_path, sol_path], params, checks
+    return files, params, checks
 
 
-def _steering_surface(outdir, name, theta_i_deg, theta_s_deg):
+def _steering_surface(name, theta_i_deg, theta_s_deg):
     """|T| and RCS over every (theta_i, theta_s) for compensation at a design pair."""
     theta_i, theta_s = math.radians(theta_i_deg), math.radians(theta_s_deg)
     base = LinearRis.uniform(N_CELLS, 0.5, CELL * CELL, ctx=WaveContext())
@@ -277,15 +269,18 @@ def _steering_surface(outdir, name, theta_i_deg, theta_s_deg):
     ti, ts = np.meshgrid(grid, grid, indexing="ij")
     t = np.abs(_steering(ris, np.sin(np.radians(ti)) + np.sin(np.radians(ts))))
     rcs = 4.0 * np.pi * np.cos(np.radians(ti)) ** 2 * t ** 2
-    path = os.path.join(outdir, f"{name}_steering.csv")
-    write_csv(path, {"theta_i_deg": ti.ravel(), "theta_s_deg": ts.ravel(),
-                     "steering_magnitude": t.ravel(), "rcs": rcs.ravel()})
+    files = {f"{name}_steering.csv": {"theta_i_deg": ti.ravel(), "theta_s_deg": ts.ravel(),
+                                      "steering_magnitude": t.ravel(), "rcs": rcs.ravel()}}
     params = {"n": N_CELLS, "spacing": 0.5, "cell": CELL, "delta": delta}
-    return [path], params, {"delta": delta}
+    return files, params, {"delta": delta}
 
 
 def reproduce(figure_id: str, outdir: str) -> dict:
-    """Write the CSV/JSON artifacts for one preset; returns the manifest."""
+    """Write the CSV/JSON artifacts for one preset; returns the manifest.
+
+    Every JSON document, the manifest included, is encoded before the first
+    file is written, so a non-finite number (FloatingPointError) writes nothing.
+    """
     if figure_id not in FIGURE_IDS:
         raise ValueError(f"unknown figure id {figure_id!r}; "
                          f"choose from {', '.join(FIGURE_IDS)}")
@@ -297,18 +292,25 @@ def reproduce(figure_id: str, outdir: str) -> dict:
         "fig6": _reproduce_fig6,
         "fig7a": _reproduce_fig7a,
         "fig7b": _reproduce_fig7b,
-        "fig8": lambda d: _steering_surface(d, "fig8", 0.0, 0.0),
-        "fig9": lambda d: _steering_surface(d, "fig9", STEER_FROM_DEG, STEER_TO_DEG),
+        "fig8": lambda: _steering_surface("fig8", 0.0, 0.0),
+        "fig9": lambda: _steering_surface("fig9", STEER_FROM_DEG, STEER_TO_DEG),
     }
-    files, params, checks = builders[figure_id](outdir)
+    files, params, checks = builders[figure_id]()
     from . import __version__
     manifest = {
         "figure": figure_id,
         "library_version": __version__,
         "parameters": params,
         "checks": checks,
-        "files": [os.path.basename(f) for f in files],
+        "files": list(files),
     }
-    manifest_path = os.path.join(outdir, f"{figure_id}_manifest.json")
-    write_json(manifest_path, manifest)
+    files[f"{figure_id}_manifest.json"] = manifest
+    texts = {name: json_text(doc) for name, doc in files.items() if name.endswith(".json")}
+    for name, content in files.items():
+        path = os.path.join(outdir, name)
+        if name in texts:
+            with _output(path) as fh:
+                fh.write(texts[name])
+        else:
+            write_csv(path, content)
     return manifest

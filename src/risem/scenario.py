@@ -168,9 +168,8 @@ def _parse_wave_section(node, defaults):
     wavelength = wave.number("wavelength", 1.0)
     gamma = wave.value("gamma", lambda v: _is_finite_number(v) or _is_numbers(v, 2),
                        "a finite number or [re, im] pair", -1.0)
-    if wavelength <= 0:
-        raise ScenarioError("'wave.wavelength' must be positive")
-    return WaveContext(wavelength, complex(*gamma) if isinstance(gamma, list) else complex(gamma))
+    return _build("wave", WaveContext, wavelength,
+                  complex(*gamma) if isinstance(gamma, list) else complex(gamma))
 
 
 def _build(name, make, *args, **kwargs):
@@ -213,9 +212,7 @@ def _parse_incident_wave(w: _Section, linear: bool) -> PlaneWave:
             raise ScenarioError(f"'{w.name}.theta_deg' must lie in [0, 90]")
         if not -180.0 <= phi <= 180.0:
             raise ScenarioError(f"'{w.name}.phi_deg' must lie in [-180, 180]")
-    if amp < 0:
-        raise ScenarioError(f"'{w.name}.amplitude' must be non-negative")
-    return PlaneWave(Direction(math.radians(theta), math.radians(phi)), amp)
+    return _build(w.name, PlaneWave, Direction(math.radians(theta), math.radians(phi)), amp)
 
 
 def _parse_observation(node, ctx, defaults):
@@ -372,15 +369,17 @@ def write_csv(path: str | None, columns: dict) -> None:
             fh.write(",".join(format(v, ".12g") for v in row) + "\n")
 
 
-def write_json(path: str | None, doc) -> None:
-    """Indented strict JSON with a trailing newline. No path writes to stdout.
-
-    A non-finite number raises FloatingPointError before the file is opened.
-    """
+def json_text(doc) -> str:
+    """Indented strict JSON and a newline; a non-finite number raises FloatingPointError."""
     try:
-        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise FloatingPointError("the output holds non-finite numbers") from exc
+
+
+def write_json(path: str | None, doc) -> None:
+    """json_text(doc) to the file at path, opened only once doc is encoded; no path is stdout."""
+    text = json_text(doc)
     with _output(path) as fh:
         fh.write(text)
 
@@ -447,12 +446,11 @@ def configure_linear(scn: Scenario) -> tuple[LinearRis, ReshapeSolution | None]:
         phases = phase_compensation(math.radians(scheme.theta_i_deg),
                                     math.radians(scheme.theta_s_deg), ris)
         return ris.with_phases(phases), None
-    if isinstance(scheme, ReshapeScheme):
-        desired = _load_desired_pattern(scheme.desired_pattern_file, ris.n)
-        _, solution, configured = reshape_on_grid(ris, scn.waves, scn.observation.radius,
-                                                  desired, scheme.truncation_tol)
-        return configured, solution
-    raise ScenarioError(f"unsupported scheme {scheme!r}")
+    # the scheme types are closed: what is left is a ReshapeScheme
+    desired = _load_desired_pattern(scheme.desired_pattern_file, ris.n)
+    _, solution, configured = reshape_on_grid(ris, scn.waves, scn.observation.radius,
+                                              desired, scheme.truncation_tol)
+    return configured, solution
 
 
 # a non-finite result raises FloatingPointError at the end instead of warning on the way
@@ -506,13 +504,10 @@ def run_sweep(scn: Scenario, trials: int | None = None):
     return SweepResult(thetas_deg, magnitude, rcs, phi_col), solution
 
 
-def manifest_for(scn: Scenario, extra: dict | None = None) -> dict:
+def manifest_for(scn: Scenario) -> dict:
     """Run manifest: library version, scenario hash, filled defaults."""
-    doc = {
+    return {
         "library_version": __version__,
         "scenario_hash": scn.source_hash,
         "defaults_filled": list(scn.defaults_filled),
     }
-    if extra:
-        doc.update(extra)
-    return doc

@@ -12,7 +12,7 @@ from risem import (Direction, LinearRis, ObservationPoint, Patch, RisGeometry, U
 from risem.cli import main
 from risem.config import monte_carlo_power_grid
 from risem.presets import FIGURE_IDS, reproduce
-from risem.scenario import (CompensateScheme, RandomScheme, ScenarioError,
+from risem.scenario import (CompensateScheme, RandomScheme, ScenarioError, configure_linear,
                             manifest_for, parse_scenario, run_sweep, write_csv)
 
 PATCH_SCENARIO = """\
@@ -144,6 +144,19 @@ class TestParsing:
         ("geometry: {kind: linear, n: 4, spacing: -0.5, a: 0.1, b: 0.1}", "invalid 'geometry'"),
         ("geometry: {kind: planar, cells: [{position: [0, 0, 0], a: 1.0, b: 0}]}",
          r"invalid 'geometry\.cells\[0\]'"),
+        ("geometry: {kind: patch, a: 1.0, b: 1.0}\nwave: {wavelength: 0}",
+         "invalid 'wave': wavelength must be positive"),
+        ("geometry: {kind: patch, a: 1.0, b: 1.0}\n"
+         "incident: [{theta_deg: 0.0, amplitude: -1}]",
+         r"invalid 'incident\[0\]': wave amplitude must be finite and non-negative"),
+        # refused by the reader itself
+        ("geometry: 5", "section 'geometry' must be a mapping"),
+        ("geometry: {kind: patch, a: 1.0, b: 1.0}\nincident: [5]",
+         r"section 'incident\[0\]' must be a mapping"),
+        ("geometry: {kind: patch, a: 1.0}", "'geometry.b' must be a finite number, but is missing"),
+        ("wave: {wavelength: 1.0}", "missing required section 'geometry'"),
+        ("geometry: {kind: patch, a: 1.0, b: 1.0}\n"
+         "incident: [{theta_deg: 0.0, phi_deg: 200}]", r"'incident\[0\]\.phi_deg' must lie in"),
     ])
     def test_rejects_malformed_text(self, text, fragment):
         with pytest.raises(ScenarioError, match=fragment):
@@ -334,16 +347,20 @@ class TestSweeps:
         result, _ = run_sweep(parse_scenario(text))
         assert list(result.theta_deg) == [-10.0, 35.0]
 
+    def test_configure_linear_requires_a_linear_geometry(self):
+        with pytest.raises(ScenarioError, match="configuration requires a linear geometry"):
+            configure_linear(parse_scenario(PATCH_SCENARIO))
+
     def test_manifest_records_version_hash_and_defaults(self):
         scn = parse_scenario("geometry: {kind: patch, a: 1.0, b: 1.0}")
-        doc = manifest_for(scn, {"extra": 1})
+        doc = manifest_for(scn)
         assert doc["scenario_hash"] == scn.source_hash
         assert doc["defaults_filled"]
-        assert doc["extra"] == 1
         from risem import __version__
         assert doc["library_version"] == __version__
 
 
+LINEAR_BARE = "geometry: {kind: linear, n: 4, spacing: 0.5, a: 0.1, b: 0.1}\n"
 TINY_RADIUS = """\
 geometry: {kind: linear, n: 8, spacing: 0.5, a: 0.1, b: 0.1}
 incident: [{theta_deg: 30.0}]
@@ -454,6 +471,25 @@ class TestCli:
         assert len(lines) == 101
         assert lines[1:] == [f"{i},{a:.12g},{p:.12g}" for i, (a, p)
                              in enumerate(zip(doc["areas"], doc["phases"]))]
+
+    @pytest.mark.parametrize("argv,text,fragment", [
+        (["mimo"], PATCH_SCENARIO, "'mimo' requires a linear geometry"),
+        (["mimo"], LINEAR_BARE, "'mimo' needs at least one incident wave"),
+        (["configure"], LINEAR_BARE, "scenario has no 'configure' section"),
+        (["sweep", "--seed", "-3"], LINEAR_RANDOM, "'--seed' must be a non-negative integer"),
+        (["configure", "--seed", "-3"], LINEAR_RANDOM, "'--seed' must be a non-negative integer"),
+        (["sweep"], PATCH_SCENARIO + "wave: {wavelength: 0}\n", "invalid 'wave'"),
+        (["mimo"], LINEAR_RANDOM.replace("amplitude: 1.0", "amplitude: -1.0"),
+         "invalid 'incident[0]'"),
+    ], ids=["mimo-patch", "mimo-no-waves", "configure-no-scheme", "sweep-negative-seed",
+            "configure-negative-seed", "zero-wavelength", "negative-amplitude"])
+    def test_refusal_exits_2_with_one_line(self, tmp_path, capsys, argv, text, fragment):
+        scenario = self._write(tmp_path, "s.yaml", text)
+        out = tmp_path / "out"
+        assert main([argv[0], scenario, "--out", str(out), *argv[1:]]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and not out.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
 
     def test_missing_file_is_validation_failure(self, tmp_path):
         assert main(["sweep", str(tmp_path / "nope.yaml")]) == 2
@@ -675,15 +711,16 @@ class TestReproduce:
         import risem.presets
         build = risem.presets._reproduce_fig5
 
-        def broken(outdir):
-            files, params, checks = build(outdir)
+        def broken():
+            files, params, checks = build()
             return files, params, {**checks, "expected_rcs_value": math.inf}
         monkeypatch.setattr(risem.presets, "_reproduce_fig5", broken)
         assert main(["reproduce", "fig5", "--out", str(tmp_path)]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
-        assert not (tmp_path / "fig5_manifest.json").exists()
+        # neither the manifest nor fig5.csv
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(ValueError):
