@@ -143,14 +143,19 @@ def main(argv=None) -> int:
         return _run_sweep_command(args, expect)
     except (ReshapeConditioningError, np.linalg.LinAlgError,
             FloatingPointError, ZeroDivisionError, MemoryError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _fail("numerical failure", exc, EXIT_NUMERICAL)
     # after the numerical handler, since LinAlgError is a ValueError too. ValueError covers
     # ScenarioError and malformed JSON; OSError is any file-system failure, such as a
     # missing file or a directory path
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _fail("error", exc, EXIT_VALIDATION)
+
+
+def _fail(label: str, exc: Exception, code: int) -> int:
+    """Print the failure as one stderr line, its line breaks folded to spaces; return code."""
+    print(f"{label}: " + " ".join(line.strip() for line in str(exc).splitlines()),
+          file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

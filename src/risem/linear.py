@@ -291,26 +291,34 @@ class MimoSystem:
         return sys
 
 
-def assemble_mimo(ris: LinearRis, incident_angles: Sequence[float],
-                  obs_points: Sequence[ObservationPoint]) -> MimoSystem:
-    """Build the factored system for given incident angles and observations.
+def mimo_on_angles(ris: LinearRis, incident_angles: Sequence[float], radii,
+                   scatter_thetas) -> MimoSystem:
+    """Build the factored system for incident angles and (radius, scatter angle) pairs.
 
-    The small-cell regime (widths << wavelength) is the caller's
-    responsibility; the model fixes the sinc factor to 1.
+    radii and scatter_thetas are copied, one entry per output. The small-cell
+    regime (widths << wavelength) is the caller's responsibility; the model
+    fixes the sinc factor to 1.
     """
     if len(incident_angles) == 0:
         raise ValueError("incident angle list must be non-empty")
-    if len(obs_points) == 0:
+    if len(scatter_thetas) == 0:
         raise ValueError("observation list must be non-empty")
     return MimoSystem(
         wavelength=ris.ctx.wavelength,
         spacing=ris.spacing,
         coupling=ris.ctx.coupling,
-        radii=np.array([p.r for p in obs_points]),
-        scatter_thetas=np.array([p.direction.theta for p in obs_points]),
+        radii=np.array(radii, dtype=float),
+        scatter_thetas=np.array(scatter_thetas, dtype=float),
         incident_thetas=np.asarray(incident_angles, dtype=float),
         weights=ris.areas * np.exp(1j * ris.phases),
     )
+
+
+def assemble_mimo(ris: LinearRis, incident_angles: Sequence[float],
+                  obs_points: Sequence[ObservationPoint]) -> MimoSystem:
+    """mimo_on_angles for observation points: their radii and scatter angles."""
+    return mimo_on_angles(ris, incident_angles, [p.r for p in obs_points],
+                          [p.direction.theta for p in obs_points])
 
 
 def apply_mimo(sys: MimoSystem, incident_amplitudes) -> np.ndarray:

@@ -18,10 +18,10 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .core import Direction, ObservationPoint, PlaneWave, WaveContext
+from .core import Direction, PlaneWave, WaveContext
 from .config import (ReshapeSolution, beam_reshape, monte_carlo_power_grid,
                      phase_compensation, random_phase_draw, random_phase_miso_expected_power)
-from .linear import LinearRis, MimoSystem, _field, assemble_mimo, dft_scatter_grid
+from .linear import LinearRis, MimoSystem, _field, dft_scatter_grid, mimo_on_angles
 from .patch import Patch, _one_cell
 from .surface import RisGeometry, UnitCell, _field_magnitude
 
@@ -270,18 +270,58 @@ def _parse_output(node, defaults):
                                 "a string", None))
 
 
-def parse_scenario(text: str) -> Scenario:
-    """Parse and validate scenario text; unknown keys are rejected."""
+# libyaml's composer recurses on the C stack and dies by SIGSEGV where the
+# pure-Python one raises RecursionError. In subprocesses with an 8 MiB stack it
+# loaded 24737 nested sequences and 23585 nested mappings, and died by 24968
+# and 23815.
+_C_LOADER_MAX_DEPTH = 10_000
+
+
+def _nesting_bound(text: str) -> int:
+    """An upper bound on the nesting depth of the YAML text, in O(len(text)).
+
+    Each flow level opens with '[' or '{', whatever quoting hides, and an entry
+    of a '[' sequence may hold one implicit 'key: value' mapping. Each block
+    collection starts at a deeper column than its parent, except a sequence at
+    its parent mapping's column, so block levels are at most twice the longest
+    line. Lines are split at LF alone: other line breaks only lengthen them.
+    """
+    longest = max(map(len, text.split("\n")))
+    return 2 * text.count("[") + text.count("{") + 2 * longest
+
+
+def _load_yaml(text: str):
+    """The YAML document in text, read by libyaml where the nesting bound clears it.
+
+    Both loaders share the Python constructor and resolver, so they give the
+    same objects. Every other text, and every text libyaml refuses, goes to
+    the pure-Python loader: libyaml refuses some texts the Python loader
+    accepts (such as '{a:[1]}'), and it words and places its errors differently.
+    """
+    if yaml.__with_libyaml__ and _nesting_bound(text) < _C_LOADER_MAX_DEPTH:
+        # ValueError: from a constructor (as for '!!float x'), or a lone surrogate
+        with contextlib.suppress(yaml.YAMLError, ValueError):
+            return yaml.load(text, Loader=yaml.CSafeLoader)
     try:
-        doc = yaml.safe_load(text)
+        return yaml.safe_load(text)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ScenarioError(f"scenario parse error{where}: {exc.problem}") from exc
     except yaml.YAMLError as exc:
         raise ScenarioError(f"scenario parse error: {exc}") from exc
+
+
+def parse_scenario(text: str) -> Scenario:
+    """Parse and validate scenario text; unknown keys are rejected."""
+    try:
+        return _scenario(_load_yaml(text), text)
     except RecursionError as exc:
+        # from the pure-Python composer, or from the repr of a deep value in a message
         raise ScenarioError("scenario parse error: nesting too deep") from exc
+
+
+def _scenario(doc, text: str) -> Scenario:
     if doc is None:
         raise ScenarioError("scenario is empty")
     top = _Section(doc, None, {"wave", "geometry", "incident", "observation", "configure",
@@ -411,8 +451,8 @@ def _load_desired_pattern(path: str, n: int) -> np.ndarray:
 
 def mimo_system(ris: LinearRis, waves, radius: float, thetas) -> MimoSystem:
     """The factored system of ris for the waves, seen at scatter angles thetas at one radius."""
-    obs = [ObservationPoint(radius, Direction(t)) for t in thetas]
-    return assemble_mimo(ris, [w.direction.theta for w in waves], obs)
+    return mimo_on_angles(ris, [w.direction.theta for w in waves],
+                          np.full(len(thetas), radius), thetas)
 
 
 def reshape_on_grid(ris: LinearRis, waves, radius: float, desired,

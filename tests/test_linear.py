@@ -14,7 +14,7 @@ from risem import (Direction, LinearRis, MimoSystem, ObservationPoint,
                    linear_rcs, phase_compensation, sampling_sa_linear,
                    steering_function)
 from risem.core import CHUNK_TERMS
-from risem.linear import _steering
+from risem.linear import _steering, mimo_on_angles
 
 CTX = WaveContext()
 half_angle = st.floats(-math.radians(85.0), math.radians(85.0))
@@ -258,6 +258,19 @@ class TestMimoSystem:
         got = apply_mimo(sys, amps)
         want = np.array([linear_field_multi(ris, waves, o) for o in obs])
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_assemble_mimo_is_a_view_over_mimo_on_angles(self):
+        ris = LinearRis.uniform(16, 0.5, 0.01, phases=np.linspace(0.0, 3.0, 16))
+        thetas = dft_scatter_grid(16)
+        radii = np.full(16, 80.0)
+        from_points = assemble_mimo(ris, [0.2, -0.4], [ObservationPoint(r, Direction(t))
+                                                        for r, t in zip(radii, thetas)])
+        from_arrays = mimo_on_angles(ris, [0.2, -0.4], radii, thetas)
+        thetas[0] = radii[0] = 1.0  # mimo_on_angles holds copies
+        assert json.dumps(from_points.to_json_dict()) == json.dumps(from_arrays.to_json_dict())
+        assert from_arrays.on_dft_grid
+        with pytest.raises(ValueError, match="observation list"):
+            mimo_on_angles(ris, [0.2], [], [])
 
     def test_json_round_trip(self):
         rng = np.random.default_rng(6)

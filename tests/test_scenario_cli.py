@@ -481,8 +481,14 @@ class TestCli:
         (["sweep"], PATCH_SCENARIO + "wave: {wavelength: 0}\n", "invalid 'wave'"),
         (["mimo"], LINEAR_RANDOM.replace("amplitude: 1.0", "amplitude: -1.0"),
          "invalid 'incident[0]'"),
+        # messages that hold line breaks are folded onto one line
+        (["sweep"], PATCH_SCENARIO.replace("amplitude: 1.0", "amplitude: 1.0\x07"),
+         'unacceptable character #x0007: special characters are not allowed in "<unicode'),
+        (["sweep"], 'geometry: {kind: patch, a: 1, b: 1, "q\\nr": 2}\n',
+         "unknown key(s) in 'geometry': q r"),
     ], ids=["mimo-patch", "mimo-no-waves", "configure-no-scheme", "sweep-negative-seed",
-            "configure-negative-seed", "zero-wavelength", "negative-amplitude"])
+            "configure-negative-seed", "zero-wavelength", "negative-amplitude",
+            "control-character", "line-break-key"])
     def test_refusal_exits_2_with_one_line(self, tmp_path, capsys, argv, text, fragment):
         scenario = self._write(tmp_path, "s.yaml", text)
         out = tmp_path / "out"

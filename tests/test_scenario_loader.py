@@ -1,0 +1,416 @@
+"""The scenario YAML loader: libyaml behind a nesting bound, the pure-Python fallback.
+
+libyaml's composer recurses on the C stack and kills the process past some
+depth, so parse_scenario uses it only for texts whose nesting bound clears
+_C_LOADER_MAX_DEPTH. These tests check that the bound never under-counts,
+that deep texts exit 2 in a child process (a crash would end it by a signal),
+which loader runs at the limit, and that both loaders give the same scenario.
+"""
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import risem
+from risem import scenario
+from risem.cli import main
+from risem.scenario import ScenarioError, parse_scenario
+
+LIMIT = scenario._C_LOADER_MAX_DEPTH
+DEEP = 40_000
+
+pytestmark = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+
+
+def _depth(node) -> int:
+    """Nesting depth of a composed YAML node tree; a lone scalar has depth 1."""
+    depth, stack = 0, [(node, 1)]
+    while stack:
+        node, level = stack.pop()
+        depth = max(depth, level)
+        if isinstance(node, yaml.SequenceNode):
+            stack.extend((child, level + 1) for child in node.value)
+        elif isinstance(node, yaml.MappingNode):
+            stack.extend((child, level + 1) for pair in node.value for child in pair)
+    return depth
+
+
+def _canonical(value):
+    """value with dataclasses as tuples and arrays as their bytes, for an exact comparison."""
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__,
+                *(_canonical(getattr(value, f.name)) for f in dataclasses.fields(value)))
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (tuple, list)):
+        return tuple(_canonical(v) for v in value)
+    if isinstance(value, (float, complex)):
+        return repr(value)
+    return value
+
+
+def _python_loader_only():
+    """A context in which parse_scenario reads every text with the pure-Python loader."""
+    return mock.patch.object(scenario, "_C_LOADER_MAX_DEPTH", 0)
+
+
+def _outcome(text):
+    """The canonical Scenario of text, or the ScenarioError message it raises."""
+    try:
+        return _canonical(parse_scenario(text))
+    except ScenarioError as exc:
+        return f"ScenarioError: {exc}"
+
+
+@pytest.fixture
+def loaders(monkeypatch):
+    """The Loader of every yaml.load call; yaml.safe_load calls yaml.load with SafeLoader."""
+    seen = []
+    load = yaml.load
+
+    def spy(stream, Loader):
+        seen.append(Loader)
+        return load(stream, Loader)
+
+    monkeypatch.setattr(yaml, "load", spy)
+    return seen
+
+
+# ---------------------------------------------------------------------------
+# The bound
+# ---------------------------------------------------------------------------
+
+def _alternating(d):
+    """Block mappings whose values are sequences at the key's own column."""
+    lines = []
+    for i in range(d):
+        lines += [" " * i + "k:", " " * i + "-"]
+    return "\n".join(lines) + "\n" + " " * d + "x\n"
+
+
+SHAPES = {
+    "flow-sequence": lambda d: "a: " + "[" * d + "]" * d,
+    "flow-mapping": lambda d: "{a: " * d + "x" + "}" * d,
+    "flow-pairs": lambda d: "a:\n" + "  [k:\n" * d + "  x\n" + "  ]\n" * d,
+    "compact-sequence": lambda d: "- " * d + "x",
+    "compact-mapping": lambda d: "? " * d + "x",
+    "block-sequence": lambda d: "".join(" " * i + "-\n" for i in range(d)) + " " * d + "x\n",
+    "block-mapping": lambda d: "".join(" " * i + "k:\n" for i in range(d)) + " " * d + "x\n",
+    "indentless-sequences": _alternating,
+}
+
+
+class TestNestingBound:
+    def test_counts_openers_twice_a_bracket_and_twice_the_longest_line(self):
+        assert scenario._nesting_bound("") == 0
+        assert scenario._nesting_bound("a: [1, {b: 2}]\n") == 2 * 1 + 1 + 2 * 14
+        # only LF ends a line: a CR-only text is one long line, which over-counts
+        assert scenario._nesting_bound("a: 1\rb: 2") == 2 * 9
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @given(depth=st.integers(1, 60))
+    def test_never_under_counts_a_shape(self, shape, depth):
+        text = SHAPES[shape](depth)
+        assert _depth(yaml.compose(text)) <= scenario._nesting_bound(text)
+
+    @given(doc=st.recursive(st.none() | st.integers() | st.text("ab]}[{ '\"#:-?", max_size=6),
+                            lambda inner: st.lists(inner, max_size=3)
+                            | st.dictionaries(st.text("abk", min_size=1, max_size=3), inner,
+                                              max_size=3),
+                            max_leaves=30),
+           flow=st.sampled_from([True, False, None]), indent=st.integers(2, 9))
+    def test_never_under_counts_a_dumped_document(self, doc, flow, indent):
+        text = yaml.safe_dump(doc, default_flow_style=flow, indent=indent)
+        assert _depth(yaml.compose(text)) <= scenario._nesting_bound(text)
+
+
+# ---------------------------------------------------------------------------
+# Deep texts, each in a child process: a crash ends it by a signal, not pytest
+# ---------------------------------------------------------------------------
+
+def _quoted_closers(depth):
+    # the closers inside the quoted scalar would drive a running bracket count negative
+    return ("a: '\n" + "  ]]]]]]]]\n" * 5000 + "  '\nb:\n"
+            + "  [[[[[[[[\n" * (depth // 8) + "  ]]]]]]]]\n" * (depth // 8))
+
+
+DEEP_TEXTS = {
+    "quoted-closers": _quoted_closers(DEEP),
+    "compact-sequence": "- " * DEEP + "x",
+    "flow-mapping": "a: " + "{a: " * DEEP + "x" + "}" * DEEP + "\n",
+    # two lines: the second nests inside the last entry of the first
+    "block-sequence": "- " * (DEEP // 2) + "\n" + " " * (DEEP - 1) + "- " * (DEEP // 2) + "x\n",
+    "compact-mapping": "? " * DEEP + "x\n",
+}
+
+
+@pytest.mark.parametrize("name", DEEP_TEXTS)
+def test_deep_text_exits_2_in_a_child_process(tmp_path, name):
+    path = tmp_path / "deep.yaml"
+    path.write_text(DEEP_TEXTS[name], encoding="utf-8")
+    src = str(Path(risem.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    run = subprocess.run([sys.executable, "-m", "risem.cli", "sweep", str(path)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 2, f"exit {run.returncode} (negative: killed by a signal)"
+    assert run.stdout == ""
+    assert run.stderr == "error: scenario parse error: nesting too deep\n"
+
+
+@pytest.mark.parametrize("text", [
+    # about 1500 levels, under the bound: libyaml loads it and the message's repr recurses
+    "geometry: {kind: patch, a: 1.0, b: " + "[" * 1500 + "]" * 1500 + "}\n",
+    # aliases nest 1500 levels while the composer sees two
+    "geometry: {kind: patch, b: 1.0, a: ["
+    + ", ".join(["&x0 [1]"] + [f"&x{i} [*x{i - 1}]" for i in range(1, 1500)]) + "]}\n",
+], ids=["c-loaded", "aliases"])
+def test_deep_value_in_a_message_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "deep.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert main(["sweep", str(path)]) == 2
+    assert capsys.readouterr().err == "error: scenario parse error: nesting too deep\n"
+
+
+# ---------------------------------------------------------------------------
+# Which loader runs
+# ---------------------------------------------------------------------------
+
+POINTS_SCENARIO = ("geometry: {kind: patch, a: 1.5, b: 2.0}\n"
+                   "incident: [{theta_deg: 20.0, phi_deg: 30.0}]\n"
+                   "observation:\n  radius: 50.0\n  points:\n"
+                   + "".join(f"    - {{theta_deg: {t}.0, phi_deg: 15.0}}\n"
+                             for t in range(-80, 81, 5)))
+
+
+def _padded(bound, long_line):
+    """POINTS_SCENARIO plus comment lines that bring its nesting bound to exactly `bound`."""
+    text = POINTS_SCENARIO
+    if long_line:
+        # a line that dominates the bound, leaving a few openers to pad
+        text += "#" + "x" * ((bound - scenario._nesting_bound(text)) // 2 - 80) + "\n"
+    while (missing := bound - scenario._nesting_bound(text)) > 0:
+        text += "#" + "{" * min(missing, 20) + "\n"
+    assert scenario._nesting_bound(text) == bound
+    return text
+
+
+@pytest.mark.parametrize("bound,long_line,loader", [
+    (LIMIT - 1, False, yaml.CSafeLoader),
+    (LIMIT - 1, True, yaml.CSafeLoader),
+    (LIMIT, False, yaml.SafeLoader),
+], ids=["openers-under", "long-line-under", "openers-at"])
+def test_loader_at_the_limit(loaders, bound, long_line, loader):
+    text = _padded(bound, long_line)
+    scn = parse_scenario(text)
+    assert loaders == [loader]
+    assert scn.observation.theta_deg.size == 33
+    with _python_loader_only():
+        reference = parse_scenario(text)
+    with mock.patch.object(scenario, "_C_LOADER_MAX_DEPTH", LIMIT + 1):
+        c_loaded = parse_scenario(text)
+    assert _canonical(scn) == _canonical(reference) == _canonical(c_loaded)
+
+
+def test_python_loader_without_libyaml(loaders, monkeypatch):
+    monkeypatch.setattr(yaml, "__with_libyaml__", False)
+    parse_scenario(POINTS_SCENARIO)
+    assert loaders == [yaml.SafeLoader]
+
+
+def test_libyaml_refusal_is_read_again_by_the_python_loader(loaders):
+    # libyaml refuses ':' right before a flow collection; the Python loader reads it
+    text = "{geometry: {kind: patch, a: 1.0, b: 2.0}, incident:[{theta_deg: 10.0}]}"
+    scn = parse_scenario(text)
+    assert loaders == [yaml.CSafeLoader, yaml.SafeLoader]
+    assert [w.direction.theta for w in scn.waves] == [pytest.approx(np.radians(10.0))]
+
+
+@pytest.mark.parametrize("text,message", [
+    # libyaml puts this error at column 13 and leaves out the 'q'
+    ('geometry: "a\\q"\n', "scenario parse error at line 1, column 14: "
+                           "found unknown escape character 'q'"),
+    ("geometry: [1, 2\n", "scenario parse error at line 2, column 1: "
+                          "expected ',' or ']', but got '<stream end>'"),
+    ("geometry: {kind: patch}\x07\n", "scenario parse error: unacceptable character #x0007: "
+                                      "special characters are not allowed\n"
+                                      '  in "<unicode string>", position 23'),
+])
+def test_parse_errors_are_the_python_loaders(text, message):
+    with pytest.raises(ScenarioError) as caught:
+        parse_scenario(text)
+    assert str(caught.value) == message
+
+
+# libyaml accepts texts that the Python loader refuses: a tab between tokens, a '?'
+# inside a plain scalar in a flow collection, and a bare '!' tag before a flow indicator.
+# Such a text now parses.
+@pytest.mark.parametrize("text,expected", [
+    ("a: [1,\t2]\n", {"a": [1, 2]}),
+    ("a:\t1\n", {"a": 1}),
+    ("{a: pat?ch}\n", {"a": "pat?ch"}),
+    ("{a: !, b: 0}\n", {"a": "", "b": 0}),
+])
+def test_libyaml_leniency(text, expected):
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == expected
+    with pytest.raises(yaml.YAMLError):
+        yaml.safe_load(text)
+
+
+def test_a_bare_tag_on_an_empty_value_differs():
+    # both accept it, but libyaml reads an empty string where the Python loader reads null
+    assert yaml.load("a: !\n", Loader=yaml.CSafeLoader) == {"a": ""}
+    assert yaml.safe_load("a: !\n") == {"a": None}
+    text = "geometry: {kind: patch, a: 1.0, b: 2.0}\noutput: !\n"
+    with pytest.raises(ScenarioError, match="section 'output' must be a mapping"):
+        parse_scenario(text)
+    with _python_loader_only():
+        assert parse_scenario(text).output == scenario.OutputSpec()
+
+
+def test_a_tab_between_flow_items_parses():
+    text = "geometry: {kind: patch, a: 1.0,\tb: 2.0}\n"
+    assert parse_scenario(text).geometry.a.tolist() == [1.0]
+    with _python_loader_only(), pytest.raises(ScenarioError, match="'\\\\t'"):
+        parse_scenario(text)
+
+
+# ---------------------------------------------------------------------------
+# Loader equivalence on generated scenario texts
+# ---------------------------------------------------------------------------
+
+NUMBERS = ["0", "1", "-1", "0.5", "-0.0", "7", "30.0", "-90", "361", "1e308", "1.0e+309",
+           "-1.0e+400", "1.0e-320", "4.9e-324", ".inf", "-.Inf", ".nan", "0x1F", "0o17",
+           "1_000.5", "1:30", "123456789012345678901234567890", "9" * 320, "1e3", "+12.5",
+           "'1.5'", '"2"', "true", "~", "1.5 # a comment ]]"]
+STRINGS = ["csv", "json", "patch", "linear", "planar", "random", "compensate", "reshape",
+           "'out[1]{2}.csv'", '"a]]]b}}"', "'it''s [x'", '"[{"', "'}]'", "'déjà vu'",
+           '"x: [y]"', "plain]text", "'#not a comment'"]
+# characters an edit inserts: no tab, '?' or '!' (see test_libyaml_leniency)
+EDITS = "[]{},:'\"-#&*| \n%@`~^=<>é;."
+
+
+def _numbers():
+    return st.one_of(st.sampled_from(NUMBERS), st.floats(allow_nan=False).map(repr),
+                     st.integers(-10 ** 30, 10 ** 30).map(str)).map(lambda t: ("scalar", t))
+
+
+def _words(*words):
+    return st.sampled_from(words + tuple(STRINGS)).map(lambda t: ("scalar", t))
+
+
+@st.composite
+def _section(draw, spec, head=()):
+    """A mapping node of some keys of spec, each key perhaps misspelt, after the pairs head."""
+    pairs = list(head)
+    for key, values in spec.items():
+        if draw(st.integers(0, 3)):
+            key = draw(st.sampled_from([key] * 6 + [key + "x", key[:-1], key.upper(),
+                                                    f"'{key}'", f'"{key}[0]"']))
+            pairs.append((key, draw(values)))
+    return "map", pairs
+
+
+def _list(node, min_size=0):
+    return st.lists(node, min_size=min_size, max_size=4).map(lambda v: ("seq", v))
+
+
+@st.composite
+def _scenario_tree(draw):
+    top = []
+    if draw(st.booleans()):
+        top.append(("wave", draw(_section({"wavelength": _numbers(),
+                                           "gamma": _numbers() | _list(_numbers(), 2)}))))
+    kind = draw(st.sampled_from(["patch", "linear", "planar"]))
+    if kind == "planar":
+        cell = _section({"position": _list(_numbers(), 2), "a": _numbers(), "b": _numbers(),
+                         "area": _numbers(), "phase": _numbers()})
+        geometry = ("map", [("kind", ("scalar", kind)), ("cells", draw(_list(cell, 1)))])
+    else:
+        geometry = draw(_section({key: _numbers() for key in ("a", "b", "area", "n", "spacing")},
+                                 [("kind", ("scalar", kind))]))
+    top.append(("geometry", geometry))
+    if draw(st.booleans()):
+        wave = _section({"theta_deg": _numbers(), "phi_deg": _numbers(), "amplitude": _numbers()})
+        top.append(("incident", draw(_list(wave))))
+    if draw(st.booleans()):
+        point = _section({"theta_deg": _numbers(), "phi_deg": _numbers()})
+        grid = _section({key: _numbers() for key in ("start_deg", "stop_deg", "count", "phi_deg")})
+        top.append(("observation", draw(_section({"radius": _numbers(), "points": _list(point, 1)})
+                                        | _section({"radius": _numbers(), "grid": grid}))))
+    if draw(st.booleans()):
+        scheme = draw(st.sampled_from(["random", "compensate", "reshape"]))
+        keys = {"random": {"seed": _numbers(), "expectation": _words("true", "false")},
+                "compensate": {"theta_i_deg": _numbers(), "theta_s_deg": _numbers()},
+                "reshape": {"desired_pattern_file": _words("d.json", "'d[1].json'"),
+                            "truncation_tol": _numbers()}}[scheme]
+        top.append(("configure", draw(_section(keys, [("scheme", ("scalar", scheme))]))))
+    if draw(st.booleans()):
+        top.append(("output", draw(_section({"format": _words(),
+                                             "path": _words("out.csv", '"o{2}.csv"')}))))
+    return "map", top
+
+
+@st.composite
+def _render(draw, node, indent=0, flow=False):
+    """YAML text of node, each collection in a drawn style; block text ends in a newline."""
+    kind, body = node
+    if kind == "scalar":
+        return body
+    if flow or not body or draw(st.integers(0, 3)) == 0:
+        if kind == "seq":
+            return "[" + ", ".join(draw(_render(v, flow=True)) for v in body) + "]"
+        return "{" + ", ".join(f"{k}: {draw(_render(v, flow=True))}" for k, v in body) + "}"
+    lines = []
+    for item in body:
+        head, child = ("-", item) if kind == "seq" else (f"{item[0]}:", item[1])
+        text = draw(_render(child, indent + 2))
+        lines.append(" " * indent + head + ("\n" + text if text.endswith("\n") else f" {text}\n"))
+    return "".join(lines)
+
+
+@st.composite
+def _scenario_texts(draw):
+    text = draw(_render(draw(_scenario_tree())))
+    text = text if text.endswith("\n") else text + "\n"
+    # an anchor on the first number or flow sequence after a key, an alias on a later one
+    values = [i + 2 for i in range(len(text) - 2) if text[i:i + 2] == ": "
+              and (text[i + 2] in "[-.+" or text[i + 2].isdigit())]
+    if len(values) >= 2 and draw(st.booleans()):
+        first, later = values[0], draw(st.sampled_from(values[1:]))
+        end = later + next(i for i, ch in enumerate(text[later:]) if ch in ",}\n")
+        if "[" not in text[later:end]:
+            text = text[:first] + "&v " + text[first:later] + "*v" + text[end:]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text) - 1))
+        edit = draw(st.sampled_from(EDITS))
+        text = text[:at] + edit + text[at + draw(st.integers(0, 1)):]
+    return text
+
+
+def _read(loader, text):
+    try:
+        return "ok", repr(yaml.load(text, Loader=loader))
+    except yaml.YAMLError:
+        return "refused", None
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=_scenario_texts())
+def test_both_loaders_agree_on_scenario_texts(text):
+    assert "\t" not in text and scenario._nesting_bound(text) < LIMIT
+    c_loaded, python_loaded = _read(yaml.CSafeLoader, text), _read(yaml.SafeLoader, text)
+    if c_loaded[0] == "ok":
+        assert python_loaded == c_loaded
+    outcome = _outcome(text)
+    with _python_loader_only():
+        # the same Scenario, or the same message, with its line and column
+        assert _outcome(text) == outcome
