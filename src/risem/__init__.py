@@ -2,6 +2,8 @@
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .core import (Direction, ObservationPoint, PlaneWave, SphericalField,
                    WaveContext, direction_vector, sampling_sa,
                    sampling_sa_linear, sinc_normalized)
@@ -22,4 +24,5 @@ from .config import (ReshapeConditioningError, ReshapeSolution,
                      random_phase_expected_power, random_phase_expected_rcs,
                      random_phase_miso_expected_power)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names imported above, without the submodules that importing them binds
+__all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _ModuleType)]

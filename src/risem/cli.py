@@ -81,12 +81,7 @@ def _run_sweep_command(args, expect_kind=None) -> int:
     else:
         doc = {"manifest": manifest_for(scn), "sweep": result.to_json_dict()}
         if solution is not None:
-            doc["reshape"] = {
-                "weights": [[w.real, w.imag] for w in solution.weights],
-                "residual": solution.residual,
-                "rank": solution.rank,
-                "discarded_fraction": solution.discarded_fraction,
-            }
+            doc["reshape"] = solution.to_json_dict()
         write_json(out, doc)
     return EXIT_OK
 
@@ -120,9 +115,8 @@ def _run_configure(args) -> int:
                "areas": [float(a) for a in ris.areas],
                "phases": [float(p) for p in ris.phases]}
         if solution is not None:
-            doc["reshape"] = {"residual": solution.residual,
-                              "rank": solution.rank,
-                              "discarded_fraction": solution.discarded_fraction}
+            doc["reshape"] = solution.to_json_dict()
+            del doc["reshape"]["weights"]
         write_json(args.out, doc)
     return EXIT_OK
 
@@ -141,8 +135,10 @@ def main(argv=None) -> int:
         expect = {"sweep": None, "patch-rcs": "patch",
                   "array-field": "planar", "linear-field": "linear"}[args.command]
         return _run_sweep_command(args, expect)
-    except (ReshapeConditioningError, np.linalg.LinAlgError,
-            FloatingPointError, ZeroDivisionError, MemoryError) as exc:
+    # ArithmeticError: FloatingPointError, ZeroDivisionError, and the OverflowError of a
+    # Python float, such as the square of an amplitude of 1e308
+    except (ReshapeConditioningError, np.linalg.LinAlgError, ArithmeticError,
+            MemoryError) as exc:
         return _fail("numerical failure", exc, EXIT_NUMERICAL)
     # after the numerical handler, since LinAlgError is a ValueError too. ValueError covers
     # ScenarioError and malformed JSON; OSError is any file-system failure, such as a

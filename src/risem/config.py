@@ -14,7 +14,7 @@ import numpy as np
 from .core import (CHUNK_TERMS, Direction, ObservationPoint, PlaneWave, _chunked,
                    sinc_normalized)
 from .linear import (LinearRis, MimoSystem, TWO_PI, _alternating_signs, _cell_terms,
-                     _geometry_phase, _steering)
+                     _geometry_phase, _steering, _complex_pairs)
 
 
 class ReshapeConditioningError(RuntimeError):
@@ -223,6 +223,13 @@ class ReshapeSolution:
     @property
     def phases(self) -> np.ndarray:
         return np.angle(self.weights)
+
+    def to_json_dict(self) -> dict:
+        """Weights as [re, im] pairs, then the diagnostics; truncation_tol is left out."""
+        return {"weights": _complex_pairs(self.weights),
+                "residual": self.residual,
+                "rank": self.rank,
+                "discarded_fraction": self.discarded_fraction}
 
 
 def _fraction(part, whole) -> float:

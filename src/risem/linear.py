@@ -158,6 +158,11 @@ def dft_scatter_grid(n: int) -> np.ndarray:
     return np.arcsin(-1.0 + 2.0 * np.arange(n) / n)
 
 
+def _complex_pairs(z) -> list:
+    """[re, im] float pairs of the complex values in z, the JSON form of a complex array."""
+    return [[float(v.real), float(v.imag)] for v in np.asarray(z, dtype=complex)]
+
+
 def _alternating_signs(n: int) -> np.ndarray:
     """(-1)^m for m = 0..n-1: the cell factor of the half-wavelength DFT grid."""
     return 1.0 - 2.0 * (np.arange(n) % 2)
@@ -247,9 +252,6 @@ class MimoSystem:
         return (self.cos_incident * amp) @ self._phases(self.incident_thetas, self.n_cells)
 
     def to_json_dict(self) -> dict:
-        def cpairs(z):
-            z = np.asarray(z, dtype=complex)
-            return [[float(v.real), float(v.imag)] for v in z]
         return {
             "dimensions": {"outputs": self.n_outputs, "cells": self.n_cells,
                            "inputs": self.n_inputs},
@@ -260,11 +262,11 @@ class MimoSystem:
             "scatter_theta": [float(t) for t in self.scatter_thetas],
             "incident_theta": [float(t) for t in self.incident_thetas],
             # the knots are the phases of cell 1
-            "scatter_knots": cpairs(self._phases(self.scatter_thetas, 2)[:, 1]),
-            "incident_knots": cpairs(self._phases(self.incident_thetas, 2)[:, 1]),
-            "range_diag": cpairs(self.range_diag),
+            "scatter_knots": _complex_pairs(self._phases(self.scatter_thetas, 2)[:, 1]),
+            "incident_knots": _complex_pairs(self._phases(self.incident_thetas, 2)[:, 1]),
+            "range_diag": _complex_pairs(self.range_diag),
             "cos_incident": [float(c) for c in self.cos_incident],
-            "weights": cpairs(self.weights),
+            "weights": _complex_pairs(self.weights),
             # the model fixes the directivity factor Sa to 1
             "sa_unity": True,
         }

@@ -7,41 +7,25 @@ numerical check of the closed forms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import (Direction, ObservationPoint, PlaneWave, SphericalField,
-                   WaveContext, positive_finite)
+from .core import Direction, ObservationPoint, PlaneWave, SphericalField, WaveContext
 from .surface import (RisGeometry, UnitCell, ris_bistatic_rcs, ris_scattered_field,
                       ris_scattered_field_multi)
 
 
-@dataclass(frozen=True)
-class Patch:
-    """Rectangular patch with x-edge a, y-edge b and collecting area.
+class Patch(UnitCell):
+    """Rectangular patch with x-edge a, y-edge b and collecting area: the cell at the origin.
 
     The collecting area defaults to a*b but is an independent quantity: the
     effective area of a structured cell need not equal its physical footprint.
+    Edges and area are checked, and patches compared, as for any UnitCell.
     """
 
-    a: float
-    b: float
-    area: float | None = None
-
-    def __post_init__(self):
-        if not (positive_finite(self.a) and positive_finite(self.b)):
-            raise ValueError("patch edges must be positive and finite")
-        if self.area is None:
-            object.__setattr__(self, "area", self.a * self.b)
-        elif not positive_finite(self.area):
-            raise ValueError("patch area must be positive and finite")
-
-
-def _one_cell(patch: Patch, ctx: WaveContext) -> RisGeometry:
-    """The patch as the one-cell array at the origin."""
-    return RisGeometry((UnitCell(np.zeros(3), patch.a, patch.b, patch.area),), ctx)
+    def __init__(self, a: float, b: float, area: float | None = None):
+        super().__init__(np.zeros(3), a, b, area)
 
 
 def patch_scattered_field(patch: Patch, wave: PlaneWave, obs: ObservationPoint,
@@ -50,19 +34,19 @@ def patch_scattered_field(patch: Patch, wave: PlaneWave, obs: ObservationPoint,
 
     The radial component vanishes in the far field.
     """
-    return ris_scattered_field(_one_cell(patch, ctx), wave, obs)
+    return ris_scattered_field(RisGeometry((patch,), ctx), wave, obs)
 
 
 def patch_scattered_field_multi(patch: Patch, waves: Sequence[PlaneWave],
                                 obs: ObservationPoint, ctx: WaveContext) -> SphericalField:
     """Superposition of the scattered fields of several incident waves."""
-    return ris_scattered_field_multi(_one_cell(patch, ctx), waves, obs)
+    return ris_scattered_field_multi(RisGeometry((patch,), ctx), waves, obs)
 
 
 def patch_bistatic_rcs(patch: Patch, incident: Direction, scatter: Direction,
                        ctx: WaveContext) -> float:
     """Bistatic RCS (area units); independent of range and incident amplitude."""
-    return ris_bistatic_rcs(_one_cell(patch, ctx), incident, scatter)
+    return ris_bistatic_rcs(RisGeometry((patch,), ctx), incident, scatter)
 
 
 def po_radiation_integrals(patch: Patch, wave: PlaneWave, scatter: Direction,

@@ -17,7 +17,7 @@ from .config import (anomalous_pairs, compensation_delta,
                      grating_lobes, phase_compensation, random_phase_draw,
                      random_phase_expected_rcs)
 from .linear import LinearRis, _field, _rcs, _steering, dft_scatter_grid
-from .patch import Patch, _one_cell, patch_bistatic_rcs
+from .patch import Patch
 from .scenario import (Scenario, _output, decibels, json_text, parse_scenario,
                        reshape_on_grid, run_sweep, write_csv)
 from . import surface
@@ -30,6 +30,9 @@ N_CELLS = 100
 STEER_FROM_DEG = 30.0
 STEER_TO_DEG = -50.0
 TWO_WAVE_DEG = ((30.0, 1.0), (70.0, 0.5))
+# the compensation design pair in radians, and its phase gradient
+STEER_FROM, STEER_TO = math.radians(STEER_FROM_DEG), math.radians(STEER_TO_DEG)
+DELTA = compensation_delta(STEER_FROM, STEER_TO)
 
 
 def _local_maxima(values: np.ndarray) -> np.ndarray:
@@ -58,10 +61,13 @@ def _main_and_secondary(theta_deg, values, exclude_deg=5.0):
     return main_angle, float(theta_deg[sec_i]), ratio_db
 
 
-def _linear_scenario_text(spacing, scheme_lines, incident_lines):
-    waves = "\n".join(f"  - {{theta_deg: {t}, amplitude: {a}}}"
-                      for t, a in incident_lines)
-    return (
+def _compensated_scenario(spacing, waves) -> Scenario:
+    """The linear preset array compensated from 30 deg to -50 deg under the given waves.
+
+    waves are (theta_deg, amplitude) pairs; the sweep covers -90..90 deg in 0.05 deg steps.
+    """
+    wave_lines = "".join(f"  - {{theta_deg: {t}, amplitude: {a}}}\n" for t, a in waves)
+    return parse_scenario(
         "geometry:\n"
         "  kind: linear\n"
         f"  n: {N_CELLS}\n"
@@ -69,40 +75,28 @@ def _linear_scenario_text(spacing, scheme_lines, incident_lines):
         f"  a: {CELL}\n"
         f"  b: {CELL}\n"
         "incident:\n"
-        f"{waves}\n"
+        f"{wave_lines}"
         "observation:\n"
         f"  radius: {OBS_RADIUS}\n"
         "  grid: {start_deg: -90.0, stop_deg: 90.0, count: 3601}\n"
-        + scheme_lines)
+        "configure:\n"
+        "  scheme: compensate\n"
+        f"  theta_i_deg: {STEER_FROM_DEG}\n"
+        f"  theta_s_deg: {STEER_TO_DEG}\n")
 
 
 def scenario_fig6(spacing: float) -> Scenario:
     """Steering preset: compensation 30 deg -> -50 deg at the given spacing."""
-    text = _linear_scenario_text(
-        spacing,
-        "configure:\n"
-        "  scheme: compensate\n"
-        f"  theta_i_deg: {STEER_FROM_DEG}\n"
-        f"  theta_s_deg: {STEER_TO_DEG}\n",
-        ((STEER_FROM_DEG, 1.0),))
-    return parse_scenario(text)
+    return _compensated_scenario(spacing, ((STEER_FROM_DEG, 1.0),))
 
 
 def scenario_fig7a() -> Scenario:
-    text = _linear_scenario_text(
-        0.5,
-        "configure:\n"
-        "  scheme: compensate\n"
-        f"  theta_i_deg: {STEER_FROM_DEG}\n"
-        f"  theta_s_deg: {STEER_TO_DEG}\n",
-        TWO_WAVE_DEG)
-    return parse_scenario(text)
+    """The steering preset at spacing 0.5 under the two waves of TWO_WAVE_DEG."""
+    return _compensated_scenario(0.5, TWO_WAVE_DEG)
 
 
 def _reproduce_fig2():
-    ctx = WaveContext()
-    patch = Patch(5.0, 5.0)
-    cell = _one_cell(patch, ctx)
+    cell = surface.RisGeometry((Patch(5.0, 5.0),), WaveContext())
     incident = Direction(0.0, 0.0)
     thetas = np.linspace(-90.0, 90.0, 721)
     files = {}
@@ -111,7 +105,7 @@ def _reproduce_fig2():
         rcs = surface._rcs(cell, incident, np.radians(np.abs(thetas)), np.radians(phis))
         files[f"fig2_{name}.csv"] = {"theta_s_deg": thetas, "phi_s_deg": phis, "rcs": rcs,
                                      "rcs_db": decibels(rcs, 10.0)}
-    peak = patch_bistatic_rcs(patch, incident, Direction(0.0, 0.0), ctx)
+    peak = surface.ris_bistatic_rcs(cell, incident, Direction(0.0, 0.0))
     checks = {
         "broadside_rcs": peak,
         "broadside_rcs_expected": 4.0 * math.pi * 625.0,
@@ -121,15 +115,14 @@ def _reproduce_fig2():
 
 
 def _reproduce_fig4():
-    ctx = WaveContext()
-    patch = Patch(5.0, 5.0)
+    cell = surface.RisGeometry((Patch(5.0, 5.0),), WaveContext())
     waves = [PlaneWave(Direction(math.radians(15.0), math.radians(-45.0)), 1.0),
              PlaneWave(Direction(math.radians(45.0), math.radians(135.0)), 0.5)]
     thetas = np.linspace(0.0, 90.0, 91)
     phis = np.linspace(-180.0, 180.0, 181)
     grid_t, grid_p = np.meshgrid(thetas, phis, indexing="ij")
-    mags = surface._field_magnitude(_one_cell(patch, ctx), waves, OBS_RADIUS,
-                                    np.radians(grid_t), np.radians(grid_p))
+    mags = surface._field_magnitude(cell, waves, OBS_RADIUS, np.radians(grid_t),
+                                    np.radians(grid_p))
     peak = mags.max()
     files = {"fig4_field.csv": {"theta_s_deg": grid_t.ravel(), "phi_s_deg": grid_p.ravel(),
                                 "field_magnitude": mags.ravel(),
@@ -149,13 +142,11 @@ def _reproduce_fig4():
 
 
 def _reproduce_fig5():
-    ctx = WaveContext()
-    ris = LinearRis.uniform(N_CELLS, 0.5, CELL * CELL, width=CELL, ctx=ctx)
-    theta_i = math.radians(STEER_FROM_DEG)
+    ris = LinearRis.uniform(N_CELLS, 0.5, CELL * CELL, width=CELL)
     thetas = np.linspace(-90.0, 90.0, 361)
     sample = ris.with_phases(random_phase_draw(ris.n, 0))
-    expected = random_phase_expected_rcs(ris, theta_i, np.radians(thetas))
-    sampled = _rcs(sample, theta_i, np.radians(thetas))
+    expected = random_phase_expected_rcs(ris, STEER_FROM, np.radians(thetas))
+    sampled = _rcs(sample, STEER_FROM, np.radians(thetas))
     files = {"fig5.csv": {"theta_s_deg": thetas, "expected_rcs": expected,
                           "expected_rcs_db": decibels(expected, 10.0),
                           "sampled_rcs_seed0": sampled}}
@@ -170,15 +161,11 @@ def _reproduce_fig6():
     files = {}
     checks = {}
     for spacing in (0.5, 0.7):
-        scn = scenario_fig6(spacing)
-        result, _ = run_sweep(scn)
+        result, _ = run_sweep(scenario_fig6(spacing))
         files[f"fig6_d{str(spacing).replace('.', '')}.csv"] = result.columns()
         main, secondary, ratio_db = _main_and_secondary(result.theta_deg,
                                                         result.magnitude)
-        delta = compensation_delta(math.radians(STEER_FROM_DEG),
-                                   math.radians(STEER_TO_DEG))
-        predicted = [math.degrees(t) for t in
-                     grating_lobes(delta, spacing, 1.0, math.radians(STEER_FROM_DEG))]
+        predicted = [math.degrees(t) for t in grating_lobes(DELTA, spacing, 1.0, STEER_FROM)]
         checks[f"spacing_{spacing}"] = {
             "main_lobe_deg": main,
             "strongest_secondary_deg": secondary,
@@ -191,12 +178,9 @@ def _reproduce_fig6():
 
 
 def _reproduce_fig7a():
-    scn = scenario_fig7a()
-    result, _ = run_sweep(scn)
-    delta = compensation_delta(math.radians(STEER_FROM_DEG),
-                               math.radians(STEER_TO_DEG))
+    result, _ = run_sweep(scenario_fig7a())
     predicted = [math.degrees(t)
-                 for t in anomalous_pairs(delta, 0.5, 1.0, math.radians(70.0))]
+                 for t in anomalous_pairs(DELTA, 0.5, 1.0, math.radians(70.0))]
     main = float(result.theta_deg[np.argmax(result.magnitude)])
     lobes = {}
     for angle in predicted:
@@ -210,7 +194,7 @@ def _reproduce_fig7a():
               "anomalous_lobes_deg": lobes,
               "predicted_anomalous_for_70deg": predicted}
     params = {"n": N_CELLS, "spacing": 0.5, "waves": list(TWO_WAVE_DEG),
-              "delta": delta}
+              "delta": DELTA}
     return {"fig7a.csv": result.columns()}, params, checks
 
 
@@ -221,12 +205,9 @@ def fig7b_reshape():
     wave alone, sampled on the regular scatter grid; the solver then serves
     both incident waves. Returns (system, solution, configured array, waves).
     """
-    ctx = WaveContext()
-    theta_i = math.radians(STEER_FROM_DEG)
-    theta_s = math.radians(STEER_TO_DEG)
-    base = LinearRis.uniform(N_CELLS, 0.5, CELL * CELL, ctx=ctx)
-    compensated = base.with_phases(phase_compensation(theta_i, theta_s, base))
-    desired = _field(compensated, [PlaneWave(Direction(theta_i), 1.0)], OBS_RADIUS,
+    base = LinearRis.uniform(N_CELLS, 0.5, CELL * CELL)
+    compensated = base.with_phases(phase_compensation(STEER_FROM, STEER_TO, base))
+    desired = _field(compensated, [PlaneWave(Direction(STEER_FROM), 1.0)], OBS_RADIUS,
                      dft_scatter_grid(N_CELLS))
     waves = [PlaneWave(Direction(math.radians(t)), a) for t, a in TWO_WAVE_DEG]
     return (*reshape_on_grid(base, waves, OBS_RADIUS, desired), waves)
@@ -240,13 +221,8 @@ def _reproduce_fig7b():
         "fig7b.csv": {"theta_s_deg": thetas, "field_magnitude": mags,
                       "field_magnitude_db": decibels(mags, 20.0)},
         "fig7b_system.json": sys.to_json_dict(),
-        "fig7b_weights.json": {
-            "weights": [[float(w.real), float(w.imag)] for w in solution.weights],
-            "residual": solution.residual,
-            "rank": solution.rank,
-            "discarded_fraction": solution.discarded_fraction,
-            "truncation_tol": solution.truncation_tol,
-        },
+        "fig7b_weights.json": {**solution.to_json_dict(),
+                               "truncation_tol": solution.truncation_tol},
     }
     main = mags[np.argmin(np.abs(thetas - STEER_TO_DEG))]
     anomalous = mags[np.argmin(np.abs(thetas - 52.59))]

@@ -22,7 +22,7 @@ from .core import Direction, PlaneWave, WaveContext
 from .config import (ReshapeSolution, beam_reshape, monte_carlo_power_grid,
                      phase_compensation, random_phase_draw, random_phase_miso_expected_power)
 from .linear import LinearRis, MimoSystem, _field, dft_scatter_grid, mimo_on_angles
-from .patch import Patch, _one_cell
+from .patch import Patch
 from .surface import RisGeometry, UnitCell, _field_magnitude
 
 DEFAULT_RADIUS_WAVELENGTHS = 100.0
@@ -194,7 +194,7 @@ def _parse_geometry(node, ctx):
         return kind, RisGeometry(tuple(cells), ctx)
     a, b, area = geo.number("a"), geo.number("b"), geo.number("area", None)
     if kind == "patch":
-        return kind, _one_cell(_build("geometry", Patch, a, b, area), ctx)
+        return kind, RisGeometry((_build("geometry", Patch, a, b, area),), ctx)
     return kind, _build("geometry", LinearRis.uniform, geo.positive_int("n"),
                         geo.number("spacing"), a * b if area is None else area, width=b, ctx=ctx)
 
@@ -215,7 +215,8 @@ def _parse_incident_wave(w: _Section, linear: bool) -> PlaneWave:
     return _build(w.name, PlaneWave, Direction(math.radians(theta), math.radians(phi)), amp)
 
 
-def _parse_observation(node, ctx, defaults):
+def _parse_observation(node, ctx, defaults, linear: bool):
+    """Radius and scatter angles; a linear array's scatter angles lie in [-90, 90] deg."""
     default_radius = DEFAULT_RADIUS_WAVELENGTHS * ctx.wavelength
     obs = _Section({} if node is None else node, "observation", {"radius", "grid", "points"})
     if "radius" not in obs:
@@ -228,18 +229,26 @@ def _parse_observation(node, ctx, defaults):
     if "points" in obs:
         pts = [(p.number("theta_deg"), p.number("phi_deg", 0.0))
                for p in obs.items("points", {"theta_deg", "phi_deg"})]
-        return ObservationSpec(radius, *np.array(pts, dtype=float).T)
-    grid_node = obs.node.get("grid")
-    if grid_node is None:
-        defaults.append("observation.grid=(-90, 90, 361)")
-        grid_node = {"start_deg": -90.0, "stop_deg": 90.0, "count": 361}
-    grid = _Section(grid_node, "observation.grid", {"start_deg", "stop_deg", "count", "phi_deg"})
-    start, stop = grid.number("start_deg"), grid.number("stop_deg")
-    count = grid.positive_int("count")
-    if stop < start:
-        raise ScenarioError("'observation.grid' must be monotone: start_deg <= stop_deg")
-    phi = grid.number("phi_deg", 0.0)
-    return ObservationSpec(radius, np.linspace(start, stop, count), np.full(count, phi))
+        thetas, phis = np.array(pts, dtype=float).T
+    else:
+        grid_node = obs.node.get("grid")
+        if grid_node is None:
+            defaults.append("observation.grid=(-90, 90, 361)")
+            grid_node = {"start_deg": -90.0, "stop_deg": 90.0, "count": 361}
+        grid = _Section(grid_node, "observation.grid",
+                        {"start_deg", "stop_deg", "count", "phi_deg"})
+        start, stop = grid.number("start_deg"), grid.number("stop_deg")
+        count = grid.positive_int("count")
+        if stop < start:
+            raise ScenarioError("'observation.grid' must be monotone: start_deg <= stop_deg")
+        phi = grid.number("phi_deg", 0.0)
+        thetas, phis = np.linspace(start, stop, count), np.full(count, phi)
+    outside = np.flatnonzero(np.abs(thetas) > 90.0)
+    if linear and outside.size:
+        where = (f"observation.points[{outside[0]}].theta_deg" if "points" in obs
+                 else "observation.grid")
+        raise ScenarioError(f"'{where}' must lie in [-90, 90] for a linear array")
+    return ObservationSpec(radius, thetas, phis)
 
 
 def _parse_scheme(node, geometry):
@@ -305,11 +314,43 @@ def _load_yaml(text: str):
     try:
         return yaml.safe_load(text)
     except yaml.MarkedYAMLError as exc:
-        mark = exc.problem_mark
-        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        raise ScenarioError(f"scenario parse error{where}: {exc.problem}") from exc
+        raise ScenarioError(f"scenario parse error{_at(exc.problem_mark)}: {exc.problem}") from exc
     except yaml.YAMLError as exc:
         raise ScenarioError(f"scenario parse error: {exc}") from exc
+    except ValueError as exc:
+        # a constructor could not read a tagged scalar, as for '!!int x'
+        where = _at(_unreadable_scalar(text))
+        raise ScenarioError(f"scenario parse error{where}: {exc}") from exc
+
+
+def _at(mark) -> str:
+    """' at line L, column C' (1-based) for a YAML mark, and '' for None."""
+    return f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+
+
+def _unreadable_scalar(text: str):
+    """The start mark of a scalar in text whose constructor raises ValueError, or None.
+
+    The walk needs no recursion, and ends on a cycle such as '&a [*a]': an alias is a seen node.
+    """
+    stack, seen = [yaml.compose(text, Loader=yaml.SafeLoader)], set()
+    constructor = yaml.SafeLoader("")
+    while stack:
+        node = stack.pop()
+        if isinstance(node, yaml.ScalarNode):
+            try:
+                constructor.construct_object(node)
+            except ValueError:
+                return node.start_mark
+            except yaml.YAMLError:
+                # an unknown tag: the loader defers a collection's contents, so it
+                # can meet a ValueError first
+                pass
+        elif node not in seen:
+            seen.add(node)
+            stack.extend(reversed(node.value if isinstance(node, yaml.SequenceNode)
+                                  else [n for pair in node.value for n in pair]))
+    return None
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -333,10 +374,11 @@ def _scenario(doc, text: str) -> Scenario:
     ctx = _parse_wave_section(doc.get("wave"), defaults)
     kind, geometry = _parse_geometry(doc["geometry"], ctx)
     # an empty or null incident list is allowed: every field is then zero
+    linear = isinstance(geometry, LinearRis)
     waves = () if doc.get("incident") in (None, []) else tuple(
-        _parse_incident_wave(w, isinstance(geometry, LinearRis))
+        _parse_incident_wave(w, linear)
         for w in top.items("incident", {"theta_deg", "phi_deg", "amplitude"}))
-    observation = _parse_observation(doc.get("observation"), ctx, defaults)
+    observation = _parse_observation(doc.get("observation"), ctx, defaults, linear)
     scheme = _parse_scheme(doc.get("configure"), geometry)
     output = _parse_output(doc.get("output"), defaults)
     digest = hashlib.sha256(text.encode()).hexdigest()
@@ -515,8 +557,6 @@ def run_sweep(scn: Scenario, trials: int | None = None):
     solution = None
 
     if isinstance(scn.geometry, LinearRis):
-        if not np.all(np.abs(thetas_deg) <= 90.0):
-            raise ScenarioError("linear-array scatter angles must lie in [-90, 90]")
         thetas = np.radians(thetas_deg)
         ris, solution = configure_linear(scn)
         scheme = scn.scheme

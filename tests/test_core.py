@@ -123,3 +123,11 @@ class TestSamplingSaLinear:
         thetas = np.linspace(-1.0, 1.0, 7)
         out = sampling_sa_linear(0.1, thetas, 0.3, 1.0)
         assert out.shape == thetas.shape
+
+
+def test_star_import_binds_no_module():
+    import types
+
+    import risem
+    assert "Patch" in risem.__all__ and "beam_reshape" in risem.__all__
+    assert [n for n in risem.__all__ if isinstance(getattr(risem, n), types.ModuleType)] == []

@@ -438,12 +438,17 @@ class TestCli:
         comp = self._write(tmp_path, "c.yaml", LINEAR_COMPENSATE)
         assert main(["sweep", comp, "--trials", "10"]) == 2
 
-    def test_monte_carlo_sweep_checks_scatter_angles(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", [["sweep"], ["sweep", "--trials", "5"], ["mimo"],
+                                         ["configure"]],
+                             ids=["sweep", "trials", "mimo", "configure"])
+    @pytest.mark.parametrize("angles", ["  points: [{theta_deg: 120.0}, {theta_deg: -200.0}]",
+                                        "  grid: {start_deg: -120, stop_deg: 120, count: 5}"],
+                             ids=["points", "grid"])
+    def test_monte_carlo_sweep_checks_scatter_angles(self, tmp_path, capsys, command, angles):
         text = LINEAR_RANDOM.replace(
-            "  grid: {start_deg: -60.0, stop_deg: 60.0, count: 25}",
-            "  points: [{theta_deg: 120.0}, {theta_deg: -200.0}]")
+            "  grid: {start_deg: -60.0, stop_deg: 60.0, count: 25}", angles)
         scenario = self._write(tmp_path, "s.yaml", text)
-        assert main(["sweep", scenario, "--trials", "5"]) == 2
+        assert main([command[0], scenario, *command[1:]]) == 2
         assert capsys.readouterr().out == ""
 
     def test_mimo_command_emits_factored_system(self, tmp_path):

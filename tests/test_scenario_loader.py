@@ -250,6 +250,37 @@ def test_parse_errors_are_the_python_loaders(text, message):
     assert str(caught.value) == message
 
 
+TAG_ERRORS = [
+    ("geometry: {kind: patch, a: !!float x, b: 1}\n",
+     "scenario parse error at line 1, column 28: could not convert string to float: 'x'"),
+    ("geometry: {kind: linear, n: !!int x, spacing: 0.5, a: 0.1, b: 0.1}\n",
+     "scenario parse error at line 1, column 29: invalid literal for int() with base 10: 'x'"),
+    ("geometry: {kind: patch, a: 1, b: 1}\noutput: {path: !!timestamp 2020-13-45}\n",
+     "scenario parse error at line 2, column 16: month must be in 1..12"),
+    # an alias cycle ends the walk, and an unknown tag the loader never reached is passed
+    ("a: &a [*a, [!foo y]]\nb: !!int x\n",
+     "scenario parse error at line 2, column 4: invalid literal for int() with base 10: 'x'"),
+]
+
+
+@pytest.mark.parametrize("text,message", TAG_ERRORS)
+@pytest.mark.parametrize("python_only", [False, True])
+def test_a_tag_its_constructor_cannot_read_is_located(text, message, python_only):
+    with mock.patch.object(scenario, "_C_LOADER_MAX_DEPTH", 0 if python_only else LIMIT), \
+            pytest.raises(ScenarioError) as caught:
+        parse_scenario(text)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("text,message", TAG_ERRORS)
+def test_a_located_tag_error_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "s.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert main(["sweep", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 # libyaml accepts texts that the Python loader refuses: a tab between tokens, a '?'
 # inside a plain scalar in a flow collection, and a bare '!' tag before a flow indicator.
 # Such a text now parses.
