@@ -86,8 +86,6 @@ def _run_sweep_command(args, expect_kind=None) -> int:
     return EXIT_OK
 
 
-# like run_sweep: non-finite output raises FloatingPointError instead of warning on the way
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _run_mimo(args) -> int:
     scn = load_scenario(args.scenario)
     if scn.kind != "linear":
@@ -102,7 +100,6 @@ def _run_mimo(args) -> int:
     return EXIT_OK
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _run_configure(args) -> int:
     scn = _override_seed(load_scenario(args.scenario), args.seed)
     if scn.scheme is None:
@@ -124,19 +121,22 @@ def _run_configure(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "mimo":
-            return _run_mimo(args)
-        if args.command == "configure":
-            return _run_configure(args)
-        if args.command == "reproduce":
-            write_json(None, reproduce(args.figure, args.out))
-            return EXIT_OK
-        # argparse admits no other command than sweep and its geometry-specific aliases
-        expect = {"sweep": None, "patch-rcs": "patch",
-                  "array-field": "planar", "linear-field": "linear"}[args.command]
-        return _run_sweep_command(args, expect)
-    # ArithmeticError: FloatingPointError, ZeroDivisionError, and the OverflowError of a
-    # Python float, such as the square of an amplitude of 1e308
+        # one numerical scope for every command: a non-finite result raises
+        # FloatingPointError where the output is checked or encoded, not a warning on the way
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if args.command == "mimo":
+                return _run_mimo(args)
+            if args.command == "configure":
+                return _run_configure(args)
+            if args.command == "reproduce":
+                write_json(None, reproduce(args.figure, args.out))
+                return EXIT_OK
+            # argparse admits no other command than sweep and its geometry-specific aliases
+            expect = {"sweep": None, "patch-rcs": "patch",
+                      "array-field": "planar", "linear-field": "linear"}[args.command]
+            return _run_sweep_command(args, expect)
+    # ArithmeticError: FloatingPointError (a non-finite result, or incident amplitudes whose
+    # squares sum past the float range), ZeroDivisionError and OverflowError
     except (ReshapeConditioningError, np.linalg.LinAlgError, ArithmeticError,
             MemoryError) as exc:
         return _fail("numerical failure", exc, EXIT_NUMERICAL)

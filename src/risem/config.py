@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CHUNK_TERMS, Direction, ObservationPoint, PlaneWave, _chunked,
+from .core import (CHUNK_TERMS, TWO_PI, Direction, ObservationPoint, PlaneWave, _chunked,
                    sinc_normalized)
-from .linear import (LinearRis, MimoSystem, TWO_PI, _alternating_signs, _cell_terms,
+from .linear import (LinearRis, MimoSystem, _alternating_signs, _cell_terms,
                      _geometry_phase, _steering, _complex_pairs)
 
 
@@ -102,7 +102,8 @@ def monte_carlo_power_grid(ris: LinearRis, waves, r_s: float, thetas, trials: in
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    unphased = ris.with_phases(np.zeros(ris.n))
+    # each trial's signs stand for e^{j Omega_n}, so the cell weights are A_n/lam alone
+    weights = ris.areas / ris.ctx.wavelength
     scale = ris.ctx.coupling * np.exp(-2j * np.pi * r_s / ris.ctx.wavelength) / r_s
     sin_s = np.sin(np.asarray(thetas, dtype=float).ravel())
 
@@ -111,7 +112,7 @@ def monte_carlo_power_grid(ris: LinearRis, waves, r_s: float, thetas, trials: in
         gains = np.zeros((sin_chunk.size, ris.n), dtype=complex)
         for w in waves:
             gains += (w.amplitude * np.cos(w.direction.theta)
-                      * _cell_terms(unphased, np.sin(w.direction.theta) + sin_chunk))
+                      * _cell_terms(ris, np.sin(w.direction.theta) + sin_chunk, weights))
         gains *= scale
         samples = np.abs(gains @ signs) ** 2
         return np.stack([np.sum(samples, axis=-1), np.sum(samples ** 2, axis=-1)], axis=-1)

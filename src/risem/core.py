@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+TWO_PI = 2.0 * np.pi
+
 # Below this magnitude sin(x)/x is evaluated with its Taylor expansion,
 # keeping the relative error under 1e-13 on both branches.
 SINC_TAYLOR_CUTOFF = 1e-6

@@ -11,10 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (ObservationPoint, PlaneWave, WaveContext, _chunked,
+from .core import (TWO_PI, ObservationPoint, PlaneWave, WaveContext, _chunked,
                    positive_finite, sinc_normalized)
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,10 +50,8 @@ class LinearRis:
                 phases=None, ctx: WaveContext | None = None) -> "LinearRis":
         if n < 1:
             raise ValueError("cell count must be at least 1")
-        if phases is None:
-            phases = np.zeros(n)
-        return cls(spacing, np.full(n, area), np.full(n, width),
-                   np.asarray(phases, dtype=float), ctx or WaveContext())
+        return cls(spacing, np.full(n, area), width, 0.0 if phases is None else phases,
+                   ctx or WaveContext())
 
     @property
     def n(self) -> int:
@@ -83,25 +79,26 @@ def _geometry_phase(n: int, spacing: float, wavelength: float, sines) -> np.ndar
     return np.exp(phase, out=phase)
 
 
-def _cell_terms(ris: LinearRis, sines) -> np.ndarray:
-    """Terms (A_n/wavelength) e^{j Omega_n} Sa_n e^{j 2 pi n d s/wavelength}.
+def _cell_terms(ris: LinearRis, sines, weights) -> np.ndarray:
+    """Terms w_n Sa_n e^{j 2 pi n d s/wavelength} for cell weights w_n.
 
     s = sin(theta_i) + sin(theta_s); the cells n lie on a new last axis.
     """
     lam = ris.ctx.wavelength
     sa = sinc_normalized(np.pi * ris.widths / lam * np.asarray(sines, dtype=float)[..., None])
-    return ((ris.areas / lam) * np.exp(1j * ris.phases) * sa
-            * _geometry_phase(ris.n, ris.spacing, lam, sines))
+    return weights * sa * _geometry_phase(ris.n, ris.spacing, lam, sines)
 
 
 def _steering(ris: LinearRis, sines) -> np.ndarray:
     """Steering function over an array of s = sin(theta_i) + sin(theta_s).
 
-    T depends on the two angles only through s. The sum runs over chunks of
+    T depends on the two angles only through s. The cell weights
+    (A_n/wavelength) e^{j Omega_n} are formed once; the sum runs over chunks of
     core.CHUNK_TERMS cell-terms, so memory stays bounded for any array of s.
     """
     s = np.asarray(sines, dtype=float)
-    out = _chunked(lambda chunk: np.sum(_cell_terms(ris, chunk), axis=-1), s.ravel(), ris.n)
+    weights = ris.areas / ris.ctx.wavelength * np.exp(1j * ris.phases)
+    out = _chunked(lambda c: np.sum(_cell_terms(ris, c, weights), axis=-1), s.ravel(), ris.n)
     return ris.ctx.coupling * out.reshape(s.shape)
 
 

@@ -35,16 +35,12 @@ STEER_FROM, STEER_TO = math.radians(STEER_FROM_DEG), math.radians(STEER_TO_DEG)
 DELTA = compensation_delta(STEER_FROM, STEER_TO)
 
 
-def _local_maxima(values: np.ndarray) -> np.ndarray:
-    """Indices of strict interior local maxima."""
+def _strongest_peak(values, where):
+    """Index of the largest strict interior local maximum where `where` holds, or None."""
     v = np.asarray(values)
-    return np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
-
-
-def _peak_angles(theta_deg, values, count):
-    idx = _local_maxima(values)
-    order = idx[np.argsort(values[idx])[::-1]]
-    return sorted(float(theta_deg[i]) for i in order[:count])
+    inner = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:]) & np.broadcast_to(where, v.shape)[1:-1]
+    idx = np.flatnonzero(inner) + 1
+    return int(idx[np.argmax(v[idx])]) if idx.size else None
 
 
 def _main_and_secondary(theta_deg, values, exclude_deg=5.0):
@@ -52,11 +48,9 @@ def _main_and_secondary(theta_deg, values, exclude_deg=5.0):
     theta_deg = np.asarray(theta_deg)
     main_i = int(np.argmax(values))
     main_angle = float(theta_deg[main_i])
-    idx = _local_maxima(values)
-    idx = idx[np.abs(theta_deg[idx] - main_angle) > exclude_deg]
-    if idx.size == 0:
+    sec_i = _strongest_peak(values, np.abs(theta_deg - main_angle) > exclude_deg)
+    if sec_i is None:
         return main_angle, None, None
-    sec_i = idx[np.argmax(values[idx])]
     ratio_db = float(20.0 * np.log10(values[main_i] / values[sec_i]))
     return main_angle, float(theta_deg[sec_i]), ratio_db
 
@@ -184,12 +178,9 @@ def _reproduce_fig7a():
     main = float(result.theta_deg[np.argmax(result.magnitude)])
     lobes = {}
     for angle in predicted:
-        near = np.abs(result.theta_deg - angle) < 3.0
-        idx = _local_maxima(result.magnitude)
-        idx = idx[near[idx]]
-        if idx.size:
-            lobes[f"{angle:.2f}"] = float(
-                result.theta_deg[idx[np.argmax(result.magnitude[idx])]])
+        peak = _strongest_peak(result.magnitude, np.abs(result.theta_deg - angle) < 3.0)
+        if peak is not None:
+            lobes[f"{angle:.2f}"] = float(result.theta_deg[peak])
     checks = {"main_lobe_deg": main,
               "anomalous_lobes_deg": lobes,
               "predicted_anomalous_for_70deg": predicted}
@@ -226,8 +217,9 @@ def _reproduce_fig7b():
     }
     main = mags[np.argmin(np.abs(thetas - STEER_TO_DEG))]
     anomalous = mags[np.argmin(np.abs(thetas - 52.59))]
+    peak = _strongest_peak(mags, True)
     checks = {
-        "peak_angles_deg": _peak_angles(thetas, mags, 1),
+        "peak_angles_deg": [] if peak is None else [float(thetas[peak])],
         "suppression_db_at_52p59": float(20.0 * np.log10(main / anomalous)),
     }
     params = {"n": N_CELLS, "spacing": 0.5, "waves": list(TWO_WAVE_DEG),

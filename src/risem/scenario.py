@@ -303,11 +303,12 @@ def _load_yaml(text: str):
     """The YAML document in text, read by libyaml where the nesting bound clears it.
 
     Both loaders share the Python constructor and resolver, so they give the
-    same objects. Every other text, and every text libyaml refuses, goes to
-    the pure-Python loader: libyaml refuses some texts the Python loader
-    accepts (such as '{a:[1]}'), and it words and places its errors differently.
+    same objects. Every other text, every text with a '!', and every text
+    libyaml refuses goes to the pure-Python loader: libyaml refuses some texts
+    the Python loader accepts (such as '{a:[1]}'), words and places its errors
+    differently, and reads a bare '!' on an empty value as '', not null.
     """
-    if yaml.__with_libyaml__ and _nesting_bound(text) < _C_LOADER_MAX_DEPTH:
+    if yaml.__with_libyaml__ and "!" not in text and _nesting_bound(text) < _C_LOADER_MAX_DEPTH:
         # ValueError: from a constructor (as for '!!float x'), or a lone surrogate
         with contextlib.suppress(yaml.YAMLError, ValueError):
             return yaml.load(text, Loader=yaml.CSafeLoader)
@@ -553,20 +554,25 @@ def run_sweep(scn: Scenario, trials: int | None = None):
             raise ScenarioError("trials must be a positive integer")
     obs_spec = scn.observation
     thetas_deg, phis_deg = obs_spec.theta_deg, obs_spec.phi_deg
-    amp_sq = sum(w.amplitude ** 2 for w in scn.waves)
+    # a Python float product is inf past the float range, where ** raises OverflowError
+    amp_sq = sum(w.amplitude * w.amplitude for w in scn.waves)
+    if not math.isfinite(amp_sq):
+        raise FloatingPointError("the squares of the incident amplitudes "
+                                 f"{[w.amplitude for w in scn.waves]} sum past the float range")
     solution = None
 
     if isinstance(scn.geometry, LinearRis):
         thetas = np.radians(thetas_deg)
-        ris, solution = configure_linear(scn)
         scheme = scn.scheme
+        # Monte Carlo and the expectation average over the phase law: only one draw is configured
         if trials is not None:
-            magnitude = np.sqrt(monte_carlo_power_grid(ris, scn.waves, obs_spec.radius,
+            magnitude = np.sqrt(monte_carlo_power_grid(scn.geometry, scn.waves, obs_spec.radius,
                                                        thetas, trials, scheme.seed))
         elif isinstance(scheme, RandomScheme) and scheme.expectation:
-            magnitude = np.sqrt(random_phase_miso_expected_power(ris, scn.waves,
+            magnitude = np.sqrt(random_phase_miso_expected_power(scn.geometry, scn.waves,
                                                                  obs_spec.radius, thetas))
         else:
+            ris, solution = configure_linear(scn)
             magnitude = np.abs(_field(ris, scn.waves, obs_spec.radius, thetas))
         phi_col = None
     else:

@@ -12,11 +12,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (Direction, ObservationPoint, PlaneWave, SphericalField,
+from .core import (TWO_PI, Direction, ObservationPoint, PlaneWave, SphericalField,
                    WaveContext, _chunked, _polarization_factors, _sinc_pair,
                    _unit_vectors, direction_vector, positive_finite)
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,25 +81,26 @@ def path_length_phase(p, d: Direction, ctx: WaveContext) -> complex:
     return complex(_path_phase(np.asarray(p, dtype=float), direction_vector(d), ctx.wavelength))
 
 
-def _cell_terms(geom: RisGeometry, u: np.ndarray) -> np.ndarray:
-    """Terms (A_n/lam) e^{j Omega_n} Sa_n e^{j 2 pi p_n.u/lam} for points u (m, 3).
+def _cell_terms(geom: RisGeometry, u: np.ndarray, weights) -> np.ndarray:
+    """Terms w_n Sa_n e^{j 2 pi p_n.u/lam} for points u (m, 3) and cell weights w_n.
 
     u = u_i + u_s; Sa_n depends on it through its x and y components only.
     The cells n lie on a new last axis.
     """
     lam = geom.ctx.wavelength
     sa = _sinc_pair(geom.a, geom.b, u[:, :1], u[:, 1:2], lam)
-    return (geom.areas / lam) * np.exp(1j * geom.phases) * sa * _path_phase(geom.positions, u, lam)
+    return weights * sa * _path_phase(geom.positions, u, lam)
 
 
 def _sum_cells(geom: RisGeometry, u) -> np.ndarray:
-    """Cell sum over an array of u = u_i + u_s of shape (..., 3).
+    """Cell sum over an array of u = u_i + u_s of shape (..., 3), weights (A_n/lam) e^{j Omega_n}.
 
     The sum runs over chunks of core.CHUNK_TERMS cell-terms, so memory stays
     bounded for any number of directions.
     """
     u = np.asarray(u, dtype=float)
-    out = _chunked(lambda chunk: np.sum(_cell_terms(geom, chunk), axis=-1), u.reshape(-1, 3),
+    weights = geom.areas / geom.ctx.wavelength * np.exp(1j * geom.phases)
+    out = _chunked(lambda c: np.sum(_cell_terms(geom, c, weights), axis=-1), u.reshape(-1, 3),
                    len(geom.cells))
     return out.reshape(u.shape[:-1])
 

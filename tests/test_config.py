@@ -70,12 +70,11 @@ def _full_matrix_monte_carlo(ris, waves, r_s, thetas, trials, seed):
     """Monte Carlo (mean, stderr) from the whole angles x cells gain matrix, trial by trial."""
     lam = ris.ctx.wavelength
     sin_s = np.sin(np.asarray(thetas, dtype=float).ravel())
-    unphased = ris.with_phases(np.zeros(ris.n))
     gains = np.zeros((sin_s.size, ris.n), dtype=complex)
     for w in waves:
         theta_i = w.direction.theta
         gains += (w.amplitude * np.cos(theta_i)
-                  * _cell_terms(unphased, np.sin(theta_i) + sin_s))
+                  * _cell_terms(ris, np.sin(theta_i) + sin_s, ris.areas / lam))
     gains *= ris.ctx.coupling * np.exp(-2j * np.pi * r_s / lam) / r_s
     acc = np.zeros(sin_s.size)
     acc_sq = np.zeros(sin_s.size)

@@ -320,6 +320,18 @@ class TestSweeps:
         with pytest.raises(ScenarioError):
             run_sweep(scn, trials=0)
 
+    @pytest.mark.parametrize("trials,expectation,draws", [
+        (3, False, 0), (None, True, 0), (None, False, 1)], ids=["trials", "expectation", "single"])
+    def test_only_a_single_draw_sweep_draws_phases(self, monkeypatch, trials, expectation,
+                                                   draws):
+        import risem.scenario
+        seeds, draw = [], risem.scenario.random_phase_draw
+        monkeypatch.setattr(risem.scenario, "random_phase_draw",
+                            lambda n, seed: seeds.append(seed) or draw(n, seed))
+        text = LINEAR_RANDOM + ("  expectation: true\n" if expectation else "")
+        run_sweep(parse_scenario(text), trials)
+        assert seeds == [7] * draws
+
     def test_db_columns_consistent_with_linear_columns(self):
         result, _ = run_sweep(parse_scenario(LINEAR_COMPENSATE))
         mask = result.magnitude > 0
@@ -585,6 +597,22 @@ class TestCli:
         assert out == ""
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
+    # at 1e155 every |E|^2 is finite, but the squared amplitude of the RCS normalisation is not
+    @pytest.mark.parametrize("text,amplitudes", [
+        ("geometry: {kind: linear, n: 16, spacing: 0.5, a: 0.01, b: 0.01}\n"
+         "incident: [{theta_deg: 0.0, amplitude: 1.0e+155}]\n", "[1e+155]"),
+        ("geometry: {kind: patch, a: 1.0, b: 1.0}\n"
+         "incident: [{theta_deg: 0.0, amplitude: 1.0e+308}, {theta_deg: 10.0}]\n",
+         "[1e+308, 1.0]"),
+    ], ids=["linear", "patch"])
+    def test_an_amplitude_past_the_float_range_exits_3_by_name(self, tmp_path, capsys, text,
+                                                               amplitudes):
+        assert main(["sweep", self._write(tmp_path, "s.yaml", text)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"numerical failure: the squares of the incident amplitudes {amplitudes}"
+                       " sum past the float range\n")
+
     def test_reshape_conditioning_failure_exits_3(self, tmp_path):
         desired = {"desired": [[1.0, 0.0]] * 8}
         pattern = self._write(tmp_path, "desired.json", json.dumps(desired))
@@ -732,6 +760,36 @@ class TestReproduce:
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
         # neither the manifest nor fig5.csv
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_numpy_overflow_in_a_builder_exits_3_and_writes_nothing(self, tmp_path,
+                                                                      monkeypatch, capsys):
+        # the builder runs inside the CLI's numerical scope: the overflow gives inf, not a
+        # RuntimeWarning, and the manifest's encoder refuses it
+        import risem.presets
+        monkeypatch.setattr(risem.presets, "_reproduce_fig5", lambda: (
+            {"fig5.csv": {"x": [1.0]}}, {}, {"peak": np.float64(1e308) * 10}))
+        assert main(["reproduce", "fig5", "--out", str(tmp_path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_pattern_without_a_secondary_lobe(self):
+        from risem.presets import _main_and_secondary
+        theta = np.linspace(-90.0, 90.0, 181)
+        # one lobe at 0 deg and a ripple 3 deg from it, inside the excluded band
+        values = np.cos(np.radians(theta)) + 1e-3 * (theta == 3.0)
+        assert _main_and_secondary(theta, values) == (0.0, None, None)
+
+    @pytest.mark.parametrize("values,where,peak", [
+        ([0.0, 1.0, 2.0, 3.0], True, None),
+        ([0.0, 2.0, 0.0, 3.0, 1.0], True, 3),
+        ([0.0, 2.0, 0.0, 3.0, 1.0], [True, True, True, False, True], 1),
+        ([0.0, 2.0, 2.0, 1.0], True, None),
+    ], ids=["monotone", "strongest", "masked", "plateau"])
+    def test_strongest_peak(self, values, where, peak):
+        from risem.presets import _strongest_peak
+        assert _strongest_peak(np.array(values), where) == peak
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(ValueError):

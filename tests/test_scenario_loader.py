@@ -283,7 +283,7 @@ def test_a_located_tag_error_exits_2(tmp_path, capsys, text, message):
 
 # libyaml accepts texts that the Python loader refuses: a tab between tokens, a '?'
 # inside a plain scalar in a flow collection, and a bare '!' tag before a flow indicator.
-# Such a text now parses.
+# A text with a tab or a '?' now parses; a text with a '!' goes to the Python loader.
 @pytest.mark.parametrize("text,expected", [
     ("a: [1,\t2]\n", {"a": [1, 2]}),
     ("a:\t1\n", {"a": 1}),
@@ -297,14 +297,24 @@ def test_libyaml_leniency(text, expected):
 
 
 def test_a_bare_tag_on_an_empty_value_differs():
-    # both accept it, but libyaml reads an empty string where the Python loader reads null
+    # both accept it, but libyaml reads an empty string where the Python loader reads null;
+    # every text with a '!' goes to the Python loader, under the nesting bound or over it
     assert yaml.load("a: !\n", Loader=yaml.CSafeLoader) == {"a": ""}
     assert yaml.safe_load("a: !\n") == {"a": None}
     text = "geometry: {kind: patch, a: 1.0, b: 2.0}\noutput: !\n"
-    with pytest.raises(ScenarioError, match="section 'output' must be a mapping"):
-        parse_scenario(text)
-    with _python_loader_only():
-        assert parse_scenario(text).output == scenario.OutputSpec()
+    over = text + "#" + "{" * LIMIT + "\n"
+    assert scenario._nesting_bound(text) < LIMIT <= scenario._nesting_bound(over)
+    assert parse_scenario(text).output == parse_scenario(over).output == scenario.OutputSpec()
+
+
+@pytest.mark.parametrize("text", [
+    "geometry: {kind: patch, a: 1.0, b: 2.0}\noutput: !\n",
+    "geometry: {kind: patch, a: !!float 1, b: 2.0}\n",
+    "# a '!' in a comment counts too!\ngeometry: {kind: patch, a: 1.0, b: 2.0}\n",
+])
+def test_a_text_with_a_bang_never_reaches_libyaml(loaders, text):
+    assert parse_scenario(text).geometry.a.tolist() == [1.0]
+    assert loaders == [yaml.SafeLoader]
 
 
 def test_a_tab_between_flow_items_parses():
@@ -325,8 +335,9 @@ NUMBERS = ["0", "1", "-1", "0.5", "-0.0", "7", "30.0", "-90", "361", "1e308", "1
 STRINGS = ["csv", "json", "patch", "linear", "planar", "random", "compensate", "reshape",
            "'out[1]{2}.csv'", '"a]]]b}}"', "'it''s [x'", '"[{"', "'}]'", "'déjà vu'",
            '"x: [y]"', "plain]text", "'#not a comment'"]
-# characters an edit inserts: no tab, '?' or '!' (see test_libyaml_leniency)
-EDITS = "[]{},:'\"-#&*| \n%@`~^=<>é;."
+# characters an edit inserts: no tab or '?' (see test_libyaml_leniency). A '!' sends the
+# text to the Python loader, so the two loaders' raw documents are compared only without one
+EDITS = "[]{},:'\"-#&*| \n%@`~^=<>é;.!"
 
 
 def _numbers():
@@ -439,7 +450,7 @@ def _read(loader, text):
 def test_both_loaders_agree_on_scenario_texts(text):
     assert "\t" not in text and scenario._nesting_bound(text) < LIMIT
     c_loaded, python_loaded = _read(yaml.CSafeLoader, text), _read(yaml.SafeLoader, text)
-    if c_loaded[0] == "ok":
+    if c_loaded[0] == "ok" and "!" not in text:
         assert python_loaded == c_loaded
     outcome = _outcome(text)
     with _python_loader_only():
