@@ -71,12 +71,13 @@ class LinearRis:
 
 def _geometry_phase(n: int, spacing: float, wavelength: float, sines) -> np.ndarray:
     """exp(j 2 pi m d s / wavelength) for cells m = 0..n-1 on a new last axis."""
-    s = np.asarray(sines, dtype=float)[..., None]
-    # filled in place: the result is the only array of its size
-    phase = np.zeros(s.shape[:-1] + (n,), dtype=complex)
-    np.multiply(TWO_PI * np.arange(n) * spacing, s, out=phase.imag)
-    phase.imag /= wavelength
-    return np.exp(phase, out=phase)
+    arg = TWO_PI * np.arange(n) * spacing * np.asarray(sines, dtype=float)[..., None]
+    arg /= wavelength
+    # cos and sin give the bits of exp(j arg) without its complex temporaries
+    phase = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=phase.real)
+    np.sin(arg, out=phase.imag)
+    return phase
 
 
 def _cell_terms(ris: LinearRis, sines, weights) -> np.ndarray:
@@ -93,12 +94,21 @@ def _steering(ris: LinearRis, sines) -> np.ndarray:
     """Steering function over an array of s = sin(theta_i) + sin(theta_s).
 
     T depends on the two angles only through s. The cell weights
-    (A_n/wavelength) e^{j Omega_n} are formed once; the sum runs over chunks of
-    core.CHUNK_TERMS cell-terms, so memory stays bounded for any array of s.
+    (A_n/wavelength) e^{j Omega_n} are formed once. With equal cell widths the
+    sinc depends on s alone and leaves the sum, which is one matrix-vector
+    product of the cell phases and the weights; otherwise the per-cell terms
+    are summed. Both run over chunks of core.CHUNK_TERMS cell-terms, so memory
+    stays bounded for any array of s.
     """
     s = np.asarray(sines, dtype=float)
-    weights = ris.areas / ris.ctx.wavelength * np.exp(1j * ris.phases)
-    out = _chunked(lambda c: np.sum(_cell_terms(ris, c, weights), axis=-1), s.ravel(), ris.n)
+    flat, lam = s.ravel(), ris.ctx.wavelength
+    weights = ris.areas / lam * np.exp(1j * ris.phases)
+    if np.any(ris.widths != ris.widths[0]):
+        out = _chunked(lambda c: np.sum(_cell_terms(ris, c, weights), axis=-1), flat, ris.n)
+    else:
+        out = _chunked(lambda c: _geometry_phase(ris.n, ris.spacing, lam, c) @ weights,
+                       flat, ris.n)
+        out *= sinc_normalized(np.pi * ris.widths[0] / lam * flat)
     return ris.ctx.coupling * out.reshape(s.shape)
 
 

@@ -13,7 +13,8 @@ from risem import (Direction, LinearRis, MimoSystem, ObservationPoint,
                    dft_scatter_grid, linear_field, linear_field_multi,
                    linear_rcs, phase_compensation, sampling_sa_linear,
                    steering_function)
-from risem.core import CHUNK_TERMS
+from risem import linear as linear_module
+from risem.core import CHUNK_TERMS, TWO_PI
 from risem.linear import _steering, mimo_on_angles
 
 CTX = WaveContext()
@@ -90,6 +91,63 @@ class TestSteeringKernel:
                         rng.uniform(0.0, 2.0 * np.pi, n), CTX)
         theta_s = np.linspace(-1.5, 1.5, count)
         assert _kernel_deviation(ris, 0.4, theta_s) <= 1e-12
+
+    @pytest.mark.parametrize("n,count", [
+        (2, CHUNK_TERMS // 2 + 1),     # many angles per chunk, one spill-over
+        (2 ** 14 - 1, 3),              # one angle per chunk
+        (2 ** 14 + 3, 2),              # a chunk larger than CHUNK_TERMS
+    ])
+    def test_chunk_edges_with_equal_widths(self, n, count):
+        rng = np.random.default_rng(n)
+        ris = LinearRis.uniform(n, 0.45, 0.02, width=0.3,
+                                phases=rng.uniform(0.0, 2.0 * np.pi, n))
+        assert _kernel_deviation(ris, 0.4, np.linspace(-1.5, 1.5, count)) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(), (0,), (4, 3)])
+    def test_equal_widths_keep_the_shape_of_s(self, shape):
+        ris = LinearRis.uniform(17, 0.5, 0.01, width=0.2, phases=np.linspace(0.0, 5.0, 17))
+        theta_s = np.random.default_rng(3).uniform(-1.5, 1.5, shape)
+        got = _steering(ris, np.sin(0.2) + np.sin(theta_s))
+        assert got.shape == shape
+        if got.size:
+            assert _kernel_deviation(ris, 0.2, theta_s) <= 1e-12
+
+    def test_only_mixed_widths_sum_per_cell(self, monkeypatch):
+        calls, cell_terms = [], linear_module._cell_terms
+
+        def spy(*args):
+            calls.append(args)
+            return cell_terms(*args)
+
+        monkeypatch.setattr(linear_module, "_cell_terms", spy)
+        s = np.linspace(-2.0, 2.0, 50)
+        uniform = LinearRis.uniform(40, 0.5, 0.01, width=0.2)
+        _steering(uniform, s)
+        assert calls == []
+        mixed = LinearRis(0.5, np.full(40, 0.01), np.linspace(0.1, 0.3, 40), 0.0, CTX)
+        _steering(mixed, s)
+        assert len(calls) == 1
+
+    def test_cell_phases_keep_the_bits_of_the_float64_exponential(self):
+        # perfbench/oracle.py forms the same unreduced float64 argument, whose round-off
+        # alone can pass the output check's limit at 8192 cells; so the bits must match
+        spacing, lam = 0.7, 0.9
+        s = np.random.default_rng(5).uniform(-2.0, 2.0, 7)
+        want = np.exp(1j * (TWO_PI * np.arange(8192) * spacing * s[:, None] / lam))
+        assert np.array_equal(linear_module._geometry_phase(8192, spacing, lam, s), want)
+
+    def test_large_array_over_a_full_sweep(self):
+        # two angles per chunk, as in the largest benchmark arrays
+        n = 8192
+        rng = np.random.default_rng(11)
+        ris = LinearRis.uniform(n, 0.75, 0.01, width=0.2,
+                                phases=rng.uniform(0.0, 2.0 * np.pi, n))
+        theta_i = 0.3
+        theta_s = np.linspace(-np.pi / 2, np.pi / 2, 3601)
+        got = _steering(ris, np.sin(theta_i) + np.sin(theta_s))
+        sample = np.concatenate([[0, 3600], rng.choice(3601, 10, replace=False)])
+        want = np.array([_direct_steering(ris, theta_i, theta_s[k]) for k in sample])
+        assert np.max(np.abs(got[sample] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestLinearRis:
