@@ -167,7 +167,8 @@ def dft_scatter_grid(n: int) -> np.ndarray:
 
 def _complex_pairs(z) -> list:
     """[re, im] float pairs of the complex values in z, the JSON form of a complex array."""
-    return [[float(v.real), float(v.imag)] for v in np.asarray(z, dtype=complex)]
+    z = np.asarray(z, dtype=complex)
+    return np.column_stack([z.real, z.imag]).tolist()
 
 
 def _alternating_signs(n: int) -> np.ndarray:

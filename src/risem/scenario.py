@@ -18,7 +18,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .core import Direction, PlaneWave, WaveContext
+from .core import CHUNK_TERMS, Direction, PlaneWave, WaveContext
 from .config import (ReshapeSolution, beam_reshape, monte_carlo_power_grid,
                      phase_compensation, random_phase_draw, random_phase_miso_expected_power)
 from .linear import LinearRis, MimoSystem, _field, dft_scatter_grid, mimo_on_angles
@@ -299,6 +299,12 @@ def _nesting_bound(text: str) -> int:
     return 2 * text.count("[") + text.count("{") + 2 * longest
 
 
+# What PyYAML's constructors raise on a tagged scalar they cannot read: ValueError
+# for '!!int x', IndexError for an empty '!!float' or '!!int', KeyError for '!!bool x',
+# AttributeError for '!!timestamp x'.
+_CONSTRUCTOR_ERRORS = (ValueError, LookupError, AttributeError)
+
+
 def _load_yaml(text: str):
     """The YAML document in text, read by libyaml where the nesting bound clears it.
 
@@ -309,8 +315,8 @@ def _load_yaml(text: str):
     differently, and reads a bare '!' on an empty value as '', not null.
     """
     if yaml.__with_libyaml__ and "!" not in text and _nesting_bound(text) < _C_LOADER_MAX_DEPTH:
-        # ValueError: from a constructor (as for '!!float x'), or a lone surrogate
-        with contextlib.suppress(yaml.YAMLError, ValueError):
+        # a constructor error, or the ValueError of a lone surrogate
+        with contextlib.suppress(yaml.YAMLError, *_CONSTRUCTOR_ERRORS):
             return yaml.load(text, Loader=yaml.CSafeLoader)
     try:
         return yaml.safe_load(text)
@@ -318,10 +324,13 @@ def _load_yaml(text: str):
         raise ScenarioError(f"scenario parse error{_at(exc.problem_mark)}: {exc.problem}") from exc
     except yaml.YAMLError as exc:
         raise ScenarioError(f"scenario parse error: {exc}") from exc
-    except ValueError as exc:
-        # a constructor could not read a tagged scalar, as for '!!int x'
-        where = _at(_unreadable_scalar(text))
-        raise ScenarioError(f"scenario parse error{where}: {exc}") from exc
+    except _CONSTRUCTOR_ERRORS as exc:
+        node = _unreadable_scalar(text)
+        # only a ValueError says what is wrong; the others name an index or a key
+        reason = exc if isinstance(exc, ValueError) or node is None else (
+            f"cannot read {node.value!r} as {node.tag.replace('tag:yaml.org,2002:', '!!')}")
+        where = _at(node.start_mark if node else None)
+        raise ScenarioError(f"scenario parse error{where}: {reason}") from exc
 
 
 def _at(mark) -> str:
@@ -330,7 +339,7 @@ def _at(mark) -> str:
 
 
 def _unreadable_scalar(text: str):
-    """The start mark of a scalar in text whose constructor raises ValueError, or None.
+    """A scalar node of text whose constructor raises one of _CONSTRUCTOR_ERRORS, or None.
 
     The walk needs no recursion, and ends on a cycle such as '&a [*a]': an alias is a seen node.
     """
@@ -341,11 +350,11 @@ def _unreadable_scalar(text: str):
         if isinstance(node, yaml.ScalarNode):
             try:
                 constructor.construct_object(node)
-            except ValueError:
-                return node.start_mark
+            except _CONSTRUCTOR_ERRORS:
+                return node
             except yaml.YAMLError:
                 # an unknown tag: the loader defers a collection's contents, so it
-                # can meet a ValueError first
+                # can meet a constructor error first
                 pass
         elif node not in seen:
             seen.add(node)
@@ -444,20 +453,87 @@ def _output(path: str | None):
 def write_csv(path: str | None, columns: dict) -> None:
     """Header row of the column names, then one row per index at 12 significant digits.
 
-    Rows are streamed, never built as one string. No path writes to stdout.
+    The rows are formatted a block of about CHUNK_TERMS values at a time, by
+    one '%' per block, and never built as one string. '%.12g' % v is
+    format(v, '.12g') for every float and int (an int is formatted as a
+    float). As with zip, the shortest column sets the row count. No path
+    writes to stdout.
     """
+    values = [np.asarray(c, dtype=float) for c in columns.values()]
+    rows = min(map(len, values), default=0)
+    block = max(1, CHUNK_TERMS // max(1, len(values)))
+    line = ",".join(["%.12g"] * len(values)) + "\n"
     with _output(path) as fh:
         fh.write(",".join(columns) + "\n")
-        for row in zip(*columns.values()):
-            fh.write(",".join(format(v, ".12g") for v in row) + "\n")
+        for start in range(0, rows, block):
+            part = np.column_stack([v[start:min(start + block, rows)] for v in values])
+            fh.write(line * len(part) % tuple(part.ravel().tolist()))
+
+
+# the C encoder, for a scalar or a flat list: it runs only without indent
+_encode = json.JSONEncoder(allow_nan=False).encode
 
 
 def json_text(doc) -> str:
-    """Indented strict JSON and a newline; a non-finite number raises FloatingPointError."""
+    """Indented strict JSON and a newline; a non-finite number raises FloatingPointError.
+
+    The text is json.dumps(doc, indent=2, allow_nan=False) byte for byte, and
+    raises where it raises. The two leaf shapes that hold the bulk of every
+    document are rendered a list at a time: a list of floats and None, and a
+    list of [float, float] pairs (lists or tuples). Everything else is written
+    through the json module, one scalar at a time.
+    """
     try:
-        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        return _json(doc, "\n", set()) + "\n"
     except ValueError as exc:
         raise FloatingPointError("the output holds non-finite numbers") from exc
+
+
+def _json(value, newline: str, markers: set) -> str:
+    """value as json.dumps(value, indent=2) writes it after newline (and its indent).
+
+    markers holds the ids of the containers value sits in, as in the json module.
+    """
+    if not isinstance(value, (list, tuple, dict)) or not value:
+        return _encode(value)
+    if id(value) in markers:
+        raise ValueError("Circular reference detected")
+    markers.add(id(value))
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = (_encode(_json_key(k)) + ": " + _json(v, inner, markers) for k, v in value.items())
+        text = "{" + inner + ("," + inner).join(items) + newline + "}"
+    else:
+        text = "[" + inner + _json_items(value, inner, markers) + newline + "]"
+    markers.discard(id(value))
+    return text
+
+
+def _json_items(items, inner: str, markers: set) -> str:
+    """The items of a non-empty list, each after inner, as json.dumps(indent=2) writes them."""
+    types = set(map(type, items))
+    if types <= {float, type(None)}:
+        # the C encoder writes '[a, b, null]'; no float or null holds ', '
+        return _encode(items)[1:-1].replace(", ", "," + inner)
+    if types <= {list, tuple} and set(map(len, items)) == {2}:
+        flat = [v for pair in items for v in pair]
+        # exact floats: the %r of a float subclass such as np.float64 is not float.__repr__
+        if set(map(type, flat)) == {float}:
+            if not all(map(math.isfinite, flat)):
+                raise ValueError("Out of range float values are not JSON compliant")
+            deeper = inner + "  "
+            pair = "[" + deeper + "%r," + deeper + "%r" + inner + "]"
+            return ("," + inner).join([pair] * len(items)) % tuple(flat)
+    return ("," + inner).join(_json(v, inner, markers) for v in items)
+
+
+def _json_key(key) -> str:
+    """A dict key as the json module names it: a string as it is, a number, bool or None as JSON."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _encode(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def write_json(path: str | None, doc) -> None:

@@ -19,9 +19,10 @@ from hypothesis import strategies as st
 
 from risem.cli import main
 
-# numbers at the edges of float64, non-finite ones, and values of the wrong type
+# numbers at the edges of float64, non-finite ones, values of the wrong type, and
+# empty tagged scalars (the space ends the tag before a flow indicator)
 POOL = ["0", "-1", "-2.5", "1.0e+308", "1.0e-320", ".nan", ".inf", "-.inf", "abc", "'1.5'", "true",
-        "[1, 2]", "!!float x", "!!int x", "!!str 1", "~"]
+        "[1, 2]", "!!float x", "!!int x", "!!str 1", "~", "!!float ", "!!bool ", "!!timestamp "]
 
 COMMANDS = [["sweep", "--format", "csv"], ["sweep", "--format", "json"], ["mimo"],
             ["configure"], ["sweep", "--trials", "3"]]

@@ -260,6 +260,16 @@ TAG_ERRORS = [
     # an alias cycle ends the walk, and an unknown tag the loader never reached is passed
     ("a: &a [*a, [!foo y]]\nb: !!int x\n",
      "scenario parse error at line 2, column 4: invalid literal for int() with base 10: 'x'"),
+    # on an empty scalar the constructors raise IndexError (!!float, !!int), KeyError
+    # (!!bool) and AttributeError (!!timestamp), not ValueError
+    *[(f"geometry: {{kind: patch, a: 1, b: 1}}\noutput:\n  path: {tag}\n",
+       f"scenario parse error at line 3, column 9: cannot read '' as {tag}")
+      for tag in ("!!float", "!!int", "!!bool", "!!timestamp")],
+    ("!!float : 1\n", "scenario parse error at line 1, column 1: cannot read '' as !!float"),
+    ("geometry: {kind: patch, a: 1, b: !!bool x}\n",
+     "scenario parse error at line 1, column 34: cannot read 'x' as !!bool"),
+    ("geometry: {kind: patch, a: !!int +, b: 1}\n",
+     "scenario parse error at line 1, column 28: cannot read '+' as !!int"),
 ]
 
 
