@@ -1,0 +1,273 @@
+#!/usr/bin/env python3
+"""Compare what two source trees of risem write, on one fixed corpus of CLI runs.
+
+    python scripts/compare_outputs.py OLD_TREE NEW_TREE
+
+Each tree runs the corpus in a child process with PYTHONPATH=<tree>/src and a
+fresh working directory: every figure preset; `sweep` as CSV and JSON, `mimo`
+and `configure` as CSV and JSON over the scenario kinds below; and a fixed list
+of malformed inputs. Every output file, and the exit code, stdout and stderr of
+every run, is reported as identical, or with the largest deviation of each
+numeric CSV column or JSON field that moved, relative to that column's largest
+magnitude; for CSV, also the part beyond one unit of the 12th significant digit
+that it prints. The exit status is 0 when every output is identical and 1
+otherwise.
+
+No digests are stored: last-bit rounding depends on libm and BLAS, so only two
+trees run on one machine can be compared.
+"""
+import argparse
+import contextlib
+import csv
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+
+# a few cells and angles each, so the corpus runs in seconds
+LINEAR = ("geometry: {{kind: linear, n: 16, spacing: {spacing}, a: 0.1, b: 0.1}}\n"
+          "incident: [{{theta_deg: 30.0}}]\n"
+          "observation: {{radius: 100.0, grid: {{start_deg: -90.0, stop_deg: 90.0, count: 181}}}}\n")
+SCENARIOS = {
+    "planar.yaml": (
+        "geometry:\n  kind: planar\n  cells:\n"
+        + "".join(f"    - {{position: [{x}, {y}, 0.0], a: 0.4, b: 0.4, phase: {0.3 * (x + 2 * y)}}}\n"
+                  for x in range(3) for y in range(3))
+        + "incident: [{theta_deg: 20.0, phi_deg: 30.0}, {theta_deg: 40.0, amplitude: 0.5}]\n"
+          "observation: {radius: 50.0, grid: {start_deg: -90.0, stop_deg: 90.0, count: 91}}\n"),
+    "patch.yaml": ("geometry: {kind: patch, a: 2.0, b: 1.5}\n"
+                   "incident: [{theta_deg: 25.0, phi_deg: -40.0}]\n"
+                   "observation: {radius: 80.0}\n"),
+    "patch_no_waves.yaml": "geometry: {kind: patch, a: 2.0, b: 1.5}\n",
+    "compensate.yaml": LINEAR.format(spacing=0.5)
+    + "configure: {scheme: compensate, theta_i_deg: 30.0, theta_s_deg: -50.0}\n",
+    "compensate_points.yaml": (
+        "geometry: {kind: linear, n: 24, spacing: 0.7, a: 0.1, b: 0.1}\n"
+        "incident: [{theta_deg: 30.0}, {theta_deg: 70.0, amplitude: 0.5}]\n"
+        "observation:\n  radius: 100.0\n  points:\n"
+        + "".join(f"    - {{theta_deg: {t}.0}}\n" for t in range(-85, 86, 17))
+        + "configure: {scheme: compensate, theta_i_deg: 30.0, theta_s_deg: -50.0}\n"),
+    "random.yaml": LINEAR.format(spacing=0.5) + "configure: {scheme: random, seed: 3}\n",
+    "expectation.yaml": LINEAR.format(spacing=0.5)
+    + "configure: {scheme: random, expectation: true}\n",
+    "reshape05.yaml": LINEAR.format(spacing=0.5)
+    + "configure: {scheme: reshape, desired_pattern_file: desired.json}\n",
+    "reshape06.yaml": LINEAR.format(spacing=0.6)
+    + "configure: {scheme: reshape, desired_pattern_file: desired.json}\n",
+    "desired.json": json.dumps({"desired": [[math.cos(0.4 * k), math.sin(0.4 * k)]
+                                            for k in range(16)]}),
+    # malformed inputs
+    "empty.yaml": "",
+    "unknown_key.yaml": "geometry: {kind: patch, a: 1.0, b: 1.0, c: 2.0}\n",
+    "bad_syntax.yaml": "geometry: [kind: patch\n",
+    "outside.yaml": LINEAR.format(spacing=0.5).replace("theta_deg: 30.0", "theta_deg: 95.0"),
+    "huge_amplitude.yaml": "geometry: {kind: patch, a: 1.0, b: 1.0}\n"
+                           "incident: [{theta_deg: 0.0, amplitude: 1.0e+308}]\n",
+    "tagged.yaml": "geometry: {kind: patch, a: !!float x, b: 1.0}\n",
+    "deep_value.yaml": "geometry: {kind: patch, a: 1.0, b: " + "[" * 1500 + "]" * 1500 + "}\n",
+    "bad_desired.yaml": LINEAR.format(spacing=0.5)
+    + "configure: {scheme: reshape, desired_pattern_file: bad_desired.json}\n",
+    "bad_desired.json": json.dumps({"desired": [[1.0, "x"]] * 16}),
+}
+FIGURES = ("fig2", "fig4", "fig5", "fig6", "fig7a", "fig7b", "fig8", "fig9")
+RUNS = {
+    **{f"reproduce-{fig}": ["reproduce", fig, "--out", "presets"] for fig in FIGURES},
+    "sweep-compensate-csv": ["sweep", "compensate.yaml", "--out", "compensate.csv"],
+    "sweep-compensate-json": ["sweep", "compensate.yaml", "--format", "json",
+                              "--out", "compensate.json"],
+    "mimo-compensate": ["mimo", "compensate.yaml", "--out", "compensate_mimo.json"],
+    "configure-compensate-csv": ["configure", "compensate.yaml", "--format", "csv",
+                                 "--out", "compensate_weights.csv"],
+    "configure-compensate-json": ["configure", "compensate.yaml",
+                                  "--out", "compensate_weights.json"],
+    "sweep-planar": ["sweep", "planar.yaml", "--out", "planar.csv"],
+    "sweep-patch": ["sweep", "patch.yaml", "--format", "json", "--out", "patch.json"],
+    "sweep-patch-no-waves": ["sweep", "patch_no_waves.yaml", "--out", "patch_no_waves.csv"],
+    "sweep-compensate-points": ["sweep", "compensate_points.yaml",
+                                "--out", "compensate_points.csv"],
+    "sweep-random": ["sweep", "random.yaml", "--out", "random.csv"],
+    "sweep-random-seed": ["sweep", "random.yaml", "--seed", "11", "--out", "random_seed.csv"],
+    "sweep-random-trials": ["sweep", "random.yaml", "--trials", "40",
+                            "--out", "random_trials.csv"],
+    "sweep-expectation": ["sweep", "expectation.yaml", "--out", "expectation.csv"],
+    "sweep-reshape05": ["sweep", "reshape05.yaml", "--format", "json",
+                        "--out", "reshape05.json"],
+    "mimo-reshape05": ["mimo", "reshape05.yaml", "--out", "reshape05_mimo.json"],
+    "configure-reshape05": ["configure", "reshape05.yaml", "--out", "reshape05_weights.json"],
+    "sweep-reshape06": ["sweep", "reshape06.yaml", "--format", "json",
+                        "--out", "reshape06.json"],
+    "configure-reshape06": ["configure", "reshape06.yaml", "--out", "reshape06_weights.json"],
+    # malformed inputs: only the exit code and stderr are written
+    "missing-file": ["sweep", "missing.yaml"],
+    "empty": ["sweep", "empty.yaml"],
+    "unknown-key": ["sweep", "unknown_key.yaml"],
+    "bad-syntax": ["sweep", "bad_syntax.yaml"],
+    "outside": ["sweep", "outside.yaml"],
+    "huge-amplitude": ["sweep", "huge_amplitude.yaml"],
+    "tagged": ["sweep", "tagged.yaml"],
+    "deep-value": ["sweep", "deep_value.yaml"],
+    "bad-desired": ["configure", "bad_desired.yaml"],
+    "negative-seed": ["sweep", "random.yaml", "--seed", "-3"],
+    "mimo-on-patch": ["mimo", "patch.yaml"],
+    "configure-unconfigured": ["configure", "patch.yaml"],
+}
+RECORD = "runs.json"
+
+
+def run_corpus(src: str) -> None:
+    """Write the corpus inputs into the working directory, run it, record each run."""
+    import risem.cli as cli
+    if not os.path.abspath(cli.__file__).startswith(os.path.abspath(src) + os.sep):
+        raise ImportError(f"risem imported from {cli.__file__}, not from {src}")
+    for name, text in SCENARIOS.items():
+        with open(name, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    record = {}
+    for name, argv in RUNS.items():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:           # argparse refuses the command line
+                code = exc.code
+            except Exception as exc:            # noqa: BLE001 - a traceback is an outcome too
+                code = f"raised {type(exc).__name__}: {exc}"
+        record[name] = {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    with open(RECORD, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1)
+
+
+def _outputs(tree: str, workdir: str) -> dict:
+    """Run the corpus on tree in workdir; {output name: text} for every run and file."""
+    src = os.path.join(os.path.abspath(tree), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, os.path.abspath(__file__), "--run-corpus", src],
+                   cwd=workdir, env=env, check=True, timeout=600)
+    outputs = {}
+    with open(os.path.join(workdir, RECORD), encoding="utf-8") as fh:
+        for name, run in json.load(fh).items():
+            for part, value in run.items():
+                outputs[f"{name}:{part}"] = value if isinstance(value, str) else json.dumps(value)
+    for root, _, files in os.walk(workdir):
+        for file in files:
+            path = os.path.relpath(os.path.join(root, file), workdir)
+            if path != RECORD and path not in SCENARIOS:
+                with open(os.path.join(root, file), encoding="utf-8") as fh:
+                    outputs[path] = fh.read()
+    return outputs
+
+
+def _printed_unit(value: float) -> float:
+    """One unit of the 12th significant digit of value, as '%.12g' prints it."""
+    return 10.0 ** (math.floor(math.log10(abs(value))) - 11) if value else 0.0
+
+
+def _deviation(old: list, new: list, printed: bool) -> str | None:
+    """None if the float columns are equal, else their largest deviation in words.
+
+    Deviations are relative to the column's largest finite magnitude. For
+    printed (CSV) columns, the part of each deviation beyond one unit of the
+    12th significant digit is given too: rounding to print cannot explain it.
+    """
+    pairs = [(x, y) for x, y in zip(old, new) if x != y and not (math.isnan(x) and math.isnan(y))]
+    if not pairs:
+        return None
+    if not all(math.isfinite(x) and math.isfinite(y) for x, y in pairs):
+        return "differs (not finite)"
+    scale = max(abs(v) for v in old + new if math.isfinite(v))
+    words = f"{max(abs(x - y) for x, y in pairs) / scale:.2g} of the column maximum"
+    if printed:
+        beyond = max(max(abs(x - y) - max(_printed_unit(x), _printed_unit(y)), 0.0)
+                     for x, y in pairs)
+        words += f" ({beyond / scale:.2g} beyond one printed unit)"
+    return words
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _json_leaves(doc, path="", out=None) -> dict:
+    """{field path with list indices as []: [leaf values in order]} of a JSON document."""
+    out = {} if out is None else out
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            _json_leaves(value, f"{path}.{key}", out)
+    elif isinstance(doc, list):
+        for value in doc:
+            _json_leaves(value, f"{path}[]", out)
+    else:
+        out.setdefault(path or ".", []).append(doc)
+    return out
+
+
+def describe(name: str, old: str, new: str) -> str:
+    """'identical', or what moved between the two texts of one output."""
+    if old == new:
+        return "identical"
+    if name.endswith((":exit", ":stderr")):
+        return f"differs: {old.strip()!r} then {new.strip()!r}"
+    if name.endswith(".csv"):
+        old_rows, new_rows = list(csv.reader(io.StringIO(old))), list(csv.reader(io.StringIO(new)))
+        if len(old_rows) != len(new_rows) or old_rows[:1] != new_rows[:1]:
+            return "differs (header or row count)"
+        changed = sum(a != b for a, b in zip(old_rows[1:], new_rows[1:]))
+        try:
+            columns = [(col, [float(v) for v in a], [float(v) for v in b]) for col, a, b
+                       in zip(old_rows[0], zip(*old_rows[1:]), zip(*new_rows[1:]))]
+        except ValueError:
+            return "differs (not numeric)"
+        moved = [f"{col} {dev}" for col, a, b in columns if (dev := _deviation(a, b, True))]
+        return f"{changed} of {len(old_rows) - 1} rows differ; " + "; ".join(moved)
+    try:
+        old_doc, new_doc = json.loads(old), json.loads(new)
+    except ValueError:
+        return "differs (text)"
+    old_leaves, new_leaves = _json_leaves(old_doc), _json_leaves(new_doc)
+    if old_leaves.keys() != new_leaves.keys() or any(
+            len(old_leaves[k]) != len(new_leaves[k]) for k in old_leaves):
+        return "differs (structure)"
+    moved = []
+    for key, a in old_leaves.items():
+        b = new_leaves[key]
+        if all(map(_is_number, a + b)):
+            dev = _deviation([float(v) for v in a], [float(v) for v in b], False)
+        else:
+            dev = None if a == b else "differs"
+        if dev:
+            moved.append(f"{key} {dev}")
+    return "; ".join(moved) or "differs (formatting)"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_tree", nargs="?")
+    parser.add_argument("new_tree", nargs="?")
+    parser.add_argument("--run-corpus", metavar="SRC", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.run_corpus:
+        run_corpus(args.run_corpus)
+        return 0
+    if not (args.old_tree and args.new_tree):
+        parser.error("give OLD_TREE and NEW_TREE")
+    with tempfile.TemporaryDirectory() as old_dir, tempfile.TemporaryDirectory() as new_dir:
+        old, new = _outputs(args.old_tree, old_dir), _outputs(args.new_tree, new_dir)
+    names, moved = sorted(old.keys() | new.keys()), []
+    for name in names:
+        if name not in old or name not in new:
+            verdict = f"only in {'NEW' if name in new else 'OLD'}"
+        else:
+            verdict = describe(name, old[name], new[name])
+        print(f"{name}: {verdict}")
+        if verdict != "identical":
+            moved.append(name)
+    print(f"{len(names) - len(moved)} of {len(names)} outputs identical"
+          + (f"; moved: {', '.join(moved)}" if moved else ""))
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

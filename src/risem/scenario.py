@@ -11,7 +11,9 @@ import contextlib
 import hashlib
 import json
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,6 +286,11 @@ def _parse_output(node, defaults):
 # loaded 24737 nested sequences and 23585 nested mappings, and died by 24968
 # and 23815.
 _C_LOADER_MAX_DEPTH = 10_000
+# a caller's thread with less stack than the 8 MiB above parses on a thread of its
+# own with twice that (parse_scenario), so the bound holds whatever its stack is
+_PARSE_STACK = 16 * 2 ** 20
+# threading.stack_size is process-wide: it is set only around one start()
+_PARSE_STACK_LOCK = threading.Lock()
 
 
 def _nesting_bound(text: str) -> int:
@@ -333,6 +340,20 @@ def _load_yaml(text: str):
         raise ScenarioError(f"scenario parse error{where}: {reason}") from exc
 
 
+def _has_measured_stack() -> bool:
+    """True on the process's initial thread when its stack may grow to 8 MiB or more.
+
+    On Linux that thread's id is the process id, and its stack grows up to
+    RLIMIT_STACK. Other threads get a size fixed at their start, which the
+    caller may have made small (threading.stack_size), so they answer False.
+    """
+    if threading.get_native_id() != os.getpid():
+        return False
+    import resource  # Unix only, and only Linux gets here
+    soft, _ = resource.getrlimit(resource.RLIMIT_STACK)
+    return soft == resource.RLIM_INFINITY or soft >= _PARSE_STACK // 2
+
+
 def _at(mark) -> str:
     """' at line L, column C' (1-based) for a YAML mark, and '' for None."""
     return f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -364,7 +385,40 @@ def _unreadable_scalar(text: str):
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse and validate scenario text; unknown keys are rejected."""
+    """Parse and validate scenario text; unknown keys are rejected.
+
+    The parse recurses on the C stack as deep as the text nests (libyaml's
+    composer, and the repr of a deep value in a message). A caller's thread
+    without the stack that _C_LOADER_MAX_DEPTH was measured with parses on a
+    thread with a _PARSE_STACK stack instead, so a deep text gives a one-line
+    ScenarioError on a thread of any stack size; what that parse raises is
+    raised here unchanged. The initial thread parses directly: a thread start
+    costs about 150 us, and slowed the numpy work after it in the process.
+    """
+    if _has_measured_stack():
+        return _parse(text)
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = _parse(text)
+        except BaseException as exc:  # noqa: BLE001 - raised again in the caller's thread
+            outcome["exc"] = exc
+
+    thread = threading.Thread(target=run, name="risem-parse")
+    with _PARSE_STACK_LOCK:
+        previous = threading.stack_size(_PARSE_STACK)
+        try:
+            thread.start()
+        finally:
+            threading.stack_size(previous)
+    thread.join()
+    if "exc" in outcome:
+        raise outcome["exc"]
+    return outcome["value"]
+
+
+def _parse(text: str) -> Scenario:
     try:
         return _scenario(_load_yaml(text), text)
     except RecursionError as exc:

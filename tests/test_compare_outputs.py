@@ -1,0 +1,41 @@
+"""scripts/compare_outputs.py: one tree against itself, and its report of a moved column."""
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "compare_outputs.py"
+
+
+def _script():
+    spec = importlib.util.spec_from_file_location("compare_outputs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_one_tree_against_itself_is_identical_everywhere():
+    run = subprocess.run([sys.executable, str(SCRIPT), str(ROOT), str(ROOT)],
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout + run.stderr
+    *lines, summary = run.stdout.splitlines()
+    assert len(lines) > 100 and all(line.endswith(": identical") for line in lines)
+    # the 20 preset files, all 8 manifests among them, are compared
+    assert sum(line.startswith("presets/") for line in lines) == 20
+    assert summary == f"{len(lines)} of {len(lines)} outputs identical"
+
+
+def test_a_moved_csv_column_is_reported_beyond_its_printed_unit():
+    describe = _script().describe
+    old = "a,b\n1,100\n2,200\n"
+    assert describe("x.csv", old, old) == "identical"
+    # 200 -> 200.000000001 is one printed unit; 2 -> 2.5 is far beyond it
+    assert describe("x.csv", old, "a,b\n1,100\n2,200.000000001\n") == (
+        "1 of 2 rows differ; b 5e-12 of the column maximum (0 beyond one printed unit)")
+    assert describe("x.csv", old, "a,b\n1,100\n2.5,200\n").startswith(
+        "1 of 2 rows differ; a 0.2 of the column maximum (0.2 beyond")
+    assert describe("x.csv", old, "a,b\n1,100\n") == "differs (header or row count)"
+    assert describe("r:exit", "0", "2") == "differs: '0' then '2'"
+    assert describe("m.json", '{"v": [1.0, 2.0], "s": "x"}', '{"v": [1.0, 2.5], "s": "x"}') == (
+        ".v[] 0.2 of the column maximum")

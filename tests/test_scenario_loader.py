@@ -4,9 +4,10 @@ libyaml's composer recurses on the C stack and kills the process past some
 depth, so parse_scenario uses it only for texts whose nesting bound clears
 _C_LOADER_MAX_DEPTH. These tests check that the bound never under-counts,
 that deep texts exit 2 in a child process (a crash would end it by a signal),
-which loader runs at the limit, and that both loaders give the same scenario.
+also from a thread with a small stack, which loader runs at the limit, and that both loaders give the same scenario.
 """
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -164,6 +165,84 @@ def test_deep_text_exits_2_in_a_child_process(tmp_path, name):
     assert run.returncode == 2, f"exit {run.returncode} (negative: killed by a signal)"
     assert run.stdout == ""
     assert run.stderr == "error: scenario parse error: nesting too deep\n"
+
+
+# every deep text, two just under the nesting bound that libyaml reads, and a deep
+# value for a message (as in test_deep_value_in_a_message_exits_2); on a thread with a
+# 128 KiB stack (musl's default) libyaml's recursion, or the value's repr, overflows it
+SMALL_STACK_TEXTS = {
+    **DEEP_TEXTS,
+    "deep-value": "geometry: {kind: patch, a: 1.0, b: " + "[" * 1500 + "]" * 1500 + "}\n",
+    "c-loaded-sequence": "geometry:\n" + " [\n" * 4990 + " ]\n" * 4990,
+    "c-loaded-mapping": "geometry:\n" + " {a:\n" * 9000 + " 1\n" + " }\n" * 9000,
+}
+
+SMALL_STACK_CHILD = """
+import json, resource, sys, threading
+from risem.scenario import ScenarioError, parse_scenario
+
+texts, outcomes = json.load(sys.stdin), {}
+
+def parse(key, text):
+    try:
+        parse_scenario(text)
+        outcomes[key] = "parsed"
+    except ScenarioError as exc:
+        outcomes[key] = str(exc)
+
+threading.stack_size(128 * 1024)
+for name, text in texts.items():
+    thread = threading.Thread(target=parse, args=("thread " + name, text))
+    thread.start()
+    thread.join()
+# the initial thread's stack grows up to this limit
+resource.setrlimit(resource.RLIMIT_STACK, (512 * 1024, resource.getrlimit(resource.RLIMIT_STACK)[1]))
+for name, text in texts.items():
+    parse("main " + name, text)
+print(json.dumps(outcomes))
+"""
+
+
+def test_deep_texts_give_one_line_errors_on_a_small_stack():
+    assert scenario._nesting_bound(SMALL_STACK_TEXTS["c-loaded-sequence"]) < LIMIT
+    assert scenario._nesting_bound(SMALL_STACK_TEXTS["c-loaded-mapping"]) < LIMIT
+    src = str(Path(risem.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    run = subprocess.run([sys.executable, "-c", SMALL_STACK_CHILD],
+                         input=json.dumps(SMALL_STACK_TEXTS), capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert run.returncode == 0, f"exit {run.returncode} (negative: killed by a signal)"
+    outcomes = json.loads(run.stdout)
+    assert outcomes.keys() == {f"{where} {name}" for where in ("thread", "main")
+                               for name in SMALL_STACK_TEXTS}
+    for key, message in outcomes.items():
+        assert message != "parsed" and "\n" not in message, key
+
+
+def test_a_thread_parse_gives_what_a_direct_parse_gives(monkeypatch):
+    direct = _canonical(parse_scenario(POINTS_SCENARIO))
+    threads = []
+    monkeypatch.setattr(scenario, "_has_measured_stack", lambda: False)
+    start = scenario.threading.Thread.start
+
+    def counted(self):
+        threads.append(self)
+        start(self)
+    monkeypatch.setattr(scenario.threading.Thread, "start", counted)
+    assert _canonical(parse_scenario(POINTS_SCENARIO)) == direct
+    with pytest.raises(ScenarioError, match="^scenario is empty$"):
+        parse_scenario("")
+    assert len(threads) == 2 and not any(t.is_alive() for t in threads)
+    # the process-wide size for new threads is left as it was
+    assert scenario.threading.stack_size() == 0
+
+
+@pytest.mark.parametrize("soft,measured", [(8 * 2 ** 20, True), (2 ** 20, False)])
+def test_the_initial_thread_parses_directly_only_with_an_8_mib_stack(monkeypatch, soft, measured):
+    import resource
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (soft, resource.RLIM_INFINITY))
+    assert scenario._has_measured_stack() is measured
 
 
 @pytest.mark.parametrize("text", [
