@@ -27,10 +27,16 @@ import subprocess
 import sys
 import tempfile
 
+
+def linear(spacing=0.5, width=0.1, incident="[{theta_deg: 30.0}]"):
+    """A 16-cell linear scenario text; b is the cell width."""
+    return (f"geometry: {{kind: linear, n: 16, spacing: {spacing}, a: 0.1, b: {width}}}\n"
+            f"incident: {incident}\n"
+            "observation: {radius: 100.0, grid: {start_deg: -90.0, stop_deg: 90.0, count: 181}}\n")
+
+
+TWO_WAVES = "[{theta_deg: 30.0}, {theta_deg: -20.0, amplitude: 0.6}]"
 # a few cells and angles each, so the corpus runs in seconds
-LINEAR = ("geometry: {{kind: linear, n: 16, spacing: {spacing}, a: 0.1, b: 0.1}}\n"
-          "incident: [{{theta_deg: 30.0}}]\n"
-          "observation: {{radius: 100.0, grid: {{start_deg: -90.0, stop_deg: 90.0, count: 181}}}}\n")
 SCENARIOS = {
     "planar.yaml": (
         "geometry:\n  kind: planar\n  cells:\n"
@@ -42,7 +48,7 @@ SCENARIOS = {
                    "incident: [{theta_deg: 25.0, phi_deg: -40.0}]\n"
                    "observation: {radius: 80.0}\n"),
     "patch_no_waves.yaml": "geometry: {kind: patch, a: 2.0, b: 1.5}\n",
-    "compensate.yaml": LINEAR.format(spacing=0.5)
+    "compensate.yaml": linear()
     + "configure: {scheme: compensate, theta_i_deg: 30.0, theta_s_deg: -50.0}\n",
     "compensate_points.yaml": (
         "geometry: {kind: linear, n: 24, spacing: 0.7, a: 0.1, b: 0.1}\n"
@@ -50,12 +56,16 @@ SCENARIOS = {
         "observation:\n  radius: 100.0\n  points:\n"
         + "".join(f"    - {{theta_deg: {t}.0}}\n" for t in range(-85, 86, 17))
         + "configure: {scheme: compensate, theta_i_deg: 30.0, theta_s_deg: -50.0}\n"),
-    "random.yaml": LINEAR.format(spacing=0.5) + "configure: {scheme: random, seed: 3}\n",
-    "expectation.yaml": LINEAR.format(spacing=0.5)
+    "random.yaml": linear() + "configure: {scheme: random, seed: 3}\n",
+    "expectation.yaml": linear()
     + "configure: {scheme: random, expectation: true}\n",
-    "reshape05.yaml": LINEAR.format(spacing=0.5)
+    # two waves: Monte Carlo and the expectation sum over a wave axis
+    "random_two_waves.yaml": linear(incident=TWO_WAVES) + "configure: {scheme: random, seed: 3}\n",
+    "expectation_wide.yaml": linear(width=0.45, incident=TWO_WAVES)
+    + "configure: {scheme: random, expectation: true}\n",
+    "reshape05.yaml": linear()
     + "configure: {scheme: reshape, desired_pattern_file: desired.json}\n",
-    "reshape06.yaml": LINEAR.format(spacing=0.6)
+    "reshape06.yaml": linear(0.6)
     + "configure: {scheme: reshape, desired_pattern_file: desired.json}\n",
     "desired.json": json.dumps({"desired": [[math.cos(0.4 * k), math.sin(0.4 * k)]
                                             for k in range(16)]}),
@@ -63,12 +73,12 @@ SCENARIOS = {
     "empty.yaml": "",
     "unknown_key.yaml": "geometry: {kind: patch, a: 1.0, b: 1.0, c: 2.0}\n",
     "bad_syntax.yaml": "geometry: [kind: patch\n",
-    "outside.yaml": LINEAR.format(spacing=0.5).replace("theta_deg: 30.0", "theta_deg: 95.0"),
+    "outside.yaml": linear(incident="[{theta_deg: 95.0}]"),
     "huge_amplitude.yaml": "geometry: {kind: patch, a: 1.0, b: 1.0}\n"
                            "incident: [{theta_deg: 0.0, amplitude: 1.0e+308}]\n",
     "tagged.yaml": "geometry: {kind: patch, a: !!float x, b: 1.0}\n",
     "deep_value.yaml": "geometry: {kind: patch, a: 1.0, b: " + "[" * 1500 + "]" * 1500 + "}\n",
-    "bad_desired.yaml": LINEAR.format(spacing=0.5)
+    "bad_desired.yaml": linear()
     + "configure: {scheme: reshape, desired_pattern_file: bad_desired.json}\n",
     "bad_desired.json": json.dumps({"desired": [[1.0, "x"]] * 16}),
 }
@@ -93,6 +103,10 @@ RUNS = {
     "sweep-random-trials": ["sweep", "random.yaml", "--trials", "40",
                             "--out", "random_trials.csv"],
     "sweep-expectation": ["sweep", "expectation.yaml", "--out", "expectation.csv"],
+    "sweep-random-two-waves-trials": ["sweep", "random_two_waves.yaml", "--trials", "40",
+                                      "--out", "random_two_waves_trials.csv"],
+    "sweep-expectation-wide": ["sweep", "expectation_wide.yaml",
+                               "--out", "expectation_wide.csv"],
     "sweep-reshape05": ["sweep", "reshape05.yaml", "--format", "json",
                         "--out", "reshape05.json"],
     "mimo-reshape05": ["mimo", "reshape05.yaml", "--out", "reshape05_mimo.json"],

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CHUNK_TERMS, TWO_PI, Direction, ObservationPoint, PlaneWave, _chunked,
-                   sinc_normalized)
+                   _sum_waves, _wave_arrays, sinc_normalized)
 from .linear import (LinearRis, MimoSystem, _alternating_signs, _cell_terms,
                      _geometry_phase, _steering, _complex_pairs)
 
@@ -68,19 +68,19 @@ def random_phase_miso_expected_power(ris: LinearRis, waves, r_s: float, theta_s)
     """
     lam = ris.ctx.wavelength
     sin_s = np.sin(np.asarray(theta_s, dtype=float))
-    sin_w = np.sin(np.array([w.direction.theta for w in waves], dtype=float))
-    drive = np.array([w.amplitude * np.cos(w.direction.theta) for w in waves], dtype=float)
-    excitation = drive[:, None] * _geometry_phase(ris.n, ris.spacing, lam, sin_w)
+    theta, _, amplitude = _wave_arrays(waves, 1)
+    sin_w = np.sin(theta)
+    excitation = amplitude * np.cos(theta) * _geometry_phase(ris.n, ris.spacing, lam, sin_w[:, 0])
     cell_weights = (ris.areas / lam) ** 2
 
     def power(sin_chunk):
-        h = np.zeros((sin_chunk.size, ris.n), dtype=complex)
-        for s_w, e_w in zip(sin_w, excitation):
-            h += e_w * sinc_normalized(np.pi * ris.widths / lam * (s_w + sin_chunk[:, None]))
+        # waves x angles x cells, summed over the waves in their order
+        sa = sinc_normalized(np.pi * ris.widths / lam * (sin_w[..., None] + sin_chunk[:, None]))
+        h = _sum_waves(excitation[:, None] * sa)
         return np.sum(cell_weights * (h.real ** 2 + h.imag ** 2), axis=-1)
 
     out = (abs(ris.ctx.coupling) ** 2 / r_s ** 2
-           * _chunked(power, sin_s.ravel(), ris.n).reshape(sin_s.shape))
+           * _chunked(power, sin_s.ravel(), max(1, ris.n * len(waves))).reshape(sin_s.shape))
     return float(out) if out.ndim == 0 else out
 
 
@@ -107,12 +107,14 @@ def monte_carlo_power_grid(ris: LinearRis, waves, r_s: float, thetas, trials: in
     scale = ris.ctx.coupling * np.exp(-2j * np.pi * r_s / ris.ctx.wavelength) / r_s
     sin_s = np.sin(np.asarray(thetas, dtype=float).ravel())
 
+    theta, _, amplitude = _wave_arrays(waves, 2)
+    sin_w = np.sin(theta)
+
     def moments(sin_chunk, signs):
-        # per-cell complex gain before the configured phase, per scatter angle
-        gains = np.zeros((sin_chunk.size, ris.n), dtype=complex)
-        for w in waves:
-            gains += (w.amplitude * np.cos(w.direction.theta)
-                      * _cell_terms(ris, np.sin(w.direction.theta) + sin_chunk, weights))
+        # per-cell complex gain before the configured phase, per scatter angle:
+        # waves x angles x cells, summed over the waves in their order
+        gains = _sum_waves(amplitude * np.cos(theta)
+                           * _cell_terms(ris, sin_w[..., 0] + sin_chunk, weights))
         gains *= scale
         samples = np.abs(gains @ signs) ** 2
         return np.stack([np.sum(samples, axis=-1), np.sum(samples ** 2, axis=-1)], axis=-1)
@@ -124,7 +126,8 @@ def monte_carlo_power_grid(ris: LinearRis, waves, r_s: float, thetas, trials: in
         # cells x trials, complex so that no chunk converts it again
         signs = np.array([1.0 - 2.0 * trial_rng(seed, t).integers(0, 2, size=ris.n)
                           for t in range(lo, min(lo + block, trials))], dtype=complex).T
-        acc += _chunked(lambda chunk: moments(chunk, signs), sin_s, max(ris.n, signs.shape[1]))
+        acc += _chunked(lambda chunk: moments(chunk, signs), sin_s,
+                        max(ris.n * len(waves), signs.shape[1]))
     mean = acc[:, 0] / trials
     if not return_stderr:
         return mean
@@ -244,9 +247,16 @@ def _svd_solve(v_s, desired, truncation_tol):
 
     Singular directions below truncation_tol * sigma_max are dropped. The
     discarded fraction is ||desired - U_keep U_keep^H desired|| / ||desired||,
-    which reads round-off, not sqrt(eps), when nothing is dropped.
+    which reads round-off, not sqrt(eps), when nothing is dropped. LAPACK's
+    gesdd can fail to converge where the SVD of the transpose converges (an
+    exact 1024-point DFT matrix does), so that is tried once before giving up.
     """
-    u, sing, vh = np.linalg.svd(v_s, full_matrices=False)
+    try:
+        u, sing, vh = np.linalg.svd(v_s, full_matrices=False)
+    except np.linalg.LinAlgError:
+        # v_s^T = V S U^T
+        vt, sing, ut = np.linalg.svd(v_s.T, full_matrices=False)
+        u, vh = ut.T, vt.T
     keep = sing >= truncation_tol * sing[0]
     u_keep = u[:, keep]
     proj = u_keep.conj().T @ desired

@@ -164,6 +164,25 @@ def _chunked(reduce_chunk, points: np.ndarray, width: int) -> np.ndarray:
                            for lo in range(0, max(len(points), 1), step)])
 
 
+def _wave_arrays(waves, ndim: int = 0):
+    """(theta, phi, amplitude) of the waves on a leading axis, then ndim unit axes
+    that broadcast against ndim axes of scatter directions."""
+    shape = (len(waves),) + (1,) * ndim
+    return tuple(np.array(values, dtype=float).reshape(shape) for values in
+                 ([w.direction.theta for w in waves], [w.direction.phi for w in waves],
+                  [w.amplitude for w in waves]))
+
+
+def _sum_waves(terms: np.ndarray) -> np.ndarray:
+    """Sum over the leading (wave) axis from zero, one wave after the other: the
+    bits of `total += term` per wave, which np.sum may pair up and accumulate does not."""
+    if not len(terms):
+        return np.zeros(terms.shape[1:], dtype=terms.dtype)
+    total = np.add.accumulate(terms)[-1]
+    total += 0.0  # a zero start makes a -0.0 total +0.0
+    return total
+
+
 def sampling_sa_linear(b, theta_s, theta_i, wavelength):
     """Single-sinc directivity for in-plane (yoz) evaluation.
 

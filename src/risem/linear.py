@@ -11,8 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (TWO_PI, ObservationPoint, PlaneWave, WaveContext, _chunked,
-                   positive_finite, sinc_normalized)
+from .core import (TWO_PI, ObservationPoint, PlaneWave, WaveContext, _chunked, _sum_waves,
+                   _wave_arrays, positive_finite, sinc_normalized)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,68 +90,43 @@ def _cell_terms(ris: LinearRis, sines, weights) -> np.ndarray:
     return weights * sa * _geometry_phase(ris.n, ris.spacing, lam, sines)
 
 
-def _steering(ris: LinearRis, sines) -> np.ndarray:
-    """Steering function over an array of s = sin(theta_i) + sin(theta_s).
+def _steering(ris: LinearRis, sines, sin_i=0.0) -> np.ndarray:
+    """Steering function at s = sin_i + sines for every pair: shape(sin_i) + shape(sines).
 
-    T depends on the two angles only through s. The cell weights
-    (A_n/wavelength) e^{j Omega_n} are formed once. With equal cell widths the
-    sinc depends on s alone and leaves the sum, which is one matrix-vector
-    product of the cell phases and the weights; otherwise the per-cell terms
-    are summed. Both run over chunks of core.CHUNK_TERMS cell-terms, so memory
-    stays bounded for any array of s.
+    T depends on the two angles only through s = sin(theta_i) + sin(theta_s).
+    The cell weights (A_n/wavelength) e^{j Omega_n} are formed once. With equal
+    cell widths the sinc depends on s alone and leaves the sum, and the paper's
+    factorisation applies: since e^{jk(a+b)} = e^{jka} e^{jkb}, the sum is
+    V(sines) diag(w) V(sin_i)^T, one matrix product per chunk of sines, times
+    the sinc of each sum. That forms (A + B) n cell phases instead of A B n.
+    Mixed widths sum the per-cell terms of each sum. Both run over chunks of
+    core.CHUNK_TERMS cell-terms, so memory stays bounded for any array of s.
+
+    The default sin_i = 0 has V(0) = 1, so an array of sums s gives the bits
+    of the one-argument product. At 8192 cells a float64 phase factor carries
+    about 3e-12 rad, so sweeps pass their sums whole until the cell phases are
+    reduced exactly.
     """
-    s = np.asarray(sines, dtype=float)
-    flat, lam = s.ravel(), ris.ctx.wavelength
+    s, inc = np.asarray(sines, dtype=float), np.asarray(sin_i, dtype=float)
+    flat, flat_i, lam = s.ravel(), inc.ravel(), ris.ctx.wavelength
     weights = ris.areas / lam * np.exp(1j * ris.phases)
     if np.any(ris.widths != ris.widths[0]):
-        out = _chunked(lambda c: np.sum(_cell_terms(ris, c, weights), axis=-1), flat, ris.n)
+        out = _chunked(lambda c: np.sum(_cell_terms(ris, c[:, None] + flat_i, weights), axis=-1),
+                       flat, max(1, ris.n * flat_i.size))
     else:
-        out = _chunked(lambda c: _geometry_phase(ris.n, ris.spacing, lam, c) @ weights,
-                       flat, ris.n)
-        out *= sinc_normalized(np.pi * ris.widths[0] / lam * flat)
-    return ris.ctx.coupling * out.reshape(s.shape)
-
-
-def _steering_outer(ris: LinearRis, sin_i, sin_s) -> np.ndarray:
-    """Steering function at s = sin_i[i] + sin_s[k], of shape (len(sin_i), len(sin_s)).
-
-    The paper's factorisation: since e^{jk(a+b)} = e^{jka} e^{jkb}, with equal
-    cell widths the surface is V(sin_i) diag(w) V(sin_s)^T times the sinc of
-    each sum, which forms (A + B) n cell phases instead of the A B n of
-    _steering on the outer sum. Each chunk of sin_s is one matrix product whose
-    temporaries stay within core.CHUNK_TERMS entries. Mixed widths keep the
-    per-cell sum of _steering.
-
-    The field over W waves is drive @ _steering_outer(ris, sin_w, sin_s), but
-    sweeps do not take this path yet: at 8192 cells a float64 phase factor
-    carries about 3e-12 rad, so they wait for exactly reduced cell phases.
-    """
-    sin_i = np.asarray(sin_i, dtype=float)
-    sin_s = np.asarray(sin_s, dtype=float)
-    if np.any(ris.widths != ris.widths[0]):
-        return _steering(ris, sin_i[:, None] + sin_s[None, :])
-    lam = ris.ctx.wavelength
-    weights = ris.areas / lam * np.exp(1j * ris.phases)
-    left = (_geometry_phase(ris.n, ris.spacing, lam, sin_i) * weights).T
-    sinc_scale = np.pi * ris.widths[0] / lam
-
-    def chunk(c):
-        return ((_geometry_phase(ris.n, ris.spacing, lam, c) @ left)
-                * sinc_normalized(sinc_scale * (c[:, None] + sin_i)))
-    out = _chunked(chunk, sin_s, max(ris.n, sin_i.size))
-    return ris.ctx.coupling * out.T
+        left = (_geometry_phase(ris.n, ris.spacing, lam, flat_i) * weights).T
+        out = _chunked(lambda c: _geometry_phase(ris.n, ris.spacing, lam, c) @ left,
+                       flat, max(ris.n, flat_i.size))
+        out *= sinc_normalized(np.pi * ris.widths[0] / lam * (flat[:, None] + flat_i))
+    return ris.ctx.coupling * out.T.reshape(inc.shape + s.shape)
 
 
 def _field(ris: LinearRis, waves: Sequence[PlaneWave], r: float, theta_s) -> np.ndarray:
     """Scalar scattered field at range r summed over waves, per scatter angle."""
-    lam = ris.ctx.wavelength
     sin_s = np.sin(np.asarray(theta_s, dtype=float))
-    total = np.zeros(sin_s.shape, dtype=complex)
-    for w in waves:
-        theta_i = w.direction.theta
-        total += (np.exp(-2j * np.pi * r / lam) / r * w.amplitude * np.cos(theta_i)
-                  * _steering(ris, np.sin(theta_i) + sin_s))
-    return total
+    theta, _, amplitude = _wave_arrays(waves, sin_s.ndim)
+    drive = np.exp(-2j * np.pi * r / ris.ctx.wavelength) / r * amplitude * np.cos(theta)
+    return _sum_waves(drive * _steering(ris, np.sin(theta) + sin_s))
 
 
 def _rcs(ris: LinearRis, theta_i, theta_s) -> np.ndarray:

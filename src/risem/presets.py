@@ -16,7 +16,7 @@ from .core import Direction, PlaneWave, WaveContext
 from .config import (anomalous_pairs, compensation_delta,
                      grating_lobes, phase_compensation, random_phase_draw,
                      random_phase_expected_rcs)
-from .linear import LinearRis, _field, _rcs, _steering_outer, dft_scatter_grid
+from .linear import LinearRis, _field, _rcs, _steering, dft_scatter_grid
 from .patch import Patch
 from .scenario import (Scenario, _output, decibels, json_text, parse_scenario,
                        reshape_on_grid, run_sweep, write_csv)
@@ -235,7 +235,7 @@ def _steering_surface(name, theta_i_deg, theta_s_deg):
     delta = compensation_delta(theta_i, theta_s)
     grid = np.linspace(-90.0, 90.0, 181)
     sines = np.sin(np.radians(grid))
-    t = np.abs(_steering_outer(ris, sines, sines))
+    t = np.abs(_steering(ris, sines, sines))
     rcs = 4.0 * np.pi * np.cos(np.radians(grid))[:, None] ** 2 * t ** 2
     ti, ts = np.meshgrid(grid, grid, indexing="ij")
     files = {f"{name}_steering.csv": {"theta_i_deg": ti.ravel(), "theta_s_deg": ts.ravel(),

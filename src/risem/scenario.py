@@ -287,7 +287,7 @@ def _parse_output(node, defaults):
 # and 23815.
 _C_LOADER_MAX_DEPTH = 10_000
 # a caller's thread with less stack than the 8 MiB above parses on a thread of its
-# own with twice that (parse_scenario), so the bound holds whatever its stack is
+# own with twice that (_on_a_measured_stack), so the bound holds whatever its stack is
 _PARSE_STACK = 16 * 2 ** 20
 # threading.stack_size is process-wide: it is set only around one start()
 _PARSE_STACK_LOCK = threading.Lock()
@@ -384,24 +384,23 @@ def _unreadable_scalar(text: str):
     return None
 
 
-def parse_scenario(text: str) -> Scenario:
-    """Parse and validate scenario text; unknown keys are rejected.
+def _on_a_measured_stack(read, *args):
+    """read(*args) on a stack at least as large as _C_LOADER_MAX_DEPTH was measured with.
 
-    The parse recurses on the C stack as deep as the text nests (libyaml's
-    composer, and the repr of a deep value in a message). A caller's thread
-    without the stack that _C_LOADER_MAX_DEPTH was measured with parses on a
-    thread with a _PARSE_STACK stack instead, so a deep text gives a one-line
-    ScenarioError on a thread of any stack size; what that parse raises is
-    raised here unchanged. The initial thread parses directly: a thread start
-    costs about 150 us, and slowed the numpy work after it in the process.
+    The C readers recurse on the C stack as deep as their text nests. A
+    caller's thread without the measured stack runs read on a thread with a
+    _PARSE_STACK stack instead, so a deep text gives a one-line error on a
+    thread of any stack size; what read raises there is raised here unchanged.
+    The initial thread runs read directly: a thread start costs about 150 us,
+    and slowed the numpy work after it in the process.
     """
     if _has_measured_stack():
-        return _parse(text)
+        return read(*args)
     outcome = {}
 
     def run():
         try:
-            outcome["value"] = _parse(text)
+            outcome["value"] = read(*args)
         except BaseException as exc:  # noqa: BLE001 - raised again in the caller's thread
             outcome["exc"] = exc
 
@@ -416,6 +415,14 @@ def parse_scenario(text: str) -> Scenario:
     if "exc" in outcome:
         raise outcome["exc"]
     return outcome["value"]
+
+
+def parse_scenario(text: str) -> Scenario:
+    """Parse and validate scenario text; unknown keys are rejected.
+
+    libyaml's composer, and the repr of a deep value in a message, recurse on
+    the C stack as deep as the text nests."""
+    return _on_a_measured_stack(_parse, text)
 
 
 def _parse(text: str) -> Scenario:
@@ -611,7 +618,8 @@ def cut_angles(theta_deg, phi_deg):
 def _load_desired_pattern(path: str, n: int) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            # json's C decoder recurses on the C stack once per nesting level
+            doc = _on_a_measured_stack(json.load, fh)
         except RecursionError as exc:
             raise ScenarioError("desired pattern file is nested too deeply") from exc
     values = doc.get("desired") if isinstance(doc, dict) else None

@@ -13,8 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import (TWO_PI, Direction, ObservationPoint, PlaneWave, SphericalField,
-                   WaveContext, _chunked, _polarization_factors, _sinc_pair,
-                   _unit_vectors, direction_vector, positive_finite)
+                   WaveContext, _chunked, _polarization_factors, _sinc_pair, _sum_waves,
+                   _unit_vectors, _wave_arrays, direction_vector, positive_finite)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,17 +113,12 @@ def _fields(geom: RisGeometry, waves: Sequence[PlaneWave], r: float, theta_s, ph
     """
     lam = geom.ctx.wavelength
     u_s = _unit_vectors(theta_s, phi_s)
-    e_theta = np.zeros(u_s.shape[:-1], dtype=complex)
-    e_phi = np.zeros(u_s.shape[:-1], dtype=complex)
-    for w in waves:
-        inc = w.direction
-        pref = (geom.ctx.coupling * np.exp(-2j * np.pi * r / lam) / r
-                * w.amplitude * np.cos(inc.theta))
-        f_theta, f_phi = _polarization_factors(inc.phi, theta_s, phi_s)
-        s = _sum_cells(geom, direction_vector(inc) + u_s)
-        e_theta += pref * f_theta * s
-        e_phi += pref * f_phi * s
-    return e_theta, e_phi
+    theta, phi, amplitude = _wave_arrays(waves, u_s.ndim - 1)
+    pref = geom.ctx.coupling * np.exp(-2j * np.pi * r / lam) / r * amplitude * np.cos(theta)
+    f_theta, f_phi = _polarization_factors(phi, theta_s, phi_s)
+    # every wave is one slice of a single cell sum over u_i + u_s
+    s = _sum_cells(geom, _unit_vectors(theta, phi) + u_s)
+    return _sum_waves(pref * f_theta * s), _sum_waves(pref * f_phi * s)
 
 
 def _field_magnitude(geom: RisGeometry, waves: Sequence[PlaneWave], r: float,

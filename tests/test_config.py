@@ -177,6 +177,28 @@ class TestClosedFormMoments:
         power = random_phase_miso_expected_power(ris, waves, 100.0, math.radians(60.0))
         assert power < 0.5 * _point_cell_expected_power(ris, waves, 100.0)
 
+    @pytest.mark.parametrize("n,angles", [(7, 40), (100, 3 * (CHUNK_TERMS // 300) + 5),
+                                          (CHUNK_TERMS + 3, 2)])
+    def test_wide_cell_expectation_equals_the_wave_by_wave_sum(self, n, angles):
+        # h_n accumulated one wave at a time, over angle counts off the chunk step
+        rng = np.random.default_rng(n)
+        ris = LinearRis(0.6, rng.uniform(0.0, 0.05, n), rng.uniform(0.0, 0.6, n), 0.0,
+                        WaveContext(1.3, -0.3 + 0.2j))
+        waves = [PlaneWave(Direction(t), a) for t, a in ((0.4, 1.0), (-1.1, 0.5), (0.9, 1.7))]
+        thetas = np.linspace(-1.5, 1.5, angles)
+        lam = ris.ctx.wavelength
+        h = np.zeros((angles, n), dtype=complex)
+        for w in waves:
+            s_w = np.sin(w.direction.theta)
+            h += (w.amplitude * np.cos(w.direction.theta)
+                  * _geometry_phase(n, ris.spacing, lam, s_w)
+                  * sampling_sa_linear(ris.widths, thetas[:, None], w.direction.theta, lam))
+        want = (abs(ris.ctx.coupling) ** 2 / 7.0 ** 2
+                * np.sum((ris.areas / lam) ** 2 * np.abs(h) ** 2, axis=-1))
+        got = random_phase_miso_expected_power(ris, waves, 7.0, thetas)
+        assert got.shape == thetas.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
     def test_monte_carlo_matches_closed_form(self):
         ris = _reference_array(16)
         theta_i = math.radians(30.0)
@@ -440,6 +462,8 @@ class TestBeamReshape:
            st.lists(st.floats(-0.78, 0.78), min_size=1, max_size=2),
            st.floats(1.0, 2.0), st.floats(0.1, 0.5), st.integers(0, 2 ** 32 - 1))
     @example(1024, 1.0, [0.35, -0.6], 1.0, 0.5, 0)
+    # LAPACK's gesdd does not converge on this exact DFT matrix, but on its transpose
+    @example(1024, 86.69177488239391, [0.0], 1.0, 0.5, 0)
     @settings(max_examples=6, deadline=None)
     def test_dft_grid_solve_matches_svd_solve(self, n, wavelength, thetas, a1, a2, seed):
         ris = LinearRis.uniform(n, wavelength / 2.0, 0.01, ctx=WaveContext(wavelength))

@@ -12,7 +12,7 @@ from risem import (Direction, LinearRis, MimoSystem, ObservationPoint,
                    PlaneWave, WaveContext, apply_mimo, assemble_mimo,
                    dft_scatter_grid, linear_field, linear_field_multi,
                    linear_rcs, phase_compensation, sampling_sa_linear,
-                   steering_function)
+                   sinc_normalized, steering_function)
 from risem import linear as linear_module
 from risem import presets as presets_module
 from risem.cli import main
@@ -152,15 +152,16 @@ class TestSteeringKernel:
         assert np.max(np.abs(got[sample] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def _edge_count(n, count, len_i):
-    """A sin_s length; 'edge' +-1 straddles the chunk length of _steering_outer."""
+def _edge_count(n, count, len_i, mixed):
+    """A sines length; 'edge' +-1 straddles the chunk length of _steering over len_i sin_i."""
     if isinstance(count, int):
         return count
-    return CHUNK_TERMS // max(n, len_i) + {"edge-1": -1, "edge": 0, "edge+1": 1}[count]
+    width = max(1, n * len_i) if mixed else max(n, len_i)
+    return CHUNK_TERMS // width + {"edge-1": -1, "edge": 0, "edge+1": 1}[count]
 
 
 class TestFactoredSteering:
-    """_steering_outer against the per-point kernel on the outer sum of the sines."""
+    """_steering over sin_i (+) sines against the same kernel on the outer sum, passed whole."""
 
     @given(st.sampled_from([1, 2, 100, 1000]), st.sampled_from(["zero", "equal", "mixed"]),
            st.sampled_from([0, 1, 5]), st.sampled_from([0, 1, 37, "edge-1", "edge", "edge+1"]),
@@ -172,7 +173,7 @@ class TestFactoredSteering:
         rng = np.random.default_rng(seed)
         width = {"zero": 0.0, "equal": 0.3, "mixed": rng.uniform(0.0, 0.6, n)}[widths]
         sin_i = rng.uniform(-1.0, 1.0, len_i)
-        sin_s = rng.uniform(-1.0, 1.0, _edge_count(n, count, len_i))
+        sin_s = rng.uniform(-1.0, 1.0, _edge_count(n, count, len_i, widths == "mixed"))
         # phases steered to the first pair give a coherent peak, as on the preset surfaces;
         # among a few random-phase values, the float64 phase round-off of either kernel
         # alone comes near 1e-12 of max|T| at 1000 cells
@@ -181,13 +182,52 @@ class TestFactoredSteering:
         # a complex reflection coefficient gives a coupling off the imaginary axis
         ris = LinearRis(spacing, rng.uniform(0.001, 0.05, n), width, phases,
                         WaveContext(lam, 0.3 + 0.4j))
-        got = linear_module._steering_outer(ris, sin_i, sin_s)
+        got = _steering(ris, sin_s, sin_i)
         want = _steering(ris, sin_i[:, None] + sin_s[None, :])
         assert got.shape == (sin_i.size, sin_s.size)
         if want.size:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_steering_surfaces_never_sum_per_point(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("widths", ["equal", "mixed"])
+    @pytest.mark.parametrize("shape_i,shape_s", [((), (4,)), ((2, 3), (4,)), ((3,), ()),
+                                                 ((2,), (3, 2))])
+    def test_result_shape_is_that_of_sin_i_then_sines(self, widths, shape_i, shape_s):
+        width = 0.2 if widths == "equal" else np.linspace(0.1, 0.3, 6)
+        ris = LinearRis(0.5, np.full(6, 0.01), width, np.linspace(0.0, 3.0, 6), CTX)
+        rng = np.random.default_rng(2)
+        sin_i, sin_s = rng.uniform(-1.0, 1.0, shape_i), rng.uniform(-1.0, 1.0, shape_s)
+        got = _steering(ris, sin_s, sin_i)
+        assert got.shape == shape_i + shape_s
+        want = _steering(ris, np.add.outer(sin_i, sin_s))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [1, 16, 1000])
+    def test_default_sin_i_keeps_the_bits_of_the_one_argument_product(self, n):
+        # V(0) = 1 exactly, so the default adds nothing to the product of the sums
+        rng = np.random.default_rng(n)
+        ris = LinearRis.uniform(n, 0.7, 0.02, width=0.3, phases=rng.uniform(0.0, 6.0, n),
+                                ctx=WaveContext(0.9))
+        s = rng.uniform(-2.0, 2.0, CHUNK_TERMS // n)
+        weights = ris.areas / 0.9 * np.exp(1j * ris.phases)
+        want = ris.ctx.coupling * ((linear_module._geometry_phase(n, 0.7, 0.9, s) @ weights)
+                                   * sinc_normalized(np.pi * 0.3 / 0.9 * s))
+        assert np.array_equal(_steering(ris, s), want)
+
+    def test_steering_surfaces_take_one_kernel_call(self, tmp_path, monkeypatch):
+        calls, steering = [], linear_module._steering
+
+        def spy(ris, sines, sin_i=0.0):
+            calls.append(np.shape(sin_i))
+            return steering(ris, sines, sin_i)
+
+        monkeypatch.setattr(linear_module, "_steering", spy)
+        # where the presets import it by name
+        monkeypatch.setattr(presets_module, "_steering", spy)
+        for figure in ("fig8", "fig9"):
+            assert main(["reproduce", figure, "--out", str(tmp_path)]) == 0
+        assert calls == [(181,), (181,)]
+
+    def test_a_field_over_waves_takes_one_kernel_call(self, monkeypatch):
         calls, steering = [], linear_module._steering
 
         def spy(*args):
@@ -195,14 +235,14 @@ class TestFactoredSteering:
             return steering(*args)
 
         monkeypatch.setattr(linear_module, "_steering", spy)
-        # also where the presets would import it by name
-        monkeypatch.setattr(presets_module, "_steering", spy, raising=False)
-        for figure in ("fig8", "fig9"):
-            assert main(["reproduce", figure, "--out", str(tmp_path)]) == 0
-        assert calls == []
-        mixed = LinearRis(0.5, np.full(4, 0.01), np.linspace(0.1, 0.4, 4), 0.0, CTX)
-        linear_module._steering_outer(mixed, np.zeros(2), np.zeros(3))
+        ris = LinearRis.uniform(24, 0.6, 0.01, width=0.1)
+        waves = [PlaneWave(Direction(t), a) for t, a in ((0.3, 1.0), (-0.7, 0.5), (1.1, 2.0))]
+        thetas = np.linspace(-1.5, 1.5, 31)
+        field = linear_module._field(ris, waves, 40.0, thetas)
         assert len(calls) == 1
+        # against the sum of its one-wave fields
+        want = sum(linear_module._field(ris, [w], 40.0, thetas) for w in waves)
+        assert np.max(np.abs(field - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestLinearRis:

@@ -4,7 +4,8 @@ libyaml's composer recurses on the C stack and kills the process past some
 depth, so parse_scenario uses it only for texts whose nesting bound clears
 _C_LOADER_MAX_DEPTH. These tests check that the bound never under-counts,
 that deep texts exit 2 in a child process (a crash would end it by a signal),
-also from a thread with a small stack, which loader runs at the limit, and that both loaders give the same scenario.
+also from a thread with a small stack (as does a deep desired-pattern file), which
+loader runs at the limit, and that both loaders give the same scenario.
 """
 import dataclasses
 import json
@@ -153,15 +154,19 @@ DEEP_TEXTS = {
 }
 
 
+def _child_env() -> dict:
+    """The environment of a child process that imports this risem."""
+    src = str(Path(risem.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
 @pytest.mark.parametrize("name", DEEP_TEXTS)
 def test_deep_text_exits_2_in_a_child_process(tmp_path, name):
     path = tmp_path / "deep.yaml"
     path.write_text(DEEP_TEXTS[name], encoding="utf-8")
-    src = str(Path(risem.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     run = subprocess.run([sys.executable, "-m", "risem.cli", "sweep", str(path)],
-                         capture_output=True, text=True, env=env, timeout=120)
+                         capture_output=True, text=True, env=_child_env(), timeout=120)
     assert run.returncode == 2, f"exit {run.returncode} (negative: killed by a signal)"
     assert run.stdout == ""
     assert run.stderr == "error: scenario parse error: nesting too deep\n"
@@ -206,18 +211,51 @@ print(json.dumps(outcomes))
 def test_deep_texts_give_one_line_errors_on_a_small_stack():
     assert scenario._nesting_bound(SMALL_STACK_TEXTS["c-loaded-sequence"]) < LIMIT
     assert scenario._nesting_bound(SMALL_STACK_TEXTS["c-loaded-mapping"]) < LIMIT
-    src = str(Path(risem.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     run = subprocess.run([sys.executable, "-c", SMALL_STACK_CHILD],
                          input=json.dumps(SMALL_STACK_TEXTS), capture_output=True, text=True,
-                         env=env, timeout=300)
+                         env=_child_env(), timeout=300)
     assert run.returncode == 0, f"exit {run.returncode} (negative: killed by a signal)"
     outcomes = json.loads(run.stdout)
     assert outcomes.keys() == {f"{where} {name}" for where in ("thread", "main")
                                for name in SMALL_STACK_TEXTS}
     for key, message in outcomes.items():
         assert message != "parsed" and "\n" not in message, key
+
+
+SMALL_STACK_CONFIGURE_CHILD = """
+import contextlib, io, json, sys, threading
+from risem.cli import main
+
+outcome = {}
+
+def configure():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        outcome["exit"] = main(["configure", sys.argv[1]])
+    outcome["output"] = out.getvalue() + err.getvalue()
+
+threading.stack_size(128 * 1024)
+thread = threading.Thread(target=configure)
+thread.start()
+thread.join()
+print(json.dumps(outcome))
+"""
+
+
+def test_a_deep_desired_file_gives_a_one_line_error_on_a_small_stack(tmp_path):
+    # json's C decoder recurses once per level of the desired-pattern file
+    desired = tmp_path / "desired.json"
+    desired.write_text('{"desired": ' + "[" * 5000 + "]" * 5000 + "}", encoding="utf-8")
+    path = tmp_path / "reshape.yaml"
+    path.write_text("geometry: {kind: linear, n: 8, spacing: 0.5, a: 0.1, b: 0.1}\n"
+                    "incident: [{theta_deg: 30.0}]\n"
+                    "configure: {scheme: reshape, desired_pattern_file: "
+                    f"{json.dumps(str(desired))}}}\n", encoding="utf-8")
+    run = subprocess.run([sys.executable, "-c", SMALL_STACK_CONFIGURE_CHILD, str(path)],
+                         capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert run.returncode == 0, f"exit {run.returncode} (negative: killed by a signal)"
+    assert json.loads(run.stdout) == {
+        "exit": 2, "output": "error: desired pattern file is nested too deeply\n"}
 
 
 def test_a_thread_parse_gives_what_a_direct_parse_gives(monkeypatch):

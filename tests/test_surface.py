@@ -11,6 +11,7 @@ from risem import (Direction, LinearRis, ObservationPoint, PlaneWave,
                    patch_scattered_field, path_length_phase, ris_bistatic_rcs,
                    ris_scattered_field, ris_scattered_field_multi,
                    sinc_normalized)
+from risem import surface as surface_module
 from risem.core import CHUNK_TERMS, direction_vector
 from risem.surface import _sum_cells
 
@@ -90,6 +91,32 @@ class TestCellSumKernel:
         geom = _random_geometry(n, rng)
         scatter = (np.linspace(0.0, 1.5, count), np.linspace(-3.0, 3.0, count))
         assert _kernel_deviation(geom, (0.4, 0.9), scatter) <= 1e-12
+
+
+    @pytest.mark.parametrize("shape_t,shape_p", [((), ()), ((13,), ()), ((9, 1), (1, 7))])
+    def test_fields_over_waves_take_one_cell_sum(self, monkeypatch, shape_t, shape_p):
+        calls = []
+
+        def spy(geom, u):
+            calls.append(np.shape(u))
+            return _sum_cells(geom, u)
+
+        monkeypatch.setattr(surface_module, "_sum_cells", spy)
+        rng = np.random.default_rng(8)
+        geom = _random_geometry(40, rng)
+        waves = [PlaneWave(Direction(t, p), a)
+                 for t, p, a in ((0.2, 0.0, 1.0), (0.7, 1.5, 0.4), (1.2, -2.0, 2.5))]
+        theta_s = rng.uniform(0.0, 1.5, shape_t)
+        phi_s = rng.uniform(-np.pi, np.pi, shape_p)
+        e_theta, e_phi = surface_module._fields(geom, waves, 60.0, theta_s, phi_s)
+        shape = np.broadcast_shapes(shape_t, shape_p)
+        assert calls == [(3, *shape, 3)]
+        assert e_theta.shape == e_phi.shape == shape
+        # against the sum of its one-wave fields
+        parts = [surface_module._fields(geom, [w], 60.0, theta_s, phi_s) for w in waves]
+        for k, got in enumerate((e_theta, e_phi)):
+            want = sum(p[k] for p in parts)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestUnitCell:
