@@ -35,15 +35,21 @@ def linear(spacing=0.5, width=0.1, incident="[{theta_deg: 30.0}]"):
             "observation: {radius: 100.0, grid: {start_deg: -90.0, stop_deg: 90.0, count: 181}}\n")
 
 
+def planar(nx, ny):
+    """A planar scenario text of nx by ny cells, each written in flow style on its own line."""
+    cell = "    - {{position: [{}, {}, 0.0], a: 0.4, b: 0.4, phase: {}}}\n"
+    return ("geometry:\n  kind: planar\n  cells:\n"
+            + "".join(cell.format(x, y, 0.3 * (x + 2 * y)) for x in range(nx) for y in range(ny))
+            + "incident: [{theta_deg: 20.0, phi_deg: 30.0}, {theta_deg: 40.0, amplitude: 0.5}]\n"
+              "observation: {radius: 50.0, grid: {start_deg: -90.0, stop_deg: 90.0, count: 91}}\n")
+
+
 TWO_WAVES = "[{theta_deg: 30.0}, {theta_deg: -20.0, amplitude: 0.6}]"
 # a few cells and angles each, so the corpus runs in seconds
 SCENARIOS = {
-    "planar.yaml": (
-        "geometry:\n  kind: planar\n  cells:\n"
-        + "".join(f"    - {{position: [{x}, {y}, 0.0], a: 0.4, b: 0.4, phase: {0.3 * (x + 2 * y)}}}\n"
-                  for x in range(3) for y in range(3))
-        + "incident: [{theta_deg: 20.0, phi_deg: 30.0}, {theta_deg: 40.0, amplitude: 0.5}]\n"
-          "observation: {radius: 50.0, grid: {start_deg: -90.0, stop_deg: 90.0, count: 91}}\n"),
+    "planar.yaml": planar(3, 3),
+    # 3400 cells: three brackets each put the text over the loader's cheap nesting bound
+    "planar_flow.yaml": planar(68, 50),
     "patch.yaml": ("geometry: {kind: patch, a: 2.0, b: 1.5}\n"
                    "incident: [{theta_deg: 25.0, phi_deg: -40.0}]\n"
                    "observation: {radius: 80.0}\n"),
@@ -77,6 +83,12 @@ SCENARIOS = {
     "huge_amplitude.yaml": "geometry: {kind: patch, a: 1.0, b: 1.0}\n"
                            "incident: [{theta_deg: 0.0, amplitude: 1.0e+308}]\n",
     "tagged.yaml": "geometry: {kind: patch, a: !!float x, b: 1.0}\n",
+    # the first scalar the construction fails on is located, with its own reason
+    "tagged_later.yaml": 'a: [!!float ""]\nb: !!int x\n',
+    "tagged_nested.yaml": ("geometry: {kind: patch, a: 1, b: 1}\nwave: {gamma: [!!float , 1]}\n"
+                           "output: {path: !!int x}\n"),
+    # untagged: libyaml loads it and the timestamp constructor refuses it
+    "bad_timestamp.yaml": "geometry: {kind: patch, a: 1, b: 1}\noutput: {path: 2020-13-45}\n",
     "deep_value.yaml": "geometry: {kind: patch, a: 1.0, b: " + "[" * 1500 + "]" * 1500 + "}\n",
     "bad_desired.yaml": linear()
     + "configure: {scheme: reshape, desired_pattern_file: bad_desired.json}\n",
@@ -94,6 +106,7 @@ RUNS = {
     "configure-compensate-json": ["configure", "compensate.yaml",
                                   "--out", "compensate_weights.json"],
     "sweep-planar": ["sweep", "planar.yaml", "--out", "planar.csv"],
+    "sweep-planar-flow": ["sweep", "planar_flow.yaml", "--out", "planar_flow.csv"],
     "sweep-patch": ["sweep", "patch.yaml", "--format", "json", "--out", "patch.json"],
     "sweep-patch-no-waves": ["sweep", "patch_no_waves.yaml", "--out", "patch_no_waves.csv"],
     "sweep-compensate-points": ["sweep", "compensate_points.yaml",
@@ -122,6 +135,9 @@ RUNS = {
     "outside": ["sweep", "outside.yaml"],
     "huge-amplitude": ["sweep", "huge_amplitude.yaml"],
     "tagged": ["sweep", "tagged.yaml"],
+    "tagged-later": ["sweep", "tagged_later.yaml"],
+    "tagged-nested": ["sweep", "tagged_nested.yaml"],
+    "bad-timestamp": ["sweep", "bad_timestamp.yaml"],
     "deep-value": ["sweep", "deep_value.yaml"],
     "bad-desired": ["configure", "bad_desired.yaml"],
     "negative-seed": ["sweep", "random.yaml", "--seed", "-3"],

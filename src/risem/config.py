@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CHUNK_TERMS, TWO_PI, Direction, ObservationPoint, PlaneWave, _chunked,
-                   _sum_waves, _wave_arrays, sinc_normalized)
-from .linear import (LinearRis, MimoSystem, _alternating_signs, _cell_terms,
+                   _edge_sinc, _sum_waves, _wave_arrays)
+from .linear import (LinearRis, MimoSystem, _alternating_signs, _cell_angle, _cell_terms,
                      _geometry_phase, _steering, _complex_pairs)
 
 
@@ -75,7 +75,7 @@ def random_phase_miso_expected_power(ris: LinearRis, waves, r_s: float, theta_s)
 
     def power(sin_chunk):
         # waves x angles x cells, summed over the waves in their order
-        sa = sinc_normalized(np.pi * ris.widths / lam * (sin_w[..., None] + sin_chunk[:, None]))
+        sa = _edge_sinc(ris.widths, lam, sin_w[..., None] + sin_chunk[:, None])
         h = _sum_waves(excitation[:, None] * sa)
         return np.sum(cell_weights * (h.real ** 2 + h.imag ** 2), axis=-1)
 
@@ -149,8 +149,7 @@ def phase_compensation(theta_i: float, theta_s: float, ris: LinearRis) -> np.nda
     attains its global maximum |C| sum(A_n / wavelength).
     """
     delta = compensation_delta(theta_i, theta_s)
-    n = np.arange(ris.n)
-    return (-TWO_PI * n * ris.spacing * delta / ris.ctx.wavelength) % TWO_PI
+    return -_cell_angle(ris.n, ris.spacing, ris.ctx.wavelength, delta) % TWO_PI
 
 
 def grating_lobes(delta: float, spacing: float, wavelength: float,

@@ -134,10 +134,14 @@ def _polarization_factors(phi_i, theta_s, phi_s):
     return f_theta, f_phi
 
 
+def _edge_sinc(width, wavelength, u):
+    """sinc(((pi width) / wavelength) u), broadcast: the factor of a cell edge of that width."""
+    return sinc_normalized(np.pi * np.asarray(width) / wavelength * u)
+
+
 def _sinc_pair(a, b, ux, uy, wavelength):
     """sinc(pi a ux / wavelength) sinc(pi b uy / wavelength), broadcast."""
-    return (sinc_normalized(np.pi * a / wavelength * ux)
-            * sinc_normalized(np.pi * b / wavelength * uy))
+    return _edge_sinc(a, wavelength, ux) * _edge_sinc(b, wavelength, uy)
 
 
 def sampling_sa(a: float, b: float, scatter: Direction, incident: Direction,
@@ -189,5 +193,4 @@ def sampling_sa_linear(b, theta_s, theta_i, wavelength):
     b = 0 is allowed and gives exactly 1 (point-source idealization).
     Accepts arrays in any argument.
     """
-    arg = (np.pi * np.asarray(b) / wavelength) * (np.sin(theta_s) + np.sin(theta_i))
-    return sinc_normalized(arg)
+    return _edge_sinc(b, wavelength, np.sin(theta_s) + np.sin(theta_i))

@@ -11,8 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (TWO_PI, ObservationPoint, PlaneWave, WaveContext, _chunked, _sum_waves,
-                   _wave_arrays, positive_finite, sinc_normalized)
+from .core import (TWO_PI, ObservationPoint, PlaneWave, WaveContext, _chunked, _edge_sinc,
+                   _sum_waves, _wave_arrays, positive_finite)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,10 +69,16 @@ class LinearRis:
         return LinearRis(self.spacing, np.abs(w), self.widths, np.angle(w), self.ctx)
 
 
-def _geometry_phase(n: int, spacing: float, wavelength: float, sines) -> np.ndarray:
-    """exp(j 2 pi m d s / wavelength) for cells m = 0..n-1 on a new last axis."""
+def _cell_angle(n: int, spacing: float, wavelength: float, sines) -> np.ndarray:
+    """((2 pi m) d) s / wavelength, unreduced, for cells m = 0..n-1 on a new last axis."""
     arg = TWO_PI * np.arange(n) * spacing * np.asarray(sines, dtype=float)[..., None]
     arg /= wavelength
+    return arg
+
+
+def _geometry_phase(n: int, spacing: float, wavelength: float, sines) -> np.ndarray:
+    """exp(j 2 pi m d s / wavelength) for cells m = 0..n-1 on a new last axis."""
+    arg = _cell_angle(n, spacing, wavelength, sines)
     # cos and sin give the bits of exp(j arg) without its complex temporaries
     phase = np.empty(arg.shape, dtype=complex)
     np.cos(arg, out=phase.real)
@@ -86,7 +92,7 @@ def _cell_terms(ris: LinearRis, sines, weights) -> np.ndarray:
     s = sin(theta_i) + sin(theta_s); the cells n lie on a new last axis.
     """
     lam = ris.ctx.wavelength
-    sa = sinc_normalized(np.pi * ris.widths / lam * np.asarray(sines, dtype=float)[..., None])
+    sa = _edge_sinc(ris.widths, lam, np.asarray(sines, dtype=float)[..., None])
     return weights * sa * _geometry_phase(ris.n, ris.spacing, lam, sines)
 
 
@@ -117,7 +123,7 @@ def _steering(ris: LinearRis, sines, sin_i=0.0) -> np.ndarray:
         left = (_geometry_phase(ris.n, ris.spacing, lam, flat_i) * weights).T
         out = _chunked(lambda c: _geometry_phase(ris.n, ris.spacing, lam, c) @ left,
                        flat, max(ris.n, flat_i.size))
-        out *= sinc_normalized(np.pi * ris.widths[0] / lam * (flat[:, None] + flat_i))
+        out *= _edge_sinc(ris.widths[0], lam, flat[:, None] + flat_i)
     return ris.ctx.coupling * out.T.reshape(inc.shape + s.shape)
 
 

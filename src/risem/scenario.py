@@ -306,38 +306,67 @@ def _nesting_bound(text: str) -> int:
     return 2 * text.count("[") + text.count("{") + 2 * longest
 
 
-# What PyYAML's constructors raise on a tagged scalar they cannot read: ValueError
-# for '!!int x', IndexError for an empty '!!float' or '!!int', KeyError for '!!bool x',
+# What PyYAML's constructors raise on a scalar they cannot read: ValueError for
+# '!!int x', IndexError for an empty '!!float' or '!!int', KeyError for '!!bool x',
 # AttributeError for '!!timestamp x'.
 _CONSTRUCTOR_ERRORS = (ValueError, LookupError, AttributeError)
 
 
-def _load_yaml(text: str):
-    """The YAML document in text, read by libyaml where the nesting bound clears it.
+class _LocatingLoader(yaml.SafeLoader):
+    """yaml.SafeLoader, whose constructor failure on a scalar is a ConstructorError at it.
 
-    Both loaders share the Python constructor and resolver, so they give the
-    same objects. Every other text, every text with a '!', and every text
-    libyaml refuses goes to the pure-Python loader: libyaml refuses some texts
-    the Python loader accepts (such as '{a:[1]}'), words and places its errors
-    differently, and reads a bare '!' on an empty value as '', not null.
+    The scalar that fails is the one the construction meets first, and only a
+    ValueError says what is wrong: the others name an index or a key.
     """
-    if yaml.__with_libyaml__ and "!" not in text and _nesting_bound(text) < _C_LOADER_MAX_DEPTH:
-        # a constructor error, or the ValueError of a lone surrogate
+
+    def construct_object(self, node, deep=False):
+        try:
+            return super().construct_object(node, deep)
+        except _CONSTRUCTOR_ERRORS as exc:
+            if not isinstance(node, yaml.ScalarNode):
+                raise
+            reason = str(exc) if isinstance(exc, ValueError) else (
+                f"cannot read {node.value!r} as {node.tag.replace('tag:yaml.org,2002:', '!!')}")
+            raise yaml.constructor.ConstructorError(None, None, reason, node.start_mark) from exc
+
+
+def _nests_under(text: str, limit: int) -> bool:
+    """True when no node of text is limit deep (a lone scalar is depth 1), as libyaml's
+    events show: its parser keeps its stack on the heap. It stops at the limit."""
+    depth = 0
+    for event in yaml.parse(text, Loader=yaml.CSafeLoader):
+        if isinstance(event, yaml.NodeEvent):
+            if depth + 1 >= limit:
+                return False
+            depth += isinstance(event, yaml.CollectionStartEvent)
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+    return True
+
+
+def _load_yaml(text: str):
+    """The YAML document in text, read by libyaml where its nesting depth clears the limit.
+
+    The cheap bound clears most texts; a text over it has its exact depth
+    read from libyaml's events. Both loaders share the Python constructor and
+    resolver, so they give the same objects. Every other text, every text with
+    a '!', and every text libyaml refuses goes to the pure-Python loader:
+    libyaml refuses some texts the Python loader accepts (such as '{a:[1]}'),
+    words and places its errors differently, and reads a bare '!' on an empty
+    value as '', not null.
+    """
+    if yaml.__with_libyaml__ and "!" not in text:
+        # a parse or constructor error, or the ValueError of a lone surrogate
         with contextlib.suppress(yaml.YAMLError, *_CONSTRUCTOR_ERRORS):
-            return yaml.load(text, Loader=yaml.CSafeLoader)
+            if (_nesting_bound(text) < _C_LOADER_MAX_DEPTH
+                    or _nests_under(text, _C_LOADER_MAX_DEPTH)):
+                return yaml.load(text, Loader=yaml.CSafeLoader)
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=_LocatingLoader)
     except yaml.MarkedYAMLError as exc:
         raise ScenarioError(f"scenario parse error{_at(exc.problem_mark)}: {exc.problem}") from exc
     except yaml.YAMLError as exc:
         raise ScenarioError(f"scenario parse error: {exc}") from exc
-    except _CONSTRUCTOR_ERRORS as exc:
-        node = _unreadable_scalar(text)
-        # only a ValueError says what is wrong; the others name an index or a key
-        reason = exc if isinstance(exc, ValueError) or node is None else (
-            f"cannot read {node.value!r} as {node.tag.replace('tag:yaml.org,2002:', '!!')}")
-        where = _at(node.start_mark if node else None)
-        raise ScenarioError(f"scenario parse error{where}: {reason}") from exc
 
 
 def _has_measured_stack() -> bool:
@@ -357,31 +386,6 @@ def _has_measured_stack() -> bool:
 def _at(mark) -> str:
     """' at line L, column C' (1-based) for a YAML mark, and '' for None."""
     return f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-
-
-def _unreadable_scalar(text: str):
-    """A scalar node of text whose constructor raises one of _CONSTRUCTOR_ERRORS, or None.
-
-    The walk needs no recursion, and ends on a cycle such as '&a [*a]': an alias is a seen node.
-    """
-    stack, seen = [yaml.compose(text, Loader=yaml.SafeLoader)], set()
-    constructor = yaml.SafeLoader("")
-    while stack:
-        node = stack.pop()
-        if isinstance(node, yaml.ScalarNode):
-            try:
-                constructor.construct_object(node)
-            except _CONSTRUCTOR_ERRORS:
-                return node
-            except yaml.YAMLError:
-                # an unknown tag: the loader defers a collection's contents, so it
-                # can meet a constructor error first
-                pass
-        elif node not in seen:
-            seen.add(node)
-            stack.extend(reversed(node.value if isinstance(node, yaml.SequenceNode)
-                                  else [n for pair in node.value for n in pair]))
-    return None
 
 
 def _on_a_measured_stack(read, *args):

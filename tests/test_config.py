@@ -16,7 +16,7 @@ from risem import (Direction, LinearRis, ObservationPoint, PlaneWave,
                    random_phase_expected_rcs, random_phase_miso_expected_power,
                    sampling_sa_linear, steering_function)
 from risem.config import _svd_solve, trial_rng
-from risem.core import CHUNK_TERMS
+from risem.core import CHUNK_TERMS, TWO_PI
 from risem.linear import _cell_terms, _geometry_phase
 
 CTX = WaveContext()
@@ -251,6 +251,19 @@ class TestPhaseCompensation:
     def test_delta_reference_value(self):
         delta = compensation_delta(self.THETA_I, self.THETA_S)
         assert delta == pytest.approx(-0.266044443118978, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 8192, 9000])
+    def test_phases_keep_the_bits_of_the_negated_cell_angle(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            spacing, lam = rng.uniform(0.1, 2.0), rng.uniform(0.2, 5.0)
+            theta_i, theta_s = rng.uniform(-1.5, 1.5, 2)
+            ris = LinearRis.uniform(n, spacing, 0.01, ctx=WaveContext(lam))
+            delta = compensation_delta(theta_i, theta_s)
+            # the body of phase_compensation before linear._cell_angle held the angle
+            want = (-TWO_PI * np.arange(n) * spacing * delta / lam) % TWO_PI
+            got = phase_compensation(theta_i, theta_s, ris)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_phases_lie_in_principal_range(self):
         ris = _reference_array()

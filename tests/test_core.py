@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from risem import (Direction, ObservationPoint, WaveContext, direction_vector,
                    sampling_sa, sampling_sa_linear, sinc_normalized)
-from risem.core import SINC_TAYLOR_CUTOFF
+from risem.core import SINC_TAYLOR_CUTOFF, _sinc_pair
 
 finite_angles = st.floats(-np.pi, np.pi, allow_nan=False, allow_infinity=False)
 polar_angles = st.floats(0.0, np.pi / 2, allow_nan=False, allow_infinity=False)
@@ -123,6 +123,46 @@ class TestSamplingSaLinear:
         thetas = np.linspace(-1.0, 1.0, 7)
         out = sampling_sa_linear(0.1, thetas, 0.3, 1.0)
         assert out.shape == thetas.shape
+
+
+def _bits(x) -> np.ndarray:
+    """The float64 values of x as uint64, so that equal means equal bits (-0.0 and NaN too)."""
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
+def _widths(rng, size):
+    """Edge widths in [0, 3], a quarter of them exactly 0 (the point-cell case)."""
+    return np.where(rng.uniform(size=size) < 0.25, 0.0, rng.uniform(0.0, 3.0, size))
+
+
+class TestEdgeSincKeepsTheBits:
+    """_sinc_pair and sampling_sa_linear against their bodies before core._edge_sinc."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sinc_pair(self, seed):
+        rng = np.random.default_rng(seed)
+        lam = rng.uniform(0.2, 5.0)
+        a, b = _widths(rng, 64), _widths(rng, 64)
+        ux, uy = rng.uniform(-2.0, 2.0, (2, 300, 1))
+        want = (sinc_normalized(np.pi * a / lam * ux) * sinc_normalized(np.pi * b / lam * uy))
+        assert np.array_equal(_bits(_sinc_pair(a, b, ux, uy, lam)), _bits(want))
+        for k in range(64):
+            # scalars, as sampling_sa passes them
+            a_k, b_k, x, y = float(a[k]), float(b[k]), float(ux[k, 0]), float(uy[k, 0])
+            want = sinc_normalized(np.pi * a_k / lam * x) * sinc_normalized(np.pi * b_k / lam * y)
+            assert _bits(_sinc_pair(a_k, b_k, x, y, lam)) == _bits(want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sampling_sa_linear(self, seed):
+        rng = np.random.default_rng(seed)
+        lam = rng.uniform(0.2, 5.0)
+        b = _widths(rng, 64)
+        theta_s, theta_i = rng.uniform(-1.5, 1.5, (2, 300, 1))
+        for width in (b, *b[:16].tolist()):
+            want = sinc_normalized((np.pi * np.asarray(width) / lam)
+                                   * (np.sin(theta_s) + np.sin(theta_i)))
+            assert np.array_equal(_bits(sampling_sa_linear(width, theta_s, theta_i, lam)),
+                                  _bits(want))
 
 
 def test_star_import_binds_no_module():

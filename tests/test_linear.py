@@ -23,6 +23,11 @@ CTX = WaveContext()
 half_angle = st.floats(-math.radians(85.0), math.radians(85.0))
 
 
+def _bits(x) -> np.ndarray:
+    """The float64 values of x as uint64, so that equal means equal bits (-0.0 and NaN too)."""
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
 def _direct_double_sum(sys: MimoSystem, amplitudes):
     """Independent elementwise evaluation of the factored model."""
     lam, d = sys.wavelength, sys.spacing
@@ -137,6 +142,19 @@ class TestSteeringKernel:
         s = np.random.default_rng(5).uniform(-2.0, 2.0, 7)
         want = np.exp(1j * (TWO_PI * np.arange(8192) * spacing * s[:, None] / lam))
         assert np.array_equal(linear_module._geometry_phase(8192, spacing, lam, s), want)
+
+    @pytest.mark.parametrize("n", [1, 2, 8192, 9000])
+    def test_cell_phases_are_the_cosine_and_sine_of_the_one_cell_angle(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            spacing, lam = rng.uniform(0.1, 2.0), rng.uniform(0.2, 5.0)
+            s = np.sin(rng.uniform(-1.5, 1.5, 6)) + np.sin(rng.uniform(-1.5, 1.5, 6))
+            # the argument as _geometry_phase formed it before _cell_angle held it
+            arg = TWO_PI * np.arange(n) * spacing * np.asarray(s, dtype=float)[..., None]
+            arg /= lam
+            got = linear_module._geometry_phase(n, spacing, lam, s)
+            assert np.array_equal(_bits(got.real), _bits(np.cos(arg)))
+            assert np.array_equal(_bits(got.imag), _bits(np.sin(arg)))
 
     def test_large_array_over_a_full_sweep(self):
         # two angles per chunk, as in the largest benchmark arrays
