@@ -330,37 +330,19 @@ class _LocatingLoader(yaml.SafeLoader):
             raise yaml.constructor.ConstructorError(None, None, reason, node.start_mark) from exc
 
 
-def _nests_under(text: str, limit: int) -> bool:
-    """True when no node of text is limit deep (a lone scalar is depth 1), as libyaml's
-    events show: its parser keeps its stack on the heap. It stops at the limit."""
-    depth = 0
-    for event in yaml.parse(text, Loader=yaml.CSafeLoader):
-        if isinstance(event, yaml.NodeEvent):
-            if depth + 1 >= limit:
-                return False
-            depth += isinstance(event, yaml.CollectionStartEvent)
-        elif isinstance(event, yaml.CollectionEndEvent):
-            depth -= 1
-    return True
-
-
 def _load_yaml(text: str):
-    """The YAML document in text, read by libyaml where its nesting depth clears the limit.
+    """The YAML document in text, read by libyaml where the nesting bound clears it.
 
-    The cheap bound clears most texts; a text over it has its exact depth
-    read from libyaml's events. Both loaders share the Python constructor and
-    resolver, so they give the same objects. Every other text, every text with
-    a '!', and every text libyaml refuses goes to the pure-Python loader:
-    libyaml refuses some texts the Python loader accepts (such as '{a:[1]}'),
-    words and places its errors differently, and reads a bare '!' on an empty
-    value as '', not null.
+    Both loaders share the Python constructor and resolver, so they give the
+    same objects. Every other text, every text with a '!', and every text
+    libyaml refuses goes to the pure-Python loader: libyaml refuses some texts
+    the Python loader accepts (such as '{a:[1]}'), words and places its errors
+    differently, and reads a bare '!' on an empty value as '', not null.
     """
-    if yaml.__with_libyaml__ and "!" not in text:
-        # a parse or constructor error, or the ValueError of a lone surrogate
+    if yaml.__with_libyaml__ and "!" not in text and _nesting_bound(text) < _C_LOADER_MAX_DEPTH:
+        # a constructor error, or the ValueError of a lone surrogate
         with contextlib.suppress(yaml.YAMLError, *_CONSTRUCTOR_ERRORS):
-            if (_nesting_bound(text) < _C_LOADER_MAX_DEPTH
-                    or _nests_under(text, _C_LOADER_MAX_DEPTH)):
-                return yaml.load(text, Loader=yaml.CSafeLoader)
+            return yaml.load(text, Loader=yaml.CSafeLoader)
     try:
         return yaml.load(text, Loader=_LocatingLoader)
     except yaml.MarkedYAMLError as exc:

@@ -18,14 +18,10 @@ from risem import presets as presets_module
 from risem.cli import main
 from risem.core import CHUNK_TERMS, TWO_PI
 from risem.linear import _steering, mimo_on_angles
+from test_core import _bits
 
 CTX = WaveContext()
 half_angle = st.floats(-math.radians(85.0), math.radians(85.0))
-
-
-def _bits(x) -> np.ndarray:
-    """The float64 values of x as uint64, so that equal means equal bits (-0.0 and NaN too)."""
-    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
 
 
 def _direct_double_sum(sys: MimoSystem, amplitudes):

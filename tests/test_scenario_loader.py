@@ -1,9 +1,8 @@
 """The scenario YAML loader: libyaml behind a nesting bound, the pure-Python fallback.
 
 libyaml's composer recurses on the C stack and kills the process past some
-depth, so parse_scenario uses it only for texts whose nesting bound, or else
-whose exact depth, clears _C_LOADER_MAX_DEPTH. These tests check that the
-bound never under-counts and that the exact depth is exact,
+depth, so parse_scenario uses it only for texts whose nesting bound clears
+_C_LOADER_MAX_DEPTH. These tests check that the bound never under-counts,
 that deep texts exit 2 in a child process (a crash would end it by a signal),
 also from a thread with a small stack (as does a deep desired-pattern file), which
 loader runs at the limit, and that both loaders give the same scenario.
@@ -61,8 +60,7 @@ def _canonical(value):
 
 
 def _python_loader_only():
-    """A context in which parse_scenario reads every text that holds a node with the
-    pure-Python loader (at limit 0 the depth scan refuses the first node)."""
+    """A context in which parse_scenario reads every text with the pure-Python loader."""
     return mock.patch.object(scenario, "_C_LOADER_MAX_DEPTH", 0)
 
 
@@ -76,7 +74,7 @@ def _outcome(text):
 
 @pytest.fixture
 def loaders(monkeypatch):
-    """The Loader of every yaml.load call, in order; the depth scan (yaml.parse) is not one."""
+    """The Loader of every yaml.load call, in order."""
     seen = []
     load = yaml.load
 
@@ -134,14 +132,6 @@ class TestNestingBound:
     def test_never_under_counts_a_dumped_document(self, doc, flow, indent):
         text = yaml.safe_dump(doc, default_flow_style=flow, indent=indent)
         assert _depth(yaml.compose(text)) <= scenario._nesting_bound(text)
-
-    @pytest.mark.parametrize("shape", SHAPES)
-    @given(depth=st.integers(1, 60))
-    def test_the_event_scan_reads_the_exact_depth_of_a_shape(self, shape, depth):
-        text = SHAPES[shape](depth)
-        exact = _depth(yaml.compose(text))
-        assert scenario._nests_under(text, exact + 1)
-        assert not scenario._nests_under(text, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +323,7 @@ def _padded(bound, long_line):
 @pytest.mark.parametrize("bound,long_line,loader", [
     (LIMIT - 1, False, yaml.CSafeLoader),
     (LIMIT - 1, True, yaml.CSafeLoader),
-    # the bound is at the limit, but the exact depth, 3, is far under it
-    (LIMIT, False, yaml.CSafeLoader),
+    (LIMIT, False, scenario._LocatingLoader),
 ], ids=["openers-under", "long-line-under", "openers-at"])
 def test_loader_at_the_limit(loaders, bound, long_line, loader):
     text = _padded(bound, long_line)
@@ -346,39 +335,6 @@ def test_loader_at_the_limit(loaders, bound, long_line, loader):
     with mock.patch.object(scenario, "_C_LOADER_MAX_DEPTH", LIMIT + 1):
         c_loaded = parse_scenario(text)
     assert _canonical(scn) == _canonical(reference) == _canonical(c_loaded)
-
-
-@pytest.mark.parametrize("depth,loader,message", [
-    (LIMIT - 1, yaml.CSafeLoader, "section 'geometry' must be a mapping"),
-    (LIMIT, scenario._LocatingLoader, "scenario parse error: nesting too deep"),
-], ids=["under", "at"])
-def test_loader_at_the_exact_depth_limit(loaders, depth, loader, message):
-    # the top mapping, then depth - 1 nested sequences: far over the bound
-    text = "geometry: " + "[" * (depth - 1) + "]" * (depth - 1) + "\n"
-    assert scenario._nesting_bound(text) > LIMIT
-    with pytest.raises(ScenarioError) as caught:
-        parse_scenario(text)
-    assert str(caught.value) == message
-    assert loaders == [loader]
-
-
-def _flow_planar(cells):
-    """A planar scenario text of `cells` cells, each in flow style on its own line."""
-    return ("geometry:\n  kind: planar\n  cells:\n"
-            + "".join(f"    - {{position: [{i % 71 * 0.5}, {i // 71 * 0.5}, 0.0], "
-                      f"a: 0.4, b: 0.4, phase: {i % 7 * 0.25}}}\n" for i in range(cells))
-            + "incident: [{theta_deg: 20.0, phi_deg: 30.0}]\n")
-
-
-def test_a_flow_file_over_the_bound_reaches_libyaml(loaders):
-    # three bracket units per cell put 5000 cells far over the bound, at depth 5
-    text = _flow_planar(5000)
-    assert scenario._nesting_bound(text) > LIMIT
-    scn = parse_scenario(text)
-    assert loaders == [yaml.CSafeLoader]
-    assert scn.geometry.positions.shape == (5000, 3)
-    with _python_loader_only():
-        assert _canonical(parse_scenario(text)) == _canonical(scn)
 
 
 def test_python_loader_without_libyaml(loaders, monkeypatch):
