@@ -5,8 +5,9 @@
 
 Each tree runs the corpus in a child process with PYTHONPATH=<tree>/src and a
 fresh working directory: every figure preset; `sweep` as CSV and JSON, `mimo`
-and `configure` as CSV and JSON over the scenario kinds below; and a fixed list
-of malformed inputs. Every output file, and the exit code, stdout and stderr of
+and `configure` as CSV and JSON over the scenario kinds below, among them a
+1024-cell planar file and one with a merged cell; and a fixed list of
+malformed inputs. Every output file, and the exit code, stdout and stderr of
 every run, is reported as identical, or with the largest deviation of each
 numeric CSV column or JSON field that moved, relative to that column's largest
 magnitude; for CSV, also the part beyond one unit of the 12th significant digit
@@ -23,6 +24,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -35,6 +37,26 @@ def linear(spacing=0.5, width=0.1, incident="[{theta_deg: 30.0}]"):
             "observation: {radius: 100.0, grid: {start_deg: -90.0, stop_deg: 90.0, count: 181}}\n")
 
 
+def planar_cells(count=1024, null_area_at=None):
+    """Seeded cell rows in the benchmark's flow layout, every other one with an area.
+
+    The cell at null_area_at gives its area as null, which the reader refuses.
+    """
+    rng, rows = random.Random(7), []
+    for i in range(count):
+        x, y, z = ((i % 32) * 0.5 + rng.uniform(-0.05, 0.05),
+                   (i // 32) * 0.5 + rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
+        a, b = round(rng.uniform(0.2, 0.45), 4), round(rng.uniform(0.2, 0.45), 4)
+        area = ", area: ~" if i == null_area_at else (
+            f", area: {round(a * b * 0.9, 6)}" if i % 2 else "")
+        rows.append(f"    - {{position: [{x:.6f}, {y:.6f}, {z:.6f}], a: {a}, b: {b}{area}, "
+                    f"phase: {rng.uniform(0.0, 6.28):.6f}}}\n")
+    return "geometry:\n  kind: planar\n  cells:\n" + "".join(rows)
+
+
+PLANAR_TAIL = ("incident: [{theta_deg: 20.0, phi_deg: 30.0}]\n"
+               "observation: {radius: 50.0, grid: {start_deg: -90.0, stop_deg: 90.0, count: 91, "
+               "phi_deg: 15.0}}\n")
 TWO_WAVES = "[{theta_deg: 30.0}, {theta_deg: -20.0, amplitude: 0.6}]"
 # a few cells and angles each, so the corpus runs in seconds
 SCENARIOS = {
@@ -44,6 +66,14 @@ SCENARIOS = {
                   for x in range(3) for y in range(3))
         + "incident: [{theta_deg: 20.0, phi_deg: 30.0}, {theta_deg: 40.0, amplitude: 0.5}]\n"
           "observation: {radius: 50.0, grid: {start_deg: -90.0, stop_deg: 90.0, count: 91}}\n"),
+    "planar_1024.yaml": planar_cells() + PLANAR_TAIL,
+    # an anchored cell, merged into the cells after it ('<<')
+    "planar_merge.yaml": (
+        "geometry:\n  kind: planar\n  cells:\n"
+        "    - &base {position: [0.0, 0.0, 0.0], a: 0.4, b: 0.3, phase: 0.5}\n"
+        "    - {<<: *base, position: [0.5, 0.0, 0.0]}\n"
+        "    - <<: *base\n      position: [0.0, 0.5, 0.0]\n      area: 0.1\n"
+        + PLANAR_TAIL),
     "patch.yaml": ("geometry: {kind: patch, a: 2.0, b: 1.5}\n"
                    "incident: [{theta_deg: 25.0, phi_deg: -40.0}]\n"
                    "observation: {radius: 80.0}\n"),
@@ -84,6 +114,7 @@ SCENARIOS = {
     # untagged: libyaml loads it and the timestamp constructor refuses it
     "bad_timestamp.yaml": "geometry: {kind: patch, a: 1, b: 1}\noutput: {path: 2020-13-45}\n",
     "deep_value.yaml": "geometry: {kind: patch, a: 1.0, b: " + "[" * 1500 + "]" * 1500 + "}\n",
+    "planar_null_area.yaml": planar_cells(null_area_at=700) + PLANAR_TAIL,
     "bad_desired.yaml": linear()
     + "configure: {scheme: reshape, desired_pattern_file: bad_desired.json}\n",
     "bad_desired.json": json.dumps({"desired": [[1.0, "x"]] * 16}),
@@ -100,6 +131,9 @@ RUNS = {
     "configure-compensate-json": ["configure", "compensate.yaml",
                                   "--out", "compensate_weights.json"],
     "sweep-planar": ["sweep", "planar.yaml", "--out", "planar.csv"],
+    "sweep-planar-1024": ["sweep", "planar_1024.yaml", "--out", "planar_1024.csv"],
+    "sweep-planar-merge": ["sweep", "planar_merge.yaml", "--format", "json",
+                           "--out", "planar_merge.json"],
     "sweep-patch": ["sweep", "patch.yaml", "--format", "json", "--out", "patch.json"],
     "sweep-patch-no-waves": ["sweep", "patch_no_waves.yaml", "--out", "patch_no_waves.csv"],
     "sweep-compensate-points": ["sweep", "compensate_points.yaml",
@@ -132,6 +166,7 @@ RUNS = {
     "tagged-nested": ["sweep", "tagged_nested.yaml"],
     "bad-timestamp": ["sweep", "bad_timestamp.yaml"],
     "deep-value": ["sweep", "deep_value.yaml"],
+    "planar-null-area": ["sweep", "planar_null_area.yaml"],
     "bad-desired": ["configure", "bad_desired.yaml"],
     "negative-seed": ["sweep", "random.yaml", "--seed", "-3"],
     "mimo-on-patch": ["mimo", "patch.yaml"],

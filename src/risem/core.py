@@ -134,6 +134,18 @@ def _polarization_factors(phi_i, theta_s, phi_s):
     return f_theta, f_phi
 
 
+def _phasor(arg) -> np.ndarray:
+    """exp(j arg) of a real array, cos and sin written into the parts of one complex array.
+
+    These are the bits of np.exp(1j * arg) without its complex temporaries,
+    except at arg = -0.0, whose imaginary part here is -0.0.
+    """
+    phase = np.empty(np.shape(arg), dtype=complex)
+    np.cos(arg, out=phase.real)
+    np.sin(arg, out=phase.imag)
+    return phase
+
+
 def _edge_sinc(width, wavelength, u):
     """sinc(((pi width) / wavelength) u), broadcast: the factor of a cell edge of that width."""
     return sinc_normalized(np.pi * np.asarray(width) / wavelength * u)

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (TWO_PI, ObservationPoint, PlaneWave, WaveContext, _chunked, _edge_sinc,
-                   _sum_waves, _wave_arrays, positive_finite)
+                   _phasor, _sum_waves, _wave_arrays, positive_finite)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,12 +78,7 @@ def _cell_angle(n: int, spacing: float, wavelength: float, sines) -> np.ndarray:
 
 def _geometry_phase(n: int, spacing: float, wavelength: float, sines) -> np.ndarray:
     """exp(j 2 pi m d s / wavelength) for cells m = 0..n-1 on a new last axis."""
-    arg = _cell_angle(n, spacing, wavelength, sines)
-    # cos and sin give the bits of exp(j arg) without its complex temporaries
-    phase = np.empty(arg.shape, dtype=complex)
-    np.cos(arg, out=phase.real)
-    np.sin(arg, out=phase.imag)
-    return phase
+    return _phasor(_cell_angle(n, spacing, wavelength, sines))
 
 
 def _cell_terms(ris: LinearRis, sines, weights) -> np.ndarray:

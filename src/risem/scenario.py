@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -182,23 +183,62 @@ def _build(name, make, *args, **kwargs):
         raise ScenarioError(f"invalid '{name}': {exc}") from exc
 
 
+_CELL_KEYS = {"position", "a", "b", "area", "phase"}
+
+
 def _parse_geometry(node, ctx):
-    """The geometry kind and its model: a LinearRis, or a RisGeometry for patch and planar."""
+    """The geometry kind and its model: a LinearRis, or a RisGeometry for patch and planar.
+
+    Planar cells are read as columns. Where _cell_columns or
+    RisGeometry.from_arrays refuses them, the cells are read one by one,
+    which names the first refused cell in its own words.
+    """
     kind, geo = _tagged(node, "geometry", "kind", _GEOMETRY_KEYS)
     if kind == "planar":
-        cells = []
-        for c in geo.items("cells", {"position", "a", "b", "area", "phase"}):
-            position = c.value("position", lambda v: _is_numbers(v, 3),
-                               "a list of three finite numbers")
-            cells.append(_build(c.name, UnitCell, np.array(position, dtype=float),
-                                c.number("a"), c.number("b"), c.number("area", None),
-                                c.number("phase", 0.0)))
-        return kind, RisGeometry(tuple(cells), ctx)
+        columns = _cell_columns(geo.value("cells", lambda v: isinstance(v, list) and len(v) > 0,
+                                          "a non-empty list"))
+        if columns is not None:
+            with contextlib.suppress(ValueError):
+                return kind, RisGeometry.from_arrays(*columns, ctx)
+        return kind, _cell_by_cell(geo, ctx)
     a, b, area = geo.number("a"), geo.number("b"), geo.number("area", None)
     if kind == "patch":
         return kind, RisGeometry((_build("geometry", Patch, a, b, area),), ctx)
     return kind, _build("geometry", LinearRis.uniform, geo.positive_int("n"),
                         geo.number("spacing"), a * b if area is None else area, width=b, ctx=ctx)
+
+
+def _cell_columns(cells):
+    """The planar cells as (positions, a, b, areas, phases) lists, or None if one is refused.
+
+    The checks are the per-cell reader's: each cell is a mapping of cell keys,
+    its position is three finite numbers, and its edges, and its area and
+    phase where given, are finite numbers. A key whose value is null is
+    given, and refused. An area not given is None.
+    """
+    if not all(isinstance(c, dict) and c.keys() <= _CELL_KEYS for c in cells):
+        return None
+    positions = [c.get("position") for c in cells]
+    a, b = [c.get("a") for c in cells], [c.get("b") for c in cells]
+    areas, phases = [c.get("area") for c in cells], [c.get("phase", 0.0) for c in cells]
+    given_areas = [c["area"] for c in cells if "area" in c]
+    if not (all(isinstance(p, list) and len(p) == 3 for p in positions)
+            and all(map(_is_finite_number, itertools.chain(
+                itertools.chain.from_iterable(positions), a, b, given_areas, phases)))):
+        return None
+    return positions, a, b, areas, phases
+
+
+def _cell_by_cell(geo: _Section, ctx) -> RisGeometry:
+    """The planar geometry read one cell at a time; the first refused cell raises."""
+    cells = []
+    for c in geo.items("cells", _CELL_KEYS):
+        position = c.value("position", lambda v: _is_numbers(v, 3),
+                           "a list of three finite numbers")
+        cells.append(_build(c.name, UnitCell, np.array(position, dtype=float),
+                            c.number("a"), c.number("b"), c.number("area", None),
+                            c.number("phase", 0.0)))
+    return RisGeometry(tuple(cells), ctx)
 
 
 def _parse_incident_wave(w: _Section, linear: bool) -> PlaneWave:
@@ -330,6 +370,59 @@ class _LocatingLoader(yaml.SafeLoader):
             raise yaml.constructor.ConstructorError(None, None, reason, node.start_mark) from exc
 
 
+class _HandOver(Exception):
+    """A node that the plain pass leaves to SafeConstructor."""
+
+
+# without libyaml the class is never used, and stands on the pure-Python loader
+class _PlainLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """yaml.CSafeLoader that builds the document in one plain pass.
+
+    A mapping is a dict filled in key order, a sequence is a list, and a
+    scalar goes through the SafeConstructor function its tag picks; an
+    aliased collection is built once and shared. SafeConstructor builds the
+    same objects through per-node generators and bookkeeping, which take about
+    twice as long again. Any other tag (a merge key '<<' and a value key '='
+    have tags of their own), an unhashable key and nesting past the
+    recursion limit hand the whole document to
+    SafeConstructor.construct_document, so what it refuses, and how, stays
+    its own. A scalar constructor's own error propagates.
+    """
+
+    # the SafeConstructor function of each scalar tag the plain pass reads
+    _scalars = {tag: yaml.constructor.SafeConstructor.yaml_constructors[tag] for tag in (
+        "tag:yaml.org,2002:null", "tag:yaml.org,2002:bool", "tag:yaml.org,2002:int",
+        "tag:yaml.org,2002:float", "tag:yaml.org,2002:str", "tag:yaml.org,2002:timestamp")}
+
+    def construct_document(self, node):
+        try:
+            return self._plain(node, {})
+        except (_HandOver, TypeError, RecursionError):
+            return super().construct_document(node)
+
+    def _plain(self, node, collections: dict):
+        """The object of node; collections maps each collection node built so far to its object."""
+        if isinstance(node, yaml.ScalarNode):
+            make = self._scalars.get(node.tag)
+            if make is None:
+                raise _HandOver
+            return make(self, node)
+        if node in collections:
+            return collections[node]
+        if isinstance(node, yaml.SequenceNode) and node.tag == "tag:yaml.org,2002:seq":
+            # registered before its items, so that an item may alias it
+            data = collections[node] = []
+            data.extend([self._plain(item, collections) for item in node.value])
+        elif isinstance(node, yaml.MappingNode) and node.tag == "tag:yaml.org,2002:map":
+            data = collections[node] = {}
+            for key_node, value_node in node.value:
+                key = self._plain(key_node, collections)
+                data[key] = self._plain(value_node, collections)
+        else:
+            raise _HandOver
+        return data
+
+
 def _load_yaml(text: str):
     """The YAML document in text, read by libyaml where the nesting bound clears it.
 
@@ -342,7 +435,7 @@ def _load_yaml(text: str):
     if yaml.__with_libyaml__ and "!" not in text and _nesting_bound(text) < _C_LOADER_MAX_DEPTH:
         # a constructor error, or the ValueError of a lone surrogate
         with contextlib.suppress(yaml.YAMLError, *_CONSTRUCTOR_ERRORS):
-            return yaml.load(text, Loader=yaml.CSafeLoader)
+            return yaml.load(text, Loader=_PlainLoader)
     try:
         return yaml.load(text, Loader=_LocatingLoader)
     except yaml.MarkedYAMLError as exc:
@@ -610,10 +703,12 @@ def _load_desired_pattern(path: str, n: int) -> np.ndarray:
             raise ScenarioError("desired pattern file is nested too deeply") from exc
     values = doc.get("desired") if isinstance(doc, dict) else None
     if not (isinstance(values, list) and len(values) == n
-            and all(_is_numbers(v, 2) for v in values)):
+            and all(isinstance(v, list) and len(v) == 2 for v in values)
+            and all(map(_is_finite_number, itertools.chain.from_iterable(values)))):
         raise ScenarioError(
             f"desired pattern file must hold {n} finite [re, im] pairs under 'desired'")
-    return np.array([complex(re, im) for re, im in values])
+    # the (re, im) float pairs are the complex numbers, signed zeros included
+    return np.array(values, dtype=float).view(complex).ravel()
 
 
 def mimo_system(ris: LinearRis, waves, radius: float, thetas) -> MimoSystem:

@@ -7,13 +7,13 @@ means arbitrary positions, not rotated cell frames.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from .core import (TWO_PI, Direction, ObservationPoint, PlaneWave, SphericalField,
-                   WaveContext, _chunked, _polarization_factors, _sinc_pair, _sum_waves,
+                   WaveContext, _chunked, _phasor, _polarization_factors, _sinc_pair, _sum_waves,
                    _unit_vectors, _wave_arrays, direction_vector, positive_finite)
 
 
@@ -41,35 +41,74 @@ class UnitCell:
         object.__setattr__(self, "phase_shift", float(self.phase_shift) % TWO_PI)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class RisGeometry:
-    """Ordered cell list plus wave constants; the list order is the sum index.
+    """Cells as arrays plus wave constants; the row order is the sum index.
 
-    The cells are also held as arrays (positions (N, 3), a, b, areas,
-    phases) in the same order, which is what the field sums read.
+    positions (N, 3), a, b, areas and phases hold one row per cell, and are
+    what the field sums read. RisGeometry(cells, ctx) stacks UnitCells, which
+    checked themselves; RisGeometry.from_arrays checks whole columns.
     """
 
-    cells: tuple
+    positions: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    areas: np.ndarray
+    phases: np.ndarray
     ctx: WaveContext
-    positions: np.ndarray = field(init=False, repr=False)
-    a: np.ndarray = field(init=False, repr=False)
-    b: np.ndarray = field(init=False, repr=False)
-    areas: np.ndarray = field(init=False, repr=False)
-    phases: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        cells = tuple(self.cells)
+    def __init__(self, cells, ctx: WaveContext):
+        cells = tuple(cells)
         if not cells:
             raise ValueError("geometry needs at least one cell")
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "positions", np.stack([c.position for c in cells]))
-        for name, attr in (("a", "a"), ("b", "b"), ("areas", "area"), ("phases", "phase_shift")):
-            object.__setattr__(self, name, np.array([getattr(c, attr) for c in cells]))
+        self._store(np.stack([c.position for c in cells]),
+                    *(np.array([getattr(c, name) for c in cells])
+                      for name in ("a", "b", "area", "phase_shift")), ctx)
+
+    @classmethod
+    def from_arrays(cls, positions, a, b, areas, phases, ctx: WaveContext) -> RisGeometry:
+        """The geometry of N cells given as columns, checked as UnitCell checks one cell.
+
+        positions is (N, 3); a, b, areas and phases hold N values each. An area
+        of None is a*b, and each phase is reduced mod 2 pi with the bits of
+        float(phase) % TWO_PI.
+        """
+        positions = np.array(positions, dtype=float)
+        a, b, phases = (np.array(v, dtype=float) for v in (a, b, phases))
+        given = np.array([area is not None for area in areas], dtype=bool)
+        if not positions.size:
+            raise ValueError("geometry needs at least one cell")
+        if positions.ndim != 2 or positions.shape[1] != 3 or not np.all(np.isfinite(positions)):
+            raise ValueError("cell position must be a finite 3-vector")
+        n = len(positions)
+        if not a.shape == b.shape == given.shape == phases.shape == (n,):
+            raise ValueError(f"cell columns must hold {n} values each, one per position")
+        if not (np.all(np.isfinite(a) & (a > 0)) and np.all(np.isfinite(b) & (b > 0))):
+            raise ValueError("cell edges must be positive and finite")
+        # as for one cell's floats, a*b may pass the float range and an infinite phase is NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            # an area of None converts to NaN, and a*b takes its place
+            areas = np.where(given, np.array(areas, dtype=float), a * b)
+            phases = np.remainder(phases, TWO_PI)
+        if not np.all(~given | (np.isfinite(areas) & (areas > 0))):
+            raise ValueError("cell area must be positive and finite")
+        geom = cls.__new__(cls)
+        geom._store(positions, a, b, areas, phases, ctx)
+        return geom
+
+    def _store(self, *values):
+        for f, value in zip(fields(self), values):
+            object.__setattr__(self, f.name, value)
+
+    @property
+    def cells(self) -> tuple:
+        """The cells as UnitCells, in order."""
+        return tuple(map(UnitCell, self.positions.copy(), self.a, self.b, self.areas, self.phases))
 
 
 def _path_phase(positions, u, wavelength) -> np.ndarray:
     """exp(j 2 pi p.u / wavelength): points u (..., 3) by positions p (N, 3)."""
-    return np.exp(1j * TWO_PI * (u @ positions.T) / wavelength)
+    return _phasor(TWO_PI * (u @ positions.T) / wavelength)
 
 
 def path_length_phase(p, d: Direction, ctx: WaveContext) -> complex:
@@ -101,7 +140,7 @@ def _sum_cells(geom: RisGeometry, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     weights = geom.areas / geom.ctx.wavelength * np.exp(1j * geom.phases)
     out = _chunked(lambda c: np.sum(_cell_terms(geom, c, weights), axis=-1), u.reshape(-1, 3),
-                   len(geom.cells))
+                   len(geom.phases))
     return out.reshape(u.shape[:-1])
 
 

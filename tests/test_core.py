@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from risem import (Direction, ObservationPoint, WaveContext, direction_vector,
                    sampling_sa, sampling_sa_linear, sinc_normalized)
-from risem.core import SINC_TAYLOR_CUTOFF, _sinc_pair
+from risem.core import SINC_TAYLOR_CUTOFF, _phasor, _sinc_pair
 
 finite_angles = st.floats(-np.pi, np.pi, allow_nan=False, allow_infinity=False)
 polar_angles = st.floats(0.0, np.pi / 2, allow_nan=False, allow_infinity=False)
@@ -163,6 +163,19 @@ class TestEdgeSincKeepsTheBits:
                                    * (np.sin(theta_s) + np.sin(theta_i)))
             assert np.array_equal(_bits(sampling_sa_linear(width, theta_s, theta_i, lam)),
                                   _bits(want))
+
+
+def test_phasor_is_exp_of_j_arg_bit_for_bit():
+    arg = np.random.default_rng(0).uniform(-200.0, 200.0, 3_000_000)
+    assert np.array_equal(_bits(_phasor(arg).view(float)), _bits(np.exp(1j * arg).view(float)))
+
+
+def test_phasor_keeps_the_sign_of_a_negative_zero_argument():
+    # a cell at the origin; np.exp(1j * -0.0) has imaginary part +0.0
+    got, exp = _phasor(np.array([-0.0, 0.0])), np.exp(1j * np.array([-0.0, 0.0]))
+    assert got.real.tolist() == exp.real.tolist() == [1.0, 1.0]
+    assert np.signbit(got.imag).tolist() == [True, False]
+    assert np.signbit(exp.imag).tolist() == [False, False]
 
 
 def test_star_import_binds_no_module():

@@ -14,6 +14,7 @@ from risem.config import monte_carlo_power_grid
 from risem.presets import FIGURE_IDS, reproduce
 from risem.scenario import (CompensateScheme, RandomScheme, ScenarioError, configure_linear,
                             manifest_for, parse_scenario, run_sweep, write_csv)
+from risem.scenario import _load_desired_pattern as load_desired_pattern
 
 PATCH_SCENARIO = """\
 geometry:
@@ -688,6 +689,31 @@ class TestCli:
                 f"  desired_pattern_file: {pattern}\n")
         scenario = self._write(tmp_path, "s.yaml", text)
         assert main(["sweep", scenario]) == 2
+
+    def test_desired_weights_keep_the_bits_of_complex_pairs(self, tmp_path):
+        pairs = [[-0.0, 0.0], [0.0, -0.0], [1, -2], [5e-324, -1.5e300], [10 ** 300, 0.1]]
+        pattern = self._write(tmp_path, "desired.json", json.dumps({"desired": pairs}))
+        got = load_desired_pattern(pattern, len(pairs))
+        want = np.array([complex(re, im) for re, im in pairs])
+        assert got.shape == want.shape == (5,)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("desired", [
+        [[1.0, 0.0]] * 7 + [[True, 0.0]],
+        [[1.0, 0.0]] * 7 + [[0.0, 10 ** 309]],
+        [[1.0, 0.0]] * 7 + [[0.0, float("nan")]],
+        [[1.0, 0.0]] * 7 + [[float("-inf"), 0.0]],
+        [[1.0, 0.0]] * 7 + [["1.0", 0.0]],
+        [[1.0, 0.0]] * 7 + [[None, 0.0]],
+        [[1.0, 0.0]] * 7 + [[1.0, 0.0, 0.0]],
+        [[1.0, 0.0]] * 7 + [[[1.0], 0.0]],
+        [[1.0, 0.0]] * 7,
+    ], ids=["bool", "huge-int", "nan", "inf", "string", "null", "triple", "nested", "short"])
+    def test_desired_file_refusals(self, tmp_path, desired):
+        pattern = self._write(tmp_path, "desired.json", json.dumps({"desired": desired}))
+        with pytest.raises(ScenarioError, match=r"^desired pattern file must hold 8 finite "
+                                                r"\[re, im\] pairs under 'desired'$"):
+            load_desired_pattern(pattern, 8)
 
     def test_reshape_scenario_round_trips_through_sweep(self, tmp_path):
         # target: the field of a uniformly configured 8-cell array

@@ -5,10 +5,14 @@ depth, so parse_scenario uses it only for texts whose nesting bound clears
 _C_LOADER_MAX_DEPTH. These tests check that the bound never under-counts,
 that deep texts exit 2 in a child process (a crash would end it by a signal),
 also from a thread with a small stack (as does a deep desired-pattern file), which
-loader runs at the limit, and that both loaders give the same scenario.
+loader runs at the limit, and that both loaders give the same scenario. The
+libyaml path builds its document in one plain pass, which must build what
+SafeConstructor builds, and planar cells are read as columns, which must keep
+the bits and the refusals of the cell-by-cell reader.
 """
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -321,8 +325,8 @@ def _padded(bound, long_line):
 
 
 @pytest.mark.parametrize("bound,long_line,loader", [
-    (LIMIT - 1, False, yaml.CSafeLoader),
-    (LIMIT - 1, True, yaml.CSafeLoader),
+    (LIMIT - 1, False, scenario._PlainLoader),
+    (LIMIT - 1, True, scenario._PlainLoader),
     (LIMIT, False, scenario._LocatingLoader),
 ], ids=["openers-under", "long-line-under", "openers-at"])
 def test_loader_at_the_limit(loaders, bound, long_line, loader):
@@ -347,7 +351,7 @@ def test_libyaml_refusal_is_read_again_by_the_python_loader(loaders):
     # libyaml refuses ':' right before a flow collection; the Python loader reads it
     text = "{geometry: {kind: patch, a: 1.0, b: 2.0}, incident:[{theta_deg: 10.0}]}"
     scn = parse_scenario(text)
-    assert loaders == [yaml.CSafeLoader, scenario._LocatingLoader]
+    assert loaders == [scenario._PlainLoader, scenario._LocatingLoader]
     assert [w.direction.theta for w in scn.waves] == [pytest.approx(np.radians(10.0))]
 
 
@@ -584,9 +588,159 @@ def _read(loader, text):
 def test_both_loaders_agree_on_scenario_texts(text):
     assert "\t" not in text and scenario._nesting_bound(text) < LIMIT
     c_loaded, python_loaded = _read(yaml.CSafeLoader, text), _read(yaml.SafeLoader, text)
+    assert _read(scenario._PlainLoader, text) == c_loaded
     if c_loaded[0] == "ok" and "!" not in text:
         assert python_loaded == c_loaded
     outcome = _outcome(text)
     with _python_loader_only():
         # the same Scenario, or the same message, with its line and column
         assert _outcome(text) == outcome
+
+
+# ---------------------------------------------------------------------------
+# The plain construction pass on the libyaml path
+# ---------------------------------------------------------------------------
+
+DEEP_VALUE = "geometry: {kind: patch, a: 1.0, b: " + "[" * 1500 + "]" * 1500 + "}\n"
+MERGED_CELL = ("geometry:\n  kind: planar\n  cells:\n"
+               "    - &base {position: [0.0, 0.0, 0.0], a: 0.4, b: 0.3, phase: 0.5}\n"
+               "    - <<: *base\n      position: [0.5, 0.0, 0.0]\n")
+
+
+@pytest.fixture
+def hand_overs(monkeypatch):
+    """The nodes the plain pass hands to SafeConstructor, in order."""
+    seen = []
+    construct = yaml.constructor.BaseConstructor.construct_document
+
+    def spy(self, node):
+        if isinstance(self, scenario._PlainLoader):
+            seen.append(node)
+        return construct(self, node)
+
+    monkeypatch.setattr(yaml.constructor.BaseConstructor, "construct_document", spy)
+    return seen
+
+
+@pytest.mark.parametrize("text,handed_over", [
+    ("a: &x [1, {b: 2}]\nb: *x\nc: [*x]\n", False),
+    (MERGED_CELL, True),
+    ("a: {=: 1, b: 2}\n", True),
+    ("a: 1\nb: {c: 2, c: 3}\na: 4\n", False),
+    ("? [1]\n: x\n", True),
+    ("a: 2001-12-14t21:59:43.10-05:00\nb: 2002-12-14\nc: 2001-12-14 21:59:43.10\n", False),
+    ("a: [~, null, true, No, 0x1F, 0o17, 1:30, -.inf, .NaN, 1_000.5, '1', \"x\", 12e3]\n", False),
+], ids=["alias", "merge", "value-key", "duplicate-key", "unhashable-key", "timestamp", "scalars"])
+def test_the_plain_pass_builds_what_safe_constructor_builds(hand_overs, text, handed_over):
+    assert _read(scenario._PlainLoader, text) == _read(yaml.CSafeLoader, text)
+    assert len(hand_overs) == handed_over
+
+
+def test_an_aliased_collection_is_built_once():
+    doc = yaml.load("a: &x [1, {b: 2}]\nb: *x\nc: [*x]\n", Loader=scenario._PlainLoader)
+    assert doc["a"] is doc["b"] is doc["c"][0]
+
+
+def test_a_merged_cell_is_read(hand_overs):
+    scn = parse_scenario(MERGED_CELL)
+    assert len(hand_overs) == 1
+    assert scn.geometry.positions.tolist() == [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]
+    assert scn.geometry.phases.tolist() == [0.5, 0.5]
+
+
+def test_nesting_past_the_recursion_limit_is_handed_over(hand_overs):
+    def depth(value):
+        levels = 0
+        while isinstance(value, list):
+            value, levels = (value[0] if value else None), levels + 1
+        return levels
+
+    plain = yaml.load(DEEP_VALUE, Loader=scenario._PlainLoader)
+    assert len(hand_overs) == 1
+    assert depth(plain["geometry"]["b"]) == 1500
+    assert depth(yaml.load(DEEP_VALUE, Loader=yaml.CSafeLoader)["geometry"]["b"]) == 1500
+
+
+# ---------------------------------------------------------------------------
+# Planar cells read as columns
+# ---------------------------------------------------------------------------
+
+def _cell_by_cell(node):
+    """The RisGeometry of a planar geometry node, read by the cell-by-cell reader."""
+    return scenario._cell_by_cell(scenario._Section(node, "geometry", {"kind", "cells"}),
+                                  scenario.WaveContext())
+
+
+_COORDINATES = (st.floats(allow_nan=False, allow_infinity=False)
+                | st.integers(-10 ** 308, 10 ** 308))
+_POSITIVE = st.floats(min_value=5e-324, allow_infinity=False) | st.integers(1, 10 ** 308)
+# a phase just under zero reduces to 2 pi itself
+_PHASES = _COORDINATES | st.sampled_from([-0.0, -1e-17, -5e-324, 2 * math.pi, -2 * math.pi])
+_CELLS = st.lists(st.fixed_dictionaries(
+    {"position": st.lists(_COORDINATES, min_size=3, max_size=3), "a": _POSITIVE, "b": _POSITIVE},
+    optional={"area": _POSITIVE, "phase": _PHASES}), min_size=1, max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=_CELLS)
+def test_columns_keep_the_bits_of_the_cell_by_cell_reader(cells):
+    node = {"kind": "planar", "cells": cells}
+    assert scenario._cell_columns(cells) is not None
+    _, columns = scenario._parse_geometry(node, scenario.WaveContext())
+    by_cell = _cell_by_cell(node)
+    for name in ("positions", "a", "b", "areas", "phases"):
+        got, want = getattr(columns, name), getattr(by_cell, name)
+        assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+
+
+def _cell_rows(count=1024):
+    """{key: YAML text} of seeded valid cells, every other one with an area."""
+    return [{"position": f"[{0.5 * (i % 32)}, {0.5 * (i // 32)}, {0.001 * (i % 7)}]",
+             "a": "0.3", "b": "0.4", **({"area": "0.1"} if i % 2 else {}),
+             "phase": f"{0.01 * i}"} for i in range(count)]
+
+
+def _planar_text(rows):
+    """A planar scenario of cell rows in the benchmark's flow layout."""
+    return "geometry:\n  kind: planar\n  cells:\n" + "".join(
+        "    - {" + ", ".join(f"{key}: {value}" for key, value in row.items()) + "}\n"
+        for row in rows)
+
+
+REFUSED_CELLS = {
+    "bool-in-position": lambda row: {**row, "position": "[true, 0.5, 0.0]"},
+    "string-in-position": lambda row: {**row, "position": "[x, 0.5, 0.0]"},
+    "huge-int-in-position": lambda row: {**row, "position": "[" + "9" * 320 + ", 0.5, 0.0]"},
+    "null-in-position": lambda row: {**row, "position": "[~, 0.5, 0.0]"},
+    "position-of-2": lambda row: {**row, "position": "[0.5, 0.0]"},
+    "position-of-4": lambda row: {**row, "position": "[0.5, 0.0, 0.0, 1.0]"},
+    "missing-key": lambda row: {k: v for k, v in row.items() if k != "b"},
+    "misspelt-key": lambda row: {("phse" if k == "phase" else k): v for k, v in row.items()},
+    "zero-a": lambda row: {**row, "a": "0"},
+    "negative-b": lambda row: {**row, "b": "-1"},
+    "zero-area": lambda row: {**row, "area": "0"},
+    "null-area": lambda row: {**row, "area": "~"},
+    "null-phase": lambda row: {**row, "phase": "~"},
+}
+
+
+@pytest.mark.parametrize("at", [0, 700])
+@pytest.mark.parametrize("refuse", REFUSED_CELLS.values(), ids=REFUSED_CELLS)
+def test_a_refused_cell_gets_the_cell_by_cell_message(refuse, at):
+    rows = _cell_rows()
+    rows[at] = refuse(rows[at])
+    text = _planar_text(rows)
+    with pytest.raises(ScenarioError) as by_cell:
+        _cell_by_cell(yaml.load(text, Loader=yaml.CSafeLoader)["geometry"])
+    assert f"'geometry.cells[{at}]" in str(by_cell.value)
+    with pytest.raises(ScenarioError) as parsed:
+        parse_scenario(text)
+    assert str(parsed.value) == str(by_cell.value)
+
+
+def test_valid_cells_never_reach_the_cell_by_cell_reader(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the cell-by-cell reader ran on valid cells")
+    monkeypatch.setattr(scenario, "_cell_by_cell", refuse)
+    assert len(parse_scenario(_planar_text(_cell_rows())).geometry.phases) == 1024

@@ -119,6 +119,38 @@ class TestCellSumKernel:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+class TestFromArrays:
+    POSITIONS = [[0.0, 0.0, 0.0], [0.5, -0.25, 0.1]]
+
+    def test_columns_give_what_unit_cells_give(self):
+        got = RisGeometry.from_arrays(self.POSITIONS, [1, 0.5], [2, 0.4], [None, 0.1],
+                                      [-1.0, 7.0], CTX)
+        want = RisGeometry([UnitCell(np.array(p), a, b, area, phase) for p, a, b, area, phase
+                            in zip(self.POSITIONS, [1.0, 0.5], [2.0, 0.4], [None, 0.1],
+                                   [-1.0, 7.0])], CTX)
+        for name in ("positions", "a", "b", "areas", "phases"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.areas.tolist() == [2.0, 0.1]
+        assert [c.phase_shift for c in got.cells] == [c.phase_shift for c in want.cells]
+
+    @pytest.mark.parametrize("change,message", [
+        ({"positions": [[0.0, 0.0], [0.0, 0.0]]}, "finite 3-vector"),
+        ({"positions": [[0.0, 0.0, np.nan], [0.0, 0.0, 0.0]]}, "finite 3-vector"),
+        ({"a": [1.0, 0.0]}, "edges"),
+        ({"b": [1.0, np.inf]}, "edges"),
+        ({"areas": [None, -1.0]}, "area"),
+        ({"areas": [np.nan, None]}, "area"),
+        ({"phases": [0.0]}, "2 values each"),
+        ({"positions": np.empty((0, 3)), "a": [], "b": [], "areas": [], "phases": []},
+         "at least one cell"),
+    ])
+    def test_refusals(self, change, message):
+        columns = {"positions": self.POSITIONS, "a": [1.0, 1.0], "b": [1.0, 1.0],
+                   "areas": [None, None], "phases": [0.0, 0.0], **change}
+        with pytest.raises(ValueError, match=message):
+            RisGeometry.from_arrays(**columns, ctx=CTX)
+
+
 class TestUnitCell:
     def test_phase_normalized(self):
         cell = UnitCell(np.zeros(3), 1.0, 1.0, phase_shift=-1.0)
