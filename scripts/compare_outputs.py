@@ -6,13 +6,14 @@
 Each tree runs the corpus in a child process with PYTHONPATH=<tree>/src and a
 fresh working directory: every figure preset; `sweep` as CSV and JSON, `mimo`
 and `configure` as CSV and JSON over the scenario kinds below, among them a
-1024-cell planar file and one with a merged cell; and a fixed list of
-malformed inputs. Every output file, and the exit code, stdout and stderr of
-every run, is reported as identical, or with the largest deviation of each
-numeric CSV column or JSON field that moved, relative to that column's largest
-magnitude; for CSV, also the part beyond one unit of the 12th significant digit
-that it prints. The exit status is 0 when every output is identical and 1
-otherwise.
+1024-cell planar file, one with a merged cell, one with a cell shared by
+alias and one with quoted keys and values; and a fixed list of malformed
+inputs, among them an empty stream and a second document. Every output file,
+and the exit code, stdout and stderr of every run, is reported as identical,
+or with the largest deviation of each numeric CSV column or JSON field that
+moved, relative to that column's largest magnitude; for CSV, also the part
+beyond one unit of the 12th significant digit that it prints. The exit status
+is 0 when every output is identical and 1 otherwise.
 
 No digests are stored: last-bit rounding depends on libm and BLAS, so only two
 trees run on one machine can be compared.
@@ -74,6 +75,17 @@ SCENARIOS = {
         "    - {<<: *base, position: [0.5, 0.0, 0.0]}\n"
         "    - <<: *base\n      position: [0.0, 0.5, 0.0]\n      area: 0.1\n"
         + PLANAR_TAIL),
+    # one anchored cell mapping, shared by alias with a later cell (no '<<')
+    "planar_shared.yaml": (
+        "geometry:\n  kind: planar\n  cells:\n"
+        "    - &cell {position: [0.0, 0.0, 0.0], a: 0.4, b: 0.3, phase: 0.5}\n"
+        "    - {position: [0.5, 0.0, 0.0], a: 0.3, b: 0.4, area: 0.1}\n"
+        "    - *cell\n"
+        + PLANAR_TAIL),
+    # quoted keys and quoted string values
+    "quoted.yaml": ('"geometry": {\'kind\': "patch", "a": 2.0, \'b\': 1.5}\n'
+                    "'incident': [{\"theta_deg\": 25.0, 'phi_deg': -40.0}]\n"
+                    '"output": {"format": \'json\'}\n'),
     "patch.yaml": ("geometry: {kind: patch, a: 2.0, b: 1.5}\n"
                    "incident: [{theta_deg: 25.0, phi_deg: -40.0}]\n"
                    "observation: {radius: 80.0}\n"),
@@ -101,6 +113,8 @@ SCENARIOS = {
                                             for k in range(16)]}),
     # malformed inputs
     "empty.yaml": "",
+    "comment_only.yaml": "# a stream with no document\n",
+    "two_documents.yaml": "geometry: {kind: patch, a: 1.0, b: 1.0}\n--- 2\n",
     "unknown_key.yaml": "geometry: {kind: patch, a: 1.0, b: 1.0, c: 2.0}\n",
     "bad_syntax.yaml": "geometry: [kind: patch\n",
     "outside.yaml": linear(incident="[{theta_deg: 95.0}]"),
@@ -134,6 +148,8 @@ RUNS = {
     "sweep-planar-1024": ["sweep", "planar_1024.yaml", "--out", "planar_1024.csv"],
     "sweep-planar-merge": ["sweep", "planar_merge.yaml", "--format", "json",
                            "--out", "planar_merge.json"],
+    "sweep-planar-shared": ["sweep", "planar_shared.yaml", "--out", "planar_shared.csv"],
+    "sweep-quoted": ["sweep", "quoted.yaml", "--out", "quoted.json"],
     "sweep-patch": ["sweep", "patch.yaml", "--format", "json", "--out", "patch.json"],
     "sweep-patch-no-waves": ["sweep", "patch_no_waves.yaml", "--out", "patch_no_waves.csv"],
     "sweep-compensate-points": ["sweep", "compensate_points.yaml",
@@ -157,6 +173,8 @@ RUNS = {
     # malformed inputs: only the exit code and stderr are written
     "missing-file": ["sweep", "missing.yaml"],
     "empty": ["sweep", "empty.yaml"],
+    "comment-only": ["sweep", "comment_only.yaml"],
+    "two-documents": ["sweep", "two_documents.yaml"],
     "unknown-key": ["sweep", "unknown_key.yaml"],
     "bad-syntax": ["sweep", "bad_syntax.yaml"],
     "outside": ["sweep", "outside.yaml"],

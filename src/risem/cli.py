@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 parse/validation failure, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -20,6 +21,8 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 
+# built once per process: main() only parses with it, which changes no state of the parser
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="risem",

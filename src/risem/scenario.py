@@ -321,10 +321,10 @@ def _parse_output(node, defaults):
                                 "a string", None))
 
 
-# libyaml's composer recurses on the C stack and dies by SIGSEGV where the
-# pure-Python one raises RecursionError. In subprocesses with an 8 MiB stack it
-# loaded 24737 nested sequences and 23585 nested mappings, and died by 24968
-# and 23815.
+# libyaml's composer, which runs only in the event pass's hand-over, recurses on
+# the C stack and dies by SIGSEGV where the pure-Python one raises RecursionError.
+# In subprocesses with an 8 MiB stack it loaded 24737 nested sequences and 23585
+# nested mappings, and died by 24968 and 23815.
 _C_LOADER_MAX_DEPTH = 10_000
 # a caller's thread with less stack than the 8 MiB above parses on a thread of its
 # own with twice that (_on_a_measured_stack), so the bound holds whatever its stack is
@@ -371,71 +371,121 @@ class _LocatingLoader(yaml.SafeLoader):
 
 
 class _HandOver(Exception):
-    """A node that the plain pass leaves to SafeConstructor."""
+    """A text that the event pass leaves to yaml.CSafeLoader."""
+
+
+_STR_TAG = "tag:yaml.org,2002:str"
+_STARTS = {yaml.MappingStartEvent: dict, yaml.SequenceStartEvent: list}
+_ENDS = {yaml.MappingEndEvent, yaml.SequenceEndEvent}
+# the state of a sequence being filled, and of a mapping waiting for its next key
+_ITEM, _NO_KEY = object(), object()
 
 
 # without libyaml the class is never used, and stands on the pure-Python loader
-class _PlainLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """yaml.CSafeLoader that builds the document in one plain pass.
+class _EventLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """yaml.CSafeLoader that builds the document from libyaml's events in one pass.
 
-    A mapping is a dict filled in key order, a sequence is a list, and a
-    scalar goes through the SafeConstructor function its tag picks; an
-    aliased collection is built once and shared. SafeConstructor builds the
-    same objects through per-node generators and bookkeeping, which take about
-    twice as long again. Any other tag (a merge key '<<' and a value key '='
-    have tags of their own), an unhashable key and nesting past the
-    recursion limit hand the whole document to
-    SafeConstructor.construct_document, so what it refuses, and how, stays
-    its own. A scalar constructor's own error propagates.
+    A mapping is a dict and a sequence a list, made at its start event and
+    filled in order through an explicit stack, so the pass never recurses and
+    no node tree is built. An anchor names the object made for it, which each
+    alias shares. A scalar's tag comes from the loader's own resolve, and the
+    scalar is built by the SafeConstructor function that tag picks; a str is
+    its value. A collection needs no resolve: without path resolvers, which
+    SafeLoader has none of, an untagged one is a map or a seq. A scalar
+    constructor's own error propagates. yaml.CSafeLoader reads the text again,
+    and builds, refuses and reports it as ever, where the pass meets an
+    explicit tag, a scalar tag other than null, bool, int, float, str or
+    timestamp (a merge key '<<' and a value key '=' have tags of their own),
+    an unhashable key, a duplicate anchor, an undefined alias or a second
+    document.
     """
 
-    # the SafeConstructor function of each scalar tag the plain pass reads
+    # the SafeConstructor function of each scalar tag the event pass reads, but str
     _scalars = {tag: yaml.constructor.SafeConstructor.yaml_constructors[tag] for tag in (
         "tag:yaml.org,2002:null", "tag:yaml.org,2002:bool", "tag:yaml.org,2002:int",
-        "tag:yaml.org,2002:float", "tag:yaml.org,2002:str", "tag:yaml.org,2002:timestamp")}
+        "tag:yaml.org,2002:float", "tag:yaml.org,2002:timestamp")}
 
-    def construct_document(self, node):
+    def __init__(self, stream):
+        super().__init__(stream)
+        self._stream = stream
+
+    def get_single_data(self):
         try:
-            return self._plain(node, {})
-        except (_HandOver, TypeError, RecursionError):
-            return super().construct_document(node)
+            return self._document()
+        except (_HandOver, TypeError):
+            return yaml.load(self._stream, Loader=yaml.CSafeLoader)
 
-    def _plain(self, node, collections: dict):
-        """The object of node; collections maps each collection node built so far to its object."""
-        if isinstance(node, yaml.ScalarNode):
-            make = self._scalars.get(node.tag)
-            if make is None:
-                raise _HandOver
-            return make(self, node)
-        if node in collections:
-            return collections[node]
-        if isinstance(node, yaml.SequenceNode) and node.tag == "tag:yaml.org,2002:seq":
-            # registered before its items, so that an item may alias it
-            data = collections[node] = []
-            data.extend([self._plain(item, collections) for item in node.value])
-        elif isinstance(node, yaml.MappingNode) and node.tag == "tag:yaml.org,2002:map":
-            data = collections[node] = {}
-            for key_node, value_node in node.value:
-                key = self._plain(key_node, collections)
-                data[key] = self._plain(value_node, collections)
-        else:
+    def _document(self):
+        """The stream's one document, or None for none; TypeError for an unhashable key."""
+        get_event, resolve, scalars, scalar_node = (self.get_event, self.resolve, self._scalars,
+                                                    yaml.ScalarNode)
+        get_event()  # the stream start
+        if type(get_event()) is yaml.StreamEndEvent:
+            return None
+        # the root is the one item of a list, and stack holds the (collection, key) of
+        # each collection that encloses the one being filled
+        root = collection = []
+        key, stack, anchors = _ITEM, [], {}
+        while True:
+            event = get_event()
+            kind = type(event)
+            if kind is yaml.ScalarEvent:
+                if event.tag is not None:
+                    raise _HandOver
+                value = event.value
+                tag = resolve(scalar_node, value, event.implicit)
+                if tag != _STR_TAG:
+                    make = scalars.get(tag)
+                    if make is None:
+                        raise _HandOver
+                    value = make(self, scalar_node(tag, value, None, None))
+            elif kind in _ENDS:
+                collection, key = stack.pop()
+                continue
+            elif kind is yaml.AliasEvent:
+                if event.anchor not in anchors:
+                    raise _HandOver
+                value = anchors[event.anchor]
+            elif kind in _STARTS:
+                if event.tag is not None:
+                    raise _HandOver
+                value = _STARTS[kind]()
+            else:  # the document end
+                break
+            if kind is not yaml.AliasEvent and event.anchor is not None:
+                if event.anchor in anchors:
+                    raise _HandOver
+                anchors[event.anchor] = value
+            if key is _ITEM:
+                collection.append(value)
+            elif key is _NO_KEY:
+                key = value
+            else:
+                # a collection key or an alias of one raises TypeError here
+                collection[key] = value
+                key = _NO_KEY
+            if kind in _STARTS:
+                stack.append((collection, key))
+                collection, key = value, (_NO_KEY if kind is yaml.MappingStartEvent else _ITEM)
+        if type(get_event()) is not yaml.StreamEndEvent:
             raise _HandOver
-        return data
+        return root[0]
 
 
 def _load_yaml(text: str):
     """The YAML document in text, read by libyaml where the nesting bound clears it.
 
-    Both loaders share the Python constructor and resolver, so they give the
-    same objects. Every other text, every text with a '!', and every text
-    libyaml refuses goes to the pure-Python loader: libyaml refuses some texts
-    the Python loader accepts (such as '{a:[1]}'), words and places its errors
-    differently, and reads a bare '!' on an empty value as '', not null.
+    libyaml's path is the event pass of _EventLoader. Both loaders share the
+    Python constructor and resolver, so they give the same objects. Every
+    other text, every text with a '!', and every text libyaml refuses goes to
+    the pure-Python loader: libyaml refuses some texts the Python loader
+    accepts (such as '{a:[1]}'), words and places its errors differently, and
+    reads a bare '!' on an empty value as '', not null.
     """
     if yaml.__with_libyaml__ and "!" not in text and _nesting_bound(text) < _C_LOADER_MAX_DEPTH:
         # a constructor error, or the ValueError of a lone surrogate
         with contextlib.suppress(yaml.YAMLError, *_CONSTRUCTOR_ERRORS):
-            return yaml.load(text, Loader=_PlainLoader)
+            return yaml.load(text, Loader=_EventLoader)
     try:
         return yaml.load(text, Loader=_LocatingLoader)
     except yaml.MarkedYAMLError as exc:
@@ -499,8 +549,8 @@ def _on_a_measured_stack(read, *args):
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate scenario text; unknown keys are rejected.
 
-    libyaml's composer, and the repr of a deep value in a message, recurse on
-    the C stack as deep as the text nests."""
+    The event pass's hand-over to libyaml's composer, and the repr of a deep
+    value in a message, recurse on the C stack as deep as the text nests."""
     return _on_a_measured_stack(_parse, text)
 
 

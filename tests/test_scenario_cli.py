@@ -7,8 +7,10 @@ import re
 import numpy as np
 import pytest
 
+import risem
 from risem import (Direction, LinearRis, ObservationPoint, Patch, RisGeometry, UnitCell,
                    patch_scattered_field_multi, ris_scattered_field_multi)
+from risem import cli
 from risem.cli import main
 from risem.config import monte_carlo_power_grid
 from risem.presets import FIGURE_IDS, reproduce
@@ -749,6 +751,26 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+    def test_one_parser_serves_every_call_in_a_process(self, tmp_path, capsys):
+        scenario = self._write(tmp_path, "s.yaml", PATCH_SCENARIO)
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = f"SystemExit {exc.code}"
+            return code, *capsys.readouterr()
+
+        calls = [["sweep", scenario], ["sweep", scenario, "--trials", "x"], ["--version"],
+                 ["reproduce", "fig99"], ["sweep", scenario, "--format", "json"]]
+        first = [outcome(argv) for argv in calls]
+        assert [code for code, _, _ in first] == [0, "SystemExit 2", "SystemExit 0",
+                                                  "SystemExit 2", 0]
+        assert first[2][1] == f"{risem.__version__}\n"
+        # in the reverse order, each call gives what it gave the first time
+        assert [outcome(argv) for argv in reversed(calls)] == first[::-1]
+        assert cli._build_parser() is cli._build_parser()
 
 
 class TestReproduce:

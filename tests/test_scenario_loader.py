@@ -1,14 +1,17 @@
 """The scenario YAML loader: libyaml behind a nesting bound, the pure-Python fallback.
 
-libyaml's composer recurses on the C stack and kills the process past some
-depth, so parse_scenario uses it only for texts whose nesting bound clears
-_C_LOADER_MAX_DEPTH. These tests check that the bound never under-counts,
-that deep texts exit 2 in a child process (a crash would end it by a signal),
-also from a thread with a small stack (as does a deep desired-pattern file), which
-loader runs at the limit, and that both loaders give the same scenario. The
-libyaml path builds its document in one plain pass, which must build what
-SafeConstructor builds, and planar cells are read as columns, which must keep
-the bits and the refusals of the cell-by-cell reader.
+The libyaml path builds its document from libyaml's events in one iterative
+pass, which must build what yaml.CSafeLoader builds, and hands some texts to
+yaml.CSafeLoader itself. That hand-over composes with libyaml's composer, which
+recurses on the C stack and kills the process past some depth, so
+parse_scenario takes the libyaml path only for texts whose nesting bound
+clears _C_LOADER_MAX_DEPTH. These tests check that the bound never
+under-counts, that deep texts exit 2 in a child process (a crash would end it
+by a signal), also from a thread with a small stack (as does a deep
+desired-pattern file), which loader runs at the limit, what the event pass
+hands over, and that both loaders give the same scenario. Planar cells are
+read as columns, which must keep the bits and the refusals of the
+cell-by-cell reader.
 """
 import dataclasses
 import json
@@ -325,8 +328,8 @@ def _padded(bound, long_line):
 
 
 @pytest.mark.parametrize("bound,long_line,loader", [
-    (LIMIT - 1, False, scenario._PlainLoader),
-    (LIMIT - 1, True, scenario._PlainLoader),
+    (LIMIT - 1, False, scenario._EventLoader),
+    (LIMIT - 1, True, scenario._EventLoader),
     (LIMIT, False, scenario._LocatingLoader),
 ], ids=["openers-under", "long-line-under", "openers-at"])
 def test_loader_at_the_limit(loaders, bound, long_line, loader):
@@ -351,7 +354,7 @@ def test_libyaml_refusal_is_read_again_by_the_python_loader(loaders):
     # libyaml refuses ':' right before a flow collection; the Python loader reads it
     text = "{geometry: {kind: patch, a: 1.0, b: 2.0}, incident:[{theta_deg: 10.0}]}"
     scn = parse_scenario(text)
-    assert loaders == [scenario._PlainLoader, scenario._LocatingLoader]
+    assert loaders == [scenario._EventLoader, scenario._LocatingLoader]
     assert [w.direction.theta for w in scn.waves] == [pytest.approx(np.radians(10.0))]
 
 
@@ -588,7 +591,7 @@ def _read(loader, text):
 def test_both_loaders_agree_on_scenario_texts(text):
     assert "\t" not in text and scenario._nesting_bound(text) < LIMIT
     c_loaded, python_loaded = _read(yaml.CSafeLoader, text), _read(yaml.SafeLoader, text)
-    assert _read(scenario._PlainLoader, text) == c_loaded
+    assert _read(scenario._EventLoader, text) == c_loaded
     if c_loaded[0] == "ok" and "!" not in text:
         assert python_loaded == c_loaded
     outcome = _outcome(text)
@@ -598,28 +601,16 @@ def test_both_loaders_agree_on_scenario_texts(text):
 
 
 # ---------------------------------------------------------------------------
-# The plain construction pass on the libyaml path
+# The event pass on the libyaml path
 # ---------------------------------------------------------------------------
 
 DEEP_VALUE = "geometry: {kind: patch, a: 1.0, b: " + "[" * 1500 + "]" * 1500 + "}\n"
 MERGED_CELL = ("geometry:\n  kind: planar\n  cells:\n"
                "    - &base {position: [0.0, 0.0, 0.0], a: 0.4, b: 0.3, phase: 0.5}\n"
                "    - <<: *base\n      position: [0.5, 0.0, 0.0]\n")
-
-
-@pytest.fixture
-def hand_overs(monkeypatch):
-    """The nodes the plain pass hands to SafeConstructor, in order."""
-    seen = []
-    construct = yaml.constructor.BaseConstructor.construct_document
-
-    def spy(self, node):
-        if isinstance(self, scenario._PlainLoader):
-            seen.append(node)
-        return construct(self, node)
-
-    monkeypatch.setattr(yaml.constructor.BaseConstructor, "construct_document", spy)
-    return seen
+SHARED_CELL = ("geometry:\n  kind: planar\n  cells:\n"
+               "    - &cell {position: [0.0, 0.0, 0.0], a: 0.4, b: 0.3, phase: 0.5}\n"
+               "    - *cell\n")
 
 
 @pytest.mark.parametrize("text,handed_over", [
@@ -630,34 +621,65 @@ def hand_overs(monkeypatch):
     ("? [1]\n: x\n", True),
     ("a: 2001-12-14t21:59:43.10-05:00\nb: 2002-12-14\nc: 2001-12-14 21:59:43.10\n", False),
     ("a: [~, null, true, No, 0x1F, 0o17, 1:30, -.inf, .NaN, 1_000.5, '1', \"x\", 12e3]\n", False),
-], ids=["alias", "merge", "value-key", "duplicate-key", "unhashable-key", "timestamp", "scalars"])
-def test_the_plain_pass_builds_what_safe_constructor_builds(hand_overs, text, handed_over):
-    assert _read(scenario._PlainLoader, text) == _read(yaml.CSafeLoader, text)
-    assert len(hand_overs) == handed_over
+    ("a: !!str 1\n", True),
+    ("a: !!set {x}\n", True),
+    # what only libyaml's composer refuses
+    ("a: &x 1\nb: &x 2\n", True),
+    ("a: *y\n", True),
+    ("--- 1\n--- 2\n", True),
+    ("", False),
+    ("&a [*a]\n", False),
+    (SHARED_CELL, False),
+], ids=["alias", "merge", "value-key", "duplicate-key", "unhashable-key", "timestamp", "scalars",
+        "scalar-tag", "collection-tag", "duplicate-anchor", "undefined-alias", "two-documents",
+        "empty-stream", "recursive-alias", "shared-cell"])
+def test_the_event_pass_builds_what_csafeloader_builds(loaders, text, handed_over):
+    assert _read(scenario._EventLoader, text) == _read(yaml.CSafeLoader, text)
+    # the event pass, its hand-over if any, then the reference
+    assert loaders == [scenario._EventLoader, *[yaml.CSafeLoader] * handed_over, yaml.CSafeLoader]
+
+
+def test_the_event_pass_needs_no_path_resolver():
+    # without path resolvers, resolve reads only its arguments, and an untagged
+    # collection is a map or a seq whatever its place in the document
+    assert scenario._EventLoader.yaml_path_resolvers == {}
+    loader = scenario._EventLoader("")
+    assert loader.resolve(yaml.MappingNode, None, True) == "tag:yaml.org,2002:map"
+    assert loader.resolve(yaml.SequenceNode, None, True) == "tag:yaml.org,2002:seq"
 
 
 def test_an_aliased_collection_is_built_once():
-    doc = yaml.load("a: &x [1, {b: 2}]\nb: *x\nc: [*x]\n", Loader=scenario._PlainLoader)
+    doc = yaml.load("a: &x [1, {b: 2}]\nb: *x\nc: [*x]\n", Loader=scenario._EventLoader)
     assert doc["a"] is doc["b"] is doc["c"][0]
+    cells = yaml.load(SHARED_CELL, Loader=scenario._EventLoader)["geometry"]["cells"]
+    assert cells[0] is cells[1]
+    recursive = yaml.load("&a [*a]\n", Loader=scenario._EventLoader)
+    assert recursive[0] is recursive
 
 
-def test_a_merged_cell_is_read(hand_overs):
+def test_a_merged_cell_is_read(loaders):
     scn = parse_scenario(MERGED_CELL)
-    assert len(hand_overs) == 1
+    assert loaders == [scenario._EventLoader, yaml.CSafeLoader]
     assert scn.geometry.positions.tolist() == [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]
     assert scn.geometry.phases.tolist() == [0.5, 0.5]
 
 
-def test_nesting_past_the_recursion_limit_is_handed_over(hand_overs):
+def test_a_shared_cell_is_read(loaders):
+    scn = parse_scenario(SHARED_CELL)
+    assert loaders == [scenario._EventLoader]
+    assert scn.geometry.positions.tolist() == [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+
+
+def test_nesting_past_the_recursion_limit_is_built_by_the_event_pass(loaders):
     def depth(value):
         levels = 0
         while isinstance(value, list):
             value, levels = (value[0] if value else None), levels + 1
         return levels
 
-    plain = yaml.load(DEEP_VALUE, Loader=scenario._PlainLoader)
-    assert len(hand_overs) == 1
-    assert depth(plain["geometry"]["b"]) == 1500
+    built = yaml.load(DEEP_VALUE, Loader=scenario._EventLoader)
+    assert loaders == [scenario._EventLoader]
+    assert depth(built["geometry"]["b"]) == 1500
     assert depth(yaml.load(DEEP_VALUE, Loader=yaml.CSafeLoader)["geometry"]["b"]) == 1500
 
 
