@@ -29,12 +29,18 @@ def positive_finite(x) -> bool:
 def sinc_normalized(x):
     """sin(x)/x with the removable singularity handled explicitly.
 
-    Accepts scalars or arrays. Returns a float for scalar input.
+    Accepts scalars or arrays. Returns a float for scalar input. One pass
+    divides sin(x) by x in place, away from the entries under the cutoff,
+    which then take the Taylor value, if there are any.
     """
     arr = np.asarray(x, dtype=float)
     small = np.abs(arr) < SINC_TAYLOR_CUTOFF
-    safe = np.where(small, 1.0, arr)
-    out = np.where(small, 1.0 - arr * arr / 6.0, np.sin(safe) / safe)
+    # an array out, so that a 0-d input is written in place as well
+    out = np.sin(arr, out=np.empty(arr.shape))
+    np.divide(out, arr, out=out, where=~small)
+    if small.any():
+        tiny = arr[small]
+        out[small] = 1.0 - tiny * tiny / 6.0
     if out.ndim == 0:
         return float(out)
     return out

@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 import threading
 from dataclasses import dataclass
@@ -43,6 +44,25 @@ def _is_finite_number(value) -> bool:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite_floats(values: list) -> np.ndarray | None:
+    """The values as a float array if each is a finite number (_is_finite_number), else None.
+
+    Checked as a column: one type test, where a bool is not an int, and one
+    conversion, which an int past the float range fails. An int just past the
+    largest float rounds to it instead, so a column that reaches it is checked
+    value by value.
+    """
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        column = np.array(values, dtype=float)
+    except OverflowError:
+        return None
+    if np.all(np.abs(column) < sys.float_info.max) or all(map(_is_finite_number, values)):
+        return column
+    return None
 
 
 def _is_numbers(value, count: int) -> bool:
@@ -209,24 +229,28 @@ def _parse_geometry(node, ctx):
 
 
 def _cell_columns(cells):
-    """The planar cells as (positions, a, b, areas, phases) lists, or None if one is refused.
+    """The planar cells as (positions, a, b, areas, phases), or None if one is refused.
 
     The checks are the per-cell reader's: each cell is a mapping of cell keys,
     its position is three finite numbers, and its edges, and its area and
     phase where given, are finite numbers. A key whose value is null is
-    given, and refused. An area not given is None.
+    given, and refused. positions (N, 3), a, b and phases are float arrays;
+    areas is a list, with None for an area not given.
     """
     if not all(isinstance(c, dict) and c.keys() <= _CELL_KEYS for c in cells):
         return None
     positions = [c.get("position") for c in cells]
-    a, b = [c.get("a") for c in cells], [c.get("b") for c in cells]
-    areas, phases = [c.get("area") for c in cells], [c.get("phase", 0.0) for c in cells]
-    given_areas = [c["area"] for c in cells if "area" in c]
-    if not (all(isinstance(p, list) and len(p) == 3 for p in positions)
-            and all(map(_is_finite_number, itertools.chain(
-                itertools.chain.from_iterable(positions), a, b, given_areas, phases)))):
+    if not all(isinstance(p, list) and len(p) == 3 for p in positions):
         return None
-    return positions, a, b, areas, phases
+    areas = [c.get("area") for c in cells]
+    columns = [_finite_floats(values) for values in (
+        list(itertools.chain.from_iterable(positions)), [c.get("a") for c in cells],
+        [c.get("b") for c in cells], [c["area"] for c in cells if "area" in c],
+        [c.get("phase", 0.0) for c in cells])]
+    if any(column is None for column in columns):
+        return None
+    positions, a, b, _, phases = columns
+    return positions.reshape(-1, 3), a, b, areas, phases
 
 
 def _cell_by_cell(geo: _Section, ctx) -> RisGeometry:
@@ -375,6 +399,9 @@ class _HandOver(Exception):
 
 
 _STR_TAG = "tag:yaml.org,2002:str"
+# a plain scalar that YAML 1.1 resolves to a decimal int (no leading zero, so never
+# octal) or, with the dot, to a float (no exponent, '_' or ':')
+_DECIMAL = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?").fullmatch
 _STARTS = {yaml.MappingStartEvent: dict, yaml.SequenceStartEvent: list}
 _ENDS = {yaml.MappingEndEvent, yaml.SequenceEndEvent}
 # the state of a sequence being filled, and of a mapping waiting for its next key
@@ -388,10 +415,16 @@ class _EventLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     A mapping is a dict and a sequence a list, made at its start event and
     filled in order through an explicit stack, so the pass never recurses and
     no node tree is built. An anchor names the object made for it, which each
-    alias shares. A scalar's tag comes from the loader's own resolve, and the
-    scalar is built by the SafeConstructor function that tag picks; a str is
-    its value. A collection needs no resolve: without path resolvers, which
-    SafeLoader has none of, an untagged one is a map or a seq. A scalar
+    alias shares. A plain scalar in decimal notation, '-?(0|[1-9][0-9]*)' with
+    an optional '.[0-9]+', is int(value), or float(value) with the dot: YAML
+    1.1 resolves that notation to int or float alone, and SafeConstructor
+    reads it as int() and float() do, -0.0 included. Any other scalar's tag
+    comes from the loader's own resolve, and the scalar is built by the
+    SafeConstructor function that tag picks; a str is its value. Without path
+    resolvers, which SafeLoader has none of, resolve reads only the value of a
+    plain scalar, so a plain word that once resolved to str, such as a key,
+    is a str again without resolve for the rest of the document. A collection
+    needs no resolve either: an untagged one is a map or a seq. A scalar
     constructor's own error propagates. yaml.CSafeLoader reads the text again,
     and builds, refuses and reports it as ever, where the pass meets an
     explicit tag, a scalar tag other than null, bool, int, float, str or
@@ -419,6 +452,7 @@ class _EventLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
         """The stream's one document, or None for none; TypeError for an unhashable key."""
         get_event, resolve, scalars, scalar_node = (self.get_event, self.resolve, self._scalars,
                                                     yaml.ScalarNode)
+        decimal, words = _DECIMAL, set()
         get_event()  # the stream start
         if type(get_event()) is yaml.StreamEndEvent:
             return None
@@ -432,13 +466,20 @@ class _EventLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
             if kind is yaml.ScalarEvent:
                 if event.tag is not None:
                     raise _HandOver
-                value = event.value
-                tag = resolve(scalar_node, value, event.implicit)
-                if tag != _STR_TAG:
-                    make = scalars.get(tag)
-                    if make is None:
-                        raise _HandOver
-                    value = make(self, scalar_node(tag, value, None, None))
+                value, plain = event.value, event.implicit[0]
+                if not (plain and value in words):
+                    if plain and decimal(value):
+                        value = float(value) if "." in value else int(value)
+                    else:
+                        tag = resolve(scalar_node, value, event.implicit)
+                        if tag == _STR_TAG:
+                            if plain:
+                                words.add(value)
+                        else:
+                            make = scalars.get(tag)
+                            if make is None:
+                                raise _HandOver
+                            value = make(self, scalar_node(tag, value, None, None))
             elif kind in _ENDS:
                 collection, key = stack.pop()
                 continue
@@ -752,13 +793,15 @@ def _load_desired_pattern(path: str, n: int) -> np.ndarray:
         except RecursionError as exc:
             raise ScenarioError("desired pattern file is nested too deeply") from exc
     values = doc.get("desired") if isinstance(doc, dict) else None
-    if not (isinstance(values, list) and len(values) == n
-            and all(isinstance(v, list) and len(v) == 2 for v in values)
-            and all(map(_is_finite_number, itertools.chain.from_iterable(values)))):
+    pairs = None
+    if (isinstance(values, list) and len(values) == n
+            and all(isinstance(v, list) and len(v) == 2 for v in values)):
+        pairs = _finite_floats(list(itertools.chain.from_iterable(values)))
+    if pairs is None:
         raise ScenarioError(
             f"desired pattern file must hold {n} finite [re, im] pairs under 'desired'")
     # the (re, im) float pairs are the complex numbers, signed zeros included
-    return np.array(values, dtype=float).view(complex).ravel()
+    return pairs.view(complex)
 
 
 def mimo_system(ris: LinearRis, waves, radius: float, thetas) -> MimoSystem:

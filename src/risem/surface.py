@@ -127,8 +127,9 @@ def _cell_terms(geom: RisGeometry, u: np.ndarray, weights) -> np.ndarray:
     The cells n lie on a new last axis.
     """
     lam = geom.ctx.wavelength
-    sa = _sinc_pair(geom.a, geom.b, u[:, :1], u[:, 1:2], lam)
-    return weights * sa * _path_phase(geom.positions, u, lam)
+    terms = weights * _sinc_pair(geom.a, geom.b, u[:, :1], u[:, 1:2], lam)
+    terms *= _path_phase(geom.positions, u, lam)
+    return terms
 
 
 def _sum_cells(geom: RisGeometry, u) -> np.ndarray:

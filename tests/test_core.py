@@ -40,6 +40,25 @@ class TestSincNormalized:
         x = np.zeros((3, 4))
         assert sinc_normalized(x).shape == (3, 4)
 
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (300, 64)])
+    def test_keeps_the_bits_of_the_two_branch_body(self, shape):
+        # zeros, signed zeros, values on both sides of the cutoff, and the ordinary range
+        rng = np.random.default_rng(len(shape))
+        pool = np.array([0.0, -0.0, SINC_TAYLOR_CUTOFF, -SINC_TAYLOR_CUTOFF,
+                         np.nextafter(SINC_TAYLOR_CUTOFF, 0.0), 1e-300, -5e-324, np.nan])
+        x = np.where(rng.random(shape) < 0.3, rng.choice(pool, shape),
+                     rng.uniform(-10.0, 10.0, shape) * 10.0 ** rng.integers(-8, 3, shape))
+        small = np.abs(x) < SINC_TAYLOR_CUTOFF
+        safe = np.where(small, 1.0, x)
+        want = np.where(small, 1.0 - x * x / 6.0, np.sin(safe) / safe)
+        got = sinc_normalized(x)
+        assert isinstance(got, float) if not shape else got.shape == shape
+        assert np.array_equal(np.asarray(got).view(np.uint64), want.view(np.uint64))
+        # every entry on one branch
+        assert np.array_equal(np.asarray(sinc_normalized(np.zeros(shape))), np.ones(shape))
+        assert np.array_equal(np.asarray(sinc_normalized(np.full(shape, 2.5))),
+                              np.full(shape, np.sin(2.5) / 2.5))
+
 
 class TestWaveContext:
     def test_conductor_coupling_is_unit_magnitude(self):

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -681,8 +682,13 @@ class TestCli:
         {"desired": [None] * 8},
         {"desired": [[1.0, 0.0]] * 7 + [[1.0, "x"]]},
         [1, 2],
+        {"desired": [[1.0, 0.0]] * 7 + [[True, 0.0]]},
+        {"desired": [[1.0, 0.0]] * 7 + [[0.0, float("inf")]]},
+        {"desired": [[1.0, 0.0]] * 7 + [[10 ** 400, 0.0]]},
+        # rounds to the largest float, where the check of one value refuses it
+        {"desired": [[1.0, 0.0]] * 7 + [[int(sys.float_info.max) + 1, 0.0]]},
     ])
-    def test_malformed_desired_file_is_validation_failure(self, tmp_path, doc):
+    def test_malformed_desired_file_is_validation_failure(self, tmp_path, capsys, doc):
         pattern = self._write(tmp_path, "desired.json", json.dumps(doc))
         text = ("geometry: {kind: linear, n: 8, spacing: 0.5, a: 0.1, b: 0.1}\n"
                 "incident: [{theta_deg: 30.0}]\n"
@@ -691,6 +697,8 @@ class TestCli:
                 f"  desired_pattern_file: {pattern}\n")
         scenario = self._write(tmp_path, "s.yaml", text)
         assert main(["sweep", scenario]) == 2
+        assert capsys.readouterr().err == (
+            "error: desired pattern file must hold 8 finite [re, im] pairs under 'desired'\n")
 
     def test_desired_weights_keep_the_bits_of_complex_pairs(self, tmp_path):
         pairs = [[-0.0, 0.0], [0.0, -0.0], [1, -2], [5e-324, -1.5e300], [10 ** 300, 0.1]]

@@ -9,9 +9,10 @@ clears _C_LOADER_MAX_DEPTH. These tests check that the bound never
 under-counts, that deep texts exit 2 in a child process (a crash would end it
 by a signal), also from a thread with a small stack (as does a deep
 desired-pattern file), which loader runs at the limit, what the event pass
-hands over, and that both loaders give the same scenario. Planar cells are
-read as columns, which must keep the bits and the refusals of the
-cell-by-cell reader.
+hands over, that it reads plain decimals and repeated plain words as resolve
+and its constructor read them, and that both loaders give the same scenario.
+Planar cells are read as columns, which must keep the bits and the refusals
+of the cell-by-cell reader.
 """
 import dataclasses
 import json
@@ -472,7 +473,10 @@ def test_a_tab_between_flow_items_parses():
 NUMBERS = ["0", "1", "-1", "0.5", "-0.0", "7", "30.0", "-90", "361", "1e308", "1.0e+309",
            "-1.0e+400", "1.0e-320", "4.9e-324", ".inf", "-.Inf", ".nan", "0x1F", "0o17",
            "1_000.5", "1:30", "123456789012345678901234567890", "9" * 320, "1e3", "+12.5",
-           "'1.5'", '"2"', "true", "~", "1.5 # a comment ]]"]
+           "'1.5'", '"2"', "true", "~", "1.5 # a comment ]]",
+           # next to the decimal notation that the event pass reads without resolve
+           "+1", "-0", "007", "00.5", "-00.5", "1_000", "1e5", "1.5e+3", "-2.5E-3", ".5",
+           "-.5", "1.", "1:30.5", "-1:30.5"]
 STRINGS = ["csv", "json", "patch", "linear", "planar", "random", "compensate", "reshape",
            "'out[1]{2}.csv'", '"a]]]b}}"', "'it''s [x'", '"[{"', "'}]'", "'déjà vu'",
            '"x: [y]"', "plain]text", "'#not a comment'"]
@@ -499,6 +503,9 @@ def _section(draw, spec, head=()):
             key = draw(st.sampled_from([key] * 6 + [key + "x", key[:-1], key.upper(),
                                                     f"'{key}'", f'"{key}[0]"']))
             pairs.append((key, draw(values)))
+            # a key written twice: the later value is read
+            if not draw(st.integers(0, 7)):
+                pairs.append((key, draw(values)))
     return "map", pairs
 
 
@@ -639,6 +646,72 @@ def test_the_event_pass_builds_what_csafeloader_builds(loaders, text, handed_ove
     assert loaders == [scenario._EventLoader, *[yaml.CSafeLoader] * handed_over, yaml.CSafeLoader]
 
 
+def _resolved(value):
+    """A plain scalar as resolve and the SafeConstructor function of its tag read it."""
+    loader = yaml.SafeLoader("")
+    tag = loader.resolve(yaml.ScalarNode, value, (True, False))
+    return yaml.constructor.SafeConstructor.yaml_constructors[tag](
+        loader, yaml.ScalarNode(tag, value))
+
+
+def _same(read):
+    """(type, bits) of what read() returns, or the type of the exception it raises."""
+    try:
+        value = read()
+    except scenario._CONSTRUCTOR_ERRORS as exc:
+        return type(exc).__name__
+    bits = np.float64(value).view(np.uint64) if isinstance(value, float) else value
+    return type(value).__name__, bits
+
+
+HUGE_INT = "9" * 5000
+# signs, leading zeros, '_', exponents with and without a sign, '.5', '1.' and
+# sexagesimal forms, around the decimal notation '-?(0|[1-9][0-9]*)(.[0-9]+)?'
+PLAIN_SCALARS = (st.from_regex(r"[-+]?[0-9_]{0,4}[0-9](?::[0-5]?[0-9]){0,2}(?:\.[0-9_]{0,6})?"
+                               r"(?:[eE][-+]?[0-9]{1,3})?", fullmatch=True)
+                 | st.from_regex(r"-?\.[0-9]{1,6}|-?[0-9]{1,40}\.?", fullmatch=True)
+                 | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+                 | st.integers(-10 ** 40, 10 ** 40).map(str)
+                 | st.sampled_from(["+1", "-0", "-0.0", "0.0", "007", "00.5", "1_000", "1e5",
+                                    "1e+5", "1.5E-3", ".5", "1.", "1:30", "1:30.5", HUGE_INT,
+                                    "-" + HUGE_INT, HUGE_INT + ".5"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=PLAIN_SCALARS)
+def test_a_plain_scalar_is_read_as_resolve_and_its_constructor_read_it(value):
+    # floats compared by their bits, so that -0.0 is not 0.0; a 5000-digit integer
+    # raises int()'s ValueError on both paths, which _load_yaml hands over
+    got = _same(lambda: yaml.load(f"- {value}\n", Loader=scenario._EventLoader)[0])
+    assert got == _same(lambda: _resolved(value))
+
+
+def test_plain_decimals_and_repeated_words_are_read_without_resolve(monkeypatch):
+    seen = []
+    resolve = scenario._EventLoader.resolve
+
+    def spy(self, kind, value, implicit):
+        seen.append(value)
+        return resolve(self, kind, value, implicit)
+
+    monkeypatch.setattr(scenario._EventLoader, "resolve", spy)
+    text = _planar_text(_cell_rows(64)) + "output: {format: csv, path: 'out.csv'}\n"
+    geometry = yaml.load(text, Loader=scenario._EventLoader)["geometry"]
+    assert len(geometry["cells"]) == 64
+    # each plain word once, and every quoted scalar
+    assert seen == ["geometry", "kind", "planar", "cells", "position", "a", "b", "phase", "area",
+                    "output", "format", "csv", "path", "out.csv"]
+
+
+def test_an_integer_past_the_digit_limit_is_handed_to_the_python_loader(loaders):
+    if not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 4400:
+        pytest.skip("int() reads 4400 digits on this Python")
+    text = "geometry: {kind: patch, a: " + "9" * 4400 + ", b: 1.0}\n"
+    with pytest.raises(ScenarioError, match="^scenario parse error at line 1, column 28: "):
+        parse_scenario(text)
+    assert loaders == [scenario._EventLoader, scenario._LocatingLoader]
+
+
 def test_the_event_pass_needs_no_path_resolver():
     # without path resolvers, resolve reads only its arguments, and an untagged
     # collection is a map or a seq whatever its place in the document
@@ -694,7 +767,8 @@ def _cell_by_cell(node):
 
 
 _COORDINATES = (st.floats(allow_nan=False, allow_infinity=False)
-                | st.integers(-10 ** 308, 10 ** 308))
+                | st.integers(-10 ** 308, 10 ** 308)
+                | st.sampled_from([int(sys.float_info.max), -int(sys.float_info.max)]))
 _POSITIVE = st.floats(min_value=5e-324, allow_infinity=False) | st.integers(1, 10 ** 308)
 # a phase just under zero reduces to 2 pi itself
 _PHASES = _COORDINATES | st.sampled_from([-0.0, -1e-17, -5e-324, 2 * math.pi, -2 * math.pi])
@@ -744,6 +818,13 @@ REFUSED_CELLS = {
     "zero-area": lambda row: {**row, "area": "0"},
     "null-area": lambda row: {**row, "area": "~"},
     "null-phase": lambda row: {**row, "phase": "~"},
+    "infinite-phase": lambda row: {**row, "phase": ".inf"},
+    "nan-area": lambda row: {**row, "area": ".nan"},
+    "bool-a": lambda row: {**row, "a": "true"},
+    "quoted-b": lambda row: {**row, "b": '"0.3"'},
+    # rounds to the largest float, where the check of one value refuses it
+    "int-past-the-largest-float": lambda row: {
+        **row, "position": f"[{int(sys.float_info.max) + 1}, 0.5, 0.0]"},
 }
 
 

@@ -25,18 +25,22 @@ def _geometry(cells):
     return RisGeometry(tuple(cells), CTX)
 
 
-def _direct_cell_sum(ris: RisGeometry, incident: Direction, scatter: Direction) -> complex:
+def _cell_data(ris: RisGeometry) -> tuple:
+    """(positions, a, b, areas, phases) restacked from the cells, not read off the arrays."""
+    cells = ris.cells
+    return (np.stack([c.position for c in cells]),
+            *(np.array([getattr(c, name) for c in cells])
+              for name in ("a", "b", "area", "phase_shift")))
+
+
+def _direct_cell_sum(cells: tuple, lam: float, incident: Direction, scatter: Direction) -> complex:
     """Sum over cells of (A_n/lam) e^{j Omega_n} Sa_n e^{j 2 pi p.(u_i+u_s)/lam}.
 
-    One direction pair at a time, with the cell data restacked from the cells.
+    One direction pair at a time, over the cell data of _cell_data.
     """
-    lam = ris.ctx.wavelength
+    positions, a, b, areas, phases = cells
     u = direction_vector(incident) + direction_vector(scatter)
-    proj = np.stack([c.position for c in ris.cells]) @ u
-    a = np.array([c.a for c in ris.cells])
-    b = np.array([c.b for c in ris.cells])
-    areas = np.array([c.area for c in ris.cells])
-    phases = np.array([c.phase_shift for c in ris.cells])
+    proj = positions @ u
     sx = np.sin(scatter.theta) * np.cos(scatter.phi) + np.sin(incident.theta) * np.cos(incident.phi)
     sy = np.sin(scatter.theta) * np.sin(scatter.phi) + np.sin(incident.theta) * np.sin(incident.phi)
     sa = sinc_normalized(np.pi * a / lam * sx) * sinc_normalized(np.pi * b / lam * sy)
@@ -61,7 +65,8 @@ def _kernel_deviation(geom, incident, scatter):
     u = (np.stack([np.sin(ti) * np.cos(pi_), np.sin(ti) * np.sin(pi_), np.cos(ti)], axis=-1)
          + np.stack([np.sin(ts) * np.cos(ps), np.sin(ts) * np.sin(ps), np.cos(ts)], axis=-1))
     got = _sum_cells(geom, u)
-    want = np.array([_direct_cell_sum(geom, Direction(a, b), Direction(c, d))
+    cells, lam = _cell_data(geom), geom.ctx.wavelength
+    want = np.array([_direct_cell_sum(cells, lam, Direction(a, b), Direction(c, d))
                      for a, b, c, d in zip(ti.ravel(), pi_.ravel(), ts.ravel(), ps.ravel())])
     assert got.shape == ti.shape
     return np.max(np.abs(got - want.reshape(ti.shape))) / np.max(np.abs(want))
