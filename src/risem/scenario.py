@@ -345,29 +345,16 @@ def _parse_output(node, defaults):
                                 "a string", None))
 
 
-# libyaml's composer, which runs only in the event pass's hand-over, recurses on
-# the C stack and dies by SIGSEGV where the pure-Python one raises RecursionError.
-# In subprocesses with an 8 MiB stack it loaded 24737 nested sequences and 23585
-# nested mappings, and died by 24968 and 23815.
-_C_LOADER_MAX_DEPTH = 10_000
-# a caller's thread with less stack than the 8 MiB above parses on a thread of its
-# own with twice that (_on_a_measured_stack), so the bound holds whatever its stack is
+# The event pass hands a text nested this many collections deep to the pure-Python
+# loader, which refuses it as nesting too deep. libyaml's scanner takes time quadratic
+# in flow depth (its events for a 10 000-deep flow text take 405 ms), and the repr of a
+# deep value in a message recurses; a value 1500 levels deep stays on the pass.
+_MAX_DEPTH = 2000
+# a caller's thread with less than half this stack, the 8 MiB of a usual initial
+# thread, parses on a thread of its own with this stack (_on_a_measured_stack)
 _PARSE_STACK = 16 * 2 ** 20
 # threading.stack_size is process-wide: it is set only around one start()
 _PARSE_STACK_LOCK = threading.Lock()
-
-
-def _nesting_bound(text: str) -> int:
-    """An upper bound on the nesting depth of the YAML text, in O(len(text)).
-
-    Each flow level opens with '[' or '{', whatever quoting hides, and an entry
-    of a '[' sequence may hold one implicit 'key: value' mapping. Each block
-    collection starts at a deeper column than its parent, except a sequence at
-    its parent mapping's column, so block levels are at most twice the longest
-    line. Lines are split at LF alone: other line breaks only lengthen them.
-    """
-    longest = max(map(len, text.split("\n")))
-    return 2 * text.count("[") + text.count("{") + 2 * longest
 
 
 # What PyYAML's constructors raise on a scalar they cannot read: ValueError for
@@ -395,7 +382,7 @@ class _LocatingLoader(yaml.SafeLoader):
 
 
 class _HandOver(Exception):
-    """A text that the event pass leaves to yaml.CSafeLoader."""
+    """A text that the event pass leaves to the pure-Python loader."""
 
 
 _STR_TAG = "tag:yaml.org,2002:str"
@@ -425,12 +412,11 @@ class _EventLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     plain scalar, so a plain word that once resolved to str, such as a key,
     is a str again without resolve for the rest of the document. A collection
     needs no resolve either: an untagged one is a map or a seq. A scalar
-    constructor's own error propagates. yaml.CSafeLoader reads the text again,
-    and builds, refuses and reports it as ever, where the pass meets an
-    explicit tag, a scalar tag other than null, bool, int, float, str or
-    timestamp (a merge key '<<' and a value key '=' have tags of their own),
-    an unhashable key, a duplicate anchor, an undefined alias or a second
-    document.
+    constructor's own error propagates. The pass raises _HandOver where it
+    meets an explicit tag, a scalar tag other than null, bool, int, float, str
+    or timestamp (a merge key '<<' and a value key '=' have tags of their own),
+    a collection _MAX_DEPTH deep, a duplicate anchor, an undefined alias or a
+    second document, and an unhashable key raises TypeError.
     """
 
     # the SafeConstructor function of each scalar tag the event pass reads, but str
@@ -438,18 +424,8 @@ class _EventLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
         "tag:yaml.org,2002:null", "tag:yaml.org,2002:bool", "tag:yaml.org,2002:int",
         "tag:yaml.org,2002:float", "tag:yaml.org,2002:timestamp")}
 
-    def __init__(self, stream):
-        super().__init__(stream)
-        self._stream = stream
-
     def get_single_data(self):
-        try:
-            return self._document()
-        except (_HandOver, TypeError):
-            return yaml.load(self._stream, Loader=yaml.CSafeLoader)
-
-    def _document(self):
-        """The stream's one document, or None for none; TypeError for an unhashable key."""
+        """The stream's one document, or None for none."""
         get_event, resolve, scalars, scalar_node = (self.get_event, self.resolve, self._scalars,
                                                     yaml.ScalarNode)
         decimal, words = _DECIMAL, set()
@@ -488,7 +464,8 @@ class _EventLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
                     raise _HandOver
                 value = anchors[event.anchor]
             elif kind in _STARTS:
-                if event.tag is not None:
+                # the new collection is len(stack) + 1 deep
+                if event.tag is not None or len(stack) >= _MAX_DEPTH - 1:
                     raise _HandOver
                 value = _STARTS[kind]()
             else:  # the document end
@@ -514,18 +491,19 @@ class _EventLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
 
 
 def _load_yaml(text: str):
-    """The YAML document in text, read by libyaml where the nesting bound clears it.
+    """The YAML document in text, read by the event pass where it can, else by Python.
 
     libyaml's path is the event pass of _EventLoader. Both loaders share the
     Python constructor and resolver, so they give the same objects. Every
-    other text, every text with a '!', and every text libyaml refuses goes to
-    the pure-Python loader: libyaml refuses some texts the Python loader
-    accepts (such as '{a:[1]}'), words and places its errors differently, and
-    reads a bare '!' on an empty value as '', not null.
+    text the pass hands over, every text with a '!', and every text libyaml
+    refuses goes to the pure-Python loader: libyaml refuses some texts the
+    Python loader accepts (such as '{a:[1]}'), words and places its errors
+    differently, and reads a bare '!' on an empty value as '', not null.
     """
-    if yaml.__with_libyaml__ and "!" not in text and _nesting_bound(text) < _C_LOADER_MAX_DEPTH:
-        # a constructor error, or the ValueError of a lone surrogate
-        with contextlib.suppress(yaml.YAMLError, *_CONSTRUCTOR_ERRORS):
+    if yaml.__with_libyaml__ and "!" not in text:
+        # a hand-over, an unhashable key, a constructor error, or the ValueError of
+        # a lone surrogate
+        with contextlib.suppress(yaml.YAMLError, _HandOver, TypeError, *_CONSTRUCTOR_ERRORS):
             return yaml.load(text, Loader=_EventLoader)
     try:
         return yaml.load(text, Loader=_LocatingLoader)
@@ -555,12 +533,15 @@ def _at(mark) -> str:
 
 
 def _on_a_measured_stack(read, *args):
-    """read(*args) on a stack at least as large as _C_LOADER_MAX_DEPTH was measured with.
+    """read(*args) on a stack of at least 8 MiB, the size of a usual initial thread.
 
-    The C readers recurse on the C stack as deep as their text nests. A
-    caller's thread without the measured stack runs read on a thread with a
-    _PARSE_STACK stack instead, so a deep text gives a one-line error on a
-    thread of any stack size; what read raises there is raised here unchanged.
+    Three things still recurse on the C stack as deep as a text nests: the
+    repr of a deep value in a message, json's decoder, and the pure-Python
+    loader before Python 3.11. Without this, a deep text killed a thread with
+    a 128 KiB stack by SIGSEGV. A caller's thread without 8 MiB runs read on a
+    thread with a _PARSE_STACK stack instead, so a deep text gives a one-line
+    error on a thread of any stack size; what read raises there is raised here
+    unchanged.
     The initial thread runs read directly: a thread start costs about 150 us,
     and slowed the numpy work after it in the process.
     """
@@ -590,8 +571,8 @@ def _on_a_measured_stack(read, *args):
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate scenario text; unknown keys are rejected.
 
-    The event pass's hand-over to libyaml's composer, and the repr of a deep
-    value in a message, recurse on the C stack as deep as the text nests."""
+    The parse runs on a stack of at least 8 MiB (_on_a_measured_stack): the
+    repr of a deep value in a message recurses on the C stack."""
     return _on_a_measured_stack(_parse, text)
 
 

@@ -1,19 +1,18 @@
-"""The scenario YAML loader: libyaml behind a nesting bound, the pure-Python fallback.
+"""The scenario YAML loader: libyaml's event pass, and the pure-Python fallback.
 
 The libyaml path builds its document from libyaml's events in one iterative
-pass, which must build what yaml.CSafeLoader builds, and hands some texts to
-yaml.CSafeLoader itself. That hand-over composes with libyaml's composer, which
-recurses on the C stack and kills the process past some depth, so
-parse_scenario takes the libyaml path only for texts whose nesting bound
-clears _C_LOADER_MAX_DEPTH. These tests check that the bound never
-under-counts, that deep texts exit 2 in a child process (a crash would end it
-by a signal), also from a thread with a small stack (as does a deep
-desired-pattern file), which loader runs at the limit, what the event pass
+pass, which must build what yaml.CSafeLoader builds. The pass hands every text
+it does not finish to the pure-Python loader: among them every text nested
+_MAX_DEPTH collections deep, which that loader refuses as nesting too deep.
+These tests check which loader runs at the pass's limit, that deep texts exit
+2 in a child process (a crash would end it by a signal), also from a thread
+with a small stack (as does a deep desired-pattern file), what the event pass
 hands over, that it reads plain decimals and repeated plain words as resolve
 and its constructor read them, and that both loaders give the same scenario.
 Planar cells are read as columns, which must keep the bits and the refusals
 of the cell-by-cell reader.
 """
+import contextlib
 import dataclasses
 import json
 import math
@@ -34,23 +33,10 @@ from risem import scenario
 from risem.cli import main
 from risem.scenario import ScenarioError, parse_scenario
 
-LIMIT = scenario._C_LOADER_MAX_DEPTH
+LIMIT = scenario._MAX_DEPTH
 DEEP = 40_000
 
 pytestmark = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
-
-
-def _depth(node) -> int:
-    """Nesting depth of a composed YAML node tree; a lone scalar has depth 1."""
-    depth, stack = 0, [(node, 1)]
-    while stack:
-        node, level = stack.pop()
-        depth = max(depth, level)
-        if isinstance(node, yaml.SequenceNode):
-            stack.extend((child, level + 1) for child in node.value)
-        elif isinstance(node, yaml.MappingNode):
-            stack.extend((child, level + 1) for pair in node.value for child in pair)
-    return depth
 
 
 def _canonical(value):
@@ -69,7 +55,7 @@ def _canonical(value):
 
 def _python_loader_only():
     """A context in which parse_scenario reads every text with the pure-Python loader."""
-    return mock.patch.object(scenario, "_C_LOADER_MAX_DEPTH", 0)
+    return mock.patch.object(yaml, "__with_libyaml__", False)
 
 
 def _outcome(text):
@@ -95,51 +81,38 @@ def loaders(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The bound
+# The event pass's depth limit
 # ---------------------------------------------------------------------------
 
-def _alternating(d):
-    """Block mappings whose values are sequences at the key's own column."""
-    lines = []
-    for i in range(d):
-        lines += [" " * i + "k:", " " * i + "-"]
-    return "\n".join(lines) + "\n" + " " * d + "x\n"
-
-
-SHAPES = {
-    "flow-sequence": lambda d: "a: " + "[" * d + "]" * d,
-    "flow-mapping": lambda d: "{a: " * d + "x" + "}" * d,
-    "flow-pairs": lambda d: "a:\n" + "  [k:\n" * d + "  x\n" + "  ]\n" * d,
-    "compact-sequence": lambda d: "- " * d + "x",
-    "compact-mapping": lambda d: "? " * d + "x",
+# each text is d collections deep
+NESTED = {
+    "flow-sequence": lambda d: "[" * d + "]" * d + "\n",
+    "flow-mapping": lambda d: "{a: " * d + "x" + "}" * d + "\n",
     "block-sequence": lambda d: "".join(" " * i + "-\n" for i in range(d)) + " " * d + "x\n",
     "block-mapping": lambda d: "".join(" " * i + "k:\n" for i in range(d)) + " " * d + "x\n",
-    "indentless-sequences": _alternating,
 }
 
 
-class TestNestingBound:
-    def test_counts_openers_twice_a_bracket_and_twice_the_longest_line(self):
-        assert scenario._nesting_bound("") == 0
-        assert scenario._nesting_bound("a: [1, {b: 2}]\n") == 2 * 1 + 1 + 2 * 14
-        # only LF ends a line: a CR-only text is one long line, which over-counts
-        assert scenario._nesting_bound("a: 1\rb: 2") == 2 * 9
+def _collections_deep(value) -> int:
+    """How many collections deep value nests, along its first items."""
+    depth = 0
+    while isinstance(value, (list, dict)):
+        value, depth = (next(iter(value.values())) if isinstance(value, dict)
+                        else value[0] if value else None), depth + 1
+    return depth
 
-    @pytest.mark.parametrize("shape", SHAPES)
-    @given(depth=st.integers(1, 60))
-    def test_never_under_counts_a_shape(self, shape, depth):
-        text = SHAPES[shape](depth)
-        assert _depth(yaml.compose(text)) <= scenario._nesting_bound(text)
 
-    @given(doc=st.recursive(st.none() | st.integers() | st.text("ab]}[{ '\"#:-?", max_size=6),
-                            lambda inner: st.lists(inner, max_size=3)
-                            | st.dictionaries(st.text("abk", min_size=1, max_size=3), inner,
-                                              max_size=3),
-                            max_leaves=30),
-           flow=st.sampled_from([True, False, None]), indent=st.integers(2, 9))
-    def test_never_under_counts_a_dumped_document(self, doc, flow, indent):
-        text = yaml.safe_dump(doc, default_flow_style=flow, indent=indent)
-        assert _depth(yaml.compose(text)) <= scenario._nesting_bound(text)
+@pytest.mark.parametrize("shape", NESTED)
+def test_the_event_pass_builds_a_text_just_under_its_limit(loaders, shape):
+    assert _collections_deep(scenario._load_yaml(NESTED[shape](LIMIT - 1))) == LIMIT - 1
+    assert loaders == [scenario._EventLoader]
+
+
+@pytest.mark.parametrize("shape", NESTED)
+def test_a_text_at_the_limit_is_refused_by_the_python_loader(loaders, shape):
+    with pytest.raises(ScenarioError, match="^scenario parse error: nesting too deep$"):
+        parse_scenario(NESTED[shape](LIMIT))
+    assert loaders == [scenario._EventLoader, scenario._LocatingLoader]
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +120,7 @@ class TestNestingBound:
 # ---------------------------------------------------------------------------
 
 def _quoted_closers(depth):
-    # the closers inside the quoted scalar would drive a running bracket count negative
+    # closers inside a quoted scalar, then the real nesting
     return ("a: '\n" + "  ]]]]]]]]\n" * 5000 + "  '\nb:\n"
             + "  [[[[[[[[\n" * (depth // 8) + "  ]]]]]]]]\n" * (depth // 8))
 
@@ -180,9 +153,9 @@ def test_deep_text_exits_2_in_a_child_process(tmp_path, name):
     assert run.stderr == "error: scenario parse error: nesting too deep\n"
 
 
-# every deep text, two just under the nesting bound that libyaml reads, and a deep
-# value for a message (as in test_deep_value_in_a_message_exits_2); on a thread with a
-# 128 KiB stack (musl's default) libyaml's recursion, or the value's repr, overflows it
+# every deep text, two past the event pass's limit on short lines, and a deep value for
+# a message (as in test_deep_value_in_a_message_exits_2); on a thread with a 128 KiB
+# stack (musl's default) the value's repr, or a C recursion over the text, overflows it
 SMALL_STACK_TEXTS = {
     **DEEP_TEXTS,
     "deep-value": "geometry: {kind: patch, a: 1.0, b: " + "[" * 1500 + "]" * 1500 + "}\n",
@@ -217,8 +190,6 @@ print(json.dumps(outcomes))
 
 
 def test_deep_texts_give_one_line_errors_on_a_small_stack():
-    assert scenario._nesting_bound(SMALL_STACK_TEXTS["c-loaded-sequence"]) < LIMIT
-    assert scenario._nesting_bound(SMALL_STACK_TEXTS["c-loaded-mapping"]) < LIMIT
     run = subprocess.run([sys.executable, "-c", SMALL_STACK_CHILD],
                          input=json.dumps(SMALL_STACK_TEXTS), capture_output=True, text=True,
                          env=_child_env(), timeout=300)
@@ -292,7 +263,7 @@ def test_the_initial_thread_parses_directly_only_with_an_8_mib_stack(monkeypatch
 
 
 @pytest.mark.parametrize("text", [
-    # about 1500 levels, under the bound: libyaml loads it and the message's repr recurses
+    # 1500 levels, under the pass's limit: the pass builds it and the message's repr recurses
     "geometry: {kind: patch, a: 1.0, b: " + "[" * 1500 + "]" * 1500 + "}\n",
     # aliases nest 1500 levels while the composer sees two
     "geometry: {kind: patch, b: 1.0, a: ["
@@ -316,33 +287,25 @@ POINTS_SCENARIO = ("geometry: {kind: patch, a: 1.5, b: 2.0}\n"
                              for t in range(-80, 81, 5)))
 
 
-def _padded(bound, long_line):
-    """POINTS_SCENARIO plus comment lines that bring its nesting bound to exactly `bound`."""
-    text = POINTS_SCENARIO
-    if long_line:
-        # a line that dominates the bound, leaving a few openers to pad
-        text += "#" + "x" * ((bound - scenario._nesting_bound(text)) // 2 - 80) + "\n"
-    while (missing := bound - scenario._nesting_bound(text)) > 0:
-        text += "#" + "{" * min(missing, 20) + "\n"
-    assert scenario._nesting_bound(text) == bound
-    return text
+def _dumped(cells=1024, **dumps):
+    """A planar scenario of seeded cells as json.dumps(**dumps) writes it."""
+    rows = [{"position": [0.5 * (i % 32), 0.5 * (i // 32), 0.001 * (i % 7)], "a": 0.3, "b": 0.4,
+             **({"area": 0.1} if i % 2 else {}), "phase": 0.01 * i} for i in range(cells)]
+    return json.dumps({"geometry": {"kind": "planar", "cells": rows},
+                       "incident": [{"theta_deg": 20.0, "phi_deg": 30.0}],
+                       "observation": {"radius": 50.0, "grid": {"start_deg": -90.0,
+                                                                "stop_deg": 90.0, "count": 91}}},
+                      **dumps)
 
 
-@pytest.mark.parametrize("bound,long_line,loader", [
-    (LIMIT - 1, False, scenario._EventLoader),
-    (LIMIT - 1, True, scenario._EventLoader),
-    (LIMIT, False, scenario._LocatingLoader),
-], ids=["openers-under", "long-line-under", "openers-at"])
-def test_loader_at_the_limit(loaders, bound, long_line, loader):
-    text = _padded(bound, long_line)
-    scn = parse_scenario(text)
-    assert loaders == [loader]
-    assert scn.observation.theta_deg.size == 33
-    with _python_loader_only():
-        reference = parse_scenario(text)
-    with mock.patch.object(scenario, "_C_LOADER_MAX_DEPTH", LIMIT + 1):
-        c_loaded = parse_scenario(text)
-    assert _canonical(scn) == _canonical(reference) == _canonical(c_loaded)
+def test_a_one_line_json_scenario_is_read_by_the_event_pass(loaders):
+    # JSON is YAML: its one line nests no deeper than the indented text
+    one_line = parse_scenario(_dumped())
+    assert loaders == [scenario._EventLoader]
+    indented = parse_scenario(_dumped(indent=2))
+    assert one_line.geometry.phases.size == 1024
+    assert (_canonical(dataclasses.replace(one_line, source_hash=""))
+            == _canonical(dataclasses.replace(indented, source_hash="")))
 
 
 def test_python_loader_without_libyaml(loaders, monkeypatch):
@@ -408,7 +371,7 @@ TAG_ERRORS = [
 @pytest.mark.parametrize("text,message", TAG_ERRORS)
 @pytest.mark.parametrize("python_only", [False, True])
 def test_a_tag_its_constructor_cannot_read_is_located(text, message, python_only):
-    with mock.patch.object(scenario, "_C_LOADER_MAX_DEPTH", 0 if python_only else LIMIT), \
+    with _python_loader_only() if python_only else contextlib.nullcontext(), \
             pytest.raises(ScenarioError) as caught:
         parse_scenario(text)
     assert str(caught.value) == message
@@ -440,13 +403,11 @@ def test_libyaml_leniency(text, expected):
 
 def test_a_bare_tag_on_an_empty_value_differs():
     # both accept it, but libyaml reads an empty string where the Python loader reads null;
-    # every text with a '!' goes to the Python loader, under the nesting bound or over it
+    # every text with a '!' goes to the Python loader
     assert yaml.load("a: !\n", Loader=yaml.CSafeLoader) == {"a": ""}
     assert yaml.safe_load("a: !\n") == {"a": None}
     text = "geometry: {kind: patch, a: 1.0, b: 2.0}\noutput: !\n"
-    over = text + "#" + "{" * LIMIT + "\n"
-    assert scenario._nesting_bound(text) < LIMIT <= scenario._nesting_bound(over)
-    assert parse_scenario(text).output == parse_scenario(over).output == scenario.OutputSpec()
+    assert parse_scenario(text).output == scenario.OutputSpec()
 
 
 @pytest.mark.parametrize("text", [
@@ -464,6 +425,15 @@ def test_a_tab_between_flow_items_parses():
     assert parse_scenario(text).geometry.a.tolist() == [1.0]
     with _python_loader_only(), pytest.raises(ScenarioError, match="'\\\\t'"):
         parse_scenario(text)
+
+
+def test_a_merge_key_with_a_tab_is_refused(loaders):
+    # libyaml builds it, but the merge key hands it to the Python loader, which refuses the tab
+    text = "b: &b {c: 1}\nx: {<<: *b,\tc: 2}\n"
+    with pytest.raises(ScenarioError, match="'\\\\t'"):
+        parse_scenario(text)
+    assert loaders == [scenario._EventLoader, scenario._LocatingLoader]
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == {"b": {"c": 1}, "x": {"c": 2}}
 
 
 # ---------------------------------------------------------------------------
@@ -591,14 +561,16 @@ def _read(loader, text):
         return "ok", repr(yaml.load(text, Loader=loader))
     except yaml.YAMLError:
         return "refused", None
+    except (scenario._HandOver, TypeError):  # from the event pass alone
+        return "handed over", None
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(text=_scenario_texts())
 def test_both_loaders_agree_on_scenario_texts(text):
-    assert "\t" not in text and scenario._nesting_bound(text) < LIMIT
+    assert "\t" not in text
     c_loaded, python_loaded = _read(yaml.CSafeLoader, text), _read(yaml.SafeLoader, text)
-    assert _read(scenario._EventLoader, text) == c_loaded
+    assert _read(scenario._EventLoader, text) in (c_loaded, ("handed over", None))
     if c_loaded[0] == "ok" and "!" not in text:
         assert python_loaded == c_loaded
     outcome = _outcome(text)
@@ -641,9 +613,14 @@ SHARED_CELL = ("geometry:\n  kind: planar\n  cells:\n"
         "scalar-tag", "collection-tag", "duplicate-anchor", "undefined-alias", "two-documents",
         "empty-stream", "recursive-alias", "shared-cell"])
 def test_the_event_pass_builds_what_csafeloader_builds(loaders, text, handed_over):
-    assert _read(scenario._EventLoader, text) == _read(yaml.CSafeLoader, text)
-    # the event pass, its hand-over if any, then the reference
-    assert loaders == [scenario._EventLoader, *[yaml.CSafeLoader] * handed_over, yaml.CSafeLoader]
+    try:
+        loaded = "ok", repr(scenario._load_yaml(text))
+    except ScenarioError:
+        loaded = "refused", None
+    assert loaded == _read(yaml.CSafeLoader, text)
+    # the event pass, the Python loader if the pass handed over, then the reference
+    passes = [scenario._EventLoader] * ("!" not in text)
+    assert loaders == [*passes, *[scenario._LocatingLoader] * handed_over, yaml.CSafeLoader]
 
 
 def _resolved(value):
@@ -732,7 +709,7 @@ def test_an_aliased_collection_is_built_once():
 
 def test_a_merged_cell_is_read(loaders):
     scn = parse_scenario(MERGED_CELL)
-    assert loaders == [scenario._EventLoader, yaml.CSafeLoader]
+    assert loaders == [scenario._EventLoader, scenario._LocatingLoader]
     assert scn.geometry.positions.tolist() == [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]
     assert scn.geometry.phases.tolist() == [0.5, 0.5]
 
