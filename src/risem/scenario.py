@@ -495,12 +495,12 @@ def _load_yaml(text: str):
 
     libyaml's path is the event pass of _EventLoader. Both loaders share the
     Python constructor and resolver, so they give the same objects. Every
-    text the pass hands over, every text with a '!', and every text libyaml
+    text the pass hands over, a tagged one included, and every text libyaml
     refuses goes to the pure-Python loader: libyaml refuses some texts the
     Python loader accepts (such as '{a:[1]}'), words and places its errors
     differently, and reads a bare '!' on an empty value as '', not null.
     """
-    if yaml.__with_libyaml__ and "!" not in text:
+    if yaml.__with_libyaml__:
         # a hand-over, an unhashable key, a constructor error, or the ValueError of
         # a lone surrogate
         with contextlib.suppress(yaml.YAMLError, _HandOver, TypeError, *_CONSTRUCTOR_ERRORS):

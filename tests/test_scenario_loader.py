@@ -388,7 +388,8 @@ def test_a_located_tag_error_exits_2(tmp_path, capsys, text, message):
 
 # libyaml accepts texts that the Python loader refuses: a tab between tokens, a '?'
 # inside a plain scalar in a flow collection, and a bare '!' tag before a flow indicator.
-# A text with a tab or a '?' now parses; a text with a '!' goes to the Python loader.
+# A text with a tab or a '?' now parses; the event pass hands a tagged text to the
+# Python loader.
 @pytest.mark.parametrize("text,expected", [
     ("a: [1,\t2]\n", {"a": [1, 2]}),
     ("a:\t1\n", {"a": 1}),
@@ -401,23 +402,27 @@ def test_libyaml_leniency(text, expected):
         yaml.safe_load(text)
 
 
-def test_a_bare_tag_on_an_empty_value_differs():
+def test_a_bare_tag_on_an_empty_value_differs(loaders):
     # both accept it, but libyaml reads an empty string where the Python loader reads null;
-    # every text with a '!' goes to the Python loader
+    # the event pass hands the tagged text to the Python loader
     assert yaml.load("a: !\n", Loader=yaml.CSafeLoader) == {"a": ""}
     assert yaml.safe_load("a: !\n") == {"a": None}
     text = "geometry: {kind: patch, a: 1.0, b: 2.0}\noutput: !\n"
+    loaders.clear()
     assert parse_scenario(text).output == scenario.OutputSpec()
+    assert loaders == [scenario._EventLoader, scenario._LocatingLoader]
 
 
-@pytest.mark.parametrize("text", [
-    "geometry: {kind: patch, a: 1.0, b: 2.0}\noutput: !\n",
-    "geometry: {kind: patch, a: !!float 1, b: 2.0}\n",
-    "# a '!' in a comment counts too!\ngeometry: {kind: patch, a: 1.0, b: 2.0}\n",
-])
-def test_a_text_with_a_bang_never_reaches_libyaml(loaders, text):
+@pytest.mark.parametrize("text,handed_over", [
+    ("geometry: {kind: patch, a: 1.0, b: 2.0}\noutput: !\n", True),
+    ("geometry: {kind: patch, a: !!float 1, b: 2.0}\n", True),
+    ("%TAG !e! tag:yaml.org,2002:\n---\ngeometry: {kind: patch, a: !e!float 1, b: 2.0}\n", True),
+    ("# a '!' in a comment is no tag!\ngeometry: {kind: patch, a: 1.0, b: 2.0}\n", False),
+    ("geometry: {kind: patch, a: 1.0, b: 2.0}\noutput: {path: 'wow!.csv'}\n", False),
+], ids=["bare-tag", "tag", "directive-tag", "comment", "quoted"])
+def test_only_a_tagged_text_is_handed_to_the_python_loader(loaders, text, handed_over):
     assert parse_scenario(text).geometry.a.tolist() == [1.0]
-    assert loaders == [scenario._LocatingLoader]
+    assert loaders == [scenario._EventLoader, *[scenario._LocatingLoader] * handed_over]
 
 
 def test_a_tab_between_flow_items_parses():
@@ -446,12 +451,18 @@ NUMBERS = ["0", "1", "-1", "0.5", "-0.0", "7", "30.0", "-90", "361", "1e308", "1
            "'1.5'", '"2"', "true", "~", "1.5 # a comment ]]",
            # next to the decimal notation that the event pass reads without resolve
            "+1", "-0", "007", "00.5", "-00.5", "1_000", "1e5", "1.5e+3", "-2.5E-3", ".5",
-           "-.5", "1.", "1:30.5", "-1:30.5"]
+           "-.5", "1.", "1:30.5", "-1:30.5",
+           # a '!' in a comment, and every tag form: libyaml emits a tag for each
+           "2.5 # note!", "!!float 1.5", "!!int 7", "!!str 30.0", "! 12", "!foo 1", "!!float",
+           "!", "!<tag:yaml.org,2002:float> 2.5", "!e!float 0.5", "!e!int", "!!seq [1, 2]",
+           "!!map {a: 1}"]
 STRINGS = ["csv", "json", "patch", "linear", "planar", "random", "compensate", "reshape",
            "'out[1]{2}.csv'", '"a]]]b}}"', "'it''s [x'", '"[{"', "'}]'", "'déjà vu'",
-           '"x: [y]"', "plain]text", "'#not a comment'"]
-# characters an edit inserts: no tab or '?' (see test_libyaml_leniency). A '!' sends the
-# text to the Python loader, so the two loaders' raw documents are compared only without one
+           '"x: [y]"', "plain]text", "'#not a comment'", "'wow!'", '"!x"', "'!'", "a!b",
+           "!!str csv", "! json"]
+# lines a text may start with: a comment with a '!', and a directive for the '!e!' handle
+HEADS = ["", "# note!\n", "%TAG !e! tag:yaml.org,2002:\n---\n"]
+# characters an edit inserts: no tab or '?' (see test_libyaml_leniency)
 EDITS = "[]{},:'\"-#&*| \n%@`~^=<>é;.!"
 
 
@@ -540,7 +551,7 @@ def _render(draw, node, indent=0, flow=False):
 @st.composite
 def _scenario_texts(draw):
     text = draw(_render(draw(_scenario_tree())))
-    text = text if text.endswith("\n") else text + "\n"
+    text = draw(st.sampled_from(HEADS)) + (text if text.endswith("\n") else text + "\n")
     # an anchor on the first number or flow sequence after a key, an alias on a later one
     values = [i + 2 for i in range(len(text) - 2) if text[i:i + 2] == ": "
               and (text[i + 2] in "[-.+" or text[i + 2].isdigit())]
@@ -559,7 +570,7 @@ def _scenario_texts(draw):
 def _read(loader, text):
     try:
         return "ok", repr(yaml.load(text, Loader=loader))
-    except yaml.YAMLError:
+    except (yaml.YAMLError, *scenario._CONSTRUCTOR_ERRORS):
         return "refused", None
     except (scenario._HandOver, TypeError):  # from the event pass alone
         return "handed over", None
@@ -569,10 +580,11 @@ def _read(loader, text):
 @given(text=_scenario_texts())
 def test_both_loaders_agree_on_scenario_texts(text):
     assert "\t" not in text
-    c_loaded, python_loaded = _read(yaml.CSafeLoader, text), _read(yaml.SafeLoader, text)
-    assert _read(scenario._EventLoader, text) in (c_loaded, ("handed over", None))
-    if c_loaded[0] == "ok" and "!" not in text:
-        assert python_loaded == c_loaded
+    passed = _read(scenario._EventLoader, text)
+    assert passed in (_read(yaml.CSafeLoader, text), ("handed over", None))
+    # what the pass builds, '!' in a comment or a quoted string included, the Python loader builds
+    if passed[0] == "ok":
+        assert _read(yaml.SafeLoader, text) == passed
     outcome = _outcome(text)
     with _python_loader_only():
         # the same Scenario, or the same message, with its line and column
@@ -619,8 +631,8 @@ def test_the_event_pass_builds_what_csafeloader_builds(loaders, text, handed_ove
         loaded = "refused", None
     assert loaded == _read(yaml.CSafeLoader, text)
     # the event pass, the Python loader if the pass handed over, then the reference
-    passes = [scenario._EventLoader] * ("!" not in text)
-    assert loaders == [*passes, *[scenario._LocatingLoader] * handed_over, yaml.CSafeLoader]
+    assert loaders == [scenario._EventLoader, *[scenario._LocatingLoader] * handed_over,
+                       yaml.CSafeLoader]
 
 
 def _resolved(value):
