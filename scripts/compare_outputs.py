@@ -6,9 +6,11 @@
 Each tree runs the corpus in a child process with PYTHONPATH=<tree>/src and a
 fresh working directory: every figure preset; `sweep` as CSV and JSON, `mimo`
 and `configure` as CSV and JSON over the scenario kinds below, among them a
-1024-cell planar file, one with a merged cell, one with a cell shared by
-alias and one with quoted keys and values; and a fixed list of malformed
-inputs, among them an empty stream and a second document. Every output file,
+1024-cell planar file, a 256-cell one-line JSON file, a 256-cell file with a
+'!' in a comment, one with a merged cell, one with a cell shared by alias and
+one with quoted keys and values; and a fixed list of malformed inputs, among
+them an empty stream, a second document and a block text 3000 levels deep.
+Every output file,
 and the exit code, stdout and stderr of every run, is reported as identical,
 or with the largest deviation of each numeric CSV column or JSON field that
 moved, relative to that column's largest magnitude; for CSV, also the part
@@ -55,6 +57,20 @@ def planar_cells(count=1024, null_area_at=None):
     return "geometry:\n  kind: planar\n  cells:\n" + "".join(rows)
 
 
+def planar_json(count=256):
+    """A planar scenario of seeded cells as json.dumps writes it: one line, since JSON is YAML."""
+    rng, cells = random.Random(11), []
+    for i in range(count):
+        cells.append({"position": [round((i % 16) * 0.5 + rng.uniform(-0.05, 0.05), 6),
+                                   round((i // 16) * 0.5 + rng.uniform(-0.05, 0.05), 6), 0.0],
+                      "a": round(rng.uniform(0.2, 0.45), 4), "b": round(rng.uniform(0.2, 0.45), 4),
+                      "phase": round(rng.uniform(0.0, 6.28), 6)})
+    return json.dumps({"geometry": {"kind": "planar", "cells": cells},
+                       "incident": [{"theta_deg": 20.0, "phi_deg": 30.0}],
+                       "observation": {"radius": 50.0, "grid": {"start_deg": -90.0,
+                                                                "stop_deg": 90.0, "count": 91}}})
+
+
 PLANAR_TAIL = ("incident: [{theta_deg: 20.0, phi_deg: 30.0}]\n"
                "observation: {radius: 50.0, grid: {start_deg: -90.0, stop_deg: 90.0, count: 91, "
                "phi_deg: 15.0}}\n")
@@ -68,6 +84,9 @@ SCENARIOS = {
         + "incident: [{theta_deg: 20.0, phi_deg: 30.0}, {theta_deg: 40.0, amplitude: 0.5}]\n"
           "observation: {radius: 50.0, grid: {start_deg: -90.0, stop_deg: 90.0, count: 91}}\n"),
     "planar_1024.yaml": planar_cells() + PLANAR_TAIL,
+    "planar_json.yaml": planar_json(),
+    # a '!' that is no tag
+    "planar_note.yaml": "# note!\n" + planar_cells(256) + PLANAR_TAIL,
     # an anchored cell, merged into the cells after it ('<<')
     "planar_merge.yaml": (
         "geometry:\n  kind: planar\n  cells:\n"
@@ -128,6 +147,8 @@ SCENARIOS = {
     # untagged: libyaml loads it and the timestamp constructor refuses it
     "bad_timestamp.yaml": "geometry: {kind: patch, a: 1, b: 1}\noutput: {path: 2020-13-45}\n",
     "deep_value.yaml": "geometry: {kind: patch, a: 1.0, b: " + "[" * 1500 + "]" * 1500 + "}\n",
+    "deep_block.yaml": "geometry:\n" + "".join(" " * i + "-\n" for i in range(1, 3001))
+    + " " * 3001 + "x\n",
     "planar_null_area.yaml": planar_cells(null_area_at=700) + PLANAR_TAIL,
     "bad_desired.yaml": linear()
     + "configure: {scheme: reshape, desired_pattern_file: bad_desired.json}\n",
@@ -146,6 +167,9 @@ RUNS = {
                                   "--out", "compensate_weights.json"],
     "sweep-planar": ["sweep", "planar.yaml", "--out", "planar.csv"],
     "sweep-planar-1024": ["sweep", "planar_1024.yaml", "--out", "planar_1024.csv"],
+    "sweep-planar-json": ["sweep", "planar_json.yaml", "--format", "json",
+                          "--out", "planar_json.json"],
+    "sweep-planar-note": ["sweep", "planar_note.yaml", "--out", "planar_note.csv"],
     "sweep-planar-merge": ["sweep", "planar_merge.yaml", "--format", "json",
                            "--out", "planar_merge.json"],
     "sweep-planar-shared": ["sweep", "planar_shared.yaml", "--out", "planar_shared.csv"],
@@ -184,6 +208,7 @@ RUNS = {
     "tagged-nested": ["sweep", "tagged_nested.yaml"],
     "bad-timestamp": ["sweep", "bad_timestamp.yaml"],
     "deep-value": ["sweep", "deep_value.yaml"],
+    "deep-block": ["sweep", "deep_block.yaml"],
     "planar-null-area": ["sweep", "planar_null_area.yaml"],
     "bad-desired": ["configure", "bad_desired.yaml"],
     "negative-seed": ["sweep", "random.yaml", "--seed", "-3"],
