@@ -90,6 +90,7 @@ NESTED = {
     "flow-mapping": lambda d: "{a: " * d + "x" + "}" * d + "\n",
     "block-sequence": lambda d: "".join(" " * i + "-\n" for i in range(d)) + " " * d + "x\n",
     "block-mapping": lambda d: "".join(" " * i + "k:\n" for i in range(d)) + " " * d + "x\n",
+    "compact-sequence": lambda d: "- " * d + "x\n",
 }
 
 
