@@ -10,12 +10,12 @@ and `configure` as CSV and JSON over the scenario kinds below, among them a
 '!' in a comment, one with a merged cell, one with a cell shared by alias and
 one with quoted keys and values; and a fixed list of malformed inputs, among
 them an empty stream, a second document and a block text 3000 levels deep.
-Every output file,
-and the exit code, stdout and stderr of every run, is reported as identical,
-or with the largest deviation of each numeric CSV column or JSON field that
-moved, relative to that column's largest magnitude; for CSV, also the part
-beyond one unit of the 12th significant digit that it prints. The exit status
-is 0 when every output is identical and 1 otherwise.
+Every output file, and the exit code, stdout and stderr of every run, is
+reported as identical, or with the largest deviation of each numeric CSV
+column or JSON field that moved, relative to that column's largest
+magnitude; for CSV, also the part beyond one unit of the 12th significant
+digit that it prints. The exit status is 0 when every output is identical
+and 1 otherwise.
 
 No digests are stored: last-bit rounding depends on libm and BLAS, so only two
 trees run on one machine can be compared.
@@ -31,6 +31,8 @@ import random
 import subprocess
 import sys
 import tempfile
+
+import yaml
 
 
 def linear(spacing=0.5, width=0.1, incident="[{theta_deg: 30.0}]"):
@@ -57,20 +59,6 @@ def planar_cells(count=1024, null_area_at=None):
     return "geometry:\n  kind: planar\n  cells:\n" + "".join(rows)
 
 
-def planar_json(count=256):
-    """A planar scenario of seeded cells as json.dumps writes it: one line, since JSON is YAML."""
-    rng, cells = random.Random(11), []
-    for i in range(count):
-        cells.append({"position": [round((i % 16) * 0.5 + rng.uniform(-0.05, 0.05), 6),
-                                   round((i // 16) * 0.5 + rng.uniform(-0.05, 0.05), 6), 0.0],
-                      "a": round(rng.uniform(0.2, 0.45), 4), "b": round(rng.uniform(0.2, 0.45), 4),
-                      "phase": round(rng.uniform(0.0, 6.28), 6)})
-    return json.dumps({"geometry": {"kind": "planar", "cells": cells},
-                       "incident": [{"theta_deg": 20.0, "phi_deg": 30.0}],
-                       "observation": {"radius": 50.0, "grid": {"start_deg": -90.0,
-                                                                "stop_deg": 90.0, "count": 91}}})
-
-
 PLANAR_TAIL = ("incident: [{theta_deg: 20.0, phi_deg: 30.0}]\n"
                "observation: {radius: 50.0, grid: {start_deg: -90.0, stop_deg: 90.0, count: 91, "
                "phi_deg: 15.0}}\n")
@@ -84,7 +72,8 @@ SCENARIOS = {
         + "incident: [{theta_deg: 20.0, phi_deg: 30.0}, {theta_deg: 40.0, amplitude: 0.5}]\n"
           "observation: {radius: 50.0, grid: {start_deg: -90.0, stop_deg: 90.0, count: 91}}\n"),
     "planar_1024.yaml": planar_cells() + PLANAR_TAIL,
-    "planar_json.yaml": planar_json(),
+    # JSON is YAML: one line, as json.dumps writes it
+    "planar_json.yaml": json.dumps(yaml.safe_load(planar_cells(256) + PLANAR_TAIL)),
     # a '!' that is no tag
     "planar_note.yaml": "# note!\n" + planar_cells(256) + PLANAR_TAIL,
     # an anchored cell, merged into the cells after it ('<<')
