@@ -6,6 +6,9 @@ recommended convention and the one used by the bundled presets.
 """
 from __future__ import annotations
 
+import math
+import mmap
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,15 +143,144 @@ def _polarization_factors(phi_i, theta_s, phi_s):
     return f_theta, f_phi
 
 
-def _phasor(arg) -> np.ndarray:
+def _phasor_libm(arg) -> np.ndarray:
     """exp(j arg) of a real array, cos and sin written into the parts of one complex array.
 
     These are the bits of np.exp(1j * arg) without its complex temporaries,
-    except at arg = -0.0, whose imaginary part here is -0.0.
+    except at arg = -0.0, whose imaginary part here is -0.0. _phasor's
+    fallback, and its reference in the tests.
     """
     phase = np.empty(np.shape(arg), dtype=complex)
     np.cos(arg, out=phase.real)
     np.sin(arg, out=phase.imag)
+    return phase
+
+
+# _phasor's table of e^{j 2 pi i / _TABLE_SIZE}: 256 KiB of complex entries.
+_TABLE_SIZE = 2 ** 14
+_STEP = TWO_PI / _TABLE_SIZE
+# 2 pi / _TABLE_SIZE split as _STEP_HI + _STEP_LO (Cody and Waite). _STEP_HI keeps
+# 21 significant bits, so k _STEP_HI is exact for |k| < 2^32; _STEP_LO holds the
+# rest, with the part of 2 pi past the float64 TWO_PI (twice pi's float64 tail).
+_STEP_HI = math.ldexp(round(math.ldexp(_STEP, 32)), -32)
+_STEP_LO = (_STEP - _STEP_HI) + 2.0 * 1.2246467991473532e-16 / _TABLE_SIZE
+# past this |arg| _phasor falls back to libm: up to it k < 2^32, and k _STEP_LO
+# rounds by under 2e-17
+_TABLE_RANGE = 2.0 ** 20
+# a float under 2^51 plus 1.5 * 2^52 is rounded to an integer, half to even as
+# np.rint rounds, and that integer is the low bits of the sum. Unlike np.rint it
+# gives +0.0 for -0.0, so x - k _STEP_HI keeps the sign of a zero x.
+_ROUND = 1.5 * 2.0 ** 52
+
+
+def _mapped(count: int, dtype) -> np.ndarray:
+    """An array of count entries in an anonymous memory mapping of its own.
+
+    _phasor's table and work arrays live outside malloc's heap. Held in the
+    heap, they took free space that each chunk's argument and result reuse;
+    those then grew the heap top, which glibc trimmed after every chunk: 13 950
+    minor faults for each 1000-cell, 3601-angle steering sum in a fresh
+    process, against none.
+    """
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, count * dtype.itemsize), dtype=dtype)
+
+
+def _unit_circle_table() -> np.ndarray:
+    """e^{j 2 pi i / _TABLE_SIZE} for i = 0.._TABLE_SIZE-1.
+
+    Only the first octant is cos and sin; the rest follows by symmetries that
+    are exact in floating point, so 1, j, -1 and -j are exact and
+    T[N - i] = conj T[i]. Each entry is within 1.2e-16 of e^{j 2 pi i / N}, and
+    np.exp(2j pi i / N) within 6.9e-16.
+    """
+    n = _TABLE_SIZE
+    octant = np.arange(n // 8 + 1) * _STEP
+    c, s = np.cos(octant), np.sin(octant)
+    # cos(pi/2 - x) = sin x over the second octant, then e^{j(x + pi/2)} = j e^{jx}
+    # over the second quarter, then e^{-jx} = conj e^{jx} over the second half
+    qc, qs = np.concatenate([c, s[-2::-1]]), np.concatenate([s, c[-2::-1]])
+    hc, hs = np.concatenate([qc, -qs[1:]]), np.concatenate([qs, qc[1:]])
+    table = _mapped(n, complex)
+    table.real[:n // 2 + 1], table.real[n // 2 + 1:] = hc, hc[-2:0:-1]
+    table.imag[:n // 2 + 1], table.imag[n // 2 + 1:] = hs, -hs[-2:0:-1]
+    # T[0] = 1 - 0j: a rotation of imaginary part -0.0 (the r of an argument -0.0)
+    # then keeps its sign in the product, as -0.0 + -0.0, and +0.0 stays +0.0
+    table.imag[0] = -0.0
+    table.flags.writeable = False
+    return table
+
+
+_TABLE = _unit_circle_table()
+# each thread's work arrays for _phasor (_work_arrays)
+_scratch = threading.local()
+
+
+def _work_arrays():
+    """This thread's work arrays for _phasor, CHUNK_TERMS long: two of 8 bytes an entry
+    (k, then the index and r in turn) and one complex (the rotation).
+
+    They are made once per thread and reused, so that a call allocates only its
+    result: with fresh work arrays per call, glibc trimmed the heap top after
+    every chunk, 28 350 minor faults for each 1000-cell, 3601-angle steering
+    sum in a fresh process, against none.
+    """
+    arrays = getattr(_scratch, "arrays", None)
+    if arrays is None:
+        arrays = _scratch.arrays = (_mapped(CHUNK_TERMS, float), _mapped(CHUNK_TERMS, np.int64),
+                                    _mapped(CHUNK_TERMS, complex))
+    return arrays
+
+
+def _phasor(arg) -> np.ndarray:
+    """exp(j arg) of a real array, from a table of the unit circle and a short polynomial.
+
+    Table-driven (Tang, ACM TOMS 15(2), 1989), with N = _TABLE_SIZE:
+    k = rint(arg N / 2 pi), r = (arg - k C_hi) - k C_lo with C_hi + C_lo = 2 pi / N
+    (k C_hi is exact), and exp(j arg) = T[k mod N] (cos r + j sin r), where
+    |r| <= pi / N and Taylor polynomials give cos r and sin r. The result is
+    within 1e-15 of _phasor_libm's cos and sin of the same argument (about one
+    unit in the last place); the argument itself is used as given. A -0.0
+    argument keeps imaginary part -0.0.
+
+    Arrays of any shape are evaluated in pieces of CHUNK_TERMS through this
+    thread's work arrays, so a call allocates only its result. A 0-d or empty
+    array, or one with a value that is not finite or past _TABLE_RANGE in
+    magnitude, takes _phasor_libm whole.
+    """
+    arg = np.asarray(arg, dtype=float)
+    if (arg.ndim == 0 or not arg.size
+            or not (arg.min() >= -_TABLE_RANGE and arg.max() <= _TABLE_RANGE)):
+        return _phasor_libm(arg)
+    phase = np.empty(arg.shape, dtype=complex)
+    flat_arg, flat = arg.reshape(-1), phase.reshape(-1)
+    k_all, index_all, rotation_all = _work_arrays()
+    for lo in range(0, flat.size, CHUNK_TERMS):
+        x, out = flat_arg[lo:lo + CHUNK_TERMS], flat[lo:lo + CHUNK_TERMS]
+        k, index, rotation = (a[:x.size] for a in (k_all, index_all, rotation_all))
+        np.multiply(x, _TABLE_SIZE / TWO_PI, out=k)
+        k += _ROUND
+        np.bitwise_and(k.view(np.int64), _TABLE_SIZE - 1, out=index)
+        k -= _ROUND
+        # mode "raise" would buffer out
+        np.take(_TABLE, index, out=out, mode="clip")
+        # the index is spent: its array holds r
+        r = np.multiply(k, _STEP_HI, out=index.view(float))
+        np.subtract(x, r, out=r)
+        k *= _STEP_LO
+        r -= k
+        r2 = np.multiply(r, r, out=k)
+        # sin r = r (1 - r^2/6) and cos r = 1 - r^2 (1/2 - r^2/24): the next terms
+        # are under 3e-21
+        cos_r, sin_r = rotation.real, rotation.imag
+        np.multiply(r2, -1.0 / 6.0, out=sin_r)
+        sin_r += 1.0
+        sin_r *= r
+        np.multiply(r2, 1.0 / 24.0, out=cos_r)
+        cos_r -= 0.5
+        cos_r *= r2
+        cos_r += 1.0
+        out *= rotation
     return phase
 
 

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from risem import (Direction, ObservationPoint, WaveContext, direction_vector,
                    sampling_sa, sampling_sa_linear, sinc_normalized)
-from risem.core import SINC_TAYLOR_CUTOFF, _phasor, _sinc_pair
+from risem import core
+from risem.core import SINC_TAYLOR_CUTOFF, _phasor, _phasor_libm, _sinc_pair
 
 finite_angles = st.floats(-np.pi, np.pi, allow_nan=False, allow_infinity=False)
 polar_angles = st.floats(0.0, np.pi / 2, allow_nan=False, allow_infinity=False)
@@ -186,7 +187,10 @@ class TestEdgeSincKeepsTheBits:
 
 def test_phasor_is_exp_of_j_arg_bit_for_bit():
     arg = np.random.default_rng(0).uniform(-200.0, 200.0, 3_000_000)
-    assert np.array_equal(_bits(_phasor(arg).view(float)), _bits(np.exp(1j * arg).view(float)))
+    want = np.exp(1j * arg)
+    # the fallback and reference keeps libm's bits, the table path comes within 1e-15
+    assert np.array_equal(_bits(_phasor_libm(arg).view(float)), _bits(want.view(float)))
+    assert _worst(_phasor(arg), want) <= PHASOR_BOUND
 
 
 def test_phasor_keeps_the_sign_of_a_negative_zero_argument():
@@ -195,6 +199,115 @@ def test_phasor_keeps_the_sign_of_a_negative_zero_argument():
     assert got.real.tolist() == exp.real.tolist() == [1.0, 1.0]
     assert np.signbit(got.imag).tolist() == [True, False]
     assert np.signbit(exp.imag).tolist() == [False, False]
+
+
+# the largest distance of the table path's cos or sin from libm's
+PHASOR_BOUND = 1e-15
+
+
+def _worst(got, want) -> float:
+    """The largest absolute difference of the real or imaginary parts."""
+    return float(np.max(np.abs((got - want).view(float)), initial=0.0))
+
+
+def _ties(rng, count):
+    """Arguments whose arg N / 2 pi is exactly an odd multiple of 1/2, where rint picks
+    the even neighbour."""
+    scale = core._TABLE_SIZE / core.TWO_PI
+    halves = rng.integers(-core._TABLE_RANGE * scale, core._TABLE_RANGE * scale,
+                          count) + 0.5
+    near = halves / scale
+    candidates = np.concatenate([near, np.nextafter(near, np.inf), np.nextafter(near, -np.inf)])
+    return candidates[candidates * scale % 1.0 == 0.5]
+
+
+class TestTablePhasor:
+    """_phasor's table path against _phasor_libm, and the inputs that take the fallback."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_arguments_up_to_the_range_limit(self, seed):
+        rng = np.random.default_rng(seed)
+        limit = core._TABLE_RANGE
+        arg = np.concatenate([rng.uniform(-limit, limit, 400_000),
+                              rng.choice([-1.0, 1.0], 400_000) * 10.0 ** rng.uniform(-20, 6.02,
+                                                                                     400_000),
+                              [-limit, limit, 0.0, -0.0, 5e-324, -5e-324]])
+        assert np.abs(arg).max() == limit
+        assert _worst(_phasor(arg), _phasor_libm(arg)) <= PHASOR_BOUND
+
+    def test_half_step_ties_of_rint(self):
+        arg = _ties(np.random.default_rng(3), 20_000)
+        assert arg.size > 10_000
+        assert _worst(_phasor(arg), _phasor_libm(arg)) <= PHASOR_BOUND
+
+    def test_multiples_of_a_quarter_turn_and_table_nodes(self):
+        rng = np.random.default_rng(4)
+        quarter = np.arange(-2 ** 18, 2 ** 18 + 1) * (np.pi / 2)
+        nodes = rng.integers(-2 ** 31, 2 ** 31, 100_000) * core._STEP
+        for arg in (quarter, nodes, np.arange(core._TABLE_SIZE) * core._STEP):
+            arg = np.concatenate([arg, np.nextafter(arg, np.inf), np.nextafter(arg, -np.inf)])
+            assert _worst(_phasor(arg), _phasor_libm(arg)) <= PHASOR_BOUND
+
+    def test_the_table_holds_the_exact_symmetries(self):
+        table, n = core._TABLE, core._TABLE_SIZE
+        assert table[0] == 1 and table[n // 4] == 1j and table[n // 2] == -1
+        assert table[3 * n // 4] == -1j
+        assert np.array_equal(table[1:], np.conj(table[1:][::-1]))
+        assert _worst(table, _phasor_libm(np.arange(n) * core._STEP)) <= PHASOR_BOUND
+
+    @pytest.mark.parametrize("arg", [
+        np.float64(0.3), np.array(-0.0), np.zeros((0, 5)), np.array([1.0, np.nan, 2.0]),
+        np.array([[0.5, np.inf], [1.0, 2.0]]), np.array([1.0, -np.inf]),
+        np.array([0.25, np.nextafter(core._TABLE_RANGE, np.inf)]),
+        np.array([-2.0 * core._TABLE_RANGE, 3.0]),
+    ], ids=["0-d", "0-d-negative-zero", "empty", "nan", "inf", "negative-inf",
+            "past-the-range", "far-past-the-range"])
+    def test_the_fallback_takes_the_whole_array(self, arg):
+        with np.errstate(invalid="ignore"):
+            got, want = _phasor(arg), _phasor_libm(arg)
+        assert got.shape == want.shape == np.shape(arg)
+        assert np.array_equal(_bits(got.reshape(-1).view(float)),
+                              _bits(want.reshape(-1).view(float)))
+
+    def test_a_chunk_allocates_only_its_result(self):
+        import tracemalloc
+        arg = np.random.default_rng(5).uniform(-3000.0, 3000.0, (16, 1000))
+        _phasor(arg)  # this thread's work arrays
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = _phasor(arg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= got.nbytes + 4096
+
+    def test_threads_at_once_get_the_serial_bits(self):
+        import sys
+        import threading
+        rng = np.random.default_rng(6)
+        # more threads than cores, each with arrays of its own shape
+        args = [rng.uniform(-1e5, 1e5, (i + 1, 5000 + 977 * i)) for i in range(6)]
+        serial = [_bits(_phasor(a).view(float)) for a in args]
+        mismatches = []
+
+        def run(i):
+            for _ in range(20):
+                if not np.array_equal(_bits(_phasor(args[i]).view(float)), serial[i]):
+                    mismatches.append(i)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(args))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
 
 
 def test_star_import_binds_no_module():
