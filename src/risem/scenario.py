@@ -345,12 +345,13 @@ def _parse_output(node, defaults):
                                 "a string", None))
 
 
-# The event pass hands a text nested this many collections deep to the pure-Python
-# loader, which refuses it as nesting too deep. libyaml's scanner takes time quadratic
-# in flow depth (its events reach 2000 levels of a flow text in 35 ms, and 10 000 in
-# 0.33 s), and the repr of a deep value in a message recurses; a value 1500 levels
-# deep stays on the pass.
+# The event pass refuses a text nested this many collections deep as nesting too
+# deep, as the pure-Python loader would, which takes seconds to do so on one long
+# line. libyaml's scanner takes time quadratic in flow depth (its events reach 2000
+# levels of a flow text in 35 ms, and 10 000 in 0.33 s), and the repr of a deep value
+# in a message recurses; a value 1500 levels deep stays on the pass.
 _MAX_DEPTH = 2000
+_TOO_DEEP = "scenario parse error: nesting too deep"
 # a caller's thread with less than half this stack, the 8 MiB of a usual initial
 # thread, parses on a thread of its own with this stack (_on_a_measured_stack)
 _PARSE_STACK = 16 * 2 ** 20
@@ -386,6 +387,10 @@ class _HandOver(Exception):
     """A text that the event pass leaves to the pure-Python loader."""
 
 
+class _TooDeep(Exception):
+    """A text nested _MAX_DEPTH collections deep, which the event pass refuses."""
+
+
 _STR_TAG = "tag:yaml.org,2002:str"
 # a plain scalar that YAML 1.1 resolves to a decimal int (no leading zero, so never
 # octal) or, with the dot, to a float (no exponent, '_' or ':')
@@ -416,8 +421,8 @@ class _EventLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     constructor's own error propagates. The pass raises _HandOver where it
     meets an explicit tag, a scalar tag other than null, bool, int, float, str
     or timestamp (a merge key '<<' and a value key '=' have tags of their own),
-    a collection _MAX_DEPTH deep, a duplicate anchor, an undefined alias or a
-    second document, and an unhashable key raises TypeError.
+    a duplicate anchor, an undefined alias or a second document, _TooDeep at a
+    collection _MAX_DEPTH deep, and an unhashable key raises TypeError.
     """
 
     # the SafeConstructor function of each scalar tag the event pass reads, but str
@@ -465,9 +470,11 @@ class _EventLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
                     raise _HandOver
                 value = anchors[event.anchor]
             elif kind in _STARTS:
-                # the new collection is len(stack) + 1 deep
-                if event.tag is not None or len(stack) >= _MAX_DEPTH - 1:
+                if event.tag is not None:
                     raise _HandOver
+                # the new collection is len(stack) + 1 deep
+                if len(stack) >= _MAX_DEPTH - 1:
+                    raise _TooDeep
                 value = _STARTS[kind]()
             else:  # the document end
                 break
@@ -499,13 +506,18 @@ def _load_yaml(text: str):
     text the pass hands over, a tagged one included, and every text libyaml
     refuses goes to the pure-Python loader: libyaml refuses some texts the
     Python loader accepts (such as '{a:[1]}'), words and places its errors
-    differently, and reads a bare '!' on an empty value as '', not null.
+    differently, and reads a bare '!' on an empty value as '', not null. A
+    text the pass finds _MAX_DEPTH deep is refused as nesting too deep.
     """
     if yaml.__with_libyaml__:
+        try:
+            return yaml.load(text, Loader=_EventLoader)
+        except _TooDeep:
+            raise ScenarioError(_TOO_DEEP) from None
         # a hand-over, an unhashable key, a constructor error, or the ValueError of
         # a lone surrogate
-        with contextlib.suppress(yaml.YAMLError, _HandOver, TypeError, *_CONSTRUCTOR_ERRORS):
-            return yaml.load(text, Loader=_EventLoader)
+        except (yaml.YAMLError, _HandOver, TypeError, *_CONSTRUCTOR_ERRORS):
+            pass
     try:
         return yaml.load(text, Loader=_LocatingLoader)
     except yaml.MarkedYAMLError as exc:
@@ -582,7 +594,7 @@ def _parse(text: str) -> Scenario:
         return _scenario(_load_yaml(text), text)
     except RecursionError as exc:
         # from the pure-Python composer, or from the repr of a deep value in a message
-        raise ScenarioError("scenario parse error: nesting too deep") from exc
+        raise ScenarioError(_TOO_DEEP) from exc
 
 
 def _scenario(doc, text: str) -> Scenario:

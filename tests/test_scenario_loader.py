@@ -1,10 +1,10 @@
 """The scenario YAML loader: libyaml's event pass, and the pure-Python fallback.
 
 The libyaml path builds its document from libyaml's events in one iterative
-pass, which must build what yaml.CSafeLoader builds. The pass hands every text
-it does not finish to the pure-Python loader: among them every text nested
-_MAX_DEPTH collections deep, which that loader refuses as nesting too deep.
-These tests check which loader runs at the pass's limit, that deep texts exit
+pass, which must build what yaml.CSafeLoader builds. The pass refuses a text
+nested _MAX_DEPTH collections deep as nesting too deep, and hands every other
+text it does not finish to the pure-Python loader. These tests check which
+loader runs at the pass's limit, that deep texts exit
 2 in a child process (a crash would end it by a signal), also from a thread
 with a small stack (as does a deep desired-pattern file), what the event pass
 hands over, that it reads plain decimals and repeated plain words as resolve
@@ -110,10 +110,21 @@ def test_the_event_pass_builds_a_text_just_under_its_limit(loaders, shape):
 
 
 @pytest.mark.parametrize("shape", NESTED)
-def test_a_text_at_the_limit_is_refused_by_the_python_loader(loaders, shape):
+def test_a_text_at_the_limit_is_refused_by_the_event_pass(loaders, shape):
     with pytest.raises(ScenarioError, match="^scenario parse error: nesting too deep$"):
         parse_scenario(NESTED[shape](LIMIT))
-    assert loaders == [scenario._EventLoader, scenario._LocatingLoader]
+    assert loaders == [scenario._EventLoader]
+
+
+def test_the_limit_comes_before_an_error_only_the_python_loader_finds(loaders):
+    # libyaml reads a tab between flow items, the Python loader refuses it; the pass
+    # meets the depth first
+    text = "x: {a: 1,\tc: 2}\ny: " + NESTED["flow-sequence"](LIMIT)
+    with pytest.raises(ScenarioError, match="^scenario parse error: nesting too deep$"):
+        parse_scenario(text)
+    assert loaders == [scenario._EventLoader]
+    with _python_loader_only(), pytest.raises(ScenarioError, match="cannot start any token$"):
+        parse_scenario(text)
 
 
 # ---------------------------------------------------------------------------
