@@ -9,7 +9,9 @@ and `configure` as CSV and JSON over the scenario kinds below, among them a
 1024-cell planar file, a 256-cell one-line JSON file, a 256-cell file with a
 '!' in a comment, one with a merged cell, one with a cell shared by alias and
 one with quoted keys and values; and a fixed list of malformed inputs, among
-them an empty stream, a second document and a block text 3000 levels deep.
+them an empty stream, a second document, a block text 3000 levels deep, a
+one-line flow text 5000 levels deep and a 2000-deep one after a tab that
+only libyaml reads.
 Every output file, and the exit code, stdout and stderr of every run, is
 reported as identical, or with the largest deviation of each numeric CSV
 column or JSON field that moved, relative to that column's largest
@@ -138,6 +140,9 @@ SCENARIOS = {
     "deep_value.yaml": "geometry: {kind: patch, a: 1.0, b: " + "[" * 1500 + "]" * 1500 + "}\n",
     "deep_block.yaml": "geometry:\n" + "".join(" " * i + "-\n" for i in range(1, 3001))
     + " " * 3001 + "x\n",
+    "deep_flow.yaml": "geometry: " + "[" * 5000 + "]" * 5000 + "\n",
+    # a tab between flow items, which libyaml reads and the Python loader refuses
+    "deep_flow_tab.yaml": "x: {a: 1,\tc: 2}\ngeometry: " + "[" * 2000 + "]" * 2000 + "\n",
     "planar_null_area.yaml": planar_cells(null_area_at=700) + PLANAR_TAIL,
     "bad_desired.yaml": linear()
     + "configure: {scheme: reshape, desired_pattern_file: bad_desired.json}\n",
@@ -198,6 +203,8 @@ RUNS = {
     "bad-timestamp": ["sweep", "bad_timestamp.yaml"],
     "deep-value": ["sweep", "deep_value.yaml"],
     "deep-block": ["sweep", "deep_block.yaml"],
+    "deep-flow": ["sweep", "deep_flow.yaml"],
+    "deep-flow-tab": ["sweep", "deep_flow_tab.yaml"],
     "planar-null-area": ["sweep", "planar_null_area.yaml"],
     "bad-desired": ["configure", "bad_desired.yaml"],
     "negative-seed": ["sweep", "random.yaml", "--seed", "-3"],
