@@ -188,7 +188,8 @@ class TestEdgeSincKeepsTheBits:
 def test_phasor_is_exp_of_j_arg_bit_for_bit():
     arg = np.random.default_rng(0).uniform(-200.0, 200.0, 3_000_000)
     want = np.exp(1j * arg)
-    # the fallback and reference keeps libm's bits, the table path comes within 1e-15
+    # _phasor_libm, the fallback and reference, keeps libm's bits; the table path
+    # comes within 1e-15
     assert np.array_equal(_bits(_phasor_libm(arg).view(float)), _bits(want.view(float)))
     assert _worst(_phasor(arg), want) <= PHASOR_BOUND
 
