@@ -7,7 +7,6 @@ recommended convention and the one used by the bundled presets.
 from __future__ import annotations
 
 import math
-import mmap
 import threading
 from dataclasses import dataclass
 
@@ -156,15 +155,15 @@ def _phasor_libm(arg) -> np.ndarray:
     return phase
 
 
-# _phasor's table of e^{j 2 pi i / _TABLE_SIZE}: 256 KiB of complex entries.
-_TABLE_SIZE = 2 ** 14
+# _phasor's table of e^{j 2 pi i / _TABLE_SIZE}: 16 KiB of complex entries.
+_TABLE_SIZE = 2 ** 10
 _STEP = TWO_PI / _TABLE_SIZE
 # 2 pi / _TABLE_SIZE split as _STEP_HI + _STEP_LO (Cody and Waite). _STEP_HI keeps
 # 21 significant bits, so k _STEP_HI is exact for |k| < 2^32; _STEP_LO holds the
 # rest, with the part of 2 pi past the float64 TWO_PI (twice pi's float64 tail).
-_STEP_HI = math.ldexp(round(math.ldexp(_STEP, 32)), -32)
+_STEP_HI = math.ldexp(round(math.ldexp(_STEP, 28)), -28)
 _STEP_LO = (_STEP - _STEP_HI) + 2.0 * 1.2246467991473532e-16 / _TABLE_SIZE
-# past this |arg| _phasor falls back to libm: up to it k < 2^32, and k _STEP_LO
+# past this |arg| _phasor falls back to libm: up to it k < 2^28, and k _STEP_LO
 # rounds by under 2e-17
 _TABLE_RANGE = 2.0 ** 20
 # a float under 2^51 plus 1.5 * 2^52 is rounded to an integer, half to even as
@@ -173,26 +172,13 @@ _TABLE_RANGE = 2.0 ** 20
 _ROUND = 1.5 * 2.0 ** 52
 
 
-def _mapped(count: int, dtype) -> np.ndarray:
-    """An array of count entries in an anonymous memory mapping of its own.
-
-    _phasor's table and work arrays live outside malloc's heap. Held in the
-    heap, they took free space that each chunk's argument and result reuse;
-    those then grew the heap top, which glibc trimmed after every chunk: 13 950
-    minor faults for each 1000-cell, 3601-angle steering sum in a fresh
-    process, against none.
-    """
-    dtype = np.dtype(dtype)
-    return np.frombuffer(mmap.mmap(-1, count * dtype.itemsize), dtype=dtype)
-
-
 def _unit_circle_table() -> np.ndarray:
     """e^{j 2 pi i / _TABLE_SIZE} for i = 0.._TABLE_SIZE-1.
 
     Only the first octant is cos and sin; the rest follows by symmetries that
     are exact in floating point, so 1, j, -1 and -j are exact and
-    T[N - i] = conj T[i]. Each entry is within 1.2e-16 of e^{j 2 pi i / N}, and
-    np.exp(2j pi i / N) within 6.9e-16.
+    T[N - i] = conj T[i]. Each entry is within 9.6e-17 of e^{j 2 pi i / N}, and
+    np.exp(2j pi i / N) within 6.5e-16.
     """
     n = _TABLE_SIZE
     octant = np.arange(n // 8 + 1) * _STEP
@@ -201,7 +187,7 @@ def _unit_circle_table() -> np.ndarray:
     # over the second quarter, then e^{-jx} = conj e^{jx} over the second half
     qc, qs = np.concatenate([c, s[-2::-1]]), np.concatenate([s, c[-2::-1]])
     hc, hs = np.concatenate([qc, -qs[1:]]), np.concatenate([qs, qc[1:]])
-    table = _mapped(n, complex)
+    table = np.empty(n, dtype=complex)
     table.real[:n // 2 + 1], table.real[n // 2 + 1:] = hc, hc[-2:0:-1]
     table.imag[:n // 2 + 1], table.imag[n // 2 + 1:] = hs, -hs[-2:0:-1]
     # T[0] = 1 - 0j: a rotation of imaginary part -0.0 (the r of an argument -0.0)
@@ -227,8 +213,8 @@ def _work_arrays():
     """
     arrays = getattr(_scratch, "arrays", None)
     if arrays is None:
-        arrays = _scratch.arrays = (_mapped(CHUNK_TERMS, float), _mapped(CHUNK_TERMS, np.int64),
-                                    _mapped(CHUNK_TERMS, complex))
+        arrays = _scratch.arrays = (np.empty(CHUNK_TERMS), np.empty(CHUNK_TERMS, dtype=np.int64),
+                                    np.empty(CHUNK_TERMS, dtype=complex))
     return arrays
 
 
@@ -270,10 +256,12 @@ def _phasor(arg) -> np.ndarray:
         k *= _STEP_LO
         r -= k
         r2 = np.multiply(r, r, out=k)
-        # sin r = r (1 - r^2/6) and cos r = 1 - r^2 (1/2 - r^2/24): the next terms
-        # are under 3e-21
+        # sin r = r (1 - r^2 (1/6 - r^2/120)) and cos r = 1 - r^2 (1/2 - r^2/24):
+        # the next terms are under 2e-18
         cos_r, sin_r = rotation.real, rotation.imag
-        np.multiply(r2, -1.0 / 6.0, out=sin_r)
+        np.multiply(r2, 1.0 / 120.0, out=sin_r)
+        sin_r -= 1.0 / 6.0
+        sin_r *= r2
         sin_r += 1.0
         sin_r *= r
         np.multiply(r2, 1.0 / 24.0, out=cos_r)

@@ -1,4 +1,6 @@
 """Primitives: sinc branches, wave constants, directions, directivity factors."""
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,7 +246,8 @@ class TestTablePhasor:
     def test_multiples_of_a_quarter_turn_and_table_nodes(self):
         rng = np.random.default_rng(4)
         quarter = np.arange(-2 ** 18, 2 ** 18 + 1) * (np.pi / 2)
-        nodes = rng.integers(-2 ** 31, 2 ** 31, 100_000) * core._STEP
+        last = int(core._TABLE_RANGE / core._STEP)
+        nodes = rng.integers(-last, last + 1, 100_000) * core._STEP
         for arg in (quarter, nodes, np.arange(core._TABLE_SIZE) * core._STEP):
             arg = np.concatenate([arg, np.nextafter(arg, np.inf), np.nextafter(arg, -np.inf)])
             assert _worst(_phasor(arg), _phasor_libm(arg)) <= PHASOR_BOUND
@@ -309,6 +312,26 @@ class TestTablePhasor:
             sys.setswitchinterval(previous)
         assert not any(t.is_alive() for t in threads)
         assert mismatches == []
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_and_its_parent_at_once_get_the_serial_bits(self):
+        rng = np.random.default_rng(7)
+        args = [rng.uniform(-1e5, 1e5, (16, 1000)), rng.uniform(-1e3, 1e3, (16, 1000))]
+        serial = [_bits(_phasor(a).view(float)) for a in args]  # the work arrays exist
+
+        def agrees(i):
+            return all(np.array_equal(_bits(_phasor(args[i]).view(float)), serial[i])
+                       for _ in range(200))
+
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os._exit(0 if agrees(1) else 1)
+            finally:
+                os._exit(2)
+        parent_agrees = agrees(0)
+        _, status = os.waitpid(pid, 0)
+        assert parent_agrees and os.waitstatus_to_exitcode(status) == 0
 
 
 def test_star_import_binds_no_module():
