@@ -6,8 +6,11 @@
 Each tree runs the corpus in a child process with PYTHONPATH=<tree>/src and a
 fresh working directory: every figure preset; `sweep` as CSV and JSON, `mimo`
 and `configure` as CSV and JSON over the scenario kinds below, among them a
-1024-cell planar file, a 256-cell one-line JSON file, a 256-cell file with a
-'!' in a comment, one with a merged cell, one with a cell shared by alias and
+1024-cell planar file, a 1024-cell file with its cell keys shuffled and a
+third of its numbers in exponent form (read by the row reader), the same file
+with a comment line inside its cell table and with CRLF line ends (both read
+by the event pass alone), a 256-cell one-line JSON file, a 256-cell file with
+a '!' in a comment, one with a merged cell, one with a cell shared by alias and
 one with quoted keys and values; and a fixed list of malformed inputs, among
 them an empty stream, a second document, a block text 3000 levels deep, a
 one-line flow text 5000 levels deep and a 2000-deep one after a tab that
@@ -61,6 +64,26 @@ def planar_cells(count=1024, null_area_at=None):
     return "geometry:\n  kind: planar\n  cells:\n" + "".join(rows)
 
 
+def shuffled_cells(count=1024):
+    """Seeded cell rows with their keys in a shuffled order and a third of the numbers as '%.17e'.
+
+    Every other cell has an area. The rows are those the row reader reads.
+    """
+    rng, rows = random.Random(11), []
+    number = lambda v: f"{v:.17e}" if rng.random() < 1 / 3 else f"{v:.6f}"  # noqa: E731
+    for i in range(count):
+        x, y, z = ((i % 32) * 0.5 + rng.uniform(-0.05, 0.05),
+                   (i // 32) * 0.5 + rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
+        a, b = rng.uniform(0.2, 0.45), rng.uniform(0.2, 0.45)
+        items = [f"position: [{number(x)}, {number(y)}, {number(z)}]", f"a: {number(a)}",
+                 f"b: {number(b)}", f"phase: {number(rng.uniform(0.0, 6.28))}"]
+        if i % 2:
+            items.append(f"area: {number(a * b * 0.9)}")
+        rng.shuffle(items)
+        rows.append("    - {" + ", ".join(items) + "}\n")
+    return rows
+
+
 PLANAR_TAIL = ("incident: [{theta_deg: 20.0, phi_deg: 30.0}]\n"
                "observation: {radius: 50.0, grid: {start_deg: -90.0, stop_deg: 90.0, count: 91, "
                "phi_deg: 15.0}}\n")
@@ -74,6 +97,14 @@ SCENARIOS = {
         + "incident: [{theta_deg: 20.0, phi_deg: 30.0}, {theta_deg: 40.0, amplitude: 0.5}]\n"
           "observation: {radius: 50.0, grid: {start_deg: -90.0, stop_deg: 90.0, count: 91}}\n"),
     "planar_1024.yaml": planar_cells() + PLANAR_TAIL,
+    "planar_shuffled.yaml": "geometry:\n  kind: planar\n  cells:\n" + "".join(shuffled_cells())
+    + PLANAR_TAIL,
+    # a comment line inside the cell table, and CRLF line ends: the row reader leaves both
+    "planar_shuffled_comment.yaml": "geometry:\n  kind: planar\n  cells:\n"
+    + "".join(shuffled_cells()[:500] + ["    # the second half\n"] + shuffled_cells()[500:])
+    + PLANAR_TAIL,
+    "planar_shuffled_crlf.yaml": ("geometry:\n  kind: planar\n  cells:\n"
+                                  + "".join(shuffled_cells()) + PLANAR_TAIL).replace("\n", "\r\n"),
     # JSON is YAML: one line, as json.dumps writes it
     "planar_json.yaml": json.dumps(yaml.safe_load(planar_cells(256) + PLANAR_TAIL)),
     # a '!' that is no tag
@@ -161,6 +192,11 @@ RUNS = {
                                   "--out", "compensate_weights.json"],
     "sweep-planar": ["sweep", "planar.yaml", "--out", "planar.csv"],
     "sweep-planar-1024": ["sweep", "planar_1024.yaml", "--out", "planar_1024.csv"],
+    "sweep-planar-shuffled": ["sweep", "planar_shuffled.yaml", "--out", "planar_shuffled.csv"],
+    "sweep-planar-shuffled-comment": ["sweep", "planar_shuffled_comment.yaml",
+                                      "--out", "planar_shuffled_comment.csv"],
+    "sweep-planar-shuffled-crlf": ["sweep", "planar_shuffled_crlf.yaml",
+                                   "--out", "planar_shuffled_crlf.csv"],
     "sweep-planar-json": ["sweep", "planar_json.yaml", "--format", "json",
                           "--out", "planar_json.json"],
     "sweep-planar-note": ["sweep", "planar_note.yaml", "--out", "planar_note.csv"],

@@ -393,8 +393,11 @@ class _TooDeep(Exception):
 
 _STR_TAG = "tag:yaml.org,2002:str"
 # a plain scalar that YAML 1.1 resolves to a decimal int (no leading zero, so never
-# octal) or, with the dot, to a float (no exponent, '_' or ':')
-_DECIMAL = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?").fullmatch
+# octal) or, with the dot, to a float (an exponent only after the dot and signed, no
+# '_' or ':'). At most 640 digits come before the dot, which int() reads under any
+# digit limit (sys.set_int_max_str_digits takes 0 or at least 640).
+_NUMBER = r"-?(?:0|[1-9][0-9]{0,639})(?:\.[0-9]+(?:[eE][-+][0-9]+)?)?"
+_DECIMAL = re.compile(_NUMBER).fullmatch
 _STARTS = {yaml.MappingStartEvent: dict, yaml.SequenceStartEvent: list}
 _ENDS = {yaml.MappingEndEvent, yaml.SequenceEndEvent}
 # the state of a sequence being filled, and of a mapping waiting for its next key
@@ -408,10 +411,11 @@ class _EventLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     A mapping is a dict and a sequence a list, made at its start event and
     filled in order through an explicit stack, so the pass never recurses and
     no node tree is built. An anchor names the object made for it, which each
-    alias shares. A plain scalar in decimal notation, '-?(0|[1-9][0-9]*)' with
-    an optional '.[0-9]+', is int(value), or float(value) with the dot: YAML
-    1.1 resolves that notation to int or float alone, and SafeConstructor
-    reads it as int() and float() do, -0.0 included. Any other scalar's tag
+    alias shares. A plain scalar in decimal notation (_NUMBER:
+    '-?(0|[1-9][0-9]*)', then optionally '.[0-9]+' and a signed exponent) is
+    int(value), or float(value) with the dot: YAML 1.1 resolves that notation
+    to int or float alone, and SafeConstructor reads it as int() and float()
+    do, -0.0 included. Any other scalar's tag
     comes from the loader's own resolve, and the scalar is built by the
     SafeConstructor function that tag picks; a str is its value. Without path
     resolvers, which SafeLoader has none of, resolve reads only the value of a
@@ -498,18 +502,81 @@ class _EventLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
         return root[0]
 
 
+# A planar cell on one line, '- {position: [x, y, z], a: .., b: .., area: .., phase: ..}',
+# with any of the cell keys in any order and every value a plain decimal (_NUMBER).
+_CELL_ITEM = rf"(?:position: \[{_NUMBER}, {_NUMBER}, {_NUMBER}\]|(?:a|b|area|phase): {_NUMBER})"
+_CELL_ROW = rf"- \{{(?:{_CELL_ITEM}(?:, {_CELL_ITEM})*)?\}}\n"
+# A run of cell rows at one indent. Anchored at line starts, a search tries each line
+# once: unanchored, it was quadratic in a line of thousands of spaces. A block
+# collection at column c lies at most 2c + 2 collections deep (each enclosing block
+# collection starts further in, and each may hold one indentless sequence), so a row
+# indented under 100 columns never nears _MAX_DEPTH.
+_CELL_ROWS = re.compile(rf"^( {{0,99}}){_CELL_ROW}(?:\1{_CELL_ROW})*", re.MULTILINE)
+# what the event pass raises on a text it does not build, and json's ValueError
+_PASS_ERRORS = (yaml.YAMLError, _HandOver, _TooDeep, TypeError, *_CONSTRUCTOR_ERRORS)
+
+
+def _read_cell_rows(text: str):
+    """The document of text with its planar cell table read row by row, or None.
+
+    The first run of _CELL_ROWS lines after the first 'cells:' is read as one
+    JSON array. The value
+    grammar is a part of JSON's, and json reads a number with a dot by
+    float() and one without by int(), as the event pass does. The rest of the
+    text goes through the event pass, with that run replaced by one
+    placeholder item whose word occurs nowhere in text. The document is taken
+    only if its geometry.cells is exactly that placeholder; the list is then
+    filled in place, so an alias of cells shares it. Every other outcome,
+    an exception included, is None, and the whole text is read as before: the
+    row reader decides no message.
+    """
+    at = text.find("cells:")
+    if at < 0:
+        return None
+    rows = _CELL_ROWS.search(text, at)
+    if rows is None:
+        return None
+    indent, table = rows.group(1), rows.group()
+    body = table[len(indent) + 2:-1].replace("\n" + indent + "- ", ",")
+    # 'area' and 'phase' before 'a', so that 'a:' is left only where a is the key
+    for key in ("position", "area", "phase", "a", "b"):
+        body = body.replace(key + ":", f'"{key}":')
+    word = "rows"
+    while word in text:
+        word += word
+    try:
+        cells = json.loads("[" + body + "]")
+        doc = yaml.load(text[:rows.start()] + indent + "- " + word + "\n" + text[rows.end():],
+                        Loader=_EventLoader)
+    except _PASS_ERRORS:
+        return None
+    geometry = doc.get("geometry") if isinstance(doc, dict) else None
+    placeholder = geometry.get("cells") if isinstance(geometry, dict) else None
+    # one ':' per key: a row that repeats a key is left to the event pass
+    if placeholder != [word] or sum(map(len, cells)) != table.count(":"):
+        return None
+    placeholder[:] = cells
+    return doc
+
+
 def _load_yaml(text: str):
     """The YAML document in text, read by the event pass where it can, else by Python.
 
-    libyaml's path is the event pass of _EventLoader. Both loaders share the
-    Python constructor and resolver, so they give the same objects. Every
-    text the pass hands over, a tagged one included, and every text libyaml
-    refuses goes to the pure-Python loader: libyaml refuses some texts the
-    Python loader accepts (such as '{a:[1]}'), words and places its errors
-    differently, and reads a bare '!' on an empty value as '', not null. A
-    text the pass finds _MAX_DEPTH deep is refused as nesting too deep.
+    libyaml's path is the event pass of _EventLoader, behind the row reader
+    (_read_cell_rows), which reads a planar cell table of one-line rows
+    without libyaml and gives the document the pass gives. Both loaders
+    share the Python constructor and resolver, so they give the same objects.
+    Every text the pass hands over, a tagged one included, and every text
+    libyaml refuses goes to the pure-Python loader: libyaml refuses some
+    texts the Python loader accepts (such as '{a:[1]}'), words and places its
+    errors differently, and reads a bare '!' on an empty value as '', not
+    null. A text the pass finds _MAX_DEPTH deep is refused as nesting too
+    deep.
     """
     if yaml.__with_libyaml__:
+        doc = _read_cell_rows(text)
+        if doc is not None:
+            return doc
         try:
             return yaml.load(text, Loader=_EventLoader)
         except _TooDeep:

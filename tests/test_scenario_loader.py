@@ -40,7 +40,11 @@ pytestmark = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built 
 
 
 def _canonical(value):
-    """value with dataclasses as tuples and arrays as their bytes, for an exact comparison."""
+    """value for an exact comparison: dataclasses and dicts as tuples, arrays as their bytes.
+
+    A float is its repr, so that -0.0 is not 0.0, and any other scalar is paired
+    with its type, so that 1 is not True.
+    """
     if dataclasses.is_dataclass(value):
         return (type(value).__name__,
                 *(_canonical(getattr(value, f.name)) for f in dataclasses.fields(value)))
@@ -48,9 +52,11 @@ def _canonical(value):
         return value.dtype.str, value.shape, value.tobytes()
     if isinstance(value, (tuple, list)):
         return tuple(_canonical(v) for v in value)
+    if isinstance(value, dict):
+        return "dict", tuple((_canonical(k), _canonical(v)) for k, v in value.items())
     if isinstance(value, (float, complex)):
         return repr(value)
-    return value
+    return type(value).__name__, value
 
 
 def _python_loader_only():
@@ -656,7 +662,7 @@ def _same(read):
 
 HUGE_INT = "9" * 5000
 # signs, leading zeros, '_', exponents with and without a sign, '.5', '1.' and
-# sexagesimal forms, around the decimal notation '-?(0|[1-9][0-9]*)(.[0-9]+)?'
+# sexagesimal forms, around the decimal notation of scenario._NUMBER
 PLAIN_SCALARS = (st.from_regex(r"[-+]?[0-9_]{0,4}[0-9](?::[0-5]?[0-9]){0,2}(?:\.[0-9_]{0,6})?"
                                r"(?:[eE][-+]?[0-9]{1,3})?", fullmatch=True)
                  | st.from_regex(r"-?\.[0-9]{1,6}|-?[0-9]{1,40}\.?", fullmatch=True)
@@ -664,7 +670,8 @@ PLAIN_SCALARS = (st.from_regex(r"[-+]?[0-9_]{0,4}[0-9](?::[0-5]?[0-9]){0,2}(?:\.
                  | st.integers(-10 ** 40, 10 ** 40).map(str)
                  | st.sampled_from(["+1", "-0", "-0.0", "0.0", "007", "00.5", "1_000", "1e5",
                                     "1e+5", "1.5E-3", ".5", "1.", "1:30", "1:30.5", HUGE_INT,
-                                    "-" + HUGE_INT, HUGE_INT + ".5"]))
+                                    "-" + HUGE_INT, HUGE_INT + ".5", "1.5e-05", "2.5E+3",
+                                    "-0.0e+0", "1.0e5", "1e-05", "9" * 640, "9" * 641]))
 
 
 @settings(max_examples=400, deadline=None)
@@ -837,3 +844,117 @@ def test_valid_cells_never_reach_the_cell_by_cell_reader(monkeypatch):
         raise AssertionError("the cell-by-cell reader ran on valid cells")
     monkeypatch.setattr(scenario, "_cell_by_cell", refuse)
     assert len(parse_scenario(_planar_text(_cell_rows())).geometry.phases) == 1024
+
+
+# ---------------------------------------------------------------------------
+# The row reader of planar cell tables
+# ---------------------------------------------------------------------------
+
+# the number forms of the row grammar (scenario._NUMBER), the benchmark's '%.17e' among them
+ROW_NUMBERS = (st.integers(-10 ** 20, 10 ** 20).map(str)
+               | st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:.17e}")
+               | st.floats(-1e6, 1e6).map(lambda x: f"{x:.6f}")
+               | st.sampled_from(["0", "-0", "0.0", "-0.0", "-0.0e+0", "1.5e-05", "2.5E+3",
+                                  "1.0e+999", "-1.0e-999", "9" * 640]))
+# values the row grammar refuses, each of which YAML reads
+NEAR_NUMBERS = st.sampled_from(["+1.0", ".5", "1.", "1_0", "1.0e5", "1e-05", "007", "0x1F",
+                                "1:30", "9" * 641, "~", "true", ".inf", "'0.5'", "[1, 2]"])
+# the edits that leave a text to the event pass, and those the row reader takes
+FALLBACK_EDITS = ["near-number", "comment", "trailing-space", "tab", "crlf", "no-final-newline",
+                  "repeated-key", "row-anchor", "block-scalar", "comment-line"]
+TAKEN_EDITS = ["cells-anchor", "word-present", "tail"]
+
+
+@st.composite
+def _row(draw, numbers):
+    """One cell row's flow mapping: a subset of the cell keys in a shuffled order."""
+    keys = draw(st.permutations(sorted(scenario._CELL_KEYS)))[:draw(st.integers(0, 5))]
+    items = [f"{key}: " + ("[" + ", ".join(draw(numbers) for _ in range(3)) + "]"
+                          if key == "position" else draw(numbers)) for key in keys]
+    return "{" + ", ".join(items) + "}"
+
+
+@st.composite
+def _cell_table_texts(draw):
+    """(text, edits) of a planar scenario whose cells are one-line rows, with edits applied."""
+    edits = draw(st.sets(st.sampled_from(FALLBACK_EDITS + TAKEN_EDITS), max_size=3))
+    # "  " is an indentless sequence, at the column of its key
+    indent = draw(st.sampled_from(["  ", "   ", "    ", "        "]))
+    if edits & {"tail", "row-anchor", "cells-anchor"}:
+        edits.discard("no-final-newline")  # the text ends in a row only without them
+    rows = draw(st.lists(_row(ROW_NUMBERS), min_size=1 + ("comment-line" in edits), max_size=6))
+    pick = lambda: draw(st.integers(0, len(rows) - 1))  # noqa: E731
+    if "near-number" in edits:
+        rows[pick()] = draw(_row(NEAR_NUMBERS).filter(lambda row: ":" in row))
+    if "repeated-key" in edits:
+        at = pick()
+        rows[at] = rows[at][:-1] + (", " if len(rows[at]) > 2 else "") + "a: 0.5, a: 1}"
+    if "tab" in edits:
+        at = pick()
+        rows[at] = rows[at].replace(": ", ":\t", 1) if ":" in rows[at] else "{\t}"
+    lines = [indent + "- " + row for row in rows]
+    if "row-anchor" in edits:
+        at = pick()
+        lines[at] = lines[at].replace("- ", "- &r ", 1)
+    for edit, tail in (("comment", " # note"), ("trailing-space", " ")):
+        if edit in edits:
+            lines[pick()] += tail
+    if "comment-line" in edits:
+        lines.insert(draw(st.integers(1, len(lines) - 1)), indent + "# a note")
+    anchor = " &c" if "cells-anchor" in edits else ""
+    text = f"geometry:\n  kind: planar\n  cells:{anchor}\n" + "\n".join(lines) + "\n"
+    if "block-scalar" in edits:
+        # the first 'cells:' and the first rows are the block scalar's
+        text = "note: |\n  cells:\n" + "".join(f"  - {row}\n" for row in rows) + text
+    if "word-present" in edits:
+        text = "# rows rowsrows\n" + text
+    if "tail" in edits:
+        text += "incident: [{theta_deg: 20.0}]\nobservation: {radius: 50.0}\n"
+    if "row-anchor" in edits:
+        text += "alias: *r\n"
+    if "cells-anchor" in edits:
+        text += "alias: *c\n"
+    if "no-final-newline" in edits:
+        text = text[:-1]
+    if "crlf" in edits:
+        text = text.replace("\n", "\r\n")
+    return text, edits
+
+
+def _document(load, text):
+    """The canonical document that load(text) gives, or 'refused'."""
+    try:
+        return _canonical(load(text))
+    except (ScenarioError, yaml.YAMLError, *scenario._CONSTRUCTOR_ERRORS):
+        return "refused"
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_cell_table_texts())
+def test_the_row_reader_reads_what_csafeloader_reads(case):
+    text, edits = case
+    reference = _document(lambda t: yaml.load(t, Loader=yaml.CSafeLoader), text)
+    assert _document(scenario._load_yaml, text) == reference
+    taken = scenario._read_cell_rows(text)
+    # every text without a fall-back edit is read by the row reader, and what it reads is
+    # the document; the fall-back edits are each left to the event pass
+    assert (taken is not None) == edits.isdisjoint(FALLBACK_EDITS)
+    if taken is not None:
+        assert _canonical(taken) == reference
+        if "cells-anchor" in edits:
+            assert taken["alias"] is taken["geometry"]["cells"]
+
+
+def test_a_cell_table_reaches_the_event_pass_as_a_short_text(monkeypatch):
+    seen = []
+    load = yaml.load
+
+    def spy(stream, Loader):
+        seen.append((Loader, len(stream)))
+        return load(stream, Loader)
+
+    monkeypatch.setattr(yaml, "load", spy)
+    text = _planar_text(_cell_rows())
+    assert len(parse_scenario(text).geometry.phases) == 1024
+    assert [loader for loader, _ in seen] == [scenario._EventLoader]
+    assert seen[0][1] < 1000 < len(text)
