@@ -506,12 +506,13 @@ class _EventLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
 # with any of the cell keys in any order and every value a plain decimal (_NUMBER).
 _CELL_ITEM = rf"(?:position: \[{_NUMBER}, {_NUMBER}, {_NUMBER}\]|(?:a|b|area|phase): {_NUMBER})"
 _CELL_ROW = rf"- \{{(?:{_CELL_ITEM}(?:, {_CELL_ITEM})*)?\}}\n"
-# A run of cell rows at one indent. Anchored at line starts, a search tries each line
+# Up to 64 cell rows at one indent. Anchored at line starts, a search tries each line
 # once: unanchored, it was quadratic in a line of thousands of spaces. A block
 # collection at column c lies at most 2c + 2 collections deep (each enclosing block
 # collection starts further in, and each may hold one indentless sequence), so a row
-# indented under 100 columns never nears _MAX_DEPTH.
-_CELL_ROWS = re.compile(rf"^( {{0,99}}){_CELL_ROW}(?:\1{_CELL_ROW})*", re.MULTILINE)
+# indented under 100 columns never nears _MAX_DEPTH. The regex engine keeps about 6 kB
+# of backtracking state per row of a repeat, so a table is matched 64 rows at a time.
+_CELL_ROWS = re.compile(rf"^( {{0,99}}){_CELL_ROW}(?:\1{_CELL_ROW}){{0,63}}", re.MULTILINE)
 # what the event pass raises on a text it does not build, and json's ValueError
 _PASS_ERRORS = (yaml.YAMLError, _HandOver, _TooDeep, TypeError, *_CONSTRUCTOR_ERRORS)
 
@@ -519,8 +520,8 @@ _PASS_ERRORS = (yaml.YAMLError, _HandOver, _TooDeep, TypeError, *_CONSTRUCTOR_ER
 def _read_cell_rows(text: str):
     """The document of text with its planar cell table read row by row, or None.
 
-    The first run of _CELL_ROWS lines after the first 'cells:' is read as one
-    JSON array. The value
+    The first run of cell rows at one indent after the first 'cells:' is
+    read as one JSON array. The value
     grammar is a part of JSON's, and json reads a number with a dot by
     float() and one without by int(), as the event pass does. The rest of the
     text goes through the event pass, with that run replaced by one
@@ -536,7 +537,10 @@ def _read_cell_rows(text: str):
     rows = _CELL_ROWS.search(text, at)
     if rows is None:
         return None
-    indent, table = rows.group(1), rows.group()
+    indent, start, end = rows.group(1), rows.start(), rows.end()
+    while (rows := _CELL_ROWS.match(text, end)) and rows.group(1) == indent:
+        end = rows.end()
+    table = text[start:end]
     body = table[len(indent) + 2:-1].replace("\n" + indent + "- ", ",")
     # 'area' and 'phase' before 'a', so that 'a:' is left only where a is the key
     for key in ("position", "area", "phase", "a", "b"):
@@ -546,7 +550,7 @@ def _read_cell_rows(text: str):
         word += word
     try:
         cells = json.loads("[" + body + "]")
-        doc = yaml.load(text[:rows.start()] + indent + "- " + word + "\n" + text[rows.end():],
+        doc = yaml.load(text[:start] + indent + "- " + word + "\n" + text[end:],
                         Loader=_EventLoader)
     except _PASS_ERRORS:
         return None

@@ -929,7 +929,7 @@ def _document(load, text):
         return "refused"
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(case=_cell_table_texts())
 def test_the_row_reader_reads_what_csafeloader_reads(case):
     text, edits = case
