@@ -391,6 +391,12 @@ class _TooDeep(Exception):
     """A text nested _MAX_DEPTH collections deep, which the event pass refuses."""
 
 
+# what the event pass raises on a text it does not build: a hand-over, _TooDeep, a
+# libyaml error, an unhashable key, a constructor error, or the ValueError of a lone
+# surrogate
+_PASS_ERRORS = (_HandOver, _TooDeep, yaml.YAMLError, TypeError, *_CONSTRUCTOR_ERRORS)
+
+
 _STR_TAG = "tag:yaml.org,2002:str"
 # a plain scalar that YAML 1.1 resolves to a decimal int (no leading zero, so never
 # octal) or, with the dot, to a float (an exponent only after the dot and signed, no
@@ -507,38 +513,37 @@ class _EventLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
 _CELL_ITEM = rf"(?:position: \[{_NUMBER}, {_NUMBER}, {_NUMBER}\]|(?:a|b|area|phase): {_NUMBER})"
 _CELL_ROW = rf"- \{{(?:{_CELL_ITEM}(?:, {_CELL_ITEM})*)?\}}\n"
 # Up to 64 cell rows at one indent. Anchored at line starts, a search tries each line
-# once: unanchored, it was quadratic in a line of thousands of spaces. A block
-# collection at column c lies at most 2c + 2 collections deep (each enclosing block
-# collection starts further in, and each may hold one indentless sequence), so a row
-# indented under 100 columns never nears _MAX_DEPTH. The regex engine keeps about 6 kB
-# of backtracking state per row of a repeat, so a table is matched 64 rows at a time.
-_CELL_ROWS = re.compile(rf"^( {{0,99}}){_CELL_ROW}(?:\1{_CELL_ROW}){{0,63}}", re.MULTILINE)
-# what the event pass raises on a text it does not build, and json's ValueError
-_PASS_ERRORS = (yaml.YAMLError, _HandOver, _TooDeep, TypeError, *_CONSTRUCTOR_ERRORS)
+# once, also a line of thousands of spaces. A block collection at column c lies at
+# most 2c + 2 collections deep (each enclosing block collection starts further in, and
+# each may hold one indentless sequence), so a row indented under 100 columns never
+# nears _MAX_DEPTH. The regex engine keeps about 6 kB of backtracking state per row of
+# a repeat, so a table is matched 64 rows at a time. Compiling the pattern takes about
+# 3 ms: it is compiled at its first use, and re.compile caches it.
+_CELL_ROWS = rf"^( {{0,99}}){_CELL_ROW}(?:\1{_CELL_ROW}){{0,63}}"
 
 
 def _read_cell_rows(text: str):
     """The document of text with its planar cell table read row by row, or None.
 
-    The first run of cell rows at one indent after the first 'cells:' is
-    read as one JSON array. The value
-    grammar is a part of JSON's, and json reads a number with a dot by
-    float() and one without by int(), as the event pass does. The rest of the
-    text goes through the event pass, with that run replaced by one
-    placeholder item whose word occurs nowhere in text. The document is taken
-    only if its geometry.cells is exactly that placeholder; the list is then
-    filled in place, so an alias of cells shares it. Every other outcome,
-    an exception included, is None, and the whole text is read as before: the
-    row reader decides no message.
+    The first run of cell rows at one indent after the first 'cells:' is read
+    as one JSON array. The value grammar is a part of JSON's, and json reads
+    a number with a dot by float() and one without by int(), as the event
+    pass does. The rest of the text goes through the event pass, with that
+    run replaced by one placeholder item whose word occurs nowhere in text.
+    The document is taken only if its geometry.cells is exactly that
+    placeholder; the list is then filled in place, so an alias of cells
+    shares it. Every other outcome, an exception included, is None, and the
+    whole text is read as before: the row reader decides no message.
     """
     at = text.find("cells:")
     if at < 0:
         return None
-    rows = _CELL_ROWS.search(text, at)
+    cell_rows = re.compile(_CELL_ROWS, re.MULTILINE)
+    rows = cell_rows.search(text, at)
     if rows is None:
         return None
     indent, start, end = rows.group(1), rows.start(), rows.end()
-    while (rows := _CELL_ROWS.match(text, end)) and rows.group(1) == indent:
+    while (rows := cell_rows.match(text, end)) and rows.group(1) == indent:
         end = rows.end()
     table = text[start:end]
     body = table[len(indent) + 2:-1].replace("\n" + indent + "- ", ",")
@@ -585,9 +590,7 @@ def _load_yaml(text: str):
             return yaml.load(text, Loader=_EventLoader)
         except _TooDeep:
             raise ScenarioError(_TOO_DEEP) from None
-        # a hand-over, an unhashable key, a constructor error, or the ValueError of
-        # a lone surrogate
-        except (yaml.YAMLError, _HandOver, TypeError, *_CONSTRUCTOR_ERRORS):
+        except _PASS_ERRORS:
             pass
     try:
         return yaml.load(text, Loader=_LocatingLoader)

@@ -10,7 +10,9 @@ with a small stack (as does a deep desired-pattern file), what the event pass
 hands over, that it reads plain decimals and repeated plain words as resolve
 and its constructor read them, and that both loaders give the same scenario.
 Planar cells are read as columns, which must keep the bits and the refusals
-of the cell-by-cell reader.
+of the cell-by-cell reader. A planar cell table of one-line rows is read by
+the row reader, which must give what yaml.CSafeLoader gives and leave every
+other text to the event pass.
 """
 import contextlib
 import dataclasses
@@ -883,7 +885,10 @@ def _cell_table_texts(draw):
     if edits & {"tail", "row-anchor", "cells-anchor"}:
         edits.discard("no-final-newline")  # the text ends in a row only without them
     rows = draw(st.lists(_row(ROW_NUMBERS), min_size=1 + ("comment-line" in edits), max_size=6))
-    pick = lambda: draw(st.integers(0, len(rows) - 1))  # noqa: E731
+
+    def pick():
+        return draw(st.integers(0, len(rows) - 1))
+
     if "near-number" in edits:
         rows[pick()] = draw(_row(NEAR_NUMBERS).filter(lambda row: ":" in row))
     if "repeated-key" in edits:
