@@ -520,6 +520,8 @@ _CELL_ROW = rf"- \{{(?:{_CELL_ITEM}(?:, {_CELL_ITEM})*)?\}}\n"
 # a repeat, so a table is matched 64 rows at a time. Compiling the pattern takes about
 # 3 ms: it is compiled at its first use, and re.compile caches it.
 _CELL_ROWS = rf"^( {{0,99}}){_CELL_ROW}(?:\1{_CELL_ROW}){{0,63}}"
+# blank and comment lines, which may stand between the items of a block sequence
+_BLANK_LINES = re.compile(r"(?:[ ]*(?:#.*)?\n)*")
 
 
 def _read_cell_rows(text: str):
@@ -545,6 +547,10 @@ def _read_cell_rows(text: str):
     indent, start, end = rows.group(1), rows.start(), rows.end()
     while (rows := cell_rows.match(text, end)) and rows.group(1) == indent:
         end = rows.end()
+    # an item after the rows, such as a row the grammar refuses, would fail the check
+    # below: the text goes to the event pass without the cost of reading the rows
+    if text.startswith(indent + "-", _BLANK_LINES.match(text, end).end()):
+        return None
     table = text[start:end]
     body = table[len(indent) + 2:-1].replace("\n" + indent + "- ", ",")
     # 'area' and 'phase' before 'a', so that 'a:' is left only where a is the key
