@@ -70,7 +70,10 @@ def shuffled_cells(count=1024):
     Every other cell has an area. The rows are those the row reader reads.
     """
     rng, rows = random.Random(11), []
-    number = lambda v: f"{v:.17e}" if rng.random() < 1 / 3 else f"{v:.6f}"  # noqa: E731
+
+    def number(v):
+        return f"{v:.17e}" if rng.random() < 1 / 3 else f"{v:.6f}"
+
     for i in range(count):
         x, y, z = ((i % 32) * 0.5 + rng.uniform(-0.05, 0.05),
                    (i // 32) * 0.5 + rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
