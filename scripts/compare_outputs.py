@@ -11,7 +11,9 @@ third of its numbers in exponent form (read by the row reader), the same file
 with a comment line inside its cell table and with CRLF line ends (both read
 by the event pass alone), a 256-cell one-line JSON file, a 256-cell file with
 a '!' in a comment, one with a merged cell, one with a cell shared by alias and
-one with quoted keys and values; and a fixed list of malformed inputs, among
+one with quoted keys and values, a 64-cell file at normal incidence on the
+phi = 0 cut (whose rows with theta >= 0 the factored cell sum leaves to the
+per-term sum); and a fixed list of malformed inputs, among
 them an empty stream, a second document, a block text 3000 levels deep, a
 one-line flow text 5000 levels deep and a 2000-deep one after a tab that
 only libyaml reads.
@@ -178,6 +180,11 @@ SCENARIOS = {
     # a tab between flow items, which libyaml reads and the Python loader refuses
     "deep_flow_tab.yaml": "x: {a: 1,\tc: 2}\ngeometry: " + "[" * 2000 + "]" * 2000 + "\n",
     "planar_null_area.yaml": planar_cells(null_area_at=700) + PLANAR_TAIL,
+    # normal incidence on the phi = 0 cut: u_y is 0 on every row with theta >= 0 and about
+    # 1e-16 on the rest, and u_x is 0 at theta = 0, so the factored cell sum leaves some
+    # rows to the per-term sum
+    "planar_normal.yaml": planar_cells(64) + "incident: [{theta_deg: 0.0}]\n"
+    "observation: {radius: 50.0, grid: {start_deg: -90.0, stop_deg: 90.0, count: 181}}\n",
     "bad_desired.yaml": linear()
     + "configure: {scheme: reshape, desired_pattern_file: bad_desired.json}\n",
     "bad_desired.json": json.dumps({"desired": [[1.0, "x"]] * 16}),
@@ -206,6 +213,7 @@ RUNS = {
     "sweep-planar-merge": ["sweep", "planar_merge.yaml", "--format", "json",
                            "--out", "planar_merge.json"],
     "sweep-planar-shared": ["sweep", "planar_shared.yaml", "--out", "planar_shared.csv"],
+    "sweep-planar-normal": ["sweep", "planar_normal.yaml", "--out", "planar_normal.csv"],
     "sweep-quoted": ["sweep", "quoted.yaml", "--out", "quoted.json"],
     "sweep-patch": ["sweep", "patch.yaml", "--format", "json", "--out", "patch.json"],
     "sweep-patch-no-waves": ["sweep", "patch_no_waves.yaml", "--out", "patch_no_waves.csv"],

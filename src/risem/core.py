@@ -142,14 +142,15 @@ def _polarization_factors(phi_i, theta_s, phi_s):
     return f_theta, f_phi
 
 
-def _phasor_libm(arg) -> np.ndarray:
+def _phasor_libm(arg, out=None) -> np.ndarray:
     """exp(j arg) of a real array, cos and sin written into the parts of one complex array.
 
     These are the bits of np.exp(1j * arg) without its complex temporaries,
     except at arg = -0.0, whose imaginary part here is -0.0. _phasor's
-    fallback, and its reference in the tests.
+    fallback, and its reference in the tests. out, if given, is a complex
+    array of arg's shape that receives the result.
     """
-    phase = np.empty(np.shape(arg), dtype=complex)
+    phase = np.empty(np.shape(arg), dtype=complex) if out is None else out
     np.cos(arg, out=phase.real)
     np.sin(arg, out=phase.imag)
     return phase
@@ -218,7 +219,7 @@ def _work_arrays():
     return arrays
 
 
-def _phasor(arg) -> np.ndarray:
+def _phasor(arg, out=None) -> np.ndarray:
     """exp(j arg) of a real array, from a table of the unit circle and a short polynomial.
 
     Table-driven (Tang, ACM TOMS 15(2), 1989), with N = _TABLE_SIZE:
@@ -230,15 +231,16 @@ def _phasor(arg) -> np.ndarray:
     argument keeps imaginary part -0.0.
 
     Arrays of any shape are evaluated in pieces of CHUNK_TERMS through this
-    thread's work arrays, so a call allocates only its result. A 0-d or empty
-    array, or one with a value that is not finite or past _TABLE_RANGE in
-    magnitude, takes _phasor_libm whole.
+    thread's work arrays, so a call allocates only its result, and nothing
+    when out, a C-contiguous complex array of arg's shape, receives it. A 0-d
+    or empty array, or one with a value that is not finite or past
+    _TABLE_RANGE in magnitude, takes _phasor_libm whole.
     """
     arg = np.asarray(arg, dtype=float)
     if (arg.ndim == 0 or not arg.size
             or not (arg.min() >= -_TABLE_RANGE and arg.max() <= _TABLE_RANGE)):
-        return _phasor_libm(arg)
-    phase = np.empty(arg.shape, dtype=complex)
+        return _phasor_libm(arg, out)
+    phase = np.empty(arg.shape, dtype=complex) if out is None else out
     flat_arg, flat = arg.reshape(-1), phase.reshape(-1)
     k_all, index_all, rotation_all = _work_arrays()
     for lo in range(0, flat.size, CHUNK_TERMS):

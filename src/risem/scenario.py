@@ -527,21 +527,26 @@ _BLANK_LINES = re.compile(r"(?:[ ]*(?:#.*)?\n)*")
 def _read_cell_rows(text: str):
     """The document of text with its planar cell table read row by row, or None.
 
-    The first run of cell rows at one indent after the first 'cells:' is read
-    as one JSON array. The value grammar is a part of JSON's, and json reads
-    a number with a dot by float() and one without by int(), as the event
-    pass does. The rest of the text goes through the event pass, with that
-    run replaced by one placeholder item whose word occurs nowhere in text.
+    The run of cell rows at one indent that follows the line of the first
+    'cells:', past blank and comment lines only, is read as one JSON array.
+    The value grammar is a part of JSON's, and json reads a number with a dot
+    by float() and one without by int(), as the event pass does. The rest of
+    the text goes through the event pass, with that run replaced by one
+    placeholder item whose word occurs nowhere in text.
     The document is taken only if its geometry.cells is exactly that
     placeholder; the list is then filled in place, so an alias of cells
     shares it. Every other outcome, an exception included, is None, and the
     whole text is read as before: the row reader decides no message.
     """
     at = text.find("cells:")
-    if at < 0:
+    line_end = text.find("\n", at) if at >= 0 else -1
+    if line_end < 0:
         return None
     cell_rows = re.compile(_CELL_ROWS, re.MULTILINE)
-    rows = cell_rows.search(text, at)
+    # the rows start on the line after 'cells:', past blank and comment lines. Anything
+    # else before them, such as a first row the grammar refuses, would fail the check
+    # below: the text goes to the event pass without the cost of reading the rows
+    rows = cell_rows.match(text, _BLANK_LINES.match(text, line_end + 1).end())
     if rows is None:
         return None
     indent, start, end = rows.group(1), rows.start(), rows.end()

@@ -3,7 +3,9 @@
 Each cell contributes the single-patch far field weighted by its configured
 phase shift and by the interelement path-length phase along the incident and
 scatter directions. Cells lie parallel to the xy-plane; conformal support
-means arbitrary positions, not rotated cell frames.
+means arbitrary positions, not rotated cell frames. The cell sum runs in the
+factored form of the MIMO model (_factored_sums), with the per-term sum
+(_sum_cells) as its fallback.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (TWO_PI, Direction, ObservationPoint, PlaneWave, SphericalField,
+from .core import (CHUNK_TERMS, TWO_PI, Direction, ObservationPoint, PlaneWave, SphericalField,
                    WaveContext, _chunked, _phasor, _polarization_factors, _sinc_pair, _sum_waves,
                    _unit_vectors, _wave_arrays, direction_vector, positive_finite)
 
@@ -135,14 +137,82 @@ def _cell_terms(geom: RisGeometry, u: np.ndarray, weights) -> np.ndarray:
 def _sum_cells(geom: RisGeometry, u) -> np.ndarray:
     """Cell sum over an array of u = u_i + u_s of shape (..., 3), weights (A_n/lam) e^{j Omega_n}.
 
-    The sum runs over chunks of core.CHUNK_TERMS cell-terms, so memory stays
-    bounded for any number of directions.
+    One term per cell and u, with the path argument formed as the benchmark's
+    reference forms it: the fallback of _factored_sums, and its reference in
+    the tests. The sum runs over chunks of core.CHUNK_TERMS cell-terms, so
+    memory stays bounded for any number of directions.
     """
     u = np.asarray(u, dtype=float)
     weights = geom.areas / geom.ctx.wavelength * np.exp(1j * geom.phases)
     out = _chunked(lambda c: np.sum(_cell_terms(geom, c, weights), axis=-1), u.reshape(-1, 3),
                    len(geom.phases))
     return out.reshape(u.shape[:-1])
+
+
+# The bounds of the factored sum. Where pi a/lam, pi b/lam and A/lam lie within
+# [1/_FACTORED_RANGE, _FACTORED_RANGE] for every cell and |u_x u_y| is at least
+# 1/_FACTORED_RANGE, its products stay in the normal float range: c_n is at most
+# 2^900, and with both sine arguments within pi/2 the sine product is at least
+# (2/pi)^2 2^-900 (2^120 above the normal floor) and c_n times it at least
+# (2/pi)^2 2^-600. Only near a zero of the sinc, where the term itself is near
+# zero, can a product fall lower.
+_FACTORED_RANGE = 2.0 ** 300
+
+
+def _factored_sums(geom: RisGeometry, u_i, u_s) -> np.ndarray:
+    """Cell sums at u = u_i,w + u_s for W waves u_i (W, 3) and points u_s (..., 3); shape (W, ...).
+
+    The sum of _sum_cells, in the factored form of the MIMO model:
+    sum_n (A_n/lam) e^{j Omega_n} Sa_n e^{j 2 pi p_n.u/lam} =
+    sum_n P_n S_wn q_wn / (u_x u_y), with the scatter phase
+    P_n = e^{j 2 pi p_n.u_s/lam}, shared by every wave, the sine product
+    S_wn = sin(pi a_n u_x/lam) sin(pi b_n u_y/lam), and per wave and cell
+    q_wn = c_n e^{j (2 pi p_n.u_i,w/lam + Omega_n)}, c_n = (A_n/lam) / ((pi a_n/lam)(pi b_n/lam)).
+    So no term is divided, and the configured phase costs no complex multiply
+    per term.
+
+    Outside the bounds of _FACTORED_RANGE, a product could leave the normal
+    range: a geometry then takes _sum_cells whole, and a (wave, point) row,
+    such as u_y = 0 exactly at normal incidence on the phi = 0 cut, takes it
+    for that row. Chunks hold max(1, CHUNK_TERMS // cells) points, and their
+    arrays are made once per call.
+    """
+    lam = geom.ctx.wavelength
+    u_i, u_s = np.asarray(u_i, dtype=float), np.asarray(u_s, dtype=float)
+    points = u_s.reshape(-1, 3)
+    shape = (len(u_i), *u_s.shape[:-1])
+    alpha, beta, scale = np.pi * geom.a / lam, np.pi * geom.b / lam, geom.areas / lam
+    bounds = np.concatenate([alpha, beta, scale])
+    if not (bounds.min() >= 1.0 / _FACTORED_RANGE and bounds.max() <= _FACTORED_RANGE):
+        return _sum_cells(geom, u_i[:, None] + points).reshape(shape)
+    out = np.empty((len(u_i), len(points)), dtype=complex)
+    if len(u_i) and len(points):
+        k = geom.positions.T * (TWO_PI / lam)
+        q = scale / (alpha * beta) * _phasor(u_i @ k + geom.phases)
+        n = len(alpha)
+        step = max(1, CHUNK_TERMS // n)
+        rows = min(step, len(points))
+        phase, term = (np.empty((rows, n), dtype=complex) for _ in range(2))
+        sin_x, sin_y = (np.empty((rows, n)) for _ in range(2))
+        for lo in range(0, len(points), step):
+            chunk = points[lo:lo + step]
+            m = len(chunk)
+            p, t, sx, sy = phase[:m], term[:m], sin_x[:m], sin_y[:m]
+            _phasor(np.matmul(chunk, k, out=sx), out=p)
+            for w, (u_x, u_y, _) in enumerate(u_i):
+                ux, uy = u_x + chunk[:, 0], u_y + chunk[:, 1]
+                np.sin(np.multiply(ux[:, None], alpha, out=sx), out=sx)
+                np.sin(np.multiply(uy[:, None], beta, out=sy), out=sy)
+                sx *= sy
+                # the rows left to _sum_cells may divide by zero or overflow here
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    np.divide(np.matmul(np.multiply(p, sx, out=t), q[w]), ux * uy,
+                              out=out[w, lo:lo + m])
+    ux, uy = u_i[:, None, 0] + points[:, 0], u_i[:, None, 1] + points[:, 1]
+    rest = np.nonzero(~(np.abs(ux * uy) >= 1.0 / _FACTORED_RANGE))
+    if len(rest[0]):
+        out[rest] = _sum_cells(geom, u_i[rest[0]] + points[rest[1]])
+    return out.reshape(shape)
 
 
 def _fields(geom: RisGeometry, waves: Sequence[PlaneWave], r: float, theta_s, phi_s):
@@ -156,8 +226,8 @@ def _fields(geom: RisGeometry, waves: Sequence[PlaneWave], r: float, theta_s, ph
     theta, phi, amplitude = _wave_arrays(waves, u_s.ndim - 1)
     pref = geom.ctx.coupling * np.exp(-2j * np.pi * r / lam) / r * amplitude * np.cos(theta)
     f_theta, f_phi = _polarization_factors(phi, theta_s, phi_s)
-    # every wave is one slice of a single cell sum over u_i + u_s
-    s = _sum_cells(geom, _unit_vectors(theta, phi) + u_s)
+    # one factored call sums the cells for every wave
+    s = _factored_sums(geom, _unit_vectors(theta, phi).reshape(-1, 3), u_s)
     return _sum_waves(pref * f_theta * s), _sum_waves(pref * f_phi * s)
 
 

@@ -1,5 +1,6 @@
 """Primitives: sinc branches, wave constants, directions, directivity factors."""
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,6 +286,21 @@ class TestTablePhasor:
         finally:
             tracemalloc.stop()
         assert peak <= got.nbytes + 4096
+
+    @pytest.mark.parametrize("limit", [1e3, 4.0 * core._TABLE_RANGE], ids=["table", "libm"])
+    def test_out_receives_the_bits_and_nothing_is_allocated(self, limit):
+        arg = np.random.default_rng(8).uniform(-limit, limit, (16, 1000))
+        want = _phasor(arg)
+        out = np.empty((20, 1000), dtype=complex)[:16]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = _phasor(arg, out=out)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert got is out and peak <= 4096
+        assert np.array_equal(_bits(out.view(float)), _bits(want.view(float)))
 
     def test_threads_at_once_get_the_serial_bits(self):
         import sys

@@ -19,6 +19,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -839,6 +840,25 @@ def test_a_refused_cell_gets_the_cell_by_cell_message(refuse, at):
     with pytest.raises(ScenarioError) as parsed:
         parse_scenario(text)
     assert str(parsed.value) == str(by_cell.value)
+
+
+@pytest.mark.parametrize("refuse", REFUSED_CELLS.values(), ids=REFUSED_CELLS)
+def test_a_first_row_the_grammar_refuses_is_never_read_as_json(monkeypatch, refuse):
+    rows = _cell_rows()
+    rows[0] = refuse(rows[0])
+    text = _planar_text(rows)
+    first = text[text.index("    - "):text.index("\n", text.index("    - ")) + 1]
+    loads, calls = json.loads, []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(scenario.json, "loads", spy)
+    with pytest.raises(ScenarioError, match=r"'geometry\.cells\[0\]"):
+        parse_scenario(text)
+    # a first row that the grammar reads leaves the whole table to one json.loads
+    assert len(calls) == (re.fullmatch(scenario._CELL_ROW, first.lstrip()) is not None)
 
 
 def test_valid_cells_never_reach_the_cell_by_cell_reader(monkeypatch):

@@ -13,7 +13,7 @@ from risem import (Direction, LinearRis, ObservationPoint, PlaneWave,
                    sinc_normalized)
 from risem import surface as surface_module
 from risem.core import CHUNK_TERMS, direction_vector
-from risem.surface import _sum_cells
+from risem.surface import _FACTORED_RANGE, _factored_sums, _sum_cells
 
 CTX = WaveContext()
 safe_theta = st.floats(0.0, math.radians(85.0))
@@ -33,19 +33,21 @@ def _cell_data(ris: RisGeometry) -> tuple:
               for name in ("a", "b", "area", "phase_shift")))
 
 
-def _direct_cell_sum(cells: tuple, lam: float, incident: Direction, scatter: Direction) -> complex:
-    """Sum over cells of (A_n/lam) e^{j Omega_n} Sa_n e^{j 2 pi p.(u_i+u_s)/lam}.
+def _direct_sum_at(cells: tuple, lam: float, u) -> complex:
+    """Sum over cells of (A_n/lam) e^{j Omega_n} Sa_n e^{j 2 pi p.u/lam} at one u = u_i + u_s.
 
-    One direction pair at a time, over the cell data of _cell_data.
+    Over the cell data of _cell_data.
     """
     positions, a, b, areas, phases = cells
-    u = direction_vector(incident) + direction_vector(scatter)
-    proj = positions @ u
-    sx = np.sin(scatter.theta) * np.cos(scatter.phi) + np.sin(incident.theta) * np.cos(incident.phi)
-    sy = np.sin(scatter.theta) * np.sin(scatter.phi) + np.sin(incident.theta) * np.sin(incident.phi)
-    sa = sinc_normalized(np.pi * a / lam * sx) * sinc_normalized(np.pi * b / lam * sy)
-    terms = (areas / lam) * np.exp(1j * phases) * sa * np.exp(1j * 2.0 * np.pi * proj / lam)
+    sa = sinc_normalized(np.pi * a / lam * u[0]) * sinc_normalized(np.pi * b / lam * u[1])
+    terms = (areas / lam) * np.exp(1j * phases) * sa * np.exp(1j * 2.0 * np.pi * (positions @ u)
+                                                              / lam)
     return complex(np.sum(terms))
+
+
+def _direct_cell_sum(cells: tuple, lam: float, incident: Direction, scatter: Direction) -> complex:
+    """_direct_sum_at for one direction pair, at u = u_i + u_s."""
+    return _direct_sum_at(cells, lam, direction_vector(incident) + direction_vector(scatter))
 
 
 def _random_geometry(n: int, rng) -> RisGeometry:
@@ -102,11 +104,11 @@ class TestCellSumKernel:
     def test_fields_over_waves_take_one_cell_sum(self, monkeypatch, shape_t, shape_p):
         calls = []
 
-        def spy(geom, u):
-            calls.append(np.shape(u))
-            return _sum_cells(geom, u)
+        def spy(geom, u_i, u_s):
+            calls.append((np.shape(u_i), np.shape(u_s)))
+            return _factored_sums(geom, u_i, u_s)
 
-        monkeypatch.setattr(surface_module, "_sum_cells", spy)
+        monkeypatch.setattr(surface_module, "_factored_sums", spy)
         rng = np.random.default_rng(8)
         geom = _random_geometry(40, rng)
         waves = [PlaneWave(Direction(t, p), a)
@@ -115,13 +117,137 @@ class TestCellSumKernel:
         phi_s = rng.uniform(-np.pi, np.pi, shape_p)
         e_theta, e_phi = surface_module._fields(geom, waves, 60.0, theta_s, phi_s)
         shape = np.broadcast_shapes(shape_t, shape_p)
-        assert calls == [(3, *shape, 3)]
+        assert calls == [((3, 3), (*shape, 3))]
         assert e_theta.shape == e_phi.shape == shape
         # against the sum of its one-wave fields
         parts = [surface_module._fields(geom, [w], 60.0, theta_s, phi_s) for w in waves]
         for k, got in enumerate((e_theta, e_phi)):
             want = sum(p[k] for p in parts)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _unit(theta, phi) -> np.ndarray:
+    return direction_vector(Direction(theta, phi))
+
+
+def _spy_on_the_per_term_sum(monkeypatch) -> list:
+    """The u arrays that _factored_sums hands to _sum_cells, one per call."""
+    calls = []
+
+    def spy(geom, u):
+        calls.append(np.array(u))
+        return _sum_cells(geom, u)
+
+    monkeypatch.setattr(surface_module, "_sum_cells", spy)
+    return calls
+
+
+def _factored_deviation(geom, u_i, u_s) -> float:
+    """The largest distance of _factored_sums from the per-term sum and from the direct sum,
+    over the largest direct value; 0 when there is nothing to sum."""
+    got = _factored_sums(geom, u_i, u_s)
+    u = u_i.reshape((len(u_i),) + (1,) * (u_s.ndim - 1) + (3,)) + u_s
+    per_term = _sum_cells(geom, u)
+    cells, lam = _cell_data(geom), geom.ctx.wavelength
+    direct = np.array([_direct_sum_at(cells, lam, v) for v in u.reshape(-1, 3)])
+    assert got.shape == per_term.shape == (len(u_i), *u_s.shape[:-1])
+    if not direct.size:
+        return 0.0
+    direct = direct.reshape(got.shape)
+    worst = max(np.max(np.abs(got - per_term)), np.max(np.abs(got - direct)))
+    return worst / np.max(np.abs(direct))
+
+
+class TestFactoredSum:
+    """_factored_sums against the per-term sum it keeps as a fallback, and the direct sum."""
+
+    @given(st.sampled_from([1, 2, 5, 100, 2 ** 14 - 1, 2 ** 14 + 3]), st.integers(0, 3),
+           st.sampled_from([(), (5,), (7,), (6,), (3, 4), (2, 3)]),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_waves_and_scatter_shapes(self, n, waves, shape, seed):
+        rng = np.random.default_rng(seed)
+        geom = _random_geometry(n, rng)
+        u_i = _unit(rng.uniform(0.0, np.pi / 2, waves), rng.uniform(-np.pi, np.pi, waves))
+        u_s = _unit(rng.uniform(0.0, np.pi / 2, shape), rng.uniform(-np.pi, np.pi, shape))
+        assert _factored_deviation(geom, u_i.reshape(waves, 3), u_s) <= 1e-12
+
+    @pytest.mark.parametrize("n,count", [(1, CHUNK_TERMS + 5), (100, 3 * (CHUNK_TERMS // 100) + 7),
+                                         (2 ** 14 + 3, 2)])
+    def test_chunk_edges(self, n, count):
+        rng = np.random.default_rng(n)
+        geom = _random_geometry(n, rng)
+        u_i = np.array([_unit(0.4, 0.9), _unit(1.2, -2.0)])
+        u_s = _unit(np.linspace(0.0, 1.5, count), np.linspace(-3.0, 3.0, count))
+        assert _factored_deviation(geom, u_i, u_s) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 100, 2 ** 14 - 1, 2 ** 14 + 3])
+    def test_rows_with_a_zero_or_tiny_component_take_the_per_term_sum(self, monkeypatch, n):
+        geom = _random_geometry(n, np.random.default_rng(n))
+        # normal incidence, then an oblique wave for which every row is ordinary
+        u_i = np.array([[0.0, 0.0, 1.0], _unit(0.4, 0.9)])
+        u_s = np.array([[0.0, 0.3, 0.8],      # u_x = 0
+                        [0.5, 0.0, 0.8],      # u_y = 0
+                        [0.0, 0.0, 1.0],      # both
+                        [1e-300, 0.3, 0.8],   # |u_x| of 1e-300
+                        [-1e-300, 0.0, 0.9],
+                        [0.5, 2.2e-311, 0.8],  # a subnormal u_y: 1/(u_x u_y) overflows
+                        [0.5, 0.3, 0.8]])
+        calls = _spy_on_the_per_term_sum(monkeypatch)
+        got = _factored_sums(geom, u_i, u_s)
+        assert len(calls) == 1 and np.array_equal(calls[0], u_i[0] + u_s[:6])
+        # those rows are the per-term sum's, bit for bit
+        assert np.array_equal(got[0, :6], _sum_cells(geom, u_i[0] + u_s[:6]))
+        assert _factored_deviation(geom, u_i, u_s) <= 1e-12
+
+    @pytest.mark.parametrize("edge", [1e-160, 1e6])
+    @pytest.mark.parametrize("given_area", [True, False], ids=["area", "no-area"])
+    def test_edges_far_from_the_wavelength(self, monkeypatch, edge, given_area):
+        rng = np.random.default_rng(3)
+        n, lam = 5, 0.8
+        a, b = edge * lam * rng.uniform(0.5, 1.0, (2, n))
+        areas = a * b * rng.uniform(0.5, 1.0, n) if given_area else [None] * n
+        geom = RisGeometry.from_arrays(rng.uniform(-3.0, 3.0, (n, 3)), a, b, areas,
+                                       rng.uniform(0.0, 6.0, n), WaveContext(lam))
+        u_i = np.array([_unit(0.3, 0.5), _unit(1.1, -2.0)])
+        u_s = _unit(rng.uniform(0.1, 1.4, 7), rng.uniform(-3.0, 3.0, 7))
+        calls = _spy_on_the_per_term_sum(monkeypatch)
+        assert _factored_deviation(geom, u_i, u_s) <= 1e-12
+        # edges of 1e-160 wavelengths put pi a/lam under the bound: the whole geometry
+        # takes the per-term sum
+        assert [np.shape(u) for u in calls] == ([(2, 7, 3)] if edge < 1 else [])
+
+    @pytest.mark.parametrize("column", ["a", "b", "area"])
+    @pytest.mark.parametrize("side", [-1, 1], ids=["under", "over"])
+    @pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
+    def test_both_sides_of_the_geometry_bound(self, monkeypatch, column, side, inside):
+        # pi a/lam, pi b/lam or A/lam at twice or half the bound, the others ordinary
+        value = (_FACTORED_RANGE / 2.0 if inside else 2.0 * _FACTORED_RANGE) ** side
+        rng = np.random.default_rng(4)
+        n = 4
+        columns = {"a": rng.uniform(0.2, 0.45, n), "b": rng.uniform(0.2, 0.45, n),
+                   "area": rng.uniform(0.05, 0.2, n)}
+        columns[column][1] = value / np.pi if column != "area" else value
+        geom = RisGeometry.from_arrays(rng.uniform(-2.0, 2.0, (n, 3)), columns["a"],
+                                       columns["b"], columns["area"], rng.uniform(0.0, 6.0, n),
+                                       CTX)
+        u_i = np.array([_unit(0.3, 0.5)])
+        u_s = _unit(rng.uniform(0.1, 1.4, 6), rng.uniform(-3.0, 3.0, 6))
+        calls = _spy_on_the_per_term_sum(monkeypatch)
+        assert _factored_deviation(geom, u_i, u_s) <= 1e-12
+        assert [np.shape(u) for u in calls] == ([] if inside else [(1, 6, 3)])
+
+    @pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
+    def test_both_sides_of_the_row_bound(self, monkeypatch, inside):
+        geom = _random_geometry(6, np.random.default_rng(5))
+        u_x = 2.0 ** (-150 if inside else -151)
+        u_i = np.array([[0.0, 0.0, 1.0]])
+        u_s = np.array([[u_x, 2.0 * u_x, 0.9], [0.4, 0.3, 0.8]])
+        # |u_x u_y| at twice or half the bound
+        assert u_x * 2.0 * u_x == (2.0 if inside else 0.5) / _FACTORED_RANGE
+        calls = _spy_on_the_per_term_sum(monkeypatch)
+        assert _factored_deviation(geom, u_i, u_s) <= 1e-12
+        assert [np.shape(u) for u in calls] == ([] if inside else [(1, 3)])
 
 
 class TestFromArrays:
