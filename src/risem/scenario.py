@@ -27,7 +27,7 @@ from .config import (ReshapeSolution, beam_reshape, monte_carlo_power_grid,
                      phase_compensation, random_phase_draw, random_phase_miso_expected_power)
 from .linear import LinearRis, MimoSystem, _field, dft_scatter_grid, mimo_on_angles
 from .patch import Patch
-from .surface import RisGeometry, UnitCell, _field_magnitude
+from .surface import RisGeometry, UnitCell, _RefusedCell, _field_magnitude
 
 DEFAULT_RADIUS_WAVELENGTHS = 100.0
 
@@ -46,23 +46,20 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _finite_floats(values: list) -> np.ndarray | None:
-    """The values as a float array if each is a finite number (_is_finite_number), else None.
+def _finite_floats(values: list) -> np.ndarray:
+    """The values as a float array, NaN for each that is not a finite number (_is_finite_number).
 
-    Checked as a column: one type test, where a bool is not an int, and one
-    conversion, which an int past the float range fails. An int just past the
-    largest float rounds to it instead, so a column that reaches it is checked
-    value by value.
+    Checked as a column where it can be: one type test, where a bool is not an
+    int, and one conversion, which an int past the float range fails. An int
+    just past the largest float rounds to it instead, so a column that reaches
+    it is read value by value, as is one that fails.
     """
-    if not set(map(type, values)) <= {int, float}:
-        return None
-    try:
-        column = np.array(values, dtype=float)
-    except OverflowError:
-        return None
-    if np.all(np.abs(column) < sys.float_info.max) or all(map(_is_finite_number, values)):
-        return column
-    return None
+    if set(map(type, values)) <= {int, float}:
+        with contextlib.suppress(OverflowError):
+            column = np.array(values, dtype=float)
+            if np.all(np.abs(column) < sys.float_info.max):
+                return column
+    return np.array([v if _is_finite_number(v) else np.nan for v in values], dtype=float)
 
 
 def _is_numbers(value, count: int) -> bool:
@@ -209,18 +206,30 @@ _CELL_KEYS = {"position", "a", "b", "area", "phase"}
 def _parse_geometry(node, ctx):
     """The geometry kind and its model: a LinearRis, or a RisGeometry for patch and planar.
 
-    Planar cells are read as columns. Where _cell_columns or
-    RisGeometry.from_arrays refuses them, the cells are read one by one,
-    which names the first refused cell in its own words.
+    Planar cells are read as columns, and RisGeometry.from_arrays checks them.
+    Where it refuses one, only the first refused cell is read again, by the
+    typed reads and UnitCell, which name it in their own words.
     """
     kind, geo = _tagged(node, "geometry", "kind", _GEOMETRY_KEYS)
     if kind == "planar":
-        columns = _cell_columns(geo.value("cells", lambda v: isinstance(v, list) and len(v) > 0,
-                                          "a non-empty list"))
-        if columns is not None:
-            with contextlib.suppress(ValueError):
-                return kind, RisGeometry.from_arrays(*columns, ctx)
-        return kind, _cell_by_cell(geo, ctx)
+        cells = geo.value("cells", lambda v: isinstance(v, list) and len(v) > 0,
+                          "a non-empty list")
+        # every cell's section is built before any value is read, so a cell that is not
+        # a mapping of cell keys is named first, wherever it stands
+        row = next((i for i, c in enumerate(cells)
+                    if not (isinstance(c, dict) and c.keys() <= _CELL_KEYS)), None)
+        if row is None:
+            try:
+                return kind, RisGeometry.from_arrays(*_cell_columns(cells), ctx)
+            except _RefusedCell as refused:
+                row = refused.row
+        c = _Section(cells[row], f"geometry.cells[{row}]", _CELL_KEYS)
+        position = c.value("position", lambda v: _is_numbers(v, 3),
+                           "a list of three finite numbers")
+        _build(c.name, UnitCell, np.array(position, dtype=float), c.number("a"), c.number("b"),
+               c.number("area", None), c.number("phase", 0.0))
+        # not reached: a cell refused in a column is refused on its own
+        raise ScenarioError(f"invalid '{c.name}'")
     a, b, area = geo.number("a"), geo.number("b"), geo.number("area", None)
     if kind == "patch":
         return kind, RisGeometry((_build("geometry", Patch, a, b, area),), ctx)
@@ -229,40 +238,21 @@ def _parse_geometry(node, ctx):
 
 
 def _cell_columns(cells):
-    """The planar cells as (positions, a, b, areas, phases), or None if one is refused.
+    """The planar cells, mappings of cell keys, as from_arrays's (positions, a, b, areas, phases).
 
-    The checks are the per-cell reader's: each cell is a mapping of cell keys,
-    its position is three finite numbers, and its edges, and its area and
-    phase where given, are finite numbers. A key whose value is null is
-    given, and refused. positions (N, 3), a, b and phases are float arrays;
-    areas is a list, with None for an area not given.
+    Every value that the per-cell reads refuse is NaN, which from_arrays
+    refuses too: a position that is not a list of three, a missing edge, and a
+    value that is not a finite number, null included. areas is a list, with
+    None for an area not given.
     """
-    if not all(isinstance(c, dict) and c.keys() <= _CELL_KEYS for c in cells):
-        return None
-    positions = [c.get("position") for c in cells]
-    if not all(isinstance(p, list) and len(p) == 3 for p in positions):
-        return None
-    areas = [c.get("area") for c in cells]
-    columns = [_finite_floats(values) for values in (
+    positions = [p if isinstance(p, list) and len(p) == 3 else [None] * 3
+                 for p in (c.get("position") for c in cells)]
+    positions, a, b, areas, phases = (_finite_floats(values) for values in (
         list(itertools.chain.from_iterable(positions)), [c.get("a") for c in cells],
-        [c.get("b") for c in cells], [c["area"] for c in cells if "area" in c],
-        [c.get("phase", 0.0) for c in cells])]
-    if any(column is None for column in columns):
-        return None
-    positions, a, b, _, phases = columns
-    return positions.reshape(-1, 3), a, b, areas, phases
-
-
-def _cell_by_cell(geo: _Section, ctx) -> RisGeometry:
-    """The planar geometry read one cell at a time; the first refused cell raises."""
-    cells = []
-    for c in geo.items("cells", _CELL_KEYS):
-        position = c.value("position", lambda v: _is_numbers(v, 3),
-                           "a list of three finite numbers")
-        cells.append(_build(c.name, UnitCell, np.array(position, dtype=float),
-                            c.number("a"), c.number("b"), c.number("area", None),
-                            c.number("phase", 0.0)))
-    return RisGeometry(tuple(cells), ctx)
+        [c.get("b") for c in cells], [c.get("area", 1.0) for c in cells],
+        [c.get("phase", 0.0) for c in cells]))
+    return (positions.reshape(-1, 3), a, b,
+            [area if "area" in c else None for c, area in zip(cells, areas.tolist())], phases)
 
 
 def _parse_incident_wave(w: _Section, linear: bool) -> PlaneWave:
@@ -876,7 +866,7 @@ def _load_desired_pattern(path: str, n: int) -> np.ndarray:
     if (isinstance(values, list) and len(values) == n
             and all(isinstance(v, list) and len(v) == 2 for v in values)):
         pairs = _finite_floats(list(itertools.chain.from_iterable(values)))
-    if pairs is None:
+    if pairs is None or not np.all(np.isfinite(pairs)):
         raise ScenarioError(
             f"desired pattern file must hold {n} finite [re, im] pairs under 'desired'")
     # the (re, im) float pairs are the complex numbers, signed zeros included

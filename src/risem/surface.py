@@ -16,12 +16,20 @@ import numpy as np
 
 from .core import (CHUNK_TERMS, TWO_PI, Direction, ObservationPoint, PlaneWave, SphericalField,
                    WaveContext, _chunked, _phasor, _polarization_factors, _sinc_pair, _sum_waves,
-                   _unit_vectors, _wave_arrays, direction_vector, positive_finite)
+                   _unit_vectors, _wave_arrays, direction_vector)
+
+
+# the checks of RisGeometry.from_arrays, in the order it applies them
+_CELL_CHECKS = ("cell position must be a finite 3-vector", "cell edges must be positive and finite",
+                "cell area must be positive and finite", "cell phase must be finite")
 
 
 @dataclass(frozen=True, eq=False)
 class UnitCell:
-    """One array element: position, physical edges, collecting area, phase."""
+    """One array element: position, physical edges, collecting area, phase.
+
+    Checked and reduced as one row of RisGeometry.from_arrays, and held as floats.
+    """
 
     position: np.ndarray
     a: float
@@ -30,17 +38,24 @@ class UnitCell:
     phase_shift: float = 0.0
 
     def __post_init__(self):
-        pos = np.asarray(self.position, dtype=float)
-        if pos.shape != (3,) or not np.all(np.isfinite(pos)):
-            raise ValueError("cell position must be a finite 3-vector")
-        object.__setattr__(self, "position", pos)
-        if not (positive_finite(self.a) and positive_finite(self.b)):
-            raise ValueError("cell edges must be positive and finite")
-        if self.area is None:
-            object.__setattr__(self, "area", self.a * self.b)
-        elif not positive_finite(self.area):
-            raise ValueError("cell area must be positive and finite")
-        object.__setattr__(self, "phase_shift", float(self.phase_shift) % TWO_PI)
+        # a row of from_arrays needs no wave constants
+        row = RisGeometry.from_arrays(*([getattr(self, f.name)] for f in fields(self)), None)
+        _store(self, row.positions[0], row.a.item(), row.b.item(), row.areas.item(),
+               row.phases.item())
+
+
+def _store(obj, *values):
+    """Set the fields of a frozen dataclass, in order."""
+    for f, value in zip(fields(obj), values):
+        object.__setattr__(obj, f.name, value)
+
+
+class _RefusedCell(ValueError):
+    """A refusal of from_arrays: the message of the first check refused, and the first row."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -48,8 +63,9 @@ class RisGeometry:
     """Cells as arrays plus wave constants; the row order is the sum index.
 
     positions (N, 3), a, b, areas and phases hold one row per cell, and are
-    what the field sums read. RisGeometry(cells, ctx) stacks UnitCells, which
-    checked themselves; RisGeometry.from_arrays checks whole columns.
+    what the field sums read. RisGeometry(cells, ctx) passes the columns of
+    its UnitCells to RisGeometry.from_arrays, the one place where cell values
+    are checked.
     """
 
     positions: np.ndarray
@@ -61,51 +77,51 @@ class RisGeometry:
 
     def __init__(self, cells, ctx: WaveContext):
         cells = tuple(cells)
-        if not cells:
-            raise ValueError("geometry needs at least one cell")
-        self._store(np.stack([c.position for c in cells]),
-                    *(np.array([getattr(c, name) for c in cells])
-                      for name in ("a", "b", "area", "phase_shift")), ctx)
+        # an area of a*b goes as None: a product outside the float range, which a cell holds
+        # unchecked, is then not refused as a given area
+        geom = RisGeometry.from_arrays(
+            [c.position for c in cells], [c.a for c in cells], [c.b for c in cells],
+            [None if c.area == c.a * c.b else c.area for c in cells],
+            [c.phase_shift for c in cells], ctx)
+        _store(self, *(getattr(geom, f.name) for f in fields(geom)))
 
     @classmethod
     def from_arrays(cls, positions, a, b, areas, phases, ctx: WaveContext) -> RisGeometry:
-        """The geometry of N cells given as columns, checked as UnitCell checks one cell.
+        """The geometry of N cells given as columns: the one place where cell values are checked.
 
         positions is (N, 3); a, b, areas and phases hold N values each. An area
         of None is a*b, and each phase is reduced mod 2 pi with the bits of
-        float(phase) % TWO_PI.
+        float(phase) % TWO_PI. A refusal names the first of _CELL_CHECKS that
+        any row fails, and its .row the first row that any check refuses.
         """
         positions = np.array(positions, dtype=float)
         a, b, phases = (np.array(v, dtype=float) for v in (a, b, phases))
         given = np.array([area is not None for area in areas], dtype=bool)
-        if not positions.size:
+        if positions.shape[:1] == (0,):
             raise ValueError("geometry needs at least one cell")
-        if positions.ndim != 2 or positions.shape[1] != 3 or not np.all(np.isfinite(positions)):
-            raise ValueError("cell position must be a finite 3-vector")
+        if positions.ndim != 2 or positions.shape[1] != 3:
+            raise _RefusedCell(_CELL_CHECKS[0], 0)
         n = len(positions)
         if not a.shape == b.shape == given.shape == phases.shape == (n,):
             raise ValueError(f"cell columns must hold {n} values each, one per position")
-        if not (np.all(np.isfinite(a) & (a > 0)) and np.all(np.isfinite(b) & (b > 0))):
-            raise ValueError("cell edges must be positive and finite")
-        # as for one cell's floats, a*b may pass the float range and an infinite phase is NaN
         with np.errstate(over="ignore", invalid="ignore"):
-            # an area of None converts to NaN, and a*b takes its place
+            # an area of None converts to NaN, and a*b takes its place; a*b may pass the
+            # float range, as only a given area is checked
             areas = np.where(given, np.array(areas, dtype=float), a * b)
-            phases = np.remainder(phases, TWO_PI)
-        if not np.all(~given | (np.isfinite(areas) & (areas > 0))):
-            raise ValueError("cell area must be positive and finite")
+        refused = np.array([~np.all(np.isfinite(positions), axis=1),
+                            ~(np.isfinite(a) & (a > 0) & np.isfinite(b) & (b > 0)),
+                            given & ~(np.isfinite(areas) & (areas > 0)), ~np.isfinite(phases)])
+        if refused.any():
+            raise _RefusedCell(_CELL_CHECKS[refused.any(axis=1).argmax()],
+                               int(refused.any(axis=0).argmax()))
         geom = cls.__new__(cls)
-        geom._store(positions, a, b, areas, phases, ctx)
+        _store(geom, positions, a, b, areas, np.remainder(phases, TWO_PI), ctx)
         return geom
-
-    def _store(self, *values):
-        for f, value in zip(fields(self), values):
-            object.__setattr__(self, f.name, value)
 
     @property
     def cells(self) -> tuple:
         """The cells as UnitCells, in order."""
-        return tuple(map(UnitCell, self.positions.copy(), self.a, self.b, self.areas, self.phases))
+        return tuple(map(UnitCell, self.positions, self.a, self.b, self.areas, self.phases))
 
 
 def _path_phase(positions, u, wavelength) -> np.ndarray:

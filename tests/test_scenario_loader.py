@@ -760,10 +760,17 @@ def test_nesting_past_the_recursion_limit_is_built_by_the_event_pass(loaders):
 # Planar cells read as columns
 # ---------------------------------------------------------------------------
 
-def _cell_by_cell(node):
-    """The RisGeometry of a planar geometry node, read by the cell-by-cell reader."""
-    return scenario._cell_by_cell(scenario._Section(node, "geometry", {"kind", "cells"}),
-                                  scenario.WaveContext())
+def _cell_by_cell(cells):
+    """(positions, a, b, areas, phases) of valid cells, read one cell at a time.
+
+    The reference of the column reader: Python floats, a * b for a missing area
+    and float(phase) % (2 pi) for the phase.
+    """
+    positions = [[float(x) for x in c["position"]] for c in cells]
+    a, b = ([float(c[key]) for c in cells] for key in "ab")
+    areas = [float(c["area"]) if "area" in c else float(c["a"]) * float(c["b"]) for c in cells]
+    phases = [float(c.get("phase", 0.0)) % (2.0 * math.pi) for c in cells]
+    return tuple(np.array(column, dtype=float) for column in (positions, a, b, areas, phases))
 
 
 _COORDINATES = (st.floats(allow_nan=False, allow_infinity=False)
@@ -780,12 +787,10 @@ _CELLS = st.lists(st.fixed_dictionaries(
 @settings(max_examples=300, deadline=None)
 @given(cells=_CELLS)
 def test_columns_keep_the_bits_of_the_cell_by_cell_reader(cells):
-    node = {"kind": "planar", "cells": cells}
-    assert scenario._cell_columns(cells) is not None
-    _, columns = scenario._parse_geometry(node, scenario.WaveContext())
-    by_cell = _cell_by_cell(node)
-    for name in ("positions", "a", "b", "areas", "phases"):
-        got, want = getattr(columns, name), getattr(by_cell, name)
+    _, columns = scenario._parse_geometry({"kind": "planar", "cells": cells},
+                                          scenario.WaveContext())
+    for name, want in zip(("positions", "a", "b", "areas", "phases"), _cell_by_cell(cells)):
+        got = getattr(columns, name)
         assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
 
@@ -828,18 +833,91 @@ REFUSED_CELLS = {
 }
 
 
+_POSITION_WORDS = "'geometry.cells[{at}].position' must be a list of three finite numbers, got "
+# the message of each refused cell at cells[at], as the reader that read every cell gave it
+REFUSED_MESSAGES = {
+    "bool-in-position": _POSITION_WORDS + "[True, 0.5, 0.0]",
+    "string-in-position": _POSITION_WORDS + "['x', 0.5, 0.0]",
+    "huge-int-in-position": _POSITION_WORDS + "[" + "9" * 320 + ", 0.5, 0.0]",
+    "null-in-position": _POSITION_WORDS + "[None, 0.5, 0.0]",
+    "position-of-2": _POSITION_WORDS + "[0.5, 0.0]",
+    "position-of-4": _POSITION_WORDS + "[0.5, 0.0, 0.0, 1.0]",
+    "missing-key": "'geometry.cells[{at}].b' must be a finite number, but is missing",
+    "misspelt-key": "unknown key(s) in 'geometry.cells[{at}]': phse",
+    "zero-a": "invalid 'geometry.cells[{at}]': cell edges must be positive and finite",
+    "negative-b": "invalid 'geometry.cells[{at}]': cell edges must be positive and finite",
+    "zero-area": "invalid 'geometry.cells[{at}]': cell area must be positive and finite",
+    "null-area": "'geometry.cells[{at}].area' must be a finite number, got None",
+    "null-phase": "'geometry.cells[{at}].phase' must be a finite number, got None",
+    "infinite-phase": "'geometry.cells[{at}].phase' must be a finite number, got inf",
+    "nan-area": "'geometry.cells[{at}].area' must be a finite number, got nan",
+    "bool-a": "'geometry.cells[{at}].a' must be a finite number, got True",
+    "quoted-b": "'geometry.cells[{at}].b' must be a finite number, got '0.3'",
+    "int-past-the-largest-float": _POSITION_WORDS + f"[{int(sys.float_info.max) + 1}, 0.5, 0.0]",
+}
+
+
 @pytest.mark.parametrize("at", [0, 700])
-@pytest.mark.parametrize("refuse", REFUSED_CELLS.values(), ids=REFUSED_CELLS)
-def test_a_refused_cell_gets_the_cell_by_cell_message(refuse, at):
+@pytest.mark.parametrize("kind", REFUSED_CELLS)
+def test_a_refused_cell_gets_the_cell_by_cell_message(kind, at):
+    assert REFUSED_MESSAGES.keys() == REFUSED_CELLS.keys()
     rows = _cell_rows()
-    rows[at] = refuse(rows[at])
-    text = _planar_text(rows)
-    with pytest.raises(ScenarioError) as by_cell:
-        _cell_by_cell(yaml.load(text, Loader=yaml.CSafeLoader)["geometry"])
-    assert f"'geometry.cells[{at}]" in str(by_cell.value)
+    rows[at] = REFUSED_CELLS[kind](rows[at])
     with pytest.raises(ScenarioError) as parsed:
-        parse_scenario(text)
-    assert str(parsed.value) == str(by_cell.value)
+        parse_scenario(_planar_text(rows))
+    assert str(parsed.value) == REFUSED_MESSAGES[kind].format(at=at)
+
+
+@pytest.mark.parametrize("at_700,at_900,named", [
+    # a cell with an unknown key is named first, wherever it stands
+    ("bool-in-position", "misspelt-key", 900),
+    ("zero-area", "misspelt-key", 900),
+    ("misspelt-key", "zero-a", 700),
+    # otherwise the first refused cell, whether its reads or its checks refuse it
+    ("bool-in-position", "null-phase", 700),
+    ("zero-a", "quoted-b", 700),
+    ("quoted-b", "zero-a", 700),
+    ("zero-area", "negative-b", 700),
+])
+def test_of_two_refused_cells_the_per_cell_reader_names_the_same(at_700, at_900, named):
+    rows = _cell_rows()
+    rows[700], rows[900] = REFUSED_CELLS[at_700](rows[700]), REFUSED_CELLS[at_900](rows[900])
+    with pytest.raises(ScenarioError) as parsed:
+        parse_scenario(_planar_text(rows))
+    kind = at_700 if named == 700 else at_900
+    assert str(parsed.value) == REFUSED_MESSAGES[kind].format(at=named)
+
+
+@pytest.mark.parametrize("cell", [5, [1.0, 2.0], None, "cell"])
+def test_a_cell_that_is_not_a_mapping_is_named_first(cell):
+    cells = [{"position": [0, 0, 0], "a": 0.3, "b": 0.3} for _ in range(6)]
+    cells[2]["a"], cells[4] = 0.0, cell
+    with pytest.raises(ScenarioError, match=r"^section 'geometry\.cells\[4\]' must be a mapping$"):
+        scenario._parse_geometry({"kind": "planar", "cells": cells}, scenario.WaveContext())
+
+
+def _spy_on_sections(monkeypatch) -> list:
+    """The names of the _Section objects that scenario builds from now on."""
+    names = []
+
+    class Spy(scenario._Section):
+        def __init__(self, node, name, keys):
+            names.append(name)
+            super().__init__(node, name, keys)
+
+    monkeypatch.setattr(scenario, "_Section", Spy)
+    return names
+
+
+@pytest.mark.parametrize("kind", REFUSED_CELLS)
+def test_only_the_refused_cell_is_read_again(monkeypatch, kind):
+    rows = _cell_rows()
+    rows[700] = REFUSED_CELLS[kind](rows[700])
+    names = _spy_on_sections(monkeypatch)
+    with pytest.raises(ScenarioError, match=r"'geometry\.cells\[700\]"):
+        parse_scenario(_planar_text(rows))
+    cells = [name for name in names if str(name).startswith("geometry.cells")]
+    assert cells == ["geometry.cells[700]"]
 
 
 @pytest.mark.parametrize("refuse", REFUSED_CELLS.values(), ids=REFUSED_CELLS)
@@ -861,11 +939,20 @@ def test_a_first_row_the_grammar_refuses_is_never_read_as_json(monkeypatch, refu
     assert len(calls) == (re.fullmatch(scenario._CELL_ROW, first.lstrip()) is not None)
 
 
-def test_valid_cells_never_reach_the_cell_by_cell_reader(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the cell-by-cell reader ran on valid cells")
-    monkeypatch.setattr(scenario, "_cell_by_cell", refuse)
+def test_valid_cells_are_read_as_whole_columns(monkeypatch):
+    names = _spy_on_sections(monkeypatch)
+    check, checked = scenario._is_finite_number, []
+
+    def spy(value):
+        checked.append(value)
+        return check(value)
+
+    monkeypatch.setattr(scenario, "_is_finite_number", spy)
     assert len(parse_scenario(_planar_text(_cell_rows())).geometry.phases) == 1024
+    # no column of 1024 values is checked value by value (the observation's defaults are),
+    # and no cell is read as a section
+    assert len(checked) < 1024
+    assert not any(str(name).startswith("geometry.cells") for name in names)
 
 
 # ---------------------------------------------------------------------------

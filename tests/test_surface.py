@@ -1,12 +1,13 @@
 """Array superposition: cell sums, translation covariance, model consistency."""
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risem import (Direction, LinearRis, ObservationPoint, PlaneWave,
+from risem import (Direction, LinearRis, ObservationPoint, Patch, PlaneWave,
                    RisGeometry, UnitCell, WaveContext, linear_field,
                    patch_scattered_field, path_length_phase, ris_bistatic_rcs,
                    ris_scattered_field, ris_scattered_field_multi,
@@ -54,8 +55,7 @@ def _random_geometry(n: int, rng) -> RisGeometry:
     pos = rng.uniform(-3.0, 3.0, (n, 3))
     a, b = rng.uniform(0.05, 1.5, n), rng.uniform(0.05, 1.5, n)
     areas, phases = rng.uniform(0.01, 2.0, n), rng.uniform(0.0, 2.0 * np.pi, n)
-    return RisGeometry([UnitCell(pos[k], a[k], b[k], areas[k], phases[k]) for k in range(n)],
-                       WaveContext(rng.uniform(0.5, 2.0)))
+    return RisGeometry.from_arrays(pos, a, b, areas, phases, WaveContext(rng.uniform(0.5, 2.0)))
 
 
 def _kernel_deviation(geom, incident, scatter):
@@ -281,6 +281,24 @@ class TestFromArrays:
         with pytest.raises(ValueError, match=message):
             RisGeometry.from_arrays(**columns, ctx=CTX)
 
+    @pytest.mark.parametrize("bad,message,row", [
+        ({"a": {3: 0.0}, "phases": {1: np.inf}}, "cell edges must be positive and finite", 1),
+        ({"positions": {4: np.nan}, "areas": {2: -1.0}}, "cell position must be a finite 3-vector",
+         2),
+        ({"b": {5: np.nan}, "areas": {5: 0.0}}, "cell edges must be positive and finite", 5),
+        ({"phases": {0: np.nan}}, "cell phase must be finite", 0),
+    ])
+    def test_a_refusal_names_the_first_check_and_the_first_row(self, bad, message, row):
+        n = 6
+        columns = {"positions": np.zeros((n, 3)), "a": [1.0] * n, "b": [1.0] * n,
+                   "areas": [None] * n, "phases": [0.0] * n}
+        for name, values in bad.items():
+            for k, value in values.items():
+                columns[name][k] = value
+        with pytest.raises(ValueError) as refused:
+            RisGeometry.from_arrays(**columns, ctx=CTX)
+        assert str(refused.value) == message and refused.value.row == row
+
 
 class TestUnitCell:
     def test_phase_normalized(self):
@@ -299,6 +317,77 @@ class TestUnitCell:
                 UnitCell(*bad)
         with pytest.raises(ValueError):
             RisGeometry((), CTX)
+
+
+_EDGES = "cell edges must be positive and finite"
+_AREA = "cell area must be positive and finite"
+_POSITION = "cell position must be a finite 3-vector"
+_PHASE = "cell phase must be finite"
+# (position, a, b, area, phase) of one refused cell, and the message of every constructor
+BAD_CELLS = {
+    "zero-a": ((0.0, 0.0, 0.0), 0.0, 1.0, None, 0.0, _EDGES),
+    "negative-b": ((0.0, 0.0, 0.0), 1.0, -1.0, None, 0.0, _EDGES),
+    "nan-a": ((0.0, 0.0, 0.0), np.nan, 1.0, None, 0.0, _EDGES),
+    "infinite-b": ((0.0, 0.0, 0.0), 1.0, np.inf, 2.0, 0.0, _EDGES),
+    "zero-area": ((0.0, 0.0, 0.0), 1.0, 1.0, 0.0, 0.0, _AREA),
+    "negative-area": ((0.0, 0.0, 0.0), 1.0, 1.0, -2.0, 0.0, _AREA),
+    "nan-area": ((0.0, 0.0, 0.0), 1.0, 1.0, np.nan, 0.0, _AREA),
+    "infinite-area": ((0.0, 0.0, 0.0), 1.0, 1.0, np.inf, 0.0, _AREA),
+    "position-of-2": ((0.0, 0.0), 1.0, 1.0, None, 0.0, _POSITION),
+    "position-of-4": ((0.0, 0.0, 0.0, 0.0), 1.0, 1.0, None, 0.0, _POSITION),
+    "nan-position": ((0.0, np.nan, 0.0), 1.0, 1.0, None, 0.0, _POSITION),
+    "infinite-position": ((-np.inf, 0.0, 0.0), 1.0, 1.0, None, 1.0, _POSITION),
+    "infinite-phase": ((0.0, 0.0, 0.0), 1.0, 1.0, None, np.inf, _PHASE),
+    "negative-infinite-phase": ((0.0, 0.0, 0.0), 1.0, 1.0, 0.5, -np.inf, _PHASE),
+    "nan-phase": ((0.0, 0.0, 0.0), 1.0, 1.0, None, np.nan, _PHASE),
+    # the first failed check names the refusal
+    "bad-edge-and-phase": ((0.0, 0.0, 0.0), 0.0, 1.0, None, np.inf, _EDGES),
+    "bad-position-and-area": ((0.0, 0.0), 1.0, 1.0, -1.0, 0.0, _POSITION),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CELLS)
+def test_every_constructor_refuses_a_cell_in_the_same_words(case):
+    position, a, b, area, phase, message = BAD_CELLS[case]
+    position = np.array(position)
+    makers = [lambda: UnitCell(position, a, b, area, phase),
+              # RisGeometry(cells) checks its cells again, so a cell that skipped its own checks
+              # is refused too
+              lambda: RisGeometry([SimpleNamespace(position=position, a=a, b=b, area=area,
+                                                   phase_shift=phase)], CTX),
+              lambda: RisGeometry.from_arrays([position], [a], [b], [area], [phase], CTX)]
+    if len(position) == 3 and not position.any() and phase == 0.0:
+        makers.append(lambda: Patch(a, b, area))
+    for make in makers:
+        with pytest.raises(ValueError) as refused:
+            make()
+        assert str(refused.value) == message
+
+
+def test_a_non_finite_phase_is_refused_not_a_nan_field():
+    cell = UnitCell(np.zeros(3), 0.3, 0.3)
+    for phase in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="^cell phase must be finite$"):
+            UnitCell(np.zeros(3), 0.3, 0.3, None, phase)
+        with pytest.raises(ValueError, match="^cell phase must be finite$"):
+            RisGeometry([cell, SimpleNamespace(position=np.ones(3), a=0.3, b=0.3, area=0.09,
+                                               phase_shift=phase)], CTX)
+        with pytest.raises(ValueError, match="^cell phase must be finite$"):
+            RisGeometry.from_arrays(np.zeros((2, 3)), [0.3] * 2, [0.3] * 2, [None] * 2,
+                                    [0.0, phase], CTX)
+
+
+def test_a_cell_reads_its_values_back_as_floats():
+    cell = UnitCell([0, 1, 2], 2, 3, phase_shift=1)
+    assert cell.position.dtype == np.float64 and cell.position.tolist() == [0.0, 1.0, 2.0]
+    assert [(type(v), v) for v in (cell.a, cell.b, cell.area, cell.phase_shift)] == [
+        (float, 2.0), (float, 3.0), (float, 6.0), (float, 1.0)]
+    # as before, a*b may leave the float range where no area is given, and the cell's
+    # geometry takes it as it is
+    for edge, area in ((1e200, np.inf), (1e-200, 0.0)):
+        cell = UnitCell(np.zeros(3), edge, edge)
+        assert cell.area == area
+        assert RisGeometry([cell], CTX).areas.tolist() == [area]
 
 
 class TestSingleCell:
