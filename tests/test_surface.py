@@ -264,6 +264,16 @@ class TestFromArrays:
         assert got.areas.tolist() == [2.0, 0.1]
         assert [c.phase_shift for c in got.cells] == [c.phase_shift for c in want.cells]
 
+    def test_cells_of_an_area_past_the_float_range_read_back(self):
+        # a*b = inf is accepted when no area is given, and its cells must give it back
+        geom = RisGeometry.from_arrays([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [1e200, 0.5],
+                                       [1e200, 0.4], [None, 0.3], [0.0, 1.0], CTX)
+        cells = geom.cells
+        assert [c.area for c in cells] == [math.inf, 0.3]
+        back = RisGeometry(cells, CTX)
+        for name in ("positions", "a", "b", "areas", "phases"):
+            assert np.array_equal(getattr(back, name), getattr(geom, name)), name
+
     @pytest.mark.parametrize("change,message", [
         ({"positions": [[0.0, 0.0], [0.0, 0.0]]}, "finite 3-vector"),
         ({"positions": [[0.0, 0.0, np.nan], [0.0, 0.0, 0.0]]}, "finite 3-vector"),
