@@ -295,14 +295,18 @@ def sampling_sa(a: float, b: float, scatter: Direction, incident: Direction,
     return _sinc_pair(a, b, u[0], u[1], ctx.wavelength)
 
 
+def _chunk_step(width: int) -> int:
+    """The points per slice of _chunked for a reduction of width entries per point."""
+    return max(1, CHUNK_TERMS // width)
+
+
 def _chunked(reduce_chunk, points: np.ndarray, width: int) -> np.ndarray:
     """reduce_chunk over slices of points (first axis), one result row per point.
 
-    Each slice holds max(1, CHUNK_TERMS // width) points, so a reduction whose
-    temporaries hold width entries per point stays bounded for any number of
-    points.
+    Each slice holds _chunk_step(width) points, so a reduction whose temporaries
+    hold width entries per point stays bounded for any number of points.
     """
-    step = max(1, CHUNK_TERMS // width)
+    step = _chunk_step(width)
     # no points still make one empty slice, so the result keeps its row shape
     return np.concatenate([reduce_chunk(points[lo:lo + step])
                            for lo in range(0, max(len(points), 1), step)])

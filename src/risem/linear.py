@@ -140,22 +140,45 @@ def _turns(counts, spacing: float, wavelength: float, sines) -> np.ndarray:
     return turns
 
 
-def _blocked_sum(ris: LinearRis, sines: np.ndarray, sin_i: np.ndarray,
-                 weights: np.ndarray) -> np.ndarray:
+def _blocks(ris: LinearRis, s_max: float) -> tuple[int, int] | None:
+    """(B, K) = (ceil(sqrt(n)), ceil(n / B)) where _steering sums ris in blocks at a
+    largest |s| of s_max, else None.
+
+    Blocks need equal widths, at most _BLOCKED_MAX_CELLS cells, a largest cell angle
+    2 pi (n - 1) d s_max / wavelength of at most _BLOCKED_MAX_ANGLE, and at most half
+    as many phases as cells, 2 (B + K) <= n: 16 cells and 18 on. An exactly reduced
+    phase costs about two per-cell ones; on 3601 sines (2-core machine) blocks took
+    1.2-1.4 times as long as the per-cell product at 6 and 9 cells, as long at 12
+    and 13, and 0.8-0.9 times at 15 to 18. One cell has the angle 0 for any
+    x = d s / wavelength, even an x past the float range, which _turns could not
+    form; it takes the per-cell product.
+    """
+    n = ris.n
+    b = math.isqrt(n - 1) + 1
+    k = -(-n // b)
+    if (2 * (b + k) <= n <= _BLOCKED_MAX_CELLS and np.all(ris.widths == ris.widths[0])
+            and TWO_PI * (n - 1) * ris.spacing * s_max / ris.ctx.wavelength
+            <= _BLOCKED_MAX_ANGLE):
+        return b, k
+    return None
+
+
+def _blocked_sum(ris: LinearRis, sines: np.ndarray, sin_i: np.ndarray, weights: np.ndarray,
+                 b: int, k: int) -> np.ndarray:
     """sum_m w_m e^{j 2 pi m d (sin_i[i] + sines[k]) / wavelength}, shape (len(sines), len(sin_i)).
 
-    Cell m = kB + j with B = ceil(sqrt(n)) and K = ceil(n / B), so each cell phase
-    is a giant phase e^{j 2 pi kB x} times a baby phase e^{j 2 pi j x},
+    Cell m = kB + j, with B = b and K = k from _blocks, so each cell phase is a
+    giant phase e^{j 2 pi kB x} times a baby phase e^{j 2 pi j x},
     x = d s / wavelength (Paterson and Stockmeyer's split): B + K phases per sine
     instead of n, each _phasor of 2 pi times its exact turns. With one sin_i the
     sum is giant . (baby @ W), W the B x K block matrix of V(sin_i) o w: one
     product per chunk and one per sine. With more, V is the giant (x) baby outer
     product, times the n x len(sin_i) matrix V(sin_i)^T o w in one product per
-    chunk.
+    chunk. The outer product would serve one sin_i too, but forms every cell:
+    against it the blocks gave linear-sweep 1.41 and reshape 1.19 times the
+    points/s (medians of 10 alternating pairs each, 2-core machine).
     """
     n, d, lam = ris.n, ris.spacing, ris.ctx.wavelength
-    b = math.isqrt(n - 1) + 1
-    k = -(-n // b)
     counts = np.concatenate([np.arange(b), b * np.arange(k)])
 
     def phases(s):
@@ -205,14 +228,14 @@ def _steering(ris: LinearRis, sines, sin_i=0.0) -> np.ndarray:
     the per-cell terms of each sum. Every path runs over chunks of about
     core.CHUNK_TERMS entries, so memory stays bounded for any array of s.
 
-    With equal widths and 2 to _BLOCKED_MAX_CELLS cells, a call whose largest
+    With equal widths and 16 to _BLOCKED_MAX_CELLS cells, a call whose largest
     cell angle 2 pi (n - 1) d (max|sines| + max|sin_i|) / wavelength is at most
-    _BLOCKED_MAX_ANGLE takes _blocked_sum: B + K exactly reduced phases per
-    sine, within about 1e-15 of the exact sum. Any other call takes V from the
-    float64 cell angles, one matrix product per chunk: (A + B) n phases instead
-    of A B n. Those are the bits of the benchmark's oracle, whose unreduced
-    angle carries about 3e-12 rad at 8192 cells, so a sweep passes its sums
-    whole, and the default sin_i = 0 (V(0) = 1) gives the bits of the
+    _BLOCKED_MAX_ANGLE takes _blocked_sum (the rule of _blocks): B + K exactly
+    reduced phases per sine, within about 1e-15 of the exact sum. Any other call
+    takes V from the float64 cell angles, one matrix product per chunk: (A + B) n
+    phases instead of A B n. Those are the bits of the benchmark's oracle, whose
+    unreduced angle carries about 3e-12 rad at 8192 cells, so a sweep passes its
+    sums whole, and the default sin_i = 0 (V(0) = 1) gives the bits of the
     one-argument product.
     """
     s, inc = np.asarray(sines, dtype=float), np.asarray(sin_i, dtype=float)
@@ -222,12 +245,9 @@ def _steering(ris: LinearRis, sines, sin_i=0.0) -> np.ndarray:
         out = _chunked(lambda c: np.sum(_cell_terms(ris, c[:, None] + flat_i, weights), axis=-1),
                        flat, max(1, ris.n * flat_i.size))
     else:
-        s_max = np.abs(flat).max(initial=0.0) + np.abs(flat_i).max(initial=0.0)
-        # one cell has the angle 0 for any x = d s / wavelength, even an x past the float
-        # range, which _turns could not form
-        if (1 < ris.n <= _BLOCKED_MAX_CELLS
-                and TWO_PI * (ris.n - 1) * ris.spacing * s_max / lam <= _BLOCKED_MAX_ANGLE):
-            out = _blocked_sum(ris, flat, flat_i, weights)
+        blocks = _blocks(ris, np.abs(flat).max(initial=0.0) + np.abs(flat_i).max(initial=0.0))
+        if blocks:
+            out = _blocked_sum(ris, flat, flat_i, weights, *blocks)
         else:
             left = (_geometry_phase(ris.n, ris.spacing, lam, flat_i) * weights).T
             out = _chunked(lambda c: _geometry_phase(ris.n, ris.spacing, lam, c) @ left,

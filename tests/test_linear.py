@@ -17,7 +17,7 @@ from risem import (Direction, LinearRis, MimoSystem, ObservationPoint,
 from risem import linear as linear_module
 from risem import presets as presets_module
 from risem.cli import main
-from risem.core import CHUNK_TERMS, TWO_PI, _phasor
+from risem.core import CHUNK_TERMS, TWO_PI, _chunk_step
 from risem.linear import _steering, mimo_on_angles
 from test_core import PHASOR_BOUND, _bits, _worst
 
@@ -46,23 +46,23 @@ def _direct_double_sum(sys: MimoSystem, amplitudes):
 
 
 def _blocked(ris: LinearRis, s_max: float) -> bool:
-    """Whether _steering sums ris in blocks when its largest |s| is s_max (its docstring's rule)."""
-    return bool(np.all(ris.widths == ris.widths[0])
-                and 1 < ris.n <= linear_module._BLOCKED_MAX_CELLS
-                and (TWO_PI * (ris.n - 1) * ris.spacing * s_max / ris.ctx.wavelength
-                     <= linear_module._BLOCKED_MAX_ANGLE))
+    """Whether _steering sums ris in blocks when its largest |s| is s_max."""
+    return linear_module._blocks(ris, s_max) is not None
 
 
-def _chunk_width(ris: LinearRis, len_i: int, s_max: float) -> int:
-    """The chunk width of _steering over len_i values of sin_i: its cell-terms per sine."""
-    n = ris.n
-    if np.any(ris.widths != ris.widths[0]):
-        return max(1, n * len_i)
-    if not _blocked(ris, s_max):
-        return max(n, len_i)
-    b = math.isqrt(n - 1) + 1
-    k = -(-n // b)
-    return b + k if len_i == 1 else max(k * b, len_i)
+def _steps(ris: LinearRis, sines, sin_i=0.0) -> int:
+    """The sines per chunk of _steering(ris, sines, sin_i), from the width it passes _chunked."""
+    widths, chunked = [], linear_module._chunked
+
+    def spy(reduce_chunk, points, width):
+        widths.append(width)
+        return chunked(reduce_chunk, points, width)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linear_module, "_chunked", spy)
+        _steering(ris, sines, sin_i)
+    (width,) = widths
+    return _chunk_step(width)
 
 
 def _exact_phases(n: int, spacing: float, lam: float, s) -> np.ndarray:
@@ -140,7 +140,8 @@ class TestSteeringKernel:
         assert _kernel_deviation(ris, 0.4, theta_s) <= 1e-12
 
     @pytest.mark.parametrize("n,chunks", [
-        (2, 1),                        # blocked: many angles per chunk, one spill-over
+        (2, 1),                        # per cell: many angles per chunk, one spill-over
+        (16, 1),                       # blocked: many angles per chunk, one spill-over
         (1000, 2),                     # blocked: 256 angles per chunk
         (2 ** 14 - 1, 3),              # per cell: one angle per chunk
         (2 ** 14 + 3, 2),              # per cell: a chunk larger than CHUNK_TERMS
@@ -149,8 +150,8 @@ class TestSteeringKernel:
         rng = np.random.default_rng(n)
         ris = LinearRis.uniform(n, 0.45, 0.02, width=0.3,
                                 phases=rng.uniform(0.0, 2.0 * np.pi, n))
-        # s reaches sin 0.4 + sin 1.5 at the last angle
-        step = CHUNK_TERMS // _chunk_width(ris, 1, np.sin(0.4) + np.sin(1.5))
+        # s reaches sin 0.4 + sin 1.5 at the last angle, which sets the regime
+        step = _steps(ris, np.array([np.sin(0.4) + np.sin(1.5)]))
         assert _kernel_deviation(ris, 0.4, np.linspace(-1.5, 1.5, chunks * step + 1)) <= 1e-12
 
     @pytest.mark.parametrize("shape", [(), (0,), (4, 3)])
@@ -195,32 +196,42 @@ class TestSteeringKernel:
         # one rounding of a turn, and the roundings of the part of m x past x's 26 bits
         assert np.all(np.abs(gap) <= 2.0 ** -53 + 2.0 ** -78 * float(abs(x)) * counts)
 
-    @pytest.mark.parametrize("n", [1, 2, 31 ** 2 - 1, 31 ** 2, 31 ** 2 + 1, 997])
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 31 ** 2 - 1, 31 ** 2, 31 ** 2 + 1, 997])
     @pytest.mark.parametrize("len_i", [1, 3])
     def test_blocked_sum_equals_the_exact_sum(self, n, len_i):
-        # n = B^2 and B^2 +- 1 fill the last block, leave it one short, or start a new one
+        # n = B^2 and B^2 +- 1 fill the last block, leave it one short, or start a new one;
+        # 1, 2, 15 and 17 cells take the per-cell product in _steering, 2 (B + K) > n,
+        # but the sum holds for them too
         rng = np.random.default_rng(n)
         ris = LinearRis.uniform(n, 0.55, 0.01, phases=rng.uniform(0.0, 2.0 * np.pi, n),
                                 ctx=WaveContext(0.8))
         weights = ris.areas / 0.8 * np.exp(1j * ris.phases)
         sin_i = np.zeros(1) if len_i == 1 else rng.uniform(-1.0, 1.0, len_i)
         sines = np.concatenate([rng.uniform(-1.0, 1.0, 7), [0.0, -1.0, 1.0]])
-        got = linear_module._blocked_sum(ris, sines, sin_i, weights)
+        b = math.ceil(math.sqrt(n))
+        k = math.ceil(n / b)
+        assert linear_module._blocks(ris, 2.0) == (None if n in (1, 2, 15, 17) else (b, k))
+        got = linear_module._blocked_sum(ris, sines, sin_i, weights, b, k)
         assert got.shape == (sines.size, len_i)
         # the sums of sin_i and sines in exact arithmetic: each factor's turns are exact
-        want = np.array([[np.sum(weights * _exact_phases(n, 0.55, 0.8, Fraction(a) + Fraction(b)))
-                          for a in sin_i] for b in sines])
+        want = np.array([[np.sum(weights * _exact_phases(n, 0.55, 0.8, Fraction(p) + Fraction(q)))
+                          for p in sin_i] for q in sines])
         assert np.max(np.abs(got - want)) <= 1e-14 * np.sum(np.abs(weights))
 
-    @pytest.mark.parametrize("over", [False, True])
+    @pytest.mark.parametrize("n,over,per_angle", [
+        (1000, False, 32 + 32), (1000, True, None),
+        (16, False, 4 + 4),            # the fewest cells with 2 (B + K) <= n
+        (15, False, None),             # 2 (4 + 4) > 15: per cell under the bound too
+    ])
     def test_a_call_forms_b_plus_k_phases_per_angle_under_the_bound_and_n_over_it(
-            self, monkeypatch, over):
-        n, spacing, count = 1000, 2.0, 300
+            self, monkeypatch, n, over, per_angle):
+        spacing, count = 2.0, 300
         ris = LinearRis.uniform(n, spacing, 0.01, width=0.1)
 
         def angle(s):
             return TWO_PI * (n - 1) * spacing * s
-        # the largest s whose largest cell angle is at most the bound (about 1.3), and the next
+        # the largest s whose largest cell angle is at most the bound (about 1.3 at 1000 cells),
+        # and the next
         s_max = linear_module._BLOCKED_MAX_ANGLE / angle(1.0)
         while angle(s_max) > linear_module._BLOCKED_MAX_ANGLE:
             s_max = np.nextafter(s_max, 0.0)
@@ -238,7 +249,7 @@ class TestSteeringKernel:
         monkeypatch.setattr(linear_module, "_phasor", spy)
         _steering(ris, sines)
         # per cell, V(0) = 1 of the default sin_i is formed too
-        assert sum(sizes) == ((count + 1) * n if over else count * (32 + 32))
+        assert sum(sizes) == ((count + 1) * n if per_angle is None else count * per_angle)
 
     def test_cell_phases_keep_the_bits_of_the_float64_exponential(self):
         # perfbench/oracle.py forms the same unreduced float64 argument, whose round-off
@@ -281,12 +292,12 @@ class TestSteeringKernel:
         assert np.max(np.abs(got[sample] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def _edge_count(ris, count, len_i, s_max):
-    """A sines length; 'edge' +-1 straddles the chunk length of _steering over len_i sin_i."""
+def _edge_count(ris, count, sin_i, s_max):
+    """A sines length; 'edge' +-1 straddles the chunk length of _steering over sin_i
+    at a largest |sines| of s_max."""
     if isinstance(count, int):
         return count
-    return (CHUNK_TERMS // _chunk_width(ris, len_i, s_max)
-            + {"edge-1": -1, "edge": 0, "edge+1": 1}[count])
+    return _steps(ris, np.array([s_max]), sin_i) + {"edge-1": -1, "edge": 0, "edge+1": 1}[count]
 
 
 class TestFactoredSteering:
@@ -306,8 +317,7 @@ class TestFactoredSteering:
         # holds 1 first, so max|sin_s| is 1 whatever its length
         ris = LinearRis(spacing, rng.uniform(0.001, 0.05, n), width, 0.0,
                         WaveContext(lam, 0.3 + 0.4j))
-        s_max = 1.0 + np.abs(sin_i).max(initial=0.0)
-        sin_s = rng.uniform(-1.0, 1.0, _edge_count(ris, count, len_i, s_max))
+        sin_s = rng.uniform(-1.0, 1.0, _edge_count(ris, count, sin_i, 1.0))
         sin_s[:1] = 1.0
         # phases steered to the first pair give a coherent peak, as on the preset surfaces;
         # among a few random-phase values, the float64 phase round-off of either kernel
@@ -341,8 +351,8 @@ class TestFactoredSteering:
     ], ids=["per-cell-1", "per-cell-16", "per-cell-1000", "blocked-16", "blocked-1000"])
     def test_default_sin_i_keeps_the_bits_of_the_one_argument_product(self, n, spacing,
                                                                          blocked):
-        # V(0) = 1 exactly, so the default adds nothing to the product of the sums:
-        # per cell V(s) @ w, and in blocks giant . (baby @ W) with W the blocks of w
+        # V(0) = 1 exactly, so the default adds nothing to the sum over the sines alone:
+        # per cell V(s) @ w, and in blocks the blocked sum of the weights themselves
         rng = np.random.default_rng(n)
         ris = LinearRis.uniform(n, spacing, 0.02, width=0.3, phases=rng.uniform(0.0, 6.0, n),
                                 ctx=WaveContext(0.9))
@@ -350,14 +360,8 @@ class TestFactoredSteering:
         assert _blocked(ris, np.abs(s).max()) == blocked
         weights = ris.areas / 0.9 * np.exp(1j * ris.phases)
         if blocked:
-            b = math.isqrt(n - 1) + 1
-            k = -(-n // b)
-            counts = np.concatenate([np.arange(b), b * np.arange(k)])
-            phases = _phasor(TWO_PI * linear_module._turns(counts, spacing, 0.9, s))
-            blocks = np.zeros(k * b, dtype=complex)
-            blocks[:n] = weights
-            inner = phases[:, :b] @ blocks.reshape(k, b).T
-            sums = (phases[:, b:][:, None] @ inner[..., None])[:, 0, 0]
+            sums = linear_module._blocked_sum(ris, s, np.zeros(1), weights,
+                                              *linear_module._blocks(ris, np.abs(s).max()))[:, 0]
         else:
             sums = linear_module._geometry_phase(n, spacing, 0.9, s) @ weights
         want = ris.ctx.coupling * (sums * sinc_normalized(np.pi * 0.3 / 0.9 * s))
