@@ -23,8 +23,9 @@ Every output file, and the exit code, stdout and stderr of every run, is
 reported as identical, or with the largest deviation of each numeric CSV
 column or JSON field that moved, relative to that column's largest
 magnitude; for CSV, also the part beyond one unit of the 12th significant
-digit that it prints. The exit status is 0 when every output is identical
-and 1 otherwise.
+digit that it prints, and for a JSON field smaller than its document, also
+relative to the document's largest magnitude. The exit status is 0 when
+every output is identical and 1 otherwise.
 
 No digests are stored: last-bit rounding depends on libm and BLAS, so only two
 trees run on one machine can be compared.
@@ -318,12 +319,15 @@ def _printed_unit(value: float) -> float:
     return 10.0 ** (math.floor(math.log10(abs(value))) - 11) if value else 0.0
 
 
-def _deviation(old: list, new: list, printed: bool) -> str | None:
+def _deviation(old: list, new: list, printed: bool, document: float = 0.0) -> str | None:
     """None if the float columns are equal, else their largest deviation in words.
 
     Deviations are relative to the column's largest finite magnitude. For
     printed (CSV) columns, the part of each deviation beyond one unit of the
     12th significant digit is given too: rounding to print cannot explain it.
+    Where the column's largest magnitude is below document, the largest finite
+    magnitude of its whole document, the deviation relative to that is given
+    too: a lone round-off-level scalar is its own column maximum.
     """
     pairs = [(x, y) for x, y in zip(old, new) if x != y and not (math.isnan(x) and math.isnan(y))]
     if not pairs:
@@ -331,7 +335,10 @@ def _deviation(old: list, new: list, printed: bool) -> str | None:
     if not all(math.isfinite(x) and math.isfinite(y) for x, y in pairs):
         return "differs (not finite)"
     scale = max(abs(v) for v in old + new if math.isfinite(v))
-    words = f"{max(abs(x - y) for x, y in pairs) / scale:.2g} of the column maximum"
+    largest = max(abs(x - y) for x, y in pairs)
+    words = f"{largest / scale:.2g} of the column maximum"
+    if scale < document:
+        words += f" ({largest / document:.2g} of the document maximum)"
     if printed:
         beyond = max(max(abs(x - y) - max(_printed_unit(x), _printed_unit(y)), 0.0)
                      for x, y in pairs)
@@ -383,11 +390,14 @@ def describe(name: str, old: str, new: str) -> str:
     if old_leaves.keys() != new_leaves.keys() or any(
             len(old_leaves[k]) != len(new_leaves[k]) for k in old_leaves):
         return "differs (structure)"
+    document = max((abs(float(v)) for leaves in (old_leaves, new_leaves)
+                    for values in leaves.values() for v in values
+                    if _is_number(v) and math.isfinite(v)), default=0.0)
     moved = []
     for key, a in old_leaves.items():
         b = new_leaves[key]
         if all(map(_is_number, a + b)):
-            dev = _deviation([float(v) for v in a], [float(v) for v in b], False)
+            dev = _deviation([float(v) for v in a], [float(v) for v in b], False, document)
         else:
             dev = None if a == b else "differs"
         if dev:

@@ -69,8 +69,12 @@ def random_phase_miso_expected_power(ris: LinearRis, waves, r_s: float, theta_s)
     lam = ris.ctx.wavelength
     sin_s = np.sin(np.asarray(theta_s, dtype=float))
     theta, _, amplitude = _wave_arrays(waves, 1)
+    # the amplitudes relative to the largest, whose square scales the power last, so
+    # that a subnormal power rounds once
+    peak = amplitude.max(initial=0.0) or 1.0
     sin_w = np.sin(theta)
-    excitation = amplitude * np.cos(theta) * _geometry_phase(ris.n, ris.spacing, lam, sin_w[:, 0])
+    excitation = (amplitude / peak * np.cos(theta)
+                  * _geometry_phase(ris.n, ris.spacing, lam, sin_w[:, 0]))
     cell_weights = (ris.areas / lam) ** 2
 
     def power(sin_chunk):
@@ -80,7 +84,8 @@ def random_phase_miso_expected_power(ris: LinearRis, waves, r_s: float, theta_s)
         return np.sum(cell_weights * (h.real ** 2 + h.imag ** 2), axis=-1)
 
     out = (abs(ris.ctx.coupling) ** 2 / r_s ** 2
-           * _chunked(power, sin_s.ravel(), max(1, ris.n * len(waves))).reshape(sin_s.shape))
+           * _chunked(power, sin_s.ravel(), max(1, ris.n * len(waves))).reshape(sin_s.shape)
+           * peak * peak)
     return float(out) if out.ndim == 0 else out
 
 

@@ -39,3 +39,11 @@ def test_a_moved_csv_column_is_reported_beyond_its_printed_unit():
     assert describe("r:exit", "0", "2") == "differs: '0' then '2'"
     assert describe("m.json", '{"v": [1.0, 2.0], "s": "x"}', '{"v": [1.0, 2.5], "s": "x"}') == (
         ".v[] 0.2 of the column maximum")
+
+
+def test_a_lone_json_scalar_is_also_reported_against_its_document():
+    describe = _script().describe
+    # a round-off-level residual beside fields of order 1: its own maximum is itself
+    old = '{"v": [0.5, 1.0], "residual": 2.42e-18}'
+    assert describe("m.json", old, '{"v": [0.5, 1.0], "residual": 2.73e-18}') == (
+        ".residual 0.11 of the column maximum (3.1e-19 of the document maximum)")

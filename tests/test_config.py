@@ -45,26 +45,34 @@ def _geometric_series_steering(ris, delta, theta_i, theta_s):
 
 
 def _one_wave_expected_power(ris, theta_i, theta_s, r_s, amplitude=1.0):
-    """One-wave closed form |C|^2/r^2 (A cos theta_i)^2 sum_n (A_n/lam)^2 Sa_n^2."""
+    """One-wave closed form |C|^2/r^2 cos^2(theta_i) sum_n (A_n/lam)^2 Sa_n^2 A A.
+
+    The amplitude A comes last, one factor at a time: A^2 alone would round in the
+    subnormal range before the other factors scale it back.
+    """
     lam = ris.ctx.wavelength
     sa = sampling_sa_linear(ris.widths, np.asarray(theta_s, dtype=float)[..., None],
                             theta_i, lam)
-    return (abs(ris.ctx.coupling) ** 2 / r_s ** 2 * (amplitude * np.cos(theta_i)) ** 2
-            * np.sum((ris.areas / lam) ** 2 * sa ** 2, axis=-1))
+    return (abs(ris.ctx.coupling) ** 2 / r_s ** 2 * np.cos(theta_i) ** 2
+            * np.sum((ris.areas / lam) ** 2 * sa ** 2, axis=-1) * amplitude * amplitude)
 
 
 def _point_cell_expected_power(ris, waves, r_s):
     """Zero-width closed form |C|^2/r^2 sum_n (A_n/lam)^2 |E_hat_n|^2, whatever theta_s.
 
     E_hat_n = sum_w A_w cos(theta_w) e^{j 2 pi n d sin(theta_w)/lam} is the
-    per-cell excitation aggregated over the waves.
+    per-cell excitation aggregated over the waves. It is formed from the amplitudes
+    relative to the largest, A_max, and the power is A_max A_max times its form:
+    |E_hat_n|^2 alone would round in the subnormal range.
     """
     lam = ris.ctx.wavelength
     thetas = np.array([w.direction.theta for w in waves])
-    e_hat = ((np.cos(thetas) * np.array([w.amplitude for w in waves], dtype=complex))
+    amplitudes = np.array([w.amplitude for w in waves])
+    peak = amplitudes.max() or 1.0
+    e_hat = ((np.cos(thetas) * (amplitudes / peak).astype(complex))
              @ _geometry_phase(ris.n, ris.spacing, lam, np.sin(thetas)))
     return float(abs(ris.ctx.coupling) ** 2 / r_s ** 2
-                 * np.sum((ris.areas / lam) ** 2 * np.abs(e_hat) ** 2))
+                 * np.sum((ris.areas / lam) ** 2 * np.abs(e_hat) ** 2) * peak * peak)
 
 
 def _full_matrix_monte_carlo(ris, waves, r_s, thetas, trials, seed):
