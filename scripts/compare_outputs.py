@@ -15,10 +15,12 @@ by the event pass alone), a 256-cell one-line JSON file, a 256-cell file with
 a '!' in a comment, one with a merged cell, one with a cell shared by alias and
 one with quoted keys and values, a 64-cell file at normal incidence on the
 phi = 0 cut (whose rows with theta >= 0 the factored cell sum leaves to the
-per-term sum); and a fixed list of malformed inputs, among
-them an empty stream, a second document, a block text 3000 levels deep, a
-one-line flow text 5000 levels deep and a 2000-deep one after a tab that
-only libyaml reads.
+per-term sum), and a linear file of 1200 scatter points with phi_deg written
+first on a third of its rows (read by the row reader); and a fixed list of
+malformed inputs, among them an empty stream, a second document, a block
+text 3000 levels deep, a one-line flow text 5000 levels deep, a 2000-deep one
+after a tab that only libyaml reads, and the 1200-point file with a point
+outside the linear range.
 Every output file, and the exit code, stdout and stderr of every run, is
 reported as identical, or with the largest deviation of each numeric CSV
 column or JSON field that moved, relative to that column's largest
@@ -93,6 +95,25 @@ def shuffled_cells(count=1024):
     return rows
 
 
+def shuffled_points(count=1200, outside_at=None):
+    """A linear scenario of count seeded scatter points, as the row reader reads them.
+
+    Every third row writes phi_deg first, as '{phi_deg: 0.0, theta_deg: x}', and
+    a fifth of the angles are in '%.17e' form. The point at outside_at lies at
+    95 deg, which a linear array refuses.
+    """
+    rng, rows = random.Random(13), []
+    for i in range(count):
+        theta = 95.0 if i == outside_at else rng.uniform(-90.0, 90.0)
+        theta = f"{theta:.17e}" if rng.random() < 0.2 else f"{theta:.6f}"
+        rows.append(f"    - {{phi_deg: 0.0, theta_deg: {theta}}}\n" if i % 3 == 0
+                    else f"    - {{theta_deg: {theta}}}\n")
+    return ("geometry: {kind: linear, n: 16, spacing: 0.7, a: 0.1, b: 0.1}\n"
+            "incident:\n  - {theta_deg: 30.0, amplitude: 1.0}\n  - {theta_deg: -45.0}\n"
+            "observation:\n  radius: 100.0\n  points:\n" + "".join(rows)
+            + "configure: {scheme: random, seed: 5}\n")
+
+
 PLANAR_TAIL = ("incident: [{theta_deg: 20.0, phi_deg: 30.0}]\n"
                "observation: {radius: 50.0, grid: {start_deg: -90.0, stop_deg: 90.0, count: 91, "
                "phi_deg: 15.0}}\n")
@@ -152,6 +173,7 @@ SCENARIOS = {
     # 7500 rad) and over it (about 38 600 rad, summed per cell as perfbench/oracle.py does)
     "linear_1000.yaml": linear(0.8, n=1000, count=3601) + COMPENSATE,
     "linear_8192.yaml": linear(0.5, n=8192) + COMPENSATE,
+    "linear_points_shuffled.yaml": shuffled_points(),
     "random.yaml": linear() + "configure: {scheme: random, seed: 3}\n",
     "expectation.yaml": linear()
     + "configure: {scheme: random, expectation: true}\n",
@@ -188,6 +210,7 @@ SCENARIOS = {
     # a tab between flow items, which libyaml reads and the Python loader refuses
     "deep_flow_tab.yaml": "x: {a: 1,\tc: 2}\ngeometry: " + "[" * 2000 + "]" * 2000 + "\n",
     "planar_null_area.yaml": planar_cells(null_area_at=700) + PLANAR_TAIL,
+    "linear_points_outside.yaml": shuffled_points(outside_at=700),
     # normal incidence on the phi = 0 cut: u_y is 0 on every row with theta >= 0 and about
     # 1e-16 on the rest, and u_x is 0 at theta = 0, so the factored cell sum leaves some
     # rows to the per-term sum
@@ -229,6 +252,8 @@ RUNS = {
                                 "--out", "compensate_points.csv"],
     "sweep-linear-1000": ["sweep", "linear_1000.yaml", "--out", "linear_1000.csv"],
     "sweep-linear-8192": ["sweep", "linear_8192.yaml", "--out", "linear_8192.csv"],
+    "sweep-linear-points-shuffled": ["sweep", "linear_points_shuffled.yaml",
+                                     "--out", "linear_points_shuffled.csv"],
     "sweep-random": ["sweep", "random.yaml", "--out", "random.csv"],
     "sweep-random-seed": ["sweep", "random.yaml", "--seed", "11", "--out", "random_seed.csv"],
     "sweep-random-trials": ["sweep", "random.yaml", "--trials", "40",
@@ -263,6 +288,7 @@ RUNS = {
     "deep-flow": ["sweep", "deep_flow.yaml"],
     "deep-flow-tab": ["sweep", "deep_flow_tab.yaml"],
     "planar-null-area": ["sweep", "planar_null_area.yaml"],
+    "linear-points-outside": ["sweep", "linear_points_outside.yaml"],
     "bad-desired": ["configure", "bad_desired.yaml"],
     "negative-seed": ["sweep", "random.yaml", "--seed", "-3"],
     "mimo-on-patch": ["mimo", "patch.yaml"],

@@ -27,7 +27,7 @@ from .config import (ReshapeSolution, beam_reshape, monte_carlo_power_grid,
                      phase_compensation, random_phase_draw, random_phase_miso_expected_power)
 from .linear import LinearRis, MimoSystem, _field, dft_scatter_grid, mimo_on_angles
 from .patch import Patch
-from .surface import RisGeometry, UnitCell, _RefusedCell, _field_magnitude
+from .surface import RisGeometry, UnitCell, _RefusedRow, _field_magnitude
 
 DEFAULT_RADIUS_WAVELENGTHS = 100.0
 
@@ -112,10 +112,38 @@ class _Section:
     def positive_int(self, key: str) -> int:
         return self.value(key, lambda v: _is_int(v) and v >= 1, "a positive integer")
 
+    def _list(self, key: str) -> list:
+        return self.value(key, lambda v: isinstance(v, list) and len(v) > 0, "a non-empty list")
+
     def items(self, key: str, keys) -> list:
         """The non-empty list under key as sections named '<key>[i]', each with its keys."""
-        raw = self.value(key, lambda v: isinstance(v, list) and len(v) > 0, "a non-empty list")
-        return [_Section(item, f"{self._prefix}{key}[{i}]", keys) for i, item in enumerate(raw)]
+        return [_Section(item, f"{self._prefix}{key}[{i}]", keys)
+                for i, item in enumerate(self._list(key))]
+
+    def rows(self, key: str, keys, read_columns, read_row):
+        """read_columns(rows) of the non-empty list of rows under key, mappings of keys.
+
+        Every row's keys are checked before any value is read, so a row that
+        is not a mapping of keys is named first, wherever it stands. Where
+        read_columns raises _RefusedRow, only the first refused row is read
+        again, as the section '<key>[i]' by read_row, which names it in the
+        words of the typed reads.
+        """
+        rows = self._list(key)
+        row = None
+        # a list of dicts is checked in C, and a row that is not a mapping of keys found in Python
+        if not (set(map(type, rows)) == {dict} and all(map(keys.issuperset, rows))):
+            row = next((i for i, r in enumerate(rows)
+                        if not (isinstance(r, dict) and r.keys() <= keys)), None)
+        if row is None:
+            try:
+                return read_columns(rows)
+            except _RefusedRow as refused:
+                row = refused.row
+        section = _Section(rows[row], f"{self._prefix}{key}[{row}]", keys)
+        read_row(section)
+        # not reached: a row refused in a column is refused on its own
+        raise ScenarioError(f"invalid '{section.name}'")
 
 
 def _tagged(node, name: str, tag: str, table: dict):
@@ -201,35 +229,20 @@ def _build(name, make, *args, **kwargs):
 
 
 _CELL_KEYS = {"position", "a", "b", "area", "phase"}
+_POINT_KEYS = {"theta_deg", "phi_deg"}
 
 
 def _parse_geometry(node, ctx):
     """The geometry kind and its model: a LinearRis, or a RisGeometry for patch and planar.
 
-    Planar cells are read as columns, and RisGeometry.from_arrays checks them.
-    Where it refuses one, only the first refused cell is read again, by the
-    typed reads and UnitCell, which name it in their own words.
+    Planar cells are read as columns (_Section.rows), and RisGeometry.from_arrays
+    checks them.
     """
     kind, geo = _tagged(node, "geometry", "kind", _GEOMETRY_KEYS)
     if kind == "planar":
-        cells = geo.value("cells", lambda v: isinstance(v, list) and len(v) > 0,
-                          "a non-empty list")
-        # every cell's section is built before any value is read, so a cell that is not
-        # a mapping of cell keys is named first, wherever it stands
-        row = next((i for i, c in enumerate(cells)
-                    if not (isinstance(c, dict) and c.keys() <= _CELL_KEYS)), None)
-        if row is None:
-            try:
-                return kind, RisGeometry.from_arrays(*_cell_columns(cells), ctx)
-            except _RefusedCell as refused:
-                row = refused.row
-        c = _Section(cells[row], f"geometry.cells[{row}]", _CELL_KEYS)
-        position = c.value("position", lambda v: _is_numbers(v, 3),
-                           "a list of three finite numbers")
-        _build(c.name, UnitCell, np.array(position, dtype=float), c.number("a"), c.number("b"),
-               c.number("area", None), c.number("phase", 0.0))
-        # not reached: a cell refused in a column is refused on its own
-        raise ScenarioError(f"invalid '{c.name}'")
+        return kind, geo.rows("cells", _CELL_KEYS,
+                              lambda cells: RisGeometry.from_arrays(*_cell_columns(cells), ctx),
+                              _read_cell)
     a, b, area = geo.number("a"), geo.number("b"), geo.number("area", None)
     if kind == "patch":
         return kind, RisGeometry((_build("geometry", Patch, a, b, area),), ctx)
@@ -253,6 +266,33 @@ def _cell_columns(cells):
         [c.get("phase", 0.0) for c in cells]))
     return (positions.reshape(-1, 3), a, b,
             [area if "area" in c else None for c, area in zip(cells, areas.tolist())], phases)
+
+
+def _read_cell(c: _Section):
+    """Read one cell by the typed reads and UnitCell, which refuse what from_arrays refuses."""
+    position = c.value("position", lambda v: _is_numbers(v, 3), "a list of three finite numbers")
+    _build(c.name, UnitCell, np.array(position, dtype=float), c.number("a"), c.number("b"),
+           c.number("area", None), c.number("phase", 0.0))
+
+
+def _point_columns(points):
+    """The scatter points, mappings of point keys, as (theta_deg, phi_deg) columns.
+
+    A missing theta_deg, and an angle that is not a finite number, is NaN, and
+    _RefusedRow names the first point that holds one.
+    """
+    thetas = _finite_floats([p.get("theta_deg") for p in points])
+    phis = _finite_floats([p.get("phi_deg", 0.0) for p in points])
+    refused = np.isnan(thetas) | np.isnan(phis)
+    if refused.any():
+        raise _RefusedRow("a scatter angle must be a finite number", int(refused.argmax()))
+    return thetas, phis
+
+
+def _read_point(p: _Section):
+    """Read one point by the typed reads, which refuse what _point_columns refuses."""
+    p.number("theta_deg")
+    p.number("phi_deg", 0.0)
 
 
 def _parse_incident_wave(w: _Section, linear: bool) -> PlaneWave:
@@ -283,9 +323,7 @@ def _parse_observation(node, ctx, defaults, linear: bool):
     if "grid" in obs and "points" in obs:
         raise ScenarioError("'observation' takes either 'grid' or 'points', not both")
     if "points" in obs:
-        pts = [(p.number("theta_deg"), p.number("phi_deg", 0.0))
-               for p in obs.items("points", {"theta_deg", "phi_deg"})]
-        thetas, phis = np.array(pts, dtype=float).T
+        thetas, phis = obs.rows("points", _POINT_KEYS, _point_columns, _read_point)
     else:
         grid_node = obs.node.get("grid")
         if grid_node is None:
@@ -498,74 +536,106 @@ class _EventLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
         return root[0]
 
 
+def _row(item: str) -> str:
+    """The grammar of a table row: '- {', items joined by ', ', then '}' and a line end."""
+    return rf"- \{{(?:(?:{item})(?:, (?:{item}))*)?\}}\n"
+
+
 # A planar cell on one line, '- {position: [x, y, z], a: .., b: .., area: .., phase: ..}',
-# with any of the cell keys in any order and every value a plain decimal (_NUMBER).
-_CELL_ITEM = rf"(?:position: \[{_NUMBER}, {_NUMBER}, {_NUMBER}\]|(?:a|b|area|phase): {_NUMBER})"
-_CELL_ROW = rf"- \{{(?:{_CELL_ITEM}(?:, {_CELL_ITEM})*)?\}}\n"
-# Up to 64 cell rows at one indent. Anchored at line starts, a search tries each line
-# once, also a line of thousands of spaces. A block collection at column c lies at
-# most 2c + 2 collections deep (each enclosing block collection starts further in, and
-# each may hold one indentless sequence), so a row indented under 100 columns never
-# nears _MAX_DEPTH. The regex engine keeps about 6 kB of backtracking state per row of
-# a repeat, so a table is matched 64 rows at a time. Compiling the pattern takes about
-# 3 ms: it is compiled at its first use, and re.compile caches it.
-_CELL_ROWS = rf"^( {{0,99}}){_CELL_ROW}(?:\1{_CELL_ROW}){{0,63}}"
+# and a scatter point, '- {theta_deg: .., phi_deg: ..}', each with any of its keys in any
+# order and every value a plain decimal (_NUMBER).
+_CELL_ROW = _row(rf"position: \[{_NUMBER}, {_NUMBER}, {_NUMBER}\]|(?:a|b|area|phase): {_NUMBER}")
+_POINT_ROW = _row(rf"(?:theta_deg|phi_deg): {_NUMBER}")
+# the tables that the row reader reads: (section, key, the keys of a row, the row grammar)
+_TABLES = (("geometry", "cells", _CELL_KEYS, _CELL_ROW),
+           ("observation", "points", _POINT_KEYS, _POINT_ROW))
 # blank and comment lines, which may stand between the items of a block sequence
 _BLANK_LINES = re.compile(r"(?:[ ]*(?:#.*)?\n)*")
 
 
-def _read_cell_rows(text: str):
-    """The document of text with its planar cell table read row by row, or None.
+def _table_rows(text: str, key: str, row: str):
+    """(start, end, indent) of the rows of key's table in text, or None.
 
-    The run of cell rows at one indent that follows the line of the first
-    'cells:', past blank and comment lines only, is read as one JSON array.
-    The value grammar is a part of JSON's, and json reads a number with a dot
-    by float() and one without by int(), as the event pass does. The rest of
-    the text goes through the event pass, with that run replaced by one
-    placeholder item whose word occurs nowhere in text.
-    The document is taken only if its geometry.cells is exactly that
-    placeholder; the list is then filled in place, so an alias of cells
-    shares it. Every other outcome, an exception included, is None, and the
-    whole text is read as before: the row reader decides no message.
+    The rows are the run of lines of the row grammar at one indent that
+    starts on the line after the first 'key:', past blank and comment lines
+    only. Anything else before them, such as a first row the grammar refuses,
+    or an item of the same sequence after them, such as a later row it
+    refuses, is None: the table is left to the event pass without the cost of
+    reading its rows.
     """
-    at = text.find("cells:")
+    at = text.find(key + ":")
     line_end = text.find("\n", at) if at >= 0 else -1
     if line_end < 0:
         return None
-    cell_rows = re.compile(_CELL_ROWS, re.MULTILINE)
-    # the rows start on the line after 'cells:', past blank and comment lines. Anything
-    # else before them, such as a first row the grammar refuses, would fail the check
-    # below: the text goes to the event pass without the cost of reading the rows
-    rows = cell_rows.match(text, _BLANK_LINES.match(text, line_end + 1).end())
+    # Up to 64 rows at one indent. Anchored at line starts, a match tries each line once,
+    # also a line of thousands of spaces. A block collection at column c lies at most
+    # 2c + 2 collections deep (each enclosing block collection starts further in, and
+    # each may hold one indentless sequence), so a row indented under 100 columns never
+    # nears _MAX_DEPTH. The regex engine keeps about 6 kB of backtracking state per row
+    # of a repeat, so a table is matched 64 rows at a time. Compiling the cell pattern
+    # takes about 3 ms and the point pattern 1.5 ms: a pattern is compiled at its first
+    # use, and re.compile caches it.
+    rows_at = re.compile(rf"^( {{0,99}}){row}(?:\1{row}){{0,63}}", re.MULTILINE).match
+    rows = rows_at(text, _BLANK_LINES.match(text, line_end + 1).end())
     if rows is None:
         return None
     indent, start, end = rows.group(1), rows.start(), rows.end()
-    while (rows := cell_rows.match(text, end)) and rows.group(1) == indent:
+    while (rows := rows_at(text, end)) and rows.group(1) == indent:
         end = rows.end()
-    # an item after the rows, such as a row the grammar refuses, would fail the check
-    # below: the text goes to the event pass without the cost of reading the rows
     if text.startswith(indent + "-", _BLANK_LINES.match(text, end).end()):
         return None
-    table = text[start:end]
-    body = table[len(indent) + 2:-1].replace("\n" + indent + "- ", ",")
-    # 'area' and 'phase' before 'a', so that 'a:' is left only where a is the key
-    for key in ("position", "area", "phase", "a", "b"):
-        body = body.replace(key + ":", f'"{key}":')
+    return start, end, indent
+
+
+def _read_rows(text: str):
+    """The document of text with its tables of one-line rows read row by row, or None.
+
+    Each table of _TABLES whose rows _table_rows finds is read as one JSON
+    array: the value grammar is a part of JSON's, and json reads a number with
+    a dot by float() and one without by int(), as the event pass does. The rest
+    of the text goes through the event pass, with each table's rows replaced by
+    one placeholder item of its own, whose word occurs nowhere in text. The
+    document is taken only if each table's list, such as geometry.cells, is
+    exactly its placeholder and no row repeats a key; the lists are then
+    filled in place, so an alias of one shares it. Every other outcome, an
+    exception included, is None, and the whole text is read as before: the
+    row reader decides no message. A text with no table costs a str.find per
+    table, and compiles no pattern.
+    """
+    found = sorted((rows, section, key, keys) for section, key, keys, row in _TABLES
+                   if (rows := _table_rows(text, key, row)))
+    if not found:
+        return None
     word = "rows"
     while word in text:
         word += word
+    parts, tables, last = [], [], 0
     try:
-        cells = json.loads("[" + body + "]")
-        doc = yaml.load(text[:start] + indent + "- " + word + "\n" + text[end:],
-                        Loader=_EventLoader)
+        for (start, end, indent), section, key, keys in found:
+            if start < last:  # both keys stand before one run of rows ('cells: # points:')
+                return None
+            table = text[start:end]
+            body = table[len(indent) + 2:-1].replace("\n" + indent + "- ", ",")
+            # a key before the shorter keys it ends with ('area' before 'a'), so that 'a:' is
+            # left only where a is the key
+            for name in sorted(keys, key=len, reverse=True):
+                body = body.replace(name + ":", f'"{name}":')
+            rows = json.loads("[" + body + "]")
+            # one ':' per key: a row that repeats a key is left to the event pass
+            if sum(map(len, rows)) != table.count(":"):
+                return None
+            parts += [text[last:start], indent + "- " + word + key + "\n"]
+            tables.append((section, key, rows))
+            last = end
+        doc = yaml.load("".join(parts) + text[last:], Loader=_EventLoader)
     except _PASS_ERRORS:
         return None
-    geometry = doc.get("geometry") if isinstance(doc, dict) else None
-    placeholder = geometry.get("cells") if isinstance(geometry, dict) else None
-    # one ':' per key: a row that repeats a key is left to the event pass
-    if placeholder != [word] or sum(map(len, cells)) != table.count(":"):
-        return None
-    placeholder[:] = cells
+    for section, key, _ in tables:
+        node = doc.get(section) if isinstance(doc, dict) else None
+        if not (isinstance(node, dict) and node.get(key) == [word + key]):
+            return None
+    for section, key, rows in tables:
+        doc[section][key][:] = rows
     return doc
 
 
@@ -573,18 +643,20 @@ def _load_yaml(text: str):
     """The YAML document in text, read by the event pass where it can, else by Python.
 
     libyaml's path is the event pass of _EventLoader, behind the row reader
-    (_read_cell_rows), which reads a planar cell table of one-line rows
-    without libyaml and gives the document the pass gives. Both loaders
-    share the Python constructor and resolver, so they give the same objects.
-    Every text the pass hands over, a tagged one included, and every text
-    libyaml refuses goes to the pure-Python loader: libyaml refuses some
+    (_read_rows), which reads the two tables of _TABLES, geometry.cells and
+    observation.points, where their rows are one line each, without libyaml,
+    and gives the document the pass gives. Incident waves are left to the
+    pass: a scenario holds a few. Both loaders share the Python constructor
+    and resolver, so they give the same objects. Every text the pass hands
+    over, a tagged one included, and every text libyaml refuses goes to the
+    pure-Python loader: libyaml refuses some
     texts the Python loader accepts (such as '{a:[1]}'), words and places its
     errors differently, and reads a bare '!' on an empty value as '', not
     null. A text the pass finds _MAX_DEPTH deep is refused as nesting too
     deep.
     """
     if yaml.__with_libyaml__:
-        doc = _read_cell_rows(text)
+        doc = _read_rows(text)
         if doc is not None:
             return doc
         try:

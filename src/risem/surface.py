@@ -50,8 +50,8 @@ def _store(obj, *values):
         object.__setattr__(obj, f.name, value)
 
 
-class _RefusedCell(ValueError):
-    """A refusal of from_arrays: the message of the first check refused, and the first row."""
+class _RefusedRow(ValueError):
+    """A refusal of a column reader: the message of the first check refused, and the first row."""
 
     def __init__(self, message: str, row: int):
         super().__init__(message)
@@ -100,7 +100,7 @@ class RisGeometry:
         if positions.shape[:1] == (0,):
             raise ValueError("geometry needs at least one cell")
         if positions.ndim != 2 or positions.shape[1] != 3:
-            raise _RefusedCell(_CELL_CHECKS[0], 0)
+            raise _RefusedRow(_CELL_CHECKS[0], 0)
         n = len(positions)
         if not a.shape == b.shape == given.shape == phases.shape == (n,):
             raise ValueError(f"cell columns must hold {n} values each, one per position")
@@ -112,7 +112,7 @@ class RisGeometry:
                             ~(np.isfinite(a) & (a > 0) & np.isfinite(b) & (b > 0)),
                             given & ~(np.isfinite(areas) & (areas > 0)), ~np.isfinite(phases)])
         if refused.any():
-            raise _RefusedCell(_CELL_CHECKS[refused.any(axis=1).argmax()],
+            raise _RefusedRow(_CELL_CHECKS[refused.any(axis=1).argmax()],
                                int(refused.any(axis=0).argmax()))
         geom = cls.__new__(cls)
         _store(geom, positions, a, b, areas, np.remainder(phases, TWO_PI), ctx)
