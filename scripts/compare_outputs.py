@@ -15,8 +15,10 @@ by the event pass alone), a 256-cell one-line JSON file, a 256-cell file with
 a '!' in a comment, one with a merged cell, one with a cell shared by alias and
 one with quoted keys and values, a 64-cell file at normal incidence on the
 phi = 0 cut (whose rows with theta >= 0 the factored cell sum leaves to the
-per-term sum), and a linear file of 1200 scatter points with phi_deg written
-first on a third of its rows (read by the row reader); and a fixed list of
+per-term sum), a linear file of 1200 scatter points with phi_deg written
+first on a third of its rows (read by the row reader), a 1024-cell Monte Carlo
+sweep of 300 trials (its mean taken from lag correlations over many trial
+blocks) and a three-wave expectation sweep; and a fixed list of
 malformed inputs, among them an empty stream, a second document, a block
 text 3000 levels deep, a one-line flow text 5000 levels deep, a 2000-deep one
 after a tab that only libyaml reads, and the 1200-point file with a point
@@ -118,6 +120,8 @@ PLANAR_TAIL = ("incident: [{theta_deg: 20.0, phi_deg: 30.0}]\n"
                "observation: {radius: 50.0, grid: {start_deg: -90.0, stop_deg: 90.0, count: 91, "
                "phi_deg: 15.0}}\n")
 TWO_WAVES = "[{theta_deg: 30.0}, {theta_deg: -20.0, amplitude: 0.6}]"
+THREE_WAVES = ("[{theta_deg: 30.0}, {theta_deg: -20.0, amplitude: 0.6}, "
+               "{theta_deg: 65.0, amplitude: 1.4}]")
 COMPENSATE = "configure: {scheme: compensate, theta_i_deg: 30.0, theta_s_deg: -50.0}\n"
 # a few cells and angles each, so the corpus runs in seconds
 SCENARIOS = {
@@ -180,6 +184,10 @@ SCENARIOS = {
     # two waves: Monte Carlo and the expectation sum over a wave axis
     "random_two_waves.yaml": linear(incident=TWO_WAVES) + "configure: {scheme: random, seed: 3}\n",
     "expectation_wide.yaml": linear(width=0.45, incident=TWO_WAVES)
+    + "configure: {scheme: random, expectation: true}\n",
+    # 1024 cells: the Monte Carlo mean's trial blocks hold 8 trials of 2048-point spectra
+    "random_1024.yaml": linear(0.6, n=1024) + "configure: {scheme: random, seed: 7}\n",
+    "expectation_three_waves.yaml": linear(0.7, width=0.3, incident=THREE_WAVES)
     + "configure: {scheme: random, expectation: true}\n",
     "reshape05.yaml": linear()
     + "configure: {scheme: reshape, desired_pattern_file: desired.json}\n",
@@ -263,6 +271,10 @@ RUNS = {
                                       "--out", "random_two_waves_trials.csv"],
     "sweep-expectation-wide": ["sweep", "expectation_wide.yaml",
                                "--out", "expectation_wide.csv"],
+    "sweep-random-1024-trials": ["sweep", "random_1024.yaml", "--trials", "300",
+                                 "--out", "random_1024_trials.csv"],
+    "sweep-expectation-three-waves": ["sweep", "expectation_three_waves.yaml",
+                                      "--out", "expectation_three_waves.csv"],
     "sweep-reshape05": ["sweep", "reshape05.yaml", "--format", "json",
                         "--out", "reshape05.json"],
     "mimo-reshape05": ["mimo", "reshape05.yaml", "--out", "reshape05_mimo.json"],

@@ -14,7 +14,7 @@ import numpy as np
 from .core import (CHUNK_TERMS, TWO_PI, Direction, ObservationPoint, PlaneWave, _chunked,
                    _edge_sinc, _sum_waves, _wave_arrays)
 from .linear import (LinearRis, MimoSystem, _alternating_signs, _cell_angle, _cell_terms,
-                     _geometry_phase, _steering, _complex_pairs)
+                     _geometry_phase, _steering, _complex_pairs, _weighted_sum)
 
 
 class ReshapeConditioningError(RuntimeError):
@@ -45,6 +45,20 @@ def trial_rng(seed, trial_index: int) -> np.random.Generator:
     return np.random.default_rng((seed, trial_index))
 
 
+def _trial_signs(n: int, seed, trials: range) -> np.ndarray:
+    """The signs 1 - 2 b of the given trials, one row each (trials x n), with b the
+    bits of trial_rng(seed, t).integers(0, 2, n).
+
+    Those bits are the top bits of the 32-bit halves of PCG64's 64-bit words, low
+    half first (Lemire's bounded draw of 0 or 1 takes no rejection), so each trial
+    takes ceil(n / 2) raw words of its generator and no Generator is built.
+    """
+    words = np.array([np.random.PCG64(np.random.SeedSequence((seed, t))).random_raw(-(-n // 2))
+                      for t in trials])
+    bits = np.stack([(words >> 31) & 1, words >> 63], axis=-1).reshape(len(trials), -1)[:, :n]
+    return 1.0 - 2.0 * bits
+
+
 def random_phase_expected_power(ris: LinearRis, theta_i: float, theta_s,
                                 r_s: float, amplitude: float = 1.0):
     """Expected |E^s|^2 at range r_s: the one-wave view of random_phase_miso_expected_power."""
@@ -57,24 +71,33 @@ def random_phase_expected_rcs(ris: LinearRis, theta_i: float, theta_s):
     return 4.0 * np.pi * random_phase_expected_power(ris, theta_i, theta_s, 1.0)
 
 
-def random_phase_miso_expected_power(ris: LinearRis, waves, r_s: float, theta_s):
-    """Expected |E^s|^2 over the random phase law, per scatter angle theta_s.
+def _quadratic_form(x: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """sum_{w, v} x_w x_v pairs[w, v] per angle, for x waves x angles and real pairs
+    waves x waves (x angles), in one fixed order of elementwise steps, so that equal
+    columns of x give equal bits; at least 0, since every caller's form is a power."""
+    out = np.zeros(x.shape[1:])
+    for w, v in np.ndindex(pairs.shape[:2]):
+        out += x[w] * x[v] * pairs[w, v]
+    return np.maximum(out, 0.0)
 
-    Independent zero-mean phases cancel the cross terms between cells, which
-    leaves |C|^2/r^2 sum_n (A_n/lam)^2 |h_n|^2 for any waves and cell widths,
-    h_n = sum_w A_w cos(theta_w) Sa_n(theta_w, theta_s) e^{j 2 pi n d sin(theta_w)/lam}.
-    The unit-modulus scatter phase is left out, so for point cells the result
-    is the same at every theta_s, bit for bit. A scalar theta_s gives a float.
-    """
+
+def _gram_power(ris: LinearRis, drive: np.ndarray, sin_w: np.ndarray,
+                sin_s: np.ndarray) -> np.ndarray:
+    """sum_n (A_n/lam)^2 |h_n|^2 per angle of an equal-width array, whose sinc leaves
+    the cell sum: x^T Re(G) x with x_w = drive_w Sa(sin_w + sin_s) and the waves' Gram
+    matrix G_{wv} = sum_n (A_n/lam)^2 conj(e_w(n)) e_v(n), formed once."""
     lam = ris.ctx.wavelength
-    sin_s = np.sin(np.asarray(theta_s, dtype=float))
-    theta, _, amplitude = _wave_arrays(waves, 1)
-    # the amplitudes relative to the largest, whose square scales the power last, so
-    # that a subnormal power rounds once
-    peak = amplitude.max(initial=0.0) or 1.0
-    sin_w = np.sin(theta)
-    excitation = (amplitude / peak * np.cos(theta)
-                  * _geometry_phase(ris.n, ris.spacing, lam, sin_w[:, 0]))
+    phases = _geometry_phase(ris.n, ris.spacing, lam, sin_w[:, 0])
+    gram = (phases.conj() * (ris.areas / lam) ** 2) @ phases.T
+    return _quadratic_form(drive * _edge_sinc(ris.widths[0], lam, sin_w + sin_s), gram.real)
+
+
+def _cell_power(ris: LinearRis, drive: np.ndarray, sin_w: np.ndarray,
+                sin_s: np.ndarray) -> np.ndarray:
+    """sum_n (A_n/lam)^2 |h_n|^2 per angle for any widths, h_n = sum_w drive_w Sa_n e_w(n),
+    over chunks of angles; the reference of _gram_power in the tests."""
+    lam = ris.ctx.wavelength
+    excitation = drive * _geometry_phase(ris.n, ris.spacing, lam, sin_w[:, 0])
     cell_weights = (ris.areas / lam) ** 2
 
     def power(sin_chunk):
@@ -83,9 +106,30 @@ def random_phase_miso_expected_power(ris: LinearRis, waves, r_s: float, theta_s)
         h = _sum_waves(excitation[:, None] * sa)
         return np.sum(cell_weights * (h.real ** 2 + h.imag ** 2), axis=-1)
 
+    return _chunked(power, sin_s, max(1, ris.n * len(drive)))
+
+
+def random_phase_miso_expected_power(ris: LinearRis, waves, r_s: float, theta_s):
+    """Expected |E^s|^2 over the random phase law, per scatter angle theta_s.
+
+    Independent zero-mean phases cancel the cross terms between cells, which
+    leaves |C|^2/r^2 sum_n (A_n/lam)^2 |h_n|^2 for any waves and cell widths,
+    h_n = sum_w A_w cos(theta_w) Sa_n(theta_w, theta_s) e_w(n), with
+    e_w(n) = e^{j 2 pi n d sin(theta_w)/lam}. With equal widths Sa leaves the cell
+    sum, and the power is x^T Re(G) x (_gram_power): W^2 steps per angle instead of
+    W n. Mixed widths sum the cells per angle (_cell_power). The unit-modulus
+    scatter phase is left out, so for point cells the result is the same at every
+    theta_s, bit for bit. A scalar theta_s gives a float.
+    """
+    sin_s = np.sin(np.asarray(theta_s, dtype=float))
+    theta, _, amplitude = _wave_arrays(waves, 1)
+    # the amplitudes relative to the largest, whose square scales the power last, so
+    # that a subnormal power rounds once
+    peak = amplitude.max(initial=0.0) or 1.0
+    power = _gram_power if np.all(ris.widths == ris.widths[0]) else _cell_power
     out = (abs(ris.ctx.coupling) ** 2 / r_s ** 2
-           * _chunked(power, sin_s.ravel(), max(1, ris.n * len(waves))).reshape(sin_s.shape)
-           * peak * peak)
+           * power(ris, amplitude / peak * np.cos(theta), np.sin(theta), sin_s.ravel())
+           .reshape(sin_s.shape) * peak * peak)
     return float(out) if out.ndim == 0 else out
 
 
@@ -96,21 +140,56 @@ def monte_carlo_power(ris: LinearRis, waves, obs: ObservationPoint,
                                         trials, seed)[0])
 
 
+def _lag_mean(ris: LinearRis, waves, sin_s: np.ndarray, trials: int, seed) -> np.ndarray:
+    """The Monte Carlo mean of |E^s|^2 r^2 / |C|^2 per angle of an equal-width array,
+    from the lag correlations of its trials' cell excitations.
+
+    With y_{w,t} = e_w o (A/lam) o sigma_t, the sample correlation
+    rho_{wv}(D) = (1/T) sum_t sum_n conj(y_{w,t}(n)) y_{v,t}(n + D) comes from
+    zero-padded FFT cross-spectra of length L >= 2n - 1, summed over blocks of
+    trials; the mean is then 2 Re sum_{w,v} x_w x_v Q_{wv} per angle, with the lag
+    sums Q_{wv}(s) = sum_{D >= 0} rho'_{wv}(D) e^{j 2 pi D d s / lam} and
+    rho'(0) = rho(0) / 2: the negative lags are the conjugates of the positive ones,
+    rho_{vw}(-D) = conj rho_{wv}(D). So the trials leave the per-angle work.
+    """
+    n, lam = ris.n, ris.ctx.wavelength
+    theta, _, amplitude = _wave_arrays(waves, 1)
+    sin_w = np.sin(theta)
+    cells = _geometry_phase(n, ris.spacing, lam, sin_w[:, 0]) * (ris.areas / lam)
+    size = 1 << (2 * n - 2).bit_length()
+    block = max(1, CHUNK_TERMS // (max(1, len(waves)) * size))
+    spectra = np.zeros((len(waves), len(waves), size), dtype=complex)
+    for lo in range(0, trials, block):
+        signs = _trial_signs(n, seed, range(lo, min(lo + block, trials)))
+        y = np.fft.fft(cells[:, None] * signs, size)
+        spectra += np.einsum("wtl,vtl->wvl", y.conj(), y)
+    rho = np.fft.ifft(spectra)[..., :n] / trials
+    rho[..., 0] /= 2.0
+    lags = _weighted_sum(ris, sin_s, np.zeros(1), rho.reshape(-1, n).T)[:, 0]
+    drive = amplitude * np.cos(theta) * _edge_sinc(ris.widths[0], lam, sin_w + sin_s)
+    return 2.0 * _quadratic_form(drive, lags.real.T.reshape(len(waves), len(waves), sin_s.size))
+
+
 def monte_carlo_power_grid(ris: LinearRis, waves, r_s: float, thetas, trials: int, seed,
                            return_stderr: bool = False):
     """Vectorized Monte Carlo mean of |E^s|^2 on a scatter-angle grid.
 
-    Trial t draws its signs from trial_rng(seed, t). The trials run in blocks
-    and the angles in chunks of the core chunk loop, so memory stays bounded
-    for any trial and angle count. With return_stderr=True also returns the
-    standard error of the mean.
+    Trial t draws its signs from trial_rng(seed, t). With equal widths the mean
+    alone is taken from the lag correlations of the trials' cell excitations
+    (_lag_mean): one weighted kernel sum per angle, whatever the trial count.
+    Mixed widths, and return_stderr=True (the standard error needs each
+    trial's power, whose square has no lag form), sum each trial per angle. The
+    trials run in blocks and the angles in chunks of the core chunk loop, so
+    memory stays bounded for any trial and angle count.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    # each trial's signs stand for e^{j Omega_n}, so the cell weights are A_n/lam alone
-    weights = ris.areas / ris.ctx.wavelength
     scale = ris.ctx.coupling * np.exp(-2j * np.pi * r_s / ris.ctx.wavelength) / r_s
     sin_s = np.sin(np.asarray(thetas, dtype=float).ravel())
+    if not return_stderr and np.all(ris.widths == ris.widths[0]):
+        return abs(scale) ** 2 * _lag_mean(ris, waves, sin_s, trials, seed)
+    # each trial's signs stand for e^{j Omega_n}, so the cell weights are A_n/lam alone
+    weights = ris.areas / ris.ctx.wavelength
 
     theta, _, amplitude = _wave_arrays(waves, 2)
     sin_w = np.sin(theta)
@@ -129,8 +208,7 @@ def monte_carlo_power_grid(ris: LinearRis, waves, r_s: float, thetas, trials: in
     acc = np.zeros((sin_s.size, 2))
     for lo in range(0, trials, block):
         # cells x trials, complex so that no chunk converts it again
-        signs = np.array([1.0 - 2.0 * trial_rng(seed, t).integers(0, 2, size=ris.n)
-                          for t in range(lo, min(lo + block, trials))], dtype=complex).T
+        signs = _trial_signs(ris.n, seed, range(lo, min(lo + block, trials))).astype(complex).T
         acc += _chunked(lambda chunk: moments(chunk, signs), sin_s,
                         max(ris.n * len(waves), signs.shape[1]))
     mean = acc[:, 0] / trials

@@ -76,7 +76,7 @@ class LinearRis:
 # Against that oracle an exact sum reads up to 1.35e-11 on the benchmark's 8192-cell
 # slot, normalised by a sidelobe (3 of 30 jobs past the check's 6e-12), and at most
 # 3.4e-13 on its 1000-cell slots (linear-sweep seeds 1-10, unprinted values). Delete
-# the bound once the oracle's phases are exact (ROADMAP item 1).
+# the bound once the oracle's phases are exact (ROADMAP item 11).
 _BLOCKED_MAX_ANGLE = 2.0 ** 14
 # Veltkamp's factor 2^27 + 1: it splits a float64 into two halves of 26 bits
 _SPLITTER = 2.0 ** 27 + 1.0
@@ -165,21 +165,25 @@ def _blocks(ris: LinearRis, s_max: float) -> tuple[int, int] | None:
 
 def _blocked_sum(ris: LinearRis, sines: np.ndarray, sin_i: np.ndarray, weights: np.ndarray,
                  b: int, k: int) -> np.ndarray:
-    """sum_m w_m e^{j 2 pi m d (sin_i[i] + sines[k]) / wavelength}, shape (len(sines), len(sin_i)).
+    """sum_m w_m e^{j 2 pi m d (sin_i[i] + sines[k]) / wavelength}, shape
+    (len(sines), len(sin_i)) + weights.shape[1:]: weights is one weight per cell,
+    or n x c columns of them.
 
     Cell m = kB + j, with B = b and K = k from _blocks, so each cell phase is a
     giant phase e^{j 2 pi kB x} times a baby phase e^{j 2 pi j x},
     x = d s / wavelength (Paterson and Stockmeyer's split): B + K phases per sine
     instead of n, each _phasor of 2 pi times its exact turns. With one sin_i the
-    sum is giant . (baby @ W), W the B x K block matrix of V(sin_i) o w: one
-    product per chunk and one per sine. With more, V is the giant (x) baby outer
-    product, times the n x len(sin_i) matrix V(sin_i)^T o w in one product per
-    chunk. The outer product would serve one sin_i too, but forms every cell:
-    against it the blocks gave linear-sweep 1.41 and reshape 1.19 times the
-    points/s (medians of 10 alternating pairs each, 2-core machine).
+    sum is giant . (baby @ W), W the B x K block matrix of V(sin_i) o w, per
+    column: one product per chunk and one per sine. With more, V is the
+    giant (x) baby outer product, times the n x len(sin_i) c matrix V(sin_i)^T o w
+    in one product per chunk. The outer product would serve one sin_i too, but
+    forms every cell: against it the blocks gave linear-sweep 1.41 and reshape
+    1.19 times the points/s (medians of 10 alternating pairs each, 2-core machine).
     """
     n, d, lam = ris.n, ris.spacing, ris.ctx.wavelength
     counts = np.concatenate([np.arange(b), b * np.arange(k)])
+    columns = weights.reshape(n, weights.size // n)
+    width = sin_i.size * columns.shape[1]
 
     def phases(s):
         """The baby phases (len(s), B) and the giant phases (len(s), K) of each sine."""
@@ -192,18 +196,42 @@ def _blocked_sum(ris: LinearRis, sines: np.ndarray, sin_i: np.ndarray, weights: 
         """The K B cell phases giant (x) baby of each sine, past the last cell too."""
         return (giant[:, :, None] * baby[:, None, :]).reshape(len(baby), k * b)
 
-    # row kB + j holds cell kB + j, and zeros past the last cell
-    left = np.zeros((k * b, sin_i.size), dtype=complex)
-    left[:n] = cells(*phases(sin_i))[:, :n].T * weights[:, None]
-    blocks = left.reshape(k, b).T if sin_i.size == 1 else None
+    # row kB + j holds cell kB + j, and zeros past the last cell; column i c + l holds
+    # weight column l at sin_i[i]
+    left = np.zeros((k * b, width), dtype=complex)
+    left[:n] = (cells(*phases(sin_i))[:, :n].T[:, :, None] * columns[:, None, :]).reshape(n, width)
+    blocks = (left.reshape(k, b, width).transpose(1, 0, 2).reshape(b, k * width)
+              if sin_i.size == 1 else None)
 
     def chunk(c):
         baby, giant = phases(c)
         if blocks is None:
             return cells(baby, giant) @ left
-        return (giant[:, None] @ (baby @ blocks)[..., None])[:, 0]
+        return (giant[:, None] @ (baby @ blocks).reshape(len(c), k, width))[:, 0]
 
-    return _chunked(chunk, sines, max(k * b, sin_i.size) if blocks is None else b + k)
+    out = _chunked(chunk, sines, max(k * b, width) if blocks is None else b + k * width)
+    return out.reshape((sines.size, sin_i.size) + weights.shape[1:])
+
+
+def _weighted_sum(ris: LinearRis, sines: np.ndarray, sin_i: np.ndarray,
+                  weights: np.ndarray) -> np.ndarray:
+    """sum_m w_m e^{j 2 pi m d (sin_i[i] + sines[k]) / wavelength} over the cells of an
+    equal-width ris, shape (len(sines), len(sin_i)) + weights.shape[1:]: weights is one
+    weight per cell, or n x c columns of them, and sines and sin_i are flat.
+
+    Where _blocks allows it the sum is _blocked_sum's, with exactly reduced phases;
+    elsewhere each s = sin_i + sines takes the float64 cell angles, the bits of the
+    benchmark's oracle. So any split of the same sums takes the same path, and past
+    the bound the same bits. Both paths run over chunks of about core.CHUNK_TERMS
+    entries, so memory stays bounded for any array of s.
+    """
+    points = (sines[:, None] + sin_i).ravel()
+    blocks = _blocks(ris, np.abs(points).max(initial=0.0))
+    if blocks:
+        return _blocked_sum(ris, sines, sin_i, weights, *blocks)
+    out = _chunked(lambda c: _geometry_phase(ris.n, ris.spacing, ris.ctx.wavelength, c) @ weights,
+                   points, ris.n)
+    return out.reshape((sines.size, sin_i.size) + weights.shape[1:])
 
 
 def _cell_terms(ris: LinearRis, sines, weights) -> np.ndarray:
@@ -222,14 +250,11 @@ def _steering(ris: LinearRis, sines, sin_i=0.0) -> np.ndarray:
     T depends on the two angles only through s = sin(theta_i) + sin(theta_s), so
     each pair's s is formed once, as a one-argument call forms it, and the sums
     alone choose the path. The cell weights (A_n/wavelength) e^{j Omega_n} are
-    formed once. Mixed widths sum the per-cell terms of each s. With equal widths
-    the sinc depends on s alone and leaves the sum: where _blocks allows it, the
-    paper's factorisation V(sines) diag(w) V(sin_i)^T applies (e^{jk(a+b)} =
-    e^{jka} e^{jkb}) with exactly reduced phases, in _blocked_sum; elsewhere each
-    s takes the float64 cell angles, the bits of the benchmark's oracle. So any
-    split of the same sums takes the same path, and past the bound the same bits.
-    Every path runs over chunks of about core.CHUNK_TERMS entries, so memory
-    stays bounded for any array of s.
+    formed once. Mixed widths sum the per-cell terms of each s, over chunks of
+    about core.CHUNK_TERMS entries. With equal widths the sinc depends on s alone
+    and leaves the sum, which is _weighted_sum's: there the paper's factorisation
+    V(sines) diag(w) V(sin_i)^T applies (e^{jk(a+b)} = e^{jka} e^{jkb}) where the
+    phases are exact.
     """
     s, inc = np.asarray(sines, dtype=float), np.asarray(sin_i, dtype=float)
     flat, flat_i, lam = s.ravel(), inc.ravel(), ris.ctx.wavelength
@@ -239,10 +264,7 @@ def _steering(ris: LinearRis, sines, sin_i=0.0) -> np.ndarray:
     if np.any(ris.widths != ris.widths[0]):
         out = _chunked(lambda c: np.sum(_cell_terms(ris, c, weights), axis=-1), points, ris.n)
     else:
-        blocks = _blocks(ris, np.abs(points).max(initial=0.0))
-        out = (_blocked_sum(ris, flat, flat_i, weights, *blocks).ravel() if blocks else
-               _chunked(lambda c: _geometry_phase(ris.n, ris.spacing, lam, c) @ weights,
-                        points, ris.n))
+        out = _weighted_sum(ris, flat, flat_i, weights).ravel()
         out *= _edge_sinc(ris.widths[0], lam, points)
     return ris.ctx.coupling * out.reshape(sums.shape).T.reshape(inc.shape + s.shape)
 

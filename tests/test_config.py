@@ -15,9 +15,10 @@ from risem import (Direction, LinearRis, ObservationPoint, PlaneWave,
                    random_phase_draw, random_phase_expected_power,
                    random_phase_expected_rcs, random_phase_miso_expected_power,
                    sampling_sa_linear, steering_function)
-from risem.config import _svd_solve, trial_rng
-from risem.core import CHUNK_TERMS, TWO_PI
-from risem.linear import _cell_terms, _geometry_phase
+from risem import config as config_module
+from risem.config import _svd_solve, _trial_signs, trial_rng
+from risem.core import CHUNK_TERMS, TWO_PI, _edge_sinc, _phasor
+from risem.linear import _cell_terms, _geometry_phase, _turns
 from test_core import _bits
 
 CTX = WaveContext()
@@ -128,6 +129,23 @@ class TestRandomPhaseDraw:
         b = trial_rng(9, 5).integers(0, 2, size=8)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("n", [1, 16, 17, 100])
+    @pytest.mark.parametrize("seed", [0, 2 ** 31 - 1, 2 ** 32 + 5])
+    def test_trial_signs_are_the_bits_of_the_trial_generators(self, n, seed):
+        # odd and even n, and a seed of two 32-bit entropy words
+        got = _trial_signs(n, seed, range(601))
+        want = [1.0 - 2.0 * trial_rng(seed, t).integers(0, 2, n) for t in range(601)]
+        assert got.shape == (601, n)
+        assert np.array_equal(got, want)
+        assert np.array_equal(_trial_signs(n, seed, range(590, 601)), got[590:])
+
+    def test_a_negative_seed_keeps_the_generator_error(self):
+        with pytest.raises(ValueError) as signs:
+            _trial_signs(4, -3, range(2))
+        with pytest.raises(ValueError) as generator:
+            trial_rng(-3, 0)
+        assert str(signs.value) == str(generator.value)
+
 
 class TestClosedFormMoments:
     def test_expected_power_reference_value(self):
@@ -208,6 +226,28 @@ class TestClosedFormMoments:
         assert got.shape == thetas.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
+    @pytest.mark.parametrize("n", [1, 16, 100, CHUNK_TERMS + 3])
+    @pytest.mark.parametrize("amplitudes", [(), (1.0,), (0.7, 0.0), (1.2, 0.3, 2.0),
+                                            (0.5, 1.5, 0.9, 1.1), (0.0, 0.0),
+                                            (5e-324, 1e-310, 2e-320)])
+    def test_gram_expectation_equals_the_cell_sum(self, monkeypatch, n, amplitudes):
+        # equal widths take the Gram matrix; the per-cell body, through the same
+        # amplitude scaling, is the reference: 0 to 4 waves, zero and subnormal amplitudes
+        rng = np.random.default_rng(n)
+        thetas = np.linspace(-1.5, 1.5, 41)
+        waves = [PlaneWave(Direction(rng.uniform(-1.3, 1.3)), a) for a in amplitudes]
+        for width in (0.0, 0.35):
+            ris = LinearRis(0.7, rng.uniform(0.0, 0.05, n), width, 0.0,
+                            WaveContext(1.1, 0.4 - 0.7j))
+            got = random_phase_miso_expected_power(ris, waves, 9.0, thetas)
+            with monkeypatch.context() as patch:
+                patch.setattr(config_module, "_gram_power", config_module._cell_power)
+                want = random_phase_miso_expected_power(ris, waves, 9.0, thetas)
+            assert got.shape == thetas.shape and np.all(got >= 0.0)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+            if width == 0.0:
+                assert np.all(got == got[0])
+
     def test_monte_carlo_matches_closed_form(self):
         ris = _reference_array(16)
         theta_i = math.radians(30.0)
@@ -236,6 +276,62 @@ class TestClosedFormMoments:
                                                             thetas, trials, 5)
             assert np.max(np.abs(mean - ref_mean)) <= 1e-12 * np.max(ref_mean)
             assert np.max(np.abs(stderr - ref_stderr)) <= 1e-12 * np.max(ref_mean)
+
+    @pytest.mark.parametrize("n, trials", [(8, 3), (8, 50), (16, 40), (17, 5), (100, 7),
+                                           (100, 150), (1024, 9), (1024, 1100), (4096, 3)])
+    def test_lag_mean_matches_the_trial_sum(self, monkeypatch, n, trials):
+        # the mean alone of an equal-width array takes the lag correlations; the per-trial
+        # sum of the same draws is the reference, over trial counts under and over n
+        calls, lag_mean = [], config_module._lag_mean
+
+        def spy(*args):
+            calls.append(args)
+            return lag_mean(*args)
+
+        monkeypatch.setattr(config_module, "_lag_mean", spy)
+        rng = np.random.default_rng(n)
+        waves = [PlaneWave(Direction(rng.uniform(-1.3, 1.3)), a) for a in (1.0, 0.4, 1.5)]
+        thetas = np.linspace(-1.5, 1.5, 2 * (CHUNK_TERMS // n) + 7)
+        for wave_count, width in enumerate((0.1, 0.0, 0.45), start=1):
+            ris = LinearRis(0.6, rng.uniform(0.005, 0.03, n), width, 0.0,
+                            WaveContext(1.3, -0.3 + 0.2j))
+            mean = monte_carlo_power_grid(ris, waves[:wave_count], 77.0, thetas, trials, 5)
+            ref_mean, _ = _full_matrix_monte_carlo(ris, waves[:wave_count], 77.0, thetas,
+                                                   trials, 5)
+            assert np.max(np.abs(mean - ref_mean)) <= 1e-12 * np.max(ref_mean)
+        assert len(calls) == 3
+
+    def test_lag_mean_past_the_blocked_bound_is_as_close_to_exact_turns(self):
+        # past 2^14 rad both bodies take float64 cell angles; against phases from exact
+        # turns, e_w(n) e_a(n) for the exact sum of the two sines, the lag form is no
+        # further off than the per-trial sum
+        n, trials = CHUNK_TERMS + 3, 2
+        rng = np.random.default_rng(n)
+        wave = PlaneWave(Direction(rng.uniform(-1.3, 1.3)), 1.0)
+        thetas = np.linspace(-1.5, 1.5, 3)
+        ris = LinearRis.uniform(n, 0.6, 0.02, width=0.2, ctx=WaveContext(1.3, -0.3 + 0.2j))
+        lam, sin_s, sin_i = 1.3, np.sin(thetas), math.sin(wave.direction.theta)
+
+        def phases(s):
+            return _phasor(TWO_PI * _turns(np.arange(n), 0.6, lam, np.atleast_1d(s)))
+
+        gains = (ris.ctx.coupling * np.exp(-2j * np.pi * 77.0 / lam) / 77.0 * math.cos(
+            wave.direction.theta) * _edge_sinc(0.2, lam, sin_i + sin_s)[:, None]
+            * (0.02 / lam) * phases(sin_i) * phases(sin_s))
+        want = sum(np.abs(gains @ (1.0 - 2.0 * trial_rng(5, t).integers(0, 2, n))) ** 2
+                   for t in range(trials)) / trials
+        lag = monte_carlo_power_grid(ris, [wave], 77.0, thetas, trials, 5)
+        per_trial, _ = monte_carlo_power_grid(ris, [wave], 77.0, thetas, trials, 5,
+                                              return_stderr=True)
+        assert np.max(np.abs(lag - want)) <= np.max(np.abs(per_trial - want))
+
+    def test_lag_mean_at_an_exact_null_is_zero_not_negative(self):
+        # trial 0 of seed 3 gives the 8 cells four signs of each kind, so the broadside sum
+        # vanishes; the lag form rounds to about -1.6e-21 there, whose square root is NaN
+        ris = LinearRis.uniform(8, 0.5, 0.013, ctx=WaveContext(1.0, -1.0))
+        assert np.sum(_trial_signs(8, 3, range(1))) == 0.0
+        mean = monte_carlo_power_grid(ris, [PlaneWave(Direction(0.0))], 10.0, [0.0], 1, 3)
+        assert mean[0] == 0.0
 
     def test_monte_carlo_needs_a_trial(self):
         with pytest.raises(ValueError):
