@@ -12,17 +12,18 @@ keys shuffled and a third of its numbers in exponent form (read by the row
 reader), the same file
 with a comment line inside its cell table and with CRLF line ends (both read
 by the event pass alone), a 256-cell one-line JSON file, a 256-cell file with
-a '!' in a comment, one with a merged cell, one with a cell shared by alias and
-one with quoted keys and values, a 64-cell file at normal incidence on the
-phi = 0 cut (whose rows with theta >= 0 the factored cell sum leaves to the
+a '!' in a comment, one with a merged cell, one with a cell shared by alias, a
+256-cell table of one-line rows under an anchored key that a later key
+aliases (read by the Python loader) and one with quoted keys and values, a
+64-cell file at normal incidence on the phi = 0 cut (whose rows with theta >= 0 the factored cell sum leaves to the
 per-term sum), a linear file of 1200 scatter points with phi_deg written
 first on a third of its rows (read by the row reader), a 1024-cell Monte Carlo
 sweep of 300 trials (its mean taken from lag correlations over many trial
 blocks) and a three-wave expectation sweep; and a fixed list of
 malformed inputs, among them an empty stream, a second document, a block
 text 3000 levels deep, a one-line flow text 5000 levels deep, a 2000-deep one
-after a tab that only libyaml reads, and the 1200-point file with a point
-outside the linear range.
+after a tab that only libyaml reads, the 1200-point file with a point
+outside the linear range, and a radius of 1e200, whose square overflows.
 Every output file, and the exit code, stdout and stderr of every run, is
 reported as identical, or with the largest deviation of each numeric CSV
 column or JSON field that moved, relative to that column's largest
@@ -158,6 +159,10 @@ SCENARIOS = {
         "    - {position: [0.5, 0.0, 0.0], a: 0.3, b: 0.4, area: 0.1}\n"
         "    - *cell\n"
         + PLANAR_TAIL),
+    # a table of one-line rows under an anchored key, aliased by the same key written again
+    # (the later value is read): the anchor leaves the whole text to the Python loader
+    "planar_anchored.yaml": planar_cells(256).replace("  cells:\n", "  cells: &c\n")
+    + "  cells: *c\n" + PLANAR_TAIL,
     # quoted keys and quoted string values
     "quoted.yaml": ('"geometry": {\'kind\': "patch", "a": 2.0, \'b\': 1.5}\n'
                     "'incident': [{\"theta_deg\": 25.0, 'phi_deg': -40.0}]\n"
@@ -218,6 +223,7 @@ SCENARIOS = {
     # a tab between flow items, which libyaml reads and the Python loader refuses
     "deep_flow_tab.yaml": "x: {a: 1,\tc: 2}\ngeometry: " + "[" * 2000 + "]" * 2000 + "\n",
     "planar_null_area.yaml": planar_cells(null_area_at=700) + PLANAR_TAIL,
+    "radius_overflow.yaml": linear().replace("radius: 100.0", "radius: 1.0e+200"),
     "linear_points_outside.yaml": shuffled_points(outside_at=700),
     # normal incidence on the phi = 0 cut: u_y is 0 on every row with theta >= 0 and about
     # 1e-16 on the rest, and u_x is 0 at theta = 0, so the factored cell sum leaves some
@@ -253,6 +259,7 @@ RUNS = {
                            "--out", "planar_merge.json"],
     "sweep-planar-shared": ["sweep", "planar_shared.yaml", "--out", "planar_shared.csv"],
     "sweep-planar-normal": ["sweep", "planar_normal.yaml", "--out", "planar_normal.csv"],
+    "sweep-planar-anchored": ["sweep", "planar_anchored.yaml", "--out", "planar_anchored.csv"],
     "sweep-quoted": ["sweep", "quoted.yaml", "--out", "quoted.json"],
     "sweep-patch": ["sweep", "patch.yaml", "--format", "json", "--out", "patch.json"],
     "sweep-patch-no-waves": ["sweep", "patch_no_waves.yaml", "--out", "patch_no_waves.csv"],
@@ -301,6 +308,7 @@ RUNS = {
     "deep-flow-tab": ["sweep", "deep_flow_tab.yaml"],
     "planar-null-area": ["sweep", "planar_null_area.yaml"],
     "linear-points-outside": ["sweep", "linear_points_outside.yaml"],
+    "radius-overflow": ["sweep", "radius_overflow.yaml"],
     "bad-desired": ["configure", "bad_desired.yaml"],
     "negative-seed": ["sweep", "random.yaml", "--seed", "-3"],
     "mimo-on-patch": ["mimo", "patch.yaml"],

@@ -127,7 +127,8 @@ def random_phase_miso_expected_power(ris: LinearRis, waves, r_s: float, theta_s)
     # that a subnormal power rounds once
     peak = amplitude.max(initial=0.0) or 1.0
     power = _gram_power if np.all(ris.widths == ris.widths[0]) else _cell_power
-    out = (abs(ris.ctx.coupling) ** 2 / r_s ** 2
+    coupling = abs(ris.ctx.coupling)
+    out = (coupling * coupling / (r_s * r_s)
            * power(ris, amplitude / peak * np.cos(theta), np.sin(theta), sin_s.ravel())
            .reshape(sin_s.shape) * peak * peak)
     return float(out) if out.ndim == 0 else out
@@ -284,8 +285,8 @@ def compensated_steering(ris: LinearRis, delta: float, theta_i: float,
 
 def compensated_rcs(ris: LinearRis, delta: float, theta_i: float,
                     theta_s: float) -> float:
-    t = compensated_steering(ris, delta, theta_i, theta_s)
-    return float(4.0 * np.pi * np.cos(theta_i) ** 2 * abs(t) ** 2)
+    t = abs(compensated_steering(ris, delta, theta_i, theta_s))
+    return float(4.0 * np.pi * np.cos(theta_i) ** 2 * (t * t))
 
 
 # ---------------------------------------------------------------------------

@@ -118,8 +118,7 @@ class SphericalField:
 
     @property
     def magnitude(self) -> float:
-        return float(np.sqrt(abs(self.e_r) ** 2 + abs(self.e_theta) ** 2
-                             + abs(self.e_phi) ** 2))
+        return math.hypot(abs(self.e_r), abs(self.e_theta), abs(self.e_phi))
 
 
 def _unit_vectors(theta, phi) -> np.ndarray:

@@ -18,11 +18,9 @@ from .config import (anomalous_pairs, compensation_delta,
                      random_phase_expected_rcs)
 from .linear import LinearRis, _field, _rcs, _steering, dft_scatter_grid
 from .patch import Patch
-from .scenario import (Scenario, _output, decibels, json_text, parse_scenario,
-                       reshape_on_grid, run_sweep, write_csv)
+from .scenario import (CompensateScheme, ObservationSpec, OutputSpec, Scenario, _output,
+                       decibels, json_text, reshape_on_grid, run_sweep, write_csv)
 from . import surface
-
-FIGURE_IDS = ("fig2", "fig4", "fig5", "fig6", "fig7a", "fig7b", "fig8", "fig9")
 
 OBS_RADIUS = 100.0
 CELL = 0.1          # unit-cell edge for the linear presets, in wavelengths
@@ -59,24 +57,14 @@ def _compensated_scenario(spacing, waves) -> Scenario:
     """The linear preset array compensated from 30 deg to -50 deg under the given waves.
 
     waves are (theta_deg, amplitude) pairs; the sweep covers -90..90 deg in 0.05 deg steps.
+    The scenario has no source text, so it has no hash and no filled defaults.
     """
-    wave_lines = "".join(f"  - {{theta_deg: {t}, amplitude: {a}}}\n" for t, a in waves)
-    return parse_scenario(
-        "geometry:\n"
-        "  kind: linear\n"
-        f"  n: {N_CELLS}\n"
-        f"  spacing: {spacing}\n"
-        f"  a: {CELL}\n"
-        f"  b: {CELL}\n"
-        "incident:\n"
-        f"{wave_lines}"
-        "observation:\n"
-        f"  radius: {OBS_RADIUS}\n"
-        "  grid: {start_deg: -90.0, stop_deg: 90.0, count: 3601}\n"
-        "configure:\n"
-        "  scheme: compensate\n"
-        f"  theta_i_deg: {STEER_FROM_DEG}\n"
-        f"  theta_s_deg: {STEER_TO_DEG}\n")
+    ris = LinearRis.uniform(N_CELLS, spacing, CELL * CELL, width=CELL)
+    thetas = np.linspace(-90.0, 90.0, 3601)
+    return Scenario("linear", ris,
+                    tuple(PlaneWave(Direction(math.radians(t)), a) for t, a in waves),
+                    ObservationSpec(OBS_RADIUS, thetas, np.zeros(thetas.size)),
+                    CompensateScheme(STEER_FROM_DEG, STEER_TO_DEG), OutputSpec(), (), "")
 
 
 def scenario_fig6(spacing: float) -> Scenario:
@@ -244,6 +232,19 @@ def _steering_surface(name, theta_i_deg, theta_s_deg):
     return files, params, {"delta": delta}
 
 
+_FIGURES = {
+    "fig2": _reproduce_fig2,
+    "fig4": _reproduce_fig4,
+    "fig5": _reproduce_fig5,
+    "fig6": _reproduce_fig6,
+    "fig7a": _reproduce_fig7a,
+    "fig7b": _reproduce_fig7b,
+    "fig8": lambda: _steering_surface("fig8", 0.0, 0.0),
+    "fig9": lambda: _steering_surface("fig9", STEER_FROM_DEG, STEER_TO_DEG),
+}
+FIGURE_IDS = tuple(_FIGURES)
+
+
 def reproduce(figure_id: str, outdir: str) -> dict:
     """Write the CSV/JSON artifacts for one preset; returns the manifest.
 
@@ -254,17 +255,7 @@ def reproduce(figure_id: str, outdir: str) -> dict:
         raise ValueError(f"unknown figure id {figure_id!r}; "
                          f"choose from {', '.join(FIGURE_IDS)}")
     os.makedirs(outdir, exist_ok=True)
-    builders = {
-        "fig2": _reproduce_fig2,
-        "fig4": _reproduce_fig4,
-        "fig5": _reproduce_fig5,
-        "fig6": _reproduce_fig6,
-        "fig7a": _reproduce_fig7a,
-        "fig7b": _reproduce_fig7b,
-        "fig8": lambda: _steering_surface("fig8", 0.0, 0.0),
-        "fig9": lambda: _steering_surface("fig9", STEER_FROM_DEG, STEER_TO_DEG),
-    }
-    files, params, checks = builders[figure_id]()
+    files, params, checks = _FIGURES[figure_id]()
     from . import __version__
     manifest = {
         "figure": figure_id,

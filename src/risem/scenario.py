@@ -444,23 +444,20 @@ class _EventLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
 
     A mapping is a dict and a sequence a list, made at its start event and
     filled in order through an explicit stack, so the pass never recurses and
-    no node tree is built. An anchor names the object made for it, which each
-    alias shares. A plain scalar in decimal notation (_NUMBER:
+    no node tree is built. A plain scalar in decimal notation (_NUMBER:
     '-?(0|[1-9][0-9]*)', then optionally '.[0-9]+' and a signed exponent) is
     int(value), or float(value) with the dot: YAML 1.1 resolves that notation
     to int or float alone, and SafeConstructor reads it as int() and float()
-    do, -0.0 included. Any other scalar's tag
-    comes from the loader's own resolve, and the scalar is built by the
-    SafeConstructor function that tag picks; a str is its value. Without path
-    resolvers, which SafeLoader has none of, resolve reads only the value of a
-    plain scalar, so a plain word that once resolved to str, such as a key,
-    is a str again without resolve for the rest of the document. A collection
-    needs no resolve either: an untagged one is a map or a seq. A scalar
+    do, -0.0 included. Any other scalar's tag comes from the loader's own
+    resolve, and the scalar is built by the SafeConstructor function that tag
+    picks; a str is its value. Without path resolvers, which SafeLoader has
+    none of, resolve reads only the value of a plain scalar, and a collection
+    needs no resolve: an untagged one is a map or a seq. A scalar
     constructor's own error propagates. The pass raises _HandOver where it
-    meets an explicit tag, a scalar tag other than null, bool, int, float, str
-    or timestamp (a merge key '<<' and a value key '=' have tags of their own),
-    a duplicate anchor, an undefined alias or a second document, _TooDeep at a
-    collection _MAX_DEPTH deep, and an unhashable key raises TypeError.
+    meets an explicit tag, an anchor, an alias, a scalar tag other than null,
+    bool, int, float, str or timestamp (a merge key '<<' and a value key '='
+    have tags of their own) or a second document, _TooDeep at a collection
+    _MAX_DEPTH deep, and an unhashable key raises TypeError.
     """
 
     # the SafeConstructor function of each scalar tag the event pass reads, but str
@@ -472,63 +469,50 @@ class _EventLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
         """The stream's one document, or None for none."""
         get_event, resolve, scalars, scalar_node = (self.get_event, self.resolve, self._scalars,
                                                     yaml.ScalarNode)
-        decimal, words = _DECIMAL, set()
+        decimal = _DECIMAL
         get_event()  # the stream start
         if type(get_event()) is yaml.StreamEndEvent:
             return None
         # the root is the one item of a list, and stack holds the (collection, key) of
         # each collection that encloses the one being filled
         root = collection = []
-        key, stack, anchors = _ITEM, [], {}
+        key, stack = _ITEM, []
         while True:
             event = get_event()
             kind = type(event)
-            if kind is yaml.ScalarEvent:
-                if event.tag is not None:
-                    raise _HandOver
-                value, plain = event.value, event.implicit[0]
-                if not (plain and value in words):
-                    if plain and decimal(value):
-                        value = float(value) if "." in value else int(value)
-                    else:
-                        tag = resolve(scalar_node, value, event.implicit)
-                        if tag == _STR_TAG:
-                            if plain:
-                                words.add(value)
-                        else:
-                            make = scalars.get(tag)
-                            if make is None:
-                                raise _HandOver
-                            value = make(self, scalar_node(tag, value, None, None))
-            elif kind in _ENDS:
+            if kind in _ENDS:
                 collection, key = stack.pop()
                 continue
-            elif kind is yaml.AliasEvent:
-                if event.anchor not in anchors:
-                    raise _HandOver
-                value = anchors[event.anchor]
-            elif kind in _STARTS:
-                if event.tag is not None:
-                    raise _HandOver
+            if kind is yaml.DocumentEndEvent:
+                break
+            # every alias has an anchor, so this leaves aliases to the Python loader too
+            if event.anchor is not None or event.tag is not None:
+                raise _HandOver
+            if kind is yaml.ScalarEvent:
+                value, plain = event.value, event.implicit[0]
+                if plain and decimal(value):
+                    value = float(value) if "." in value else int(value)
+                else:
+                    tag = resolve(scalar_node, value, event.implicit)
+                    if tag != _STR_TAG:
+                        make = scalars.get(tag)
+                        if make is None:
+                            raise _HandOver
+                        value = make(self, scalar_node(tag, value, None, None))
+            else:
                 # the new collection is len(stack) + 1 deep
                 if len(stack) >= _MAX_DEPTH - 1:
                     raise _TooDeep
                 value = _STARTS[kind]()
-            else:  # the document end
-                break
-            if kind is not yaml.AliasEvent and event.anchor is not None:
-                if event.anchor in anchors:
-                    raise _HandOver
-                anchors[event.anchor] = value
             if key is _ITEM:
                 collection.append(value)
             elif key is _NO_KEY:
                 key = value
             else:
-                # a collection key or an alias of one raises TypeError here
+                # a collection key raises TypeError here
                 collection[key] = value
                 key = _NO_KEY
-            if kind in _STARTS:
+            if kind is not yaml.ScalarEvent:
                 stack.append((collection, key))
                 collection, key = value, (_NO_KEY if kind is yaml.MappingStartEvent else _ITEM)
         if type(get_event()) is not yaml.StreamEndEvent:
@@ -596,11 +580,11 @@ def _read_rows(text: str):
     of the text goes through the event pass, with each table's rows replaced by
     one placeholder item of its own, whose word occurs nowhere in text. The
     document is taken only if each table's list, such as geometry.cells, is
-    exactly its placeholder and no row repeats a key; the lists are then
-    filled in place, so an alias of one shares it. Every other outcome, an
-    exception included, is None, and the whole text is read as before: the
-    row reader decides no message. A text with no table costs a str.find per
-    table, and compiles no pattern.
+    exactly its placeholder and no row repeats a key; each list is then
+    replaced by the rows read. Every other outcome, an exception such as the
+    hand-over of an anchor included, is None, and the whole text is read as
+    before: the row reader decides no message. A text with no table costs a
+    str.find per table, and compiles no pattern.
     """
     found = sorted((rows, section, key, keys) for section, key, keys, row in _TABLES
                    if (rows := _table_rows(text, key, row)))
@@ -635,7 +619,7 @@ def _read_rows(text: str):
         if not (isinstance(node, dict) and node.get(key) == [word + key]):
             return None
     for section, key, rows in tables:
-        doc[section][key][:] = rows
+        doc[section][key] = rows
     return doc
 
 
@@ -648,8 +632,8 @@ def _load_yaml(text: str):
     and gives the document the pass gives. Incident waves are left to the
     pass: a scenario holds a few. Both loaders share the Python constructor
     and resolver, so they give the same objects. Every text the pass hands
-    over, a tagged one included, and every text libyaml refuses goes to the
-    pure-Python loader: libyaml refuses some
+    over, a tagged or anchored one included, and every text libyaml refuses
+    goes to the pure-Python loader: libyaml refuses some
     texts the Python loader accepts (such as '{a:[1]}'), words and places its
     errors differently, and reads a bare '!' on an empty value as '', not
     null. A text the pass finds _MAX_DEPTH deep is refused as nesting too
@@ -1034,7 +1018,8 @@ def run_sweep(scn: Scenario, trials: int | None = None):
         phi_col = phis_deg
 
     if amp_sq > 0:
-        rcs = 4.0 * np.pi * obs_spec.radius ** 2 * magnitude ** 2 / amp_sq
+        # squared by a product, which is inf past the float range where ** raises
+        rcs = 4.0 * np.pi * (obs_spec.radius * obs_spec.radius) * magnitude ** 2 / amp_sq
     else:
         rcs = np.zeros(thetas_deg.size)
     if not (np.all(np.isfinite(magnitude)) and np.all(np.isfinite(rcs))):

@@ -408,6 +408,12 @@ class TestPhaseCompensation:
                 4.0 * math.pi * math.cos(self.THETA_I) ** 2 * abs(direct) ** 2,
                 rel=1e-9)
 
+    def test_rcs_whose_square_overflows_is_inf(self):
+        # the steering sum is finite; a Python float's ** would raise OverflowError on it
+        ris = LinearRis.uniform(16, 0.5, 1e200)
+        delta = compensation_delta(self.THETA_I, self.THETA_S)
+        assert compensated_rcs(ris, delta, self.THETA_I, self.THETA_S) == math.inf
+
     @pytest.mark.parametrize("n, spacing, width", [(17, 0.5, 0.0), (100, 0.7, 0.3),
                                                    (1, 0.5, 0.0), (256, 1.3, 0.1)])
     def test_steering_matches_geometric_series(self, n, spacing, width):

@@ -89,6 +89,14 @@ class TestWaveContext:
             WaveContext(reflection_coefficient=gamma)
 
 
+class TestSphericalField:
+    def test_magnitude_of_components_whose_squares_overflow(self):
+        assert core.SphericalField(3e200j, 4e200, 0.0).magnitude == pytest.approx(5e200)
+        # no square is formed: a magnitude under the float range is finite
+        assert core.SphericalField(1e308, 1e308, 1e308).magnitude == pytest.approx(
+            np.sqrt(3.0) * 1e308)
+
+
 class TestDirections:
     @given(finite_angles, finite_angles)
     def test_direction_vector_is_unit(self, theta, phi):

@@ -14,7 +14,7 @@ from risem import (Direction, LinearRis, ObservationPoint, Patch, RisGeometry, U
 from risem import cli
 from risem.cli import main
 from risem.config import monte_carlo_power_grid
-from risem.presets import FIGURE_IDS, reproduce
+from risem.presets import FIGURE_IDS, reproduce, scenario_fig6, scenario_fig7a
 from risem.scenario import (CompensateScheme, RandomScheme, ScenarioError, configure_linear,
                             manifest_for, parse_scenario, run_sweep, write_csv)
 from risem.scenario import _load_desired_pattern as load_desired_pattern
@@ -617,6 +617,36 @@ class TestCli:
         assert err == (f"numerical failure: the squares of the incident amplitudes {amplitudes}"
                        " sum past the float range\n")
 
+    # a Python float's ** raises OverflowError past about 1.3e154, where a product is inf and
+    # the sweep's own check names the failure
+    @pytest.mark.parametrize("text,argv", [
+        ("geometry: {kind: linear, n: 16, spacing: 0.5, a: 0.1, b: 0.1}\n", []),
+        ("geometry: {kind: patch, a: 2.0, b: 1.5}\n", []),
+        ("geometry: {kind: linear, n: 16, spacing: 0.5, a: 0.1, b: 0.1}\n"
+         "configure: {scheme: random, expectation: true}\n", []),
+        ("geometry: {kind: linear, n: 16, spacing: 0.5, a: 0.1, b: 0.1}\n"
+         "configure: {scheme: random, seed: 1}\n", ["--trials", "3"]),
+    ], ids=["linear", "patch", "expectation", "trials"])
+    def test_a_radius_whose_square_overflows_exits_3_by_name(self, tmp_path, capsys, text,
+                                                              argv):
+        text += "incident: [{theta_deg: 30.0}]\nobservation: {radius: 1.0e+200}\n"
+        assert main(["sweep", self._write(tmp_path, "s.yaml", text), *argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("numerical failure: the sweep gave non-finite field magnitudes or RCS"
+                       " values\n")
+
+    def test_a_coupling_whose_square_overflows_exits_3_by_name(self, tmp_path, capsys):
+        text = ("wave: {gamma: 1.0e+300}\n"
+                "geometry: {kind: linear, n: 16, spacing: 0.5, a: 0.1, b: 0.1}\n"
+                "incident: [{theta_deg: 30.0}]\n"
+                "configure: {scheme: random, expectation: true}\n")
+        assert main(["sweep", self._write(tmp_path, "s.yaml", text)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("numerical failure: the sweep gave non-finite field magnitudes or RCS"
+                       " values\n")
+
     def test_reshape_conditioning_failure_exits_3(self, tmp_path):
         desired = {"desired": [[1.0, 0.0]] * 8}
         pattern = self._write(tmp_path, "desired.json", json.dumps(desired))
@@ -786,6 +816,35 @@ class TestReproduce:
         assert FIGURE_IDS == ("fig2", "fig4", "fig5", "fig6", "fig7a", "fig7b",
                               "fig8", "fig9")
 
+    @pytest.mark.parametrize("build,spacing,waves", [
+        (lambda: scenario_fig6(0.5), 0.5, "  - {theta_deg: 30.0, amplitude: 1.0}\n"),
+        (lambda: scenario_fig6(0.7), 0.7, "  - {theta_deg: 30.0, amplitude: 1.0}\n"),
+        (scenario_fig7a, 0.5, "  - {theta_deg: 30.0, amplitude: 1.0}\n"
+                              "  - {theta_deg: 70.0, amplitude: 0.5}\n"),
+    ], ids=["fig6-d05", "fig6-d07", "fig7a"])
+    def test_compensated_presets_are_their_scenario_texts(self, build, spacing, waves):
+        # the text each preset was once read from
+        parsed = parse_scenario(
+            "geometry:\n  kind: linear\n  n: 100\n"
+            f"  spacing: {spacing}\n  a: 0.1\n  b: 0.1\n"
+            f"incident:\n{waves}"
+            "observation:\n  radius: 100.0\n"
+            "  grid: {start_deg: -90.0, stop_deg: 90.0, count: 3601}\n"
+            "configure:\n  scheme: compensate\n  theta_i_deg: 30.0\n  theta_s_deg: -50.0\n")
+        built = build()
+        ris, reference = built.geometry, parsed.geometry
+        for name in ("areas", "widths", "phases"):
+            assert getattr(ris, name).tobytes() == getattr(reference, name).tobytes()
+        assert (ris.spacing, ris.ctx) == (reference.spacing, reference.ctx)
+        assert built.observation.radius == parsed.observation.radius
+        for name in ("theta_deg", "phi_deg"):
+            assert (getattr(built.observation, name).tobytes()
+                    == getattr(parsed.observation, name).tobytes())
+        assert ((built.kind, built.waves, built.scheme, built.output)
+                == (parsed.kind, parsed.waves, parsed.scheme, parsed.output))
+        # no text: no hash, and no defaults filled in for keys a text leaves out
+        assert (built.defaults_filled, built.source_hash) == ((), "")
+
     def test_reproduce_writes_artifacts_and_manifest(self, tmp_path):
         manifest = reproduce("fig5", str(tmp_path))
         assert manifest["figure"] == "fig5"
@@ -809,7 +868,7 @@ class TestReproduce:
         def broken():
             files, params, checks = build()
             return files, params, {**checks, "expected_rcs_value": math.inf}
-        monkeypatch.setattr(risem.presets, "_reproduce_fig5", broken)
+        monkeypatch.setitem(risem.presets._FIGURES, "fig5", broken)
         assert main(["reproduce", "fig5", "--out", str(tmp_path)]) == 3
         out, err = capsys.readouterr()
         assert out == ""
@@ -822,7 +881,7 @@ class TestReproduce:
         # the builder runs inside the CLI's numerical scope: the overflow gives inf, not a
         # RuntimeWarning, and the manifest's encoder refuses it
         import risem.presets
-        monkeypatch.setattr(risem.presets, "_reproduce_fig5", lambda: (
+        monkeypatch.setitem(risem.presets._FIGURES, "fig5", lambda: (
             {"fig5.csv": {"x": [1.0]}}, {}, {"peak": np.float64(1e308) * 10}))
         assert main(["reproduce", "fig5", "--out", str(tmp_path)]) == 3
         out, err = capsys.readouterr()
