@@ -9,21 +9,24 @@ and `configure` as CSV and JSON over the scenario kinds below, among them
 compensated linear sweeps of 1000 cells (summed in blocks) and 8192 cells
 (summed per cell), a 1024-cell planar file, a 1024-cell file with its cell
 keys shuffled and a third of its numbers in exponent form (read by the row
-reader), the same file
-with a comment line inside its cell table and with CRLF line ends (both read
-by the event pass alone), a 256-cell one-line JSON file, a 256-cell file with
-a '!' in a comment, one with a merged cell, one with a cell shared by alias, a
-256-cell table of one-line rows under an anchored key that a later key
-aliases (read by the Python loader) and one with quoted keys and values, a
-64-cell file at normal incidence on the phi = 0 cut (whose rows with theta >= 0 the factored cell sum leaves to the
-per-term sum), a linear file of 1200 scatter points with phi_deg written
-first on a third of its rows (read by the row reader), a 1024-cell Monte Carlo
-sweep of 300 trials (its mean taken from lag correlations over many trial
-blocks) and a three-wave expectation sweep; and a fixed list of
-malformed inputs, among them an empty stream, a second document, a block
-text 3000 levels deep, a one-line flow text 5000 levels deep, a 2000-deep one
-after a tab that only libyaml reads, the 1200-point file with a point
-outside the linear range, and a radius of 1e200, whose square overflows.
+reader), the same file with a comment line inside its cell table and with CRLF
+line ends (both read by the event pass alone), a 256-cell one-line JSON file,
+a 256-cell file with a '!' in a comment, one with a merged cell, one with a
+cell shared by alias, a 256-cell table of one-line rows under an anchored key
+that a later key aliases (read by the Python loader), the 1024-cell file
+followed by an anchored `output: &o {format: csv}` (read by the Python loader
+alone), the 1024-cell table beside a table of 160 scatter points whose rows
+each repeat theta_deg (the point table read by the event pass), one with
+quoted keys and values, a 64-cell file at normal incidence on the phi = 0 cut
+(whose rows with theta >= 0 the factored cell sum leaves to the per-term sum),
+a linear file of 1200 scatter points with phi_deg written first on a third of
+its rows (read by the row reader), a 1024-cell Monte Carlo sweep of 300 trials
+(its mean taken from lag correlations over many trial blocks) and a three-wave
+expectation sweep; and a fixed list of malformed inputs, among them an empty
+stream, a second document, a block text 3000 levels deep, a one-line flow text
+5000 levels deep, a 2000-deep one after a tab that only libyaml reads, the
+1200-point file with a point outside the linear range, and a radius of 1e200,
+whose square overflows.
 Every output file, and the exit code, stdout and stderr of every run, is
 reported as identical, or with the largest deviation of each numeric CSV
 column or JSON field that moved, relative to that column's largest
@@ -163,6 +166,16 @@ SCENARIOS = {
     # (the later value is read): the anchor leaves the whole text to the Python loader
     "planar_anchored.yaml": planar_cells(256).replace("  cells:\n", "  cells: &c\n")
     + "  cells: *c\n" + PLANAR_TAIL,
+    # an anchor after a table of one-line rows: the Python loader reads the whole text
+    "planar_1024_anchored_output.yaml": planar_cells() + PLANAR_TAIL
+    + "output: &o {format: csv}\n",
+    # point rows that each repeat a key stay in the text beside the cut cell table, and
+    # the later theta_deg of each row is read
+    "planar_1024_repeated_points.yaml": planar_cells()
+    + "incident: [{theta_deg: 20.0, phi_deg: 30.0}]\n"
+    "observation:\n  radius: 50.0\n  points:\n"
+    + "".join(f"    - {{theta_deg: {t}.0, phi_deg: 15.0, theta_deg: {t + 1}.0}}\n"
+              for t in range(-80, 80)),
     # quoted keys and quoted string values
     "quoted.yaml": ('"geometry": {\'kind\': "patch", "a": 2.0, \'b\': 1.5}\n'
                     "'incident': [{\"theta_deg\": 25.0, 'phi_deg': -40.0}]\n"
@@ -260,6 +273,10 @@ RUNS = {
     "sweep-planar-shared": ["sweep", "planar_shared.yaml", "--out", "planar_shared.csv"],
     "sweep-planar-normal": ["sweep", "planar_normal.yaml", "--out", "planar_normal.csv"],
     "sweep-planar-anchored": ["sweep", "planar_anchored.yaml", "--out", "planar_anchored.csv"],
+    "sweep-planar-1024-anchored-output": ["sweep", "planar_1024_anchored_output.yaml",
+                                          "--out", "planar_1024_anchored_output.csv"],
+    "sweep-planar-1024-repeated-points": ["sweep", "planar_1024_repeated_points.yaml",
+                                          "--out", "planar_1024_repeated_points.csv"],
     "sweep-quoted": ["sweep", "quoted.yaml", "--out", "quoted.json"],
     "sweep-patch": ["sweep", "patch.yaml", "--format", "json", "--out", "patch.json"],
     "sweep-patch-no-waves": ["sweep", "patch_no_waves.yaml", "--out", "patch_no_waves.csv"],

@@ -412,17 +412,17 @@ class _LocatingLoader(yaml.SafeLoader):
 
 
 class _HandOver(Exception):
-    """A text that the event pass leaves to the pure-Python loader."""
+    """A text that the event pass leaves to the pure-Python loader; _read_rows returns it."""
 
 
 class _TooDeep(Exception):
     """A text nested _MAX_DEPTH collections deep, which the event pass refuses."""
 
 
-# what the event pass raises on a text it does not build: a hand-over, _TooDeep, a
-# libyaml error, an unhashable key, a constructor error, or the ValueError of a lone
+# what the event pass raises on a text it leaves to the pure-Python loader: a hand-over,
+# a libyaml error, an unhashable key, a constructor error, or the ValueError of a lone
 # surrogate
-_PASS_ERRORS = (_HandOver, _TooDeep, yaml.YAMLError, TypeError, *_CONSTRUCTOR_ERRORS)
+_PASS_ERRORS = (_HandOver, yaml.YAMLError, TypeError, *_CONSTRUCTOR_ERRORS)
 
 
 _STR_TAG = "tag:yaml.org,2002:str"
@@ -457,7 +457,8 @@ class _EventLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     meets an explicit tag, an anchor, an alias, a scalar tag other than null,
     bool, int, float, str or timestamp (a merge key '<<' and a value key '='
     have tags of their own) or a second document, _TooDeep at a collection
-    _MAX_DEPTH deep, and an unhashable key raises TypeError.
+    _MAX_DEPTH deep, and an unhashable key raises TypeError. _read_rows runs
+    the pass once per text, on the text with its tables cut.
     """
 
     # the SafeConstructor function of each scalar tag the event pass reads, but str
@@ -572,83 +573,78 @@ def _table_rows(text: str, key: str, row: str):
 
 
 def _read_rows(text: str):
-    """The document of text with its tables of one-line rows read row by row, or None.
+    """The document of text, read by one event pass with its tables cut, or _HandOver.
 
-    Each table of _TABLES whose rows _table_rows finds is read as one JSON
-    array: the value grammar is a part of JSON's, and json reads a number with
-    a dot by float() and one without by int(), as the event pass does. The rest
-    of the text goes through the event pass, with each table's rows replaced by
-    one placeholder item of its own, whose word occurs nowhere in text. The
-    document is taken only if each table's list, such as geometry.cells, is
-    exactly its placeholder and no row repeats a key; each list is then
-    replaced by the rows read. Every other outcome, an exception such as the
-    hand-over of an anchor included, is None, and the whole text is read as
-    before: the row reader decides no message. A text with no table costs a
-    str.find per table, and compiles no pattern.
+    The rows of each table of _TABLES that _table_rows finds are read as one
+    JSON array: the row grammar is a part of JSON's once its keys are quoted,
+    and json reads a number with a dot by float() and one without by int(), as
+    the event pass does. Unless a row repeats a key or an earlier table took
+    the same rows, the table is cut from the text and replaced by one
+    placeholder item, whose word occurs nowhere in text. The event pass reads
+    the result once, and each placeholder, which must be the one item of its
+    table's list, such as geometry.cells, is replaced by the rows read. A text
+    the pass hands over or libyaml refuses, or whose placeholder is out of
+    place, is _HandOver, for the pure-Python loader to read whole: the row
+    reader decides no message. A text the pass finds _MAX_DEPTH deep is
+    refused as nesting too deep. A text with no table costs a str.find per
+    table, and compiles no pattern.
     """
     found = sorted((rows, section, key, keys) for section, key, keys, row in _TABLES
                    if (rows := _table_rows(text, key, row)))
-    if not found:
-        return None
     word = "rows"
-    while word in text:
+    while found and word in text:
         word += word
     parts, tables, last = [], [], 0
+    for (start, end, indent), section, key, keys in found:
+        if start < last:  # both keys stand before one run of rows ('cells: # points:')
+            continue
+        table = text[start:end]
+        body = table[len(indent) + 2:-1].replace("\n" + indent + "- ", ",")
+        # a key before the shorter keys it ends with ('area' before 'a'), so that 'a:' is
+        # left only where a is the key
+        for name in sorted(keys, key=len, reverse=True):
+            body = body.replace(name + ":", f'"{name}":')
+        rows = json.loads("[" + body + "]")
+        # one ':' per key: a table whose rows repeat a key stays in the text
+        if sum(map(len, rows)) != table.count(":"):
+            continue
+        parts += [text[last:start], indent + "- " + word + key + "\n"]
+        tables.append((section, key, rows))
+        last = end
     try:
-        for (start, end, indent), section, key, keys in found:
-            if start < last:  # both keys stand before one run of rows ('cells: # points:')
-                return None
-            table = text[start:end]
-            body = table[len(indent) + 2:-1].replace("\n" + indent + "- ", ",")
-            # a key before the shorter keys it ends with ('area' before 'a'), so that 'a:' is
-            # left only where a is the key
-            for name in sorted(keys, key=len, reverse=True):
-                body = body.replace(name + ":", f'"{name}":')
-            rows = json.loads("[" + body + "]")
-            # one ':' per key: a row that repeats a key is left to the event pass
-            if sum(map(len, rows)) != table.count(":"):
-                return None
-            parts += [text[last:start], indent + "- " + word + key + "\n"]
-            tables.append((section, key, rows))
-            last = end
         doc = yaml.load("".join(parts) + text[last:], Loader=_EventLoader)
+    except _TooDeep:
+        raise ScenarioError(_TOO_DEEP) from None
     except _PASS_ERRORS:
-        return None
-    for section, key, _ in tables:
+        return _HandOver
+    for section, key, rows in tables:
         node = doc.get(section) if isinstance(doc, dict) else None
         if not (isinstance(node, dict) and node.get(key) == [word + key]):
-            return None
-    for section, key, rows in tables:
-        doc[section][key] = rows
+            return _HandOver
+        node[key] = rows
     return doc
 
 
 def _load_yaml(text: str):
-    """The YAML document in text, read by the event pass where it can, else by Python.
+    """The YAML document in text, read by libyaml's event pass where it can, else by Python.
 
-    libyaml's path is the event pass of _EventLoader, behind the row reader
-    (_read_rows), which reads the two tables of _TABLES, geometry.cells and
-    observation.points, where their rows are one line each, without libyaml,
-    and gives the document the pass gives. Incident waves are left to the
-    pass: a scenario holds a few. Both loaders share the Python constructor
-    and resolver, so they give the same objects. Every text the pass hands
-    over, a tagged or anchored one included, and every text libyaml refuses
-    goes to the pure-Python loader: libyaml refuses some
-    texts the Python loader accepts (such as '{a:[1]}'), words and places its
-    errors differently, and reads a bare '!' on an empty value as '', not
-    null. A text the pass finds _MAX_DEPTH deep is refused as nesting too
-    deep.
+    libyaml's path is one event pass of _EventLoader, behind the row reader
+    (_read_rows), which cuts the two tables of _TABLES, geometry.cells and
+    observation.points, where their rows are one line each, and reads them
+    without libyaml. Incident waves are left to the pass: a scenario holds a
+    few. Both loaders share the Python constructor and resolver, so they give
+    the same objects. A text is read either by that one pass or by the
+    pure-Python loader, never by both. Every text the pass hands over, a
+    tagged or anchored one included, and every text libyaml refuses, goes to
+    the pure-Python loader: libyaml refuses some texts the Python loader
+    accepts (such as '{a:[1]}'), words and places its errors differently, and
+    reads a bare '!' on an empty value as '', not null. A text the pass finds
+    _MAX_DEPTH deep is refused as nesting too deep.
     """
     if yaml.__with_libyaml__:
         doc = _read_rows(text)
-        if doc is not None:
+        if doc is not _HandOver:
             return doc
-        try:
-            return yaml.load(text, Loader=_EventLoader)
-        except _TooDeep:
-            raise ScenarioError(_TOO_DEEP) from None
-        except _PASS_ERRORS:
-            pass
     try:
         return yaml.load(text, Loader=_LocatingLoader)
     except yaml.MarkedYAMLError as exc:

@@ -12,8 +12,9 @@ decimals without resolve and other plain scalars as resolve and its
 constructor read them, and that both loaders give the same scenario.
 Planar cells are read as columns, which must keep the bits and the refusals
 of the cell-by-cell reader. A planar cell table of one-line rows is read by
-the row reader, which must give what yaml.CSafeLoader gives and leave every
-other text to the event pass.
+the row reader, which must give what yaml.CSafeLoader gives, leave every
+other table to its one event pass, and hand a text over to the Python loader
+only where that pass does, so that no text takes two event passes.
 """
 import contextlib
 import dataclasses
@@ -654,9 +655,12 @@ SHARED_CELL = ("geometry:\n  kind: planar\n  cells:\n"
     ("", False),
     ("&a [*a]\n", True),
     (SHARED_CELL, True),
+    # the anchor hands the text with its table cut over, and no second event pass runs
+    ("geometry:\n  kind: planar\n  cells:\n    - {position: [0.0, 0.0, 0.0], a: 0.4}\n"
+     "    - {a: 0.3}\noutput: &o {format: csv}\n", True),
 ], ids=["alias", "merge", "value-key", "duplicate-key", "unhashable-key", "timestamp", "scalars",
         "scalar-tag", "collection-tag", "duplicate-anchor", "undefined-alias", "two-documents",
-        "empty-stream", "recursive-alias", "shared-cell"])
+        "empty-stream", "recursive-alias", "shared-cell", "anchor-after-a-table"])
 def test_the_event_pass_builds_what_csafeloader_builds(loaders, text, handed_over):
     try:
         loaded = "ok", repr(scenario._load_yaml(text))
@@ -1229,32 +1233,44 @@ def test_the_row_reader_reads_what_csafeloader_reads(case):
     reference = _document(lambda t: yaml.load(
         t, Loader=yaml.SafeLoader if anchored else yaml.CSafeLoader), text)
     assert _document(scenario._load_yaml, text) == reference
-    taken = scenario._read_rows(text)
-    # the tables the row reader leaves to the event pass: the edited one after an edit of
-    # its own, and the last one of a text without a final line break
-    left = {edited} if edits & (set(TABLE_EDITS) - {"no-final-newline"}) else set()
-    if "no-final-newline" in edits:
-        left.add(tables[-1])
-    # the rows of a block scalar are read unless the grammar refuses one of them, and their
-    # placeholder is then the scalar's; a repeated key in rows that are read fails the
-    # count of ':'. Either leaves the whole text to the event pass, as do CRLF line ends,
-    # and an anchor leaves it to the Python loader
-    whole = ("crlf" in edits or anchored
-             or ("repeated-key" in edits and edited not in left)
-             or ("block-scalar" in edits and edits.isdisjoint({"near-number", "unknown-key",
-                                                              "tab"})))
-    assert (taken is not None) == (not whole and bool(set(tables) - left))
-    if taken is not None:
+    load, passed = yaml.load, []
+
+    def spy(stream, Loader):
+        passed.append(stream)
+        return load(stream, Loader)
+
+    with mock.patch.object(yaml, "load", spy):
+        taken = scenario._read_rows(text)
+    # The rows of a block scalar are cut unless the grammar refuses one of them, their CRLF
+    # line ends stop them or one repeats a key, and their placeholder is then out of place.
+    # That hands the whole text to the Python loader, as an anchor does.
+    handed_over = anchored or ("block-scalar" in edits and edits.isdisjoint(
+        {"near-number", "unknown-key", "tab", "repeated-key", "crlf"}))
+    assert (taken is scenario._HandOver) == handed_over
+    assert len(passed) == 1
+    if taken is not scenario._HandOver:
         assert _canonical(taken) == reference
+        # the tables the row reader leaves in the text for the event pass: the edited one
+        # after an edit of its own, a repeated key or rows in a block scalar ahead of it,
+        # the last one of a text without a final line break, and all of them with CRLF
+        own = (set(TABLE_EDITS) - {"no-final-newline"}) | {"repeated-key", "block-scalar"}
+        left = {edited} if edits & own else set()
+        if "no-final-newline" in edits:
+            left.add(tables[-1])
+        if "crlf" in edits:
+            left = set(tables)
+        # a placeholder's word ends in 'rows', and no text of the strategy has 'rowscells'
+        # or 'rowspoints'
+        assert {t for t in tables if f"rows{t}\n" in passed[0]} == set(tables) - left
 
 
-def _short_texts(monkeypatch) -> list:
-    """The (Loader, text length) of every yaml.load call from now on."""
+def _loaded_texts(monkeypatch) -> list:
+    """The (Loader, text) of every yaml.load call from now on."""
     seen = []
     load = yaml.load
 
     def spy(stream, Loader):
-        seen.append((Loader, len(stream)))
+        seen.append((Loader, stream))
         return load(stream, Loader)
 
     monkeypatch.setattr(yaml, "load", spy)
@@ -1262,19 +1278,33 @@ def _short_texts(monkeypatch) -> list:
 
 
 def test_a_cell_table_reaches_the_event_pass_as_a_short_text(monkeypatch):
-    seen = _short_texts(monkeypatch)
+    seen = _loaded_texts(monkeypatch)
     text = _planar_text(_cell_rows())
     assert len(parse_scenario(text).geometry.phases) == 1024
     assert [loader for loader, _ in seen] == [scenario._EventLoader]
-    assert seen[0][1] < 1000 < len(text)
+    assert len(seen[0][1]) < 1000 < len(text)
 
 
 def test_a_point_table_reaches_the_event_pass_as_a_short_text(monkeypatch):
-    seen = _short_texts(monkeypatch)
+    seen = _loaded_texts(monkeypatch)
     text = _points_text(_point_rows())
     assert len(parse_scenario(text).observation.theta_deg) == 1201
     assert [loader for loader, _ in seen] == [scenario._EventLoader]
-    assert seen[0][1] < 1000 < len(text)
+    assert len(seen[0][1]) < 1000 < len(text)
+
+
+def test_a_cell_table_is_cut_beside_a_point_table_that_repeats_a_key(monkeypatch):
+    # the point table stays in the text for the event pass, whose later theta_deg is read
+    text = (_planar_text(_cell_rows()) + "incident: [{theta_deg: 20.0}]\n"
+            "observation:\n  radius: 50.0\n  points:\n"
+            + "".join(f"    - {{theta_deg: {t}.0, theta_deg: {t + 1}.0}}\n"
+                      for t in range(-80, 80)))
+    seen = _loaded_texts(monkeypatch)
+    doc = scenario._load_yaml(text)
+    assert [loader for loader, _ in seen] == [scenario._EventLoader]
+    assert "position" not in seen[0][1] and "theta_deg: -80.0" in seen[0][1]
+    assert _canonical(doc) == _canonical(yaml.load(text, Loader=yaml.CSafeLoader))
+    assert parse_scenario(text).observation.theta_deg.tolist() == list(range(-79, 81))
 
 
 def test_a_text_without_a_table_compiles_no_pattern(monkeypatch):
