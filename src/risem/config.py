@@ -13,8 +13,8 @@ import numpy as np
 
 from .core import (CHUNK_TERMS, TWO_PI, Direction, ObservationPoint, PlaneWave, _chunked,
                    _edge_sinc, _sum_waves, _wave_arrays)
-from .linear import (LinearRis, MimoSystem, _alternating_signs, _cell_angle, _cell_terms,
-                     _geometry_phase, _steering, _complex_pairs, _weighted_sum)
+from .linear import (LinearRis, MimoSystem, _alternating_signs, _cell_angle, _geometry_phase,
+                     _steering, _complex_pairs, _weighted_sum)
 
 
 class ReshapeConditioningError(RuntimeError):
@@ -83,53 +83,35 @@ def _quadratic_form(x: np.ndarray, pairs: np.ndarray) -> np.ndarray:
 
 def _gram_power(ris: LinearRis, drive: np.ndarray, sin_w: np.ndarray,
                 sin_s: np.ndarray) -> np.ndarray:
-    """sum_n (A_n/lam)^2 |h_n|^2 per angle of an equal-width array, whose sinc leaves
-    the cell sum: x^T Re(G) x with x_w = drive_w Sa(sin_w + sin_s) and the waves' Gram
-    matrix G_{wv} = sum_n (A_n/lam)^2 conj(e_w(n)) e_v(n), formed once."""
+    """sum_n (A_n/lam)^2 |h_n|^2 per angle, whose one-width sinc leaves the cell sum:
+    x^T Re(G) x with x_w = drive_w Sa(sin_w + sin_s) and the waves' Gram matrix
+    G_{wv} = sum_n (A_n/lam)^2 conj(e_w(n)) e_v(n), formed once."""
     lam = ris.ctx.wavelength
     phases = _geometry_phase(ris.n, ris.spacing, lam, sin_w[:, 0])
     gram = (phases.conj() * (ris.areas / lam) ** 2) @ phases.T
     return _quadratic_form(drive * _edge_sinc(ris.widths[0], lam, sin_w + sin_s), gram.real)
 
 
-def _cell_power(ris: LinearRis, drive: np.ndarray, sin_w: np.ndarray,
-                sin_s: np.ndarray) -> np.ndarray:
-    """sum_n (A_n/lam)^2 |h_n|^2 per angle for any widths, h_n = sum_w drive_w Sa_n e_w(n),
-    over chunks of angles; the reference of _gram_power in the tests."""
-    lam = ris.ctx.wavelength
-    excitation = drive * _geometry_phase(ris.n, ris.spacing, lam, sin_w[:, 0])
-    cell_weights = (ris.areas / lam) ** 2
-
-    def power(sin_chunk):
-        # waves x angles x cells, summed over the waves in their order
-        sa = _edge_sinc(ris.widths, lam, sin_w[..., None] + sin_chunk[:, None])
-        h = _sum_waves(excitation[:, None] * sa)
-        return np.sum(cell_weights * (h.real ** 2 + h.imag ** 2), axis=-1)
-
-    return _chunked(power, sin_s, max(1, ris.n * len(drive)))
-
-
 def random_phase_miso_expected_power(ris: LinearRis, waves, r_s: float, theta_s):
     """Expected |E^s|^2 over the random phase law, per scatter angle theta_s.
 
     Independent zero-mean phases cancel the cross terms between cells, which
-    leaves |C|^2/r^2 sum_n (A_n/lam)^2 |h_n|^2 for any waves and cell widths,
-    h_n = sum_w A_w cos(theta_w) Sa_n(theta_w, theta_s) e_w(n), with
-    e_w(n) = e^{j 2 pi n d sin(theta_w)/lam}. With equal widths Sa leaves the cell
-    sum, and the power is x^T Re(G) x (_gram_power): W^2 steps per angle instead of
-    W n. Mixed widths sum the cells per angle (_cell_power). The unit-modulus
-    scatter phase is left out, so for point cells the result is the same at every
-    theta_s, bit for bit. A scalar theta_s gives a float.
+    leaves |C|^2/r^2 sum_n (A_n/lam)^2 |h_n|^2 for any waves,
+    h_n = sum_w A_w cos(theta_w) Sa(theta_w, theta_s) e_w(n), with
+    e_w(n) = e^{j 2 pi n d sin(theta_w)/lam}. The cells share one width, so Sa
+    leaves the cell sum, and the power is x^T Re(G) x (_gram_power): W^2 steps per
+    angle instead of W n. The unit-modulus scatter phase is left out, so for point
+    cells the result is the same at every theta_s, bit for bit. A scalar theta_s
+    gives a float.
     """
     sin_s = np.sin(np.asarray(theta_s, dtype=float))
     theta, _, amplitude = _wave_arrays(waves, 1)
     # the amplitudes relative to the largest, whose square scales the power last, so
     # that a subnormal power rounds once
     peak = amplitude.max(initial=0.0) or 1.0
-    power = _gram_power if np.all(ris.widths == ris.widths[0]) else _cell_power
     coupling = abs(ris.ctx.coupling)
     out = (coupling * coupling / (r_s * r_s)
-           * power(ris, amplitude / peak * np.cos(theta), np.sin(theta), sin_s.ravel())
+           * _gram_power(ris, amplitude / peak * np.cos(theta), np.sin(theta), sin_s.ravel())
            .reshape(sin_s.shape) * peak * peak)
     return float(out) if out.ndim == 0 else out
 
@@ -142,8 +124,8 @@ def monte_carlo_power(ris: LinearRis, waves, obs: ObservationPoint,
 
 
 def _lag_mean(ris: LinearRis, waves, sin_s: np.ndarray, trials: int, seed) -> np.ndarray:
-    """The Monte Carlo mean of |E^s|^2 r^2 / |C|^2 per angle of an equal-width array,
-    from the lag correlations of its trials' cell excitations.
+    """The Monte Carlo mean of |E^s|^2 r^2 / |C|^2 per angle, from the lag
+    correlations of the trials' cell excitations.
 
     With y_{w,t} = e_w o (A/lam) o sigma_t, the sample correlation
     rho_{wv}(D) = (1/T) sum_t sum_n conj(y_{w,t}(n)) y_{v,t}(n + D) comes from
@@ -175,46 +157,44 @@ def monte_carlo_power_grid(ris: LinearRis, waves, r_s: float, thetas, trials: in
                            return_stderr: bool = False):
     """Vectorized Monte Carlo mean of |E^s|^2 on a scatter-angle grid.
 
-    Trial t draws its signs from trial_rng(seed, t). With equal widths the mean
-    alone is taken from the lag correlations of the trials' cell excitations
-    (_lag_mean): one weighted kernel sum per angle, whatever the trial count.
-    Mixed widths, and return_stderr=True (the standard error needs each
-    trial's power, whose square has no lag form), sum each trial per angle. The
-    trials run in blocks and the angles in chunks of the core chunk loop, so
-    memory stays bounded for any trial and angle count.
+    Trial t draws its signs sigma_t from trial_rng(seed, t). The mean alone comes
+    from the lag correlations of the trials' cell excitations (_lag_mean), one
+    weighted kernel sum per angle whatever the trial count. The standard error
+    needs each trial's power, whose square has no lag form: the signed cell weights
+    (A/lam) o sigma_t of a block of trials are the weight columns of one
+    _weighted_sum at sin_i = sin(theta_w) per chunk of angles, so memory stays
+    bounded for any trial and angle count.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     scale = ris.ctx.coupling * np.exp(-2j * np.pi * r_s / ris.ctx.wavelength) / r_s
     sin_s = np.sin(np.asarray(thetas, dtype=float).ravel())
-    if not return_stderr and np.all(ris.widths == ris.widths[0]):
+    if not return_stderr:
         return abs(scale) ** 2 * _lag_mean(ris, waves, sin_s, trials, seed)
-    # each trial's signs stand for e^{j Omega_n}, so the cell weights are A_n/lam alone
-    weights = ris.areas / ris.ctx.wavelength
-
-    theta, _, amplitude = _wave_arrays(waves, 2)
+    lam = ris.ctx.wavelength
+    theta, _, amplitude = _wave_arrays(waves, 1)
     sin_w = np.sin(theta)
+    drive = amplitude * np.cos(theta)
 
-    def moments(sin_chunk, signs):
-        # per-cell complex gain before the configured phase, per scatter angle:
-        # waves x angles x cells, summed over the waves in their order
-        gains = _sum_waves(amplitude * np.cos(theta)
-                           * _cell_terms(ris, sin_w[..., 0] + sin_chunk, weights))
-        gains *= scale
-        samples = np.abs(gains @ signs) ** 2
+    def moments(sin_chunk, columns):
+        # waves x angles x trials, summed over the waves in their order
+        sums = _weighted_sum(ris, sin_chunk, sin_w[:, 0], columns).transpose(1, 0, 2)
+        fields = _sum_waves((drive * _edge_sinc(ris.widths[0], lam, sin_w + sin_chunk))
+                            [..., None] * sums)
+        fields *= scale
+        samples = np.abs(fields) ** 2
         return np.stack([np.sum(samples, axis=-1), np.sum(samples ** 2, axis=-1)], axis=-1)
 
-    # every block rebuilds the gains; 64 trials or more keep that a small share of the work
+    # each chunk of each block forms its phases again; 64 trials or more keep that small
     block = max(64, CHUNK_TERMS // ris.n)
     acc = np.zeros((sin_s.size, 2))
     for lo in range(0, trials, block):
         # cells x trials, complex so that no chunk converts it again
-        signs = _trial_signs(ris.n, seed, range(lo, min(lo + block, trials))).astype(complex).T
-        acc += _chunked(lambda chunk: moments(chunk, signs), sin_s,
-                        max(ris.n * len(waves), signs.shape[1]))
+        columns = (_trial_signs(ris.n, seed, range(lo, min(lo + block, trials)))
+                   * (ris.areas / lam)).T.astype(complex)
+        acc += _chunked(lambda chunk: moments(chunk, columns), sin_s,
+                        max(1, len(waves)) * columns.shape[1])
     mean = acc[:, 0] / trials
-    if not return_stderr:
-        return mean
     return mean, np.sqrt(np.maximum(acc[:, 1] / trials - mean ** 2, 0.0) / max(trials - 1, 1))
 
 

@@ -18,10 +18,11 @@ from .core import (TWO_PI, ObservationPoint, PlaneWave, WaveContext, _chunked, _
 
 @dataclass(frozen=True, eq=False)
 class LinearRis:
-    """Uniform linear array: spacing plus per-cell area, width and phase.
+    """Uniform linear array: spacing, one cell width, and per-cell area and phase.
 
-    A cell width of 0 selects the point-source idealization (unit sinc
-    factor), matching the small-cell regime of the matrix model exactly.
+    widths holds the one width once per cell; unequal widths raise ValueError.
+    A width of 0 selects the point-source idealization (unit sinc factor),
+    matching the small-cell regime of the matrix model exactly.
     """
 
     spacing: float
@@ -42,6 +43,8 @@ class LinearRis:
             raise ValueError("areas, widths and phases must be finite")
         if np.any(areas < 0) or np.any(widths < 0):
             raise ValueError("areas and widths must be non-negative")
+        if np.any(widths != widths[0]):
+            raise ValueError("the cells of a linear array share one width")
         object.__setattr__(self, "areas", areas)
         object.__setattr__(self, "widths", widths)
         object.__setattr__(self, "phases", phases)
@@ -71,7 +74,7 @@ class LinearRis:
 
 
 # The largest cell angle 2 pi (n - 1) d max|s| / wavelength, in rad, up to which
-# _steering sums equal widths in blocks with exactly reduced phases. Past it each s
+# _steering sums in blocks with exactly reduced phases. Past it each s
 # takes the unreduced float64 cell angle that perfbench/oracle.py forms.
 # Against that oracle an exact sum reads up to 1.35e-11 on the benchmark's 8192-cell
 # slot, normalised by a sidelobe (3 of 30 jobs past the check's 6e-12), and at most
@@ -144,7 +147,7 @@ def _blocks(ris: LinearRis, s_max: float) -> tuple[int, int] | None:
     """(B, K) = (ceil(sqrt(n)), ceil(n / B)) where _steering sums ris in blocks at a
     largest |sin_i + sine| of s_max, else None.
 
-    Blocks need equal widths, at most _BLOCKED_MAX_CELLS cells, a largest cell angle
+    Blocks need at most _BLOCKED_MAX_CELLS cells, a largest cell angle
     2 pi (n - 1) d s_max / wavelength of at most _BLOCKED_MAX_ANGLE, and at most half
     as many phases as cells, 2 (B + K) <= n: 16 cells and 18 on. An exactly reduced
     phase costs about two per-cell ones; on 3601 sines (2-core machine) blocks took
@@ -156,7 +159,7 @@ def _blocks(ris: LinearRis, s_max: float) -> tuple[int, int] | None:
     n = ris.n
     b = math.isqrt(n - 1) + 1
     k = -(-n // b)
-    if (2 * (b + k) <= n <= _BLOCKED_MAX_CELLS and np.all(ris.widths == ris.widths[0])
+    if (2 * (b + k) <= n <= _BLOCKED_MAX_CELLS
             and TWO_PI * (n - 1) * ris.spacing * s_max / ris.ctx.wavelength
             <= _BLOCKED_MAX_ANGLE):
         return b, k
@@ -215,9 +218,11 @@ def _blocked_sum(ris: LinearRis, sines: np.ndarray, sin_i: np.ndarray, weights: 
 
 def _weighted_sum(ris: LinearRis, sines: np.ndarray, sin_i: np.ndarray,
                   weights: np.ndarray) -> np.ndarray:
-    """sum_m w_m e^{j 2 pi m d (sin_i[i] + sines[k]) / wavelength} over the cells of an
-    equal-width ris, shape (len(sines), len(sin_i)) + weights.shape[1:]: weights is one
-    weight per cell, or n x c columns of them, and sines and sin_i are flat.
+    """sum_m w_m e^{j 2 pi m d (sin_i[i] + sines[k]) / wavelength} over the cells of ris,
+    shape (len(sines), len(sin_i)) + weights.shape[1:]: weights is one weight per
+    cell, or n x c columns of them, and sines and sin_i are flat. Every linear
+    sum over angles and cells is one: the steering function, the Monte Carlo lag
+    sums and each trial's field.
 
     Where _blocks allows it the sum is _blocked_sum's, with exactly reduced phases;
     elsewhere each s = sin_i + sines takes the float64 cell angles, the bits of the
@@ -234,38 +239,23 @@ def _weighted_sum(ris: LinearRis, sines: np.ndarray, sin_i: np.ndarray,
     return out.reshape((sines.size, sin_i.size) + weights.shape[1:])
 
 
-def _cell_terms(ris: LinearRis, sines, weights) -> np.ndarray:
-    """Terms w_n Sa_n e^{j 2 pi n d s/wavelength} for cell weights w_n.
-
-    s = sin(theta_i) + sin(theta_s); the cells n lie on a new last axis.
-    """
-    lam = ris.ctx.wavelength
-    sa = _edge_sinc(ris.widths, lam, np.asarray(sines, dtype=float)[..., None])
-    return weights * sa * _geometry_phase(ris.n, ris.spacing, lam, sines)
-
-
 def _steering(ris: LinearRis, sines, sin_i=0.0) -> np.ndarray:
     """Steering function at s = sin_i + sines for every pair: shape(sin_i) + shape(sines).
 
     T depends on the two angles only through s = sin(theta_i) + sin(theta_s), so
     each pair's s is formed once, as a one-argument call forms it, and the sums
-    alone choose the path. The cell weights (A_n/wavelength) e^{j Omega_n} are
-    formed once. Mixed widths sum the per-cell terms of each s, over chunks of
-    about core.CHUNK_TERMS entries. With equal widths the sinc depends on s alone
-    and leaves the sum, which is _weighted_sum's: there the paper's factorisation
-    V(sines) diag(w) V(sin_i)^T applies (e^{jk(a+b)} = e^{jka} e^{jkb}) where the
-    phases are exact.
+    alone choose the path. The cells share one width, so the sinc depends on s
+    alone and leaves the sum, which is _weighted_sum's of the cell weights
+    (A_n/wavelength) e^{j Omega_n}, formed once: where the phases are exact the
+    paper's factorisation V(sines) diag(w) V(sin_i)^T applies
+    (e^{jk(a+b)} = e^{jka} e^{jkb}).
     """
     s, inc = np.asarray(sines, dtype=float), np.asarray(sin_i, dtype=float)
     flat, flat_i, lam = s.ravel(), inc.ravel(), ris.ctx.wavelength
     sums = flat[:, None] + flat_i
-    points = sums.ravel()
     weights = ris.areas / lam * np.exp(1j * ris.phases)
-    if np.any(ris.widths != ris.widths[0]):
-        out = _chunked(lambda c: np.sum(_cell_terms(ris, c, weights), axis=-1), points, ris.n)
-    else:
-        out = _weighted_sum(ris, flat, flat_i, weights).ravel()
-        out *= _edge_sinc(ris.widths[0], lam, points)
+    out = _weighted_sum(ris, flat, flat_i, weights).ravel()
+    out *= _edge_sinc(ris.widths[0], lam, sums.ravel())
     return ris.ctx.coupling * out.reshape(sums.shape).T.reshape(inc.shape + s.shape)
 
 

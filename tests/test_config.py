@@ -18,7 +18,7 @@ from risem import (Direction, LinearRis, ObservationPoint, PlaneWave,
 from risem import config as config_module
 from risem.config import _svd_solve, _trial_signs, trial_rng
 from risem.core import CHUNK_TERMS, TWO_PI, _edge_sinc, _phasor
-from risem.linear import _cell_terms, _geometry_phase, _turns
+from risem.linear import _geometry_phase, _turns
 from test_core import _bits
 
 CTX = WaveContext()
@@ -76,6 +76,26 @@ def _point_cell_expected_power(ris, waves, r_s):
                  * np.sum((ris.areas / lam) ** 2 * np.abs(e_hat) ** 2) * peak * peak)
 
 
+def _cell_sum_expected_power(ris, waves, r_s, thetas):
+    """|C|^2/r^2 sum_n (A_n/lam)^2 |h_n|^2 per scatter angle, cell by cell.
+
+    h_n = sum_w A_w cos(theta_w) Sa(theta_w, theta_s) e^{j 2 pi n d sin(theta_w)/lam}
+    is accumulated one wave at a time, from the amplitudes relative to the largest,
+    A_max, and the power is A_max A_max times its form, as in
+    _point_cell_expected_power.
+    """
+    lam = ris.ctx.wavelength
+    peak = max((w.amplitude for w in waves), default=0.0) or 1.0
+    h = np.zeros((thetas.size, ris.n), dtype=complex)
+    for w in waves:
+        theta_i = w.direction.theta
+        h += (w.amplitude / peak * np.cos(theta_i)
+              * _geometry_phase(ris.n, ris.spacing, lam, np.sin(theta_i))
+              * sampling_sa_linear(ris.widths, thetas[:, None], theta_i, lam))
+    return (abs(ris.ctx.coupling) ** 2 / r_s ** 2
+            * np.sum((ris.areas / lam) ** 2 * np.abs(h) ** 2, axis=-1) * peak * peak)
+
+
 def _full_matrix_monte_carlo(ris, waves, r_s, thetas, trials, seed):
     """Monte Carlo (mean, stderr) from the whole angles x cells gain matrix, trial by trial."""
     lam = ris.ctx.wavelength
@@ -83,8 +103,11 @@ def _full_matrix_monte_carlo(ris, waves, r_s, thetas, trials, seed):
     gains = np.zeros((sin_s.size, ris.n), dtype=complex)
     for w in waves:
         theta_i = w.direction.theta
-        gains += (w.amplitude * np.cos(theta_i)
-                  * _cell_terms(ris, np.sin(theta_i) + sin_s, ris.areas / lam))
+        s = np.sin(theta_i) + sin_s
+        # the cell terms (A_n/lam) Sa_n e^{j 2 pi n d s/lam} of each sum s
+        gains += (w.amplitude * np.cos(theta_i) * (ris.areas / lam)
+                  * _edge_sinc(ris.widths, lam, s[:, None])
+                  * _geometry_phase(ris.n, ris.spacing, lam, s))
     gains *= ris.ctx.coupling * np.exp(-2j * np.pi * r_s / lam) / r_s
     acc = np.zeros(sin_s.size)
     acc_sq = np.zeros(sin_s.size)
@@ -108,7 +131,7 @@ def _random_array(data, width):
     ctx = WaveContext(data.draw(st.floats(0.5, 2.0), label="wavelength"),
                       complex(*rng.normal(size=2)))
     return LinearRis(data.draw(st.floats(0.2, 1.5), label="spacing"),
-                     rng.uniform(0.0, 0.5, n), width * rng.uniform(0.0, 1.0, n), 0.0, ctx)
+                     rng.uniform(0.0, 0.5, n), width * rng.uniform(0.0, 1.0), 0.0, ctx)
 
 
 class TestRandomPhaseDraw:
@@ -209,19 +232,11 @@ class TestClosedFormMoments:
     def test_wide_cell_expectation_equals_the_wave_by_wave_sum(self, n, angles):
         # h_n accumulated one wave at a time, over angle counts off the chunk step
         rng = np.random.default_rng(n)
-        ris = LinearRis(0.6, rng.uniform(0.0, 0.05, n), rng.uniform(0.0, 0.6, n), 0.0,
+        ris = LinearRis(0.6, rng.uniform(0.0, 0.05, n), rng.uniform(0.0, 0.6), 0.0,
                         WaveContext(1.3, -0.3 + 0.2j))
         waves = [PlaneWave(Direction(t), a) for t, a in ((0.4, 1.0), (-1.1, 0.5), (0.9, 1.7))]
         thetas = np.linspace(-1.5, 1.5, angles)
-        lam = ris.ctx.wavelength
-        h = np.zeros((angles, n), dtype=complex)
-        for w in waves:
-            s_w = np.sin(w.direction.theta)
-            h += (w.amplitude * np.cos(w.direction.theta)
-                  * _geometry_phase(n, ris.spacing, lam, s_w)
-                  * sampling_sa_linear(ris.widths, thetas[:, None], w.direction.theta, lam))
-        want = (abs(ris.ctx.coupling) ** 2 / 7.0 ** 2
-                * np.sum((ris.areas / lam) ** 2 * np.abs(h) ** 2, axis=-1))
+        want = _cell_sum_expected_power(ris, waves, 7.0, thetas)
         got = random_phase_miso_expected_power(ris, waves, 7.0, thetas)
         assert got.shape == thetas.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
@@ -230,9 +245,9 @@ class TestClosedFormMoments:
     @pytest.mark.parametrize("amplitudes", [(), (1.0,), (0.7, 0.0), (1.2, 0.3, 2.0),
                                             (0.5, 1.5, 0.9, 1.1), (0.0, 0.0),
                                             (5e-324, 1e-310, 2e-320)])
-    def test_gram_expectation_equals_the_cell_sum(self, monkeypatch, n, amplitudes):
-        # equal widths take the Gram matrix; the per-cell body, through the same
-        # amplitude scaling, is the reference: 0 to 4 waves, zero and subnormal amplitudes
+    def test_gram_expectation_equals_the_cell_sum(self, n, amplitudes):
+        # the Gram matrix against the sum over cells, through the same amplitude
+        # scaling: 0 to 4 waves, zero and subnormal amplitudes
         rng = np.random.default_rng(n)
         thetas = np.linspace(-1.5, 1.5, 41)
         waves = [PlaneWave(Direction(rng.uniform(-1.3, 1.3)), a) for a in amplitudes]
@@ -240,9 +255,7 @@ class TestClosedFormMoments:
             ris = LinearRis(0.7, rng.uniform(0.0, 0.05, n), width, 0.0,
                             WaveContext(1.1, 0.4 - 0.7j))
             got = random_phase_miso_expected_power(ris, waves, 9.0, thetas)
-            with monkeypatch.context() as patch:
-                patch.setattr(config_module, "_gram_power", config_module._cell_power)
-                want = random_phase_miso_expected_power(ris, waves, 9.0, thetas)
+            want = _cell_sum_expected_power(ris, waves, 9.0, thetas)
             assert got.shape == thetas.shape and np.all(got >= 0.0)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
             if width == 0.0:
@@ -280,8 +293,8 @@ class TestClosedFormMoments:
     @pytest.mark.parametrize("n, trials", [(8, 3), (8, 50), (16, 40), (17, 5), (100, 7),
                                            (100, 150), (1024, 9), (1024, 1100), (4096, 3)])
     def test_lag_mean_matches_the_trial_sum(self, monkeypatch, n, trials):
-        # the mean alone of an equal-width array takes the lag correlations; the per-trial
-        # sum of the same draws is the reference, over trial counts under and over n
+        # the mean alone takes the lag correlations; the per-trial sum of the same draws
+        # is the reference, over trial counts under and over n
         calls, lag_mean = [], config_module._lag_mean
 
         def spy(*args):
@@ -347,6 +360,44 @@ class TestClosedFormMoments:
                                   ObservationPoint(100.0, Direction(theta_s)),
                                   50, 21)
         assert point == pytest.approx(float(grid[0]), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 1000])
+    def test_per_trial_sums_run_on_the_weighted_kernel(self, monkeypatch, n):
+        # each block of trials is one set of weight columns (A/lam) sigma_t, summed at
+        # the waves' sines
+        calls, weighted_sum = [], config_module._weighted_sum
+
+        def spy(ris, sines, sin_i, weights):
+            calls.append((sines.size, sin_i, weights))
+            return weighted_sum(ris, sines, sin_i, weights)
+
+        monkeypatch.setattr(config_module, "_weighted_sum", spy)
+        ris = LinearRis.uniform(n, 0.6, 0.02, width=0.2, ctx=WaveContext(1.3, -0.3 + 0.2j))
+        waves = [PlaneWave(Direction(t), a) for t, a in ((0.4, 1.0), (-0.9, 0.5))]
+        thetas = np.linspace(-1.5, 1.5, 7)
+        monte_carlo_power_grid(ris, waves, 77.0, thetas, 70, 5, return_stderr=True)
+        # every block of trials (one at 8 cells, two at 1000) sums every angle once
+        assert sum(size for size, _, _ in calls) == -(-70 // max(64, CHUNK_TERMS // n)) * 7
+        columns = []
+        for _, sin_i, weights in calls:
+            assert np.array_equal(sin_i, np.sin([0.4, -0.9]))
+            if not any(weights is c for c in columns):
+                columns.append(weights)
+        assert np.array_equal(np.hstack(columns), (_trial_signs(n, 5, range(70)) * (0.02 / 1.3)).T)
+
+    @pytest.mark.parametrize("n", [8, 100])
+    @pytest.mark.parametrize("return_stderr", [False, True])
+    @pytest.mark.parametrize("wave_count,thetas,shape", [
+        (1, [], (0,)), (0, [0.1, 0.2], (2,)), (0, [], (0,)), (1, np.zeros((0, 3)), (0,))])
+    def test_empty_angles_and_wave_lists_keep_their_shapes(self, n, return_stderr,
+                                                            wave_count, thetas, shape):
+        ris = LinearRis.uniform(n, 0.5, 0.01, width=0.2)
+        waves = [PlaneWave(Direction(0.3))] * wave_count
+        out = monte_carlo_power_grid(ris, waves, 10.0, thetas, 5, 1, return_stderr=return_stderr)
+        # a (mean, stderr) pair with return_stderr
+        assert np.shape(out) == ((2,) + shape if return_stderr else shape)
+        if wave_count == 0:
+            assert np.all(np.asarray(out) == 0.0)
 
 
 class TestPhaseCompensation:

@@ -120,39 +120,29 @@ class TestSteeringKernel:
         shape_i, shape_s = shapes
         rng = np.random.default_rng(seed)
         ris = LinearRis(spacing, rng.uniform(0.0, 0.05, n),
-                        0.0 if widths == "zero" else rng.uniform(0.0, 1.5, n),
+                        0.0 if widths == "zero" else rng.uniform(0.0, 1.5),
                         rng.uniform(0.0, 2.0 * np.pi, n), CTX)
         theta_i = rng.uniform(-np.pi / 2, np.pi / 2, shape_i)
         theta_s = rng.uniform(-np.pi / 2, np.pi / 2, shape_s)
         assert _kernel_deviation(ris, theta_i, theta_s) <= 1e-12
 
-    @pytest.mark.parametrize("n,count", [
-        (1, CHUNK_TERMS + 1),          # one cell: many angles per chunk, one spill-over
-        (100, 3 * (CHUNK_TERMS // 100) + 7),
-        (2 ** 14 - 1, 3),              # one angle per chunk
-        (2 ** 14 + 3, 2),              # a chunk larger than CHUNK_TERMS
+    @pytest.mark.parametrize("n,chunks,extra", [
+        (1, 1, 1),                     # one cell: many angles per chunk, one spill-over
+        (2, 1, 1),                     # per cell: many angles per chunk, one spill-over
+        (16, 1, 1),                    # blocked: many angles per chunk, one spill-over
+        (100, 3, 7),                   # blocked: three chunks and seven angles
+        (1000, 2, 1),                  # blocked: 256 angles per chunk
+        (2 ** 14 - 1, 3, 0),           # per cell: one angle per chunk
+        (2 ** 14 + 3, 2, 0),           # per cell: a chunk larger than CHUNK_TERMS
     ])
-    def test_chunk_edges(self, n, count):
+    def test_chunk_edges(self, n, chunks, extra):
         rng = np.random.default_rng(n)
-        ris = LinearRis(0.45, rng.uniform(0.0, 0.05, n), rng.uniform(0.0, 0.3, n),
+        ris = LinearRis(0.45, rng.uniform(0.0, 0.05, n), rng.uniform(0.0, 0.3),
                         rng.uniform(0.0, 2.0 * np.pi, n), CTX)
-        theta_s = np.linspace(-1.5, 1.5, count)
-        assert _kernel_deviation(ris, 0.4, theta_s) <= 1e-12
-
-    @pytest.mark.parametrize("n,chunks", [
-        (2, 1),                        # per cell: many angles per chunk, one spill-over
-        (16, 1),                       # blocked: many angles per chunk, one spill-over
-        (1000, 2),                     # blocked: 256 angles per chunk
-        (2 ** 14 - 1, 3),              # per cell: one angle per chunk
-        (2 ** 14 + 3, 2),              # per cell: a chunk larger than CHUNK_TERMS
-    ])
-    def test_chunk_edges_with_equal_widths(self, n, chunks):
-        rng = np.random.default_rng(n)
-        ris = LinearRis.uniform(n, 0.45, 0.02, width=0.3,
-                                phases=rng.uniform(0.0, 2.0 * np.pi, n))
         # s reaches sin 0.4 + sin 1.5 at the last angle, which sets the regime
         step = _steps(ris, np.array([np.sin(0.4) + np.sin(1.5)]))
-        assert _kernel_deviation(ris, 0.4, np.linspace(-1.5, 1.5, chunks * step + 1)) <= 1e-12
+        theta_s = np.linspace(-1.5, 1.5, chunks * step + extra)
+        assert _kernel_deviation(ris, 0.4, theta_s) <= 1e-12
 
     @pytest.mark.parametrize("shape", [(), (0,), (4, 3)])
     def test_equal_widths_keep_the_shape_of_s(self, shape):
@@ -162,22 +152,6 @@ class TestSteeringKernel:
         assert got.shape == shape
         if got.size:
             assert _kernel_deviation(ris, 0.2, theta_s) <= 1e-12
-
-    def test_only_mixed_widths_sum_per_cell(self, monkeypatch):
-        calls, cell_terms = [], linear_module._cell_terms
-
-        def spy(*args):
-            calls.append(args)
-            return cell_terms(*args)
-
-        monkeypatch.setattr(linear_module, "_cell_terms", spy)
-        s = np.linspace(-2.0, 2.0, 50)
-        uniform = LinearRis.uniform(40, 0.5, 0.01, width=0.2)
-        _steering(uniform, s)
-        assert calls == []
-        mixed = LinearRis(0.5, np.full(40, 0.01), np.linspace(0.1, 0.3, 40), 0.0, CTX)
-        _steering(mixed, s)
-        assert len(calls) == 1
 
     @pytest.mark.parametrize("lam", [0.3, 1.0, 7.0])
     @pytest.mark.parametrize("s", [2.0, -2.0, 0.6180339887498949])
@@ -304,7 +278,7 @@ def _edge_count(ris, count, sin_i, s_max):
 class TestFactoredSteering:
     """_steering over sin_i (+) sines against the same kernel on the outer sum."""
 
-    @given(st.sampled_from([1, 2, 100, 1000]), st.sampled_from(["zero", "equal", "mixed"]),
+    @given(st.sampled_from([1, 2, 100, 1000]), st.sampled_from(["zero", "equal"]),
            st.sampled_from([0, 1, 5]), st.sampled_from([0, 1, 37, "edge-1", "edge", "edge+1"]),
            st.sampled_from([1.0, 0.37, 2.5]), st.floats(0.05, 2.0),
            st.integers(0, 2 ** 32 - 1))
@@ -316,7 +290,7 @@ class TestFactoredSteering:
     def test_outer_product_equals_the_per_point_sum(self, n, widths, len_i, count, lam,
                                                     spacing, seed):
         rng = np.random.default_rng(seed)
-        width = {"zero": 0.0, "equal": 0.3, "mixed": rng.uniform(0.0, 0.6, n)}[widths]
+        width = {"zero": 0.0, "equal": 0.3}[widths]
         sin_i = rng.uniform(-1.0, 1.0, len_i)
         # the cells, and with them the chunk width, are known before the sines: sin_s
         # holds 1 first, so max|sin_s| is 1 whatever its length
@@ -341,11 +315,11 @@ class TestFactoredSteering:
         elif want.size:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("widths", ["equal", "mixed"])
+    @pytest.mark.parametrize("widths", ["zero", "equal"])
     @pytest.mark.parametrize("shape_i,shape_s", [((), (4,)), ((2, 3), (4,)), ((3,), ()),
                                                  ((2,), (3, 2))])
     def test_result_shape_is_that_of_sin_i_then_sines(self, widths, shape_i, shape_s):
-        width = 0.2 if widths == "equal" else np.linspace(0.1, 0.3, 6)
+        width = 0.2 if widths == "equal" else 0.0
         ris = LinearRis(0.5, np.full(6, 0.01), width, np.linspace(0.0, 3.0, 6), CTX)
         rng = np.random.default_rng(2)
         sin_i, sin_s = rng.uniform(-1.0, 1.0, shape_i), rng.uniform(-1.0, 1.0, shape_s)
@@ -415,6 +389,16 @@ class TestLinearRis:
         assert np.all(ris.areas == 0.01)
         assert np.all(ris.widths == 0.1)
         assert np.all(ris.phases == 0.0)
+
+    @pytest.mark.parametrize("widths", [[0.1, 0.2], [0.0, 0.0, 1e-300]])
+    def test_unequal_widths_are_refused(self, widths):
+        with pytest.raises(ValueError, match="share one width"):
+            LinearRis(0.5, np.full(len(widths), 0.01), widths, 0.0, CTX)
+
+    def test_new_phases_and_weights_keep_the_one_width(self):
+        ris = LinearRis(0.5, np.full(3, 0.01), np.full(3, 0.25), 0.0, CTX)
+        for out in (ris.with_phases([0.1, 0.2, 0.3]), ris.with_weights([0.1, 0.2j, -0.3])):
+            assert out.widths.shape == (3,) and np.all(out.widths == 0.25)
 
     def test_with_weights_round_trip(self):
         ris = LinearRis.uniform(3, 0.5, 0.01)
