@@ -21,12 +21,15 @@ quoted keys and values, a 64-cell file at normal incidence on the phi = 0 cut
 (whose rows with theta >= 0 the factored cell sum leaves to the per-term sum),
 a linear file of 1200 scatter points with phi_deg written first on a third of
 its rows (read by the row reader), a 1024-cell Monte Carlo sweep of 300 trials
-(its mean taken from lag correlations over many trial blocks) and a three-wave
-expectation sweep; and a fixed list of malformed inputs, among them an empty
-stream, a second document, a block text 3000 levels deep, a one-line flow text
-5000 levels deep, a 2000-deep one after a tab that only libyaml reads, the
-1200-point file with a point outside the linear range, and a radius of 1e200,
-whose square overflows.
+(its mean taken from lag correlations over many trial blocks), a three-wave
+expectation sweep, a two-wave expectation sweep of 8192 cells as JSON (whose
+Gram matrix entries between the waves are summed per cell, past the blocked
+sum's bound) and a two-wave expectation at one incident angle (whose Gram
+matrix entries are all equal); and a fixed list of malformed inputs, among
+them an empty stream, a second document, a block text 3000 levels deep, a
+one-line flow text 5000 levels deep, a 2000-deep one after a tab that only
+libyaml reads, the 1200-point file with a point outside the linear range, and
+a radius of 1e200, whose square overflows.
 Every output file, and the exit code, stdout and stderr of every run, is
 reported as identical, or with the largest deviation of each numeric CSV
 column or JSON field that moved, relative to that column's largest
@@ -207,6 +210,14 @@ SCENARIOS = {
     "random_1024.yaml": linear(0.6, n=1024) + "configure: {scheme: random, seed: 7}\n",
     "expectation_three_waves.yaml": linear(0.7, width=0.3, incident=THREE_WAVES)
     + "configure: {scheme: random, expectation: true}\n",
+    # the Gram entries between the waves reach a cell angle of about 34 700 rad, past the
+    # blocked sum's bound, so they take the per-cell float64 phases
+    "expectation_8192.yaml": linear(0.8, n=8192, incident=TWO_WAVES)
+    + "configure: {scheme: random, expectation: true}\n",
+    # two waves from one direction: every Gram entry is the diagonal's
+    "expectation_one_angle.yaml": linear(
+        0.7, width=0.3, incident="[{theta_deg: 30.0}, {theta_deg: 30.0, amplitude: 0.6}]")
+    + "configure: {scheme: random, expectation: true}\n",
     "reshape05.yaml": linear()
     + "configure: {scheme: reshape, desired_pattern_file: desired.json}\n",
     "reshape06.yaml": linear(0.6)
@@ -299,6 +310,10 @@ RUNS = {
                                  "--out", "random_1024_trials.csv"],
     "sweep-expectation-three-waves": ["sweep", "expectation_three_waves.yaml",
                                       "--out", "expectation_three_waves.csv"],
+    "sweep-expectation-8192-json": ["sweep", "expectation_8192.yaml", "--format", "json",
+                                    "--out", "expectation_8192.json"],
+    "sweep-expectation-one-angle": ["sweep", "expectation_one_angle.yaml",
+                                    "--out", "expectation_one_angle.csv"],
     "sweep-reshape05": ["sweep", "reshape05.yaml", "--format", "json",
                         "--out", "reshape05.json"],
     "mimo-reshape05": ["mimo", "reshape05.yaml", "--out", "reshape05_mimo.json"],

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CHUNK_TERMS, TWO_PI, Direction, ObservationPoint, PlaneWave, _chunked,
-                   _edge_sinc, _sum_waves, _wave_arrays)
+from .core import (CHUNK_TERMS, TWO_PI, Direction, ObservationPoint, PlaneWave, _check_radius,
+                   _chunked, _edge_sinc, _sum_waves, _wave_arrays)
 from .linear import (LinearRis, MimoSystem, _alternating_signs, _cell_angle, _geometry_phase,
                      _steering, _complex_pairs, _weighted_sum)
 
@@ -81,17 +81,6 @@ def _quadratic_form(x: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-def _gram_power(ris: LinearRis, drive: np.ndarray, sin_w: np.ndarray,
-                sin_s: np.ndarray) -> np.ndarray:
-    """sum_n (A_n/lam)^2 |h_n|^2 per angle, whose one-width sinc leaves the cell sum:
-    x^T Re(G) x with x_w = drive_w Sa(sin_w + sin_s) and the waves' Gram matrix
-    G_{wv} = sum_n (A_n/lam)^2 conj(e_w(n)) e_v(n), formed once."""
-    lam = ris.ctx.wavelength
-    phases = _geometry_phase(ris.n, ris.spacing, lam, sin_w[:, 0])
-    gram = (phases.conj() * (ris.areas / lam) ** 2) @ phases.T
-    return _quadratic_form(drive * _edge_sinc(ris.widths[0], lam, sin_w + sin_s), gram.real)
-
-
 def random_phase_miso_expected_power(ris: LinearRis, waves, r_s: float, theta_s):
     """Expected |E^s|^2 over the random phase law, per scatter angle theta_s.
 
@@ -99,20 +88,26 @@ def random_phase_miso_expected_power(ris: LinearRis, waves, r_s: float, theta_s)
     leaves |C|^2/r^2 sum_n (A_n/lam)^2 |h_n|^2 for any waves,
     h_n = sum_w A_w cos(theta_w) Sa(theta_w, theta_s) e_w(n), with
     e_w(n) = e^{j 2 pi n d sin(theta_w)/lam}. The cells share one width, so Sa
-    leaves the cell sum, and the power is x^T Re(G) x (_gram_power): W^2 steps per
-    angle instead of W n. The unit-modulus scatter phase is left out, so for point
-    cells the result is the same at every theta_s, bit for bit. A scalar theta_s
-    gives a float.
+    leaves the cell sum, and the power is x^T Re(G) x with
+    x_w = A_w cos(theta_w) Sa(sin theta_w + sin theta_s) and the waves' Gram matrix
+    G_{wv} = sum_n (A_n/lam)^2 conj(e_w(n)) e_v(n), one _weighted_sum at the sines
+    sin(theta_v) - sin(theta_w), formed once: W^2 steps per angle instead of W n. The
+    unit-modulus scatter phase is left out, so for point cells the result is the same
+    at every theta_s, bit for bit. A scalar theta_s gives a float.
     """
-    sin_s = np.sin(np.asarray(theta_s, dtype=float))
+    _check_radius(r_s)
+    sin_s = np.sin(np.asarray(theta_s, dtype=float)).ravel()
     theta, _, amplitude = _wave_arrays(waves, 1)
+    lam, sin_w = ris.ctx.wavelength, np.sin(theta)
+    # entry [v, w] is G_{wv}; its real part is symmetric
+    gram = _weighted_sum(ris, sin_w[:, 0], -sin_w[:, 0], (ris.areas / lam) ** 2)
     # the amplitudes relative to the largest, whose square scales the power last, so
     # that a subnormal power rounds once
     peak = amplitude.max(initial=0.0) or 1.0
+    drive = amplitude / peak * np.cos(theta) * _edge_sinc(ris.widths[0], lam, sin_w + sin_s)
     coupling = abs(ris.ctx.coupling)
-    out = (coupling * coupling / (r_s * r_s)
-           * _gram_power(ris, amplitude / peak * np.cos(theta), np.sin(theta), sin_s.ravel())
-           .reshape(sin_s.shape) * peak * peak)
+    out = (coupling * coupling / (r_s * r_s) * _quadratic_form(drive, gram.real)
+           .reshape(np.shape(theta_s)) * peak * peak)
     return float(out) if out.ndim == 0 else out
 
 
@@ -167,6 +162,7 @@ def monte_carlo_power_grid(ris: LinearRis, waves, r_s: float, thetas, trials: in
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    _check_radius(r_s)
     scale = ris.ctx.coupling * np.exp(-2j * np.pi * r_s / ris.ctx.wavelength) / r_s
     sin_s = np.sin(np.asarray(thetas, dtype=float).ravel())
     if not return_stderr:

@@ -28,6 +28,11 @@ def positive_finite(x) -> bool:
     return bool(np.isfinite(x) and x > 0)
 
 
+def _check_radius(r) -> None:
+    if not positive_finite(r):
+        raise ValueError(f"observation radius must be positive and finite, got {r}")
+
+
 def sinc_normalized(x):
     """sin(x)/x with the removable singularity handled explicitly.
 
@@ -91,8 +96,7 @@ class ObservationPoint:
     direction: Direction
 
     def __post_init__(self):
-        if not positive_finite(self.r):
-            raise ValueError(f"observation radius must be positive and finite, got {self.r}")
+        _check_radius(self.r)
 
 
 @dataclass(frozen=True)

@@ -221,8 +221,8 @@ def _weighted_sum(ris: LinearRis, sines: np.ndarray, sin_i: np.ndarray,
     """sum_m w_m e^{j 2 pi m d (sin_i[i] + sines[k]) / wavelength} over the cells of ris,
     shape (len(sines), len(sin_i)) + weights.shape[1:]: weights is one weight per
     cell, or n x c columns of them, and sines and sin_i are flat. Every linear
-    sum over angles and cells is one: the steering function, the Monte Carlo lag
-    sums and each trial's field.
+    sum over angles and cells is one: the steering function, the random-phase
+    expectation's Gram matrix, the Monte Carlo lag sums and each trial's field.
 
     Where _blocks allows it the sum is _blocked_sum's, with exactly reduced phases;
     elsewhere each s = sin_i + sines takes the float64 cell angles, the bits of the

@@ -16,6 +16,7 @@ from risem import (Direction, LinearRis, ObservationPoint, PlaneWave,
                    random_phase_expected_rcs, random_phase_miso_expected_power,
                    sampling_sa_linear, steering_function)
 from risem import config as config_module
+from risem import linear as linear_module
 from risem.config import _svd_solve, _trial_signs, trial_rng
 from risem.core import CHUNK_TERMS, TWO_PI, _edge_sinc, _phasor
 from risem.linear import _geometry_phase, _turns
@@ -260,6 +261,49 @@ class TestClosedFormMoments:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
             if width == 0.0:
                 assert np.all(got == got[0])
+
+    @pytest.mark.parametrize("waves", [((0.4, 1.0),), ((0.4, 1.0), (-1.1, 0.5), (0.9, 1.7))])
+    def test_gram_matrix_is_one_weighted_kernel_sum(self, monkeypatch, waves):
+        # the waves' Gram matrix is the kernel's sum of the weights (A_n/lam)^2 at
+        # sin(theta_v) - sin(theta_w); the statistic forms no cell phase of its own
+        calls, weighted_sum = [], config_module._weighted_sum
+
+        def spy(ris, sines, sin_i, weights):
+            calls.append((sines, sin_i, weights))
+            return weighted_sum(ris, sines, sin_i, weights)
+
+        def no_phases(*args):
+            raise AssertionError("a cell phase matrix outside the kernel's sum")
+
+        monkeypatch.setattr(config_module, "_weighted_sum", spy)
+        for module in (config_module, linear_module):
+            monkeypatch.setattr(module, "_geometry_phase", no_phases)
+        # 100 cells at these sines take the blocked sum, which forms no per-cell phase
+        ris = LinearRis(0.6, np.random.default_rng(3).uniform(0.0, 0.05, 100), 0.2, 0.0,
+                        WaveContext(1.3, -0.3 + 0.2j))
+        random_phase_miso_expected_power(ris, [PlaneWave(Direction(t), a) for t, a in waves],
+                                         7.0, np.linspace(-1.5, 1.5, 9))
+        assert len(calls) == 1
+        (sines, sin_i, weights), sin_w = calls[0], np.sin([t for t, _ in waves])
+        assert np.array_equal(sines, -sin_i)
+        assert np.array_equal(sines, sin_w) or np.array_equal(sin_i, sin_w)
+        assert np.array_equal(weights, (ris.areas / 1.3) ** 2)
+
+    @pytest.mark.parametrize("r_s", [0.0, -5.0, math.nan, math.inf])
+    @pytest.mark.parametrize("statistic", [
+        lambda ris, r_s: random_phase_miso_expected_power(ris, [PlaneWave(Direction(0.3))],
+                                                          r_s, [0.1, 0.2]),
+        lambda ris, r_s: random_phase_expected_power(ris, 0.3, 0.1, r_s),
+        lambda ris, r_s: monte_carlo_power_grid(ris, [PlaneWave(Direction(0.3))], r_s,
+                                                [0.1, 0.2], 5, 1),
+        lambda ris, r_s: monte_carlo_power_grid(ris, [PlaneWave(Direction(0.3))], r_s,
+                                                [0.1, 0.2], 5, 1, return_stderr=True)],
+        ids=["expectation", "one-wave-expectation", "monte-carlo-mean", "monte-carlo-stderr"])
+    def test_statistics_refuse_a_radius_that_is_not_positive_and_finite(self, statistic, r_s):
+        # as ObservationPoint does; before, 0 divided by zero, -5 gave a power and inf 0.0
+        # or NaN
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            statistic(_reference_array(8), r_s)
 
     def test_monte_carlo_matches_closed_form(self):
         ris = _reference_array(16)
