@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CHUNK_TERMS, TWO_PI, Direction, ObservationPoint, PlaneWave, _check_radius,
-                   _chunked, _edge_sinc, _sum_waves, _wave_arrays)
+                   _chunked, _edge_sinc, _sum_waves, _wave_arrays, positive_finite)
 from .linear import (LinearRis, MimoSystem, _alternating_signs, _cell_angle, _geometry_phase,
                      _steering, _complex_pairs, _weighted_sum)
 
@@ -230,22 +230,24 @@ def grating_lobes(delta: float, spacing: float, wavelength: float,
 
 def anomalous_pairs(delta: float, spacing: float, wavelength: float,
                     theta_i_tilde: float) -> list[float]:
-    """All scatter angles a compensated array steers theta_i_tilde towards.
+    """Scatter angles, ascending, that a compensated array steers theta_i_tilde towards.
 
-    Includes the congruence index k = 0, so the design pair maps to itself;
-    a fixed Delta acts as a generalized reflection law on every incident
-    angle, not only the designed one.
+    A fixed Delta is a generalized reflection law on every incident angle:
+    sin(theta_s) = Delta - sin(theta_i) + k wavelength / spacing for each integer
+    k with |sin(theta_s)| <= 1, and k = 0 maps the design pair to itself. k runs
+    from floor((-1 - base) spacing / wavelength) to ceil((1 - base) spacing /
+    wavelength), base = Delta - sin(theta_i): one spare index at each end for rounding.
     """
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
     base = delta - np.sin(theta_i_tilde)
-    k_max = int(np.ceil(4.0 * spacing / wavelength))
+    if not (positive_finite(spacing) and positive_finite(wavelength) and np.isfinite(base)):
+        raise ValueError("spacing and wavelength must be positive and finite, delta and angle finite")
     out = []
-    for k in range(-k_max, k_max + 1):
+    for k in range(int(np.floor((-1.0 - base) * spacing / wavelength)),
+                   int(np.ceil((1.0 - base) * spacing / wavelength)) + 1):
         s = base + k * wavelength / spacing
         if abs(s) <= 1.0:
             out.append(float(np.arcsin(s)))
-    return sorted(out)
+    return out
 
 
 def compensated_steering(ris: LinearRis, delta: float, theta_i: float,
@@ -353,6 +355,8 @@ def beam_reshape(sys: MimoSystem, incident_amplitudes, desired,
     desired = np.asarray(desired, dtype=complex)
     if desired.shape != (sys.n_outputs,):
         raise ValueError(f"expected {sys.n_outputs} desired values, got {desired.shape}")
+    if not np.all(np.isfinite(desired)):
+        raise ValueError("desired values must be finite")
     if np.any(sys.radii != sys.radii[0]):
         raise ValueError("beam reshaping needs a single reference radius")
 

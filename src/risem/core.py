@@ -24,8 +24,8 @@ CHUNK_TERMS = 2 ** 14
 
 
 def positive_finite(x) -> bool:
-    """True for a finite number above zero; False for NaN and infinities."""
-    return bool(np.isfinite(x) and x > 0)
+    """True when x, a number or an array, is finite and above zero throughout."""
+    return bool(np.all(np.isfinite(x) & np.greater(x, 0)))
 
 
 def _check_radius(r) -> None:

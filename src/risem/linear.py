@@ -52,8 +52,6 @@ class LinearRis:
     @classmethod
     def uniform(cls, n: int, spacing: float, area: float, width: float = 0.0,
                 phases=None, ctx: WaveContext | None = None) -> "LinearRis":
-        if n < 1:
-            raise ValueError("cell count must be at least 1")
         return cls(spacing, np.full(n, area), width, 0.0 if phases is None else phases,
                    ctx or WaveContext())
 
@@ -341,8 +339,8 @@ class MimoSystem:
         object.__setattr__(self, "weights", np.atleast_1d(np.asarray(self.weights, dtype=complex)))
         if self.radii.shape != self.scatter_thetas.shape:
             raise ValueError("radii and scatter angles must pair up")
-        if np.any(self.radii <= 0):
-            raise ValueError("observation radii must be positive")
+        if not all(map(positive_finite, (self.radii, self.wavelength, self.spacing))):
+            raise ValueError("observation radii, wavelength and spacing must be positive and finite")
 
     @property
     def n_cells(self) -> int:

@@ -824,16 +824,19 @@ def write_csv(path: str | None, columns: dict) -> None:
 
 # the C encoder, for a scalar or a flat list: it runs only without indent
 _encode = json.JSONEncoder(allow_nan=False).encode
+# a dict key as _encode quotes a str; any other key raises TypeError
+_encode_key = json.encoder.encode_basestring_ascii
 
 
 def json_text(doc) -> str:
     """Indented strict JSON and a newline; a non-finite number raises FloatingPointError.
 
-    The text is json.dumps(doc, indent=2, allow_nan=False) byte for byte, and
-    raises where it raises. The two leaf shapes that hold the bulk of every
-    document are rendered a list at a time: a list of floats and None, and a
-    list of [float, float] pairs (lists or tuples). Everything else is written
-    through the json module, one scalar at a time.
+    Keys are strings, as in every document risem writes; any other key raises
+    TypeError. The text is then json.dumps(doc, indent=2, allow_nan=False) byte
+    for byte, and raises where it raises. The two leaf shapes that hold the
+    bulk of every document are rendered a list at a time: a list of floats and
+    None, and a list of [float, float] pairs (lists or tuples). Everything
+    else is written through the json module, one scalar at a time.
     """
     try:
         return _json(doc, "\n", set()) + "\n"
@@ -853,7 +856,7 @@ def _json(value, newline: str, markers: set) -> str:
     markers.add(id(value))
     inner = newline + "  "
     if isinstance(value, dict):
-        items = (_encode(_json_key(k)) + ": " + _json(v, inner, markers) for k, v in value.items())
+        items = (_encode_key(k) + ": " + _json(v, inner, markers) for k, v in value.items())
         text = "{" + inner + ("," + inner).join(items) + newline + "}"
     else:
         text = "[" + inner + _json_items(value, inner, markers) + newline + "]"
@@ -877,15 +880,6 @@ def _json_items(items, inner: str, markers: set) -> str:
             pair = "[" + deeper + "%r," + deeper + "%r" + inner + "]"
             return ("," + inner).join([pair] * len(items)) % tuple(flat)
     return ("," + inner).join(_json(v, inner, markers) for v in items)
-
-
-def _json_key(key) -> str:
-    """A dict key as the json module names it: a string as it is, a number, bool or None as JSON."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return _encode(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def write_json(path: str | None, doc) -> None:

@@ -552,15 +552,51 @@ class TestGratingLobes:
             assert abs(k - round(k)) <= 1e-12
             assert round(k) != 0
 
-    def test_spacing_validation(self):
-        with pytest.raises(ValueError):
-            grating_lobes(0.0, -0.5, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            anomalous_pairs(0.0, 0.0, 1.0, 0.0)
+
+def _scan_pairs(delta, spacing, wavelength, theta_i, k_max):
+    """The congruence law by a scan of k over [-k_max, k_max], sorted by angle."""
+    base = delta - np.sin(theta_i)
+    out = []
+    for k in range(-k_max, k_max + 1):
+        s = base + k * wavelength / spacing
+        if abs(s) <= 1.0:
+            out.append(float(np.arcsin(s)))
+    return sorted(out)
 
 
 class TestAnomalousPairs:
     DELTA = compensation_delta(math.radians(30.0), math.radians(-50.0))
+    ANGLES = st.floats(-math.pi / 2, math.pi / 2)
+
+    @given(st.floats(-6.0, 6.0), st.floats(0.05, 60.0), st.floats(0.5, 2.0), ANGLES)
+    @example(4.0, 1.0, 1.0, -math.pi / 2)
+    @settings(max_examples=300)
+    def test_every_visible_index_against_a_brute_force(self, delta, d, lam, ti):
+        # |k| <= 2000 covers every visible index: (1 + |base|) d / lambda <= 960
+        assert anomalous_pairs(delta, d, lam, ti) == _scan_pairs(delta, d, lam, ti, 2000)
+
+    def test_a_shift_past_two_keeps_every_lobe(self):
+        # base = 5: k = -6, -5 and -4 are visible, outside the former scan's |k| <= 4d/lambda
+        assert anomalous_pairs(4.0, 1.0, 1.0, -math.pi / 2) == [-math.pi / 2, 0.0, math.pi / 2]
+
+    @given(st.floats(-2.0, 2.0), st.floats(0.05, 60.0), st.floats(0.5, 2.0), ANGLES)
+    @settings(max_examples=300)
+    def test_physical_inputs_keep_the_bits_of_the_former_scan(self, delta, d, lam, ti):
+        # the scan that the closed-form range replaced: |k| <= ceil(4 d / lambda)
+        former = _scan_pairs(delta, d, lam, ti, int(np.ceil(4.0 * d / lam)))
+        assert _bits(anomalous_pairs(delta, d, lam, ti)).tolist() == _bits(former).tolist()
+
+    @pytest.mark.parametrize("predictor", [anomalous_pairs, grating_lobes])
+    @pytest.mark.parametrize("delta,spacing,wavelength,theta_i", [
+        (0.5, math.inf, 1.0, 0.1), (0.5, math.nan, 1.0, 0.1), (0.5, 0.0, 1.0, 0.1),
+        (0.5, -0.5, 1.0, 0.1), (0.5, 0.7, 0.0, 0.1), (0.5, 0.7, math.nan, 0.1),
+        (0.5, 0.7, math.inf, 0.1), (0.5, 0.7, 1.0, math.nan), (math.nan, 0.7, 1.0, 0.1),
+        (math.inf, 0.7, 1.0, 0.1),
+    ])
+    def test_refuses_what_is_not_positive_and_finite(self, predictor, delta, spacing,
+                                                     wavelength, theta_i):
+        with pytest.raises(ValueError, match="finite"):
+            predictor(delta, spacing, wavelength, theta_i)
 
     def test_design_pair_maps_to_itself(self):
         pairs = anomalous_pairs(self.DELTA, 0.5, 1.0, math.radians(30.0))
@@ -657,6 +693,12 @@ class TestBeamReshape:
         desired = np.full(n, 1e-4 + 0.0j)
         solution = beam_reshape(sys, [1.0, -1.0], desired)
         assert solution.weights[0] == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_a_desired_value_that_is_not_finite_is_refused(self, bad):
+        sys = self._system(4, np.ones(4))
+        with pytest.raises(ValueError, match="desired values must be finite"):
+            beam_reshape(sys, [1.0], np.array([1.0, bad, 0.0, 0.0]))
 
     def test_input_validation(self):
         n = 4

@@ -603,9 +603,32 @@ class TestMimoSystem:
         ([100.0], [0.1, 0.2], "pair up"),
         ([0.0], [0.1], "positive"),
         ([100.0, -1.0], [0.1, 0.2], "positive"),
+        ([100.0, math.nan], [0.1, 0.2], "positive and finite"),
+        ([math.inf], [0.1], "positive and finite"),
     ])
     def test_radii_must_pair_with_scatter_angles_and_be_positive(self, radii, scatter_thetas,
                                                                  fragment):
         with pytest.raises(ValueError, match=fragment):
             MimoSystem(wavelength=1.0, spacing=0.5, coupling=-1j, radii=radii,
                        scatter_thetas=scatter_thetas, incident_thetas=[0.1], weights=[1.0])
+
+    @pytest.mark.parametrize("wavelength,spacing", [
+        (0.0, 0.5), (math.nan, 0.5), (math.inf, 0.5), (-1.0, 0.5),
+        (1.0, math.nan), (1.0, 0.0), (1.0, -0.5), (1.0, math.inf),
+    ])
+    def test_wavelength_and_spacing_must_be_positive_and_finite(self, wavelength, spacing):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            MimoSystem(wavelength=wavelength, spacing=spacing, coupling=-1j, radii=[100.0],
+                       scatter_thetas=[0.1], incident_thetas=[0.1], weights=[1.0])
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_mimo_on_angles_refuses_a_radius_that_is_not_finite(self, radius):
+        ris = LinearRis.uniform(4, 0.5, 0.01)
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            mimo_on_angles(ris, [0.1], [100.0, radius], [0.2, 0.3])
+
+    def test_json_reader_refuses_bad_lengths(self):
+        good = json.loads(json.dumps(self._random_system(np.random.default_rng(8)).to_json_dict()))
+        for key, value in (("radii", [math.nan] * len(good["radii"])), ("wavelength", 0.0)):
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                MimoSystem.from_json_dict(dict(good, **{key: value}))
