@@ -21,7 +21,9 @@ quoted keys and values, a 64-cell file at normal incidence on the phi = 0 cut
 (whose rows with theta >= 0 the factored cell sum leaves to the per-term sum),
 a linear file of 1200 scatter points with phi_deg written first on a third of
 its rows (read by the row reader), a 1024-cell Monte Carlo sweep of 300 trials
-(its mean taken from lag correlations over many trial blocks), a three-wave
+(its mean taken from lag correlations over many trial blocks), a two-wave
+Monte Carlo sweep of 300 trials, two blocks of 256 and 44, at the seed 2^96 + 11
+(four entropy words, so five with the trial index), a three-wave
 expectation sweep, a two-wave expectation sweep of 8192 cells as JSON (whose
 Gram matrix entries between the waves are summed per cell, past the blocked
 sum's bound) and a two-wave expectation at one incident angle (whose Gram
@@ -304,6 +306,9 @@ RUNS = {
     "sweep-expectation": ["sweep", "expectation.yaml", "--out", "expectation.csv"],
     "sweep-random-two-waves-trials": ["sweep", "random_two_waves.yaml", "--trials", "40",
                                       "--out", "random_two_waves_trials.csv"],
+    "sweep-random-two-waves-wide-seed": ["sweep", "random_two_waves.yaml", "--trials", "300",
+                                         "--seed", "79228162514264337593543950347",
+                                         "--out", "random_two_waves_wide_seed.csv"],
     "sweep-expectation-wide": ["sweep", "expectation_wide.yaml",
                                "--out", "expectation_wide.csv"],
     "sweep-random-1024-trials": ["sweep", "random_1024.yaml", "--trials", "300",

@@ -7,12 +7,15 @@ phase weights.
 """
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (CHUNK_TERMS, TWO_PI, Direction, ObservationPoint, PlaneWave, _check_radius,
-                   _chunked, _edge_sinc, _sum_waves, _wave_arrays, positive_finite)
+                   _edge_sinc, _sum_waves, _wave_arrays, positive_finite)
 from .linear import (LinearRis, MimoSystem, _alternating_signs, _cell_angle, _geometry_phase,
                      _steering, _complex_pairs, _weighted_sum)
 
@@ -45,16 +48,111 @@ def trial_rng(seed, trial_index: int) -> np.random.Generator:
     return np.random.default_rng((seed, trial_index))
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): the hash constant and
+# multiplier of the pool's hashmix, then those of generate_state, and mix's multipliers
+_POOL_HASH, _POOL_MULT, _STATE_HASH, _STATE_MULT = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_LEFT, _MIX_RIGHT = 0xCA01F9DD, 0x4973F715
+_WORD = 0xFFFFFFFF
+
+
+def _entropy_words(value) -> list[int]:
+    """The 32-bit words of a non-negative integer as SeedSequence reads it, least
+    significant first: one word 0 for 0."""
+    value = operator.index(value)
+    if value < 0:
+        # SeedSequence's own message
+        raise ValueError("expected non-negative integer")
+    words = [value & _WORD]
+    while value := value >> 32:
+        words.append(value & _WORD)
+    return words
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hash step on uint32 arrays, x ^= h; h *= mult; x *= h; x ^= x >> 16,
+    with the constant h kept from call to call: it steps alike for every trial."""
+    def step(x):
+        nonlocal const
+        x = x ^ const
+        const = const * mult & _WORD
+        x *= const
+        x ^= x >> 16
+        return x
+    return step
+
+
+def _mix(x, y):
+    out = x * _MIX_LEFT - y * _MIX_RIGHT
+    out ^= out >> 16
+    return out
+
+
+def _pcg64_states(seed, trials: range) -> np.ndarray:
+    """SeedSequence((seed, t)).generate_state(4, np.uint64) for each trial t below 2^64,
+    one row each (trials x 4).
+
+    numpy's hash, on uint32 arrays over all the trials at once. The entropy is the
+    words of seed, then those of t. hashmix takes its first 4 words into the pool
+    (0 past the entropy), each pool word is mixed with the hash of every other, and
+    each entropy word past the fourth is mixed into every pool word in turn;
+    generate_state hashes the pool twice round into 8 words, low halves first. Trials
+    whose indices take one word and two are hashed apart.
+    """
+    edge = 1 << 32
+    if trials.start < edge < trials.stop:
+        return np.concatenate([_pcg64_states(seed, trials[:edge - trials.start]),
+                               _pcg64_states(seed, trials[edge - trials.start:])])
+    t = np.arange(trials.start, trials.stop, dtype=np.uint64)
+    entropy = [np.full(1, w, dtype=np.uint32) for w in _entropy_words(seed)]
+    # t < 2^32 takes one word, and two from there on
+    entropy += [(t >> np.uint64(32 * i)).astype(np.uint32)
+                for i in range(1 + (trials.start >= edge))]
+    hashmix = _hasher(_POOL_HASH, _POOL_MULT)
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(1, dtype=np.uint32))
+            for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    state = _hasher(_STATE_HASH, _STATE_MULT)
+    words = np.stack([state(word) for word in pool * 2], axis=-1)
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _state_words() -> type:
+    """A numpy ISeedSequence that hands PCG64 the four state words it is made with.
+
+    Made on first use, so that numpy.random loads only when trials are drawn.
+    """
+    class StateWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("holds four uint64 words, as PCG64 takes them")
+            return self.words
+
+    return StateWords
+
+
 def _trial_signs(n: int, seed, trials: range) -> np.ndarray:
     """The signs 1 - 2 b of the given trials, one row each (trials x n), with b the
     bits of trial_rng(seed, t).integers(0, 2, n).
 
-    Those bits are the top bits of the 32-bit halves of PCG64's 64-bit words, low
-    half first (Lemire's bounded draw of 0 or 1 takes no rejection), so each trial
-    takes ceil(n / 2) raw words of its generator and no Generator is built.
+    Each trial's PCG64 is seeded with the state words of SeedSequence((seed, t)),
+    hashed for all the trials at once (_pcg64_states). Its bits are the top bits of
+    the 32-bit halves of its 64-bit words, low half first (Lemire's bounded draw of 0
+    or 1 takes no rejection), so each trial takes ceil(n / 2) raw words and no
+    Generator is built.
     """
-    words = np.array([np.random.PCG64(np.random.SeedSequence((seed, t))).random_raw(-(-n // 2))
-                      for t in trials])
+    seeded = _state_words()
+    words = np.array([np.random.PCG64(seeded(state)).random_raw(-(-n // 2))
+                      for state in _pcg64_states(seed, trials)])
     bits = np.stack([(words >> 31) & 1, words >> 63], axis=-1).reshape(len(trials), -1)[:, :n]
     return 1.0 - 2.0 * bits
 
@@ -157,8 +255,9 @@ def monte_carlo_power_grid(ris: LinearRis, waves, r_s: float, thetas, trials: in
     weighted kernel sum per angle whatever the trial count. The standard error
     needs each trial's power, whose square has no lag form: the signed cell weights
     (A/lam) o sigma_t of a block of trials are the weight columns of one
-    _weighted_sum at sin_i = sin(theta_w) per chunk of angles, so memory stays
-    bounded for any trial and angle count.
+    _weighted_sum at sin_i = sin(theta_w), which hands each chunk of angles' sums
+    to their power moments as it goes, so memory stays bounded for any trial and
+    angle count.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -172,24 +271,22 @@ def monte_carlo_power_grid(ris: LinearRis, waves, r_s: float, thetas, trials: in
     sin_w = np.sin(theta)
     drive = amplitude * np.cos(theta)
 
-    def moments(sin_chunk, columns):
+    def moments(sin_chunk, sums):
         # waves x angles x trials, summed over the waves in their order
-        sums = _weighted_sum(ris, sin_chunk, sin_w[:, 0], columns).transpose(1, 0, 2)
         fields = _sum_waves((drive * _edge_sinc(ris.widths[0], lam, sin_w + sin_chunk))
-                            [..., None] * sums)
+                            [..., None] * sums.transpose(1, 0, 2))
         fields *= scale
         samples = np.abs(fields) ** 2
         return np.stack([np.sum(samples, axis=-1), np.sum(samples ** 2, axis=-1)], axis=-1)
 
-    # each chunk of each block forms its phases again; 64 trials or more keep that small
+    # each block forms the phases of every angle again; 64 trials or more keep that small
     block = max(64, CHUNK_TERMS // ris.n)
     acc = np.zeros((sin_s.size, 2))
     for lo in range(0, trials, block):
         # cells x trials, complex so that no chunk converts it again
         columns = (_trial_signs(ris.n, seed, range(lo, min(lo + block, trials)))
                    * (ris.areas / lam)).T.astype(complex)
-        acc += _chunked(lambda chunk: moments(chunk, columns), sin_s,
-                        max(1, len(waves)) * columns.shape[1])
+        acc += _weighted_sum(ris, sin_s, sin_w[:, 0], columns, moments)
     mean = acc[:, 0] / trials
     return mean, np.sqrt(np.maximum(acc[:, 1] / trials - mean ** 2, 0.0) / max(trials - 1, 1))
 
@@ -199,6 +296,9 @@ def monte_carlo_power_grid(ris: LinearRis, waves, r_s: float, thetas, trials: in
 # ---------------------------------------------------------------------------
 
 def compensation_delta(theta_i: float, theta_s: float) -> float:
+    """Delta = sin(theta_i) + sin(theta_s) of a design pair of finite angles."""
+    if not (math.isfinite(theta_i) and math.isfinite(theta_s)):
+        raise ValueError(f"design angles must be finite, got {theta_i} and {theta_s}")
     return float(np.sin(theta_i) + np.sin(theta_s))
 
 
@@ -238,9 +338,10 @@ def anomalous_pairs(delta: float, spacing: float, wavelength: float,
     from floor((-1 - base) spacing / wavelength) to ceil((1 - base) spacing /
     wavelength), base = Delta - sin(theta_i): one spare index at each end for rounding.
     """
-    base = delta - np.sin(theta_i_tilde)
-    if not (positive_finite(spacing) and positive_finite(wavelength) and np.isfinite(base)):
+    if not (positive_finite(spacing) and positive_finite(wavelength)
+            and math.isfinite(delta) and math.isfinite(theta_i_tilde)):
         raise ValueError("spacing and wavelength must be positive and finite, delta and angle finite")
+    base = delta - np.sin(theta_i_tilde)
     out = []
     for k in range(int(np.floor((-1.0 - base) * spacing / wavelength)),
                    int(np.ceil((1.0 - base) * spacing / wavelength)) + 1):

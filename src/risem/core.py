@@ -84,10 +84,17 @@ class Direction:
     Full spherical convention: theta in [0, pi], phi in [-pi, pi].
     The linear-array convention uses theta in [-pi/2, pi/2] measured against
     the z-axis inside the yoz plane; phi is then ignored by the linear model.
+    Both angles, numbers or arrays, must be finite.
     """
 
     theta: float
     phi: float = 0.0
+
+    def __post_init__(self):
+        # the angles may be arrays of directions
+        if not (np.all(np.isfinite(self.theta)) and np.all(np.isfinite(self.phi))):
+            raise ValueError(f"direction angles must be finite, got theta={self.theta}, "
+                             f"phi={self.phi}")
 
 
 @dataclass(frozen=True)
@@ -325,12 +332,16 @@ def _wave_arrays(waves, ndim: int = 0):
 
 
 def _sum_waves(terms: np.ndarray) -> np.ndarray:
-    """Sum over the leading (wave) axis from zero, one wave after the other: the
-    bits of `total += term` per wave, which np.sum may pair up and accumulate does not."""
+    """Sum over the leading (wave) axis from zero, one wave after the other (np.sum
+    may pair them up), so a -0.0 total reads +0.0. np.add.accumulate gives the same
+    bits but runs the short wave axis innermost: 12 times as long on 2 x 16 x 1000
+    terms."""
     if not len(terms):
         return np.zeros(terms.shape[1:], dtype=terms.dtype)
-    total = np.add.accumulate(terms)[-1]
-    total += 0.0  # a zero start makes a -0.0 total +0.0
+    # 0.0 + t and t + 0.0 are equal; np.zeros would take fresh zeroed pages
+    total = terms[0] + 0.0
+    for term in terms[1:]:
+        total += term
     return total
 
 

@@ -165,21 +165,25 @@ def _blocks(ris: LinearRis, s_max: float) -> tuple[int, int] | None:
 
 
 def _blocked_sum(ris: LinearRis, sines: np.ndarray, sin_i: np.ndarray, weights: np.ndarray,
-                 b: int, k: int) -> np.ndarray:
+                 b: int, k: int, reduce=None) -> np.ndarray:
     """sum_m w_m e^{j 2 pi m d (sin_i[i] + sines[k]) / wavelength}, shape
     (len(sines), len(sin_i)) + weights.shape[1:]: weights is one weight per cell,
-    or n x c columns of them.
+    or n x c columns of them; reduce as in _weighted_sum.
 
     Cell m = kB + j, with B = b and K = k from _blocks, so each cell phase is a
     giant phase e^{j 2 pi kB x} times a baby phase e^{j 2 pi j x},
     x = d s / wavelength (Paterson and Stockmeyer's split): B + K phases per sine
-    instead of n, each _phasor of 2 pi times its exact turns. With one sin_i the
-    sum is giant . (baby @ W), W the B x K block matrix of V(sin_i) o w, per
-    column: one product per chunk and one per sine. With more, V is the
-    giant (x) baby outer product, times the n x len(sin_i) c matrix V(sin_i)^T o w
-    in one product per chunk. The outer product would serve one sin_i too, but
-    forms every cell: against it the blocks gave linear-sweep 1.41 and reshape
-    1.19 times the points/s (medians of 10 alternating pairs each, 2-core machine).
+    instead of n, each _phasor of 2 pi times its exact turns. With one sin_i and
+    at most B columns the sum is giant . (baby @ W), W the B x K block matrix of
+    V(sin_i) o w, per column: one product per chunk and one per sine. Otherwise V
+    is the giant (x) baby outer product, times the n x len(sin_i) c matrix
+    V(sin_i)^T o w in one product per chunk. The outer product would serve one
+    column too, but forms every cell: against it the blocks gave linear-sweep 1.41
+    and reshape 1.19 times the points/s (medians of 10 alternating pairs each,
+    2-core machine). Past B columns the cells are a small share of the product,
+    and the blocks' rows of K c entries would cut the chunks to a few sines each:
+    100 cells, 3601 sines and 163 columns took 90 ms blocked, 25-33 ms as one
+    product per chunk (same machine).
     """
     n, d, lam = ris.n, ris.spacing, ris.ctx.wavelength
     counts = np.concatenate([np.arange(b), b * np.arange(k)])
@@ -202,20 +206,24 @@ def _blocked_sum(ris: LinearRis, sines: np.ndarray, sin_i: np.ndarray, weights: 
     left = np.zeros((k * b, width), dtype=complex)
     left[:n] = (cells(*phases(sin_i))[:, :n].T[:, :, None] * columns[:, None, :]).reshape(n, width)
     blocks = (left.reshape(k, b, width).transpose(1, 0, 2).reshape(b, k * width)
-              if sin_i.size == 1 else None)
+              if sin_i.size == 1 and width <= b else None)
+
+    shape = (sin_i.size,) + weights.shape[1:]
 
     def chunk(c):
         baby, giant = phases(c)
         if blocks is None:
-            return cells(baby, giant) @ left
-        return (giant[:, None] @ (baby @ blocks).reshape(len(c), k, width))[:, 0]
+            sums = cells(baby, giant) @ left
+        else:
+            sums = (giant[:, None] @ (baby @ blocks).reshape(len(c), k, width))[:, 0]
+        sums = sums.reshape((len(c),) + shape)
+        return sums if reduce is None else reduce(c, sums)
 
-    out = _chunked(chunk, sines, max(k * b, width) if blocks is None else b + k * width)
-    return out.reshape((sines.size, sin_i.size) + weights.shape[1:])
+    return _chunked(chunk, sines, max(k * b, width) if blocks is None else b + k * width)
 
 
 def _weighted_sum(ris: LinearRis, sines: np.ndarray, sin_i: np.ndarray,
-                  weights: np.ndarray) -> np.ndarray:
+                  weights: np.ndarray, reduce=None) -> np.ndarray:
     """sum_m w_m e^{j 2 pi m d (sin_i[i] + sines[k]) / wavelength} over the cells of ris,
     shape (len(sines), len(sin_i)) + weights.shape[1:]: weights is one weight per
     cell, or n x c columns of them, and sines and sin_i are flat. Every linear
@@ -225,16 +233,25 @@ def _weighted_sum(ris: LinearRis, sines: np.ndarray, sin_i: np.ndarray,
     Where _blocks allows it the sum is _blocked_sum's, with exactly reduced phases;
     elsewhere each s = sin_i + sines takes the float64 cell angles, the bits of the
     benchmark's oracle. So any split of the same sums takes the same path, and past
-    the bound the same bits. Both paths run over chunks of about core.CHUNK_TERMS
-    entries, so memory stays bounded for any array of s.
+    the bound the same bits. Both paths run over chunks of sines of about
+    core.CHUNK_TERMS entries, so memory stays bounded for any array of s. With
+    reduce, each chunk c of sines and its sums go to reduce(c, sums), and its
+    results are stacked instead of the sums: a caller that needs only statistics
+    of the sums holds one chunk of them at a time, and the weights' phases at
+    sin_i are formed once.
     """
     points = (sines[:, None] + sin_i).ravel()
     blocks = _blocks(ris, np.abs(points).max(initial=0.0))
     if blocks:
-        return _blocked_sum(ris, sines, sin_i, weights, *blocks)
-    out = _chunked(lambda c: _geometry_phase(ris.n, ris.spacing, ris.ctx.wavelength, c) @ weights,
-                   points, ris.n)
-    return out.reshape((sines.size, sin_i.size) + weights.shape[1:])
+        return _blocked_sum(ris, sines, sin_i, weights, *blocks, reduce)
+    shape = (sin_i.size,) + weights.shape[1:]
+
+    def chunk(c):
+        phases = _geometry_phase(ris.n, ris.spacing, ris.ctx.wavelength, (c[:, None] + sin_i).ravel())
+        sums = (phases @ weights).reshape((len(c),) + shape)
+        return sums if reduce is None else reduce(c, sums)
+
+    return _chunked(chunk, sines, ris.n * max(1, sin_i.size))
 
 
 def _steering(ris: LinearRis, sines, sin_i=0.0) -> np.ndarray:

@@ -154,14 +154,20 @@ class TestRandomPhaseDraw:
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("n", [1, 16, 17, 100])
-    @pytest.mark.parametrize("seed", [0, 2 ** 31 - 1, 2 ** 32 + 5])
+    @pytest.mark.parametrize("seed", [0, 2 ** 31 - 1, 2 ** 32 - 1, 2 ** 32 + 5, 2 ** 64 + 5,
+                                      2 ** 96 + 11])
     def test_trial_signs_are_the_bits_of_the_trial_generators(self, n, seed):
-        # odd and even n, and a seed of two 32-bit entropy words
+        # odd and even n; seeds of one to four 32-bit entropy words, so with the trial
+        # index up to five, which the pool of four mixes in once more
         got = _trial_signs(n, seed, range(601))
         want = [1.0 - 2.0 * trial_rng(seed, t).integers(0, 2, n) for t in range(601)]
         assert got.shape == (601, n)
         assert np.array_equal(got, want)
         assert np.array_equal(_trial_signs(n, seed, range(590, 601)), got[590:])
+        # trial indices from one entropy word to two
+        wide = range(2 ** 32 - 3, 2 ** 32 + 3)
+        want = [1.0 - 2.0 * trial_rng(seed, t).integers(0, 2, n) for t in wide]
+        assert np.array_equal(_trial_signs(n, seed, wide), want)
 
     def test_a_negative_seed_keeps_the_generator_error(self):
         with pytest.raises(ValueError) as signs:
@@ -411,9 +417,9 @@ class TestClosedFormMoments:
         # the waves' sines
         calls, weighted_sum = [], config_module._weighted_sum
 
-        def spy(ris, sines, sin_i, weights):
+        def spy(ris, sines, sin_i, weights, reduce=None):
             calls.append((sines.size, sin_i, weights))
-            return weighted_sum(ris, sines, sin_i, weights)
+            return weighted_sum(ris, sines, sin_i, weights, reduce)
 
         monkeypatch.setattr(config_module, "_weighted_sum", spy)
         ris = LinearRis.uniform(n, 0.6, 0.02, width=0.2, ctx=WaveContext(1.3, -0.3 + 0.2j))
@@ -451,6 +457,14 @@ class TestPhaseCompensation:
     def test_delta_reference_value(self):
         delta = compensation_delta(self.THETA_I, self.THETA_S)
         assert delta == pytest.approx(-0.266044443118978, rel=1e-12)
+
+    @pytest.mark.parametrize("theta_i,theta_s", [(math.nan, 0.1), (0.1, math.inf),
+                                                 (-math.inf, 0.1)])
+    def test_design_angles_must_be_finite(self, theta_i, theta_s):
+        with pytest.raises(ValueError, match="finite"):
+            compensation_delta(theta_i, theta_s)
+        with pytest.raises(ValueError, match="finite"):
+            phase_compensation(theta_i, theta_s, _reference_array())
 
     @pytest.mark.parametrize("n", [1, 2, 8192, 9000])
     def test_phases_keep_the_bits_of_the_negated_cell_angle(self, n):
@@ -590,8 +604,8 @@ class TestAnomalousPairs:
     @pytest.mark.parametrize("delta,spacing,wavelength,theta_i", [
         (0.5, math.inf, 1.0, 0.1), (0.5, math.nan, 1.0, 0.1), (0.5, 0.0, 1.0, 0.1),
         (0.5, -0.5, 1.0, 0.1), (0.5, 0.7, 0.0, 0.1), (0.5, 0.7, math.nan, 0.1),
-        (0.5, 0.7, math.inf, 0.1), (0.5, 0.7, 1.0, math.nan), (math.nan, 0.7, 1.0, 0.1),
-        (math.inf, 0.7, 1.0, 0.1),
+        (0.5, 0.7, math.inf, 0.1), (0.5, 0.7, 1.0, math.nan), (0.5, 0.7, 1.0, math.inf),
+        (0.5, 0.7, 1.0, -math.inf), (math.nan, 0.7, 1.0, 0.1), (math.inf, 0.7, 1.0, 0.1),
     ])
     def test_refuses_what_is_not_positive_and_finite(self, predictor, delta, spacing,
                                                      wavelength, theta_i):

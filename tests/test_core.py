@@ -103,6 +103,12 @@ class TestDirections:
         v = direction_vector(Direction(theta, phi))
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
 
+    @pytest.mark.parametrize("theta,phi", [(np.nan, 0.0), (np.inf, 0.0), (0.0, np.nan),
+                                           (0.0, -np.inf)])
+    def test_direction_angles_must_be_finite(self, theta, phi):
+        with pytest.raises(ValueError, match="finite"):
+            Direction(theta, phi)
+
     @pytest.mark.parametrize("r", [0.0, np.nan, np.inf])
     def test_observation_radius_must_be_positive_and_finite(self, r):
         with pytest.raises(ValueError):
