@@ -30,8 +30,9 @@ sum's bound) and a two-wave expectation at one incident angle (whose Gram
 matrix entries are all equal); and a fixed list of malformed inputs, among
 them an empty stream, a second document, a block text 3000 levels deep, a
 one-line flow text 5000 levels deep, a 2000-deep one after a tab that only
-libyaml reads, the 1200-point file with a point outside the linear range, and
-a radius of 1e200, whose square overflows.
+libyaml reads, the 1200-point file with a point outside the linear range, a
+radius of 1e200, whose square overflows, and Monte Carlo trials asked of an
+expectation scenario.
 Every output file, and the exit code, stdout and stderr of every run, is
 reported as identical, or with the largest deviation of each numeric CSV
 column or JSON field that moved, relative to that column's largest
@@ -348,6 +349,7 @@ RUNS = {
     "radius-overflow": ["sweep", "radius_overflow.yaml"],
     "bad-desired": ["configure", "bad_desired.yaml"],
     "negative-seed": ["sweep", "random.yaml", "--seed", "-3"],
+    "trials-on-expectation": ["sweep", "expectation.yaml", "--trials", "5"],
     "mimo-on-patch": ["mimo", "patch.yaml"],
     "configure-unconfigured": ["configure", "patch.yaml"],
 }

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CHUNK_TERMS, TWO_PI, Direction, ObservationPoint, PlaneWave, _check_radius,
-                   _edge_sinc, _sum_waves, _wave_arrays, positive_finite)
+from .core import (CHUNK_TERMS, TWO_PI, Direction, ObservationPoint, PlaneWave, _check_finite,
+                   _check_radius, _edge_sinc, _sum_waves, _wave_arrays, positive_finite)
 from .linear import (LinearRis, MimoSystem, _alternating_signs, _cell_angle, _geometry_phase,
                      _steering, _complex_pairs, _weighted_sum)
 
@@ -194,6 +194,7 @@ def random_phase_miso_expected_power(ris: LinearRis, waves, r_s: float, theta_s)
     at every theta_s, bit for bit. A scalar theta_s gives a float.
     """
     _check_radius(r_s)
+    _check_finite("scatter angles", theta_s)
     sin_s = np.sin(np.asarray(theta_s, dtype=float)).ravel()
     theta, _, amplitude = _wave_arrays(waves, 1)
     lam, sin_w = ris.ctx.wavelength, np.sin(theta)
@@ -262,6 +263,7 @@ def monte_carlo_power_grid(ris: LinearRis, waves, r_s: float, thetas, trials: in
     if trials < 1:
         raise ValueError("need at least one trial")
     _check_radius(r_s)
+    _check_finite("scatter angles", thetas)
     scale = ris.ctx.coupling * np.exp(-2j * np.pi * r_s / ris.ctx.wavelength) / r_s
     sin_s = np.sin(np.asarray(thetas, dtype=float).ravel())
     if not return_stderr:
@@ -297,8 +299,7 @@ def monte_carlo_power_grid(ris: LinearRis, waves, r_s: float, thetas, trials: in
 
 def compensation_delta(theta_i: float, theta_s: float) -> float:
     """Delta = sin(theta_i) + sin(theta_s) of a design pair of finite angles."""
-    if not (math.isfinite(theta_i) and math.isfinite(theta_s)):
-        raise ValueError(f"design angles must be finite, got {theta_i} and {theta_s}")
+    _check_finite("design angles", theta_i, theta_s)
     return float(np.sin(theta_i) + np.sin(theta_s))
 
 
@@ -358,6 +359,7 @@ def compensated_steering(ris: LinearRis, delta: float, theta_i: float,
     The compensation phases shift s = sin(theta_i) + sin(theta_s) by -Delta,
     so this is the point-cell steering sum at the shifted s.
     """
+    _check_finite("delta and angles", delta, theta_i, theta_s)
     point_cells = LinearRis(ris.spacing, ris.areas, 0.0, 0.0, ris.ctx)
     return complex(_steering(point_cells, np.sin(theta_i) + np.sin(theta_s) - delta))
 
@@ -398,10 +400,20 @@ class ReshapeSolution:
                 "discarded_fraction": self.discarded_fraction}
 
 
+def _norm(x) -> float:
+    """||x|| of x scaled by a power of 2 near its largest magnitude, so that no square leaves
+    the float range; the bits of np.linalg.norm(x) wherever its squares stay normal."""
+    e = math.frexp(float(np.max(np.abs(x), initial=0.0)))[1]
+    # x times 2^-e in two exact steps, since 2^-e alone may leave the float range
+    half = -e // 2
+    scaled = x * math.ldexp(1.0, half) * math.ldexp(1.0, -e - half)
+    return math.ldexp(float(np.linalg.norm(scaled)), e)
+
+
 def _fraction(part, whole) -> float:
     """||part|| / ||whole||, and 0.0 for a zero whole."""
-    norm = np.linalg.norm(whole)
-    return float(np.linalg.norm(part) / norm) if norm > 0.0 else 0.0
+    norm = _norm(whole)
+    return _norm(part) / norm if norm > 0.0 else 0.0
 
 
 def _svd_solve(v_s, desired, truncation_tol):
@@ -447,7 +459,8 @@ def beam_reshape(sys: MimoSystem, incident_amplitudes, desired,
     SVD of the scatter steering matrix; singular directions below
     truncation_tol * sigma_max are dropped. On the half-wavelength DFT grid
     (MimoSystem.on_dft_grid) the same solve is one FFT. Cells whose
-    aggregated incident excitation is numerically zero get zero weight.
+    aggregated incident excitation is numerically zero get zero weight: under
+    1e-12 of the largest, or, times beta/N, under the normal float range.
 
     All observation points must share one reference radius exactly. Raises
     ReshapeConditioningError when the dropped directions carry more than
@@ -456,8 +469,7 @@ def beam_reshape(sys: MimoSystem, incident_amplitudes, desired,
     desired = np.asarray(desired, dtype=complex)
     if desired.shape != (sys.n_outputs,):
         raise ValueError(f"expected {sys.n_outputs} desired values, got {desired.shape}")
-    if not np.all(np.isfinite(desired)):
-        raise ValueError("desired values must be finite")
+    _check_finite("desired values", desired)
     if np.any(sys.radii != sys.radii[0]):
         raise ValueError("beam reshaping needs a single reference radius")
 
@@ -475,11 +487,14 @@ def beam_reshape(sys: MimoSystem, incident_amplitudes, desired,
     beta_n = sys.prefactor * sys.range_diag[0]
     guard = 1e-12 * np.max(np.abs(e_hat), initial=0.0)
     weights = np.zeros(sys.n_cells, dtype=complex)
-    live = np.abs(e_hat) > guard
-    weights[live] = coeff[live] / (beta_n * e_hat[live])
+    # numpy's complex division forms the reciprocal of the divisor, which overflows under
+    # the normal range
+    divisors = beta_n * e_hat
+    live = (np.abs(e_hat) > guard) & (np.abs(divisors) >= np.finfo(float).tiny)
+    weights[live] = coeff[live] / divisors[live]
 
     achieved = beta_n * sys.scatter(weights * e_hat)
-    residual = float(np.linalg.norm(achieved - desired))
+    residual = _norm(achieved - desired)
     return ReshapeSolution(weights=weights, residual=residual, rank=rank,
                            discarded_fraction=discarded,
                            truncation_tol=truncation_tol)

@@ -28,6 +28,12 @@ def positive_finite(x) -> bool:
     return bool(np.all(np.isfinite(x) & np.greater(x, 0)))
 
 
+def _check_finite(what: str, *values) -> None:
+    """Refuse values, numbers or arrays, with ValueError "<what> must be finite" unless all finite."""
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise ValueError(f"{what} must be finite")
+
+
 def _check_radius(r) -> None:
     if not positive_finite(r):
         raise ValueError(f"observation radius must be positive and finite, got {r}")
@@ -67,9 +73,7 @@ class WaveContext:
     def __post_init__(self):
         if not positive_finite(self.wavelength):
             raise ValueError(f"wavelength must be positive and finite, got {self.wavelength}")
-        if not np.isfinite(self.reflection_coefficient):
-            raise ValueError(
-                f"reflection coefficient must be finite, got {self.reflection_coefficient}")
+        _check_finite("reflection coefficient", self.reflection_coefficient)
 
     @property
     def coupling(self) -> complex:
@@ -92,9 +96,7 @@ class Direction:
 
     def __post_init__(self):
         # the angles may be arrays of directions
-        if not (np.all(np.isfinite(self.theta)) and np.all(np.isfinite(self.phi))):
-            raise ValueError(f"direction angles must be finite, got theta={self.theta}, "
-                             f"phi={self.phi}")
+        _check_finite("direction angles", self.theta, self.phi)
 
 
 @dataclass(frozen=True)

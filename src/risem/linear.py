@@ -12,8 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (TWO_PI, ObservationPoint, PlaneWave, WaveContext, _chunked, _edge_sinc,
-                   _phasor, _sum_waves, _wave_arrays, positive_finite)
+from .core import (TWO_PI, ObservationPoint, PlaneWave, WaveContext, _check_finite, _chunked,
+                   _edge_sinc, _phasor, _sum_waves, _wave_arrays, positive_finite)
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,8 +39,7 @@ class LinearRis:
         phases = np.broadcast_to(np.asarray(self.phases, dtype=float), areas.shape).copy()
         if areas.size < 1:
             raise ValueError("array needs at least one cell")
-        if not all(np.all(np.isfinite(v)) for v in (areas, widths, phases)):
-            raise ValueError("areas, widths and phases must be finite")
+        _check_finite("areas, widths and phases", areas, widths, phases)
         if np.any(areas < 0) or np.any(widths < 0):
             raise ValueError("areas and widths must be non-negative")
         if np.any(widths != widths[0]):
@@ -283,7 +282,8 @@ def _field(ris: LinearRis, waves: Sequence[PlaneWave], r: float, theta_s) -> np.
 
 
 def _rcs(ris: LinearRis, theta_i, theta_s) -> np.ndarray:
-    """Bistatic RCS 4 pi cos^2(theta_i) |T|^2 over broadcast angle arrays."""
+    """Bistatic RCS 4 pi cos^2(theta_i) |T|^2 over broadcast arrays of finite angles."""
+    _check_finite("incident and scatter angles", theta_i, theta_s)
     t = _steering(ris, np.sin(theta_i) + np.sin(theta_s))
     return 4.0 * np.pi * np.cos(theta_i) ** 2 * np.abs(t) ** 2
 
@@ -294,6 +294,7 @@ def steering_function(ris: LinearRis, theta_i: float, theta_s: float) -> complex
     Excludes the cos(theta_i) polarization factor, which belongs to the
     particular incident wave rather than to the array.
     """
+    _check_finite("incident and scatter angles", theta_i, theta_s)
     return complex(_steering(ris, np.sin(theta_i) + np.sin(theta_s)))
 
 
@@ -339,7 +340,9 @@ class MimoSystem:
     """Factored linear input/output model of a uniform linear array.
 
     Stores the factors, never the dense product. Built with the unit-sinc
-    (small cell) model: the directivity factor Sa is fixed to 1.
+    (small cell) model: the directivity factor Sa is fixed to 1. Both angle
+    lists must be non-empty, and the angles, weights, coupling and input
+    amplitudes finite.
     """
 
     wavelength: float
@@ -354,10 +357,16 @@ class MimoSystem:
         for name in ("radii", "scatter_thetas", "incident_thetas"):
             object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
         object.__setattr__(self, "weights", np.atleast_1d(np.asarray(self.weights, dtype=complex)))
+        if self.incident_thetas.size == 0:
+            raise ValueError("incident angle list must be non-empty")
+        if self.scatter_thetas.size == 0:
+            raise ValueError("observation list must be non-empty")
         if self.radii.shape != self.scatter_thetas.shape:
             raise ValueError("radii and scatter angles must pair up")
         if not all(map(positive_finite, (self.radii, self.wavelength, self.spacing))):
             raise ValueError("observation radii, wavelength and spacing must be positive and finite")
+        _check_finite("angles, weights and coupling", self.incident_thetas, self.scatter_thetas,
+                      self.weights, self.coupling)
 
     @property
     def n_cells(self) -> int:
@@ -415,6 +424,7 @@ class MimoSystem:
         amp = np.asarray(amplitudes, dtype=complex)
         if amp.shape != (self.n_inputs,):
             raise ValueError(f"expected {self.n_inputs} input amplitudes, got {amp.shape}")
+        _check_finite("input amplitudes", amp)
         return (self.cos_incident * amp) @ self._phases(self.incident_thetas, self.n_cells)
 
     def to_json_dict(self) -> dict:
@@ -467,10 +477,6 @@ def mimo_on_angles(ris: LinearRis, incident_angles: Sequence[float], radii,
     regime (widths << wavelength) is the caller's responsibility; the model
     fixes the sinc factor to 1.
     """
-    if len(incident_angles) == 0:
-        raise ValueError("incident angle list must be non-empty")
-    if len(scatter_thetas) == 0:
-        raise ValueError("observation list must be non-empty")
     return MimoSystem(
         wavelength=ris.ctx.wavelength,
         spacing=ris.spacing,

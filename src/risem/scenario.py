@@ -969,7 +969,8 @@ def run_sweep(scn: Scenario, trials: int | None = None):
     """Evaluate the configured model on the observation grid.
 
     With a trial count, a random-phase scenario gives the Monte Carlo mean
-    power over that many phase draws instead of one draw or the expectation.
+    power over that many phase draws instead of one draw; one that asks for the
+    expectation is refused, so that neither model is chosen silently.
     Returns (SweepResult, ReshapeSolution | None). Deterministic given the
     scenario text, including any random seed. Raises FloatingPointError if
     any field magnitude or RCS value is not finite.
@@ -977,6 +978,9 @@ def run_sweep(scn: Scenario, trials: int | None = None):
     if trials is not None:
         if not isinstance(scn.scheme, RandomScheme):
             raise ScenarioError("trials apply only to random-phase scenarios")
+        if scn.scheme.expectation:
+            raise ScenarioError("trials apply only to sampled random-phase scenarios, "
+                                "not to 'expectation: true'")
         if trials < 1:
             raise ScenarioError("trials must be a positive integer")
     obs_spec = scn.observation

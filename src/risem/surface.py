@@ -191,11 +191,11 @@ def _factored_sums(geom: RisGeometry, u_i, u_s) -> np.ndarray:
     So no term is divided, and the configured phase costs no complex multiply
     per term.
 
-    Outside the bounds of _FACTORED_RANGE, a product could leave the normal
-    range: a geometry then takes _sum_cells whole, and a (wave, point) row,
-    such as u_y = 0 exactly at normal incidence on the phi = 0 cut, takes it
-    for that row. Chunks hold max(1, CHUNK_TERMS // cells) points, and their
-    arrays are made once per call.
+    Outside the bounds of _FACTORED_RANGE a product could leave the normal range, so
+    one row rule sends a (wave, point) row to _sum_cells: every row of a geometry
+    outside them, which skips the factored loop, and a row with |u_x u_y| under them,
+    such as u_y = 0 exactly at normal incidence on the phi = 0 cut. Chunks hold
+    max(1, CHUNK_TERMS // cells) points, and their arrays are made once per call.
     """
     lam = geom.ctx.wavelength
     u_i, u_s = np.asarray(u_i, dtype=float), np.asarray(u_s, dtype=float)
@@ -203,10 +203,9 @@ def _factored_sums(geom: RisGeometry, u_i, u_s) -> np.ndarray:
     shape = (len(u_i), *u_s.shape[:-1])
     alpha, beta, scale = np.pi * geom.a / lam, np.pi * geom.b / lam, geom.areas / lam
     bounds = np.concatenate([alpha, beta, scale])
-    if not (bounds.min() >= 1.0 / _FACTORED_RANGE and bounds.max() <= _FACTORED_RANGE):
-        return _sum_cells(geom, u_i[:, None] + points).reshape(shape)
+    inside = bounds.min() >= 1.0 / _FACTORED_RANGE and bounds.max() <= _FACTORED_RANGE
     out = np.empty((len(u_i), len(points)), dtype=complex)
-    if len(u_i) and len(points):
+    if inside and len(u_i) and len(points):
         k = geom.positions.T * (TWO_PI / lam)
         q = scale / (alpha * beta) * _phasor(u_i @ k + geom.phases)
         n = len(alpha)
@@ -229,7 +228,7 @@ def _factored_sums(geom: RisGeometry, u_i, u_s) -> np.ndarray:
                     np.divide(np.matmul(np.multiply(p, sx, out=t), q[w]), ux * uy,
                               out=out[w, lo:lo + m])
     ux, uy = u_i[:, None, 0] + points[:, 0], u_i[:, None, 1] + points[:, 1]
-    rest = np.nonzero(~(np.abs(ux * uy) >= 1.0 / _FACTORED_RANGE))
+    rest = np.nonzero(~(inside & (np.abs(ux * uy) >= 1.0 / _FACTORED_RANGE)))
     if len(rest[0]):
         out[rest] = _sum_cells(geom, u_i[rest[0]] + points[rest[1]])
     return out.reshape(shape)

@@ -627,6 +627,20 @@ class TestMimoSystem:
         with pytest.raises(ValueError, match="must be positive and finite"):
             mimo_on_angles(ris, [0.1], [100.0, radius], [0.2, 0.3])
 
+    @pytest.mark.parametrize("key,message", [("incident", "incident angle list"),
+                                             ("scatter", "observation list")])
+    def test_every_builder_refuses_an_empty_angle_list(self, key, message):
+        doc = json.loads(json.dumps(self._random_system(np.random.default_rng(9)).to_json_dict()))
+        del doc["dimensions"]
+        # the radii still pair with the scatter angles: the empty list is named first
+        angles = {"incident": [0.1], "scatter": [0.2]}
+        doc[f"{key}_theta"] = angles[key] = []
+        for build in (lambda: MimoSystem.from_json_dict(doc),
+                      lambda: MimoSystem(1.0, 0.5, -1j, [100.0], angles["scatter"],
+                                         angles["incident"], [1.0])):
+            with pytest.raises(ValueError, match=message):
+                build()
+
     def test_json_reader_refuses_bad_lengths(self):
         good = json.loads(json.dumps(self._random_system(np.random.default_rng(8)).to_json_dict()))
         for key, value in (("radii", [math.nan] * len(good["radii"])), ("wavelength", 0.0)):

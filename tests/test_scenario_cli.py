@@ -454,6 +454,14 @@ class TestCli:
         comp = self._write(tmp_path, "c.yaml", LINEAR_COMPENSATE)
         assert main(["sweep", comp, "--trials", "10"]) == 2
 
+    def test_trials_and_the_expectation_exclude_each_other(self, tmp_path, capsys):
+        scenario = self._write(tmp_path, "e.yaml", LINEAR_RANDOM + "  expectation: true\n")
+        out = tmp_path / "e.csv"
+        assert main(["sweep", scenario, "--trials", "5", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr() == ("", "error: trials apply only to sampled random-phase "
+                                           "scenarios, not to 'expectation: true'\n")
+
     @pytest.mark.parametrize("command", [["sweep"], ["sweep", "--trials", "5"], ["mimo"],
                                          ["configure"]],
                              ids=["sweep", "trials", "mimo", "configure"])

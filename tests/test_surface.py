@@ -213,9 +213,9 @@ class TestFactoredSum:
         u_s = _unit(rng.uniform(0.1, 1.4, 7), rng.uniform(-3.0, 3.0, 7))
         calls = _spy_on_the_per_term_sum(monkeypatch)
         assert _factored_deviation(geom, u_i, u_s) <= 1e-12
-        # edges of 1e-160 wavelengths put pi a/lam under the bound: the whole geometry
-        # takes the per-term sum
-        assert [np.shape(u) for u in calls] == ([(2, 7, 3)] if edge < 1 else [])
+        # edges of 1e-160 wavelengths put pi a/lam under the bound: every (wave, point)
+        # row takes the per-term sum
+        assert [np.shape(u) for u in calls] == ([(14, 3)] if edge < 1 else [])
 
     @pytest.mark.parametrize("column", ["a", "b", "area"])
     @pytest.mark.parametrize("side", [-1, 1], ids=["under", "over"])
@@ -235,7 +235,7 @@ class TestFactoredSum:
         u_s = _unit(rng.uniform(0.1, 1.4, 6), rng.uniform(-3.0, 3.0, 6))
         calls = _spy_on_the_per_term_sum(monkeypatch)
         assert _factored_deviation(geom, u_i, u_s) <= 1e-12
-        assert [np.shape(u) for u in calls] == ([] if inside else [(1, 6, 3)])
+        assert [np.shape(u) for u in calls] == ([] if inside else [(6, 3)])
 
     @pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
     def test_both_sides_of_the_row_bound(self, monkeypatch, inside):
