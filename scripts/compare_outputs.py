@@ -31,8 +31,10 @@ matrix entries are all equal); and a fixed list of malformed inputs, among
 them an empty stream, a second document, a block text 3000 levels deep, a
 one-line flow text 5000 levels deep, a 2000-deep one after a tab that only
 libyaml reads, the 1200-point file with a point outside the linear range, a
-radius of 1e200, whose square overflows, and Monte Carlo trials asked of an
-expectation scenario.
+radius of 1e200, whose square overflows, a radius of 1e-300, whose square
+underflows to 0, in an expectation sweep and a Monte Carlo sweep, a reshape
+whose desired pattern of 1e10 an amplitude of 1e-300 cannot reach, and Monte
+Carlo trials asked of an expectation scenario.
 Every output file, and the exit code, stdout and stderr of every run, is
 reported as identical, or with the largest deviation of each numeric CSV
 column or JSON field that moved, relative to that column's largest
@@ -251,6 +253,18 @@ SCENARIOS = {
     "deep_flow_tab.yaml": "x: {a: 1,\tc: 2}\ngeometry: " + "[" * 2000 + "]" * 2000 + "\n",
     "planar_null_area.yaml": planar_cells(null_area_at=700) + PLANAR_TAIL,
     "radius_overflow.yaml": linear().replace("radius: 100.0", "radius: 1.0e+200"),
+    # r^2 underflows to 0, so the random-phase power is not finite
+    "expectation_tiny_radius.yaml": linear().replace("radius: 100.0", "radius: 1.0e-300")
+    + "configure: {scheme: random, expectation: true}\n",
+    "random_tiny_radius.yaml": linear().replace("radius: 100.0", "radius: 1.0e-300")
+    + "configure: {scheme: random, seed: 3}\n",
+    # the reshape's weights leave the float range
+    "reshape_out_of_reach.yaml": (
+        "geometry: {kind: linear, n: 8, spacing: 0.5, a: 0.1, b: 0.1}\n"
+        "incident: [{theta_deg: 0.0, amplitude: 1.0e-300}]\n"
+        "observation: {radius: 100.0}\n"
+        "configure: {scheme: reshape, desired_pattern_file: far_desired.json}\n"),
+    "far_desired.json": json.dumps({"desired": [[1e10, 0.0]] * 8}),
     "linear_points_outside.yaml": shuffled_points(outside_at=700),
     # normal incidence on the phi = 0 cut: u_y is 0 on every row with theta >= 0 and about
     # 1e-16 on the rest, and u_x is 0 at theta = 0, so the factored cell sum leaves some
@@ -347,6 +361,9 @@ RUNS = {
     "planar-null-area": ["sweep", "planar_null_area.yaml"],
     "linear-points-outside": ["sweep", "linear_points_outside.yaml"],
     "radius-overflow": ["sweep", "radius_overflow.yaml"],
+    "expectation-tiny-radius": ["sweep", "expectation_tiny_radius.yaml"],
+    "trials-tiny-radius": ["sweep", "random_tiny_radius.yaml", "--trials", "5"],
+    "reshape-out-of-reach": ["configure", "reshape_out_of_reach.yaml"],
     "bad-desired": ["configure", "bad_desired.yaml"],
     "negative-seed": ["sweep", "random.yaml", "--seed", "-3"],
     "trials-on-expectation": ["sweep", "expectation.yaml", "--trials", "5"],

@@ -179,6 +179,35 @@ def _quadratic_form(x: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
+def _random_phase_law(ris: LinearRis, waves, r_s: float, theta_s):
+    """Every random-phase statistic's preamble, after the radius and angle checks:
+    (sin_s, sin_w, drive, power). drive(s) is x_w = A_w / A_max cos(theta_w)
+    Sa(sin theta_w + s), the amplitudes relative to the largest; power(form) is
+    |C|^2 / r_s^2 form A_max^2, in that order so that a subnormal power rounds once,
+    or FloatingPointError, naming the radius, where that is not finite."""
+    _check_radius(r_s)
+    _check_finite("scatter angles", theta_s)
+    sin_s = np.sin(np.asarray(theta_s, dtype=float)).ravel()
+    theta, _, amplitude = _wave_arrays(waves, 1)
+    sin_w = np.sin(theta)
+    peak = amplitude.max(initial=0.0) or 1.0
+    weight = amplitude / peak * np.cos(theta)
+    coupling = abs(ris.ctx.coupling)
+
+    def drive(s):
+        return weight * _edge_sinc(ris.widths[0], ris.ctx.wavelength, sin_w + s)
+
+    def power(form):
+        # np.divide, since a Python float division by an r_s^2 of 0 raises ZeroDivisionError
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out = np.divide(coupling * coupling, r_s * r_s) * form * peak * peak
+        if not np.all(np.isfinite(out)):
+            raise FloatingPointError(f"the random-phase power at radius {r_s} is not finite")
+        return out
+
+    return sin_s, sin_w, drive, power
+
+
 def random_phase_miso_expected_power(ris: LinearRis, waves, r_s: float, theta_s):
     """Expected |E^s|^2 over the random phase law, per scatter angle theta_s.
 
@@ -186,27 +215,17 @@ def random_phase_miso_expected_power(ris: LinearRis, waves, r_s: float, theta_s)
     leaves |C|^2/r^2 sum_n (A_n/lam)^2 |h_n|^2 for any waves,
     h_n = sum_w A_w cos(theta_w) Sa(theta_w, theta_s) e_w(n), with
     e_w(n) = e^{j 2 pi n d sin(theta_w)/lam}. The cells share one width, so Sa
-    leaves the cell sum, and the power is x^T Re(G) x with
-    x_w = A_w cos(theta_w) Sa(sin theta_w + sin theta_s) and the waves' Gram matrix
+    leaves the cell sum, and the power is x^T Re(G) x with the drive x_w of
+    _random_phase_law and the waves' Gram matrix
     G_{wv} = sum_n (A_n/lam)^2 conj(e_w(n)) e_v(n), one _weighted_sum at the sines
     sin(theta_v) - sin(theta_w), formed once: W^2 steps per angle instead of W n. The
     unit-modulus scatter phase is left out, so for point cells the result is the same
     at every theta_s, bit for bit. A scalar theta_s gives a float.
     """
-    _check_radius(r_s)
-    _check_finite("scatter angles", theta_s)
-    sin_s = np.sin(np.asarray(theta_s, dtype=float)).ravel()
-    theta, _, amplitude = _wave_arrays(waves, 1)
-    lam, sin_w = ris.ctx.wavelength, np.sin(theta)
+    sin_s, sin_w, drive, power = _random_phase_law(ris, waves, r_s, theta_s)
     # entry [v, w] is G_{wv}; its real part is symmetric
-    gram = _weighted_sum(ris, sin_w[:, 0], -sin_w[:, 0], (ris.areas / lam) ** 2)
-    # the amplitudes relative to the largest, whose square scales the power last, so
-    # that a subnormal power rounds once
-    peak = amplitude.max(initial=0.0) or 1.0
-    drive = amplitude / peak * np.cos(theta) * _edge_sinc(ris.widths[0], lam, sin_w + sin_s)
-    coupling = abs(ris.ctx.coupling)
-    out = (coupling * coupling / (r_s * r_s) * _quadratic_form(drive, gram.real)
-           .reshape(np.shape(theta_s)) * peak * peak)
+    gram = _weighted_sum(ris, sin_w[:, 0], -sin_w[:, 0], (ris.areas / ris.ctx.wavelength) ** 2)
+    out = power(_quadratic_form(drive(sin_s), gram.real).reshape(np.shape(theta_s)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -217,9 +236,9 @@ def monte_carlo_power(ris: LinearRis, waves, obs: ObservationPoint,
                                         trials, seed)[0])
 
 
-def _lag_mean(ris: LinearRis, waves, sin_s: np.ndarray, trials: int, seed) -> np.ndarray:
-    """The Monte Carlo mean of |E^s|^2 r^2 / |C|^2 per angle, from the lag
-    correlations of the trials' cell excitations.
+def _lag_mean(ris: LinearRis, sin_s, sin_w, x, trials: int, seed) -> np.ndarray:
+    """The Monte Carlo mean before the power step at the sines sin_s, for the waves'
+    sines sin_w and drive x, from the lag correlations of the trials' cell excitations.
 
     With y_{w,t} = e_w o (A/lam) o sigma_t, the sample correlation
     rho_{wv}(D) = (1/T) sum_t sum_n conj(y_{w,t}(n)) y_{v,t}(n + D) comes from
@@ -229,13 +248,11 @@ def _lag_mean(ris: LinearRis, waves, sin_s: np.ndarray, trials: int, seed) -> np
     rho'(0) = rho(0) / 2: the negative lags are the conjugates of the positive ones,
     rho_{vw}(-D) = conj rho_{wv}(D). So the trials leave the per-angle work.
     """
-    n, lam = ris.n, ris.ctx.wavelength
-    theta, _, amplitude = _wave_arrays(waves, 1)
-    sin_w = np.sin(theta)
+    n, lam, waves = ris.n, ris.ctx.wavelength, len(sin_w)
     cells = _geometry_phase(n, ris.spacing, lam, sin_w[:, 0]) * (ris.areas / lam)
     size = 1 << (2 * n - 2).bit_length()
-    block = max(1, CHUNK_TERMS // (max(1, len(waves)) * size))
-    spectra = np.zeros((len(waves), len(waves), size), dtype=complex)
+    block = max(1, CHUNK_TERMS // (max(1, waves) * size))
+    spectra = np.zeros((waves, waves, size), dtype=complex)
     for lo in range(0, trials, block):
         signs = _trial_signs(n, seed, range(lo, min(lo + block, trials)))
         y = np.fft.fft(cells[:, None] * signs, size)
@@ -243,8 +260,7 @@ def _lag_mean(ris: LinearRis, waves, sin_s: np.ndarray, trials: int, seed) -> np
     rho = np.fft.ifft(spectra)[..., :n] / trials
     rho[..., 0] /= 2.0
     lags = _weighted_sum(ris, sin_s, np.zeros(1), rho.reshape(-1, n).T)[:, 0]
-    drive = amplitude * np.cos(theta) * _edge_sinc(ris.widths[0], lam, sin_w + sin_s)
-    return 2.0 * _quadratic_form(drive, lags.real.T.reshape(len(waves), len(waves), sin_s.size))
+    return 2.0 * _quadratic_form(x, lags.real.T.reshape(waves, waves, sin_s.size))
 
 
 def monte_carlo_power_grid(ris: LinearRis, waves, r_s: float, thetas, trials: int, seed,
@@ -262,23 +278,13 @@ def monte_carlo_power_grid(ris: LinearRis, waves, r_s: float, thetas, trials: in
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    _check_radius(r_s)
-    _check_finite("scatter angles", thetas)
-    scale = ris.ctx.coupling * np.exp(-2j * np.pi * r_s / ris.ctx.wavelength) / r_s
-    sin_s = np.sin(np.asarray(thetas, dtype=float).ravel())
+    sin_s, sin_w, drive, power = _random_phase_law(ris, waves, r_s, thetas)
     if not return_stderr:
-        return abs(scale) ** 2 * _lag_mean(ris, waves, sin_s, trials, seed)
-    lam = ris.ctx.wavelength
-    theta, _, amplitude = _wave_arrays(waves, 1)
-    sin_w = np.sin(theta)
-    drive = amplitude * np.cos(theta)
+        return power(_lag_mean(ris, sin_s, sin_w, drive(sin_s), trials, seed))
 
     def moments(sin_chunk, sums):
         # waves x angles x trials, summed over the waves in their order
-        fields = _sum_waves((drive * _edge_sinc(ris.widths[0], lam, sin_w + sin_chunk))
-                            [..., None] * sums.transpose(1, 0, 2))
-        fields *= scale
-        samples = np.abs(fields) ** 2
+        samples = np.abs(_sum_waves(drive(sin_chunk)[..., None] * sums.transpose(1, 0, 2))) ** 2
         return np.stack([np.sum(samples, axis=-1), np.sum(samples ** 2, axis=-1)], axis=-1)
 
     # each block forms the phases of every angle again; 64 trials or more keep that small
@@ -287,10 +293,10 @@ def monte_carlo_power_grid(ris: LinearRis, waves, r_s: float, thetas, trials: in
     for lo in range(0, trials, block):
         # cells x trials, complex so that no chunk converts it again
         columns = (_trial_signs(ris.n, seed, range(lo, min(lo + block, trials)))
-                   * (ris.areas / lam)).T.astype(complex)
+                   * (ris.areas / ris.ctx.wavelength)).T.astype(complex)
         acc += _weighted_sum(ris, sin_s, sin_w[:, 0], columns, moments)
-    mean = acc[:, 0] / trials
-    return mean, np.sqrt(np.maximum(acc[:, 1] / trials - mean ** 2, 0.0) / max(trials - 1, 1))
+    mean, square = acc.T / trials
+    return power(mean), power(np.sqrt(np.maximum(square - mean ** 2, 0.0) / max(trials - 1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +428,8 @@ def _svd_solve(v_s, desired, truncation_tol):
     Singular directions below truncation_tol * sigma_max are dropped. The
     discarded fraction is ||desired - U_keep U_keep^H desired|| / ||desired||,
     which reads round-off, not sqrt(eps), when nothing is dropped. LAPACK's
-    gesdd can fail to converge where the SVD of the transpose converges (an
-    exact 1024-point DFT matrix does), so that is tried once before giving up.
+    gesdd can fail to converge where the SVD of the transpose converges (an exact
+    1024-point DFT matrix does on some builds), so that is tried once before giving up.
     """
     try:
         u, sing, vh = np.linalg.svd(v_s, full_matrices=False)
@@ -464,7 +470,8 @@ def beam_reshape(sys: MimoSystem, incident_amplitudes, desired,
 
     All observation points must share one reference radius exactly. Raises
     ReshapeConditioningError when the dropped directions carry more than
-    max_discard_fraction of ||desired||.
+    max_discard_fraction of ||desired||, and FloatingPointError when a weight
+    leaves the float range (a desired pattern far past what the amplitudes reach).
     """
     desired = np.asarray(desired, dtype=complex)
     if desired.shape != (sys.n_outputs,):
@@ -491,7 +498,10 @@ def beam_reshape(sys: MimoSystem, incident_amplitudes, desired,
     # the normal range
     divisors = beta_n * e_hat
     live = (np.abs(e_hat) > guard) & (np.abs(divisors) >= np.finfo(float).tiny)
-    weights[live] = coeff[live] / divisors[live]
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights[live] = coeff[live] / divisors[live]
+    if not np.all(np.isfinite(weights)):
+        raise FloatingPointError("the reshape gave non-finite weights")
 
     achieved = beta_n * sys.scatter(weights * e_hat)
     residual = _norm(achieved - desired)

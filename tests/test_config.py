@@ -321,6 +321,22 @@ class TestClosedFormMoments:
         expected = random_phase_expected_power(ris, theta_i, 0.0, 100.0)
         assert np.all(np.abs(mean - expected) <= 3.0 * stderr)
 
+    @pytest.mark.parametrize("r_s", [1e-150, 1e150])
+    def test_statistics_keep_their_scale_at_extreme_radii(self, r_s):
+        # each form is scaled by |C|^2 / r_s^2 last, so the standard error's squares of
+        # per-trial powers stay in range at radii whose r_s^2 is far from 1
+        ris = _reference_array(16)
+        waves = [PlaneWave(Direction(t), a) for t, a in ((0.4, 1.0), (-0.9, 0.5))]
+        thetas = np.linspace(-1.5, 1.5, 7)
+
+        def statistics(r):
+            return (random_phase_miso_expected_power(ris, waves, r, thetas),
+                    *monte_carlo_power_grid(ris, waves, r, thetas, 70, 5, return_stderr=True))
+
+        for got, at_one in zip(statistics(r_s), statistics(1.0)):
+            want = at_one / (r_s * r_s)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
     @pytest.mark.parametrize("n, angles, trials, widths", [
         (8, 7, 30, (0.1,)), (100, 3 * (CHUNK_TERMS // 100) + 5, 40, (0.1, 0.0)),
         (1024, 2 * (CHUNK_TERMS // 1024) + 1, 9, (0.3, 0.2, 0.45)),
@@ -737,7 +753,8 @@ class TestBeamReshape:
            st.lists(st.floats(-0.78, 0.78), min_size=1, max_size=2),
            st.floats(1.0, 2.0), st.floats(0.1, 0.5), st.integers(0, 2 ** 32 - 1))
     @example(1024, 1.0, [0.35, -0.6], 1.0, 0.5, 0)
-    # LAPACK's gesdd does not converge on this exact DFT matrix, but on its transpose
+    # on some LAPACK builds gesdd does not converge on this exact DFT matrix but does on
+    # its transpose; test_a_gesdd_failure_retries_on_the_transpose takes that path anywhere
     @example(1024, 86.69177488239391, [0.0], 1.0, 0.5, 0)
     @settings(max_examples=6, deadline=None)
     def test_dft_grid_solve_matches_svd_solve(self, n, wavelength, thetas, a1, a2, seed):
@@ -762,6 +779,29 @@ class TestBeamReshape:
         assert got.rank == rank == n
         assert got.residual <= 1e-12 * norm and residual <= 1e-12 * norm
         assert abs(got.discarded_fraction - discarded) <= 1e-12
+
+    def test_a_gesdd_failure_retries_on_the_transpose(self, monkeypatch):
+        # an SVD that fails once, as gesdd can where the transpose converges
+        ris = LinearRis.uniform(8, 0.6, 0.01)
+        sys = assemble_mimo(ris, [0.2], [ObservationPoint(100.0, Direction(t))
+                                         for t in np.linspace(-1.2, 1.2, 13)])
+        rng = np.random.default_rng(4)
+        desired = rng.normal(size=13) + 1j * rng.normal(size=13)
+        want, rank, discarded = _svd_solve(sys.v_scatter, desired, 1e-8)
+        svd, shapes = np.linalg.svd, []
+
+        def fails_once(a, full_matrices=True):
+            shapes.append(a.shape)
+            if len(shapes) == 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, full_matrices=full_matrices)
+
+        monkeypatch.setattr(np.linalg, "svd", fails_once)
+        got = _svd_solve(sys.v_scatter, desired, 1e-8)
+        assert shapes == [(13, 8), (8, 13)]
+        assert np.max(np.abs(got[0] - want)) <= 1e-12 * np.max(np.abs(want))
+        assert got[1] == rank == 8
+        assert abs(got[2] - discarded) <= 1e-12 and discarded > 0.1
 
     @pytest.mark.parametrize("n,spacing,jitter", [(2, 0.5, 0.01), (7, 0.45, 0.0),
                                                   (32, 0.45, 0.0), (32, 0.5, 0.002)])

@@ -1,5 +1,6 @@
 """The library's input contract: a public call that takes raw angles, a shift Delta or
-input amplitudes returns finite numbers or raises ValueError, with no RuntimeWarning."""
+input amplitudes returns finite numbers or raises ValueError, with no RuntimeWarning; a
+finite input whose result leaves the float range raises FloatingPointError."""
 import math
 
 import numpy as np
@@ -11,10 +12,11 @@ from risem import (Direction, LinearRis, MimoSystem, PlaneWave, apply_mimo, beam
                    compensated_rcs, compensated_steering, linear_rcs, monte_carlo_power_grid,
                    random_phase_expected_power, random_phase_miso_expected_power,
                    steering_function)
-from risem.linear import mimo_on_angles
+from risem.linear import dft_scatter_grid, mimo_on_angles
 
 # ordinary values mixed with zero, the edges of float64 and the non-finite values; radii
-# and lengths stay out, since a finite radius of 1e-300 overflows the power to inf
+# and lengths stay out, since a finite radius of 1e-300 overflows the power (the
+# FloatingPointError probes below)
 EDGES = [0.0, 1e-300, -1e-300, 1e300, -1e300, math.nan, math.inf, -math.inf]
 values = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(EDGES))
 value_lists = st.lists(values, min_size=1, max_size=4)
@@ -94,4 +96,31 @@ def test_raw_values_give_finite_numbers_or_value_error(theta_i, theta_s, thetas,
         "mimo-coupling", "apply-mimo", "beam-reshape"])
 def test_each_probe_is_refused_by_name(call):
     with pytest.raises(ValueError, match="must be finite$"):
+        call()
+
+
+ONE_WAVE = [PlaneWave(Direction(0.3))]
+# 8 cells of area 0.01 on the DFT grid, lit with amplitude 1e-300 and asked for 1e10
+OUT_OF_REACH = (mimo_on_angles(LinearRis.uniform(8, 0.5, 0.01), [0.0], np.full(8, 100.0),
+                               dft_scatter_grid(8)), [1e-300], np.full(8, 1e10))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call, message", [
+    # r_s^2 is 0
+    (lambda: random_phase_miso_expected_power(RIS, ONE_WAVE, 1e-300, 0.1),
+     "radius 1e-300 is not finite"),
+    # r_s^2 is subnormal, so |C|^2 / r_s^2 is inf
+    (lambda: random_phase_miso_expected_power(RIS, ONE_WAVE, 1e-160, 0.1),
+     "radius 1e-160 is not finite"),
+    (lambda: monte_carlo_power_grid(RIS, ONE_WAVE, 1e-300, [0.1], 3, 7),
+     "radius 1e-300 is not finite"),
+    (lambda: monte_carlo_power_grid(RIS, ONE_WAVE, 1e-300, [0.1], 3, 7, return_stderr=True),
+     "radius 1e-300 is not finite"),
+    # the weights overflow in the division by beta/N x E_hat
+    (lambda: beam_reshape(*OUT_OF_REACH), "the reshape gave non-finite weights"),
+], ids=["expectation-1e-300", "expectation-1e-160", "monte-carlo-1e-300",
+        "monte-carlo-stderr-1e-300", "reshape-out-of-reach"])
+def test_each_result_past_the_float_range_is_refused_by_name(call, message):
+    with pytest.raises(FloatingPointError, match=message):
         call()

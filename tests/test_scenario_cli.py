@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -462,6 +463,31 @@ class TestCli:
         assert capsys.readouterr() == ("", "error: trials apply only to sampled random-phase "
                                            "scenarios, not to 'expectation: true'\n")
 
+    def test_runs_without_trials_leave_numpy_random_unloaded(self, tmp_path):
+        # config._state_words makes its class on first use, so that only drawn phases load
+        # numpy.random (about 10 ms of a run's setup); a child process starts with neither
+        linear = ("geometry: {kind: linear, n: 8, spacing: 0.5, a: 0.1, b: 0.1}\n"
+                  "incident: [{theta_deg: 30.0}]\n")
+        self._write(tmp_path, "desired.json", json.dumps({"desired": [[1.0, 0.0]] * 8}))
+        self._write(tmp_path, "reshape.yaml", linear + "configure: {scheme: reshape, "
+                    "desired_pattern_file: desired.json}\n")
+        self._write(tmp_path, "expectation.yaml",
+                    linear + "configure: {scheme: random, expectation: true}\n")
+        self._write(tmp_path, "planar.yaml", "geometry:\n  kind: planar\n  cells:\n"
+                    "    - {position: [0.0, 0.0, 0.0], a: 0.4, b: 0.4}\n"
+                    "    - {position: [0.5, 0.0, 0.0], a: 0.4, b: 0.4}\n"
+                    "incident: [{theta_deg: 20.0}]\n")
+        child = ("import sys\nfrom risem.cli import main\n"
+                 "codes = [main(['sweep', 'reshape.yaml', '--out', 'r.csv']),"
+                 " main(['mimo', 'reshape.yaml', '--out', 'm.json']),"
+                 " main(['array-field', 'planar.yaml', '--out', 'a.csv']),"
+                 " main(['sweep', 'expectation.yaml', '--out', 'e.csv'])]\n"
+                 "print(codes, 'numpy.random' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(risem.__file__)))
+        run = subprocess.run([sys.executable, "-c", child], cwd=tmp_path, capture_output=True,
+                             text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert (run.stdout, run.stderr) == ("[0, 0, 0, 0] False\n", "")
+
     @pytest.mark.parametrize("command", [["sweep"], ["sweep", "--trials", "5"], ["mimo"],
                                          ["configure"]],
                              ids=["sweep", "trials", "mimo", "configure"])
@@ -644,7 +670,21 @@ class TestCli:
         assert err == ("numerical failure: the sweep gave non-finite field magnitudes or RCS"
                        " values\n")
 
+    # r^2 underflows to 0, which the random-phase power step refuses before any division
+    @pytest.mark.parametrize("configure,argv", [("{scheme: random, expectation: true}", []),
+                                                ("{scheme: random, seed: 1}", ["--trials", "3"])],
+                             ids=["expectation", "trials"])
+    def test_a_radius_whose_square_underflows_exits_3_by_name(self, tmp_path, capsys,
+                                                               configure, argv):
+        text = ("geometry: {kind: linear, n: 16, spacing: 0.5, a: 0.1, b: 0.1}\n"
+                "incident: [{theta_deg: 30.0}]\nobservation: {radius: 1.0e-300}\n"
+                f"configure: {configure}\n")
+        assert main(["sweep", self._write(tmp_path, "s.yaml", text), *argv]) == 3
+        assert capsys.readouterr() == (
+            "", "numerical failure: the random-phase power at radius 1e-300 is not finite\n")
+
     def test_a_coupling_whose_square_overflows_exits_3_by_name(self, tmp_path, capsys):
+        # |C|^2 overflows: the random-phase power step refuses it before the sweep's check
         text = ("wave: {gamma: 1.0e+300}\n"
                 "geometry: {kind: linear, n: 16, spacing: 0.5, a: 0.1, b: 0.1}\n"
                 "incident: [{theta_deg: 30.0}]\n"
@@ -652,8 +692,7 @@ class TestCli:
         assert main(["sweep", self._write(tmp_path, "s.yaml", text)]) == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == ("numerical failure: the sweep gave non-finite field magnitudes or RCS"
-                       " values\n")
+        assert err == "numerical failure: the random-phase power at radius 100.0 is not finite\n"
 
     def test_reshape_conditioning_failure_exits_3(self, tmp_path):
         desired = {"desired": [[1.0, 0.0]] * 8}
@@ -667,6 +706,21 @@ class TestCli:
                 "  truncation_tol: 2.0\n")
         scenario = self._write(tmp_path, "s.yaml", text)
         assert main(["configure", scenario]) == 3
+
+    @pytest.mark.parametrize("command", ["sweep", "mimo", "configure"])
+    def test_a_pattern_out_of_reach_exits_3_by_name(self, tmp_path, capsys, command):
+        # amplitude 1e-300 cannot reach 1e10: beam_reshape's weights leave the float range
+        pattern = self._write(tmp_path, "far.json", json.dumps({"desired": [[1e10, 0.0]] * 8}))
+        scenario = self._write(tmp_path, "r.yaml", (
+            "geometry: {kind: linear, n: 8, spacing: 0.5, a: 0.1, b: 0.1}\n"
+            "incident: [{theta_deg: 0.0, amplitude: 1.0e-300}]\n"
+            "observation: {radius: 100.0}\n"
+            "configure:\n"
+            "  scheme: reshape\n"
+            f"  desired_pattern_file: {pattern}\n"))
+        assert main([command, scenario]) == 3
+        assert capsys.readouterr() == (
+            "", "numerical failure: the reshape gave non-finite weights\n")
 
     def _reshape_scenario(self, tmp_path, spacing=0.5, truncation_tol="1.0e-8"):
         pattern = self._write(tmp_path, "desired.json", json.dumps({"desired": [[1.0, 0.0]] * 8}))
