@@ -20,7 +20,10 @@ each repeat theta_deg (the point table read by the event pass), one with
 quoted keys and values, a 64-cell file at normal incidence on the phi = 0 cut
 (whose rows with theta >= 0 the factored cell sum leaves to the per-term sum),
 a linear file of 1200 scatter points with phi_deg written first on a third of
-its rows (read by the row reader), a 1024-cell Monte Carlo sweep of 300 trials
+its rows (read by the row reader), a linear sweep with no incident wave (every
+value column 0 or -inf, each written by the CSV writer's '%.12g' fallback), a
+linear sweep at a radius of 1e150 (magnitudes near 1e-152, with three-digit
+exponents, and dB values near -3040), a 1024-cell Monte Carlo sweep of 300 trials
 (its mean taken from lag correlations over many trial blocks), a two-wave
 Monte Carlo sweep of 300 trials, two blocks of 256 and 44, at the seed 2^96 + 11
 (four entropy words, so five with the trial index), a three-wave
@@ -204,6 +207,9 @@ SCENARIOS = {
     "linear_1000.yaml": linear(0.8, n=1000, count=3601) + COMPENSATE,
     "linear_8192.yaml": linear(0.5, n=8192) + COMPENSATE,
     "linear_points_shuffled.yaml": shuffled_points(),
+    # the CSV writer's rare layouts: every value column 0 or -inf, and three-digit exponents
+    "linear_no_waves.yaml": linear(incident="[]"),
+    "linear_far.yaml": linear().replace("radius: 100.0", "radius: 1.0e+150"),
     "random.yaml": linear() + "configure: {scheme: random, seed: 3}\n",
     "expectation.yaml": linear()
     + "configure: {scheme: random, expectation: true}\n",
@@ -314,6 +320,8 @@ RUNS = {
     "sweep-linear-8192": ["sweep", "linear_8192.yaml", "--out", "linear_8192.csv"],
     "sweep-linear-points-shuffled": ["sweep", "linear_points_shuffled.yaml",
                                      "--out", "linear_points_shuffled.csv"],
+    "sweep-linear-no-waves": ["sweep", "linear_no_waves.yaml", "--out", "linear_no_waves.csv"],
+    "sweep-linear-far": ["sweep", "linear_far.yaml", "--out", "linear_far.csv"],
     "sweep-random": ["sweep", "random.yaml", "--out", "random.csv"],
     "sweep-random-seed": ["sweep", "random.yaml", "--seed", "11", "--out", "random_seed.csv"],
     "sweep-random-trials": ["sweep", "random.yaml", "--trials", "40",

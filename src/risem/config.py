@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CHUNK_TERMS, TWO_PI, Direction, ObservationPoint, PlaneWave, _check_finite,
-                   _check_radius, _edge_sinc, _sum_waves, _wave_arrays, positive_finite)
+                   _check_radius, _chunk_array, _edge_sinc, _wave_arrays, positive_finite)
 from .linear import (LinearRis, MimoSystem, _alternating_signs, _cell_angle, _geometry_phase,
                      _steering, _complex_pairs, _weighted_sum)
 
@@ -181,10 +181,14 @@ def _quadratic_form(x: np.ndarray, pairs: np.ndarray) -> np.ndarray:
 
 def _random_phase_law(ris: LinearRis, waves, r_s: float, theta_s):
     """Every random-phase statistic's preamble, after the radius and angle checks:
-    (sin_s, sin_w, drive, power). drive(s) is x_w = A_w / A_max cos(theta_w)
-    Sa(sin theta_w + s), the amplitudes relative to the largest; power(form) is
-    |C|^2 / r_s^2 form A_max^2, in that order so that a subnormal power rounds once,
-    or FloatingPointError, naming the radius, where that is not finite."""
+    (sin_s, sin_w, weights, drive, power). weights are the cell weights A_n / lam
+    times 2^-e, a power of 2 near the largest, so that no square of them, nor of a
+    field they sum to, leaves the float range. drive(s) is x_w = A_w / A_max
+    cos(theta_w) Sa(sin theta_w + s), the amplitudes relative to the largest;
+    power(form) is |C|^2 / r_s^2 form A_max^2 2^(2 e), in that order so that a
+    subnormal power rounds once, or FloatingPointError, naming the radius, where
+    that is not finite. Both scales are exact where nothing is subnormal, so they
+    leave the bits of the unscaled formulas there."""
     _check_radius(r_s)
     _check_finite("scatter angles", theta_s)
     sin_s = np.sin(np.asarray(theta_s, dtype=float)).ravel()
@@ -193,6 +197,9 @@ def _random_phase_law(ris: LinearRis, waves, r_s: float, theta_s):
     peak = amplitude.max(initial=0.0) or 1.0
     weight = amplitude / peak * np.cos(theta)
     coupling = abs(ris.ctx.coupling)
+    # A 2^-e_a / (lam 2^-e_l), with no quotient A / lam that could overflow
+    e_a, e_l = math.frexp(float(ris.areas.max()))[1], math.frexp(ris.ctx.wavelength)[1]
+    weights = np.ldexp(ris.areas, -e_a) / math.ldexp(ris.ctx.wavelength, -e_l)
 
     def drive(s):
         return weight * _edge_sinc(ris.widths[0], ris.ctx.wavelength, sin_w + s)
@@ -200,12 +207,13 @@ def _random_phase_law(ris: LinearRis, waves, r_s: float, theta_s):
     def power(form):
         # np.divide, since a Python float division by an r_s^2 of 0 raises ZeroDivisionError
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            out = np.divide(coupling * coupling, r_s * r_s) * form * peak * peak
+            out = np.ldexp(np.divide(coupling * coupling, r_s * r_s) * form * peak * peak,
+                           2 * (e_a - e_l))
         if not np.all(np.isfinite(out)):
             raise FloatingPointError(f"the random-phase power at radius {r_s} is not finite")
         return out
 
-    return sin_s, sin_w, drive, power
+    return sin_s, sin_w, weights, drive, power
 
 
 def random_phase_miso_expected_power(ris: LinearRis, waves, r_s: float, theta_s):
@@ -222,9 +230,9 @@ def random_phase_miso_expected_power(ris: LinearRis, waves, r_s: float, theta_s)
     unit-modulus scatter phase is left out, so for point cells the result is the same
     at every theta_s, bit for bit. A scalar theta_s gives a float.
     """
-    sin_s, sin_w, drive, power = _random_phase_law(ris, waves, r_s, theta_s)
-    # entry [v, w] is G_{wv}; its real part is symmetric
-    gram = _weighted_sum(ris, sin_w[:, 0], -sin_w[:, 0], (ris.areas / ris.ctx.wavelength) ** 2)
+    sin_s, sin_w, weights, drive, power = _random_phase_law(ris, waves, r_s, theta_s)
+    # entry [v, w] is G_{wv}, with the weights' scale squared; its real part is symmetric
+    gram = _weighted_sum(ris, sin_w[:, 0], -sin_w[:, 0], weights ** 2)
     out = power(_quadratic_form(drive(sin_s), gram.real).reshape(np.shape(theta_s)))
     return float(out) if out.ndim == 0 else out
 
@@ -236,11 +244,12 @@ def monte_carlo_power(ris: LinearRis, waves, obs: ObservationPoint,
                                         trials, seed)[0])
 
 
-def _lag_mean(ris: LinearRis, sin_s, sin_w, x, trials: int, seed) -> np.ndarray:
+def _lag_mean(ris: LinearRis, sin_s, sin_w, weights, x, trials: int, seed) -> np.ndarray:
     """The Monte Carlo mean before the power step at the sines sin_s, for the waves'
-    sines sin_w and drive x, from the lag correlations of the trials' cell excitations.
+    sines sin_w, the cell weights and the drive x, from the lag correlations of the
+    trials' cell excitations.
 
-    With y_{w,t} = e_w o (A/lam) o sigma_t, the sample correlation
+    With y_{w,t} = e_w o weights o sigma_t, the sample correlation
     rho_{wv}(D) = (1/T) sum_t sum_n conj(y_{w,t}(n)) y_{v,t}(n + D) comes from
     zero-padded FFT cross-spectra of length L >= 2n - 1, summed over blocks of
     trials; the mean is then 2 Re sum_{w,v} x_w x_v Q_{wv} per angle, with the lag
@@ -249,7 +258,7 @@ def _lag_mean(ris: LinearRis, sin_s, sin_w, x, trials: int, seed) -> np.ndarray:
     rho_{vw}(-D) = conj rho_{wv}(D). So the trials leave the per-angle work.
     """
     n, lam, waves = ris.n, ris.ctx.wavelength, len(sin_w)
-    cells = _geometry_phase(n, ris.spacing, lam, sin_w[:, 0]) * (ris.areas / lam)
+    cells = _geometry_phase(n, ris.spacing, lam, sin_w[:, 0]) * weights
     size = 1 << (2 * n - 2).bit_length()
     block = max(1, CHUNK_TERMS // (max(1, waves) * size))
     spectra = np.zeros((waves, waves, size), dtype=complex)
@@ -271,21 +280,33 @@ def monte_carlo_power_grid(ris: LinearRis, waves, r_s: float, thetas, trials: in
     from the lag correlations of the trials' cell excitations (_lag_mean), one
     weighted kernel sum per angle whatever the trial count. The standard error
     needs each trial's power, whose square has no lag form: the signed cell weights
-    (A/lam) o sigma_t of a block of trials are the weight columns of one
+    (scaled A/lam) o sigma_t of a block of trials are the weight columns of one
     _weighted_sum at sin_i = sin(theta_w), which hands each chunk of angles' sums
     to their power moments as it goes, so memory stays bounded for any trial and
     angle count.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    sin_s, sin_w, drive, power = _random_phase_law(ris, waves, r_s, thetas)
+    sin_s, sin_w, weights, drive, power = _random_phase_law(ris, waves, r_s, thetas)
     if not return_stderr:
-        return power(_lag_mean(ris, sin_s, sin_w, drive(sin_s), trials, seed))
+        return power(_lag_mean(ris, sin_s, sin_w, weights, drive(sin_s), trials, seed))
 
     def moments(sin_chunk, sums):
-        # waves x angles x trials, summed over the waves in their order
-        samples = np.abs(_sum_waves(drive(sin_chunk)[..., None] * sums.transpose(1, 0, 2))) ** 2
-        return np.stack([np.sum(samples, axis=-1), np.sum(samples ** 2, axis=-1)], axis=-1)
+        # each trial's field (angles x trials), its terms summed over the waves in their
+        # order, and its power, in work arrays that the next chunk takes again
+        x = drive(sin_chunk)[..., None]
+        field, term = (_chunk_array(slot, sums.shape[::2]) for slot in ("field", "term"))
+        if len(x):
+            np.multiply(x[0], sums[:, 0], out=field)
+        else:
+            field.fill(0.0)
+        for w in range(1, len(x)):
+            field += np.multiply(x[w], sums[:, w], out=term)
+        samples = np.abs(field, out=_chunk_array("samples", field.shape, float))
+        samples *= samples
+        first = np.sum(samples, axis=-1)
+        samples *= samples
+        return np.stack([first, np.sum(samples, axis=-1)], axis=-1)
 
     # each block forms the phases of every angle again; 64 trials or more keep that small
     block = max(64, CHUNK_TERMS // ris.n)
@@ -293,7 +314,7 @@ def monte_carlo_power_grid(ris: LinearRis, waves, r_s: float, thetas, trials: in
     for lo in range(0, trials, block):
         # cells x trials, complex so that no chunk converts it again
         columns = (_trial_signs(ris.n, seed, range(lo, min(lo + block, trials)))
-                   * (ris.areas / ris.ctx.wavelength)).T.astype(complex)
+                   * weights).T.astype(complex)
         acc += _weighted_sum(ris, sin_s, sin_w[:, 0], columns, moments)
     mean, square = acc.T / trials
     return power(mean), power(np.sqrt(np.maximum(square - mean ** 2, 0.0) / max(trials - 1, 1)))

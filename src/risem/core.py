@@ -211,7 +211,7 @@ def _unit_circle_table() -> np.ndarray:
 
 
 _TABLE = _unit_circle_table()
-# each thread's work arrays for _phasor (_work_arrays)
+# each thread's work arrays: _phasor's (_work_arrays) and chunked kernels' (_chunk_array)
 _scratch = threading.local()
 
 
@@ -229,6 +229,23 @@ def _work_arrays():
         arrays = _scratch.arrays = (np.empty(CHUNK_TERMS), np.empty(CHUNK_TERMS, dtype=np.int64),
                                     np.empty(CHUNK_TERMS, dtype=complex))
     return arrays
+
+
+def _chunk_array(slot: str, shape, dtype=complex) -> np.ndarray:
+    """An uninitialised array of shape: a view of this thread's work array slot, made on
+    first use with CHUNK_TERMS entries of dtype, where shape fits in it, else a new array.
+
+    For the temporaries of a chunked kernel that are spent before its next chunk: as
+    with _work_arrays, repeated calls then take no page faults for them. A slot keeps
+    the dtype it was made with.
+    """
+    size = math.prod(shape)
+    if size > CHUNK_TERMS:
+        return np.empty(shape, dtype=dtype)
+    arrays = _scratch.__dict__.setdefault("chunk_arrays", {})
+    if slot not in arrays:
+        arrays[slot] = np.empty(CHUNK_TERMS, dtype=dtype)
+    return arrays[slot][:size].reshape(shape)
 
 
 def _phasor(arg, out=None) -> np.ndarray:

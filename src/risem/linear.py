@@ -12,8 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (TWO_PI, ObservationPoint, PlaneWave, WaveContext, _check_finite, _chunked,
-                   _edge_sinc, _phasor, _sum_waves, _wave_arrays, positive_finite)
+from .core import (TWO_PI, ObservationPoint, PlaneWave, WaveContext, _check_finite, _chunk_array,
+                   _chunked, _edge_sinc, _phasor, _sum_waves, _wave_arrays, positive_finite)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,13 +196,17 @@ def _blocked_sum(ris: LinearRis, sines: np.ndarray, sin_i: np.ndarray, weights: 
         ph = _phasor(turns)
         return ph[:, :b], ph[:, b:]
 
-    def cells(baby, giant):
+    def cells(baby, giant, out=None):
         """The K B cell phases giant (x) baby of each sine, past the last cell too."""
-        return (giant[:, :, None] * baby[:, None, :]).reshape(len(baby), k * b)
+        return np.multiply(giant[:, :, None], baby[:, None, :], out=out).reshape(len(baby), k * b)
 
+    # reduce spends each chunk's cell phases and sums before the next chunk, so with it
+    # they and the weight block below are this thread's work arrays
+    work = _chunk_array if reduce else (lambda slot, shape: np.empty(shape, dtype=complex))
     # row kB + j holds cell kB + j, and zeros past the last cell; column i c + l holds
     # weight column l at sin_i[i]
-    left = np.zeros((k * b, width), dtype=complex)
+    left = work("left", (k * b, width))
+    left[n:] = 0.0
     left[:n] = (cells(*phases(sin_i))[:, :n].T[:, :, None] * columns[:, None, :]).reshape(n, width)
     blocks = (left.reshape(k, b, width).transpose(1, 0, 2).reshape(b, k * width)
               if sin_i.size == 1 and width <= b else None)
@@ -212,7 +216,8 @@ def _blocked_sum(ris: LinearRis, sines: np.ndarray, sin_i: np.ndarray, weights: 
     def chunk(c):
         baby, giant = phases(c)
         if blocks is None:
-            sums = cells(baby, giant) @ left
+            sums = np.matmul(cells(baby, giant, work("cells", (len(c), k, b))), left,
+                             out=work("sums", (len(c), width)))
         else:
             sums = (giant[:, None] @ (baby @ blocks).reshape(len(c), k, width))[:, 0]
         sums = sums.reshape((len(c),) + shape)

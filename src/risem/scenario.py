@@ -8,6 +8,7 @@ are in the same unit as the wavelength (the presets use wavelength = 1).
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import itertools
 import json
@@ -22,7 +23,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .core import CHUNK_TERMS, Direction, PlaneWave, WaveContext
+from .core import Direction, PlaneWave, WaveContext
 from .config import (ReshapeSolution, beam_reshape, monte_carlo_power_grid,
                      phase_compensation, random_phase_draw, random_phase_miso_expected_power)
 from .linear import LinearRis, MimoSystem, _field, dft_scatter_grid, mimo_on_angles
@@ -802,24 +803,110 @@ def _output(path: str | None):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
+# values that write_csv formats at a time: a block's temporaries stay in the heap from one
+# file write to the next, where 16 384-value blocks were faulted in again after every write
+_CSV_BLOCK = 2048
+# the band around 1/2 of the scaled value's fraction whose rounding the scale's error may
+# change: within it, and wherever the scale misplaces the point, '%' writes the value
+_WINDOW = 2.0 ** -10
+
+
+@functools.cache
+def _csv_tables() -> tuple:
+    """_csv_text's tables, made on first use: (digits, zeros, exponents, scales, forms, layout).
+
+    digits[g] is the word "d.d.d.d." of g < 10^4 and zeros[g] counts its trailing zeros.
+    By e + 320: exponents holds the word "e+dd" or "e-ddd", scales the two nearest
+    doubles whose product is 10^(11 - e), and forms 24 times e's form, e + 4 for the
+    fixed forms of e = -4..11, else 16. layout[j][24 form + 2 (digits - 1) + negative]
+    is word j of that row: the sign and any "0.000" prefix, then masks of the digits
+    written and their point, then of the exponent.
+    """
+    g = np.arange(10 ** 4, dtype=np.int16)
+    chars = np.full((g.size, 8), ord("."), dtype=np.uint8)
+    chars[:, ::2] = 48 + g[:, None] // 10 ** np.arange(3, -1, -1, dtype=np.int16) % 10
+    zeros = sum((g % 10 ** i == 0).astype(np.uint8) for i in range(1, 5))
+    exps = range(-320, 320)
+    words = b"".join((b"e%+03d" % e).ljust(8, b"\0") for e in exps)
+    scales = [[float(f"1e{(11 - e) // 2}"), float(f"1e{11 - e - (11 - e) // 2}")] for e in exps]
+    forms = [24 * (e + 4 if -4 <= e <= 11 else 16) for e in exps]
+    rows = []
+    for form, k, negative in itertools.product(range(17), range(1, 13), range(2)):
+        # the scientific form places its point as the fixed form of exponent 0 does
+        e = form - 4 if form < 16 else 0
+        prefix = (b"-" if negative else b"\0") + (b"0." + b"0" * (-e - 1) if e < 0 else b"")
+        # each digit's byte, then the byte of the point that may follow it
+        masks = [(i < max(k, e + 1), i == e < k - 1) for i in range(12)]
+        rows.append(prefix.ljust(8, b"\0") + bytes(255 * kept for pair in masks for kept in pair)
+                    + (b"\xff" * 7 if form == 16 else bytes(7)) + b"\0")
+    return (chars.view("<u8").ravel(), zeros, np.frombuffer(words, "<u8"), np.array(scales).T,
+            np.array(forms), np.frombuffer(b"".join(rows), "<u8").reshape(-1, 5).T.copy())
+
+
+def _printf_rows(values: list) -> np.ndarray:
+    """The NUL-padded 40-byte rows of '%.12g' % v, one column of five words each."""
+    return np.array(["%.12g" % v for v in values], dtype="S40").view("<u8").reshape(-1, 5).T
+
+
+def _csv_text(x: np.ndarray, seps: np.ndarray) -> str:
+    """'%.12g' % v for each v of x, each followed by the top byte of its word in seps.
+
+    Each v fills a 40-byte row of _csv_tables' layout, whose NULs are then dropped.
+    For |v| in [1e-300, 1e300], e = floor(log10 |v|) and s = |v| 10^(11 - e), from
+    two table scales, is within four roundings (4.4e-4) of exact: so where floor(s)
+    is in [10^11, 10^12) and the fraction outside 1/2 +- _WINDOW, m = round(s) is
+    the 12-digit mantissa (10^12 carries to 10^11, e + 1). Every other v, a zero,
+    one not finite or out of range, or one those two rules reject, is written by
+    '%.12g' % v itself.
+    """
+    digits, zeros, exponents, scales, forms, layout = _csv_tables()
+    a = np.abs(x)
+    exact = (a >= 1e-300) & (a <= 1e300)
+    np.copyto(a, 1.0, where=~exact)
+    e = np.floor(np.log10(a)).astype(np.intp) + 320
+    s = a * scales[0][e] * scales[1][e]
+    m = np.floor(s)
+    s -= m
+    exact &= (np.abs(s - 0.5) > _WINDOW) & (m >= 1e11) & (m < 1e12)
+    m += s > 0.5
+    carry = m == 1e12
+    m[carry] = 1e11
+    e += carry
+    # the digit groups m // 10^8, m // 10^4 mod 10^4 and m mod 10^4: exact below 2^53
+    groups = np.floor(m / np.array([[1e8], [1e4], [1.0]]))
+    groups[1:] -= groups[:2] * 1e4
+    # a value that '%' writes may have a larger m: it takes rows that exist, then its own
+    groups = np.minimum(groups, 9999).astype(np.intp)
+    tail = zeros[groups[2]] + (groups[2] == 0) * (zeros[groups[1]]
+                                                  + (groups[1] == 0) * zeros[groups[0]])
+    key = forms[e] + 22 - 2 * tail + np.signbit(x)
+    out = np.empty((5, x.size), dtype="<u8")
+    for j, word in enumerate([~np.uint64(0), *digits[groups], exponents[e]]):
+        np.bitwise_and(word, layout[j][key], out=out[j])
+    rest = np.flatnonzero(~exact)
+    out[:, rest] = _printf_rows(x[rest].tolist())
+    out[4] |= seps
+    return out.T.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def write_csv(path: str | None, columns: dict) -> None:
     """Header row of the column names, then one row per index at 12 significant digits.
 
-    The rows are formatted a block of about CHUNK_TERMS values at a time, by
-    one '%' per block, and never built as one string. '%.12g' % v is
-    format(v, '.12g') for every float and int (an int is formatted as a
-    float). As with zip, the shortest column sets the row count. No path
-    writes to stdout.
+    The rows are formatted _CSV_BLOCK values at a time by _csv_text, and never
+    built as one string; each value gives the bytes of '%.12g' % v, which is
+    format(v, '.12g') for every float and int (an int is formatted as a float).
+    As with zip, the shortest column sets the row count. No path writes to stdout.
     """
     values = [np.asarray(c, dtype=float) for c in columns.values()]
     rows = min(map(len, values), default=0)
-    block = max(1, CHUNK_TERMS // max(1, len(values)))
-    line = ",".join(["%.12g"] * len(values)) + "\n"
+    block = max(1, _CSV_BLOCK // max(1, len(values)))
+    ends = np.array([ord(",")] * (len(values) - 1) + [ord("\n")], dtype="<u8") << np.uint64(56)
+    seps = np.tile(ends, block)
     with _output(path) as fh:
         fh.write(",".join(columns) + "\n")
         for start in range(0, rows, block):
-            part = np.column_stack([v[start:min(start + block, rows)] for v in values])
-            fh.write(line * len(part) % tuple(part.ravel().tolist()))
+            part = np.column_stack([v[start:min(start + block, rows)] for v in values]).ravel()
+            fh.write(_csv_text(part, seps[:part.size]))
 
 
 # the C encoder, for a scalar or a flat list: it runs only without indent

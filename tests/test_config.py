@@ -270,8 +270,9 @@ class TestClosedFormMoments:
 
     @pytest.mark.parametrize("waves", [((0.4, 1.0),), ((0.4, 1.0), (-1.1, 0.5), (0.9, 1.7))])
     def test_gram_matrix_is_one_weighted_kernel_sum(self, monkeypatch, waves):
-        # the waves' Gram matrix is the kernel's sum of the weights (A_n/lam)^2 at
-        # sin(theta_v) - sin(theta_w); the statistic forms no cell phase of its own
+        # the waves' Gram matrix is the kernel's sum of the weights (A_n/lam)^2, scaled by
+        # a power of 2, at sin(theta_v) - sin(theta_w); the statistic forms no cell phase
+        # of its own
         calls, weighted_sum = [], config_module._weighted_sum
 
         def spy(ris, sines, sin_i, weights):
@@ -293,7 +294,9 @@ class TestClosedFormMoments:
         (sines, sin_i, weights), sin_w = calls[0], np.sin([t for t, _ in waves])
         assert np.array_equal(sines, -sin_i)
         assert np.array_equal(sines, sin_w) or np.array_equal(sin_i, sin_w)
-        assert np.array_equal(weights, (ris.areas / 1.3) ** 2)
+        # A_n/lam scaled by 2^-e, e the exponent of the largest area over lam's: exact
+        scale = 2.0 ** (math.frexp(1.3)[1] - math.frexp(ris.areas.max())[1])
+        assert np.array_equal(weights, (ris.areas / 1.3 * scale) ** 2)
 
     @pytest.mark.parametrize("r_s", [0.0, -5.0, math.nan, math.inf])
     @pytest.mark.parametrize("statistic", [
@@ -336,6 +339,23 @@ class TestClosedFormMoments:
         for got, at_one in zip(statistics(r_s), statistics(1.0)):
             want = at_one / (r_s * r_s)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_statistics_of_weights_whose_squares_overflow_scale_exactly(self):
+        # the weights A_n/lam are scaled by a power of 2 near their largest, and the scale
+        # comes back in the power step: areas of 2^520, whose squares leave the float
+        # range, at radius 2^400 give the bits of areas of 2^120 at radius 1
+        waves = [PlaneWave(Direction(t), a) for t, a in ((0.4, 1.0), (-0.9, 0.5))]
+        thetas = np.linspace(-1.5, 1.5, 7)
+
+        def statistics(area, r):
+            ris = LinearRis.uniform(8, 0.5, area, width=0.2, ctx=CTX)
+            return (random_phase_miso_expected_power(ris, waves, r, thetas),
+                    *monte_carlo_power_grid(ris, waves, r, thetas, 70, 5, return_stderr=True),
+                    monte_carlo_power_grid(ris, waves, r, thetas, 70, 5))
+
+        for got, want in zip(statistics(2.0 ** 520, 2.0 ** 400), statistics(2.0 ** 120, 1.0)):
+            assert np.all(np.isfinite(want)) and np.array_equal(got, want)
 
     @pytest.mark.parametrize("n, angles, trials, widths", [
         (8, 7, 30, (0.1,)), (100, 3 * (CHUNK_TERMS // 100) + 5, 40, (0.1, 0.0)),
@@ -429,8 +449,8 @@ class TestClosedFormMoments:
 
     @pytest.mark.parametrize("n", [8, 1000])
     def test_per_trial_sums_run_on_the_weighted_kernel(self, monkeypatch, n):
-        # each block of trials is one set of weight columns (A/lam) sigma_t, summed at
-        # the waves' sines
+        # each block of trials is one set of weight columns (A/lam) sigma_t, scaled by a
+        # power of 2, summed at the waves' sines
         calls, weighted_sum = [], config_module._weighted_sum
 
         def spy(ris, sines, sin_i, weights, reduce=None):
@@ -449,7 +469,9 @@ class TestClosedFormMoments:
             assert np.array_equal(sin_i, np.sin([0.4, -0.9]))
             if not any(weights is c for c in columns):
                 columns.append(weights)
-        assert np.array_equal(np.hstack(columns), (_trial_signs(n, 5, range(70)) * (0.02 / 1.3)).T)
+        scale = 2.0 ** (math.frexp(1.3)[1] - math.frexp(0.02)[1])
+        assert np.array_equal(np.hstack(columns),
+                              (_trial_signs(n, 5, range(70)) * (0.02 / 1.3 * scale)).T)
 
     @pytest.mark.parametrize("n", [8, 100])
     @pytest.mark.parametrize("return_stderr", [False, True])

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from risem import (Direction, LinearRis, MimoSystem, PlaneWave, apply_mimo, beam_reshape,
-                   compensated_rcs, compensated_steering, linear_rcs, monte_carlo_power_grid,
-                   random_phase_expected_power, random_phase_miso_expected_power,
-                   steering_function)
+from risem import (Direction, LinearRis, MimoSystem, PlaneWave, WaveContext, apply_mimo,
+                   beam_reshape, compensated_rcs, compensated_steering, linear_rcs,
+                   monte_carlo_power_grid, random_phase_expected_power,
+                   random_phase_miso_expected_power, steering_function)
 from risem.linear import dft_scatter_grid, mimo_on_angles
 
 # ordinary values mixed with zero, the edges of float64 and the non-finite values; radii
@@ -101,6 +101,9 @@ def test_each_probe_is_refused_by_name(call):
 
 ONE_WAVE = [PlaneWave(Direction(0.3))]
 # 8 cells of area 0.01 on the DFT grid, lit with amplitude 1e-300 and asked for 1e10
+# cell weights A / lam of 1e200 and of 5e198, whose squares overflow
+HUGE_AREA = LinearRis.uniform(8, 0.5, 1e200)
+SHORT_WAVE = LinearRis.uniform(8, 1e-200, 0.1, ctx=WaveContext(2e-200))
 OUT_OF_REACH = (mimo_on_angles(LinearRis.uniform(8, 0.5, 0.01), [0.0], np.full(8, 100.0),
                                dft_scatter_grid(8)), [1e-300], np.full(8, 1e10))
 
@@ -117,10 +120,19 @@ OUT_OF_REACH = (mimo_on_angles(LinearRis.uniform(8, 0.5, 0.01), [0.0], np.full(8
      "radius 1e-300 is not finite"),
     (lambda: monte_carlo_power_grid(RIS, ONE_WAVE, 1e-300, [0.1], 3, 7, return_stderr=True),
      "radius 1e-300 is not finite"),
+    # the power of the cell weights leaves the float range, and no square of them warns
+    *[(call, "radius 100.0 is not finite") for ris in (HUGE_AREA, SHORT_WAVE) for call in (
+        lambda ris=ris: random_phase_miso_expected_power(ris, ONE_WAVE, 100.0, 0.1),
+        lambda ris=ris: monte_carlo_power_grid(ris, ONE_WAVE, 100.0, [0.1], 3, 7),
+        lambda ris=ris: monte_carlo_power_grid(ris, ONE_WAVE, 100.0, [0.1], 3, 7,
+                                               return_stderr=True))],
     # the weights overflow in the division by beta/N x E_hat
     (lambda: beam_reshape(*OUT_OF_REACH), "the reshape gave non-finite weights"),
 ], ids=["expectation-1e-300", "expectation-1e-160", "monte-carlo-1e-300",
-        "monte-carlo-stderr-1e-300", "reshape-out-of-reach"])
+        "monte-carlo-stderr-1e-300", "expectation-area-1e200", "monte-carlo-area-1e200",
+        "monte-carlo-stderr-area-1e200", "expectation-wavelength-2e-200",
+        "monte-carlo-wavelength-2e-200", "monte-carlo-stderr-wavelength-2e-200",
+        "reshape-out-of-reach"])
 def test_each_result_past_the_float_range_is_refused_by_name(call, message):
     with pytest.raises(FloatingPointError, match=message):
         call()

@@ -10,6 +10,7 @@ import io
 import json
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from hypothesis import strategies as st
 import reference_writers
 from risem import cli, presets, scenario
 from risem.cli import main
-from risem.core import CHUNK_TERMS
 from risem.presets import FIGURE_IDS, reproduce
 from risem.scenario import json_text, write_csv, write_json
 
@@ -36,7 +36,7 @@ def _stdout(write, columns) -> str:
 
 def _block_edges(k: int) -> list:
     """Row counts around the block of write_csv for k columns."""
-    block = max(1, CHUNK_TERMS // max(1, k))
+    block = max(1, scenario._CSV_BLOCK // max(1, k))
     return [block - 1, block, block + 1]
 
 
@@ -69,6 +69,99 @@ def test_csv_rows_at_the_block_edges(k):
         values = np.linspace(-1.0, 1.0, rows) ** 3
         columns = {f"c{i}": values * (i + 1) for i in range(k)}
         assert _stdout(write_csv, columns) == _stdout(reference_writers.write_csv, columns)
+
+
+@st.composite
+def _bit_columns(draw):
+    """1 to 5 columns of raw float64 bit patterns, from a seeded rng: every exponent, so
+    subnormals, +-0, +-inf and NaN too, with fractions of every length."""
+    k = draw(st.integers(1, 5))
+    rows = draw(st.sampled_from([1, 2, 300]) | st.sampled_from(_block_edges(k)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sign = rng.integers(0, 2, (k, rows), dtype=np.uint64) << np.uint64(63)
+    # exponent 0 holds the zeros and subnormals, 2047 the infinities and NaNs
+    exponent = rng.integers(0, 2048, (k, rows), dtype=np.uint64) << np.uint64(52)
+    fraction = (rng.integers(0, 2 ** 52, (k, rows), dtype=np.uint64)
+                >> rng.integers(0, 53, (k, rows), dtype=np.uint64))
+    bits = sign | exponent | fraction
+    return {f"c{i}": bits[i].view(float) for i in range(k)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bit_columns())
+def test_csv_bytes_of_raw_bit_patterns_equal_the_references(columns):
+    assert _stdout(write_csv, columns) == _stdout(reference_writers.write_csv, columns)
+
+
+POWERS = np.array([float(f"1e{k}") for k in range(-323, 309)])
+# each power of ten and one ulp either side, and values whose 13th digit is a 5 or just
+# under one, at the top and bottom of the 12-digit range
+BOUNDARIES = np.concatenate([
+    np.nextafter(POWERS, 0.0), POWERS, np.nextafter(POWERS, math.inf),
+    [999999999999.5, 99999999999.95, 9.9999999999995, 9.99999999999949, 1e-5, 1e16]])
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_csv_of_the_boundary_values(k):
+    for values in (BOUNDARIES, -BOUNDARIES):
+        columns = {f"c{i}": np.roll(values, i) for i in range(k)}
+        assert _stdout(write_csv, columns) == _stdout(reference_writers.write_csv, columns)
+
+
+def _exact_scaled_fraction(v: float):
+    """The fraction of |v| 10^(11 - e), e = floor(log10 |v|), in exact arithmetic."""
+    a, ten = abs(Fraction(v)), Fraction(10)
+    e = math.floor(math.log10(v if v > 0 else -v))
+    e += (ten ** (e + 1) <= a) - (ten ** e > a)
+    s = a * ten ** (11 - e)
+    return s - math.floor(s)
+
+
+def test_the_printf_fallback_writes_exactly_the_values_the_rules_reject(monkeypatch):
+    # in the range [1e-300, 1e300], a value falls back when the fraction of its scaled
+    # value lies within 1/2 +- 2^-10; the scale errs by at most 4.4e-4, so the values
+    # here keep 4.5e-4 off the window's edges, and none is within 1e-12 of a power of
+    # ten, where log10 may place the point one digit off
+    rng = np.random.default_rng(5)
+    finite = 10.0 ** rng.uniform(-320.0, 308.0, 4000) * rng.choice([-1.0, 1.0], 4000)
+    mantissas = rng.integers(10 ** 11, 10 ** 12, 200)
+    halves = (mantissas + 0.5) * 10.0 ** rng.integers(-300, 280, 200).astype(float)
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-301, -2e301, 1.7e308,
+                123456789012.5, -999999999999.5]
+    window, edge = Fraction(2) ** -10, Fraction(45, 10 ** 5)
+    values, expected = [], []
+    for v in [*finite.tolist(), *halves.tolist(), *specials]:
+        in_range = 1e-300 <= abs(v) <= 1e300
+        if in_range:
+            off = abs(_exact_scaled_fraction(v) - Fraction(1, 2))
+            near_power = abs(math.log10(abs(v)) - round(math.log10(abs(v)))) < 1e-12
+            if abs(off - window) < edge or near_power:
+                continue
+        values.append(v)
+        if not in_range or off < window:
+            expected.append(v)
+    assert len(expected) > 200 and len(values) - len(expected) > 3000
+    written, printf_rows = [], scenario._printf_rows
+
+    def spy(rejected):
+        written.extend(rejected)
+        return printf_rows(rejected)
+
+    monkeypatch.setattr(scenario, "_printf_rows", spy)
+    columns = {"v": values}
+    assert _stdout(write_csv, columns) == _stdout(reference_writers.write_csv, columns)
+    assert np.array_equal(written, expected, equal_nan=True)
+
+
+@pytest.mark.parametrize("shift", [-1.0, 1.0])
+def test_a_log10_one_digit_off_only_sends_values_to_the_fallback(monkeypatch, shift):
+    # a build's log10 may misplace the point near a power of ten: a mantissa that leaves
+    # [10^11, 10^12) then takes the fallback, so even a log10 off everywhere keeps the bytes
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+    values = np.concatenate([BOUNDARIES, np.random.default_rng(3).uniform(-1e3, 1e3, 500)])
+    columns = {"a": values, "b": -values}
+    assert _stdout(write_csv, columns) == _stdout(reference_writers.write_csv, columns)
 
 
 def test_csv_of_unequal_columns_stops_at_the_shortest():
