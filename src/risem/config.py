@@ -295,14 +295,14 @@ def monte_carlo_power_grid(ris: LinearRis, waves, r_s: float, thetas, trials: in
         # each trial's field (angles x trials), its terms summed over the waves in their
         # order, and its power, in work arrays that the next chunk takes again
         x = drive(sin_chunk)[..., None]
-        field, term = (_chunk_array(slot, sums.shape[::2]) for slot in ("field", "term"))
+        field, term = (_chunk_array(f"stderr.{s}", sums.shape[::2]) for s in ("field", "term"))
         if len(x):
             np.multiply(x[0], sums[:, 0], out=field)
         else:
             field.fill(0.0)
         for w in range(1, len(x)):
             field += np.multiply(x[w], sums[:, w], out=term)
-        samples = np.abs(field, out=_chunk_array("samples", field.shape, float))
+        samples = np.abs(field, out=_chunk_array("stderr.samples", field.shape, float))
         samples *= samples
         first = np.sum(samples, axis=-1)
         samples *= samples

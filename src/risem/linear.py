@@ -200,12 +200,10 @@ def _blocked_sum(ris: LinearRis, sines: np.ndarray, sin_i: np.ndarray, weights: 
         """The K B cell phases giant (x) baby of each sine, past the last cell too."""
         return np.multiply(giant[:, :, None], baby[:, None, :], out=out).reshape(len(baby), k * b)
 
-    # reduce spends each chunk's cell phases and sums before the next chunk, so with it
-    # they and the weight block below are this thread's work arrays
-    work = _chunk_array if reduce else (lambda slot, shape: np.empty(shape, dtype=complex))
-    # row kB + j holds cell kB + j, and zeros past the last cell; column i c + l holds
+    # the weight block and each chunk's cell phases are this thread's work arrays; row
+    # kB + j holds cell kB + j, and zeros past the last cell; column i c + l holds
     # weight column l at sin_i[i]
-    left = work("left", (k * b, width))
+    left = _chunk_array("blocked.left", (k * b, width))
     left[n:] = 0.0
     left[:n] = (cells(*phases(sin_i))[:, :n].T[:, :, None] * columns[:, None, :]).reshape(n, width)
     blocks = (left.reshape(k, b, width).transpose(1, 0, 2).reshape(b, k * width)
@@ -216,8 +214,10 @@ def _blocked_sum(ris: LinearRis, sines: np.ndarray, sin_i: np.ndarray, weights: 
     def chunk(c):
         baby, giant = phases(c)
         if blocks is None:
-            sums = np.matmul(cells(baby, giant, work("cells", (len(c), k, b))), left,
-                             out=work("sums", (len(c), width)))
+            # reduce spends the sums before the next chunk; without it _chunked keeps them
+            out = _chunk_array("blocked.sums", (len(c), width)) if reduce else None
+            sums = np.matmul(cells(baby, giant, _chunk_array("blocked.cells", (len(c), k, b))),
+                             left, out=out)
         else:
             sums = (giant[:, None] @ (baby @ blocks).reshape(len(c), k, width))[:, 0]
         sums = sums.reshape((len(c),) + shape)
@@ -255,7 +255,8 @@ def _weighted_sum(ris: LinearRis, sines: np.ndarray, sin_i: np.ndarray,
         sums = (phases @ weights).reshape((len(c),) + shape)
         return sums if reduce is None else reduce(c, sums)
 
-    return _chunked(chunk, sines, ris.n * max(1, sin_i.size))
+    # the chunk's phases hold n and its sums c entries per s
+    return _chunked(chunk, sines, max(1, sin_i.size) * max(ris.n, weights.size // ris.n))
 
 
 def _steering(ris: LinearRis, sines, sin_i=0.0) -> np.ndarray:
@@ -454,23 +455,25 @@ class MimoSystem:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MimoSystem":
-        pref = complex(doc["prefactor"][0], doc["prefactor"][1])
-        wavelength = float(doc["wavelength"])
-        weights = np.array([complex(re, im) for re, im in doc["weights"]])
-        sys = cls(
-            wavelength=wavelength,
-            spacing=float(doc["spacing"]),
-            coupling=pref * wavelength,
-            radii=np.asarray(doc["radii"], dtype=float),
-            scatter_thetas=np.asarray(doc["scatter_theta"], dtype=float),
-            incident_thetas=np.asarray(doc["incident_theta"], dtype=float),
-            weights=weights,
-        )
-        dims = doc.get("dimensions")
-        if dims is not None and (dims["outputs"] != sys.n_outputs
-                                 or dims["cells"] != sys.n_cells
-                                 or dims["inputs"] != sys.n_inputs):
-            raise ValueError("dimension record inconsistent with factor lengths")
+        """The system of a to_json_dict document; a malformed one raises ValueError."""
+        try:
+            pref = complex(doc["prefactor"][0], doc["prefactor"][1])
+            wavelength = float(doc["wavelength"])
+            sys = cls(
+                wavelength=wavelength,
+                spacing=float(doc["spacing"]),
+                coupling=pref * wavelength,
+                radii=np.asarray(doc["radii"], dtype=float),
+                scatter_thetas=np.asarray(doc["scatter_theta"], dtype=float),
+                incident_thetas=np.asarray(doc["incident_theta"], dtype=float),
+                weights=np.array([complex(re, im) for re, im in doc["weights"]]),
+            )
+            dims = doc.get("dimensions")
+            if dims is not None and (dims["outputs"], dims["cells"], dims["inputs"]) != (
+                    sys.n_outputs, sys.n_cells, sys.n_inputs):
+                raise ValueError("dimension record inconsistent with factor lengths")
+        except (KeyError, TypeError, IndexError) as err:
+            raise ValueError(f"malformed MIMO system document: {err!r}") from err
         return sys
 
 

@@ -15,8 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from .core import (CHUNK_TERMS, TWO_PI, Direction, ObservationPoint, PlaneWave, SphericalField,
-                   WaveContext, _chunked, _phasor, _polarization_factors, _sinc_pair, _sum_waves,
-                   _unit_vectors, _wave_arrays, direction_vector)
+                   WaveContext, _check_finite, _chunk_array, _chunked, _phasor,
+                   _polarization_factors, _sinc_pair, _sum_waves, _unit_vectors, _wave_arrays,
+                   direction_vector)
 
 
 # the checks of RisGeometry.from_arrays, in the order it applies them
@@ -139,6 +140,7 @@ def path_length_phase(p, d: Direction, ctx: WaveContext) -> complex:
     The path difference is the negative of the position projection, so the
     applied phase is positive in the exponent.
     """
+    _check_finite("cell position", p)
     return complex(_path_phase(np.asarray(p, dtype=float), direction_vector(d), ctx.wavelength))
 
 
@@ -195,7 +197,7 @@ def _factored_sums(geom: RisGeometry, u_i, u_s) -> np.ndarray:
     one row rule sends a (wave, point) row to _sum_cells: every row of a geometry
     outside them, which skips the factored loop, and a row with |u_x u_y| under them,
     such as u_y = 0 exactly at normal incidence on the phi = 0 cut. Chunks hold
-    max(1, CHUNK_TERMS // cells) points, and their arrays are made once per call.
+    max(1, CHUNK_TERMS // cells) points, whose four arrays are this thread's work arrays.
     """
     lam = geom.ctx.wavelength
     u_i, u_s = np.asarray(u_i, dtype=float), np.asarray(u_s, dtype=float)
@@ -211,8 +213,8 @@ def _factored_sums(geom: RisGeometry, u_i, u_s) -> np.ndarray:
         n = len(alpha)
         step = max(1, CHUNK_TERMS // n)
         rows = min(step, len(points))
-        phase, term = (np.empty((rows, n), dtype=complex) for _ in range(2))
-        sin_x, sin_y = (np.empty((rows, n)) for _ in range(2))
+        phase, term = (_chunk_array(f"factored.{s}", (rows, n)) for s in ("phase", "term"))
+        sin_x, sin_y = (_chunk_array(f"factored.{s}", (rows, n), float) for s in ("sin_x", "sin_y"))
         for lo in range(0, len(points), step):
             chunk = points[lo:lo + step]
             m = len(chunk)

@@ -473,6 +473,26 @@ class TestClosedFormMoments:
         assert np.array_equal(np.hstack(columns),
                               (_trial_signs(n, 5, range(70)) * (0.02 / 1.3 * scale)).T)
 
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_per_trial_sums_hold_a_bounded_chunk_whatever_the_trial_block(self, n):
+        # 8 and 12 cells take the per-cell product, 16 the blocked sum; a block of 256
+        # trials is 256 weight columns, which bound the chunks as the cells do. Unbounded
+        # by them, 8 cells took 15.7 MB here
+        import tracemalloc
+        ris = LinearRis.uniform(n, 0.5, 0.01, width=0.1)
+        waves = [PlaneWave(Direction(t), a) for t, a in ((0.3, 1.0), (-0.5, 0.6), (0.1, 0.8))]
+        thetas = np.linspace(-1.5, 1.5, 721)
+        want = monte_carlo_power_grid(ris, waves, 100.0, thetas, 256, 7, return_stderr=True)
+        tracemalloc.start()
+        try:
+            got = monte_carlo_power_grid(ris, waves, 100.0, thetas, 256, 7, return_stderr=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        # four complex work arrays
+        assert peak <= 4 * 16 * CHUNK_TERMS
+
     @pytest.mark.parametrize("n", [8, 100])
     @pytest.mark.parametrize("return_stderr", [False, True])
     @pytest.mark.parametrize("wave_count,thetas,shape", [

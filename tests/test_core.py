@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from risem import (Direction, ObservationPoint, WaveContext, direction_vector,
                    sampling_sa, sampling_sa_linear, sinc_normalized)
-from risem import core
+from risem import LinearRis, RisGeometry, core, linear, surface
 from risem.core import SINC_TAYLOR_CUTOFF, _phasor, _phasor_libm, _sinc_pair
 
 finite_angles = st.floats(-np.pi, np.pi, allow_nan=False, allow_infinity=False)
@@ -239,6 +239,58 @@ def _ties(rng, count):
     return candidates[candidates * scale % 1.0 == 0.5]
 
 
+def _result_bits(z) -> np.ndarray:
+    """The bits of a complex array's parts, in order."""
+    return _bits(np.ascontiguousarray(z).view(float))
+
+
+def _phasor_call(i):
+    """_phasor of (i + 1) x (5000 + 977 i) arguments: one chunk, or several from i = 2."""
+    arg = np.random.default_rng(6 + i).uniform(-1e5, 1e5, (i + 1, 5000 + 977 * i))
+    return lambda: _phasor(arg)
+
+
+def _factored_call(i):
+    """surface._factored_sums on 32 x 32 cells for 2 waves and 41 + 16 i scatter points:
+    chunks of 16 points, the last one short."""
+    rng = np.random.default_rng(10 + i)
+    grid = np.arange(32) * 0.5
+    positions = np.stack(np.broadcast_arrays(grid[:, None], grid, 0.0), axis=-1).reshape(-1, 3)
+    geom = RisGeometry.from_arrays(positions, np.full(1024, 0.4), np.full(1024, 0.4),
+                                   [None] * 1024, rng.uniform(0.0, 6.0, 1024), WaveContext())
+    u_i = core._unit_vectors(np.array([0.3, 0.5]), np.array([0.2, -1.0]))
+    points = 41 + 16 * i
+    u_s = core._unit_vectors(rng.uniform(0.1, 1.4, points), rng.uniform(-3.0, 3.0, points))
+    return lambda: surface._factored_sums(geom, u_i, u_s)
+
+
+def _blocked_call(reduce):
+    """A factory of linear._blocked_sum calls on 1000 + 24 i cells, 97 + 31 i sines, two
+    incident sines and three weight columns, with reduce."""
+    def make(i):
+        rng = np.random.default_rng(20 + i)
+        n = 1000 + 24 * i
+        ris = LinearRis.uniform(n, 0.5, 0.01)
+        weights = rng.uniform(0.1, 1.0, (n, 3)) * np.exp(1j * rng.uniform(0.0, 6.0, (n, 3)))
+        sines, sin_i = np.sin(np.linspace(-1.5, 1.5, 97 + 31 * i)), np.sin([0.3, -0.2])
+        return lambda: linear._blocked_sum(ris, sines, sin_i, weights, *linear._blocks(ris, 2.0),
+                                           reduce)
+    return make
+
+
+# the kernels that take their temporaries from core._chunk_array: a factory of calls i,
+# the copies of its result that a call holds (_chunked keeps each chunk's result until it
+# joins them), and the bytes it may take besides them. The kernels' own per-call arrays of
+# cells or phases stay under one complex work array; with its four chunk arrays made per
+# call, the factored sum took 0.9 MB besides its result
+POOLED = {
+    "phasor": (_phasor_call, 1, 4096),
+    "factored": (_factored_call, 1, core.CHUNK_TERMS * 16),
+    "blocked": (_blocked_call(None), 2, core.CHUNK_TERMS * 16),
+    "blocked-reduce": (_blocked_call(lambda c, sums: sums.sum(axis=-1)), 2, core.CHUNK_TERMS * 16),
+}
+
+
 class TestTablePhasor:
     """_phasor's table path against _phasor_libm, and the inputs that take the fallback."""
 
@@ -288,18 +340,22 @@ class TestTablePhasor:
         assert np.array_equal(_bits(got.reshape(-1).view(float)),
                               _bits(want.reshape(-1).view(float)))
 
-    def test_a_chunk_allocates_only_its_result(self):
-        import tracemalloc
-        arg = np.random.default_rng(5).uniform(-3000.0, 3000.0, (16, 1000))
-        _phasor(arg)  # this thread's work arrays
+    @pytest.mark.parametrize("kernel", POOLED)
+    def test_a_second_call_allocates_only_its_result(self, kernel):
+        make, copies, limit = POOLED[kernel]
+        call = make(2)
+        call()  # this thread's work arrays
+        # numpy's iterator buffers, 1024 entries each, stay out of the count
+        old = np.setbufsize(1024)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            got = _phasor(arg)
+            got = call()
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= got.nbytes + 4096
+            np.setbufsize(old)
+        assert peak <= copies * got.nbytes + limit
 
     @pytest.mark.parametrize("limit", [1e3, 4.0 * core._TABLE_RANGE], ids=["table", "libm"])
     def test_out_receives_the_bits_and_nothing_is_allocated(self, limit):
@@ -316,24 +372,24 @@ class TestTablePhasor:
         assert got is out and peak <= 4096
         assert np.array_equal(_bits(out.view(float)), _bits(want.view(float)))
 
-    def test_threads_at_once_get_the_serial_bits(self):
+    @pytest.mark.parametrize("kernel", POOLED)
+    def test_threads_at_once_get_the_serial_bits(self, kernel):
         import sys
         import threading
-        rng = np.random.default_rng(6)
         # more threads than cores, each with arrays of its own shape
-        args = [rng.uniform(-1e5, 1e5, (i + 1, 5000 + 977 * i)) for i in range(6)]
-        serial = [_bits(_phasor(a).view(float)) for a in args]
+        calls = [POOLED[kernel][0](i) for i in range(6)]
+        serial = [_result_bits(call()) for call in calls]
         mismatches = []
 
         def run(i):
             for _ in range(20):
-                if not np.array_equal(_bits(_phasor(args[i]).view(float)), serial[i]):
+                if not np.array_equal(_result_bits(calls[i]()), serial[i]):
                     mismatches.append(i)
 
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(args))]
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
             for t in threads:
                 t.start()
             for t in threads:
@@ -344,14 +400,13 @@ class TestTablePhasor:
         assert mismatches == []
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_a_forked_child_and_its_parent_at_once_get_the_serial_bits(self):
-        rng = np.random.default_rng(7)
-        args = [rng.uniform(-1e5, 1e5, (16, 1000)), rng.uniform(-1e3, 1e3, (16, 1000))]
-        serial = [_bits(_phasor(a).view(float)) for a in args]  # the work arrays exist
+    @pytest.mark.parametrize("kernel", POOLED)
+    def test_a_forked_child_and_its_parent_at_once_get_the_serial_bits(self, kernel):
+        calls = [POOLED[kernel][0](i) for i in range(2)]
+        serial = [_result_bits(call()) for call in calls]  # the work arrays exist
 
         def agrees(i):
-            return all(np.array_equal(_bits(_phasor(args[i]).view(float)), serial[i])
-                       for _ in range(200))
+            return all(np.array_equal(_result_bits(calls[i]()), serial[i]) for _ in range(200))
 
         pid = os.fork()
         if pid == 0:

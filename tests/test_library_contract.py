@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from risem import (Direction, LinearRis, MimoSystem, PlaneWave, WaveContext, apply_mimo,
                    beam_reshape, compensated_rcs, compensated_steering, linear_rcs,
-                   monte_carlo_power_grid, random_phase_expected_power,
-                   random_phase_miso_expected_power, steering_function)
+                   monte_carlo_power_grid, path_length_phase, random_phase_expected_power,
+                   random_phase_miso_expected_power, sampling_sa, sampling_sa_linear,
+                   steering_function)
 from risem.linear import dft_scatter_grid, mimo_on_angles
 
 # ordinary values mixed with zero, the edges of float64 and the non-finite values; radii
@@ -60,7 +61,13 @@ def test_raw_values_give_finite_numbers_or_value_error(theta_i, theta_s, thetas,
                  lambda: random_phase_miso_expected_power(RIS, WAVES, 100.0, thetas),
                  lambda: monte_carlo_power_grid(RIS, WAVES, 100.0, thetas, 3, 7),
                  lambda: monte_carlo_power_grid(RIS, WAVES, 100.0, thetas, 3, 7,
-                                                return_stderr=True)):
+                                                return_stderr=True),
+                 # the edges, the width or the position are raw values too
+                 lambda: sampling_sa(delta, theta_i, Direction(theta_s), Direction(0.2),
+                                     WaveContext()),
+                 lambda: sampling_sa_linear(delta, theta_i, theta_s, 1.0),
+                 lambda: path_length_phase((thetas * 3)[:3], Direction(theta_i, theta_s),
+                                           WaveContext())):
         _finite_or_refused(call)
     for build in _systems(incident, thetas):
         try:
@@ -90,13 +97,31 @@ def test_raw_values_give_finite_numbers_or_value_error(theta_i, theta_s, thetas,
     lambda: MimoSystem(1.0, 0.5, complex(math.inf, 0.0), [100.0], [0.2], [0.1], [1.0]),
     lambda: apply_mimo(mimo_on_angles(RIS, [0.1], [100.0], [0.2]), [math.nan]),
     lambda: beam_reshape(mimo_on_angles(RIS, [0.1], [100.0], [0.2]), [math.inf], [1.0]),
+    lambda: sampling_sa(math.nan, 1.0, Direction(0.1), Direction(0.2), WaveContext()),
+    lambda: sampling_sa_linear(math.inf, 0.1, 0.2, 1.0),
+    lambda: path_length_phase([math.nan, 0.0, 0.0], Direction(0.1), WaveContext()),
 ], ids=["steering-theta_i", "steering-theta_s", "rcs", "compensated-delta",
         "compensated-rcs-theta_i", "compensated-rcs-delta", "expected-power",
         "miso-expected-power", "monte-carlo", "mimo-on-angles", "mimo-system", "mimo-weights",
-        "mimo-coupling", "apply-mimo", "beam-reshape"])
+        "mimo-coupling", "apply-mimo", "beam-reshape", "sampling-sa", "sampling-sa-linear",
+        "path-length-phase"])
 def test_each_probe_is_refused_by_name(call):
     with pytest.raises(ValueError, match="must be finite$"):
         call()
+
+
+# a factored system's JSON document, and three ways to break it: a key missing, a string
+# in a weight pair, and a dimension record that is not a mapping
+MIMO_DOC = mimo_on_angles(RIS, [0.1, -0.4], [100.0, 90.0], [0.2, 0.5]).to_json_dict()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("prefactor", None), ("weights", [["0.01", 0.0]] * RIS.n), ("dimensions", "abc"),
+], ids=["missing-prefactor", "string-weight", "dimensions-string"])
+def test_a_malformed_mimo_document_is_refused_by_name(key, value):
+    doc = {k: v for k, v in dict(MIMO_DOC, **{key: value}).items() if v is not None}
+    with pytest.raises(ValueError, match="^malformed MIMO system document"):
+        MimoSystem.from_json_dict(doc)
 
 
 ONE_WAVE = [PlaneWave(Direction(0.3))]
