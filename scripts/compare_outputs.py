@@ -36,15 +36,22 @@ one-line flow text 5000 levels deep, a 2000-deep one after a tab that only
 libyaml reads, the 1200-point file with a point outside the linear range, a
 radius of 1e200, whose square overflows, a radius of 1e-300, whose square
 underflows to 0, in an expectation sweep and a Monte Carlo sweep, a reshape
-whose desired pattern of 1e10 an amplitude of 1e-300 cannot reach, and Monte
-Carlo trials asked of an expectation scenario.
+whose desired pattern of 1e10 an amplitude of 1e-300 cannot reach, Monte
+Carlo trials asked of an expectation scenario, a linear `n` of 10 000 items
+(long-value) and a patch geometry with 30 unknown keys (many-unknown-keys),
+each refused in one short line; and a reshape whose desired-pattern file
+holds a string of brackets beside its pairs, which is read.
 Every output file, and the exit code, stdout and stderr of every run, is
 reported as identical, or with the largest deviation of each numeric CSV
 column or JSON field that moved, relative to that column's largest
 magnitude; for CSV, also the part beyond one unit of the 12th significant
 digit that it prints, and for a JSON field smaller than its document, also
-relative to the document's largest magnitude. The exit status is 0 when
-every output is identical and 1 otherwise.
+relative to the document's largest magnitude. Each run of NEW_TREE must also
+keep the CLI's contract (contract_faults): it exits 0, 2 or 3, and an exit of
+2 or 3 writes exactly one stderr line and nothing to stdout. A run that
+raises, such as under PYTHONWARNINGS=error::RuntimeWarning where the CLI
+warns, breaks it. The exit status is 0 when every output is identical and
+every run of NEW_TREE keeps the contract, and 1 otherwise.
 
 No digests are stored: last-bit rounding depends on libm and BLAS, so only two
 trees run on one machine can be compared.
@@ -280,6 +287,15 @@ SCENARIOS = {
     "bad_desired.yaml": linear()
     + "configure: {scheme: reshape, desired_pattern_file: bad_desired.json}\n",
     "bad_desired.json": json.dumps({"desired": [[1.0, "x"]] * 16}),
+    "long_value.yaml": linear().replace("n: 16",
+                                        "n: [" + ", ".join(map(str, range(10_000))) + "]"),
+    "many_unknown_keys.yaml": "geometry: {kind: patch, a: 1.0, b: 1.0, "
+    + ", ".join(f"key_{i}: 1" for i in range(30)) + "}\n",
+    # brackets in a string are no nesting: the file is read as desired.json is
+    "reshape_brackets.yaml": linear()
+    + "configure: {scheme: reshape, desired_pattern_file: brackets_desired.json}\n",
+    "brackets_desired.json": json.dumps({"note": "[" * 5000 + "]" * 3000, "desired": [
+        [math.cos(0.4 * k), math.sin(0.4 * k)] for k in range(16)]}),
 }
 FIGURES = ("fig2", "fig4", "fig5", "fig6", "fig7a", "fig7b", "fig8", "fig9")
 RUNS = {
@@ -377,6 +393,10 @@ RUNS = {
     "trials-on-expectation": ["sweep", "expectation.yaml", "--trials", "5"],
     "mimo-on-patch": ["mimo", "patch.yaml"],
     "configure-unconfigured": ["configure", "patch.yaml"],
+    "long-value": ["sweep", "long_value.yaml"],
+    "many-unknown-keys": ["sweep", "many_unknown_keys.yaml"],
+    "configure-reshape-brackets": ["configure", "reshape_brackets.yaml",
+                                   "--out", "reshape_brackets_weights.json"],
 }
 RECORD = "runs.json"
 
@@ -404,24 +424,42 @@ def run_corpus(src: str) -> None:
         json.dump(record, fh, indent=1)
 
 
-def _outputs(tree: str, workdir: str) -> dict:
-    """Run the corpus on tree in workdir; {output name: text} for every run and file."""
+def contract_faults(record: dict) -> list:
+    """'<run>: <fault>' for each run of a corpus record that breaks the CLI's contract.
+
+    A run exits 0, 2 or 3, and one that exits 2 or 3 writes exactly one stderr
+    line and nothing to stdout. A run that raised has the exit 'raised ...'.
+    """
+    faults = []
+    for name, run in record.items():
+        code, out, err = run["exit"], run["stdout"], run["stderr"]
+        if code not in (0, 2, 3):
+            faults.append(f"{name}: exit {code}")
+        elif code and (out or err.count("\n") != 1 or not err.endswith("\n")):
+            faults.append(f"{name}: exit {code} with stderr {err[:200]!r} "
+                          f"and stdout {out[:200]!r}")
+    return faults
+
+
+def _outputs(tree: str, workdir: str) -> tuple:
+    """Run the corpus on tree in workdir: ({output name: text} for every run and file, record)."""
     src = os.path.join(os.path.abspath(tree), "src")
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, os.path.abspath(__file__), "--run-corpus", src],
                    cwd=workdir, env=env, check=True, timeout=600)
     outputs = {}
     with open(os.path.join(workdir, RECORD), encoding="utf-8") as fh:
-        for name, run in json.load(fh).items():
-            for part, value in run.items():
-                outputs[f"{name}:{part}"] = value if isinstance(value, str) else json.dumps(value)
+        record = json.load(fh)
+    for name, run in record.items():
+        for part, value in run.items():
+            outputs[f"{name}:{part}"] = value if isinstance(value, str) else json.dumps(value)
     for root, _, files in os.walk(workdir):
         for file in files:
             path = os.path.relpath(os.path.join(root, file), workdir)
             if path != RECORD and path not in SCENARIOS:
                 with open(os.path.join(root, file), encoding="utf-8") as fh:
                     outputs[path] = fh.read()
-    return outputs
+    return outputs, record
 
 
 def _printed_unit(value: float) -> float:
@@ -527,7 +565,8 @@ def main(argv=None) -> int:
     if not (args.old_tree and args.new_tree):
         parser.error("give OLD_TREE and NEW_TREE")
     with tempfile.TemporaryDirectory() as old_dir, tempfile.TemporaryDirectory() as new_dir:
-        old, new = _outputs(args.old_tree, old_dir), _outputs(args.new_tree, new_dir)
+        (old, _), (new, record) = (_outputs(args.old_tree, old_dir),
+                                   _outputs(args.new_tree, new_dir))
     names, moved = sorted(old.keys() | new.keys()), []
     for name in names:
         if name not in old or name not in new:
@@ -537,9 +576,12 @@ def main(argv=None) -> int:
         print(f"{name}: {verdict}")
         if verdict != "identical":
             moved.append(name)
+    faults = contract_faults(record)
+    for fault in faults:
+        print(f"NEW_TREE breaks the CLI contract: {fault}")
     print(f"{len(names) - len(moved)} of {len(names)} outputs identical"
           + (f"; moved: {', '.join(moved)}" if moved else ""))
-    return 1 if moved else 0
+    return 1 if moved or faults else 0
 
 
 if __name__ == "__main__":

@@ -133,8 +133,6 @@ def _state_words() -> type:
             self.words = words
 
         def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or dtype is not np.uint64:
-                raise ValueError("holds four uint64 words, as PCG64 takes them")
             return self.words
 
     return StateWords
@@ -276,24 +274,25 @@ def monte_carlo_power_grid(ris: LinearRis, waves, r_s: float, thetas, trials: in
                            return_stderr: bool = False):
     """Vectorized Monte Carlo mean of |E^s|^2 on a scatter-angle grid.
 
-    Trial t draws its signs sigma_t from trial_rng(seed, t). The mean alone comes
-    from the lag correlations of the trials' cell excitations (_lag_mean), one
-    weighted kernel sum per angle whatever the trial count. The standard error
-    needs each trial's power, whose square has no lag form: the signed cell weights
-    (scaled A/lam) o sigma_t of a block of trials are the weight columns of one
-    _weighted_sum at sin_i = sin(theta_w), which hands each chunk of angles' sums
-    to their power moments as it goes, so memory stays bounded for any trial and
-    angle count.
+    Trial t draws its signs sigma_t from trial_rng(seed, t). The mean comes from
+    the lag correlations of the trials' cell excitations (_lag_mean), one weighted
+    kernel sum per angle whatever the trial count, with or without the standard
+    error. That needs each trial's power, whose square has no lag form: the signed
+    cell weights (scaled A/lam) o sigma_t of a block of trials are the weight
+    columns of one _weighted_sum at sin_i = sin(theta_w), which hands each chunk of
+    angles' sums to the sum of their squared powers as it goes, so memory stays
+    bounded for any trial and angle count.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     sin_s, sin_w, weights, drive, power = _random_phase_law(ris, waves, r_s, thetas)
+    mean = _lag_mean(ris, sin_s, sin_w, weights, drive(sin_s), trials, seed)
     if not return_stderr:
-        return power(_lag_mean(ris, sin_s, sin_w, weights, drive(sin_s), trials, seed))
+        return power(mean)
 
-    def moments(sin_chunk, sums):
+    def squares(sin_chunk, sums):
         # each trial's field (angles x trials), its terms summed over the waves in their
-        # order, and its power, in work arrays that the next chunk takes again
+        # order, and its squared power, in work arrays that the next chunk takes again
         x = drive(sin_chunk)[..., None]
         field, term = (_chunk_array(f"stderr.{s}", sums.shape[::2]) for s in ("field", "term"))
         if len(x):
@@ -304,19 +303,18 @@ def monte_carlo_power_grid(ris: LinearRis, waves, r_s: float, thetas, trials: in
             field += np.multiply(x[w], sums[:, w], out=term)
         samples = np.abs(field, out=_chunk_array("stderr.samples", field.shape, float))
         samples *= samples
-        first = np.sum(samples, axis=-1)
         samples *= samples
-        return np.stack([first, np.sum(samples, axis=-1)], axis=-1)
+        return np.sum(samples, axis=-1)
 
     # each block forms the phases of every angle again; 64 trials or more keep that small
     block = max(64, CHUNK_TERMS // ris.n)
-    acc = np.zeros((sin_s.size, 2))
+    square = np.zeros(sin_s.size)
     for lo in range(0, trials, block):
         # cells x trials, complex so that no chunk converts it again
         columns = (_trial_signs(ris.n, seed, range(lo, min(lo + block, trials)))
                    * weights).T.astype(complex)
-        acc += _weighted_sum(ris, sin_s, sin_w[:, 0], columns, moments)
-    mean, square = acc.T / trials
+        square += _weighted_sum(ris, sin_s, sin_w[:, 0], columns, squares)
+    square /= trials
     return power(mean), power(np.sqrt(np.maximum(square - mean ** 2, 0.0) / max(trials - 1, 1)))
 
 

@@ -13,10 +13,9 @@ import hashlib
 import itertools
 import json
 import math
-import os
 import re
+import reprlib
 import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +69,15 @@ def _is_numbers(value, count: int) -> bool:
 
 
 _REQUIRED = object()
+# A message names at most this many unknown keys or items of a refused value, and
+# quotes it through _QUOTE: 6 levels deep and 200 characters a string or other repr
+# at most, an int whole. So a message is one short line, and its repr never recurses
+# deeper than 6 levels, whatever the value.
+_NAMED = 20
+_QUOTE = reprlib.Repr()
+vars(_QUOTE).update(dict.fromkeys(("maxtuple", "maxlist", "maxarray", "maxdict", "maxset",
+                                   "maxfrozenset", "maxdeque"), _NAMED),
+                    maxlevel=6, maxstring=200, maxother=200, maxlong=sys.maxsize)
 
 
 class _Section:
@@ -88,7 +96,9 @@ class _Section:
         # YAML keys need not be strings: str() names 1 and ~ as well
         unknown = sorted(str(k) for k in node if k not in keys)
         if unknown:
-            raise ScenarioError(f"unknown key(s) in '{where}': {', '.join(unknown)}")
+            more = f" and {len(unknown) - _NAMED} more" if len(unknown) > _NAMED else ""
+            raise ScenarioError(
+                f"unknown key(s) in '{where}': {', '.join(unknown[:_NAMED])}{more}")
         self.node, self.name, self._prefix = node, name, f"{name}." if name else ""
 
     def __contains__(self, key) -> bool:
@@ -102,7 +112,8 @@ class _Section:
                 raise ScenarioError(f"'{self._prefix}{key}' must be {what}, but is missing")
             return default
         if not ok(value):
-            raise ScenarioError(f"'{self._prefix}{key}' must be {what}, got {value!r}")
+            raise ScenarioError(
+                f"'{self._prefix}{key}' must be {what}, got {_QUOTE.repr(value)}")
         return value
 
     def number(self, key: str, default=_REQUIRED):
@@ -377,15 +388,10 @@ def _parse_output(node, defaults):
 # The event pass refuses a text nested this many collections deep as nesting too
 # deep, as the pure-Python loader would, which takes seconds to do so on one long
 # line. libyaml's scanner takes time quadratic in flow depth (its events reach 2000
-# levels of a flow text in 35 ms, and 10 000 in 0.33 s), and the repr of a deep value
-# in a message recurses; a value 1500 levels deep stays on the pass.
+# levels of a flow text in 35 ms, and 10 000 in 0.33 s); a value 1500 levels deep
+# stays on the pass.
 _MAX_DEPTH = 2000
 _TOO_DEEP = "scenario parse error: nesting too deep"
-# a caller's thread with less than half this stack, the 8 MiB of a usual initial
-# thread, parses on a thread of its own with this stack (_on_a_measured_stack)
-_PARSE_STACK = 16 * 2 ** 20
-# threading.stack_size is process-wide: it is set only around one start()
-_PARSE_STACK_LOCK = threading.Lock()
 
 
 # What PyYAML's constructors raise on a scalar they cannot read: ValueError for
@@ -654,74 +660,17 @@ def _load_yaml(text: str):
         raise ScenarioError(f"scenario parse error: {exc}") from exc
 
 
-def _has_measured_stack() -> bool:
-    """True on the process's initial thread when its stack may grow to 8 MiB or more.
-
-    On Linux that thread's id is the process id, and its stack grows up to
-    RLIMIT_STACK. Other threads get a size fixed at their start, which the
-    caller may have made small (threading.stack_size), so they answer False.
-    """
-    if threading.get_native_id() != os.getpid():
-        return False
-    import resource  # Unix only, and only Linux gets here
-    soft, _ = resource.getrlimit(resource.RLIMIT_STACK)
-    return soft == resource.RLIM_INFINITY or soft >= _PARSE_STACK // 2
-
-
 def _at(mark) -> str:
     """' at line L, column C' (1-based) for a YAML mark, and '' for None."""
     return f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
 
 
-def _on_a_measured_stack(read, *args):
-    """read(*args) on a stack of at least 8 MiB, the size of a usual initial thread.
-
-    Three things still recurse on the C stack as deep as a text nests: the
-    repr of a deep value in a message, json's decoder, and the pure-Python
-    loader before Python 3.11. Without this, a deep text killed a thread with
-    a 128 KiB stack by SIGSEGV. A caller's thread without 8 MiB runs read on a
-    thread with a _PARSE_STACK stack instead, so a deep text gives a one-line
-    error on a thread of any stack size; what read raises there is raised here
-    unchanged.
-    The initial thread runs read directly: a thread start costs about 150 us,
-    and slowed the numpy work after it in the process.
-    """
-    if _has_measured_stack():
-        return read(*args)
-    outcome = {}
-
-    def run():
-        try:
-            outcome["value"] = read(*args)
-        except BaseException as exc:  # noqa: BLE001 - raised again in the caller's thread
-            outcome["exc"] = exc
-
-    thread = threading.Thread(target=run, name="risem-parse")
-    with _PARSE_STACK_LOCK:
-        previous = threading.stack_size(_PARSE_STACK)
-        try:
-            thread.start()
-        finally:
-            threading.stack_size(previous)
-    thread.join()
-    if "exc" in outcome:
-        raise outcome["exc"]
-    return outcome["value"]
-
-
 def parse_scenario(text: str) -> Scenario:
-    """Parse and validate scenario text; unknown keys are rejected.
-
-    The parse runs on a stack of at least 8 MiB (_on_a_measured_stack): the
-    repr of a deep value in a message recurses on the C stack."""
-    return _on_a_measured_stack(_parse, text)
-
-
-def _parse(text: str) -> Scenario:
+    """Parse and validate scenario text; unknown keys are rejected."""
     try:
         return _scenario(_load_yaml(text), text)
     except RecursionError as exc:
-        # from the pure-Python composer, or from the repr of a deep value in a message
+        # from the pure-Python loader, whose recursion runs on Python frames
         raise ScenarioError(_TOO_DEEP) from exc
 
 
@@ -987,13 +936,24 @@ def cut_angles(theta_deg, phi_deg):
     return np.abs(theta), np.where(theta < 0, flipped, phi)
 
 
+# json's C decoder recurses on the C stack once per nesting level, so a desired-pattern
+# file nested deeper than this is refused before it is decoded: a list 5000 deep killed
+# a thread with a 128 KiB stack by SIGSEGV. The depth is counted over the bracket bytes
+# of the text with its JSON strings removed (an unterminated one runs to the end).
+_DESIRED_DEPTH = 64
+_JSON_STRING = re.compile(r'"(?:[^"\\]|\\.?)*"?')
+_NOT_BRACKETS = bytes(b for b in range(256) if b not in b"[]{}")
+# an opening bracket is +1 and a closing one -1, as int8
+_NESTING = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")
+
+
 def _load_desired_pattern(path: str, n: int) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:
-        try:
-            # json's C decoder recurses on the C stack once per nesting level
-            doc = _on_a_measured_stack(json.load, fh)
-        except RecursionError as exc:
-            raise ScenarioError("desired pattern file is nested too deeply") from exc
+        text = fh.read()
+    steps = _JSON_STRING.sub("", text).encode().translate(_NESTING, _NOT_BRACKETS)
+    if np.frombuffer(steps, dtype=np.int8).cumsum().max(initial=0) > _DESIRED_DEPTH:
+        raise ScenarioError("desired pattern file is nested too deeply")
+    doc = json.loads(text)
     values = doc.get("desired") if isinstance(doc, dict) else None
     pairs = None
     if (isinstance(values, list) and len(values) == n

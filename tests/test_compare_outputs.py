@@ -1,5 +1,7 @@
-"""scripts/compare_outputs.py: one tree against itself, and its report of a moved column."""
+"""scripts/compare_outputs.py: one tree against itself, its report of a moved column, and
+its check of the CLI's contract."""
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,8 +18,10 @@ def _script():
 
 
 def test_one_tree_against_itself_is_identical_everywhere():
+    # a RuntimeWarning raises, and a run that raises breaks the contract
     run = subprocess.run([sys.executable, str(SCRIPT), str(ROOT), str(ROOT)],
-                         capture_output=True, text=True, timeout=600)
+                         capture_output=True, text=True, timeout=600,
+                         env=dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning"))
     assert run.returncode == 0, run.stdout + run.stderr
     *lines, summary = run.stdout.splitlines()
     assert len(lines) > 100 and all(line.endswith(": identical") for line in lines)
@@ -47,3 +51,19 @@ def test_a_lone_json_scalar_is_also_reported_against_its_document():
     old = '{"v": [0.5, 1.0], "residual": 2.42e-18}'
     assert describe("m.json", old, '{"v": [0.5, 1.0], "residual": 2.73e-18}') == (
         ".residual 0.11 of the column maximum (3.1e-19 of the document maximum)")
+
+
+def test_a_run_that_raises_or_writes_two_error_lines_breaks_the_contract():
+    faults = _script().contract_faults({
+        "ok": {"exit": 0, "stdout": "a\nb\n", "stderr": ""},
+        "refused": {"exit": 2, "stdout": "", "stderr": "error: x\n"},
+        "numerical": {"exit": 3, "stdout": "", "stderr": "numerical failure: y\n"},
+        "raised": {"exit": "raised RuntimeWarning: overflow", "stdout": "", "stderr": ""},
+        "exit-1": {"exit": 1, "stdout": "", "stderr": "error: x\n"},
+        "two-lines": {"exit": 2, "stdout": "", "stderr": "error: x\ny\n"},
+        "no-line-end": {"exit": 2, "stdout": "", "stderr": "error: x"},
+        "stdout": {"exit": 3, "stdout": "partial", "stderr": "numerical failure: y\n"},
+    })
+    assert [fault.split(":")[0] for fault in faults] == [
+        "raised", "exit-1", "two-lines", "no-line-end", "stdout"]
+    assert faults[0] == "raised: exit raised RuntimeWarning: overflow"

@@ -401,9 +401,9 @@ class TestClosedFormMoments:
         assert len(calls) == 3
 
     def test_lag_mean_past_the_blocked_bound_is_as_close_to_exact_turns(self):
-        # past 2^14 rad both bodies take float64 cell angles; against phases from exact
-        # turns, e_w(n) e_a(n) for the exact sum of the two sines, the lag form is no
-        # further off than the per-trial sum
+        # past 2^14 rad the lag form takes float64 cell angles, as the full-matrix
+        # reference's per-trial sum does; against phases from exact turns, e_w(n) e_a(n)
+        # for the exact sum of the two sines, the lag form is no further off than that sum
         n, trials = CHUNK_TERMS + 3, 2
         rng = np.random.default_rng(n)
         wave = PlaneWave(Direction(rng.uniform(-1.3, 1.3)), 1.0)
@@ -420,8 +420,7 @@ class TestClosedFormMoments:
         want = sum(np.abs(gains @ (1.0 - 2.0 * trial_rng(5, t).integers(0, 2, n))) ** 2
                    for t in range(trials)) / trials
         lag = monte_carlo_power_grid(ris, [wave], 77.0, thetas, trials, 5)
-        per_trial, _ = monte_carlo_power_grid(ris, [wave], 77.0, thetas, trials, 5,
-                                              return_stderr=True)
+        per_trial, _ = _full_matrix_monte_carlo(ris, [wave], 77.0, thetas, trials, 5)
         assert np.max(np.abs(lag - want)) <= np.max(np.abs(per_trial - want))
 
     def test_lag_mean_at_an_exact_null_is_zero_not_negative(self):
@@ -447,6 +446,15 @@ class TestClosedFormMoments:
                                   50, 21)
         assert point == pytest.approx(float(grid[0]), rel=1e-12)
 
+    def test_the_mean_is_the_same_with_and_without_the_standard_error(self):
+        # one estimator, the lag form, in both modes; the per-trial mean differed from it at
+        # 355 of these 361 angles, by up to 2.6e-15 of the peak
+        ris = _reference_array(100)
+        waves = [PlaneWave(Direction(t), a) for t, a in ((0.4, 1.0), (-0.9, 0.5))]
+        thetas = np.linspace(-math.pi / 2, math.pi / 2, 361)
+        mean, _ = monte_carlo_power_grid(ris, waves, 100.0, thetas, 200, 7, return_stderr=True)
+        assert np.array_equal(mean, monte_carlo_power_grid(ris, waves, 100.0, thetas, 200, 7))
+
     @pytest.mark.parametrize("n", [8, 1000])
     def test_per_trial_sums_run_on_the_weighted_kernel(self, monkeypatch, n):
         # each block of trials is one set of weight columns (A/lam) sigma_t, scaled by a
@@ -462,6 +470,8 @@ class TestClosedFormMoments:
         waves = [PlaneWave(Direction(t), a) for t, a in ((0.4, 1.0), (-0.9, 0.5))]
         thetas = np.linspace(-1.5, 1.5, 7)
         monte_carlo_power_grid(ris, waves, 77.0, thetas, 70, 5, return_stderr=True)
+        # the per-trial sums are those at the waves' sines; the mean's lag sums are at 0
+        calls = [call for call in calls if call[1].size == 2]
         # every block of trials (one at 8 cells, two at 1000) sums every angle once
         assert sum(size for size, _, _ in calls) == -(-70 // max(64, CHUNK_TERMS // n)) * 7
         columns = []

@@ -6,7 +6,10 @@ nested _MAX_DEPTH collections deep as nesting too deep, and hands every other
 text it does not finish to the pure-Python loader. These tests check which
 loader runs at the pass's limit, that deep texts exit
 2 in a child process (a crash would end it by a signal), also from a thread
-with a small stack (as does a deep desired-pattern file), what the event pass
+with a small stack (as does a deep desired-pattern file), that a parse starts
+no thread, that a long or deep refused value is quoted in one short line, that
+a desired-pattern file is decoded only where it nests 64 levels or less (its
+strings' brackets uncounted), what the event pass
 hands over (a tag, an anchor or an alias among it), that it reads plain
 decimals without resolve and other plain scalars as resolve and its
 constructor read them, and that both loaders give the same scenario.
@@ -24,6 +27,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -266,43 +270,92 @@ def test_a_deep_desired_file_gives_a_one_line_error_on_a_small_stack(tmp_path):
         "exit": 2, "output": "error: desired pattern file is nested too deeply\n"}
 
 
-def test_a_thread_parse_gives_what_a_direct_parse_gives(monkeypatch):
-    direct = _canonical(parse_scenario(POINTS_SCENARIO))
-    threads = []
-    monkeypatch.setattr(scenario, "_has_measured_stack", lambda: False)
-    start = scenario.threading.Thread.start
-
-    def counted(self):
-        threads.append(self)
-        start(self)
-    monkeypatch.setattr(scenario.threading.Thread, "start", counted)
-    assert _canonical(parse_scenario(POINTS_SCENARIO)) == direct
-    with pytest.raises(ScenarioError, match="^scenario is empty$"):
-        parse_scenario("")
-    assert len(threads) == 2 and not any(t.is_alive() for t in threads)
-    # the process-wide size for new threads is left as it was
-    assert scenario.threading.stack_size() == 0
-
-
-@pytest.mark.parametrize("soft,measured", [(8 * 2 ** 20, True), (2 ** 20, False)])
-def test_the_initial_thread_parses_directly_only_with_an_8_mib_stack(monkeypatch, soft, measured):
-    import resource
-    monkeypatch.setattr(resource, "getrlimit", lambda which: (soft, resource.RLIM_INFINITY))
-    assert scenario._has_measured_stack() is measured
-
-
-@pytest.mark.parametrize("text", [
-    # 1500 levels, under the pass's limit: the pass builds it and the message's repr recurses
-    "geometry: {kind: patch, a: 1.0, b: " + "[" * 1500 + "]" * 1500 + "}\n",
-    # aliases nest 1500 levels while the composer sees two
-    "geometry: {kind: patch, b: 1.0, a: ["
-    + ", ".join(["&x0 [1]"] + [f"&x{i} [*x{i - 1}]" for i in range(1, 1500)]) + "]}\n",
+@pytest.mark.parametrize("text, message", [
+    # 1500 levels, under the pass's limit: the pass builds it, and the message quotes six
+    ("geometry: {kind: patch, a: 1.0, b: " + "[" * 1500 + "]" * 1500 + "}\n",
+     "'geometry.b' must be a finite number, got [[[[[[[...]]]]]]]"),
+    # aliases nest 1500 levels while the composer sees two; the message quotes 20 items
+    ("geometry: {kind: patch, b: 1.0, a: ["
+     + ", ".join(["&x0 [1]"] + [f"&x{i} [*x{i - 1}]" for i in range(1, 1500)]) + "]}\n",
+     "'geometry.a' must be a finite number, got [[1], [[1]], [[[1]]], [[[[1]]]], [[[[[1]]]]], "
+     + "[[[[[[...]]]]]], " * 15 + "...]"),
 ], ids=["c-loaded", "aliases"])
-def test_deep_value_in_a_message_exits_2(tmp_path, capsys, text):
+def test_deep_value_in_a_message_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "deep.yaml"
     path.write_text(text, encoding="utf-8")
     assert main(["sweep", str(path)]) == 2
-    assert capsys.readouterr().err == "error: scenario parse error: nesting too deep\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    # quoted whole, this error took 688 943 bytes
+    ("geometry: {kind: linear, n: [" + ", ".join(map(str, range(100_000)))
+     + "], spacing: 0.5, a: 0.1, b: 0.1}\n",
+     "'geometry.n' must be a positive integer, got [" + ", ".join(map(str, range(20)))
+     + ", ...]"),
+    ("geometry: {kind: patch, a: 1.0, b: 1.0, " + ", ".join(f"k{i}: 1" for i in range(30))
+     + "}\n",
+     "unknown key(s) in 'geometry': " + ", ".join(sorted(f"k{i}" for i in range(30))[:20])
+     + " and 10 more"),
+], ids=["long-value", "many-unknown-keys"])
+def test_a_long_refused_value_gives_one_short_line(tmp_path, capsys, text, message):
+    path = tmp_path / "long.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert main(["sweep", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n" and len(err) <= 250
+
+
+def test_a_parse_starts_no_thread_and_reads_no_stack_limit(monkeypatch):
+    import resource
+    start, started, parsed = threading.Thread.start, [], []
+
+    def spy(self):
+        started.append(self)
+        start(self)
+
+    def refused(*args):
+        raise AssertionError("the stack limit was read")
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    monkeypatch.setattr(resource, "getrlimit", refused)
+    parsed.append(parse_scenario(POINTS_SCENARIO))
+    worker = threading.Thread(target=lambda: parsed.append(parse_scenario(POINTS_SCENARIO)))
+    worker.start()
+    worker.join()
+    assert started == [worker] and len(parsed) == 2
+
+
+@pytest.mark.parametrize("text, deep", [
+    # brackets inside a string are no nesting
+    ('{"note": "' + "[" * 5000 + '", "desired": [[1.0, 0.5], [0.0, -1.0]]}', False),
+    ("[" * 64 + "]" * 64, False),
+    ("[" * 65 + "]" * 65, True),
+    # a string of closing brackets does not hide the nesting after it
+    ('{"note": "' + "]" * 5000 + '", "desired": ' + "[" * 5000 + "]" * 5000 + "}", True),
+    ('{"note": "\\"]]", "desired": ' + "[" * 65 + "]" * 65 + "}", True),
+], ids=["brackets-in-a-string", "64-deep", "65-deep", "deep-after-closing-brackets",
+        "escaped-quote"])
+def test_a_desired_file_is_decoded_only_64_levels_deep(tmp_path, monkeypatch, text, deep):
+    decoded, loads = [], json.loads
+
+    def spy(document, *args, **kwargs):
+        decoded.append(document)
+        return loads(document, *args, **kwargs)
+
+    monkeypatch.setattr(scenario.json, "loads", spy)
+    path = tmp_path / "desired.json"
+    path.write_text(text, encoding="utf-8")
+    if deep:
+        with pytest.raises(ScenarioError, match="^desired pattern file is nested too deeply$"):
+            scenario._load_desired_pattern(str(path), 2)
+        assert decoded == []
+    elif text.startswith("["):
+        with pytest.raises(ScenarioError, match="must hold 2 finite"):
+            scenario._load_desired_pattern(str(path), 2)
+        assert decoded == [text]
+    else:
+        assert scenario._load_desired_pattern(str(path), 2).tolist() == [1 + 0.5j, -1j]
 
 
 # ---------------------------------------------------------------------------
