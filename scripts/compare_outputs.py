@@ -21,13 +21,14 @@ quoted keys and values, a 64-cell file at normal incidence on the phi = 0 cut
 (whose rows with theta >= 0 the factored cell sum leaves to the per-term sum),
 a linear file of 1200 scatter points with phi_deg written first on a third of
 its rows (read by the row reader), a linear sweep with no incident wave (every
-value column 0 or -inf, each written by the CSV writer's '%.12g' fallback), a
-linear sweep at a radius of 1e150 (magnitudes near 1e-152, with three-digit
-exponents, and dB values near -3040), a 1024-cell Monte Carlo sweep of 300 trials
-(its mean taken from lag correlations over many trial blocks), a two-wave
-Monte Carlo sweep of 300 trials, two blocks of 256 and 44, at the seed 2^96 + 11
-(four entropy words, so five with the trial index), a three-wave
-expectation sweep, a two-wave expectation sweep of 8192 cells as JSON (whose
+value column 0 or -inf, each written by the CSV writer's '%.12g' fallback; and
+as JSON, with a null for every dB value), a linear sweep at a radius of 1e150
+(magnitudes near 1e-152, with three-digit exponents, and dB values near -3040;
+and as JSON, whose magnitudes are written in scientific form), a 1024-cell
+Monte Carlo sweep of 300 trials (its mean taken from lag correlations over many
+trial blocks), a two-wave Monte Carlo sweep of 300 trials, two blocks of 256 and
+44, at the seed 2^96 + 11 (four entropy words, so five with the trial index), a
+three-wave expectation sweep, a two-wave expectation sweep of 8192 cells as JSON (whose
 Gram matrix entries between the waves are summed per cell, past the blocked
 sum's bound) and a two-wave expectation at one incident angle (whose Gram
 matrix entries are all equal); and a fixed list of malformed inputs, among
@@ -338,6 +339,10 @@ RUNS = {
                                      "--out", "linear_points_shuffled.csv"],
     "sweep-linear-no-waves": ["sweep", "linear_no_waves.yaml", "--out", "linear_no_waves.csv"],
     "sweep-linear-far": ["sweep", "linear_far.yaml", "--out", "linear_far.csv"],
+    "sweep-linear-no-waves-json": ["sweep", "linear_no_waves.yaml", "--format", "json",
+                                   "--out", "linear_no_waves.json"],
+    "sweep-linear-far-json": ["sweep", "linear_far.yaml", "--format", "json",
+                              "--out", "linear_far.json"],
     "sweep-random": ["sweep", "random.yaml", "--out", "random.csv"],
     "sweep-random-seed": ["sweep", "random.yaml", "--seed", "11", "--out", "random_seed.csv"],
     "sweep-random-trials": ["sweep", "random.yaml", "--trials", "40",

@@ -103,9 +103,12 @@ def _split(x):
     return hi, x - hi
 
 
-def _two_product(a, b):
-    """(p, e) with p the float64 product a b and p + e = a b exactly (Dekker), broadcast."""
-    (a_hi, a_lo), (b_hi, b_lo) = _split(a), _split(b)
+def _two_product(a, b, b_split=None):
+    """(p, e) with p the float64 product a b and p + e = a b exactly (Dekker), broadcast.
+
+    b_split is b's (hi, lo) split made in advance, for a b whose own split overflows.
+    """
+    (a_hi, a_lo), (b_hi, b_lo) = _split(a), b_split or _split(b)
     p = a * b
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 

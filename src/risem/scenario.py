@@ -25,7 +25,8 @@ from . import __version__
 from .core import Direction, PlaneWave, WaveContext
 from .config import (ReshapeSolution, beam_reshape, monte_carlo_power_grid,
                      phase_compensation, random_phase_draw, random_phase_miso_expected_power)
-from .linear import LinearRis, MimoSystem, _field, dft_scatter_grid, mimo_on_angles
+from .linear import (LinearRis, MimoSystem, _field, _two_product, dft_scatter_grid,
+                     mimo_on_angles)
 from .patch import Patch
 from .surface import RisGeometry, UnitCell, _RefusedRow, _field_magnitude
 
@@ -71,10 +72,23 @@ def _is_numbers(value, count: int) -> bool:
 _REQUIRED = object()
 # A message names at most this many unknown keys or items of a refused value, and
 # quotes it through _QUOTE: 6 levels deep and 200 characters a string or other repr
-# at most, an int whole. So a message is one short line, and its repr never recurses
-# deeper than 6 levels, whatever the value.
+# at most, an int whole where str can write it. So a message is one short line, and its
+# repr never recurses deeper than 6 levels, whatever the value.
 _NAMED = 20
-_QUOTE = reprlib.Repr()
+
+
+class _Quote(reprlib.Repr):
+    """reprlib.Repr, with an int past the digits that str writes in hex (which has no
+    digit limit), cut as any other long repr is."""
+
+    def repr_int(self, x, level):
+        with contextlib.suppress(ValueError):
+            return super().repr_int(x, level)
+        head = (self.maxother - 3) // 2
+        return hex(x)[:head] + self.fillvalue + hex(x)[head + 3 - self.maxother:]
+
+
+_QUOTE = _Quote()
 vars(_QUOTE).update(dict.fromkeys(("maxtuple", "maxlist", "maxarray", "maxdict", "maxset",
                                    "maxfrozenset", "maxdeque"), _NAMED),
                     maxlevel=6, maxstring=200, maxother=200, maxlong=sys.maxsize)
@@ -403,8 +417,9 @@ _CONSTRUCTOR_ERRORS = (ValueError, LookupError, AttributeError)
 class _LocatingLoader(yaml.SafeLoader):
     """yaml.SafeLoader, whose constructor failure on a scalar is a ConstructorError at it.
 
-    The scalar that fails is the one the construction meets first, and only a
-    ValueError says what is wrong: the others name an index or a key.
+    The scalar that fails is the one the construction meets first. The reason
+    quotes its text through _QUOTE and names its tag, and not the constructor's
+    own text, which holds the scalar whole.
     """
 
     def construct_object(self, node, deep=False):
@@ -413,8 +428,8 @@ class _LocatingLoader(yaml.SafeLoader):
         except _CONSTRUCTOR_ERRORS as exc:
             if not isinstance(node, yaml.ScalarNode):
                 raise
-            reason = str(exc) if isinstance(exc, ValueError) else (
-                f"cannot read {node.value!r} as {node.tag.replace('tag:yaml.org,2002:', '!!')}")
+            reason = (f"cannot read {_QUOTE.repr(node.value)} as "
+                      f"{node.tag.replace('tag:yaml.org,2002:', '!!')}")
             raise yaml.constructor.ConstructorError(None, None, reason, node.start_mark) from exc
 
 
@@ -735,8 +750,12 @@ class SweepResult:
 
     def to_json_dict(self) -> dict:
         """Columns as lists; a non-finite entry (the dB of a zero field) becomes None."""
-        return {name: [v if math.isfinite(v) else None for v in np.asarray(values).tolist()]
-                for name, values in self.columns().items()}
+        doc = {}
+        for name, values in self.columns().items():
+            doc[name] = np.asarray(values).tolist()
+            for i in np.flatnonzero(~np.isfinite(values)).tolist():
+                doc[name][i] = None
+        return doc
 
 
 def decibels(values, per_decade: float) -> np.ndarray:
@@ -752,24 +771,31 @@ def _output(path: str | None):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-# values that write_csv formats at a time: a block's temporaries stay in the heap from one
-# file write to the next, where 16 384-value blocks were faulted in again after every write
-_CSV_BLOCK = 2048
+# values that write_csv and json_text format at a time: a block's temporaries stay in the
+# heap from one file write to the next, where 16 384-value blocks were faulted in again
+# after every write
+_BLOCK = 2048
 # the band around 1/2 of the scaled value's fraction whose rounding the scale's error may
 # change: within it, and wherever the scale misplaces the point, '%' writes the value
 _WINDOW = 2.0 ** -10
+# the bands, in units of the 17th digit, around each rounding's tie and around the edge of
+# the interval of v in which the JSON digit rule leaves v to repr: its scale errs by < 1e-14
+_JSON_WINDOW = 2.0 ** -32
 
 
 @functools.cache
-def _csv_tables() -> tuple:
-    """_csv_text's tables, made on first use: (digits, zeros, exponents, scales, forms, layout).
+def _decimal_tables(digits: int, top: int, point_zero: bool) -> tuple:
+    """The tables of a writer of up to `digits` significant digits, made on first use:
+    (words, zeros, exponents, forms, layout).
 
-    digits[g] is the word "d.d.d.d." of g < 10^4 and zeros[g] counts its trailing zeros.
-    By e + 320: exponents holds the word "e+dd" or "e-ddd", scales the two nearest
-    doubles whose product is 10^(11 - e), and forms 24 times e's form, e + 4 for the
-    fixed forms of e = -4..11, else 16. layout[j][24 form + 2 (digits - 1) + negative]
-    is word j of that row: the sign and any "0.000" prefix, then masks of the digits
-    written and their point, then of the exponent.
+    words[g] is the word "d.d.d.d." of g < 10^4 and zeros[g] counts its trailing
+    zeros. A mantissa of `digits` digits, 4 k or 4 k + 1, is written as groups of 4,
+    after a lone first digit that shares the word of the sign. By e + 320: exponents
+    holds the word "e+dd" or "e-ddd", and forms[e] + 2 (k - digits) + negative is the
+    layout row of k significant digits in e's form: fixed for e = -4..top, else
+    scientific. layout[j][row] is word j of that row: the sign and any "0.000"
+    prefix, then masks of the digits written and their points, then of the exponent.
+    With point_zero a fixed form writes a point and a 0 after an integer.
     """
     g = np.arange(10 ** 4, dtype=np.int16)
     chars = np.full((g.size, 8), ord("."), dtype=np.uint8)
@@ -777,19 +803,55 @@ def _csv_tables() -> tuple:
     zeros = sum((g % 10 ** i == 0).astype(np.uint8) for i in range(1, 5))
     exps = range(-320, 320)
     words = b"".join((b"e%+03d" % e).ljust(8, b"\0") for e in exps)
-    scales = [[float(f"1e{(11 - e) // 2}"), float(f"1e{11 - e - (11 - e) // 2}")] for e in exps]
-    forms = [24 * (e + 4 if -4 <= e <= 11 else 16) for e in exps]
+    science = top + 5
+    forms = [2 * digits * ((e + 4 if -4 <= e <= top else science) + 1) - 2 for e in exps]
     rows = []
-    for form, k, negative in itertools.product(range(17), range(1, 13), range(2)):
+    for form, k in itertools.product(range(science + 1), range(1, digits + 1)):
+        fixed = form < science
         # the scientific form places its point as the fixed form of exponent 0 does
-        e = form - 4 if form < 16 else 0
-        prefix = (b"-" if negative else b"\0") + (b"0." + b"0" * (-e - 1) if e < 0 else b"")
+        e = form - 4 if fixed else 0
+        dot = point_zero and fixed
         # each digit's byte, then the byte of the point that may follow it
-        masks = [(i < max(k, e + 1), i == e < k - 1) for i in range(12)]
-        rows.append(prefix.ljust(8, b"\0") + bytes(255 * kept for pair in masks for kept in pair)
-                    + (b"\xff" * 7 if form == 16 else bytes(7)) + b"\0")
-    return (chars.view("<u8").ravel(), zeros, np.frombuffer(words, "<u8"), np.array(scales).T,
-            np.array(forms), np.frombuffer(b"".join(rows), "<u8").reshape(-1, 5).T.copy())
+        masks = bytes(255 * kept for i in range(digits)
+                      for kept in (i < max(k, e + 1 + dot), i == e and (i < k - 1 or dot)))
+        masks += (bytes(7) if fixed else b"\xff" * 7) + b"\0"
+        prefix = b"0." + b"0" * (-e - 1) if e < 0 else b""
+        rows += [(sign + prefix).ljust(8 - 2 * (digits % 4), b"\0") + masks
+                 for sign in (b"\0", b"-")]
+    return (chars.view("<u8").ravel(), zeros, np.frombuffer(words, "<u8"), np.array(forms),
+            np.frombuffer(b"".join(rows), "<u8").reshape(len(rows), -1).T.copy())
+
+
+def _decimal_text(x: np.ndarray, groups: np.ndarray, e: np.ndarray, exact: np.ndarray,
+                  seps: np.ndarray, tables: tuple, fallback) -> str:
+    """Each v of x in a row of the tables' layout, from its mantissa's digit groups (the
+    most significant first) and e + 320, then the top byte of its word in seps; the
+    rows of the values outside exact are fallback(list of them). NULs are dropped."""
+    words, zeros, exponents, forms, layout = tables
+    tail = zeros[groups[0]]
+    for g in groups[1:]:
+        tail = zeros[g] + (g == 0) * tail
+    key = forms[e] - 2 * tail + np.signbit(x)
+    group_words = words[groups]
+    # a lone first digit's word "0.0.0.d." gives its two last bytes to the sign's word
+    lone = len(groups) == len(layout) - 1
+    first = group_words[0] | np.uint64(2 ** 48 - 1) if lone else ~np.uint64(0)
+    out = np.empty((len(layout), x.size), dtype="<u8")
+    for j, word in enumerate([first, *group_words[lone:], exponents[e]]):
+        np.bitwise_and(word, layout[j][key], out=out[j])
+    rest = np.flatnonzero(~exact)
+    out[:, rest] = fallback(x[rest].tolist())
+    out[-1] |= seps
+    return out.T.tobytes().translate(None, b"\0").decode("ascii")
+
+
+@functools.cache
+def _csv_tables() -> tuple:
+    """'%.12g''s _decimal_tables, and by e + 320 two nearest doubles whose product is
+    10^(11 - e)."""
+    scales = [[float(f"1e{(11 - e) // 2}"), float(f"1e{11 - e - (11 - e) // 2}")]
+              for e in range(-320, 320)]
+    return _decimal_tables(12, 11, False), np.array(scales).T
 
 
 def _printf_rows(values: list) -> np.ndarray:
@@ -800,7 +862,6 @@ def _printf_rows(values: list) -> np.ndarray:
 def _csv_text(x: np.ndarray, seps: np.ndarray) -> str:
     """'%.12g' % v for each v of x, each followed by the top byte of its word in seps.
 
-    Each v fills a 40-byte row of _csv_tables' layout, whose NULs are then dropped.
     For |v| in [1e-300, 1e300], e = floor(log10 |v|) and s = |v| 10^(11 - e), from
     two table scales, is within four roundings (4.4e-4) of exact: so where floor(s)
     is in [10^11, 10^12) and the fraction outside 1/2 +- _WINDOW, m = round(s) is
@@ -808,7 +869,7 @@ def _csv_text(x: np.ndarray, seps: np.ndarray) -> str:
     one not finite or out of range, or one those two rules reject, is written by
     '%.12g' % v itself.
     """
-    digits, zeros, exponents, scales, forms, layout = _csv_tables()
+    tables, scales = _csv_tables()
     a = np.abs(x)
     exact = (a >= 1e-300) & (a <= 1e300)
     np.copyto(a, 1.0, where=~exact)
@@ -826,29 +887,20 @@ def _csv_text(x: np.ndarray, seps: np.ndarray) -> str:
     groups[1:] -= groups[:2] * 1e4
     # a value that '%' writes may have a larger m: it takes rows that exist, then its own
     groups = np.minimum(groups, 9999).astype(np.intp)
-    tail = zeros[groups[2]] + (groups[2] == 0) * (zeros[groups[1]]
-                                                  + (groups[1] == 0) * zeros[groups[0]])
-    key = forms[e] + 22 - 2 * tail + np.signbit(x)
-    out = np.empty((5, x.size), dtype="<u8")
-    for j, word in enumerate([~np.uint64(0), *digits[groups], exponents[e]]):
-        np.bitwise_and(word, layout[j][key], out=out[j])
-    rest = np.flatnonzero(~exact)
-    out[:, rest] = _printf_rows(x[rest].tolist())
-    out[4] |= seps
-    return out.T.tobytes().translate(None, b"\0").decode("ascii")
+    return _decimal_text(x, groups, e, exact, seps, tables, _printf_rows)
 
 
 def write_csv(path: str | None, columns: dict) -> None:
     """Header row of the column names, then one row per index at 12 significant digits.
 
-    The rows are formatted _CSV_BLOCK values at a time by _csv_text, and never
+    The rows are formatted _BLOCK values at a time by _csv_text, and never
     built as one string; each value gives the bytes of '%.12g' % v, which is
     format(v, '.12g') for every float and int (an int is formatted as a float).
     As with zip, the shortest column sets the row count. No path writes to stdout.
     """
     values = [np.asarray(c, dtype=float) for c in columns.values()]
     rows = min(map(len, values), default=0)
-    block = max(1, _CSV_BLOCK // max(1, len(values)))
+    block = max(1, _BLOCK // max(1, len(values)))
     ends = np.array([ord(",")] * (len(values) - 1) + [ord("\n")], dtype="<u8") << np.uint64(56)
     seps = np.tile(ends, block)
     with _output(path) as fh:
@@ -858,10 +910,91 @@ def write_csv(path: str | None, columns: dict) -> None:
             fh.write(_csv_text(part, seps[:part.size]))
 
 
-# the C encoder, for a scalar or a flat list: it runs only without indent
+@functools.cache
+def _json_tables() -> tuple:
+    """repr's _decimal_tables, and by e + 320 for |e| <= 292 the rows hi, hi's halves of
+    26 bits and lo of 10^(16 - e) = hi + lo to 2^-106 of itself (elsewhere 0).
+
+    The halves are made here, as the split at run time would overflow from 10^292 on.
+    """
+    powers = np.zeros((4, 640))
+    for e in range(-292, 293):
+        num, den = 10 ** max(16 - e, 0), 10 ** max(e - 16, 0)
+        hi = num / den
+        n, d = hi.as_integer_ratio()
+        fraction, exponent = math.frexp(hi)
+        top = math.ldexp(round(fraction * 2 ** 26), exponent - 26)
+        powers[:, e + 320] = hi, top, hi - top, (num * d - n * den) / (den * d)
+    return _decimal_tables(17, 15, True), powers
+
+
+def _repr_rows(values: list) -> np.ndarray:
+    """The NUL-padded 48-byte rows of repr(v), and of null for a NaN (a None of the
+    document), one column of six words each."""
+    return (np.array([repr(v) if v == v else "null" for v in values], dtype="S48")
+            .view("<u8").reshape(-1, 6).T)
+
+
+def _json_floats(x: np.ndarray, seps: np.ndarray) -> str:
+    """repr(v) for each v of x (which holds no infinity) and null for each NaN, each
+    followed by the top byte of its word in seps.
+
+    For |v| in [1e-290, 1e290] whose significand is not a power of 2 (whose interval
+    is not symmetric), e = floor(log10 |v|) and s = |v| 10^(16 - e) is a double-double
+    within 1e-14 of exact. Rounded to d = 15, 16 and 17 digits, s = m 10^(17 - d) + r,
+    and m reads back as v where |r| < h = 2^(E - 54) 10^(16 - e), for v in
+    [2^(E - 1), 2^E). The first such d gives repr's digits: the shortest, the nearest
+    to v. repr(v) itself writes v where |r| is within _JSON_WINDOW of h or of the tie
+    for a d up to that one, where m is 10^d, where log10 misplaced e, and elsewhere.
+    """
+    tables, powers = _json_tables()
+    a = np.abs(x)
+    exact = (a >= 1e-290) & (a <= 1e290)
+    np.copyto(a, 1.5, where=~exact)
+    significand, exponent = np.frexp(a)
+    exact &= significand != 0.5
+    e = np.floor(np.log10(a)).astype(np.intp) + 320
+    hi, top, bottom, lo = np.take(powers, e, axis=1)
+    p, q = _two_product(a, hi, (top, bottom))
+    q += a * lo
+    # s = mantissa + r17 with the 17-digit integer mantissa, below 2^63
+    m = np.rint(p)
+    q += p - m
+    n = np.rint(q)
+    mantissa = m.astype(np.int64) + n.astype(np.int64)
+    # s = (mantissa - low) + w, with its two last digits low: rounded to 15 and 16 digits,
+    # s moves from mantissa by w's rounding to a multiple of 100 and of 10
+    low = mantissa % 100
+    mantissa -= low
+    w = low + (q - n)
+    steps = np.array([[100.0], [10.0]])
+    rounded = np.rint(w / steps) * steps
+    r = np.abs(np.concatenate([w - rounded, [q - n]]))
+    h = np.ldexp(hi, exponent - 54)
+    inside = r < h
+    sure = (np.abs(r - np.array([[50.0], [5.0], [0.5]])) > _JSON_WINDOW) & (
+        np.abs(r - h) > _JSON_WINDOW)
+    # the first d inside wins, where it and every d before it are sure
+    exact &= sure[0] & (inside[0] | sure[1] & (inside[1] | sure[2] & inside[2]))
+    mantissa += np.where(inside[0], rounded[0], np.where(inside[1], rounded[1], low)).astype(
+        np.int64)
+    exact &= mantissa < 10 ** 17
+    groups = np.empty((5, x.size), dtype=np.intp)
+    groups[0] = mantissa
+    for j in range(4, 0, -1):
+        np.divmod(groups[0], 10 ** 4, out=(groups[0], groups[j]))
+    # a first digit 0 is a mantissa under 10^16, where log10 placed e one too high
+    exact &= groups[0] > 0
+    return _decimal_text(x, groups, e, exact, seps, tables, _repr_rows)
+
+
+# the C encoder, for a scalar: it runs only without indent
 _encode = json.JSONEncoder(allow_nan=False).encode
 # a dict key as _encode quotes a str; any other key raises TypeError
 _encode_key = json.encoder.encode_basestring_ascii
+# the bytes that follow each value of a bulk leaf: the next value of a list or of a pair,
+# the next pair, the leaf's end; each is replaced by its leaf's indented text
+_NEXT, _PAIR, _END = "\1", "\2", "\3"
 
 
 def json_text(doc) -> str:
@@ -869,19 +1002,23 @@ def json_text(doc) -> str:
 
     Keys are strings, as in every document risem writes; any other key raises
     TypeError. The text is then json.dumps(doc, indent=2, allow_nan=False) byte
-    for byte, and raises where it raises. The two leaf shapes that hold the
-    bulk of every document are rendered a list at a time: a list of floats and
-    None, and a list of [float, float] pairs (lists or tuples). Everything
-    else is written through the json module, one scalar at a time.
+    for byte, and raises where it raises. The floats of the two leaf shapes that
+    hold the bulk of every document, a list of floats and None and a list of
+    [float, float] pairs (lists or tuples), are written _BLOCK at a time by
+    _json_floats, each leaf where a NUL holds its place in the text of the rest.
+    Everything else is written through the json module, one scalar at a time.
     """
+    leaves = []
     try:
-        return _json(doc, "\n", set()) + "\n"
+        parts = _json(doc, "\n", set(), leaves).split("\0")
     except ValueError as exc:
         raise FloatingPointError("the output holds non-finite numbers") from exc
+    return "".join(itertools.chain(*zip(parts, _leaf_texts(leaves)), parts[-1:])) + "\n"
 
 
-def _json(value, newline: str, markers: set) -> str:
-    """value as json.dumps(value, indent=2) writes it after newline (and its indent).
+def _json(value, newline: str, markers: set, leaves: list) -> str:
+    """value as json.dumps(value, indent=2) writes it after newline (and its indent), with a
+    NUL for each bulk leaf, which is added to leaves.
 
     markers holds the ids of the containers value sits in, as in the json module.
     """
@@ -892,30 +1029,62 @@ def _json(value, newline: str, markers: set) -> str:
     markers.add(id(value))
     inner = newline + "  "
     if isinstance(value, dict):
-        items = (_encode_key(k) + ": " + _json(v, inner, markers) for k, v in value.items())
+        items = (_encode_key(k) + ": " + _json(v, inner, markers, leaves)
+                 for k, v in value.items())
         text = "{" + inner + ("," + inner).join(items) + newline + "}"
     else:
-        text = "[" + inner + _json_items(value, inner, markers) + newline + "]"
+        text = "[" + inner + _json_items(value, inner, markers, leaves) + newline + "]"
     markers.discard(id(value))
     return text
 
 
-def _json_items(items, inner: str, markers: set) -> str:
-    """The items of a non-empty list, each after inner, as json.dumps(indent=2) writes them."""
+def _json_items(items, inner: str, markers: set, leaves: list) -> str:
+    """The items of a non-empty list, each after inner, as json.dumps(indent=2) writes them;
+    for a bulk leaf a NUL, with (its floats as an array with NaN for None, inner, whether
+    it holds pairs) added to leaves."""
+    # floats and None only: an int, a bool or a float subclass takes the general path
     types = set(map(type, items))
     if types <= {float, type(None)}:
-        # the C encoder writes '[a, b, null]'; no float or null holds ', '
-        return _encode(items)[1:-1].replace(", ", "," + inner)
-    if types <= {list, tuple} and set(map(len, items)) == {2}:
-        flat = [v for pair in items for v in pair]
-        # exact floats: the %r of a float subclass such as np.float64 is not float.__repr__
-        if set(map(type, flat)) == {float}:
-            if not all(map(math.isfinite, flat)):
+        values = np.array(items, dtype=float)
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            if items[i] is not None:
                 raise ValueError("Out of range float values are not JSON compliant")
+        leaves.append((values, inner, False))
+        return "\0"
+    if (types <= {list, tuple} and set(map(len, items)) == {2}
+            and set(map(type, itertools.chain.from_iterable(items))) == {float}):
+        values = np.fromiter(itertools.chain.from_iterable(items), float, 2 * len(items))
+        if not np.isfinite(values).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        leaves.append((values, inner, True))
+        return "\0"
+    return ("," + inner).join(_json(v, inner, markers, leaves) for v in items)
+
+
+def _leaf_texts(leaves: list) -> list:
+    """The text of each leaf of leaves, from one _json_floats pass over all their floats."""
+    if not leaves:
+        return []
+    ends = []
+    for values, _, pairs in leaves:
+        end = np.full(values.size, ord(_NEXT), dtype="<u8")
+        if pairs:
+            end[1::2] = ord(_PAIR)
+        end[-1] = ord(_END)
+        ends.append(end)
+    x = np.concatenate([values for values, _, _ in leaves])
+    seps = np.concatenate(ends) << np.uint64(56)
+    text = "".join(_json_floats(x[i:i + _BLOCK], seps[i:i + _BLOCK])
+                   for i in range(0, x.size, _BLOCK))
+    texts = []
+    for body, (_, inner, pairs) in zip(text.split(_END), leaves):
+        if pairs:
             deeper = inner + "  "
-            pair = "[" + deeper + "%r," + deeper + "%r" + inner + "]"
-            return ("," + inner).join([pair] * len(items)) % tuple(flat)
-    return ("," + inner).join(_json(v, inner, markers) for v in items)
+            texts.append("[" + deeper + body.replace(_NEXT, "," + deeper)
+                         .replace(_PAIR, inner + "]," + inner + "[" + deeper) + inner + "]")
+        else:
+            texts.append(body.replace(_NEXT, "," + inner))
+    return texts
 
 
 def write_json(path: str | None, doc) -> None:

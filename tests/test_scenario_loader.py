@@ -297,13 +297,27 @@ def test_deep_value_in_a_message_exits_2(tmp_path, capsys, text, message):
      + "}\n",
      "unknown key(s) in 'geometry': " + ", ".join(sorted(f"k{i}" for i in range(30))[:20])
      + " and 10 more"),
-], ids=["long-value", "many-unknown-keys"])
+    # an int past the 4300 digits that str writes: repr raised ValueError, naming no key
+    ("geometry: {kind: patch, a: 0x" + "f" * 5000 + ", b: 1}\n",
+     "'geometry.a' must be a finite number, got 0x" + "f" * 96 + "..." + "f" * 99),
+], ids=["long-value", "many-unknown-keys", "int-past-the-digit-limit"])
 def test_a_long_refused_value_gives_one_short_line(tmp_path, capsys, text, message):
     path = tmp_path / "long.yaml"
     path.write_text(text, encoding="utf-8")
     assert main(["sweep", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {message}\n" and len(err) <= 250
+
+
+@pytest.mark.parametrize("tag", ["!!float", "!!int", "!!bool", "!!timestamp"])
+def test_a_long_scalar_its_constructor_refuses_gives_one_short_line(tmp_path, capsys, tag):
+    # quoted by the constructor's own reason, the !!float line took 100 088 bytes
+    path = tmp_path / "long.yaml"
+    path.write_text(f"a: {tag} " + "x" * 100_000 + "\n", encoding="utf-8")
+    assert main(["sweep", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: scenario parse error at line 1, column 4: cannot read "
+                   f"'{'x' * 97}...{'x' * 98}' as {tag}\n") and len(err) < 300
 
 
 def test_a_parse_starts_no_thread_and_reads_no_stack_limit(monkeypatch):
@@ -413,21 +427,21 @@ def test_parse_errors_are_the_python_loaders(text, message):
 
 TAG_ERRORS = [
     ("geometry: {kind: patch, a: !!float x, b: 1}\n",
-     "scenario parse error at line 1, column 28: could not convert string to float: 'x'"),
+     "scenario parse error at line 1, column 28: cannot read 'x' as !!float"),
     ("geometry: {kind: linear, n: !!int x, spacing: 0.5, a: 0.1, b: 0.1}\n",
-     "scenario parse error at line 1, column 29: invalid literal for int() with base 10: 'x'"),
+     "scenario parse error at line 1, column 29: cannot read 'x' as !!int"),
     ("geometry: {kind: patch, a: 1, b: 1}\noutput: {path: !!timestamp 2020-13-45}\n",
-     "scenario parse error at line 2, column 16: month must be in 1..12"),
+     "scenario parse error at line 2, column 16: cannot read '2020-13-45' as !!timestamp"),
     # an alias cycle, and an unknown tag the loader never reached
     ("a: &a [*a, [!foo y]]\nb: !!int x\n",
-     "scenario parse error at line 2, column 4: invalid literal for int() with base 10: 'x'"),
+     "scenario parse error at line 2, column 4: cannot read 'x' as !!int"),
     # the scalar the construction meets first is located, with its own reason: the
     # top mapping's scalars come before the contents of its collections
     ('a: [!!float ""]\nb: !!int x\n',
-     "scenario parse error at line 2, column 4: invalid literal for int() with base 10: 'x'"),
+     "scenario parse error at line 2, column 4: cannot read 'x' as !!int"),
     ("geometry: {kind: patch, a: 1, b: 1}\nwave: {gamma: [!!float , 1]}\n"
      "output: {path: !!int x}\n",
-     "scenario parse error at line 3, column 16: invalid literal for int() with base 10: 'x'"),
+     "scenario parse error at line 3, column 16: cannot read 'x' as !!int"),
     # on an empty scalar the constructors raise IndexError (!!float, !!int), KeyError
     # (!!bool) and AttributeError (!!timestamp), not ValueError
     *[(f"geometry: {{kind: patch, a: 1, b: 1}}\noutput:\n  path: {tag}\n",

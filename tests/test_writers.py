@@ -10,6 +10,7 @@ import io
 import json
 import math
 import os
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +37,7 @@ def _stdout(write, columns) -> str:
 
 def _block_edges(k: int) -> list:
     """Row counts around the block of write_csv for k columns."""
-    block = max(1, scenario._CSV_BLOCK // max(1, k))
+    block = max(1, scenario._BLOCK // max(1, k))
     return [block - 1, block, block + 1]
 
 
@@ -245,6 +246,161 @@ def test_a_key_or_value_json_cannot_write_is_a_type_error():
             with pytest.raises(TypeError):
                 encode(doc)
 
+
+# ---------------------------------------------------------------------------
+# The JSON floats: repr's bytes from the digit rule or from repr itself
+# ---------------------------------------------------------------------------
+
+def _same_json(doc) -> list:
+    """The lines of json_text(doc), which must be the reference's: compared as lists, whose
+    first difference pytest reports at once, where a diff of two long texts takes minutes."""
+    lines = json_text(doc).splitlines(keepends=True)
+    assert lines == reference_writers.json_text(doc).splitlines(keepends=True)
+    return lines
+
+
+def _json_lines(doc) -> list:
+    """The lines of json_text(doc), the reference's, without indent or comma."""
+    return [line.strip().rstrip(",") for line in _same_json(doc)]
+
+
+def _check_floats(values: list) -> None:
+    """json_text of values as a float list and as a pair list gives the reference's bytes,
+    and each float's line is its repr."""
+    floats = [v for v in values if v is not None]
+    lines = _json_lines(values)
+    assert lines[1:-1] == ["null" if v is None else repr(v) for v in values]
+    pairs = [[v, -v] for v in floats] + ([(floats[0], 0.0)] if floats else [])
+    lines = _json_lines({"pairs": pairs})
+    assert [v for v in lines if v not in "{[]}"][1:] == [repr(v) for pair in pairs for v in pair]
+
+
+@st.composite
+def _bit_floats(draw):
+    """A list of finite raw float64 bit patterns from a seeded rng: every exponent below
+    the infinities', so zeros and subnormals too, with fractions of every length."""
+    size = draw(st.sampled_from([1, 2, 300, 2048, 2049]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sign = rng.integers(0, 2, size, dtype=np.uint64) << np.uint64(63)
+    exponent = rng.integers(0, 2047, size, dtype=np.uint64) << np.uint64(52)
+    fraction = (rng.integers(0, 2 ** 52, size, dtype=np.uint64)
+                >> rng.integers(0, 53, size, dtype=np.uint64))
+    return (sign | exponent | fraction).view(float).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bit_floats())
+def test_json_floats_of_raw_bit_patterns_are_their_reprs(values):
+    _check_floats(values)
+
+
+def _ties(digits: int) -> list:
+    """Doubles whose rounding to `digits` significant digits is an exact tie: each has
+    digits + 1 of them, the last a 5."""
+    values = [math.ldexp(float(k), -digits) + 1.0 for k in range(1, 200, 2)]
+    values += [float(10 ** (digits - 15)) * (2 * k + 1) / 2 for k in (10 ** 14, 4 * 10 ** 14)]
+    ties = []
+    for v in values:
+        s = Fraction(v) * Fraction(10) ** (digits - 1 - math.floor(math.log10(v)))
+        if s.denominator == 2:
+            ties.append(v)
+    assert len(ties) > 50
+    return ties
+
+
+TWO_POWERS = [math.ldexp(1.0, k) for k in range(-1074, 1024)]
+JSON_BOUNDARIES = [
+    *[math.nextafter(v, d) for v in TWO_POWERS for d in (0.0, math.inf)], *TWO_POWERS,
+    *[math.nextafter(v, d) for v in (1e16, 1e-5) for d in (0.0, v, math.inf)],
+    *_ties(15), *_ties(16), *_ties(17),
+    2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2, 2.0 ** 54 + 4, 18014398509481988.0,
+    SUBNORMAL, sys.float_info.max, -0.0, 0.0, 0.1, 1 / 3]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_json_floats_of_the_boundary_values(sign):
+    values = [sign * v for v in JSON_BOUNDARIES]
+    _check_floats(values)
+    _check_floats([None, *values[::7], None, None, *values[1::7], None])
+
+
+@pytest.mark.parametrize("doc", [
+    [math.nan], [1.0, math.inf], [None, -math.inf], [[1.0, math.nan]], [(0.0, math.inf)],
+    {"a": [[1.0, 2.0], [-math.inf, 3.0]]},
+])
+def test_a_non_finite_float_in_a_bulk_leaf_raises(doc):
+    with pytest.raises(FloatingPointError):
+        json_text(doc)
+
+
+# the digit rule's windows, in units of the 17th significant digit, and a margin beyond the
+# error of its scale (under 1e-14) within which a value's side of a window's edge is left
+# untested
+JSON_WINDOW, JSON_MARGIN = Fraction(2) ** -32, Fraction(1, 10 ** 12)
+
+
+def _left_to_repr(v: float):
+    """Whether the digit rule leaves v to repr, in exact arithmetic; None where the rule's
+    side is too close to call, or where log10 may place the point one digit off."""
+    a = abs(v)
+    if not 1e-290 <= a <= 1e290 or math.frexp(a)[0] == 0.5:
+        return True
+    if abs(math.log10(a) - round(math.log10(a))) < 1e-12:
+        return None
+    e = math.floor(math.log10(a))
+    s = Fraction(a) * Fraction(10) ** (16 - e)
+    h = Fraction(2) ** (math.frexp(a)[1] - 54) * Fraction(10) ** (16 - e)
+    for step in (100, 10, 1):
+        m = round(s / step) * step
+        r = abs(s - m)
+        gaps = [abs(r - Fraction(step, 2)), abs(r - h)]
+        if any(abs(gap - JSON_WINDOW) < JSON_MARGIN for gap in gaps):
+            return None
+        if min(gaps) < JSON_WINDOW:
+            return True
+        if r < h:
+            return m >= 10 ** 17
+    raise AssertionError("17 digits always read back")
+
+
+def test_the_repr_fallback_writes_exactly_the_values_the_windows_reject(monkeypatch):
+    rng = np.random.default_rng(7)
+    candidates = [
+        *rng.standard_normal(3000).tolist(),
+        *(10.0 ** rng.uniform(-300.0, 300.0, 3000) * rng.choice([-1.0, 1.0], 3000)).tolist(),
+        # integers past 2^53, many of whose roundings land on a tie or an interval's edge
+        *(4.0 * rng.integers(2 ** 52, 2 ** 54, 1500)).tolist(),
+        *rng.integers(2 ** 52, 2 ** 53, 500).astype(float).tolist(),
+        *_ties(15), *_ties(16), *_ties(17),
+        0.0, -0.0, 5e-324, 1e-291, -2e291, 0.5, -1024.0, 1.0, None, None]
+    values, expected = [], []
+    for v in candidates:
+        rejected = True if v is None else _left_to_repr(v)
+        if rejected is not None:
+            values.append(v)
+            if rejected:
+                expected.append(math.nan if v is None else v)
+    edges = sum(1 for v in values if v is not None and 1e-290 < abs(v) < 1e290
+                and math.frexp(v)[0] not in (0.5, -0.5) and v in expected)
+    assert edges > 300 and len(values) - len(expected) > 6000
+    written, repr_rows = [], scenario._repr_rows
+
+    def spy(rejected):
+        written.extend(rejected)
+        return repr_rows(rejected)
+
+    monkeypatch.setattr(scenario, "_repr_rows", spy)
+    _same_json(values)
+    assert np.array_equal(written, expected, equal_nan=True)
+
+
+@pytest.mark.parametrize("shift", [-1.0, 1.0])
+def test_a_log10_one_digit_off_only_sends_json_floats_to_repr(monkeypatch, shift):
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+    values = [*JSON_BOUNDARIES, *np.random.default_rng(3).uniform(-1e3, 1e3, 500).tolist()]
+    _same_json(values)
+    _same_json([[v, -v] for v in values])
 
 # ---------------------------------------------------------------------------
 # Every document a preset or a command writes
