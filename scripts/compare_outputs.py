@@ -7,10 +7,11 @@ Each tree runs the corpus in a child process with PYTHONPATH=<tree>/src and a
 fresh working directory: every figure preset; `sweep` as CSV and JSON, `mimo`
 and `configure` as CSV and JSON over the scenario kinds below, among them
 compensated linear sweeps of 1000 cells (summed in blocks) and 8192 cells
-(summed per cell), a 1024-cell planar file, a 1024-cell file with its cell
-keys shuffled and a third of its numbers in exponent form (read by the row
-reader), the same file with a comment line inside its cell table and with CRLF
-line ends (both read by the event pass alone), a 256-cell one-line JSON file,
+(summed per cell), planar files of 65, 129 and 1024 cells (the rows of a
+table are one match), a 1024-cell file with its cell keys shuffled and a
+third of its numbers in exponent form (read by the row reader), the same
+file with a comment line inside its cell table and with CRLF line ends (both
+read by the event pass alone), a 256-cell one-line JSON file,
 a 256-cell file with a '!' in a comment, one with a merged cell, one with a
 cell shared by alias, a 256-cell table of one-line rows under an anchored key
 that a later key aliases (read by the Python loader), the 1024-cell file
@@ -35,8 +36,8 @@ matrix entries are all equal); and a fixed list of malformed inputs, among
 them an empty stream, a second document, a block text 3000 levels deep, a
 one-line flow text 5000 levels deep, a 2000-deep one after a tab that only
 libyaml reads, the 1200-point file with a point outside the linear range, a
-radius of 1e200, whose square overflows, a radius of 1e-300, whose square
-underflows to 0, in an expectation sweep and a Monte Carlo sweep, a reshape
+129-cell file whose 65th cell has a null area, a radius of 1e200, whose
+square overflows, a radius of 1e-300, whose square underflows to 0, in an expectation sweep and a Monte Carlo sweep, a reshape
 whose desired pattern of 1e10 an amplitude of 1e-300 cannot reach, Monte
 Carlo trials asked of an expectation scenario, a linear `n` of 10 000 items
 (long-value) and a patch geometry with 30 unknown keys (many-unknown-keys),
@@ -266,6 +267,10 @@ SCENARIOS = {
     # a tab between flow items, which libyaml reads and the Python loader refuses
     "deep_flow_tab.yaml": "x: {a: 1,\tc: 2}\ngeometry: " + "[" * 2000 + "]" * 2000 + "\n",
     "planar_null_area.yaml": planar_cells(null_area_at=700) + PLANAR_TAIL,
+    # tables just past 64 and 128 rows, and a refused 65th row
+    "planar_65.yaml": planar_cells(65) + PLANAR_TAIL,
+    "planar_129.yaml": planar_cells(129) + PLANAR_TAIL,
+    "planar_129_null_area.yaml": planar_cells(129, null_area_at=64) + PLANAR_TAIL,
     "radius_overflow.yaml": linear().replace("radius: 100.0", "radius: 1.0e+200"),
     # r^2 underflows to 0, so the random-phase power is not finite
     "expectation_tiny_radius.yaml": linear().replace("radius: 100.0", "radius: 1.0e-300")
@@ -311,6 +316,8 @@ RUNS = {
                                   "--out", "compensate_weights.json"],
     "sweep-planar": ["sweep", "planar.yaml", "--out", "planar.csv"],
     "sweep-planar-1024": ["sweep", "planar_1024.yaml", "--out", "planar_1024.csv"],
+    "sweep-planar-65": ["sweep", "planar_65.yaml", "--out", "planar_65.csv"],
+    "sweep-planar-129": ["sweep", "planar_129.yaml", "--out", "planar_129.csv"],
     "sweep-planar-shuffled": ["sweep", "planar_shuffled.yaml", "--out", "planar_shuffled.csv"],
     "sweep-planar-shuffled-comment": ["sweep", "planar_shuffled_comment.yaml",
                                       "--out", "planar_shuffled_comment.csv"],
@@ -388,6 +395,7 @@ RUNS = {
     "deep-flow": ["sweep", "deep_flow.yaml"],
     "deep-flow-tab": ["sweep", "deep_flow_tab.yaml"],
     "planar-null-area": ["sweep", "planar_null_area.yaml"],
+    "planar-129-null-area": ["sweep", "planar_129_null_area.yaml"],
     "linear-points-outside": ["sweep", "linear_points_outside.yaml"],
     "radius-overflow": ["sweep", "radius_overflow.yaml"],
     "expectation-tiny-radius": ["sweep", "expectation_tiny_radius.yaml"],

@@ -448,12 +448,6 @@ _PASS_ERRORS = (_HandOver, yaml.YAMLError, TypeError, *_CONSTRUCTOR_ERRORS)
 
 
 _STR_TAG = "tag:yaml.org,2002:str"
-# a plain scalar that YAML 1.1 resolves to a decimal int (no leading zero, so never
-# octal) or, with the dot, to a float (an exponent only after the dot and signed, no
-# '_' or ':'). At most 640 digits come before the dot, which int() reads under any
-# digit limit (sys.set_int_max_str_digits takes 0 or at least 640).
-_NUMBER = r"-?(?:0|[1-9][0-9]{0,639})(?:\.[0-9]+(?:[eE][-+][0-9]+)?)?"
-_DECIMAL = re.compile(_NUMBER).fullmatch
 _STARTS = {yaml.MappingStartEvent: dict, yaml.SequenceStartEvent: list}
 _ENDS = {yaml.MappingEndEvent, yaml.SequenceEndEvent}
 # the state of a sequence being filled, and of a mapping waiting for its next key
@@ -466,21 +460,17 @@ class _EventLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
 
     A mapping is a dict and a sequence a list, made at its start event and
     filled in order through an explicit stack, so the pass never recurses and
-    no node tree is built. A plain scalar in decimal notation (_NUMBER:
-    '-?(0|[1-9][0-9]*)', then optionally '.[0-9]+' and a signed exponent) is
-    int(value), or float(value) with the dot: YAML 1.1 resolves that notation
-    to int or float alone, and SafeConstructor reads it as int() and float()
-    do, -0.0 included. Any other scalar's tag comes from the loader's own
-    resolve, and the scalar is built by the SafeConstructor function that tag
-    picks; a str is its value. Without path resolvers, which SafeLoader has
-    none of, resolve reads only the value of a plain scalar, and a collection
-    needs no resolve: an untagged one is a map or a seq. A scalar
-    constructor's own error propagates. The pass raises _HandOver where it
-    meets an explicit tag, an anchor, an alias, a scalar tag other than null,
-    bool, int, float, str or timestamp (a merge key '<<' and a value key '='
-    have tags of their own) or a second document, _TooDeep at a collection
-    _MAX_DEPTH deep, and an unhashable key raises TypeError. _read_rows runs
-    the pass once per text, on the text with its tables cut.
+    no node tree is built. A scalar's tag comes from the loader's own resolve,
+    and the scalar is built by the SafeConstructor function that tag picks; a
+    str is its value. Without path resolvers, which SafeLoader has none of,
+    resolve reads only the value of a plain scalar, and a collection needs no
+    resolve: an untagged one is a map or a seq. A scalar constructor's own
+    error propagates. The pass raises _HandOver where it meets an explicit tag,
+    an anchor, an alias, a scalar tag other than null, bool, int, float, str or
+    timestamp (a merge key '<<' and a value key '=' have tags of their own) or
+    a second document, _TooDeep at a collection _MAX_DEPTH deep, and an
+    unhashable key raises TypeError. _read_rows runs the pass once per text, on
+    the text with its tables cut.
     """
 
     # the SafeConstructor function of each scalar tag the event pass reads, but str
@@ -492,7 +482,6 @@ class _EventLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
         """The stream's one document, or None for none."""
         get_event, resolve, scalars, scalar_node = (self.get_event, self.resolve, self._scalars,
                                                     yaml.ScalarNode)
-        decimal = _DECIMAL
         get_event()  # the stream start
         if type(get_event()) is yaml.StreamEndEvent:
             return None
@@ -512,16 +501,13 @@ class _EventLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
             if event.anchor is not None or event.tag is not None:
                 raise _HandOver
             if kind is yaml.ScalarEvent:
-                value, plain = event.value, event.implicit[0]
-                if plain and decimal(value):
-                    value = float(value) if "." in value else int(value)
-                else:
-                    tag = resolve(scalar_node, value, event.implicit)
-                    if tag != _STR_TAG:
-                        make = scalars.get(tag)
-                        if make is None:
-                            raise _HandOver
-                        value = make(self, scalar_node(tag, value, None, None))
+                value = event.value
+                tag = resolve(scalar_node, value, event.implicit)
+                if tag != _STR_TAG:
+                    make = scalars.get(tag)
+                    if make is None:
+                        raise _HandOver
+                    value = make(self, scalar_node(tag, value, None, None))
             else:
                 # the new collection is len(stack) + 1 deep
                 if len(stack) >= _MAX_DEPTH - 1:
@@ -548,6 +534,11 @@ def _row(item: str) -> str:
     return rf"- \{{(?:(?:{item})(?:, (?:{item}))*)?\}}\n"
 
 
+# a plain scalar that YAML 1.1 resolves to a decimal int (no leading zero, so never
+# octal) or, with the dot, to a float (an exponent only after the dot and signed, no
+# '_' or ':'). At most 640 digits come before the dot, which int() reads under any
+# digit limit (sys.set_int_max_str_digits takes 0 or at least 640).
+_NUMBER = r"-?(?:0|[1-9][0-9]{0,639})(?:\.[0-9]+(?:[eE][-+][0-9]+)?)?"
 # A planar cell on one line, '- {position: [x, y, z], a: .., b: .., area: .., phase: ..}',
 # and a scatter point, '- {theta_deg: .., phi_deg: ..}', each with any of its keys in any
 # order and every value a plain decimal (_NUMBER).
@@ -574,21 +565,18 @@ def _table_rows(text: str, key: str, row: str):
     line_end = text.find("\n", at) if at >= 0 else -1
     if line_end < 0:
         return None
-    # Up to 64 rows at one indent. Anchored at line starts, a match tries each line once,
-    # also a line of thousands of spaces. A block collection at column c lies at most
-    # 2c + 2 collections deep (each enclosing block collection starts further in, and
-    # each may hold one indentless sequence), so a row indented under 100 columns never
-    # nears _MAX_DEPTH. The regex engine keeps about 6 kB of backtracking state per row
-    # of a repeat, so a table is matched 64 rows at a time. Compiling the cell pattern
-    # takes about 3 ms and the point pattern 1.5 ms: a pattern is compiled at its first
-    # use, and re.compile caches it.
-    rows_at = re.compile(rf"^( {{0,99}}){row}(?:\1{row}){{0,63}}", re.MULTILINE).match
-    rows = rows_at(text, _BLANK_LINES.match(text, line_end + 1).end())
+    # Every row at the first row's indent, in one match. Anchored at a line start, a
+    # match tries each line once, also a line of thousands of spaces. A block collection
+    # at column c lies at most 2c + 2 collections deep (each enclosing block collection
+    # starts further in, and each may hold one indentless sequence), so a row indented
+    # under 100 columns never nears _MAX_DEPTH. The possessive repeat keeps no
+    # backtracking state per row. A pattern is compiled at its first use, and
+    # re.compile caches it.
+    rows = re.compile(rf"^(?=( {{0,99}})- )(?:\1{row})++", re.MULTILINE).match(
+        text, _BLANK_LINES.match(text, line_end + 1).end())
     if rows is None:
         return None
     indent, start, end = rows.group(1), rows.start(), rows.end()
-    while (rows := rows_at(text, end)) and rows.group(1) == indent:
-        end = rows.end()
     if text.startswith(indent + "-", _BLANK_LINES.match(text, end).end()):
         return None
     return start, end, indent
@@ -992,6 +980,9 @@ def _json_floats(x: np.ndarray, seps: np.ndarray) -> str:
 _encode = json.JSONEncoder(allow_nan=False).encode
 # a dict key as _encode quotes a str; any other key raises TypeError
 _encode_key = json.encoder.encode_basestring_ascii
+# the items a list needs to be a bulk leaf: a pass of _json_floats costs about 90 us
+# whatever its size, more than repr takes on a few floats
+_LEAF_FLOOR = 16
 # the bytes that follow each value of a bulk leaf: the next value of a list or of a pair,
 # the next pair, the leaf's end; each is replaced by its leaf's indented text
 _NEXT, _PAIR, _END = "\1", "\2", "\3"
@@ -1004,9 +995,11 @@ def json_text(doc) -> str:
     TypeError. The text is then json.dumps(doc, indent=2, allow_nan=False) byte
     for byte, and raises where it raises. The floats of the two leaf shapes that
     hold the bulk of every document, a list of floats and None and a list of
-    [float, float] pairs (lists or tuples), are written _BLOCK at a time by
-    _json_floats, each leaf where a NUL holds its place in the text of the rest.
-    Everything else is written through the json module, one scalar at a time.
+    [float, float] pairs (lists or tuples), each of _LEAF_FLOOR items or more,
+    are written _BLOCK at a time by _json_floats, each leaf where a NUL holds
+    its place in the text of the rest. Everything else is written through the
+    json module, one scalar at a time, so a document without such a leaf makes
+    no _json_floats pass.
     """
     leaves = []
     try:
@@ -1040,24 +1033,25 @@ def _json(value, newline: str, markers: set, leaves: list) -> str:
 
 def _json_items(items, inner: str, markers: set, leaves: list) -> str:
     """The items of a non-empty list, each after inner, as json.dumps(indent=2) writes them;
-    for a bulk leaf a NUL, with (its floats as an array with NaN for None, inner, whether
-    it holds pairs) added to leaves."""
-    # floats and None only: an int, a bool or a float subclass takes the general path
-    types = set(map(type, items))
-    if types <= {float, type(None)}:
-        values = np.array(items, dtype=float)
-        for i in np.flatnonzero(~np.isfinite(values)).tolist():
-            if items[i] is not None:
+    for a bulk leaf of _LEAF_FLOOR items or more a NUL, with (its floats as an array with
+    NaN for None, inner, whether it holds pairs) added to leaves."""
+    if len(items) >= _LEAF_FLOOR:
+        # floats and None only: an int, a bool or a float subclass takes the general path
+        types = set(map(type, items))
+        if types <= {float, type(None)}:
+            values = np.array(items, dtype=float)
+            for i in np.flatnonzero(~np.isfinite(values)).tolist():
+                if items[i] is not None:
+                    raise ValueError("Out of range float values are not JSON compliant")
+            leaves.append((values, inner, False))
+            return "\0"
+        if (types <= {list, tuple} and set(map(len, items)) == {2}
+                and set(map(type, itertools.chain.from_iterable(items))) == {float}):
+            values = np.fromiter(itertools.chain.from_iterable(items), float, 2 * len(items))
+            if not np.isfinite(values).all():
                 raise ValueError("Out of range float values are not JSON compliant")
-        leaves.append((values, inner, False))
-        return "\0"
-    if (types <= {list, tuple} and set(map(len, items)) == {2}
-            and set(map(type, itertools.chain.from_iterable(items))) == {float}):
-        values = np.fromiter(itertools.chain.from_iterable(items), float, 2 * len(items))
-        if not np.isfinite(values).all():
-            raise ValueError("Out of range float values are not JSON compliant")
-        leaves.append((values, inner, True))
-        return "\0"
+            leaves.append((values, inner, True))
+            return "\0"
     return ("," + inner).join(_json(v, inner, markers, leaves) for v in items)
 
 

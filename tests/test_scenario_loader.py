@@ -28,6 +28,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -780,25 +781,8 @@ def test_a_plain_scalar_is_read_as_resolve_and_its_constructor_read_it(value):
     assert got == _same(lambda: _resolved(value))
 
 
-def test_plain_decimals_are_read_without_resolve(monkeypatch):
-    seen = []
-    resolve = scenario._EventLoader.resolve
-
-    def spy(self, kind, value, implicit):
-        seen.append(value)
-        return resolve(self, kind, value, implicit)
-
-    monkeypatch.setattr(scenario._EventLoader, "resolve", spy)
-    text = _planar_text(_cell_rows(64)) + "output: {format: csv, path: 'out.csv'}\n"
-    geometry = yaml.load(text, Loader=scenario._EventLoader)["geometry"]
-    assert len(geometry["cells"]) == 64
-    # the plain words and every quoted scalar, and no decimal
-    assert set(seen) == {"geometry", "kind", "planar", "cells", "position", "a", "b", "phase",
-                         "area", "output", "format", "csv", "path", "out.csv"}
-
-
 def test_an_integer_past_the_digit_limit_is_handed_to_the_python_loader(loaders):
-    if not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 4400:
+    if not 0 < sys.get_int_max_str_digits() < 4400:
         pytest.skip("int() reads 4400 digits on this Python")
     text = "geometry: {kind: patch, a: " + "9" * 4400 + ", b: 1.0}\n"
     with pytest.raises(ScenarioError, match="^scenario parse error at line 1, column 28: "):
@@ -1387,3 +1371,57 @@ def test_a_text_without_a_table_compiles_no_pattern(monkeypatch):
                    "incident:\n  - {theta_deg: 20.0}\n"
                    "observation: {grid: {start_deg: -90.0, stop_deg: 90.0, count: 9}}\n")
     assert compiled == []
+
+
+def _rows_line_by_line(text: str, key: str, row: str):
+    """(start, end, indent) of key's table as a reading of one line at a time finds it."""
+    at = text.find(key + ":")
+    start = end = scenario._BLANK_LINES.match(text, text.index("\n", at) + 1).end()
+    indent = None
+    for line in text[start:].splitlines(keepends=True):
+        found = re.fullmatch(r"( {0,99})" + row, line)
+        if found is None or indent not in (None, found.group(1)):
+            break
+        indent, end = found.group(1), end + len(line)
+    after = scenario._BLANK_LINES.match(text, end).end()
+    if indent is None or text.startswith(indent + "-", after):
+        return None
+    return start, end, indent
+
+
+@pytest.mark.parametrize("count", [63, 64, 65, 128, 129, 1024])
+def test_a_table_is_one_match_cut_where_a_line_by_line_reading_cuts_it(monkeypatch, count):
+    text = _planar_text(_cell_rows(count)) + "incident: [{theta_deg: 20.0}]\n"
+    found = scenario._table_rows(text, "cells", scenario._CELL_ROW)
+    assert found == _rows_line_by_line(text, "cells", scenario._CELL_ROW)
+    start, end, indent = found
+    assert indent == "    " and text[start:end].count("\n") == count
+    seen = _loaded_texts(monkeypatch)
+    doc = scenario._load_yaml(text)
+    assert _canonical(doc) == _canonical(yaml.load(text, Loader=yaml.CSafeLoader))
+    assert "position" not in seen[0][1]
+
+
+def test_a_refused_65th_row_leaves_the_table_to_the_event_pass(monkeypatch):
+    rows = _cell_rows(129)
+    rows[64] = REFUSED_CELLS["bool-in-position"](rows[64])
+    text = _planar_text(rows)
+    assert scenario._table_rows(text, "cells", scenario._CELL_ROW) is None
+    assert _rows_line_by_line(text, "cells", scenario._CELL_ROW) is None
+    seen = _loaded_texts(monkeypatch)
+    with pytest.raises(ScenarioError, match=r"'geometry\.cells\[64\]\.position"):
+        parse_scenario(text)
+    assert [loader for loader, _ in seen] == [scenario._EventLoader]
+    assert seen[0][1] == text
+
+
+def test_a_table_of_1024_rows_is_matched_in_a_few_kib():
+    text = _planar_text(_cell_rows())
+    scenario._table_rows(text, "cells", scenario._CELL_ROW)  # compiles the pattern
+    tracemalloc.start()
+    try:
+        found = scenario._table_rows(text, "cells", scenario._CELL_ROW)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found is not None and peak < 64 * 1024

@@ -172,10 +172,15 @@ def test_csv_of_unequal_columns_stops_at_the_shortest():
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
-# the two bulk shapes, and near misses that must take the general path
-FLOAT_LISTS = st.lists(FINITE | st.none() | st.sampled_from([-0.0, SUBNORMAL]), max_size=6)
-PAIR_LISTS = st.lists(st.tuples(FINITE, FINITE) | st.lists(FINITE, min_size=2, max_size=2),
-                      max_size=4)
+# the two bulk shapes, and near misses that must take the general path, short or from the
+# floor of a bulk leaf
+FLOAT_LISTS = (st.lists(FINITE | st.none() | st.sampled_from([-0.0, SUBNORMAL]), max_size=6)
+               | st.lists(FINITE | st.none() | st.sampled_from([-0.0, SUBNORMAL, 1]),
+                          min_size=scenario._LEAF_FLOOR, max_size=scenario._LEAF_FLOOR + 2))
+PAIR_LISTS = (st.lists(st.tuples(FINITE, FINITE) | st.lists(FINITE, min_size=2, max_size=2),
+                       max_size=4)
+              | st.lists(st.tuples(FINITE, FINITE) | st.lists(FINITE, min_size=1, max_size=2),
+                         min_size=scenario._LEAF_FLOOR, max_size=scenario._LEAF_FLOOR + 2))
 SCALARS = (st.none() | st.booleans() | st.integers() | FINITE | st.text(max_size=5)
            | FINITE.map(np.float64) | st.sampled_from([-0.0, SUBNORMAL, math.inf]))
 KEYS = st.text(max_size=5) | st.just(", ")
@@ -210,6 +215,32 @@ def test_json_text_equals_the_references(doc):
 ])
 def test_json_text_equals_the_reference_on_edge_shapes(doc):
     assert json_text(doc) == reference_writers.json_text(doc)
+
+
+def _passes(monkeypatch) -> list:
+    """The floats of every _json_floats pass from now on."""
+    passes, json_floats = [], scenario._json_floats
+
+    def spy(x, seps):
+        passes.append(x.tolist())
+        return json_floats(x, seps)
+
+    monkeypatch.setattr(scenario, "_json_floats", spy)
+    return passes
+
+
+@pytest.mark.parametrize("count", [scenario._LEAF_FLOOR - 1, scenario._LEAF_FLOOR,
+                                   scenario._LEAF_FLOOR + 1])
+@pytest.mark.parametrize("shape", ["floats", "pairs"])
+def test_a_list_is_a_bulk_leaf_only_from_the_floor(monkeypatch, count, shape):
+    values = [0.1 * i for i in range(1, count + 1)]
+    leaf = values if shape == "floats" else [[v, -v] for v in values]
+    doc = {"leaf": leaf, "short": [0.5, 0.25], "pair": [1.5, -2.5]}
+    passes = _passes(monkeypatch)
+    assert json_text(doc) == reference_writers.json_text(doc)
+    # a shorter list writes its floats through the json module, and no pass is made
+    bulk = values if shape == "floats" else [x for v in values for x in (v, -v)]
+    assert passes == ([bulk] if count >= scenario._LEAF_FLOOR else [])
 
 
 @pytest.mark.parametrize("doc", [
@@ -324,9 +355,14 @@ def test_json_floats_of_the_boundary_values(sign):
     _check_floats([None, *values[::7], None, None, *values[1::7], None])
 
 
+FLOOR_FLOATS, FLOOR_PAIRS = [0.5] * scenario._LEAF_FLOOR, [[0.5, 0.5]] * scenario._LEAF_FLOOR
+
+
 @pytest.mark.parametrize("doc", [
     [math.nan], [1.0, math.inf], [None, -math.inf], [[1.0, math.nan]], [(0.0, math.inf)],
     {"a": [[1.0, 2.0], [-math.inf, 3.0]]},
+    FLOOR_FLOATS + [math.nan], [None, -math.inf] + FLOOR_FLOATS,
+    FLOOR_PAIRS + [[1.0, math.nan]], {"a": [(-math.inf, 3.0)] + FLOOR_PAIRS},
 ])
 def test_a_non_finite_float_in_a_bulk_leaf_raises(doc):
     with pytest.raises(FloatingPointError):
