@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CHUNK_TERMS, TWO_PI, Direction, ObservationPoint, PlaneWave, _check_finite,
-                   _check_radius, _chunk_array, _edge_sinc, _wave_arrays, positive_finite)
-from .linear import (LinearRis, MimoSystem, _alternating_signs, _cell_angle, _geometry_phase,
-                     _steering, _complex_pairs, _weighted_sum)
+                   _check_radius, _check_result, _chunk_array, _edge_sinc, _wave_arrays,
+                   positive_finite)
+from .linear import (LinearRis, MimoSystem, _alternating_signs, _cell_angle, _cell_factor,
+                     _geometry_phase, _steering, _complex_pairs, _weighted_sum)
 
 
 class ReshapeConditioningError(RuntimeError):
@@ -207,8 +208,7 @@ def _random_phase_law(ris: LinearRis, waves, r_s: float, theta_s):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             out = np.ldexp(np.divide(coupling * coupling, r_s * r_s) * form * peak * peak,
                            2 * (e_a - e_l))
-        if not np.all(np.isfinite(out)):
-            raise FloatingPointError(f"the random-phase power at radius {r_s} is not finite")
+        _check_result(f"the random-phase power at radius {r_s} is not finite", out)
         return out
 
     return sin_s, sin_w, weights, drive, power
@@ -335,7 +335,7 @@ def phase_compensation(theta_i: float, theta_s: float, ris: LinearRis) -> np.nda
     attains its global maximum |C| sum(A_n / wavelength).
     """
     delta = compensation_delta(theta_i, theta_s)
-    return -_cell_angle(ris.n, ris.spacing, ris.ctx.wavelength, delta) % TWO_PI
+    return -_cell_angle(_cell_factor(ris.n, ris.spacing), ris.ctx.wavelength, delta) % TWO_PI
 
 
 def grating_lobes(delta: float, spacing: float, wavelength: float,
@@ -519,8 +519,7 @@ def beam_reshape(sys: MimoSystem, incident_amplitudes, desired,
     live = (np.abs(e_hat) > guard) & (np.abs(divisors) >= np.finfo(float).tiny)
     with np.errstate(over="ignore", invalid="ignore"):
         weights[live] = coeff[live] / divisors[live]
-    if not np.all(np.isfinite(weights)):
-        raise FloatingPointError("the reshape gave non-finite weights")
+    _check_result("the reshape gave non-finite weights", weights)
 
     achieved = beta_n * sys.scatter(weights * e_hat)
     residual = _norm(achieved - desired)

@@ -34,6 +34,13 @@ def _check_finite(what: str, *values) -> None:
         raise ValueError(f"{what} must be finite")
 
 
+def _check_result(message: str, *values) -> None:
+    """Refuse results, numbers or arrays, with FloatingPointError(message) unless all finite:
+    a finite input whose result leaves the float range."""
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise FloatingPointError(message)
+
+
 def _check_radius(r) -> None:
     if not positive_finite(r):
         raise ValueError(f"observation radius must be positive and finite, got {r}")
@@ -266,26 +273,29 @@ def _phasor(arg, out=None) -> np.ndarray:
         k += _ROUND
         np.bitwise_and(k.view(np.int64), _TABLE_SIZE - 1, out=index)
         k -= _ROUND
-        # mode "raise" would buffer out
-        np.take(_TABLE, index, out=out, mode="clip")
-        # the index is spent: its array holds r
-        r = np.multiply(k, _STEP_HI, out=index.view(float))
+        # until the table fills it, out holds r and sin r as two contiguous halves
+        r, sin_r = out.view(float).reshape(2, x.size)
+        np.multiply(k, _STEP_HI, out=r)
         np.subtract(x, r, out=r)
         k *= _STEP_LO
         r -= k
         r2 = np.multiply(r, r, out=k)
         # sin r = r (1 - r^2 (1/6 - r^2/120)) and cos r = 1 - r^2 (1/2 - r^2/24):
-        # the next terms are under 2e-18
-        cos_r, sin_r = rotation.real, rotation.imag
+        # the next terms are under 2e-18. They run in contiguous arrays, and only the
+        # last step of each writes its strided part of the rotation: run on those parts,
+        # their nine passes made _phasor about a third slower
         np.multiply(r2, 1.0 / 120.0, out=sin_r)
         sin_r -= 1.0 / 6.0
         sin_r *= r2
         sin_r += 1.0
-        sin_r *= r
-        np.multiply(r2, 1.0 / 24.0, out=cos_r)
+        np.multiply(sin_r, r, out=rotation.imag)
+        # r is spent: its half holds cos r
+        cos_r = np.multiply(r2, 1.0 / 24.0, out=r)
         cos_r -= 0.5
         cos_r *= r2
-        cos_r += 1.0
+        np.add(cos_r, 1.0, out=rotation.real)
+        # mode "raise" would buffer out
+        np.take(_TABLE, index, out=out, mode="clip")
         out *= rotation
     return phase
 

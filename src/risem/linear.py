@@ -84,16 +84,22 @@ _SPLITTER = 2.0 ** 27 + 1.0
 _BLOCKED_MAX_CELLS = 2 ** 27
 
 
-def _cell_angle(n: int, spacing: float, wavelength: float, sines) -> np.ndarray:
-    """((2 pi m) d) s / wavelength, unreduced, for cells m = 0..n-1 on a new last axis."""
-    arg = TWO_PI * np.arange(n) * spacing * np.asarray(sines, dtype=float)[..., None]
+def _cell_factor(n: int, spacing: float) -> np.ndarray:
+    """(2 pi m) d for cells m = 0..n-1: the cell angles per unit of s / wavelength."""
+    return TWO_PI * np.arange(n) * spacing
+
+
+def _cell_angle(factor: np.ndarray, wavelength: float, sines, out=None) -> np.ndarray:
+    """((2 pi m) d) s / wavelength, unreduced, for the cell factors of _cell_factor on a
+    new last axis; out, if given, receives it."""
+    arg = np.multiply(np.asarray(sines, dtype=float)[..., None], factor, out=out)
     arg /= wavelength
     return arg
 
 
 def _geometry_phase(n: int, spacing: float, wavelength: float, sines) -> np.ndarray:
     """exp(j 2 pi m d s / wavelength) for cells m = 0..n-1 on a new last axis."""
-    return _phasor(_cell_angle(n, spacing, wavelength, sines))
+    return _phasor(_cell_angle(_cell_factor(n, spacing), wavelength, sines))
 
 
 def _split(x):
@@ -193,10 +199,12 @@ def _blocked_sum(ris: LinearRis, sines: np.ndarray, sin_i: np.ndarray, weights: 
     width = sin_i.size * columns.shape[1]
 
     def phases(s):
-        """The baby phases (len(s), B) and the giant phases (len(s), K) of each sine."""
+        """The baby phases (len(s), B) and the giant phases (len(s), K) of each sine, in
+        this thread's work array: each call's overwrite the last's. The per-cell branch
+        of _weighted_sum, which never runs beside this one, shares the slot."""
         turns = _turns(counts, d, lam, s)
         turns *= TWO_PI
-        ph = _phasor(turns)
+        ph = _phasor(turns, out=_chunk_array("weighted.phases", turns.shape))
         return ph[:, :b], ph[:, b:]
 
     def cells(baby, giant, out=None):
@@ -252,9 +260,14 @@ def _weighted_sum(ris: LinearRis, sines: np.ndarray, sin_i: np.ndarray,
     if blocks:
         return _blocked_sum(ris, sines, sin_i, weights, *blocks, reduce)
     shape = (sin_i.size,) + weights.shape[1:]
+    factor, lam = _cell_factor(ris.n, ris.spacing), ris.ctx.wavelength
 
     def chunk(c):
-        phases = _geometry_phase(ris.n, ris.spacing, ris.ctx.wavelength, (c[:, None] + sin_i).ravel())
+        # the chunk's cell angles and phases are this thread's work arrays; the phases
+        # share _blocked_sum's slot, so that both branches' phases take one array's pages
+        s = (c[:, None] + sin_i).ravel()
+        angle = _cell_angle(factor, lam, s, _chunk_array("weighted.angle", (s.size, ris.n), float))
+        phases = _phasor(angle, out=_chunk_array("weighted.phases", angle.shape))
         sums = (phases @ weights).reshape((len(c),) + shape)
         return sums if reduce is None else reduce(c, sums)
 

@@ -11,7 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Direction, ObservationPoint, PlaneWave, SphericalField, WaveContext
+from .core import (Direction, ObservationPoint, PlaneWave, SphericalField, WaveContext,
+                   _check_result)
 from .surface import (RisGeometry, UnitCell, ris_bistatic_rcs, ris_scattered_field,
                       ris_scattered_field_multi)
 
@@ -49,6 +50,9 @@ def patch_bistatic_rcs(patch: Patch, incident: Direction, scatter: Direction,
     return ris_bistatic_rcs(RisGeometry((patch,), ctx), incident, scatter)
 
 
+# integrals or fields past the float range raise FloatingPointError at the end instead of
+# warning
+@np.errstate(over="ignore", invalid="ignore")
 def po_radiation_integrals(patch: Patch, wave: PlaneWave, scatter: Direction,
                            ctx: WaveContext, quadrature_order: int = 64):
     """Radiation integrals (N_theta, N_phi) over the induced surface current.
@@ -85,9 +89,11 @@ def po_radiation_integrals(patch: Patch, wave: PlaneWave, scatter: Direction,
     n_theta = (jx * np.cos(scatter.theta) * np.cos(scatter.phi)
                + jy * np.cos(scatter.theta) * np.sin(scatter.phi)) * integral
     n_phi = (-jx * np.sin(scatter.phi) + jy * np.cos(scatter.phi)) * integral
+    _check_result("the radiation integrals are not finite", n_theta, n_phi)
     return complex(n_theta), complex(n_phi)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def po_far_field(patch: Patch, wave: PlaneWave, obs: ObservationPoint,
                  ctx: WaveContext, quadrature_order: int = 64) -> SphericalField:
     """Far field assembled from the quadrature radiation integrals.
@@ -99,4 +105,6 @@ def po_far_field(patch: Patch, wave: PlaneWave, obs: ObservationPoint,
     n_theta, n_phi = po_radiation_integrals(patch, wave, obs.direction, ctx,
                                             quadrature_order)
     pref = -1j / (2.0 * lam) * np.exp(-2j * np.pi * obs.r / lam) / obs.r
-    return SphericalField(0.0j, pref * n_theta, pref * n_phi)
+    e_theta, e_phi = pref * n_theta, pref * n_phi
+    _check_result(f"the far field at radius {obs.r} is not finite", e_theta, e_phi)
+    return SphericalField(0.0j, e_theta, e_phi)

@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .core import Direction, PlaneWave, WaveContext
+from .core import Direction, PlaneWave, WaveContext, _check_result
 from .config import (ReshapeSolution, beam_reshape, monte_carlo_power_grid,
                      phase_compensation, random_phase_draw, random_phase_miso_expected_power)
 from .linear import (LinearRis, MimoSystem, _field, _two_product, dft_scatter_grid,
@@ -1223,8 +1223,7 @@ def run_sweep(scn: Scenario, trials: int | None = None):
         rcs = 4.0 * np.pi * (obs_spec.radius * obs_spec.radius) * magnitude ** 2 / amp_sq
     else:
         rcs = np.zeros(thetas_deg.size)
-    if not (np.all(np.isfinite(magnitude)) and np.all(np.isfinite(rcs))):
-        raise FloatingPointError("the sweep gave non-finite field magnitudes or RCS values")
+    _check_result("the sweep gave non-finite field magnitudes or RCS values", magnitude, rcs)
 
     return SweepResult(thetas_deg, magnitude, rcs, phi_col), solution
 

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (CHUNK_TERMS, TWO_PI, Direction, ObservationPoint, PlaneWave, SphericalField,
-                   WaveContext, _check_finite, _chunk_array, _chunked, _phasor,
+                   WaveContext, _check_finite, _check_result, _chunk_array, _chunked, _phasor,
                    _polarization_factors, _sinc_pair, _sum_waves, _unit_vectors, _wave_arrays,
                    direction_vector)
 
@@ -272,15 +272,21 @@ def ris_scattered_field(ris: RisGeometry, wave: PlaneWave, obs: ObservationPoint
     return ris_scattered_field_multi(ris, [wave], obs)
 
 
+# a field past the float range raises FloatingPointError at the end instead of warning
+@np.errstate(over="ignore", invalid="ignore")
 def ris_scattered_field_multi(ris: RisGeometry, waves: Sequence[PlaneWave],
                               obs: ObservationPoint) -> SphericalField:
     """Superposition over incident waves of the per-wave array fields."""
     if not waves:
         raise ValueError("wave list must be non-empty")
     e_theta, e_phi = _fields(ris, waves, obs.r, obs.direction.theta, obs.direction.phi)
+    _check_result(f"the scattered field at radius {obs.r} is not finite", e_theta, e_phi)
     return SphericalField(0.0j, complex(e_theta), complex(e_phi))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def ris_bistatic_rcs(ris: RisGeometry, incident: Direction, scatter: Direction) -> float:
     """Bistatic RCS of the configured array (area units)."""
-    return float(_rcs(ris, incident, scatter.theta, scatter.phi))
+    rcs = _rcs(ris, incident, scatter.theta, scatter.phi)
+    _check_result("the bistatic RCS is not finite", rcs)
+    return float(rcs)

@@ -244,6 +244,29 @@ def _result_bits(z) -> np.ndarray:
     return _bits(np.ascontiguousarray(z).view(float))
 
 
+def _strided_phasor(arg):
+    """_phasor's table path in its strided form, as plain expressions: the table, the
+    Cody-Waite reduction, both polynomials in the parts of one complex rotation, in their
+    written order, and the complex product in place. The reference of its bits. It runs
+    chunk by chunk, as _phasor does, since numpy 2.4 rounds an in-place complex product
+    of one entry differently from a longer one's in about one call of four."""
+    arg = np.asarray(arg, dtype=float)
+    flat = arg.reshape(-1)
+    phase = np.empty(flat.shape, dtype=complex)
+    for lo in range(0, flat.size, core.CHUNK_TERMS):
+        x, out = flat[lo:lo + core.CHUNK_TERMS], phase[lo:lo + core.CHUNK_TERMS]
+        shifted = x * (core._TABLE_SIZE / core.TWO_PI) + core._ROUND
+        k = shifted - core._ROUND
+        r = (x - k * core._STEP_HI) - k * core._STEP_LO
+        r2 = r * r
+        rotation = np.empty(x.shape, dtype=complex)
+        rotation.real = (r2 * (1.0 / 24.0) - 0.5) * r2 + 1.0
+        rotation.imag = ((r2 * (1.0 / 120.0) - 1.0 / 6.0) * r2 + 1.0) * r
+        out[:] = core._TABLE[shifted.view(np.int64) & (core._TABLE_SIZE - 1)]
+        out *= rotation
+    return phase.reshape(arg.shape)
+
+
 def _phasor_call(i):
     """_phasor of (i + 1) x (5000 + 977 i) arguments: one chunk, or several from i = 2."""
     arg = np.random.default_rng(6 + i).uniform(-1e5, 1e5, (i + 1, 5000 + 977 * i))
@@ -278,6 +301,20 @@ def _blocked_call(reduce):
     return make
 
 
+def _per_cell_call(n):
+    """A factory of linear._weighted_sum calls on n cells that take the per-cell branch,
+    for 31 + 16 i sines in [-2, 2] and one weight column: 8192 cells past the blocked
+    sum's bound, in chunks of two sines, or 17 cells, which blocks never take."""
+    def make(i):
+        rng = np.random.default_rng(30 + i)
+        ris = LinearRis.uniform(n, 0.75, 0.01)
+        weights = rng.uniform(0.1, 1.0, n) * np.exp(1j * rng.uniform(0.0, 6.0, n))
+        sines = np.linspace(-2.0, 2.0, 31 + 16 * i)
+        assert linear._blocks(ris, 2.0) is None
+        return lambda: linear._weighted_sum(ris, sines, np.zeros(1), weights)
+    return make
+
+
 # the kernels that take their temporaries from core._chunk_array: a factory of calls i,
 # the copies of its result that a call holds (_chunked keeps each chunk's result until it
 # joins them), and the bytes it may take besides them. The kernels' own per-call arrays of
@@ -288,7 +325,54 @@ POOLED = {
     "factored": (_factored_call, 1, core.CHUNK_TERMS * 16),
     "blocked": (_blocked_call(None), 2, core.CHUNK_TERMS * 16),
     "blocked-reduce": (_blocked_call(lambda c, sums: sums.sum(axis=-1)), 2, core.CHUNK_TERMS * 16),
+    "per-cell-8192": (_per_cell_call(8192), 2, core.CHUNK_TERMS * 16),
+    "per-cell-17": (_per_cell_call(17), 2, core.CHUNK_TERMS * 16),
 }
+
+
+class TestPhasorKeepsTheBits:
+    """_phasor's table path against _strided_phasor, bit for bit. The 1e-15 bound against
+    libm would pass a change that moves every value by one unit in the last place."""
+
+    @staticmethod
+    def _agree(arg):
+        assert np.abs(arg).max() <= core._TABLE_RANGE
+        want = _result_bits(_strided_phasor(arg))
+        assert np.array_equal(_result_bits(_phasor(arg)), want)
+        assert np.array_equal(_result_bits(_phasor(arg, out=np.empty(arg.shape, complex))), want)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_arguments_up_to_the_range_limit(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        limit = core._TABLE_RANGE
+        self._agree(np.concatenate([
+            rng.uniform(-limit, limit, 200_000),
+            rng.choice([-1.0, 1.0], 200_000) * 10.0 ** rng.uniform(-20, 6.02, 200_000),
+            [-limit, limit, 5e-324, -5e-324]]))
+
+    def test_half_step_ties_of_rint(self):
+        arg = _ties(np.random.default_rng(101), 20_000)
+        assert arg.size > 10_000
+        self._agree(arg)
+
+    def test_table_nodes_and_their_neighbours(self):
+        last = int(core._TABLE_RANGE / core._STEP)
+        nodes = np.concatenate([np.random.default_rng(102).integers(-last, last + 1, 100_000),
+                                np.arange(-core._TABLE_SIZE, core._TABLE_SIZE + 1)]) * core._STEP
+        self._agree(np.concatenate([nodes, np.nextafter(nodes, np.inf),
+                                    np.nextafter(nodes, -np.inf)]))
+
+    def test_signed_zeros(self):
+        arg = np.array([-0.0, 0.0, -0.0, 1.0])
+        self._agree(arg)
+        assert np.signbit(_phasor(arg).imag).tolist() == [True, False, True, False]
+
+    @pytest.mark.parametrize("size", [1, core.CHUNK_TERMS - 1, core.CHUNK_TERMS,
+                                      core.CHUNK_TERMS + 1, 3 * core.CHUNK_TERMS + 5])
+    def test_lengths_on_both_sides_of_a_chunk(self, size):
+        self._agree(np.random.default_rng(size).uniform(-1e4, 1e4, size))
+        # and as three rows of that length
+        self._agree(np.random.default_rng(size).uniform(-1e4, 1e4, (3, size)))
 
 
 class TestTablePhasor:

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from risem import (Direction, LinearRis, MimoSystem, PlaneWave, WaveContext, apply_mimo,
-                   beam_reshape, compensated_rcs, compensated_steering, linear_rcs,
-                   monte_carlo_power_grid, path_length_phase, random_phase_expected_power,
-                   random_phase_miso_expected_power, sampling_sa, sampling_sa_linear,
-                   steering_function)
+from risem import (Direction, LinearRis, MimoSystem, ObservationPoint, Patch, PlaneWave,
+                   RisGeometry, UnitCell, WaveContext, apply_mimo, beam_reshape, compensated_rcs,
+                   compensated_steering, linear_rcs, monte_carlo_power_grid, patch_bistatic_rcs,
+                   path_length_phase, po_far_field, po_radiation_integrals,
+                   random_phase_expected_power, random_phase_miso_expected_power,
+                   ris_scattered_field, sampling_sa, sampling_sa_linear, steering_function)
 from risem.linear import dft_scatter_grid, mimo_on_angles
 
 # ordinary values mixed with zero, the edges of float64 and the non-finite values; radii
@@ -131,6 +132,12 @@ HUGE_AREA = LinearRis.uniform(8, 0.5, 1e200)
 SHORT_WAVE = LinearRis.uniform(8, 1e-200, 0.1, ctx=WaveContext(2e-200))
 OUT_OF_REACH = (mimo_on_angles(LinearRis.uniform(8, 0.5, 0.01), [0.0], np.full(8, 100.0),
                                dft_scatter_grid(8)), [1e-300], np.full(8, 1e10))
+# a patch whose area a b overflows, which a cell holds unchecked, one whose quadrature
+# weights overflow, and two cells of area 1e300 seen from 1e-300
+WIDE_PATCH, BROAD_PATCH = Patch(1e300, 1e300), Patch(1e200, 1e200)
+HEAVY_PAIR = RisGeometry([UnitCell(np.zeros(3), 1.0, 1.0, 1e300),
+                          UnitCell(np.array([0.5, 0.0, 0.0]), 1.0, 1.0, 1e300)], WaveContext())
+OBLIQUE = PlaneWave(Direction(0.3, 0.2))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -153,11 +160,25 @@ OUT_OF_REACH = (mimo_on_angles(LinearRis.uniform(8, 0.5, 0.01), [0.0], np.full(8
                                                return_stderr=True))],
     # the weights overflow in the division by beta/N x E_hat
     (lambda: beam_reshape(*OUT_OF_REACH), "the reshape gave non-finite weights"),
+    # the cell weight A / lam is inf, and its sinc product 0
+    (lambda: patch_bistatic_rcs(WIDE_PATCH, Direction(0.3, 0.2), Direction(0.4, 0.1),
+                                WaveContext()), "the bistatic RCS is not finite"),
+    (lambda: po_far_field(BROAD_PATCH, OBLIQUE, ObservationPoint(1.0, Direction(0.3, 0.2)),
+                          WaveContext()), "the radiation integrals are not finite"),
+    (lambda: po_radiation_integrals(BROAD_PATCH, OBLIQUE, Direction(0.3, 0.2), WaveContext()),
+     "the radiation integrals are not finite"),
+    # 1 / r overflows
+    (lambda: po_far_field(Patch(1.0, 1.0), OBLIQUE, ObservationPoint(1e-310, Direction(0.4)),
+                          WaveContext()), "the far field at radius 1e-310 is not finite"),
+    (lambda: ris_scattered_field(HEAVY_PAIR, OBLIQUE, ObservationPoint(1e-300, Direction(0.4))),
+     "the scattered field at radius 1e-300 is not finite"),
 ], ids=["expectation-1e-300", "expectation-1e-160", "monte-carlo-1e-300",
         "monte-carlo-stderr-1e-300", "expectation-area-1e200", "monte-carlo-area-1e200",
         "monte-carlo-stderr-area-1e200", "expectation-wavelength-2e-200",
         "monte-carlo-wavelength-2e-200", "monte-carlo-stderr-wavelength-2e-200",
-        "reshape-out-of-reach"])
+        "reshape-out-of-reach", "patch-rcs-area-1e600", "po-far-field-patch-1e200",
+        "po-radiation-integrals-patch-1e200", "po-far-field-1e-310",
+        "ris-field-area-1e300-at-1e-300"])
 def test_each_result_past_the_float_range_is_refused_by_name(call, message):
     with pytest.raises(FloatingPointError, match=message):
         call()

@@ -233,7 +233,8 @@ class TestSteeringKernel:
         spacing, lam = 0.7, 0.9
         s = np.random.default_rng(5).uniform(-2.0, 2.0, 7)
         arg = TWO_PI * np.arange(8192) * spacing * s[:, None] / lam
-        assert np.array_equal(_bits(linear_module._cell_angle(8192, spacing, lam, s)),
+        factor = linear_module._cell_factor(8192, spacing)
+        assert np.array_equal(_bits(linear_module._cell_angle(factor, lam, s)),
                               _bits(arg))
         assert _worst(linear_module._geometry_phase(8192, spacing, lam, s),
                       np.exp(1j * arg)) <= PHASOR_BOUND
@@ -247,7 +248,8 @@ class TestSteeringKernel:
             # the argument as _geometry_phase formed it before _cell_angle held it
             arg = TWO_PI * np.arange(n) * spacing * np.asarray(s, dtype=float)[..., None]
             arg /= lam
-            assert np.array_equal(_bits(linear_module._cell_angle(n, spacing, lam, s)),
+            factor = linear_module._cell_factor(n, spacing)
+            assert np.array_equal(_bits(linear_module._cell_angle(factor, lam, s)),
                                   _bits(arg))
             got = linear_module._geometry_phase(n, spacing, lam, s)
             assert _worst(got, np.cos(arg) + 1j * np.sin(arg)) <= PHASOR_BOUND
